@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-race bench bench-stagecache bench-match conformance decompile-smoke diff-gate fuzz vet load-smoke resume-smoke session-smoke chaos-smoke coverage ci
+.PHONY: build test test-short test-race bench bench-stagecache bench-match conformance decompile-smoke diff-gate fuzz vet load-smoke resume-smoke session-smoke coverage ci
 
 build:
 	$(GO) build ./...
@@ -104,22 +104,12 @@ resume-smoke:
 session-smoke:
 	$(GO) test -race -run 'TestSessionSmoke' -count 1 ./cmd/revand
 
-# Fleet chaos smoke: a coordinator plus three peer workers under the race
-# detector, with seeded fault injection on ~30% of fleet requests
-# (refused connections, 5xx, latency, truncated bodies) and one peer
-# killed mid-job. Asserts the merged report is byte-identical to a
-# healthy single-process run, the dead-fleet path falls back locally to
-# the same bytes, and no goroutines leak.
-chaos-smoke:
-	$(GO) test -race -run 'TestFleetChaosSmoke|TestFleetAllPeersDownFallsBackLocal' -count 1 ./internal/server
-
 # Mirrors .github/workflows/ci.yml: full build + vet + tests, a short-mode
-# race pass, the revand load smoke, the scripted session smoke, the fleet
-# chaos smoke, the conformance matrix, the decompilation gate, the
-# differential trojan gate, the matching microbenchmark, the coverage
-# gate, and 30-second fuzz smokes of the parsers, the report decoder, the
-# canonicalizer, the RTL round trip, and the session/diff request
-# decoders.
+# race pass, the revand load smoke, the scripted session smoke, the
+# conformance matrix, the decompilation gate, the differential trojan
+# gate, the matching microbenchmark, the coverage gate, and 30-second fuzz
+# smokes of the parsers, the report decoder, the canonicalizer, the RTL
+# round trip, and the session/diff request decoders.
 ci: build vet
 	$(GO) test ./...
 	$(GO) test -short -race ./...
@@ -127,7 +117,6 @@ ci: build vet
 	$(GO) test -race -run 'TestRunServesAndDrainsOnSIGTERM' -count 1 ./cmd/revand
 	$(GO) test -race -run 'TestStageCacheWarmDeterminism|TestStageCacheResumeAfterStageTimeout' -count 1 .
 	$(MAKE) session-smoke
-	$(MAKE) chaos-smoke
 	$(MAKE) conformance
 	$(MAKE) decompile-smoke
 	$(MAKE) diff-gate

@@ -8,13 +8,10 @@
 //	revand -addr :8080
 //	revand -addr :8080 -workers 4 -queue 128 -cache 512 -timeout 2m
 //	revand -addr :8080 -stage-cache 2048   # larger stage artifact store
-//	revand -addr :8080 -fleet -peers http://10.0.0.7:8080,http://10.0.0.8:8080
 //
-// With -fleet, netlists of at least -fleet-min elements are reset-tree
-// partitioned and the partitions dispatched as jobs to the -peers workers
-// (with retries, hedging, and circuit breakers); the merged report is
-// byte-identical to a single-process run, and a dead fleet degrades to
-// local execution. See the README "Fleet mode" section.
+// Every analysis runs in this process. Large designs go to /v1/jobs, and
+// the report cache (-cache) and stage store (-stage-cache) make repeated
+// and incremental analyses cheap.
 //
 // SIGINT/SIGTERM starts a graceful shutdown: the listener stops accepting
 // requests, queued and running jobs drain (bounded by -drain-timeout,
@@ -36,7 +33,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -63,9 +59,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		maxBody      = fs.Int64("max-body", 32<<20, "max request body bytes")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for queued jobs before canceling them")
 		readTimeout  = fs.Duration("read-timeout", 2*time.Minute, "max time to read a full request (0 disables; headers are always bounded separately)")
-		fleetMode    = fs.Bool("fleet", false, "enable fleet coordinator mode: large netlists are partitioned and dispatched to -peers")
-		peerList     = fs.String("peers", "", "comma-separated peer revand base URLs (e.g. http://10.0.0.7:8080,http://10.0.0.8:8080)")
-		fleetMin     = fs.Int("fleet-min", 2000, "smallest netlist (gates+latches) the fleet path partitions; smaller requests stay single-process")
 		sessionTTL   = fs.Duration("session-ttl", 15*time.Minute, "idle lifetime of an exploration session")
 		sessionMax   = fs.Int("session-max", 64, "max live exploration sessions; the least recently used is evicted past the cap (negative = unbounded)")
 	)
@@ -77,16 +70,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintln(stderr, "revand: -workers must be >= 0 and -queue >= 1")
 		return 2
 	}
-	var peers []string
-	for _, p := range strings.Split(*peerList, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, strings.TrimRight(p, "/"))
-		}
-	}
-	if len(peers) > 0 && !*fleetMode {
-		fmt.Fprintln(stderr, "revand: -peers requires -fleet")
-		return 2
-	}
 	cfg := server.Config{
 		QueueWorkers:      *workers,
 		QueueDepth:        *queueDepth,
@@ -95,9 +78,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		MaxRequestBytes:   *maxBody,
 		DefaultTimeout:    *timeout,
 		MaxSyncElements:   *syncLimit,
-		Fleet:             *fleetMode,
-		Peers:             peers,
-		FleetMinElements:  *fleetMin,
 		SessionTTL:        *sessionTTL,
 		MaxSessions:       *sessionMax,
 	}
@@ -122,9 +102,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	logger.Printf("serving on %s (queue depth %d, cache %d entries, stage cache %d entries)",
 		ln.Addr(), *queueDepth, *cacheEntries, *stageCache)
-	if *fleetMode {
-		logger.Printf("fleet mode: %d peers, min %d elements", len(peers), *fleetMin)
-	}
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

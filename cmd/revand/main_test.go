@@ -68,41 +68,6 @@ func TestRunFlagValidation(t *testing.T) {
 	if code := run([]string{"-nonsense"}, &stdout, &stderr, nil); code != 2 {
 		t.Errorf("unknown flag: exit %d, want 2", code)
 	}
-	if code := run([]string{"-peers", "http://127.0.0.1:9"}, &stdout, &stderr, nil); code != 2 {
-		t.Errorf("-peers without -fleet: exit %d, want 2", code)
-	}
-}
-
-// TestRunFleetStartup boots a fleet coordinator and checks the mode is
-// reported; functional fleet behavior is covered by internal/server.
-func TestRunFleetStartup(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	ready := make(chan string, 1)
-	exit := make(chan int, 1)
-	go func() {
-		exit <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1",
-			"-fleet", "-peers", "http://127.0.0.1:1, http://127.0.0.1:2/", "-fleet-min", "500"},
-			&stdout, &stderr, ready)
-	}()
-	select {
-	case <-ready:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("fleet server did not come up\nstderr: %s", stderr.String())
-	}
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case code := <-exit:
-		if code != 0 {
-			t.Fatalf("exit code %d, want 0\nstderr: %s", code, stderr.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("fleet daemon did not exit after SIGTERM")
-	}
-	if !strings.Contains(stdout.String(), "fleet mode: 2 peers, min 500 elements") {
-		t.Errorf("startup log missing fleet line:\n%s", stdout.String())
-	}
 }
 
 func TestRunListenFailure(t *testing.T) {

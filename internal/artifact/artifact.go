@@ -55,6 +55,10 @@ type Artifact struct {
 	// with the value so a cache hit reports the same trace numbers as the
 	// run that populated it.
 	Items int
+	// Size is the value's byte size when the caller tracks one (a rendered
+	// report, say); Stats sums it over the stored artifacts. Stage
+	// artifacts leave it zero.
+	Size int64
 }
 
 // Hasher accumulates the components of a Digest in a canonical,
@@ -121,6 +125,8 @@ type Stats struct {
 	Evictions int64
 	// Entries is the current artifact count.
 	Entries int
+	// Bytes sums Artifact.Size over the stored artifacts.
+	Bytes int64
 }
 
 // DefaultMaxEntries bounds a store created with a non-positive limit.
@@ -136,6 +142,7 @@ type Store struct {
 	flights map[Digest]*flight
 
 	hits, misses, evictions int64
+	bytes                   int64
 }
 
 type storeEntry struct {
@@ -183,10 +190,13 @@ func (s *Store) put(key Digest, art *Artifact) {
 		return // same key, same content: nothing to update
 	}
 	s.entries[key] = s.ll.PushFront(&storeEntry{key: key, art: art})
+	s.bytes += art.Size
 	for s.ll.Len() > s.max {
 		oldest := s.ll.Back()
+		e := oldest.Value.(*storeEntry)
 		s.ll.Remove(oldest)
-		delete(s.entries, oldest.Value.(*storeEntry).key)
+		delete(s.entries, e.key)
+		s.bytes -= e.art.Size
 		s.evictions++
 	}
 }
@@ -266,5 +276,6 @@ func (s *Store) Stats() Stats {
 		Misses:    s.misses,
 		Evictions: s.evictions,
 		Entries:   s.ll.Len(),
+		Bytes:     s.bytes,
 	}
 }

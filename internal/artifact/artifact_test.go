@@ -68,7 +68,7 @@ func TestStoreLRUEviction(t *testing.T) {
 		key := Digest(fmt.Sprintf("k%d", i))
 		i := i
 		s.Do(context.Background(), key, func() (*Artifact, bool) {
-			return &Artifact{Digest: key, Value: i}, true
+			return &Artifact{Digest: key, Value: i, Size: int64(10 + i)}, true
 		})
 	}
 	if _, ok := s.Get("k0"); ok {
@@ -80,6 +80,9 @@ func TestStoreLRUEviction(t *testing.T) {
 	st := s.Stats()
 	if st.Evictions != 1 || st.Entries != 2 {
 		t.Fatalf("stats = %+v, want 1 eviction / 2 entries", st)
+	}
+	if st.Bytes != 11+12 {
+		t.Fatalf("bytes = %d, want the sizes of k1 and k2 (23)", st.Bytes)
 	}
 }
 

@@ -47,17 +47,6 @@ func (t Type) String() string {
 	return "type(?)"
 }
 
-// TypeFromString is the inverse of Type.String, used when reconstructing
-// modules from a serialized report. Unrecognized names map to Unknown.
-func TypeFromString(s string) Type {
-	for i, name := range typeNames {
-		if name == s {
-			return Type(i)
-		}
-	}
-	return Unknown
-}
-
 // Module is one inferred high-level component. Elements are the netlist
 // nodes (gates and latches) the module covers; coverage accounting and
 // overlap resolution operate on this set.

@@ -15,7 +15,7 @@ import (
 	"sync"
 
 	"netlistre"
-	"netlistre/internal/fleet"
+	"netlistre/internal/artifact"
 )
 
 // stageBuckets are the per-stage duration histogram bounds in seconds.
@@ -123,25 +123,16 @@ func (m *Metrics) HTTPRequest(route string, code int) {
 	m.mu.Unlock()
 }
 
-// FleetGauges carries the fleet coordinator's dispatch counters and peer
-// breaker states for /metrics; nil when fleet mode is off, so the
-// exposition of a non-fleet server is unchanged.
-type FleetGauges struct {
-	Stats fleet.Stats
-	Peers []struct{ URL, State string }
-}
-
 // Gauges carries the point-in-time values rendered alongside the counters.
 type Gauges struct {
 	QueueDepth       int
 	QueueCapacity    int
 	JobsRunning      int
 	QueueWaitSeconds float64
-	Cache            CacheStats
+	Cache            artifact.Stats
 	StageCache       netlistre.StageCacheStats
 	UptimeSeconds    float64
 	SessionsActive   int
-	Fleet            *FleetGauges
 }
 
 // errw mirrors the root package's errWriter: check a long sequence of
@@ -212,28 +203,6 @@ func (m *Metrics) WriteProm(w io.Writer, g Gauges) error {
 	e.printf("# HELP revand_queue_full_total Job submissions rejected because the queue was full.\n")
 	e.printf("# TYPE revand_queue_full_total counter\n")
 	e.printf("revand_queue_full_total %d\n", m.queueFull)
-
-	if g.Fleet != nil {
-		e.printf("# HELP revand_fleet_partitions_total Partitions resolved, by executor.\n")
-		e.printf("# TYPE revand_fleet_partitions_total counter\n")
-		e.printf("revand_fleet_partitions_total{executor=\"local\"} %d\n", g.Fleet.Stats.Local)
-		e.printf("revand_fleet_partitions_total{executor=\"remote\"} %d\n", g.Fleet.Stats.Remote)
-		e.printf("# HELP revand_fleet_retries_total Remote dispatch attempts beyond each task's first.\n")
-		e.printf("# TYPE revand_fleet_retries_total counter\n")
-		e.printf("revand_fleet_retries_total %d\n", g.Fleet.Stats.Retries)
-		e.printf("# HELP revand_fleet_failures_total Failed remote dispatch attempts.\n")
-		e.printf("# TYPE revand_fleet_failures_total counter\n")
-		e.printf("revand_fleet_failures_total %d\n", g.Fleet.Stats.Failures)
-		e.printf("# HELP revand_fleet_hedges_total Hedge attempts launched, and how many won.\n")
-		e.printf("# TYPE revand_fleet_hedges_total counter\n")
-		e.printf("revand_fleet_hedges_total{outcome=\"launched\"} %d\n", g.Fleet.Stats.Hedges)
-		e.printf("revand_fleet_hedges_total{outcome=\"won\"} %d\n", g.Fleet.Stats.HedgeWins)
-		e.printf("# HELP revand_fleet_peer_breaker Peer circuit-breaker state (1 = current state).\n")
-		e.printf("# TYPE revand_fleet_peer_breaker gauge\n")
-		for _, p := range g.Fleet.Peers {
-			e.printf("revand_fleet_peer_breaker{peer=%q,state=%q} 1\n", p.URL, p.State)
-		}
-	}
 
 	e.printf("# HELP revand_cache_hits_total Report cache hits.\n")
 	e.printf("# TYPE revand_cache_hits_total counter\n")

@@ -19,11 +19,12 @@
 // WriteJSONReport produces — the service and the CLI share one wire
 // format, pinned by the root package's round-trip golden test.
 //
-// Reports are memoized in an LRU cache keyed by Netlist.Fingerprint()
-// plus the canonical options string, so re-submitting the same circuit —
-// even serialized differently — is a cache hit served without running the
-// portfolio. X-Cache on the response (HIT/MISS) and the /metrics counters
-// expose the cache behaviour.
+// Reports are memoized in a report cache — an artifact.Store of its own,
+// keyed by a digest of Netlist.Fingerprint() plus the canonical options
+// string — so re-submitting the same circuit, even serialized differently,
+// is a cache hit served without running the portfolio, and concurrent
+// identical requests share one analysis. X-Cache on the response
+// (HIT/MISS) and the /metrics counters expose the cache behaviour.
 //
 // Below the report cache sits a process-wide *stage store* (see
 // Options.StageStore in the root package): every pipeline stage's result
@@ -50,7 +51,6 @@ import (
 
 	"netlistre"
 	"netlistre/internal/artifact"
-	"netlistre/internal/fleet"
 )
 
 // Config sizes the service. The zero value of any field selects the
@@ -64,7 +64,9 @@ type Config struct {
 	// (default 64). A full queue rejects submissions with 503.
 	QueueDepth int
 	// CacheEntries bounds the report cache (default 256 entries; negative
-	// disables caching).
+	// disables caching). The report cache is its own store, separate from
+	// the stage store, so cold uploads — each of which adds one entry per
+	// stage to the stage store — cannot evict hot reports.
 	CacheEntries int
 	// StageCacheEntries bounds the process-wide stage store memoizing
 	// per-stage analysis artifacts across requests (default 512 entries;
@@ -91,25 +93,6 @@ type Config struct {
 	// session is evicted past the cap (default 64; negative means
 	// unbounded).
 	MaxSessions int
-	// Fleet enables coordinator mode: netlists of at least
-	// FleetMinElements elements are reset-tree partitioned and the
-	// partitions dispatched to Peers as /v1/jobs jobs, with local
-	// fallback when the fleet cannot serve them (see internal/fleet).
-	Fleet bool
-	// Peers are the worker base URLs, e.g. "http://10.0.0.7:8080".
-	// Fleet mode with no peers is valid: every partition falls back to
-	// local execution, which is also the byte-identity baseline the
-	// chaos tests compare against.
-	Peers []string
-	// FleetMinElements is the smallest netlist (gates+latches) the fleet
-	// path considers (default 2000; smaller requests stay single-process).
-	FleetMinElements int
-	// FleetTransport overrides the HTTP transport used to reach peers —
-	// the chaos tests inject their fault transport here (nil selects
-	// http.DefaultTransport).
-	FleetTransport http.RoundTripper
-	// FleetOptions tunes dispatch: retries, backoff, hedging, breakers.
-	FleetOptions fleet.Options
 }
 
 func (c Config) withDefaults() Config {
@@ -142,9 +125,6 @@ func (c Config) withDefaults() Config {
 	} else if c.MaxSessions < 0 {
 		c.MaxSessions = 0 // sessionStore treats 0 as unbounded
 	}
-	if c.FleetMinElements == 0 {
-		c.FleetMinElements = 2000
-	}
 	return c
 }
 
@@ -152,7 +132,7 @@ func (c Config) withDefaults() Config {
 // http.Handler, and call Shutdown to drain the job queue.
 type Server struct {
 	cfg      Config
-	cache    *Cache
+	cache    *artifact.Store       // rendered reports; nil when CacheEntries < 0
 	stages   *netlistre.StageStore // nil when StageCacheEntries < 0
 	rtl      *artifact.Store       // decompiled-RTL cache, keyed by fingerprint+options
 	metrics  *Metrics
@@ -160,10 +140,6 @@ type Server struct {
 	sessions *sessionStore
 	mux      *http.ServeMux
 	start    time.Time
-
-	// Fleet coordinator state; nil unless Config.Fleet is set.
-	fleetReg  *fleet.Registry
-	fleetDisp *fleet.Dispatcher
 }
 
 // New builds a Server and starts its queue workers.
@@ -174,21 +150,15 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 	}
-	s.cache = NewCache(s.cfg.CacheEntries)
+	if s.cfg.CacheEntries > 0 {
+		s.cache = artifact.NewStore(s.cfg.CacheEntries)
+	}
 	if s.cfg.StageCacheEntries > 0 {
 		s.stages = netlistre.NewStageStore(s.cfg.StageCacheEntries)
 	}
 	s.rtl = artifact.NewStore(rtlCacheEntries)
 	s.queue = NewQueue(s.cfg.QueueWorkers, s.cfg.QueueDepth, s.runJob)
 	s.sessions = newSessionStore(s.cfg.SessionTTL, s.cfg.MaxSessions, s.metrics)
-	if s.cfg.Fleet {
-		client := &http.Client{Transport: s.cfg.FleetTransport}
-		s.fleetReg = fleet.NewRegistry(s.cfg.Peers, client, s.cfg.FleetOptions)
-		s.fleetDisp = fleet.NewDispatcher(s.fleetReg, client, s.cfg.FleetOptions)
-		if len(s.cfg.Peers) > 0 {
-			s.fleetReg.StartProbing()
-		}
-	}
 
 	s.route("POST /v1/analyze", "/v1/analyze", s.handleAnalyze)
 	s.route("POST /v1/jobs", "/v1/jobs", s.handleSubmitJob)
@@ -236,9 +206,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // analyses are canceled cooperatively and finish as degraded reports.
 // Call http.Server.Shutdown before this so no new requests race intake.
 func (s *Server) Shutdown(ctx context.Context) error {
-	if s.fleetReg != nil {
-		s.fleetReg.StopProbing()
-	}
 	return s.queue.Drain(ctx)
 }
 
@@ -298,15 +265,10 @@ type RequestOptions struct {
 	// like revan without -basic-ilp).
 	Sliceable *bool `json:"sliceable,omitempty"`
 	// IncludeElements renders the report with per-module element and
-	// slice ID lists (the lossless wire format a fleet coordinator needs
-	// to merge partition reports). Default reports omit them and stay
-	// byte-identical to earlier releases.
+	// slice ID lists, so a client can map every module back onto netlist
+	// nodes. Default reports omit them and stay byte-identical to earlier
+	// releases.
 	IncludeElements bool `json:"include_elements,omitempty"`
-	// PartitionResets names the reset inputs anchoring fleet-mode
-	// partitioning, overriding automatic discovery. Unknown names are a
-	// 400. Ignored (beyond validation) when the netlist stays on the
-	// single-process path.
-	PartitionResets []string `json:"partition_resets,omitempty"`
 }
 
 func (o RequestOptions) validate() error {
@@ -370,10 +332,9 @@ func (o RequestOptions) cacheKey(fingerprint string, defaultTimeout time.Duratio
 	if objective == "min" && target == 0 {
 		target = 0.5
 	}
-	return fmt.Sprintf("%s|to=%s sto=%dms smm=%t swp=%t kc=%t obj=%s ct=%g sl=%t ie=%t pr=%s",
+	return fmt.Sprintf("%s|to=%s sto=%dms smm=%t swp=%t kc=%t obj=%s ct=%g sl=%t ie=%t",
 		fingerprint, timeout, o.StageTimeoutMS, o.SkipModMatch, o.SkipWordProp,
-		o.KeepCandidates, objective, target, sliceable, o.IncludeElements,
-		strings.Join(o.PartitionResets, ","))
+		o.KeepCandidates, objective, target, sliceable, o.IncludeElements)
 }
 
 // builtinArticle resolves a built-in netlist name, including the large
@@ -464,12 +425,6 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*parsedR
 		writeError(w, http.StatusBadRequest, "netlist: %v", err)
 		return nil, false
 	}
-	for _, name := range req.Options.PartitionResets {
-		if nl.FindByName(name) == netlistre.NilID {
-			writeError(w, http.StatusBadRequest, "options.partition_resets: no input named %q", name)
-			return nil, false
-		}
-	}
 	fp := nl.Fingerprint()
 	return &parsedRequest{
 		nl:          nl,
@@ -480,26 +435,39 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*parsedR
 	}, true
 }
 
-// analyze runs one analysis through the cache: a hit returns the stored
-// bytes; a miss runs the portfolio — stage-incrementally, through the
-// process-wide stage store — feeds the stage histograms, and stores the
-// rendered report unless it is degraded. A degraded report is never
-// cached, but its completed stages live on in the stage store, so
-// resubmitting the same request resumes the analysis instead of starting
-// over. When fleet mode is on and the netlist is large enough to split,
-// the analysis is sharded across the fleet instead (see fleet.go); the
-// cache key covers every report-shaping option, so a given key always
-// resolves through the same path within a process.
+// analyze runs one analysis through the report cache: a hit returns the
+// stored bytes; a miss runs the portfolio and stores the rendered report
+// unless it is degraded. Concurrent identical requests share one run (the
+// store is single-flight). A degraded report is never cached, but its
+// completed stages live on in the stage store, so resubmitting the same
+// request resumes the analysis instead of starting over.
 func (s *Server) analyze(ctx context.Context, source string, pr *parsedRequest) (report []byte, cacheHit, degraded bool, err error) {
-	if b, _, ok := s.cache.Get(pr.key); ok {
-		return b, true, false, nil
-	}
-	if s.fleetEligible(pr.nl) {
-		report, degraded, handled, err := s.analyzeFleet(ctx, source, pr.nl, pr.opt, pr.fingerprint, pr.key, pr.ro)
-		if handled || err != nil {
+	if s.cache != nil {
+		h := artifact.NewHasher("netlistre-report-v1")
+		h.Str(pr.key)
+		art, hit, waitErr := s.cache.Do(ctx, h.Sum(), func() (*artifact.Artifact, bool) {
+			report, degraded, err = s.runAnalysis(ctx, source, pr)
+			return &artifact.Artifact{Stage: "report", Value: report, Size: int64(len(report))},
+				err == nil && !degraded
+		})
+		if waitErr == nil {
+			if hit {
+				return art.Value.([]byte), true, false, nil
+			}
 			return report, false, degraded, err
 		}
+		// ctx expired while another request was computing this report; run
+		// it here, where the expired context yields a degraded report just
+		// as it would have without the cache.
 	}
+	report, degraded, err = s.runAnalysis(ctx, source, pr)
+	return report, false, degraded, err
+}
+
+// runAnalysis runs the portfolio — stage-incrementally, through the
+// process-wide stage store — feeds the stage histograms, and renders the
+// report.
+func (s *Server) runAnalysis(ctx context.Context, source string, pr *parsedRequest) (report []byte, degraded bool, err error) {
 	opt := pr.opt
 	if s.stages != nil {
 		opt.StageStore = s.stages
@@ -514,12 +482,9 @@ func (s *Server) analyze(ctx context.Context, source string, pr *parsedRequest) 
 		err = netlistre.WriteJSONReport(&buf, rep)
 	}
 	if err != nil {
-		return nil, false, false, err
+		return nil, false, err
 	}
-	if !rep.Degraded {
-		s.cache.Put(pr.key, pr.fingerprint, buf.Bytes())
-	}
-	return buf.Bytes(), false, rep.Degraded, nil
+	return buf.Bytes(), rep.Degraded, nil
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -748,18 +713,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		QueueCapacity:    s.queue.Capacity(),
 		JobsRunning:      s.queue.Running(),
 		QueueWaitSeconds: s.queue.EstimatedWaitSeconds(),
-		Cache:            s.cache.Stats(),
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		SessionsActive:   s.sessions.Active(),
 	}
+	if s.cache != nil {
+		g.Cache = s.cache.Stats()
+	}
 	if s.stages != nil {
 		g.StageCache = s.stages.Stats()
-	}
-	if s.fleetDisp != nil {
-		g.Fleet = &FleetGauges{
-			Stats: s.fleetDisp.Stats(),
-			Peers: s.fleetReg.PeerStates(),
-		}
 	}
 	if err := s.metrics.WriteProm(w, g); err != nil {
 		// The write failed mid-stream; nothing useful left to send.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -30,6 +31,28 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		s.Shutdown(ctx)
 	})
 	return s, ts
+}
+
+// waitGoroutines polls until the goroutine count drops back to at most
+// base+slack, reporting the shortfall on timeout.
+func waitGoroutines(t *testing.T, base, slack int) {
+	t.Helper()
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base+slack {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Errorf("goroutines leaked: %d now vs %d at start (+%d allowed)\n%s", n, base, slack, buf)
+			return
+		}
+		time.Sleep(50 * time.Millisecond)
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	}
 }
 
 func postJSON(t *testing.T, url string, body interface{}) *http.Response {
@@ -409,6 +432,7 @@ func TestMetricsExposition(t *testing.T) {
 		"revand_queue_capacity 64",
 		"revand_analyses_total{source=\"sync\"} 1",
 		"revand_queue_full_total 0",
+		"revand_cache_entries 1",
 		"revand_stagecache_hits_total 0", // one cold analysis: misses only
 		"revand_stage_duration_seconds_bucket{stage=\"overlap\",le=\"+Inf\"} 1",
 		"revand_http_requests_total{route=\"/v1/analyze\",code=\"200\"} 2",
@@ -416,6 +440,9 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n--- exposition ---\n%s", want, body)
 		}
+	}
+	if !regexp.MustCompile(`(?m)^revand_cache_bytes [1-9][0-9]*$`).MatchString(body) {
+		t.Errorf("revand_cache_bytes is not a positive count\n--- exposition ---\n%s", body)
 	}
 }
 
@@ -450,8 +477,214 @@ func TestDegradedNotCached(t *testing.T) {
 	if !js.Degraded {
 		t.Error("degraded report does not say degraded")
 	}
-	if st := s.cache.Stats(); st.Entries != 0 {
-		t.Errorf("degraded report was cached: %+v", st)
+	if st := s.cache.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Misses != 1 {
+		t.Errorf("degraded report was cached: %+v, want 1 miss and nothing stored", st)
+	}
+}
+
+// TestCanceledWaiterDegrades: a request whose context ends while another
+// request is computing the same report still gets a degraded report of
+// its own, not an error.
+func TestCanceledWaiterDegrades(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
+	nl, err := netlistre.TestArticle("usb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ro RequestOptions
+	fp := nl.Fingerprint()
+	key := ro.cacheKey(fp, 0)
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	leaderOpt := ro.toOptions(nl, 0)
+	leaderOpt.Progress = func(netlistre.StageEvent) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	}
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		s.analyze(context.Background(), "sync", &parsedRequest{nl: nl, fingerprint: fp, opt: leaderOpt, key: key, ro: ro})
+	}()
+	<-entered // the leader now holds the report's flight
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, hit, degraded, err := s.analyze(ctx, "sync", &parsedRequest{nl: nl, fingerprint: fp, opt: ro.toOptions(nl, 0), key: key, ro: ro})
+	close(release)
+	<-leaderDone
+	if err != nil || hit || !degraded {
+		t.Fatalf("canceled waiter: hit=%v degraded=%v err=%v, want a degraded miss", hit, degraded, err)
+	}
+}
+
+// TestCacheDisabled: a negative CacheEntries leaves the service without a
+// report cache, so a repeated request runs the portfolio again.
+func TestCacheDisabled(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheEntries: -1})
+	if s.cache != nil {
+		t.Fatal("CacheEntries -1 still built a report cache")
+	}
+	for i := 0; i < 2; i++ {
+		resp := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Article: "usb"})
+		readBody(t, resp)
+		if got := resp.Header.Get("X-Cache"); got != "MISS" {
+			t.Errorf("request %d X-Cache = %q, want MISS", i, got)
+		}
+	}
+	m := string(getJSON(t, ts.URL+"/metrics", http.StatusOK, nil))
+	for _, want := range []string{`revand_analyses_total{source="sync"} 2`, "revand_cache_entries 0"} {
+		if !strings.Contains(m, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestCacheHitMissEvict runs a one-entry report cache over two keys: each
+// new key evicts the other, and a repeat of the surviving key hits.
+func TestCacheHitMissEvict(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheEntries: 1})
+	verilog, _ := refVerilog(t, "tiny")
+	a := AnalyzeRequest{Verilog: verilog}
+	b := AnalyzeRequest{Verilog: verilog, Options: RequestOptions{SkipModMatch: true}}
+	for i, step := range []struct {
+		req  AnalyzeRequest
+		want string
+	}{{a, "MISS"}, {b, "MISS"}, {a, "MISS"}, {a, "HIT"}} {
+		resp := postJSON(t, ts.URL+"/v1/analyze", step.req)
+		readBody(t, resp)
+		if got := resp.Header.Get("X-Cache"); got != step.want {
+			t.Errorf("step %d X-Cache = %q, want %s", i, got, step.want)
+		}
+	}
+	if st := s.cache.Stats(); st.Hits != 1 || st.Misses != 3 || st.Evictions != 2 || st.Entries != 1 {
+		t.Errorf("cache stats = %+v, want 1 hit, 3 misses, 2 evictions, 1 entry", st)
+	}
+}
+
+// TestCacheDuplicatePut serves one key twice, once synchronously and once
+// as a job: the cache holds a single entry whose byte count is exactly the
+// one report's size.
+func TestCacheDuplicatePut(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body := readBody(t, postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Article: "usb"}))
+	var st JobStatus
+	if err := json.Unmarshal(readBody(t, postJSON(t, ts.URL+"/v1/jobs", AnalyzeRequest{Article: "usb"})), &st); err != nil {
+		t.Fatal(err)
+	}
+	if final := pollJob(t, ts.URL+"/v1/jobs/"+st.ID); !final.CacheHit {
+		t.Errorf("job for a cached key: cache_hit = false")
+	}
+	if cs := s.cache.Stats(); cs.Entries != 1 || cs.Bytes != int64(len(body)) {
+		t.Errorf("cache stats = %+v, want 1 entry of %d bytes", cs, len(body))
+	}
+}
+
+// TestCacheConcurrent sends identical cold requests at once: the report
+// cache runs the portfolio a single time and every client gets the same
+// bytes.
+func TestCacheConcurrent(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const clients = 4
+	bodies := make([][]byte, clients)
+	caches := make([]string, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			b, _ := json.Marshal(AnalyzeRequest{Article: "evoter"})
+			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			bodies[i], _ = io.ReadAll(resp.Body)
+			caches[i] = resp.Header.Get("X-Cache")
+		}(i)
+	}
+	wg.Wait()
+	misses := 0
+	for i := range bodies {
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Errorf("client %d got different bytes than client 0", i)
+		}
+		if caches[i] == "MISS" {
+			misses++
+		}
+	}
+	if misses != 1 {
+		t.Errorf("X-Cache values %v, want exactly one MISS", caches)
+	}
+	m := string(getJSON(t, ts.URL+"/metrics", http.StatusOK, nil))
+	if want := `revand_analyses_total{source="sync"} 1`; !strings.Contains(m, want) {
+		t.Errorf("metrics missing %q\n%s", want, m)
+	}
+}
+
+// TestPartitionResetsValidation: the partition_resets option is gone, so
+// a request that sets it is rejected as an unknown field.
+func TestPartitionResetsValidation(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json",
+		strings.NewReader(`{"article":"usb","options":{"partition_resets":["rst"]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "partition_resets") {
+		t.Errorf("error should name the unknown field: %s", body)
+	}
+}
+
+// TestIncludeElementsRoundTrip: include_elements adds per-module element
+// IDs and keys the cache separately from the default rendering.
+func TestIncludeElementsRoundTrip(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+
+	plain := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Article: "usb"})
+	plainBody := readBody(t, plain)
+	with := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{
+		Article: "usb",
+		Options: RequestOptions{IncludeElements: true},
+	})
+	withBody := readBody(t, with)
+
+	if with.Header.Get("X-Cache") != "MISS" {
+		t.Errorf("include_elements request hit the plain request's cache entry")
+	}
+	if bytes.Contains(plainBody, []byte(`"element_ids"`)) {
+		t.Error("plain report leaked element IDs")
+	}
+	if !bytes.Contains(withBody, []byte(`"element_ids"`)) {
+		t.Error("include_elements report carries no element IDs")
+	}
+
+	var probe struct {
+		Modules []struct {
+			Elements   int   `json:"elements"`
+			ElementIDs []int `json:"element_ids"`
+		} `json:"modules"`
+	}
+	if err := json.Unmarshal(withBody, &probe); err != nil {
+		t.Fatal(err)
+	}
+	if len(probe.Modules) == 0 {
+		t.Fatal("no modules in usb report")
+	}
+	for i, m := range probe.Modules {
+		if len(m.ElementIDs) != m.Elements {
+			t.Errorf("module %d: %d element IDs, elements %d", i, len(m.ElementIDs), m.Elements)
+		}
 	}
 }
 

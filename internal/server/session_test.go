@@ -6,9 +6,11 @@ package server
 // differential endpoints' golden behaviour and error semantics.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -247,7 +249,17 @@ func TestSessionEviction(t *testing.T) {
 func TestSessionConcurrent(t *testing.T) {
 	before := runtime.NumGoroutine()
 	func() {
-		_, ts := newTestServer(t, Config{MaxSessions: 4})
+		// The server is built and torn down inside the closure, not with
+		// t.Cleanup, so its handlers and queue workers are gone before the
+		// leak check below counts goroutines.
+		srv := New(Config{MaxSessions: 4})
+		ts := httptest.NewServer(srv)
+		defer func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			srv.Shutdown(ctx)
+		}()
 
 		// One done job shared by every session.
 		resp := postJSON(t, ts.URL+"/v1/jobs", AnalyzeRequest{Article: "evoter"})

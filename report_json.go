@@ -6,11 +6,8 @@ package netlistre
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-
-	"netlistre/internal/module"
 )
 
 // JSONReport is the serializable form of a Report.
@@ -69,9 +66,9 @@ type JSONStage struct {
 }
 
 // JSONModule is one resolved module. ElementIDs and SliceIDs are filled
-// only when the report is rendered with element detail (the fleet wire
-// format — see WriteJSONReportElements); the default rendering keeps them
-// empty so existing reports stay byte-identical.
+// only when the report is rendered with element detail (see
+// WriteJSONReportElements); the default rendering keeps them empty so
+// existing reports stay byte-identical.
 type JSONModule struct {
 	Name     string            `json:"name"`
 	Type     string            `json:"type"`
@@ -92,8 +89,8 @@ func ToJSONReport(rep *Report) JSONReport {
 }
 
 // ToJSONReportElements converts a Report including per-module element and
-// slice ID lists — the lossless form a fleet coordinator needs to merge a
-// partition's resolved modules back into the parent netlist.
+// slice ID lists — the lossless form that maps every resolved module back
+// onto netlist nodes.
 func ToJSONReportElements(rep *Report) JSONReport {
 	return toJSONReport(rep, true)
 }
@@ -210,62 +207,13 @@ func WriteJSONReport(w io.Writer, rep *Report) error {
 }
 
 // WriteJSONReportElements writes the report as indented JSON including
-// per-module element and slice ID lists (the fleet wire format). Reports
-// written without element detail are unchanged byte for byte.
+// per-module element and slice ID lists (revand's include_elements
+// option). Reports written without element detail are unchanged byte for
+// byte.
 func WriteJSONReportElements(w io.Writer, rep *Report) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ToJSONReportElements(rep))
-}
-
-// ModulesFromJSONReport reconstructs the resolved module set of a report
-// written with element detail (WriteJSONReportElements). The returned
-// modules carry the element sets, slices, ports and attributes of the
-// originals, in the report's module order; a fleet coordinator remaps
-// their IDs into the parent netlist and feeds them to overlap resolution.
-// It fails on a report without element IDs, which cannot participate in a
-// merge.
-func ModulesFromJSONReport(rep *JSONReport) ([]*Module, error) {
-	mods := make([]*Module, 0, len(rep.Modules))
-	for _, jm := range rep.Modules {
-		if len(jm.ElementIDs) == 0 && jm.Elements > 0 {
-			return nil, fmt.Errorf("netlistre: module %q has no element IDs; the report was not written with element detail", jm.Name)
-		}
-		m := &Module{
-			Type:  module.TypeFromString(jm.Type),
-			Name:  jm.Name,
-			Width: jm.Width,
-		}
-		elems := make([]ID, len(jm.ElementIDs))
-		for i, e := range jm.ElementIDs {
-			elems[i] = ID(e)
-		}
-		m.SetElements(elems)
-		for _, slice := range jm.SliceIDs {
-			ids := make([]ID, len(slice))
-			for i, e := range slice {
-				ids[i] = ID(e)
-			}
-			m.Slices = append(m.Slices, ids)
-		}
-		var portNames []string
-		for name := range jm.Ports {
-			portNames = append(portNames, name)
-		}
-		sort.Strings(portNames)
-		for _, name := range portNames {
-			ids := make([]ID, len(jm.Ports[name]))
-			for i, e := range jm.Ports[name] {
-				ids[i] = ID(e)
-			}
-			m.SetPort(name, ids)
-		}
-		for k, v := range jm.Attrs {
-			m.SetAttr(k, v)
-		}
-		mods = append(mods, m)
-	}
-	return mods, nil
 }
 
 // ReadJSONReport decodes a report previously written by WriteJSONReport
