@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-race bench bench-stagecache bench-match conformance decompile-smoke diff-gate fuzz vet load-smoke resume-smoke session-smoke coverage ci
+.PHONY: build test test-short test-race bench bench-smoke bench-stagecache bench-match conformance decompile-smoke diff-gate fuzz vet load-smoke resume-smoke session-smoke coverage ci
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,13 @@ test-race: build
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
+
+# Smoke tests of the pipeline benchmark (bench/, its own Go module): the
+# quick configuration of every workload plus the harness's consistency
+# checks, so a change to an internal API the benchmark calls fails here
+# rather than in a later benchmark run.
+bench-smoke:
+	cd bench && $(GO) test -short ./...
 
 # Cold-vs-warm stage-store comparison on the BigSoC case study: analyzes
 # the SoC once from scratch, then again replaying every stage artifact,
@@ -107,7 +114,8 @@ session-smoke:
 # Mirrors .github/workflows/ci.yml: full build + vet + tests, a short-mode
 # race pass, the revand load smoke, the scripted session smoke, the
 # conformance matrix, the decompilation gate, the differential trojan
-# gate, the matching microbenchmark, the coverage gate, and 30-second fuzz
+# gate, the matching microbenchmark, the benchmark smoke tests, the
+# coverage gate, and 30-second fuzz
 # smokes of the parsers, the report decoder, the canonicalizer, the RTL
 # round trip, and the session/diff request decoders.
 ci: build vet
@@ -121,6 +129,7 @@ ci: build vet
 	$(MAKE) decompile-smoke
 	$(MAKE) diff-gate
 	$(MAKE) bench-match
+	$(MAKE) bench-smoke
 	$(MAKE) coverage
 	$(GO) test ./internal/netlist -fuzz FuzzReadVerilog -fuzztime 30s
 	$(GO) test ./internal/netlist -fuzz FuzzReadBLIF -fuzztime 30s

@@ -8,14 +8,18 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
+	"netlistre/internal/bitsim"
 	"netlistre/internal/gen"
 	"netlistre/internal/netlist"
-	"netlistre/internal/sim"
 	"netlistre/internal/words"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+func run(out io.Writer) {
 	// Figure 2: w = c ? ~v : ~u, bit by bit.
 	nl := netlist.New("fig2")
 	c := nl.AddInput("c")
@@ -26,38 +30,37 @@ func main() {
 	w := gen.Mux2Word(nl, c, nu, nv)
 	gen.MarkOutputs(nl, "w", w)
 
-	fmt.Println("circuit: w_i = c ? ~v_i : ~u_i   (Figure 2 of the paper)")
-	fmt.Println()
+	fmt.Fprintln(out, "circuit: w_i = c ? ~v_i : ~u_i   (Figure 2 of the paper)")
+	fmt.Fprintln(out)
 
-	// Step 1: five-valued simulation with u = (D,D,D) and c = 0.
-	assign := map[netlist.ID]sim.Value{c: sim.Zero}
+	// Step 1: five-valued simulation with u = (D,D,D) and c = 0, in the
+	// pair encoding: every lane pair holds a signal's D=0 and D=1 values.
+	assign := map[netlist.ID]bitsim.Vector{c: bitsim.Known(0)}
 	for _, b := range u {
-		assign[b] = sim.D
+		assign[b] = bitsim.PairD()
 	}
-	vals := sim.Run(nl, assign)
-	fmt.Println("with u=D,D,D and c=0 the outputs evaluate to:")
-	for i, b := range w {
-		fmt.Printf("  w%d = %v\n", i+1, vals[b])
+	vals := bitsim.CompilePairCone(nl, w, assign).Eval()
+	fmt.Fprintln(out, "with u=D,D,D and c=0 the outputs evaluate to:")
+	for i, val := range vals {
+		fmt.Fprintf(out, "  w%d = %s\n", i+1, val.PairString(0))
 	}
-	fmt.Println("all outputs are D̄: the negated value of u propagates to w when c=0")
-	fmt.Println()
+	fmt.Fprintln(out, "all outputs are D̄: the negated value of u propagates to w when c=0")
+	fmt.Fprintln(out)
 
 	// Step 2: the automated guess-and-check propagation.
-	props, _ := []words.Propagation(nil), 0
-	all, propagations := words.PropagateAll(nl, []words.Word{{Bits: u, Origin: "seed"}}, 4, words.Options{})
-	props = propagations
-	fmt.Printf("automated propagation from the seed word u discovered %d words:\n", len(all))
+	all, props := words.PropagateAll(nl, []words.Word{{Bits: u, Origin: "seed"}}, 4, words.Options{})
+	fmt.Fprintf(out, "automated propagation from the seed word u discovered %d words:\n", len(all))
 	for _, wd := range all {
-		fmt.Printf("  %-22s bits=%v\n", wd.Origin, wd.Bits)
+		fmt.Fprintf(out, "  %-22s bits=%v\n", wd.Origin, wd.Bits)
 	}
-	fmt.Println()
-	fmt.Println("propagation steps (with discovered control assignments):")
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, "propagation steps (with discovered control assignments):")
 	for _, p := range props {
 		dir := "forward"
 		if p.Backward {
 			dir = "backward"
 		}
-		fmt.Printf("  %v -> %v  [%s, controls %v]\n",
+		fmt.Fprintf(out, "  %v -> %v  [%s, controls %v]\n",
 			p.Source.Bits, p.Target.Bits, dir, p.Controls)
 	}
 }

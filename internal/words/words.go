@@ -1,6 +1,6 @@
 // Package words implements Algorithm 3 of the paper (Section II-C): word
 // identification from aggregated modules and symbolic word propagation
-// using five-valued simulation.
+// using five-valued {0, 1, D, D̄, X} simulation.
 //
 // Word propagation follows the paper's guess-and-check scheme: candidate
 // target words are guessed by grouping the gates driven by a word's bits by
@@ -8,16 +8,19 @@
 // of the target gates' shallow fan-in cones; and each candidate is checked
 // by symbolic simulation with the word's bits set to D, up to three control
 // wires set to each binary combination, and everything else X. A
-// propagation succeeds when every target bit evaluates to D or D̄.
+// propagation succeeds when every target bit evaluates to D or D̄. The
+// simulation runs on the targets' fan-in cone in bitsim's D-calculus pair
+// encoding, bitsim.Pairs control assignments per pass.
 package words
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
+	"netlistre/internal/bitsim"
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
-	"netlistre/internal/sim"
 )
 
 // Word is an ordered set of netlist signals treated as one multi-bit value.
@@ -91,8 +94,8 @@ type Options struct {
 	// enumeration tractable.
 	MaxControlSet int
 	// Interrupt, when non-nil, is polled between candidate checks and
-	// between control-assignment simulations; when it returns true,
-	// propagation stops and returns the words found so far.
+	// before each batch of bitsim.Pairs control assignments; when it
+	// returns true, propagation stops and returns the words found so far.
 	Interrupt func() bool
 }
 
@@ -280,38 +283,64 @@ func controlWires(nl *netlist.Netlist, src, tgt Word, opt Options) []netlist.ID 
 // checkPropagation runs the symbolic simulations. src bits are forced to D
 // (cutting them loose from their own logic, as in the paper's local-netlist
 // simulation); combinations of up to MaxControls control wires are swept
-// over all binary values; all other boundary signals are X.
+// over all binary values; all other boundary signals are X. The targets'
+// fan-in cone is compiled once and each Eval checks bitsim.Pairs control
+// assignments, one per lane pair. The first success in enumeration order
+// wins, so the result is the one a one-at-a-time sweep would return.
 func checkPropagation(nl *netlist.Netlist, src, tgt Word, opt Options, backward bool) (Propagation, bool) {
-	assignable := controlWires(nl, src, tgt, opt)
-
-	base := make(map[netlist.ID]sim.Value, len(src.Bits))
+	wires := controlWires(nl, src, tgt, opt)
+	assign := make(map[netlist.ID]bitsim.Vector, len(src.Bits))
 	for _, b := range src.Bits {
-		base[b] = sim.D
+		assign[b] = bitsim.PairD()
 	}
-
-	try := func(ctrl map[netlist.ID]bool) (Propagation, bool) {
-		assign := make(map[netlist.ID]sim.Value, len(base)+len(ctrl))
-		for k, v := range base {
-			assign[k] = v
+	cone := bitsim.CompilePairCone(nl, tgt.Bits, assign)
+	force := make([]bitsim.Vector, len(wires))
+	var batch [bitsim.Pairs]assignment
+	it := assignment{mask: -1}
+	for more := true; more; {
+		if opt.Interrupt != nil && opt.Interrupt() {
+			return Propagation{}, false
 		}
-		for c, v := range ctrl {
-			if v {
-				assign[c] = sim.One
-			} else {
-				assign[c] = sim.Zero
+		for j := range force {
+			force[j] = bitsim.Unknown()
+		}
+		n := 0
+		for ; n < bitsim.Pairs; n++ {
+			if more = it.next(len(wires), opt.MaxControls); !more {
+				break
+			}
+			batch[n].subset = append(batch[n].subset[:0], it.subset...)
+			batch[n].mask = it.mask
+			lanes := uint64(3) << uint(2*n)
+			for i, w := range it.subset {
+				force[w].Unk &^= lanes
+				if it.mask>>uint(i)&1 == 1 {
+					force[w].Val |= lanes
+				}
 			}
 		}
-		vals := sim.Run(nl, assign)
+		if n == 0 {
+			break
+		}
+		for j, w := range wires {
+			cone.Force(w, force[j])
+		}
+		vals := cone.Eval()
+		ok := uint64(1)<<uint(2*n) - 1
+		for _, v := range vals {
+			ok &= v.SymbolicPairs()
+		}
+		if ok == 0 {
+			continue
+		}
+		k := bits.TrailingZeros64(ok) / 2
+		ctrl := make(map[netlist.ID]bool, len(batch[k].subset))
+		for i, w := range batch[k].subset {
+			ctrl[wires[w]] = batch[k].mask>>uint(i)&1 == 1
+		}
 		neg := make([]bool, len(tgt.Bits))
-		for i, g := range tgt.Bits {
-			switch vals[g] {
-			case sim.D:
-				neg[i] = false
-			case sim.DBar:
-				neg[i] = true
-			default:
-				return Propagation{}, false
-			}
+		for i, v := range vals {
+			neg[i], _ = v.Get(2 * k)
 		}
 		return Propagation{
 			Source:   src,
@@ -321,46 +350,45 @@ func checkPropagation(nl *netlist.Netlist, src, tgt Word, opt Options, backward 
 			Backward: backward,
 		}, true
 	}
-
-	// No controls first.
-	if p, ok := try(map[netlist.ID]bool{}); ok {
-		return p, true
-	}
-	// Subsets of size 1..MaxControls, all binary assignments.
-	n := len(assignable)
-	for size := 1; size <= opt.MaxControls && size <= n; size++ {
-		idx := make([]int, size)
-		for i := range idx {
-			idx[i] = i
-		}
-		for {
-			if opt.Interrupt != nil && opt.Interrupt() {
-				return Propagation{}, false
-			}
-			for mask := 0; mask < 1<<uint(size); mask++ {
-				ctrl := make(map[netlist.ID]bool, size)
-				for i, ii := range idx {
-					ctrl[assignable[ii]] = mask>>uint(i)&1 == 1
-				}
-				if p, ok := try(ctrl); ok {
-					return p, true
-				}
-			}
-			// Next combination.
-			i := size - 1
-			for i >= 0 && idx[i] == n-size+i {
-				i--
-			}
-			if i < 0 {
-				break
-			}
-			idx[i]++
-			for j := i + 1; j < size; j++ {
-				idx[j] = idx[j-1] + 1
-			}
-		}
-	}
 	return Propagation{}, false
+}
+
+// assignment is one control assignment: wire subset[i] takes bit i of mask.
+type assignment struct {
+	subset []int
+	mask   int
+}
+
+// next advances a over n control wires, at most maxSize of them at once,
+// in the order the check tries assignments: no controls first, then
+// subsets of size 1..maxSize in lexicographic order, each with its masks
+// ascending. Start from assignment{mask: -1}.
+func (a *assignment) next(n, maxSize int) bool {
+	if a.mask+1 < 1<<uint(len(a.subset)) {
+		a.mask++
+		return true
+	}
+	a.mask = 0
+	size := len(a.subset)
+	i := size - 1
+	for i >= 0 && a.subset[i] == n-size+i {
+		i--
+	}
+	if i >= 0 {
+		a.subset[i]++
+		for j := i + 1; j < size; j++ {
+			a.subset[j] = a.subset[j-1] + 1
+		}
+		return true
+	}
+	if size >= maxSize || size >= n {
+		return false
+	}
+	a.subset = a.subset[:0]
+	for j := 0; j <= size; j++ {
+		a.subset = append(a.subset, j)
+	}
+	return true
 }
 
 // PropagateAll iteratively expands a word set with forward and backward

@@ -1,6 +1,7 @@
 package words
 
 import (
+	"reflect"
 	"testing"
 
 	"netlistre/internal/gen"
@@ -142,6 +143,76 @@ func TestPropagateBackward(t *testing.T) {
 		if b != src[i] {
 			t.Errorf("backward source[%d] = %d, want %d", i, b, src[i])
 		}
+	}
+}
+
+// TestControlsPastFirstBatch: the only working assignment sets a, b and c
+// to 1, and it is the last of the 131 assignments over the five control
+// wires [x0 x1 a b c] (1 empty, 10 single, 40 pair, 80 triple), so the
+// check must carry the search across five batches of bitsim.Pairs and
+// still report exactly that assignment. Interrupt is polled once per
+// candidate and once per batch.
+func TestControlsPastFirstBatch(t *testing.T) {
+	nl := netlist.New("late")
+	w := gen.InputWord(nl, "w", 2)
+	x0 := nl.AddInput("x0")
+	x1 := nl.AddInput("x1")
+	a := nl.AddGate(netlist.And, x0, x1)
+	b := nl.AddInput("b")
+	c := nl.AddInput("c")
+	for i := range w {
+		nl.AddGate(netlist.And, w[i], a, b, c)
+	}
+	polls := 0
+	props := Propagate(nl, Word{Bits: w}, Options{Interrupt: func() bool { polls++; return false }})
+	if len(props) != 1 {
+		t.Fatalf("got %d propagations, want 1", len(props))
+	}
+	want := map[netlist.ID]bool{a: true, b: true, c: true}
+	if !reflect.DeepEqual(props[0].Controls, want) {
+		t.Errorf("controls = %v, want %v", props[0].Controls, want)
+	}
+	if polls != 1+5 {
+		t.Errorf("Interrupt polled %d times, want 6 (1 candidate + 5 batches)", polls)
+	}
+}
+
+// TestCollapseRejectsHalfKnownPairs: t = w | (w & x) equals w for every x,
+// but the D-calculus cannot see that with x unknown — w & x is X, so t is
+// X. The propagation w -> t must need the control x=0, where exact
+// simulation would accept it with no controls.
+func TestCollapseRejectsHalfKnownPairs(t *testing.T) {
+	nl := netlist.New("absorb")
+	w := gen.InputWord(nl, "w", 3)
+	x := nl.AddInput("x")
+	var out []netlist.ID
+	for i := range w {
+		out = append(out, nl.AddGate(netlist.Or, w[i], nl.AddGate(netlist.And, w[i], x)))
+	}
+	for _, p := range Propagate(nl, Word{Bits: w}, Options{}) {
+		if !reflect.DeepEqual(p.Target.Bits, out) {
+			continue
+		}
+		if want := map[netlist.ID]bool{x: false}; !reflect.DeepEqual(p.Controls, want) {
+			t.Errorf("controls = %v, want %v", p.Controls, want)
+		}
+		return
+	}
+	t.Fatal("w never propagated to w | (w & x)")
+}
+
+// TestInterruptReturnsSeeds: an Interrupt that fires on its first poll
+// stops PropagateAll before any propagation is checked.
+func TestInterruptReturnsSeeds(t *testing.T) {
+	nl := netlist.New("inv")
+	w := gen.InputWord(nl, "w", 4)
+	gen.BitwiseNot(nl, w)
+	seeds := []Word{{Bits: w, Origin: "seed"}}
+	polls := 0
+	all, props := PropagateAll(nl, seeds, 3, Options{Interrupt: func() bool { polls++; return true }})
+	if !reflect.DeepEqual(all, seeds) || len(props) != 0 || polls != 1 {
+		t.Errorf("got %d words, %d props after %d polls; want the seeds alone after 1",
+			len(all), len(props), polls)
 	}
 }
 
