@@ -65,8 +65,8 @@ diff-gate: build
 bench-match: build
 	BENCH_MATCH_OUT=BENCH_match.json $(GO) test -run TestMatchBench -count 1 -v .
 
-# Short fuzz sweep of the netlist parsers and the JSON report decoder
-# (seeds always run under `make test`; this explores beyond them).
+# Short fuzz sweep of the netlist parsers, the JSON report decoder and the
+# ILP solver (seeds always run under `make test`; this explores beyond them).
 fuzz:
 	$(GO) test ./internal/netlist -fuzz FuzzReadVerilog -fuzztime 30s
 	$(GO) test ./internal/netlist -fuzz FuzzReadBLIF -fuzztime 30s
@@ -75,6 +75,7 @@ fuzz:
 	$(GO) test ./internal/rtl -fuzz FuzzEmitRTL -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzSessionRequest -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzDiffRequest -fuzztime 30s
+	$(GO) test ./internal/ilp -fuzz FuzzSolve -fuzztime 30s
 
 vet:
 	$(GO) vet ./...
@@ -138,3 +139,4 @@ ci: build vet
 	$(GO) test ./internal/rtl -fuzz FuzzEmitRTL -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzSessionRequest -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzDiffRequest -fuzztime 30s
+	$(GO) test ./internal/ilp -fuzz FuzzSolve -fuzztime 30s

@@ -8,6 +8,15 @@
 // search with unit propagation over the rows, a clique-partition bound that
 // exploits the packing rows, and a greedy warm start. It is exact: when it
 // reports Optimal, the solution maximizes (or minimizes) the objective.
+//
+// A search node costs time in the assignments it makes and the rows they
+// touch, not in the problem size. The clique bound is kept incrementally:
+// every clique lists its positive-objective members by objective,
+// descending, with a head at the first unassigned one, and a running sum
+// holds the head objectives plus the unassigned positive weights outside
+// any clique, so bound() is O(1). Propagation skips a row without scanning
+// its terms when its slack is at least its largest coefficient, since such
+// a row forces nothing.
 package ilp
 
 import (
@@ -66,6 +75,9 @@ type Solution struct {
 	// Optimal is true when the search completed; false when NodeLimit was
 	// hit, in which case Values holds the best incumbent found.
 	Optimal bool
+	// Nodes counts the branch-and-bound nodes the search visited; it is
+	// set with ErrInfeasible too.
+	Nodes int64
 }
 
 // Options tunes the search.
@@ -84,9 +96,10 @@ type Options struct {
 	Interrupt func() bool
 }
 
-// DefaultNodeLimit bounds the search; overlap instances solve in far fewer
-// nodes, so hitting this indicates a pathological input rather than a
-// normal run.
+// DefaultNodeLimit bounds the search when Options.NodeLimit is 0. Callers
+// with a time budget set their own limit: overlap resolution caps each
+// component at 200,000 nodes, and a few dense components of the labeled
+// articles stop there.
 const DefaultNodeLimit = 20_000_000
 
 // ErrInfeasible is returned when no assignment satisfies the constraints.
@@ -112,17 +125,22 @@ type solver struct {
 	currObj   int64 // objective of the current partial assignment
 	interrupt func() bool
 	stopped   bool // interrupt fired; unwind without exploring further
-
-	// cliqueOf[v] is the packing row used for v in the bound computation,
-	// or -1.
-	cliqueOf  []int32
 	branchOrd []int
 
-	// bound() scratch: per-row best unassigned objective, epoch-stamped to
-	// avoid clearing between nodes.
-	cliqueBest  []int64
-	cliqueEpoch []int64
-	epoch       int64
+	// Clique bound. cliqueOf[v] is the packing row used for v in the
+	// bound, or -1. Each clique row ri lists its positive-objective
+	// members in members[ri], by objective descending; rank[v] is v's
+	// index there and head[ri] the index of the first unassigned member.
+	// boundSum is the head objective of every clique plus the objective of
+	// every unassigned positive variable outside any clique.
+	cliqueOf []int32
+	rank     []int32
+	members  [][]int32
+	head     []int32
+	boundSum int64
+
+	// visit, when non-nil, is called at every search node (tests only).
+	visit func(*solver)
 }
 
 type row struct {
@@ -133,14 +151,25 @@ type row struct {
 	// curr  = Σ over assigned terms of c_i * x_i
 	// posUn = Σ over unassigned terms of max(0, c_i)
 	// negUn = Σ over unassigned terms of min(0, c_i)
+	// nUn   = number of unassigned terms
 	curr, posUn, negUn int64
-	packing            bool // Σ x_i ≤ 1 with unit coefficients
+	nUn                int
+	maxAbs             int64 // largest |c_i|, static
+	packing            bool  // Σ x_i ≤ 1 with unit coefficients
 }
 
 // Solve finds an optimal 0-1 assignment for p.
 func Solve(p *Problem, opt Options) (Solution, error) {
+	s, err := newSolver(p, opt)
+	if err != nil {
+		return Solution{}, err
+	}
+	return s.solve(opt.Incumbent)
+}
+
+func newSolver(p *Problem, opt Options) (*solver, error) {
 	if len(p.Objective) != p.NumVars {
-		return Solution{}, errors.New("ilp: objective length mismatch")
+		return nil, errors.New("ilp: objective length mismatch")
 	}
 	s := &solver{p: p, nodeLimit: opt.NodeLimit, interrupt: opt.Interrupt}
 	if s.nodeLimit == 0 {
@@ -157,16 +186,18 @@ func Solve(p *Problem, opt Options) (Solution, error) {
 	s.rows = make([]row, len(p.Constraints))
 	s.varRows = make([][]varRef, p.NumVars)
 	for i, c := range p.Constraints {
-		r := row{terms: c.Terms, rel: c.Rel, rhs: c.RHS}
+		r := row{terms: c.Terms, rel: c.Rel, rhs: c.RHS, nUn: len(c.Terms)}
 		r.packing = c.Rel == LE && c.RHS == 1
 		for _, t := range c.Terms {
 			if t.Var < 0 || t.Var >= p.NumVars {
-				return Solution{}, errors.New("ilp: constraint variable out of range")
+				return nil, errors.New("ilp: constraint variable out of range")
 			}
 			if t.Coef > 0 {
 				r.posUn += t.Coef
+				r.maxAbs = max(r.maxAbs, t.Coef)
 			} else {
 				r.negUn += t.Coef
+				r.maxAbs = max(r.maxAbs, -t.Coef)
 			}
 			if t.Coef != 1 {
 				r.packing = false
@@ -213,18 +244,44 @@ func Solve(p *Problem, opt Options) (Solution, error) {
 		}
 		return s.branchOrd[a] < s.branchOrd[b]
 	})
+	// Clique member lists follow branchOrd, so they come out sorted by
+	// objective, descending.
+	s.rank = make([]int32, p.NumVars)
+	s.members = make([][]int32, len(s.rows))
+	s.head = make([]int32, len(s.rows))
+	for _, v := range s.branchOrd {
+		if s.obj[v] <= 0 {
+			continue
+		}
+		ri := s.cliqueOf[v]
+		if ri == -1 {
+			s.boundSum += s.obj[v]
+			continue
+		}
+		if len(s.members[ri]) == 0 {
+			s.boundSum += s.obj[v]
+		}
+		s.rank[v] = int32(len(s.members[ri]))
+		s.members[ri] = append(s.members[ri], int32(v))
+	}
+	return s, nil
+}
 
+// solve runs the search from the greedy warm start and the optional
+// caller-supplied incumbent.
+func (s *solver) solve(incumbent []bool) (Solution, error) {
+	p := s.p
 	s.greedyWarmStart()
-	if len(opt.Incumbent) == p.NumVars && feasible(p, opt.Incumbent) {
+	if len(incumbent) == p.NumVars && feasible(p, incumbent) {
 		var obj int64
-		for v, on := range opt.Incumbent {
+		for v, on := range incumbent {
 			if on {
 				obj += s.obj[v]
 			}
 		}
 		if !s.hasBest || obj > s.bestVal {
 			s.bestVal = obj
-			s.bestSet = append([]bool(nil), opt.Incumbent...)
+			s.bestSet = append([]bool(nil), incumbent...)
 			s.hasBest = true
 		}
 	}
@@ -236,13 +293,18 @@ func Solve(p *Problem, opt Options) (Solution, error) {
 	s.undoTo(mark)
 
 	if !s.hasBest {
-		return Solution{}, ErrInfeasible
+		return Solution{Nodes: s.nodes}, ErrInfeasible
 	}
 	val := s.bestVal
 	if p.Sense == Minimize {
 		val = -val
 	}
-	return Solution{Values: s.bestSet, Objective: val, Optimal: s.nodes < s.nodeLimit && !s.stopped}, nil
+	return Solution{
+		Values:    s.bestSet,
+		Objective: val,
+		Optimal:   s.nodes < s.nodeLimit && !s.stopped,
+		Nodes:     s.nodes,
+	}, nil
 }
 
 // greedyWarmStart tries to construct a feasible incumbent by greedily
@@ -307,16 +369,32 @@ func feasible(p *Problem, vals []bool) bool {
 	return true
 }
 
-func (s *solver) currentObjective() int64 { return s.currObj }
-
-// set assigns v (recording on the trail) and updates row slacks. It returns
-// false if a row became unsatisfiable.
+// set assigns v (recording on the trail) and updates row slacks and the
+// clique bound. It returns false if a row became unsatisfiable. Every row is
+// updated before the result is reported, so undoTo can revert them all.
 func (s *solver) set(v int, val int8) bool {
 	s.assign[v] = val
 	if val == 1 {
 		s.currObj += s.obj[v]
 	}
 	s.trail = append(s.trail, int32(v))
+	if s.obj[v] > 0 {
+		if ri := s.cliqueOf[v]; ri == -1 {
+			s.boundSum -= s.obj[v]
+		} else if s.rank[v] == s.head[ri] {
+			m := s.members[ri]
+			h := s.head[ri]
+			for h < int32(len(m)) && s.assign[m[h]] != -1 {
+				h++
+			}
+			s.head[ri] = h
+			s.boundSum -= s.obj[v]
+			if h < int32(len(m)) {
+				s.boundSum += s.obj[m[h]]
+			}
+		}
+	}
+	ok := true
 	for _, vr := range s.varRows[v] {
 		r := &s.rows[vr.row]
 		c := vr.coef
@@ -325,17 +403,18 @@ func (s *solver) set(v int, val int8) bool {
 		} else {
 			r.negUn -= c
 		}
+		r.nUn--
 		if val == 1 {
 			r.curr += c
 		}
 		if r.rel == LE && r.curr+r.negUn > r.rhs {
-			return false
+			ok = false
 		}
 		if r.rel == GE && r.curr+r.posUn < r.rhs {
-			return false
+			ok = false
 		}
 	}
-	return true
+	return ok
 }
 
 func (s *solver) undoTo(mark int) {
@@ -344,9 +423,22 @@ func (s *solver) undoTo(mark int) {
 		s.trail = s.trail[:len(s.trail)-1]
 		val := s.assign[v]
 		if val == 1 {
-			s.currObj -= s.obj[int(v)]
+			s.currObj -= s.obj[v]
 		}
 		s.assign[v] = -1
+		if s.obj[v] > 0 {
+			// The head is the lowest-ranked unassigned member, so
+			// unassigning v moves it back to v when v ranks lower.
+			if ri := s.cliqueOf[v]; ri == -1 {
+				s.boundSum += s.obj[v]
+			} else if h := s.head[ri]; s.rank[v] < h {
+				if m := s.members[ri]; h < int32(len(m)) {
+					s.boundSum -= s.obj[m[h]]
+				}
+				s.boundSum += s.obj[v]
+				s.head[ri] = s.rank[v]
+			}
+		}
 		for _, vr := range s.varRows[v] {
 			r := &s.rows[vr.row]
 			c := vr.coef
@@ -355,6 +447,7 @@ func (s *solver) undoTo(mark int) {
 			} else {
 				r.negUn += c
 			}
+			r.nUn++
 			if val == 1 {
 				r.curr -= c
 			}
@@ -405,13 +498,19 @@ const (
 	propConflict
 )
 
-// propagateRow forces variables whose value is implied by row ri.
+// propagateRow forces variables whose value is implied by row ri. A term
+// of coefficient c is forced when |c| exceeds the row's slack, and forcing
+// never grows the slack, so a row whose slack is at least its largest |c|
+// forces nothing and is skipped without a scan.
 func (s *solver) propagateRow(ri int) propResult {
 	r := &s.rows[ri]
 	res := propNone
 	if r.rel == LE {
 		if r.curr+r.negUn > r.rhs {
 			return propConflict
+		}
+		if r.nUn == 0 || r.rhs-(r.curr+r.negUn) >= r.maxAbs {
+			return propNone
 		}
 		for _, t := range r.terms {
 			if s.assign[t.Var] != -1 {
@@ -433,6 +532,9 @@ func (s *solver) propagateRow(ri int) propResult {
 	} else {
 		if r.curr+r.posUn < r.rhs {
 			return propConflict
+		}
+		if r.nUn == 0 || (r.curr+r.posUn)-r.rhs >= r.maxAbs {
+			return propNone
 		}
 		for _, t := range r.terms {
 			if s.assign[t.Var] != -1 {
@@ -457,36 +559,7 @@ func (s *solver) propagateRow(ri int) propResult {
 // bound returns an upper bound on the best achievable objective from the
 // current partial assignment: the current objective plus, for each packing
 // clique, the best unassigned member, plus unclustered positive weights.
-func (s *solver) bound(curr int64) int64 {
-	if s.cliqueBest == nil {
-		s.cliqueBest = make([]int64, len(s.rows))
-		s.cliqueEpoch = make([]int64, len(s.rows))
-	}
-	s.epoch++
-	b := curr
-	for v, a := range s.assign {
-		if a != -1 || s.obj[v] <= 0 {
-			continue
-		}
-		ri := s.cliqueOf[v]
-		if ri == -1 {
-			b += s.obj[v]
-			continue
-		}
-		// A clique whose row already has curr = rhs contributes nothing;
-		// propagation normally forces members to 0 in that case, so curr <
-		// rhs here in practice.
-		if s.cliqueEpoch[ri] != s.epoch {
-			s.cliqueEpoch[ri] = s.epoch
-			s.cliqueBest[ri] = s.obj[v]
-			b += s.obj[v]
-		} else if s.obj[v] > s.cliqueBest[ri] {
-			b += s.obj[v] - s.cliqueBest[ri]
-			s.cliqueBest[ri] = s.obj[v]
-		}
-	}
-	return b
-}
+func (s *solver) bound(curr int64) int64 { return curr + s.boundSum }
 
 func (s *solver) search(from int) {
 	s.nodes++
@@ -497,7 +570,10 @@ func (s *solver) search(from int) {
 		s.stopped = true
 		return
 	}
-	curr := s.currentObjective()
+	if s.visit != nil {
+		s.visit(s)
+	}
+	curr := s.currObj
 	if s.hasBest && s.bound(curr) <= s.bestVal {
 		return
 	}

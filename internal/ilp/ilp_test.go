@@ -39,12 +39,16 @@ func bruteForce(p *Problem) (int64, bool) {
 	return best, found
 }
 
-func TestSimplePacking(t *testing.T) {
-	// Two overlapping modules of size 5 and 3 plus a disjoint module of
-	// size 4: optimal coverage = 5 + 4.
+// simplePacking: two overlapping modules of size 5 and 3 plus a disjoint
+// module of size 4; optimal coverage = 5 + 4.
+func simplePacking() *Problem {
 	p := &Problem{NumVars: 3, Objective: []int64{5, 3, 4}, Sense: Maximize}
 	p.AddConstraint([]Term{{0, 1}, {1, 1}}, LE, 1)
-	sol, err := Solve(p, Options{})
+	return p
+}
+
+func TestSimplePacking(t *testing.T) {
+	sol, err := Solve(simplePacking(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +60,16 @@ func TestSimplePacking(t *testing.T) {
 	}
 }
 
-func TestMinimizeWithCoverageTarget(t *testing.T) {
-	// Modules of size 6, 5, 5, 2; cover at least 10 elements with the
-	// fewest modules: {6,5} = 2 modules.
+// coverageTarget: modules of size 6, 5, 5, 2; cover at least 10 elements
+// with the fewest modules: {6,5} = 2 modules.
+func coverageTarget() *Problem {
 	p := &Problem{NumVars: 4, Objective: []int64{1, 1, 1, 1}, Sense: Minimize}
 	p.AddConstraint([]Term{{0, 6}, {1, 5}, {2, 5}, {3, 2}}, GE, 10)
-	sol, err := Solve(p, Options{})
+	return p
+}
+
+func TestMinimizeWithCoverageTarget(t *testing.T) {
+	sol, err := Solve(coverageTarget(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +86,16 @@ func TestInfeasible(t *testing.T) {
 	}
 }
 
-func TestForcedVariables(t *testing.T) {
-	// x0 >= 1 forces x0; x0 + x1 <= 1 then forces x1 = 0.
+// forcedVariables: x0 >= 1 forces x0; x0 + x1 <= 1 then forces x1 = 0.
+func forcedVariables() *Problem {
 	p := &Problem{NumVars: 2, Objective: []int64{1, 10}, Sense: Maximize}
 	p.AddConstraint([]Term{{0, 1}}, GE, 1)
 	p.AddConstraint([]Term{{0, 1}, {1, 1}}, LE, 1)
-	sol, err := Solve(p, Options{})
+	return p
+}
+
+func TestForcedVariables(t *testing.T) {
+	sol, err := Solve(forcedVariables(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +107,11 @@ func TestForcedVariables(t *testing.T) {
 	}
 }
 
-func TestSliceLinkingShape(t *testing.T) {
-	// A miniature of the paper's sliceable formulation (Figure 8): a 5-bit
-	// mux with slices x1..x5 and umbrella x0, overlapping a RAM module y.
-	// Slices 4 and 5 overlap the RAM; MinSlices = 2.
-	// Vars: 0=x_i0, 1..5=x_i1..x_i5, 6=y (RAM, size 40).
+// sliceLinkingShape is a miniature of the paper's sliceable formulation
+// (Figure 8): a 5-bit mux with slices x1..x5 and umbrella x0, overlapping a
+// RAM module y. Slices 4 and 5 overlap the RAM; MinSlices = 2.
+// Vars: 0=x_i0, 1..5=x_i1..x_i5, 6=y (RAM, size 40).
+func sliceLinkingShape() *Problem {
 	obj := []int64{1, 3, 3, 3, 3, 3, 40} // shared inverter=1, slices=3 gates each
 	p := &Problem{NumVars: 7, Objective: obj, Sense: Maximize}
 	// Overlap: slice4/slice5 vs RAM.
@@ -111,7 +123,11 @@ func TestSliceLinkingShape(t *testing.T) {
 	}
 	// MinSlices: sum xj - 2*x0 >= 0.
 	p.AddConstraint([]Term{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}, {0, -2}}, GE, 0)
-	sol, err := Solve(p, Options{})
+	return p
+}
+
+func TestSliceLinkingShape(t *testing.T) {
+	sol, err := Solve(sliceLinkingShape(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,27 +140,34 @@ func TestSliceLinkingShape(t *testing.T) {
 	}
 }
 
+// randomProblem draws a problem of 2-10 variables and up to 5 mixed rows
+// with coefficients in [-3, 5].
+func randomProblem(rng *rand.Rand) *Problem {
+	n := 2 + rng.Intn(9)
+	p := &Problem{NumVars: n, Sense: Sense(rng.Intn(2))}
+	p.Objective = make([]int64, n)
+	for i := range p.Objective {
+		p.Objective[i] = int64(rng.Intn(21) - 5)
+	}
+	nCons := rng.Intn(6)
+	for c := 0; c < nCons; c++ {
+		nTerms := 1 + rng.Intn(n)
+		perm := rng.Perm(n)[:nTerms]
+		var terms []Term
+		for _, v := range perm {
+			terms = append(terms, Term{v, int64(rng.Intn(9) - 3)})
+		}
+		rel := Rel(rng.Intn(2))
+		rhs := int64(rng.Intn(13) - 4)
+		p.AddConstraint(terms, rel, rhs)
+	}
+	return p
+}
+
 func TestRandomAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 300; trial++ {
-		n := 2 + rng.Intn(9)
-		p := &Problem{NumVars: n, Sense: Sense(rng.Intn(2))}
-		p.Objective = make([]int64, n)
-		for i := range p.Objective {
-			p.Objective[i] = int64(rng.Intn(21) - 5)
-		}
-		nCons := rng.Intn(6)
-		for c := 0; c < nCons; c++ {
-			nTerms := 1 + rng.Intn(n)
-			perm := rng.Perm(n)[:nTerms]
-			var terms []Term
-			for _, v := range perm {
-				terms = append(terms, Term{v, int64(rng.Intn(9) - 3)})
-			}
-			rel := Rel(rng.Intn(2))
-			rhs := int64(rng.Intn(13) - 4)
-			p.AddConstraint(terms, rel, rhs)
-		}
+		p := randomProblem(rng)
 		want, wantFeas := bruteForce(p)
 		sol, err := Solve(p, Options{})
 		if !wantFeas {
@@ -165,14 +188,13 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestLargePackingPerformance(t *testing.T) {
-	// 600 modules in 200 overlapping triples must solve quickly and
-	// optimally: each triple contributes its max.
+// largePacking: 600 modules in 200 overlapping triples; each triple
+// contributes its max to the optimum, want.
+func largePacking() (p *Problem, want int64) {
 	rng := rand.New(rand.NewSource(99))
 	const groups = 200
-	p := &Problem{NumVars: 3 * groups, Sense: Maximize}
+	p = &Problem{NumVars: 3 * groups, Sense: Maximize}
 	p.Objective = make([]int64, p.NumVars)
-	var want int64
 	for g := 0; g < groups; g++ {
 		best := int64(0)
 		var terms []Term
@@ -187,6 +209,12 @@ func TestLargePackingPerformance(t *testing.T) {
 		p.AddConstraint(terms, LE, 1)
 		want += best
 	}
+	return p, want
+}
+
+func TestLargePackingPerformance(t *testing.T) {
+	// The triples must solve quickly and optimally.
+	p, want := largePacking()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -39,9 +39,9 @@ type Options struct {
 	// module must keep (the paper uses 2).
 	MinSlices int
 	// NodeLimit caps the branch-and-bound search per component (0 = a
-	// default of 1M nodes, a few seconds on the largest components). When
-	// the limit is hit the best incumbent is used and Result.Optimal is
-	// false.
+	// default of 200,000 nodes). The basic-formulation warm start of a
+	// sliceable component gets a quarter of it. When the limit is hit the
+	// best incumbent is used and Result.Optimal is false.
 	NodeLimit int64
 	// Interrupt, when non-nil, is polled inside the ILP searches; when it
 	// returns true each remaining search stops at its best incumbent and
@@ -67,6 +67,9 @@ type Result struct {
 	Coverage int
 	// Optimal is false when the solver hit its node limit.
 	Optimal bool
+	// Nodes counts the branch-and-bound nodes of every ILP solved,
+	// warm-start solves included.
+	Nodes int64
 }
 
 // Resolve selects a non-overlapping subset of mods.
@@ -156,7 +159,9 @@ func Resolve(mods []*module.Module, opt Options) (Result, error) {
 			basicOpt := opt
 			basicOpt.Sliceable = false
 			bb := newBuilder(sub, basicOpt)
-			if bsol, err := ilp.Solve(bb.problem, ilp.Options{NodeLimit: opt.NodeLimit / 4, Interrupt: opt.Interrupt}); err == nil {
+			bsol, err := ilp.Solve(bb.problem, ilp.Options{NodeLimit: opt.NodeLimit / 4, Interrupt: opt.Interrupt})
+			res.Nodes += bsol.Nodes
+			if err == nil {
 				inc := make([]bool, b.problem.NumVars)
 				for i := range sub {
 					if !bsol.Values[bb.varOfMod[i]] {
@@ -177,6 +182,7 @@ func Resolve(mods []*module.Module, opt Options) (Result, error) {
 		part := b.extract(sol)
 		res.Selected = append(res.Selected, part.Selected...)
 		res.Optimal = res.Optimal && part.Optimal
+		res.Nodes += part.Nodes
 	}
 	res.Coverage = module.CoverageCount(res.Selected)
 	return res, nil
@@ -375,8 +381,7 @@ func sortTerms(terms []ilp.Term) {
 
 // extract rebuilds the selected module set from the ILP solution.
 func (b *builder) extract(sol ilp.Solution) Result {
-	var res Result
-	res.Optimal = sol.Optimal
+	res := Result{Optimal: sol.Optimal, Nodes: sol.Nodes}
 	for i, m := range b.mods {
 		if !sol.Values[b.varOfMod[i]] {
 			continue
