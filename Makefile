@@ -65,8 +65,9 @@ diff-gate: build
 bench-match: build
 	BENCH_MATCH_OUT=BENCH_match.json $(GO) test -run TestMatchBench -count 1 -v .
 
-# Short fuzz sweep of the netlist parsers, the JSON report decoder and the
-# ILP solver (seeds always run under `make test`; this explores beyond them).
+# Short fuzz sweep of the netlist parsers, the JSON report decoder, the
+# ILP solver and the 2QBF solver (seeds always run under `make test`; this
+# explores beyond them).
 fuzz:
 	$(GO) test ./internal/netlist -fuzz FuzzReadVerilog -fuzztime 30s
 	$(GO) test ./internal/netlist -fuzz FuzzReadBLIF -fuzztime 30s
@@ -76,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzSessionRequest -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzDiffRequest -fuzztime 30s
 	$(GO) test ./internal/ilp -fuzz FuzzSolve -fuzztime 30s
+	$(GO) test ./internal/qbf -fuzz FuzzSolveForallEqualWord -fuzztime 30s
 
 vet:
 	$(GO) vet ./...
@@ -118,7 +120,8 @@ session-smoke:
 # gate, the matching microbenchmark, the benchmark smoke tests, the
 # coverage gate, and 30-second fuzz
 # smokes of the parsers, the report decoder, the canonicalizer, the RTL
-# round trip, and the session/diff request decoders.
+# round trip, the session/diff request decoders, the ILP solver and the
+# 2QBF solver.
 ci: build vet
 	$(GO) test ./...
 	$(GO) test -short -race ./...
@@ -140,3 +143,4 @@ ci: build vet
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzSessionRequest -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzDiffRequest -fuzztime 30s
 	$(GO) test ./internal/ilp -fuzz FuzzSolve -fuzztime 30s
+	$(GO) test ./internal/qbf -fuzz FuzzSolveForallEqualWord -fuzztime 30s

@@ -7,6 +7,11 @@
 // ROBDDs). There are no complement edges: the structure is kept simple in
 // exchange for a slightly larger node count, which is irrelevant at the
 // cone sizes these analyses inspect.
+//
+// Builder is the one netlist-to-BDD translation: it holds the per-kind gate
+// and LUT semantics for every caller. Its Leaf predicate cuts cones at
+// caller-chosen nodes, which is how the RAM read check builds a root over
+// its latches, inputs and unmarked nodes.
 package bdd
 
 import (

@@ -266,3 +266,110 @@ func TestITEQuickProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestBuilderVarOrderFaninZeroFirst(t *testing.T) {
+	// Variables are numbered in depth-first order with fanin 0 visited
+	// first, including Leaf cuts; the RAM read check's run time depends
+	// on this order.
+	nl := netlist.New("t")
+	a := nl.AddInput("a")
+	b := nl.AddInput("b")
+	c := nl.AddInput("c")
+	d := nl.AddInput("d")
+	cut := nl.AddGate(netlist.Or, d, a)
+	h := nl.AddGate(netlist.Xor, b, a)
+	g := nl.AddGate(netlist.And, h, c, cut, nl.AddConst(true))
+	bld := NewBuilder(New(0), nl)
+	bld.Leaf = func(id netlist.ID) bool { return id == cut }
+	bld.Build(g)
+	want := []netlist.ID{b, a, c, cut}
+	if n := bld.M.NumVars(); n != len(want) {
+		t.Fatalf("%d variables, want %d", n, len(want))
+	}
+	for v, id := range want {
+		if got := bld.SignalOf(v); got != id {
+			t.Errorf("variable %d is node %d, want %d", v, got, id)
+		}
+	}
+}
+
+func TestBuilderLeafAgainstEval(t *testing.T) {
+	// Random LUT netlists built with a random Leaf set must agree with an
+	// evaluator that treats the cut nodes as free inputs. Constants in the
+	// Leaf set fold rather than cut.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		nl := netlist.New("r")
+		pool := []netlist.ID{nl.AddConst(false), nl.AddConst(true)}
+		for i := 0; i < 4; i++ {
+			pool = append(pool, nl.AddInput(string(rune('a'+i))))
+		}
+		pool = append(pool, nl.AddLatch(pool[2]))
+		for i := 0; i < 16; i++ {
+			fan := make([]netlist.ID, 1+rng.Intn(4))
+			for j := range fan {
+				fan[j] = pool[rng.Intn(len(pool))]
+			}
+			if rng.Intn(4) == 0 {
+				pool = append(pool, nl.AddGate(netlist.Xor, append(fan, pool[rng.Intn(len(pool))])...))
+				continue
+			}
+			mask := rng.Uint64() & (uint64(1)<<(uint(1)<<uint(len(fan))) - 1)
+			pool = append(pool, nl.AddLut(mask, fan...))
+		}
+		cut := make(map[netlist.ID]bool)
+		for _, id := range pool {
+			if rng.Intn(4) == 0 {
+				cut[id] = true
+			}
+		}
+		free := func(id netlist.ID) bool {
+			k := nl.Kind(id)
+			return k.IsConeInput() || cut[id] && k != netlist.Const0 && k != netlist.Const1
+		}
+
+		m := New(0)
+		bld := NewBuilder(m, nl)
+		bld.Leaf = func(id netlist.ID) bool { return cut[id] }
+		refs := make(map[netlist.ID]Ref, len(pool))
+		for _, id := range pool {
+			refs[id] = bld.Build(id)
+		}
+		for _, id := range pool {
+			if _, ok := bld.HasVar(id); ok != free(id) {
+				t.Fatalf("trial %d: node %d (%v, cut %v) has variable %v", trial, id, nl.Kind(id), cut[id], ok)
+			}
+		}
+
+		for sample := 0; sample < 128; sample++ {
+			vals := make(map[netlist.ID]bool, len(pool))
+			bddAssign := make(map[int]bool)
+			for _, id := range nl.TopoOrder() {
+				node := nl.Node(id)
+				switch {
+				case free(id):
+					vals[id] = rng.Intn(2) == 0
+					v, _ := bld.HasVar(id)
+					bddAssign[v] = vals[id]
+				case node.Kind == netlist.Const0 || node.Kind == netlist.Const1:
+					vals[id] = node.Kind == netlist.Const1
+				default:
+					in := make([]bool, len(node.Fanin))
+					for j, f := range node.Fanin {
+						in[j] = vals[f]
+					}
+					if node.Kind == netlist.Lut {
+						vals[id] = netlist.EvalLut(node.Mask, in)
+					} else {
+						vals[id] = netlist.EvalKind(node.Kind, in)
+					}
+				}
+			}
+			for id, r := range refs {
+				if m.Eval(r, bddAssign) != vals[id] {
+					t.Fatalf("trial %d sample %d: node %d disagrees with the cut evaluator", trial, sample, id)
+				}
+			}
+		}
+	}
+}

@@ -13,6 +13,11 @@ type Builder struct {
 	M  *Manager
 	nl *netlist.Netlist
 
+	// Leaf, when set, also cuts cones at the nodes for which it returns
+	// true: they become variables like boundary signals. Constants fold to
+	// the terminals before Leaf is consulted, so they are never cut.
+	Leaf func(netlist.ID) bool
+
 	varOf map[netlist.ID]int
 	ids   []netlist.ID // inverse of varOf
 	memo  map[netlist.ID]Ref
@@ -29,8 +34,8 @@ func NewBuilder(m *Manager, nl *netlist.Netlist) *Builder {
 	}
 }
 
-// VarOf returns the BDD variable index for boundary signal id, allocating
-// one if needed.
+// VarOf returns the BDD variable index for boundary signal (or Leaf cut)
+// id, allocating one if needed.
 func (b *Builder) VarOf(id netlist.ID) int {
 	if v, ok := b.varOf[id]; ok {
 		return v
@@ -52,6 +57,7 @@ func (b *Builder) HasVar(id netlist.ID) (int, bool) {
 
 // Build returns the BDD of node id's combinational function over the
 // boundary signals of its cone. Results are memoized across calls.
+// Variables are allocated in depth-first order with fanin 0 visited first.
 func (b *Builder) Build(id netlist.ID) Ref {
 	if r, ok := b.memo[id]; ok {
 		return r
@@ -70,32 +76,26 @@ func (b *Builder) Build(id netlist.ID) Ref {
 			continue
 		}
 		node := b.nl.Node(f.id)
-		if node.Kind.IsConeInput() {
-			b.memo[f.id] = b.M.Var(b.VarOf(f.id))
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		switch node.Kind {
-		case netlist.Const0:
+		switch {
+		case node.Kind == netlist.Const0:
 			b.memo[f.id] = False
-			stack = stack[:len(stack)-1]
-			continue
-		case netlist.Const1:
+		case node.Kind == netlist.Const1:
 			b.memo[f.id] = True
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		if !f.expanded {
+		case node.Kind.IsConeInput() || b.Leaf != nil && b.Leaf(f.id):
+			b.memo[f.id] = b.M.Var(b.VarOf(f.id))
+		case !f.expanded:
 			stack[len(stack)-1].expanded = true
-			for _, fi := range node.Fanin {
-				if _, done := b.memo[fi]; !done {
-					stack = append(stack, frame{fi, false})
+			// Push in reverse so fanin 0 is popped, and numbered, first.
+			for i := len(node.Fanin) - 1; i >= 0; i-- {
+				if _, done := b.memo[node.Fanin[i]]; !done {
+					stack = append(stack, frame{node.Fanin[i], false})
 				}
 			}
 			continue
+		default:
+			b.memo[f.id] = b.combine(node)
 		}
 		stack = stack[:len(stack)-1]
-		b.memo[f.id] = b.combine(node)
 	}
 	return b.memo[id]
 }

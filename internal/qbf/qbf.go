@@ -7,7 +7,9 @@
 // loop alternates between a synthesis solver that proposes Y assignments
 // consistent with all counterexamples seen so far, and a verification
 // solver that searches for an X on which the proposal fails. Both
-// directions are plain SAT queries over Tseitin encodings of the two cones.
+// directions are plain SAT queries over sat.Encoder Tseitin encodings of
+// the two cones: the verification solver holds one shared copy, and the
+// synthesis solver one LitOfFixed copy per counterexample.
 package qbf
 
 import (
@@ -51,12 +53,15 @@ const conflictBudget = 500_000
 // genuinely differ in a way that produces exponentially many Y candidates.
 const DefaultMaxIterations = 256
 
-// SolveForallEqualWord decides ∃Y ∀X . ∀i outs[i] == refs[i]: a single Y
-// assignment must make every bit pair agree, which is the word-level miter
-// of Figure 3. It reduces to SolveForallEqual by disjoining the per-bit
-// mismatches inside both the verification and synthesis solvers; the
-// implementation below shares one CEGAR loop. Canceling ctx aborts the
-// loop cooperatively (Result.Aborted).
+// SolveForallEqualWord decides ∃Y ∀X . ∀i outs[i] == refs[i] over the
+// netlist: a single Y assignment must make every bit pair agree, which is
+// the word-level miter of Figure 3 (a one-bit word is the plain
+// out == ref question). forall lists the universally quantified boundary
+// signals (X, the word inputs), exists the existentially quantified ones
+// (Y, the side inputs). A boundary signal in neither list is shared by all
+// refinements like a Y signal, so a Found assignment works for every value
+// of it. maxIter <= 0 selects DefaultMaxIterations. Canceling ctx aborts
+// the CEGAR loop cooperatively (Result.Aborted).
 func SolveForallEqualWord(ctx context.Context, nl *netlist.Netlist, outs, refs []netlist.ID, forall, exists []netlist.ID, maxIter int) Result {
 	if len(outs) != len(refs) || len(outs) == 0 {
 		return Result{}
@@ -66,6 +71,8 @@ func SolveForallEqualWord(ctx context.Context, nl *netlist.Netlist, outs, refs [
 	}
 	interrupt := interruptOf(ctx)
 
+	// Verification solver: shared encoding of both cones; each round fixes
+	// Y via assumptions and asks for X with some out_i != ref_i.
 	vs := sat.New()
 	vs.MaxConflicts = conflictBudget
 	vs.Interrupt = interrupt
@@ -73,13 +80,7 @@ func SolveForallEqualWord(ctx context.Context, nl *netlist.Netlist, outs, refs [
 	// anyMiss <-> OR_i (out_i XOR ref_i).
 	var missLits []sat.Lit
 	for i := range outs {
-		o, r := venc.LitOf(outs[i]), venc.LitOf(refs[i])
-		x := sat.MkLit(vs.NewVar(), false)
-		vs.AddClause(x.Neg(), o, r)
-		vs.AddClause(x.Neg(), o.Neg(), r.Neg())
-		vs.AddClause(x, o.Neg(), r)
-		vs.AddClause(x, o, r.Neg())
-		missLits = append(missLits, x)
+		missLits = append(missLits, venc.NotEqualWitness(venc.LitOf(outs[i]), venc.LitOf(refs[i])))
 	}
 	anyMiss := sat.MkLit(vs.NewVar(), false)
 	long := []sat.Lit{anyMiss.Neg()}
@@ -89,18 +90,17 @@ func SolveForallEqualWord(ctx context.Context, nl *netlist.Netlist, outs, refs [
 	}
 	vs.AddClause(long...)
 
+	// Synthesis solver: the existential signals are encoded first, so they
+	// take its first variables; each counterexample adds a fresh copy of
+	// every cone with X fixed to it.
 	ss := sat.New()
 	ss.MaxConflicts = conflictBudget
 	ss.Interrupt = interrupt
-	yVar := make(map[netlist.ID]int, len(exists))
+	senc := sat.NewEncoder(ss, nl)
 	for _, y := range exists {
-		yVar[y] = ss.NewVar()
+		senc.LitOf(y)
 	}
-	isForall := make(map[netlist.ID]bool, len(forall))
-	for _, x := range forall {
-		isForall[x] = true
-	}
-	cand := make(map[netlist.ID]bool, len(exists))
+	cand := make(map[netlist.ID]bool, len(exists)) // all-false initial guess
 	for _, y := range exists {
 		cand[y] = false
 	}
@@ -109,6 +109,7 @@ func SolveForallEqualWord(ctx context.Context, nl *netlist.Netlist, outs, refs [
 		if interrupt != nil && interrupt() {
 			return Result{Iterations: iter, Aborted: true}
 		}
+		// Verify: any X with a mismatching bit under cand?
 		assumptions := make([]sat.Lit, 0, len(exists)+1)
 		for _, y := range exists {
 			assumptions = append(assumptions, sat.MkLit(venc.LitOf(y).Var(), !cand[y]))
@@ -120,6 +121,8 @@ func SolveForallEqualWord(ctx context.Context, nl *netlist.Netlist, outs, refs [
 		case sat.Unknown:
 			return Result{Iterations: iter, Aborted: true}
 		}
+
+		// Refine: the synthesized Y must make every bit agree on X*.
 		cex := make(map[netlist.ID]bool, len(forall))
 		for _, x := range forall {
 			if v, ok := venc.VarOf(x); ok {
@@ -127,8 +130,8 @@ func SolveForallEqualWord(ctx context.Context, nl *netlist.Netlist, outs, refs [
 			}
 		}
 		for i := range outs {
-			so := encodeFixed(ss, nl, outs[i], cex, isForall, yVar)
-			sr := encodeFixed(ss, nl, refs[i], cex, isForall, yVar)
+			so := senc.LitOfFixed(outs[i], cex)
+			sr := senc.LitOfFixed(refs[i], cex)
 			ss.AddClause(so.Neg(), sr)
 			ss.AddClause(so, sr.Neg())
 		}
@@ -139,244 +142,9 @@ func SolveForallEqualWord(ctx context.Context, nl *netlist.Netlist, outs, refs [
 			return Result{Iterations: iter + 1, Aborted: true}
 		}
 		for _, y := range exists {
-			cand[y] = ss.Value(yVar[y])
+			v, _ := senc.VarOf(y)
+			cand[y] = ss.Value(v)
 		}
 	}
 	return Result{Iterations: maxIter, Aborted: true}
-}
-
-// SolveForallEqual decides ∃Y ∀X . out(X∪Y) == ref(X∪Y) over the netlist.
-// forall lists the universally quantified boundary signals (X, the word
-// inputs), exists the existentially quantified ones (Y, the side inputs).
-// Every boundary signal of both cones must appear in one of the two lists.
-// maxIter <= 0 selects DefaultMaxIterations. Canceling ctx aborts the
-// CEGAR loop cooperatively (Result.Aborted).
-func SolveForallEqual(ctx context.Context, nl *netlist.Netlist, out, ref netlist.ID, forall, exists []netlist.ID, maxIter int) Result {
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
-	}
-	interrupt := interruptOf(ctx)
-
-	// Verification solver: shared encoding of both cones; each round fixes
-	// Y via assumptions and asks for X with out != ref.
-	vs := sat.New()
-	vs.MaxConflicts = conflictBudget
-	vs.Interrupt = interrupt
-	venc := sat.NewEncoder(vs, nl)
-	vOut, vRef := venc.LitOf(out), venc.LitOf(ref)
-	miter := sat.MkLit(vs.NewVar(), false)
-	// miter <-> out XOR ref.
-	vs.AddClause(miter.Neg(), vOut, vRef)
-	vs.AddClause(miter.Neg(), vOut.Neg(), vRef.Neg())
-	vs.AddClause(miter, vOut.Neg(), vRef)
-	vs.AddClause(miter, vOut, vRef.Neg())
-
-	// Synthesis solver: one shared variable per existential signal; each
-	// counterexample contributes a fresh cone encoding with X fixed.
-	ss := sat.New()
-	ss.MaxConflicts = conflictBudget
-	ss.Interrupt = interrupt
-	yVar := make(map[netlist.ID]int, len(exists))
-	for _, y := range exists {
-		yVar[y] = ss.NewVar()
-	}
-	isForall := make(map[netlist.ID]bool, len(forall))
-	for _, x := range forall {
-		isForall[x] = true
-	}
-
-	cand := make(map[netlist.ID]bool, len(exists)) // all-false initial guess
-	for _, y := range exists {
-		cand[y] = false
-	}
-
-	for iter := 0; iter < maxIter; iter++ {
-		if interrupt != nil && interrupt() {
-			return Result{Iterations: iter, Aborted: true}
-		}
-		// Verify: any X with out != ref under cand?
-		assumptions := make([]sat.Lit, 0, len(exists)+1)
-		for _, y := range exists {
-			assumptions = append(assumptions, sat.MkLit(venc.LitOf(y).Var(), !cand[y]))
-		}
-		assumptions = append(assumptions, miter)
-		switch vs.Solve(assumptions...) {
-		case sat.Unsat:
-			return Result{Found: true, Assignment: cand, Iterations: iter}
-		case sat.Unknown:
-			return Result{Iterations: iter, Aborted: true}
-		}
-
-		// Extract counterexample X*.
-		cex := make(map[netlist.ID]bool, len(forall))
-		for _, x := range forall {
-			if v, ok := venc.VarOf(x); ok {
-				cex[x] = vs.Value(v)
-			} else {
-				cex[x] = false // signal outside both cones: value irrelevant
-			}
-		}
-
-		// Refine: synthesized Y must make out == ref on X*.
-		so := encodeFixed(ss, nl, out, cex, isForall, yVar)
-		sr := encodeFixed(ss, nl, ref, cex, isForall, yVar)
-		ss.AddClause(so.Neg(), sr)
-		ss.AddClause(so, sr.Neg())
-
-		switch ss.Solve() {
-		case sat.Unsat:
-			return Result{Iterations: iter + 1}
-		case sat.Unknown:
-			return Result{Iterations: iter + 1, Aborted: true}
-		}
-		for _, y := range exists {
-			cand[y] = ss.Value(yVar[y])
-		}
-	}
-	return Result{Iterations: maxIter, Aborted: true}
-}
-
-// encodeFixed Tseitin-encodes the cone of root into s with the universal
-// boundary signals fixed to the values in cex and the existential signals
-// mapped to shared solver variables. Each call creates fresh internal
-// variables, so successive counterexamples do not interfere.
-func encodeFixed(s *sat.Solver, nl *netlist.Netlist, root netlist.ID,
-	cex map[netlist.ID]bool, isForall map[netlist.ID]bool, yVar map[netlist.ID]int) sat.Lit {
-
-	lits := make(map[netlist.ID]sat.Lit)
-	var constT sat.Lit
-	haveConst := false
-	constLit := func(v bool) sat.Lit {
-		if !haveConst {
-			constT = sat.MkLit(s.NewVar(), false)
-			s.AddClause(constT)
-			haveConst = true
-		}
-		if v {
-			return constT
-		}
-		return constT.Neg()
-	}
-
-	type frame struct {
-		id       netlist.ID
-		expanded bool
-	}
-	stack := []frame{{root, false}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		if _, done := lits[f.id]; done {
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		node := nl.Node(f.id)
-		if node.Kind.IsConeInput() {
-			if isForall[f.id] {
-				lits[f.id] = constLit(cex[f.id])
-			} else if v, ok := yVar[f.id]; ok {
-				lits[f.id] = sat.MkLit(v, false)
-			} else {
-				// A boundary signal in neither list: treat as fresh free
-				// variable local to this refinement (conservative).
-				lits[f.id] = sat.MkLit(s.NewVar(), false)
-			}
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		switch node.Kind {
-		case netlist.Const0:
-			lits[f.id] = constLit(false)
-			stack = stack[:len(stack)-1]
-			continue
-		case netlist.Const1:
-			lits[f.id] = constLit(true)
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		if !f.expanded {
-			stack[len(stack)-1].expanded = true
-			for _, fi := range node.Fanin {
-				if _, done := lits[fi]; !done {
-					stack = append(stack, frame{fi, false})
-				}
-			}
-			continue
-		}
-		stack = stack[:len(stack)-1]
-		lits[f.id] = encodeGateLits(s, node, lits)
-	}
-	return lits[root]
-}
-
-func encodeGateLits(s *sat.Solver, node *netlist.Node, lits map[netlist.ID]sat.Lit) sat.Lit {
-	ins := make([]sat.Lit, len(node.Fanin))
-	for i, f := range node.Fanin {
-		ins[i] = lits[f]
-	}
-	switch node.Kind {
-	case netlist.Buf:
-		return ins[0]
-	case netlist.Not:
-		return ins[0].Neg()
-	}
-	out := sat.MkLit(s.NewVar(), false)
-	o := out
-	switch node.Kind {
-	case netlist.Nand, netlist.Nor, netlist.Xnor:
-		o = out.Neg()
-	}
-	switch node.Kind {
-	case netlist.And, netlist.Nand:
-		long := make([]sat.Lit, 0, len(ins)+1)
-		for _, in := range ins {
-			s.AddClause(o.Neg(), in)
-			long = append(long, in.Neg())
-		}
-		s.AddClause(append(long, o)...)
-	case netlist.Or, netlist.Nor:
-		long := make([]sat.Lit, 0, len(ins)+1)
-		for _, in := range ins {
-			s.AddClause(o, in.Neg())
-			long = append(long, in)
-		}
-		s.AddClause(append(long, o.Neg())...)
-	case netlist.Xor, netlist.Xnor:
-		acc := ins[0]
-		for i := 1; i < len(ins)-1; i++ {
-			aux := sat.MkLit(s.NewVar(), false)
-			addXorClauses(s, aux, acc, ins[i])
-			acc = aux
-		}
-		addXorClauses(s, o, acc, ins[len(ins)-1])
-	case netlist.Lut:
-		// One clause per truth-table row: inputs matching row r force the
-		// output to the mask bit (2^k clauses, k <= 6).
-		rows := uint(1) << uint(len(ins))
-		for r := uint(0); r < rows; r++ {
-			clause := make([]sat.Lit, 0, len(ins)+1)
-			for j, in := range ins {
-				if r>>uint(j)&1 == 1 {
-					clause = append(clause, in.Neg())
-				} else {
-					clause = append(clause, in)
-				}
-			}
-			if node.Mask>>r&1 == 1 {
-				clause = append(clause, o)
-			} else {
-				clause = append(clause, o.Neg())
-			}
-			s.AddClause(clause...)
-		}
-	default:
-		panic("qbf: cannot encode " + node.Kind.String())
-	}
-	return out
-}
-
-func addXorClauses(s *sat.Solver, o, a, b sat.Lit) {
-	s.AddClause(o.Neg(), a, b)
-	s.AddClause(o.Neg(), a.Neg(), b.Neg())
-	s.AddClause(o, a.Neg(), b)
-	s.AddClause(o, a, b.Neg())
 }

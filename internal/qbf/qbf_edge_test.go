@@ -20,7 +20,7 @@ func TestMaxIterAbort(t *testing.T) {
 		nl.AddGate(netlist.And, y1, a),
 		nl.AddGate(netlist.And, y2, na))
 	ref := nl.AddGate(netlist.Buf, a)
-	res := SolveForallEqual(context.Background(), nl, out, ref, []netlist.ID{a}, []netlist.ID{y1, y2}, 1)
+	res := SolveForallEqualWord(context.Background(), nl, []netlist.ID{out}, []netlist.ID{ref}, []netlist.ID{a}, []netlist.ID{y1, y2}, 1)
 	if res.Found {
 		t.Error("found with starved iteration budget?")
 	}
@@ -62,7 +62,7 @@ func TestWordSolverEmptyAndMismatched(t *testing.T) {
 }
 
 func TestWordSolverWithConstsInCone(t *testing.T) {
-	// Cones containing constants exercise encodeFixed's constant handling.
+	// Cones containing constants exercise the encoder's constant handling in every copy.
 	nl := netlist.New("c")
 	a := gen.InputWord(nl, "a", 3)
 	zero := nl.AddConst(false)

@@ -51,7 +51,7 @@ func TestAddSubMatchesAdderWithModeZero(t *testing.T) {
 	// Check the full word: every bit pair must agree under one shared Y.
 	// Solve per-bit and verify the assignments agree on mode=0.
 	for i := range outs {
-		res := SolveForallEqual(context.Background(), nl, outs[i], refs[i], forall, []netlist.ID{mode}, 0)
+		res := SolveForallEqualWord(context.Background(), nl, []netlist.ID{outs[i]}, []netlist.ID{refs[i]}, forall, []netlist.ID{mode}, 0)
 		if !res.Found {
 			t.Fatalf("bit %d: no side-input assignment found (iter=%d aborted=%v)",
 				i, res.Iterations, res.Aborted)
@@ -67,7 +67,7 @@ func TestAddSubDoesNotMatchXorWord(t *testing.T) {
 	// Reference: bitwise xor (differs from add/sub on carries for bit>=1).
 	x1 := nl.AddGate(netlist.Xor, a[1], b[1])
 	forall := append(append([]netlist.ID{}, a...), b...)
-	res := SolveForallEqual(context.Background(), nl, outs[1], x1, forall, []netlist.ID{mode}, 0)
+	res := SolveForallEqualWord(context.Background(), nl, []netlist.ID{outs[1]}, []netlist.ID{x1}, forall, []netlist.ID{mode}, 0)
 	if res.Found {
 		t.Errorf("bit 1 of add/sub claimed equal to xor under mode=%v", res.Assignment[mode])
 	}
@@ -90,7 +90,7 @@ func TestMuxSideInputSelection(t *testing.T) {
 		nl.AddGate(netlist.And, ns, or))
 	ref := nl.AddGate(netlist.And, a, b)
 
-	res := SolveForallEqual(context.Background(), nl, out, ref, []netlist.ID{a, b}, []netlist.ID{s}, 0)
+	res := SolveForallEqualWord(context.Background(), nl, []netlist.ID{out}, []netlist.ID{ref}, []netlist.ID{a, b}, []netlist.ID{s}, 0)
 	if !res.Found {
 		t.Fatalf("no assignment found: %+v", res)
 	}
@@ -100,7 +100,7 @@ func TestMuxSideInputSelection(t *testing.T) {
 
 	// Against xor there is no valid side assignment.
 	refX := nl.AddGate(netlist.Xor, a, b)
-	res = SolveForallEqual(context.Background(), nl, out, refX, []netlist.ID{a, b}, []netlist.ID{s}, 0)
+	res = SolveForallEqualWord(context.Background(), nl, []netlist.ID{out}, []netlist.ID{refX}, []netlist.ID{a, b}, []netlist.ID{s}, 0)
 	if res.Found {
 		t.Error("mux matched xor")
 	}
@@ -117,7 +117,7 @@ func TestTwoSideInputs(t *testing.T) {
 		nl.AddGate(netlist.And, y1, a),
 		nl.AddGate(netlist.And, y2, na))
 	ref := nl.AddGate(netlist.Buf, a)
-	res := SolveForallEqual(context.Background(), nl, out, ref, []netlist.ID{a}, []netlist.ID{y1, y2}, 0)
+	res := SolveForallEqualWord(context.Background(), nl, []netlist.ID{out}, []netlist.ID{ref}, []netlist.ID{a}, []netlist.ID{y1, y2}, 0)
 	if !res.Found {
 		t.Fatalf("no assignment: %+v", res)
 	}
@@ -133,12 +133,12 @@ func TestNoExistentials(t *testing.T) {
 	b := nl.AddInput("b")
 	f := nl.AddGate(netlist.Nand, a, b)
 	g := nl.AddGate(netlist.Not, nl.AddGate(netlist.And, a, b))
-	res := SolveForallEqual(context.Background(), nl, f, g, []netlist.ID{a, b}, nil, 0)
+	res := SolveForallEqualWord(context.Background(), nl, []netlist.ID{f}, []netlist.ID{g}, []netlist.ID{a, b}, nil, 0)
 	if !res.Found {
 		t.Error("nand and not-and should match with empty Y")
 	}
 	h := nl.AddGate(netlist.And, a, b)
-	res = SolveForallEqual(context.Background(), nl, f, h, []netlist.ID{a, b}, nil, 0)
+	res = SolveForallEqualWord(context.Background(), nl, []netlist.ID{f}, []netlist.ID{h}, []netlist.ID{a, b}, nil, 0)
 	if res.Found {
 		t.Error("nand matched and")
 	}

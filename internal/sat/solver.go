@@ -4,6 +4,11 @@
 // QBF-based module matching: all uses are plain (un)satisfiability queries
 // on miter-style formulas, optionally under assumptions.
 //
+// Encoder is the one netlist-to-CNF translation: it holds the per-kind gate
+// and LUT clauses for every caller. LitOf keeps one shared encoding of each
+// node; LitOfFixed adds a fresh copy of a cone with some boundary signals
+// fixed, for cofactor comparisons and 2QBF counterexample refinements.
+//
 // The solver implements two-literal watching, VSIDS-style activity
 // heuristics with phase saving, first-UIP clause learning and Luby
 // restarts. Learnt clauses are kept for the life of the solver: the

@@ -154,6 +154,19 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// equivalent reports whether nodes a and b compute the same function of
+// their boundary signals under the assumed boundary cube: the miter
+// a XOR b must be unsatisfiable.
+func equivalent(nl *netlist.Netlist, a, b netlist.ID, assume map[netlist.ID]bool) bool {
+	s := New()
+	e := NewEncoder(s, nl)
+	assumptions := []Lit{e.NotEqualWitness(e.LitOf(a), e.LitOf(b))}
+	for id, v := range assume {
+		assumptions = append(assumptions, MkLit(e.LitOf(id).Var(), !v))
+	}
+	return s.Solve(assumptions...) == Unsat
+}
+
 func TestEncoderEquivalence(t *testing.T) {
 	// Two structurally different implementations of xor3 must be proven
 	// equivalent; xor3 vs xnor3 must not.
@@ -166,10 +179,10 @@ func TestEncoderEquivalence(t *testing.T) {
 	x2 := nl.AddGate(netlist.Xor, ab, c)
 	x3 := nl.AddGate(netlist.Xnor, a, b, c)
 
-	if !Equivalent(nl, x1, x2, nil) {
+	if !equivalent(nl, x1, x2, nil) {
 		t.Error("xor3 implementations not proven equivalent")
 	}
-	if Equivalent(nl, x1, x3, nil) {
+	if equivalent(nl, x1, x3, nil) {
 		t.Error("xor3 and xnor3 claimed equivalent")
 	}
 }
@@ -186,58 +199,121 @@ func TestEquivalentUnderAssumptions(t *testing.T) {
 	f := nl.AddGate(netlist.Or, sa, nsb)
 	g := nl.AddGate(netlist.Buf, a)
 
-	if Equivalent(nl, f, g, nil) {
+	if equivalent(nl, f, g, nil) {
 		t.Error("mux and passthrough claimed equivalent unconditionally")
 	}
-	if !Equivalent(nl, f, g, map[netlist.ID]bool{sSig: true}) {
+	if !equivalent(nl, f, g, map[netlist.ID]bool{sSig: true}) {
 		t.Error("mux|s=1 and passthrough not proven equivalent")
 	}
 }
 
+// randomCone builds a random netlist over a few inputs, a latch and both
+// constants: 2- and 3-input gates, buffers and inverters, and 1- to
+// 4-input LUTs (1-input masks include the inverter and buffer forms). It
+// returns the boundary signals and the generated nodes.
+func randomCone(rng *rand.Rand) (nl *netlist.Netlist, boundary, nodes []netlist.ID) {
+	nl = netlist.New("r")
+	nIn := 4 + rng.Intn(2)
+	for i := 0; i < nIn; i++ {
+		boundary = append(boundary, nl.AddInput(string(rune('a'+i))))
+	}
+	boundary = append(boundary, nl.AddLatch(boundary[0]))
+	pool := append([]netlist.ID{nl.AddConst(false), nl.AddConst(true)}, boundary...)
+	pick := func() netlist.ID { return pool[rng.Intn(len(pool))] }
+	kinds := []netlist.Kind{netlist.And, netlist.Or, netlist.Nand, netlist.Nor,
+		netlist.Xor, netlist.Xnor, netlist.Not, netlist.Buf, netlist.Lut}
+	for i := 0; i < 20; i++ {
+		var id netlist.ID
+		switch k := kinds[rng.Intn(len(kinds))]; k {
+		case netlist.Not, netlist.Buf:
+			id = nl.AddGate(k, pick())
+		case netlist.Lut:
+			fan := make([]netlist.ID, 1+rng.Intn(4))
+			for j := range fan {
+				fan[j] = pick()
+			}
+			mask := rng.Uint64() & (uint64(1)<<(uint(1)<<uint(len(fan))) - 1)
+			id = nl.AddLut(mask, fan...)
+		default:
+			fan := make([]netlist.ID, 2+rng.Intn(2))
+			for j := range fan {
+				fan[j] = pick()
+			}
+			id = nl.AddGate(k, fan...)
+		}
+		pool = append(pool, id)
+		nodes = append(nodes, id)
+	}
+	return nl, boundary, nodes
+}
+
+// litValue is the value of literal l in the solver's model.
+func litValue(s *Solver, l Lit) bool { return s.Value(l.Var()) != l.Sign() }
+
 func TestEncoderAgainstEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
-		nl := netlist.New("r")
-		var pool []netlist.ID
-		nIn := 4 + rng.Intn(3)
-		for i := 0; i < nIn; i++ {
-			pool = append(pool, nl.AddInput(string(rune('a'+i))))
-		}
-		kinds := []netlist.Kind{netlist.And, netlist.Or, netlist.Nand,
-			netlist.Nor, netlist.Xor, netlist.Xnor, netlist.Not}
-		for i := 0; i < 15; i++ {
-			k := kinds[rng.Intn(len(kinds))]
-			if k == netlist.Not {
-				pool = append(pool, nl.AddGate(k, pool[rng.Intn(len(pool))]))
-			} else {
-				pool = append(pool, nl.AddGate(k,
-					pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]))
-			}
-		}
-		root := pool[len(pool)-1]
-
+		nl, boundary, nodes := randomCone(rng)
 		s := New()
 		e := NewEncoder(s, nl)
-		rootLit := e.LitOf(root)
+		lits := make([]Lit, len(nodes))
+		for i, id := range nodes {
+			lits[i] = e.LitOf(id)
+		}
+		// Fresh cofactor copies of the last node under random cubes, all
+		// in the same solver so copies that interfered would show.
+		root := nodes[len(nodes)-1]
+		var cubes []map[netlist.ID]bool
+		var copies []Lit
+		for c := 0; c < 3; c++ {
+			cube := make(map[netlist.ID]bool)
+			for _, b := range boundary {
+				if rng.Intn(2) == 0 {
+					cube[b] = rng.Intn(2) == 0
+				}
+			}
+			cubes = append(cubes, cube)
+			copies = append(copies, e.LitOfFixed(root, cube))
+		}
 
-		// For each input assignment, the SAT encoding restricted to that
-		// assignment must force root to its simulated value.
-		for m := 0; m < 1<<uint(nIn); m++ {
+		for m := 0; m < 1<<uint(len(boundary)); m++ {
 			assign := make(map[netlist.ID]bool)
 			var assumptions []Lit
-			for i, in := range nl.Inputs() {
+			for i, b := range boundary {
 				v := m>>uint(i)&1 == 1
-				assign[in] = v
-				assumptions = append(assumptions, MkLit(e.LitOf(in).Var(), !v))
+				assign[b] = v
+				assumptions = append(assumptions, MkLit(e.LitOf(b).Var(), !v))
 			}
-			want := nl.Eval(assign)[root]
-			// root forced to want: asserting the opposite must be unsat.
-			bad := rootLit
-			if want {
-				bad = rootLit.Neg()
+			// The boundary determines every node: the model must agree
+			// with simulation everywhere.
+			if s.Solve(assumptions...) != Sat {
+				t.Fatalf("trial %d mask %d: boundary assignment unsatisfiable", trial, m)
 			}
-			if s.Solve(append(assumptions, bad)...) != Unsat {
-				t.Fatalf("trial %d mask %d: encoding allows wrong root value", trial, m)
+			vals := nl.Eval(assign)
+			for i, id := range nodes {
+				if litValue(s, lits[i]) != vals[id] {
+					t.Fatalf("trial %d mask %d: node %d (%v) encodes %v, simulates %v",
+						trial, m, id, nl.Kind(id), litValue(s, lits[i]), vals[id])
+				}
+			}
+			// Each copy is forced to the value simulated with its cube
+			// pinned, whatever the shared variables of the pinned signals
+			// hold: asserting the opposite must be unsat.
+			for c, cube := range cubes {
+				pinned := make(map[netlist.ID]bool, len(assign))
+				for b, v := range assign {
+					pinned[b] = v
+				}
+				for b, v := range cube {
+					pinned[b] = v
+				}
+				bad := copies[c]
+				if nl.Eval(pinned)[root] {
+					bad = bad.Neg()
+				}
+				if s.Solve(append(assumptions, bad)...) != Unsat {
+					t.Fatalf("trial %d mask %d: copy %d under %v allows the wrong value", trial, m, c, cube)
+				}
 			}
 		}
 	}

@@ -247,8 +247,8 @@ func readRoots(nl *netlist.Netlist, marked map[netlist.ID]bool, opt Options) []n
 	info := make(map[netlist.ID]*supInfo)
 
 	// resolveThrough follows unmarked inverter/buffer chains (including
-	// their 1-input LUT forms), mirroring buildMarked's pass-through
-	// behaviour.
+	// their 1-input LUT forms), mirroring verifyReadBehavior's
+	// pass-through behaviour.
 	var resolveThrough func(id netlist.ID) netlist.ID
 	resolveThrough = func(id netlist.ID) netlist.ID {
 		if _, unary := nl.Node(id).UnaryKind(); unary && !marked[id] {
@@ -359,16 +359,25 @@ func readRoots(nl *netlist.Netlist, marked map[netlist.ID]bool, opt Options) []n
 func verifyReadBehavior(nl *netlist.Netlist, marked map[netlist.ID]bool, root netlist.ID, opt Options) (selects, cells []netlist.ID, ok bool) {
 	mgr := bdd.New(0)
 	mgr.Limit = 1 << 20 // genuine read trees are small; cap runaway cones
-	varOf := make(map[netlist.ID]int)
-	ids := []netlist.ID{}
-	ref, err := buildMarked(mgr, nl, root, marked, varOf, &ids)
-	if err != nil {
+	bld := bdd.NewBuilder(mgr, nl)
+	// The root is a function of the latches, inputs and unmarked nodes
+	// (Section III-C.2). Unmarked inverters and buffers (gate or 1-input
+	// LUT form) are built through rather than cut: select inverters are
+	// commonly shared across the bits of a read port (fanout > 1, hence
+	// unmarked), and modeling them as free variables would let the check
+	// see inconsistent select assignments.
+	bld.Leaf = func(id netlist.ID) bool {
+		_, passThrough := nl.Node(id).UnaryKind()
+		return id != root && !passThrough && !marked[id]
+	}
+	var ref bdd.Ref
+	if err := mgr.Run(func() { ref = bld.Build(root) }); err != nil {
 		return nil, nil, false
 	}
 	sup := mgr.Support(ref)
 	var selVars, cellVars []int
 	for _, v := range sup {
-		if nl.Kind(ids[v]) == netlist.Latch {
+		if nl.Kind(bld.SignalOf(v)) == netlist.Latch {
 			cellVars = append(cellVars, v)
 		} else {
 			selVars = append(selVars, v)
@@ -399,10 +408,10 @@ func verifyReadBehavior(nl *netlist.Netlist, marked map[netlist.ID]bool, root ne
 		}
 	}
 	for _, v := range selVars {
-		selects = append(selects, ids[v])
+		selects = append(selects, bld.SignalOf(v))
 	}
 	for _, v := range cellVars {
-		cells = append(cells, ids[v])
+		cells = append(cells, bld.SignalOf(v))
 	}
 	selects = netlist.SortedIDs(selects)
 	cells = netlist.SortedIDs(cells)
@@ -421,112 +430,6 @@ func singleVar(mgr *bdd.Manager, f bdd.Ref) (int, bool) {
 		return v, true
 	}
 	return 0, false
-}
-
-// buildMarked builds the BDD of root treating unmarked nodes, inputs and
-// latches as variables (Section III-C.2: "in terms of the latches, inputs
-// and unmarked nodes").
-func buildMarked(mgr *bdd.Manager, nl *netlist.Netlist, root netlist.ID,
-	marked map[netlist.ID]bool, varOf map[netlist.ID]int, ids *[]netlist.ID) (bdd.Ref, error) {
-
-	memo := make(map[netlist.ID]bdd.Ref)
-	var ref bdd.Ref
-	err := mgr.Run(func() {
-		var build func(id netlist.ID) bdd.Ref
-		build = func(id netlist.ID) bdd.Ref {
-			if r, done := memo[id]; done {
-				return r
-			}
-			node := nl.Node(id)
-			var r bdd.Ref
-			// Unmarked inverters and buffers (gate or 1-input LUT form) are
-			// built through rather than treated as variables: select
-			// inverters are commonly shared across the bits of a read port
-			// (fanout > 1, hence unmarked), and modeling them as free
-			// variables would let the check see inconsistent select
-			// assignments.
-			_, passThrough := node.UnaryKind()
-			switch {
-			case id != root && !passThrough && (!marked[id] || !node.Kind.IsGate()):
-				// Boundary: unmarked node, input, or latch.
-				v, okVar := varOf[id]
-				if !okVar {
-					v = mgr.AddVar()
-					varOf[id] = v
-					*ids = append(*ids, id)
-				}
-				r = mgr.Var(v)
-			case node.Kind == netlist.Const0:
-				r = bdd.False
-			case node.Kind == netlist.Const1:
-				r = bdd.True
-			default:
-				fan := make([]bdd.Ref, len(node.Fanin))
-				for i, f := range node.Fanin {
-					fan[i] = build(f)
-				}
-				r = combineBDD(mgr, node, fan)
-			}
-			memo[id] = r
-			return r
-		}
-		ref = build(root)
-	})
-	return ref, err
-}
-
-func combineBDD(mgr *bdd.Manager, node *netlist.Node, fan []bdd.Ref) bdd.Ref {
-	kind := node.Kind
-	switch kind {
-	case netlist.Not:
-		return mgr.Not(fan[0])
-	case netlist.Buf:
-		return fan[0]
-	case netlist.And, netlist.Nand:
-		r := bdd.True
-		for _, f := range fan {
-			r = mgr.And(r, f)
-		}
-		if kind == netlist.Nand {
-			r = mgr.Not(r)
-		}
-		return r
-	case netlist.Or, netlist.Nor:
-		r := bdd.False
-		for _, f := range fan {
-			r = mgr.Or(r, f)
-		}
-		if kind == netlist.Nor {
-			r = mgr.Not(r)
-		}
-		return r
-	case netlist.Xor, netlist.Xnor:
-		r := bdd.False
-		for _, f := range fan {
-			r = mgr.Xor(r, f)
-		}
-		if kind == netlist.Xnor {
-			r = mgr.Not(r)
-		}
-		return r
-	case netlist.Lut:
-		// Shannon recursion on the packed mask over the fanin BDDs.
-		var rec func(m uint64, k int) bdd.Ref
-		rec = func(m uint64, k int) bdd.Ref {
-			if k == 0 {
-				if m&1 == 1 {
-					return bdd.True
-				}
-				return bdd.False
-			}
-			half := uint(1) << uint(k-1)
-			lo, hi := rec(m, k-1), rec(m>>half, k-1)
-			s := fan[k-1]
-			return mgr.Or(mgr.And(s, hi), mgr.And(mgr.Not(s), lo))
-		}
-		return rec(node.Mask, len(fan))
-	}
-	panic("seq: cannot build " + kind.String())
 }
 
 // identifyWriteLogic implements Section III-C.3: for every cell, the D

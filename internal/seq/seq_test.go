@@ -224,3 +224,28 @@ func TestSimpleRegisterAsMultibit(t *testing.T) {
 	}
 	_ = q
 }
+
+func TestReadTreeGatedByConstant(t *testing.T) {
+	// A 2-latch read mux ANDed with a tied-off constant: the constant
+	// folds, so the only select is s and both latches are cells.
+	nl := netlist.New("ramc")
+	s := nl.AddInput("s")
+	l0 := nl.AddLatch(nl.AddInput("d0"))
+	l1 := nl.AddLatch(nl.AddInput("d1"))
+	mux := nl.AddGate(netlist.Or,
+		nl.AddGate(netlist.And, nl.AddGate(netlist.Not, s), l0),
+		nl.AddGate(netlist.And, s, l1))
+	root := nl.AddGate(netlist.And, mux, nl.AddConst(true))
+	opt := Options{}
+	opt.defaults()
+	selects, cells, ok := verifyReadBehavior(nl, markReadLogic(nl), root, opt)
+	if !ok {
+		t.Fatal("constant-gated read tree rejected")
+	}
+	if len(selects) != 1 || selects[0] != s {
+		t.Errorf("selects = %v, want [%d]", selects, s)
+	}
+	if len(cells) != 2 || cells[0] != l0 || cells[1] != l1 {
+		t.Errorf("cells = %v, want [%d %d]", cells, l0, l1)
+	}
+}
