@@ -114,15 +114,15 @@ resume-smoke:
 session-smoke:
 	$(GO) test -race -run 'TestSessionSmoke' -count 1 ./cmd/revand
 
-# Mirrors .github/workflows/ci.yml: full build + vet + tests, a short-mode
-# race pass, the revand load smoke, the scripted session smoke, the
-# conformance matrix, the decompilation gate, the differential trojan
-# gate, the matching microbenchmark, the benchmark smoke tests, the
-# coverage gate, and 30-second fuzz
-# smokes of the parsers, the report decoder, the canonicalizer, the RTL
-# round trip, the session/diff request decoders, the ILP solver and the
-# 2QBF solver.
+# Mirrors .github/workflows/ci.yml: full build + vet + a gofmt check +
+# tests, a short-mode race pass, the revand load smoke, the scripted
+# session smoke, the conformance matrix, the decompilation gate, the
+# differential trojan gate, the matching microbenchmark, the benchmark
+# smoke tests, the coverage gate, and 30-second fuzz smokes of the
+# parsers, the report decoder, the canonicalizer, the RTL round trip, the
+# session/diff request decoders, the ILP solver and the 2QBF solver.
 ci: build vet
+	test -z "$$(gofmt -l .)"
 	$(GO) test ./...
 	$(GO) test -short -race ./...
 	$(GO) test -race -run 'TestLoadSmoke' -count 1 ./internal/server

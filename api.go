@@ -72,7 +72,10 @@
 // concurrent analyses of the same content compute each stage once.
 //
 // Options digesting is selective: only fields that can change a stage's
-// result participate. Workers, Timeout, StageTimeout, Progress and the
+// result participate — KeepCandidates and ExtraLibrary (bitslice),
+// SkipWordProp (words), SkipModMatch (modmatch) and the Overlap fields
+// (overlap). Every other stage parameter is a constant of its package, so
+// it needs no digest. Workers, Timeout, StageTimeout, Progress and the
 // other callbacks are excluded — results are worker-count- and
 // budget-invariant — so a re-run with a different parallelism or budget
 // still hits. ExtraPasses are arbitrary functions and cannot be digested;
@@ -295,10 +298,6 @@ func DecompileRTL(nl *Netlist, rep *Report) (*RTLResult, *RTLEquiv, error) {
 // suspect netlist revision against a golden one (see DiffNetlists).
 type NetlistDiff = netlist.Diff
 
-// NetlistDiffOptions tunes DiffNetlists. The zero value selects the
-// calibrated defaults (simulation and WL resynchronization enabled).
-type NetlistDiffOptions = netlist.DiffOptions
-
 // RetypedPair is one golden/suspect node pair whose position matched but
 // whose function changed (see NetlistDiff.Retyped).
 type RetypedPair = netlist.RetypedPair
@@ -312,8 +311,8 @@ type RetypedPair = netlist.RetypedPair
 // is the injected gate set; NetlistDiff.SuspectSet bundles it with the
 // suspect halves of retyped pairs. Both netlists should be Validated;
 // neither is mutated.
-func DiffNetlists(golden, suspect *Netlist, opt NetlistDiffOptions) *NetlistDiff {
-	return netlist.DiffNetlists(golden, suspect, opt)
+func DiffNetlists(golden, suspect *Netlist) *NetlistDiff {
+	return netlist.DiffNetlists(golden, suspect)
 }
 
 // ConeDirection selects which way BoundedCone walks (ConeFanin against

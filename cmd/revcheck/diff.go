@@ -57,12 +57,12 @@ func runDiff(articleCSV string) error {
 		}
 
 		// Self-diff: a netlist against itself must be identical.
-		if self := netlist.DiffNetlists(golden, golden, netlist.DiffOptions{}); !self.Identical() {
+		if self := netlist.DiffNetlists(golden, golden); !self.Identical() {
 			fail("%s: self-diff not identical: +%d -%d ~%d",
 				goldenName, len(self.Added), len(self.Removed), len(self.Retyped))
 		}
 
-		d := netlist.DiffNetlists(golden, suspect, netlist.DiffOptions{})
+		d := netlist.DiffNetlists(golden, suspect)
 		want := append([]netlist.ID(nil), lab.Trojan...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		exact := idSlicesEqual(d.Added, want)

@@ -49,7 +49,7 @@ func TestPublicDiffRecoversTrojans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := netlistre.DiffNetlists(golden, suspect, netlistre.NetlistDiffOptions{})
+			d := netlistre.DiffNetlists(golden, suspect)
 			if want := sortedTrojan(lab); !sameIDs(d.Added, want) {
 				t.Errorf("Added = %v, want exactly the %d labeled trojan nodes %v",
 					d.Added, len(want), want)
@@ -73,7 +73,7 @@ func TestPublicDiffSelfIsIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := netlistre.DiffNetlists(nl, nl, netlistre.NetlistDiffOptions{})
+		d := netlistre.DiffNetlists(nl, nl)
 		if !d.Identical() {
 			t.Errorf("%s: self-diff not identical: +%d -%d ~%d matched=%d",
 				name, len(d.Added), len(d.Removed), len(d.Retyped), d.Matched)
@@ -105,7 +105,7 @@ func TestPublicDiffMetamorphic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d := netlistre.DiffNetlists(golden, mut.Netlist, netlistre.NetlistDiffOptions{})
+				d := netlistre.DiffNetlists(golden, mut.Netlist)
 				if want := sortedTrojan(mut.Labels); !sameIDs(d.Added, want) {
 					t.Errorf("Added = %v, want the mutant's %d remapped trojan nodes %v",
 						d.Added, len(want), want)

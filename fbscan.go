@@ -14,5 +14,5 @@ import (
 //		netlistre.FindFramebufferRead,
 //	}}
 func FindFramebufferRead(nl *netlist.Netlist) []*module.Module {
-	return fbscan.Find(nl, fbscan.Options{})
+	return fbscan.Find(nl)
 }

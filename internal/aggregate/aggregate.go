@@ -3,7 +3,8 @@
 // patterns are used: common signals (multiplexers share a select) and
 // propagated signals (adder carry chains, subtractor borrow chains, parity
 // trees). It also implements the module-fusion post-processing of Section
-// II-F.
+// II-F. Its thresholds are constants: two slices form a module, as in the
+// paper, and a parity tree needs three xor matches.
 package aggregate
 
 import (
@@ -16,36 +17,27 @@ import (
 	"netlistre/internal/truth"
 )
 
-// Options tunes aggregation.
-type Options struct {
-	// MinSlices is the smallest slice count that forms a module (the paper
-	// uses 2).
-	MinSlices int
-	// MinParity is the smallest xor-match count that forms a parity tree;
+const (
+	// minSlices is the smallest slice count that forms a module (the
+	// paper uses 2).
+	minSlices = 2
+	// minParity is the smallest xor-match count that forms a parity tree;
 	// 3 avoids classifying single adder-style xors as trees.
-	MinParity int
-}
-
-func (o *Options) defaults() {
-	if o.MinSlices <= 0 {
-		o.MinSlices = 2
-	}
-	if o.MinParity <= 0 {
-		o.MinParity = 3
-	}
-}
+	minParity = 3
+	// minGatingBits is the smallest word a gating module spans.
+	minGatingBits = 4
+)
 
 // CommonSignal aggregates mux-family bitslices sharing select signals
 // (Section II-B.1) and unknown bitslices sharing a common signal into
 // candidate modules.
-func CommonSignal(nl *netlist.Netlist, res *bitslice.Result, opt Options) []*module.Module {
-	opt.defaults()
+func CommonSignal(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
 	var out []*module.Module
-	out = append(out, muxGroups(nl, res.Matches(truth.ClassMux2), truth.ClassMux2, opt)...)
-	out = append(out, muxGroups(nl, res.Matches(truth.ClassMux2Inv), truth.ClassMux2Inv, opt)...)
-	out = append(out, mux4Groups(nl, res.Matches(truth.ClassMux4), opt)...)
-	out = append(out, gatingGroups(nl, res, opt)...)
-	out = append(out, unknownCandidates(nl, res, opt)...)
+	out = append(out, muxGroups(nl, res.Matches(truth.ClassMux2), truth.ClassMux2)...)
+	out = append(out, muxGroups(nl, res.Matches(truth.ClassMux2Inv), truth.ClassMux2Inv)...)
+	out = append(out, mux4Groups(nl, res.Matches(truth.ClassMux4))...)
+	out = append(out, gatingGroups(nl, res)...)
+	out = append(out, unknownCandidates(nl, res)...)
 	return out
 }
 
@@ -53,11 +45,7 @@ func CommonSignal(nl *netlist.Netlist, res *bitslice.Result, opt Options) []*mod
 // slices that share one control argument across at least four bits. These
 // are the "gating function" modules that zero out or force a word (the
 // oc8051 trojan payload of Section V-D is exactly such a module).
-func gatingGroups(nl *netlist.Netlist, res *bitslice.Result, opt Options) []*module.Module {
-	minBits := opt.MinSlices * 2
-	if minBits < 4 {
-		minBits = 4
-	}
+func gatingGroups(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
 	// Gates that already participate in a mux slice are mux interior, not
 	// gating logic: a 2:1 mux is exactly an and-or of two gated legs, and
 	// emitting its and-gates again as "gating" modules floods overlap
@@ -88,7 +76,7 @@ func gatingGroups(nl *netlist.Netlist, res *bitslice.Result, opt Options) []*mod
 	}
 	var keys []key
 	for k, g := range groups {
-		if len(dedupeByRoot(g)) >= minBits {
+		if len(dedupeByRoot(g)) >= minGatingBits {
 			keys = append(keys, k)
 		}
 	}
@@ -129,7 +117,7 @@ func gatingGroups(nl *netlist.Netlist, res *bitslice.Result, opt Options) []*mod
 }
 
 // muxGroups groups 2:1 mux matches by select signal.
-func muxGroups(nl *netlist.Netlist, ms []*bitslice.Match, class truth.Class, opt Options) []*module.Module {
+func muxGroups(nl *netlist.Netlist, ms []*bitslice.Match, class truth.Class) []*module.Module {
 	bySel := make(map[netlist.ID][]*bitslice.Match)
 	for _, m := range ms {
 		bySel[m.Args[2]] = append(bySel[m.Args[2]], m)
@@ -143,7 +131,7 @@ func muxGroups(nl *netlist.Netlist, ms []*bitslice.Match, class truth.Class, opt
 	var out []*module.Module
 	for _, sel := range sels {
 		group := dedupeByRoot(bySel[sel])
-		if len(group) < opt.MinSlices {
+		if len(group) < minSlices {
 			continue
 		}
 		mod := buildSliceModule(module.Mux, group)
@@ -160,7 +148,7 @@ func muxGroups(nl *netlist.Netlist, ms []*bitslice.Match, class truth.Class, opt
 }
 
 // mux4Groups groups 4:1 mux matches by their select pair.
-func mux4Groups(nl *netlist.Netlist, ms []*bitslice.Match, opt Options) []*module.Module {
+func mux4Groups(nl *netlist.Netlist, ms []*bitslice.Match) []*module.Module {
 	type selKey struct{ a, b netlist.ID }
 	bySel := make(map[selKey][]*bitslice.Match)
 	for _, m := range ms {
@@ -183,7 +171,7 @@ func mux4Groups(nl *netlist.Netlist, ms []*bitslice.Match, opt Options) []*modul
 	var out []*module.Module
 	for _, k := range keys {
 		group := dedupeByRoot(bySel[k])
-		if len(group) < opt.MinSlices {
+		if len(group) < minSlices {
 			continue
 		}
 		mod := buildSliceModule(module.Mux, group)
@@ -198,7 +186,7 @@ func mux4Groups(nl *netlist.Netlist, ms []*bitslice.Match, opt Options) []*modul
 // unknownCandidates aggregates unknown-function bitslices connected by a
 // common signal into candidate modules for a human analyst (Section
 // II-B.1). Requires bitslice.Find to have run with KeepUnknown.
-func unknownCandidates(nl *netlist.Netlist, res *bitslice.Result, opt Options) []*module.Module {
+func unknownCandidates(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
 	if res.UnknownClasses == nil {
 		return nil
 	}
@@ -210,7 +198,7 @@ func unknownCandidates(nl *netlist.Netlist, res *bitslice.Result, opt Options) [
 	var out []*module.Module
 	for _, k := range keys {
 		ms := dedupeByRoot(res.UnknownClasses[k])
-		if len(ms) < opt.MinSlices+1 {
+		if len(ms) < minSlices+1 {
 			continue
 		}
 		// Group by a shared argument signal: pick the argument that occurs
@@ -228,7 +216,7 @@ func unknownCandidates(nl *netlist.Netlist, res *bitslice.Result, opt Options) [
 				best = a
 			}
 		}
-		if best == netlist.Nil || len(occ[best]) < opt.MinSlices+1 {
+		if best == netlist.Nil || len(occ[best]) < minSlices+1 {
 			continue
 		}
 		group := dedupeByRoot(occ[best])
@@ -244,19 +232,18 @@ func unknownCandidates(nl *netlist.Netlist, res *bitslice.Result, opt Options) [
 
 // PropagatedSignal aggregates carry/borrow chains into adders and
 // subtractors and xor trees into parity trees (Section II-B.2).
-func PropagatedSignal(nl *netlist.Netlist, res *bitslice.Result, opt Options) []*module.Module {
-	opt.defaults()
+func PropagatedSignal(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
 	var out []*module.Module
-	out = append(out, chainModules(nl, res, truth.ClassFACarry, module.Adder, opt)...)
-	out = append(out, chainModules(nl, res, truth.ClassSubBorrow, module.Subtractor, opt)...)
-	out = append(out, parityTrees(nl, res, opt)...)
+	out = append(out, chainModules(nl, res, truth.ClassFACarry, module.Adder)...)
+	out = append(out, chainModules(nl, res, truth.ClassSubBorrow, module.Subtractor)...)
+	out = append(out, parityTrees(nl, res)...)
 	return out
 }
 
 // chainModules finds maximal chains of carry-class matches where the root
 // of one match is an argument of the next, then attaches the matching sum
 // slices and the bit-0 half slice.
-func chainModules(nl *netlist.Netlist, res *bitslice.Result, carryClass truth.Class, typ module.Type, opt Options) []*module.Module {
+func chainModules(nl *netlist.Netlist, res *bitslice.Result, carryClass truth.Class, typ module.Type) []*module.Module {
 	carries := dedupeByRoot(res.Matches(carryClass))
 	byRoot := make(map[netlist.ID]*bitslice.Match, len(carries))
 	for _, m := range carries {
@@ -390,7 +377,7 @@ func headOperands(nl *netlist.Netlist, res *bitslice.Result, head *bitslice.Matc
 
 // parityTrees finds connected components of xor-family matches linked by
 // propagated outputs.
-func parityTrees(nl *netlist.Netlist, res *bitslice.Result, opt Options) []*module.Module {
+func parityTrees(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
 	var xs []*bitslice.Match
 	for _, c := range []truth.Class{truth.ClassHASum, truth.ClassFASum} {
 		xs = append(xs, res.Matches(c)...)
@@ -433,12 +420,12 @@ func parityTrees(nl *netlist.Netlist, res *bitslice.Result, opt Options) []*modu
 	var out []*module.Module
 	for _, r := range reps {
 		comp := comps[r]
-		if len(comp) < opt.MinParity {
+		if len(comp) < minParity {
 			continue
 		}
 		// A parity tree has exactly one root match whose output feeds no
 		// other member; adder sum columns (disconnected xors) never reach
-		// MinParity because they are singletons.
+		// minParity because they are singletons.
 		var elements, leaves []netlist.ID
 		rootCount := 0
 		var treeRoot netlist.ID

@@ -19,7 +19,7 @@ func TestMuxAggregation(t *testing.T) {
 	d0 := gen.InputWord(nl, "a", 8)
 	d1 := gen.InputWord(nl, "b", 8)
 	out := gen.Mux2Word(nl, sel, d0, d1)
-	mods := CommonSignal(nl, analyze(nl, false), Options{})
+	mods := CommonSignal(nl, analyze(nl, false))
 
 	var mux *module.Module
 	for _, m := range mods {
@@ -60,7 +60,7 @@ func TestTwoMuxesSeparateSelects(t *testing.T) {
 	c := gen.InputWord(nl, "c", 4)
 	gen.Mux2Word(nl, s1, a, b)
 	gen.Mux2Word(nl, s2, b, c)
-	mods := CommonSignal(nl, analyze(nl, false), Options{})
+	mods := CommonSignal(nl, analyze(nl, false))
 	count := 0
 	for _, m := range mods {
 		if m.Type == module.Mux && m.Width == 4 {
@@ -77,7 +77,7 @@ func TestAdderAggregation(t *testing.T) {
 	a := gen.InputWord(nl, "a", 8)
 	b := gen.InputWord(nl, "b", 8)
 	sum, _ := gen.RippleAdder(nl, a, b, netlist.Nil)
-	mods := PropagatedSignal(nl, analyze(nl, false), Options{})
+	mods := PropagatedSignal(nl, analyze(nl, false))
 
 	var adder *module.Module
 	for _, m := range mods {
@@ -121,7 +121,7 @@ func TestSubtractorAggregation(t *testing.T) {
 	a := gen.InputWord(nl, "a", 6)
 	b := gen.InputWord(nl, "b", 6)
 	gen.RippleSubtractor(nl, a, b)
-	mods := PropagatedSignal(nl, analyze(nl, false), Options{})
+	mods := PropagatedSignal(nl, analyze(nl, false))
 	var sub *module.Module
 	for _, m := range mods {
 		if m.Type == module.Subtractor {
@@ -142,7 +142,7 @@ func TestParityTreeAggregation(t *testing.T) {
 	nl := netlist.New("par")
 	w := gen.InputWord(nl, "w", 8)
 	root := gen.ParityTree(nl, w)
-	mods := PropagatedSignal(nl, analyze(nl, false), Options{})
+	mods := PropagatedSignal(nl, analyze(nl, false))
 	var tree *module.Module
 	for _, m := range mods {
 		if m.Type == module.ParityTree {
@@ -165,7 +165,7 @@ func TestAdderDoesNotCreateParityTree(t *testing.T) {
 	a := gen.InputWord(nl, "a", 8)
 	b := gen.InputWord(nl, "b", 8)
 	gen.RippleAdder(nl, a, b, netlist.Nil)
-	mods := PropagatedSignal(nl, analyze(nl, false), Options{})
+	mods := PropagatedSignal(nl, analyze(nl, false))
 	for _, m := range mods {
 		if m.Type == module.ParityTree {
 			t.Errorf("adder produced a spurious parity tree of width %d", m.Width)
@@ -186,7 +186,7 @@ func TestUnknownCandidateAggregation(t *testing.T) {
 			nl.AddGate(netlist.And, ctl, a[i]),
 			nl.AddGate(netlist.And, nctl, a[i], b[i]))
 	}
-	mods := CommonSignal(nl, analyze(nl, true), Options{})
+	mods := CommonSignal(nl, analyze(nl, true))
 	found := false
 	for _, m := range mods {
 		if m.Type == module.Candidate && m.Width >= 4 {

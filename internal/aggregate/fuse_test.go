@@ -19,7 +19,7 @@ func TestFuseMuxTree(t *testing.T) {
 		data = append(data, gen.InputWord(nl, string(rune('a'+i)), 4))
 	}
 	out := gen.MuxTree(nl, gen.Word{s0, s1}, data)
-	mods := CommonSignal(nl, analyze(nl, false), Options{})
+	mods := CommonSignal(nl, analyze(nl, false))
 
 	muxes := 0
 	for _, m := range mods {
@@ -68,7 +68,7 @@ func TestFuseNothingWhenDisconnected(t *testing.T) {
 	d := gen.InputWord(nl, "d", 4)
 	gen.Mux2Word(nl, s1, a, b)
 	gen.Mux2Word(nl, s2, c, d)
-	mods := CommonSignal(nl, analyze(nl, false), Options{})
+	mods := CommonSignal(nl, analyze(nl, false))
 	if fused := Fuse(mods); len(fused) != 0 {
 		t.Errorf("disconnected muxes fused: %d modules", len(fused))
 	}
@@ -93,7 +93,7 @@ func TestFuseDecoderIntoRouting(t *testing.T) {
 	}
 
 	res := analyze(nl, false)
-	muxMods := CommonSignal(nl, res, Options{})
+	muxMods := CommonSignal(nl, res)
 	var fusable []*module.Module
 	for _, m := range muxMods {
 		if m.Type == module.Mux {
@@ -138,7 +138,7 @@ func TestChainWithBranchingCarry(t *testing.T) {
 	}
 	nl.MarkOutput("v", nl.AddGate(netlist.Xor, cout, probe))
 
-	mods := PropagatedSignal(nl, analyze(nl, false), Options{})
+	mods := PropagatedSignal(nl, analyze(nl, false))
 	best := 0
 	for _, m := range mods {
 		if m.Type == module.Adder && m.Width > best {

@@ -20,6 +20,10 @@
 // the store (provenance StageCached in the trace) and a degraded run's
 // completed stages survive for the next attempt. Without a store, nothing
 // is digested and the unbudgeted path has zero caching overhead.
+//
+// Each stage's own parameters are constants of its package. Core builds
+// every stage's options from Workers, the context, KeepCandidates and
+// ExtraLibrary, so a stage digest lists only options a caller can set.
 package core
 
 import (
@@ -41,18 +45,13 @@ import (
 	"netlistre/internal/words"
 )
 
+// wordRounds bounds iterative word propagation.
+const wordRounds = 3
+
 // Options configures the portfolio. The zero value runs every algorithm
 // with the paper's parameters.
 type Options struct {
-	Bitslice  bitslice.Options
-	Aggregate aggregate.Options
-	Words     words.Options
-	// WordRounds bounds iterative word propagation (0 = default 3).
-	WordRounds int
-	ModMatch   modmatch.Options
-	Support    support.Options
-	Seq        seq.Options
-	Overlap    overlap.Options
+	Overlap overlap.Options
 
 	// Workers bounds the number of pipeline stages in flight and the
 	// inner worker pools of the support and modmatch stages (0 =
@@ -326,13 +325,6 @@ func digestLibrary(h *artifact.Hasher, lib []truth.Entry) {
 	}
 }
 
-// digestSeq appends the sequential-analysis options to a stage digest.
-func digestSeq(h *artifact.Hasher, o seq.Options) {
-	h.Int(int64(o.MinCounter))
-	h.Int(int64(o.MinShift))
-	h.Int(int64(o.MaxSelectVars))
-}
-
 // AnalyzeContext runs the full portfolio on nl under ctx. Cancellation is
 // cooperative: the solver loops (SAT search, QBF CEGAR, ILP
 // branch-and-bound, cut enumeration, word propagation, BDD verification)
@@ -371,28 +363,13 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, opt Options) *Repo
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// The support and modmatch stages have inner worker pools; cap them
-	// at the shared budget unless explicitly configured.
-	if opt.Support.Workers <= 0 {
-		opt.Support.Workers = workers
-	}
-	if opt.ModMatch.Workers <= 0 {
-		opt.ModMatch.Workers = workers
-	}
-	// Bitslice matching parallelism is a budget knob, not a semantic one:
-	// Find's Result is deterministic regardless of Workers (and SlowMatch),
-	// so neither appears in the stage digest below.
-	if opt.Bitslice.Workers <= 0 {
-		opt.Bitslice.Workers = workers
-	}
-
-	opt.Bitslice.KeepUnknown = opt.KeepCandidates
+	// The bitslice, support and modmatch stages have inner worker pools,
+	// capped at the shared budget. Worker counts are budget knobs, not
+	// semantic ones: every stage's result is deterministic regardless of
+	// them, so they appear in no stage digest below.
+	bitsliceOpt := bitslice.Options{Workers: workers, KeepUnknown: opt.KeepCandidates}
 	if len(opt.ExtraLibrary) > 0 {
-		lib := opt.Bitslice.Library
-		if lib == nil {
-			lib = truth.Library()
-		}
-		opt.Bitslice.Library = append(append([]truth.Entry(nil), lib...), opt.ExtraLibrary...)
+		bitsliceOpt.Library = append(truth.Library(), opt.ExtraLibrary...)
 	}
 
 	// Fingerprint the netlist only when memoization is on; the digest of
@@ -405,37 +382,23 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, opt Options) *Repo
 		}
 	}
 
-	wordRounds := opt.WordRounds
-	if wordRounds <= 0 {
-		wordRounds = 3
-	}
-
 	stages := []stage{
 		// Stage 1: cut enumeration + Boolean matching (Algorithm 1).
 		{name: "bitslice",
 			digest: func(h *artifact.Hasher) {
-				h.Int(int64(opt.Bitslice.Cuts.K))
-				h.Int(int64(opt.Bitslice.Cuts.MaxCuts))
-				h.Bool(opt.Bitslice.KeepUnknown)
-				digestLibrary(h, opt.Bitslice.Library)
+				h.Bool(bitsliceOpt.KeepUnknown)
+				digestLibrary(h, bitsliceOpt.Library)
 			},
 			run: func(ctx context.Context, in map[string]*artifact.Artifact) (any, int) {
-				o := opt.Bitslice
+				o := bitsliceOpt
 				o.Cuts.Interrupt = interruptOf(ctx)
 				return bitslice.Find(nl, o), 0
 			}},
 		// Stage 3: common-support analysis (Algorithm 5); independent of
 		// the bitslice pipeline.
 		{name: "support",
-			digest: func(h *artifact.Hasher) {
-				h.Int(int64(opt.Support.MaxSupport))
-				h.Int(int64(opt.Support.MinOutputs))
-				h.Int(int64(opt.Support.MaxConeGates))
-			},
 			run: func(ctx context.Context, in map[string]*artifact.Artifact) (any, int) {
-				o := opt.Support
-				o.Interrupt = interruptOf(ctx)
-				mods := support.Analyze(nl, o)
+				mods := support.Analyze(nl, support.Options{Workers: workers, Interrupt: interruptOf(ctx)})
 				return mods, len(mods)
 			}},
 		// Latch-connection graph shared by the sequential detectors.
@@ -446,31 +409,25 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, opt Options) *Repo
 		// Stage 7 (LCG half): counter and shift-register detection
 		// (Algorithms 6-7); independent of the combinational stages.
 		{name: "counters", deps: []string{"lcg"},
-			digest: func(h *artifact.Hasher) { digestSeq(h, opt.Seq) },
 			run: func(ctx context.Context, in map[string]*artifact.Artifact) (any, int) {
 				a := in["lcg"]
 				if a == nil {
 					return []*module.Module(nil), 0 // upstream stage was skipped
 				}
-				mods := seq.FindCounters(nl, a.Value.(*graph.LCG), opt.Seq)
+				mods := seq.FindCounters(nl, a.Value.(*graph.LCG))
 				return mods, len(mods)
 			}},
 		{name: "shift", deps: []string{"lcg"},
-			digest: func(h *artifact.Hasher) { digestSeq(h, opt.Seq) },
 			run: func(ctx context.Context, in map[string]*artifact.Artifact) (any, int) {
 				a := in["lcg"]
 				if a == nil {
 					return []*module.Module(nil), 0
 				}
-				mods := seq.FindShiftRegisters(nl, a.Value.(*graph.LCG), opt.Seq)
+				mods := seq.FindShiftRegisters(nl, a.Value.(*graph.LCG))
 				return mods, len(mods)
 			}},
 		// Stage 2: aggregation (Algorithm 2).
 		{name: "aggregate", deps: []string{"bitslice"},
-			digest: func(h *artifact.Hasher) {
-				h.Int(int64(opt.Aggregate.MinSlices))
-				h.Int(int64(opt.Aggregate.MinParity))
-			},
 			run: func(ctx context.Context, in map[string]*artifact.Artifact) (any, int) {
 				a := in["bitslice"]
 				if a == nil {
@@ -478,7 +435,7 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, opt Options) *Repo
 				}
 				slices := a.Value.(*bitslice.Result)
 				var out aggregateOut
-				for _, m := range aggregate.CommonSignal(nl, slices, opt.Aggregate) {
+				for _, m := range aggregate.CommonSignal(nl, slices) {
 					if m.Type == module.Candidate {
 						out.Candidates = append(out.Candidates, m)
 						continue
@@ -488,7 +445,7 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, opt Options) *Repo
 						out.Mux = append(out.Mux, m)
 					}
 				}
-				out.Propagated = aggregate.PropagatedSignal(nl, slices, opt.Aggregate)
+				out.Propagated = aggregate.PropagatedSignal(nl, slices)
 				return out, len(out.Common) + len(out.Propagated)
 			}},
 		// Stage 4: module fusion post-processing (Section II-F). Fusion
@@ -507,55 +464,39 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, opt Options) *Repo
 			}},
 		// Stage 5: word identification and propagation (Algorithm 3).
 		{name: "words", deps: []string{"aggregate", "support", "fuse"},
-			digest: func(h *artifact.Hasher) {
-				h.Bool(opt.SkipWordProp)
-				h.Int(int64(wordRounds))
-				h.Int(int64(opt.Words.ControlDepth))
-				h.Int(int64(opt.Words.MaxControls))
-				h.Int(int64(opt.Words.MaxControlSet))
-			},
+			digest: func(h *artifact.Hasher) { h.Bool(opt.SkipWordProp) },
 			run: func(ctx context.Context, in map[string]*artifact.Artifact) (any, int) {
 				seeds := words.FromModules(baseMods(in))
 				if opt.SkipWordProp {
 					return seeds, len(seeds)
 				}
-				o := opt.Words
-				o.Interrupt = interruptOf(ctx)
-				all, _ := words.PropagateAll(nl, seeds, wordRounds, o)
+				all, _ := words.PropagateAll(nl, seeds, wordRounds, words.Options{Interrupt: interruptOf(ctx)})
 				return all, len(all)
 			}},
 		// Stage 6: QBF module matching between words (Algorithm 4).
 		{name: "modmatch", deps: []string{"words"},
-			digest: func(h *artifact.Hasher) {
-				h.Bool(opt.SkipModMatch)
-				h.Int(int64(opt.ModMatch.MaxSideInputs))
-				h.Int(int64(opt.ModMatch.MinWidth))
-				h.Int(int64(opt.ModMatch.MaxWidth))
-				h.Int(int64(opt.ModMatch.MaxRotate))
-			},
+			digest: func(h *artifact.Hasher) { h.Bool(opt.SkipModMatch) },
 			run: func(ctx context.Context, in map[string]*artifact.Artifact) (any, int) {
 				if opt.SkipModMatch {
 					return []*module.Module(nil), 0
 				}
-				mods := modmatch.Match(ctx, nl, wordsOf(in), opt.ModMatch)
+				mods := modmatch.Match(ctx, nl, wordsOf(in), modmatch.Options{Workers: workers})
 				return mods, len(mods)
 			}},
 		// Stage 7 (bitslice half): RAM and multibit-register detection
 		// (Algorithms 8-9).
 		{name: "rams", deps: []string{"bitslice"},
-			digest: func(h *artifact.Hasher) { digestSeq(h, opt.Seq) },
 			run: func(ctx context.Context, in map[string]*artifact.Artifact) (any, int) {
 				a := in["bitslice"]
 				if a == nil {
 					return []*module.Module(nil), 0
 				}
-				mods := seq.FindRAMs(nl, a.Value.(*bitslice.Result), opt.Seq)
+				mods := seq.FindRAMs(nl, a.Value.(*bitslice.Result))
 				return mods, len(mods)
 			}},
 		{name: "registers", deps: []string{"aggregate"},
-			digest: func(h *artifact.Hasher) { digestSeq(h, opt.Seq) },
 			run: func(ctx context.Context, in map[string]*artifact.Artifact) (any, int) {
-				mods := seq.FindMultibitRegisters(nl, aggOf(in).Mux, opt.Seq)
+				mods := seq.FindMultibitRegisters(nl, aggOf(in).Mux)
 				return mods, len(mods)
 			}},
 		// Footnote 15: recover multibit-register bit order by matching the

@@ -11,7 +11,8 @@
 // where the row selects are one-hot (driven by a scan counter's decoder).
 // The generic RAM analysis does not recognize this shape — its read trees
 // are 2:1 mux based — which is exactly why the paper needed a
-// design-specific algorithm for its VGA core.
+// design-specific algorithm for its VGA core. Planes smaller than 4 rows
+// by 4 columns are not reported.
 package fbscan
 
 import (
@@ -23,26 +24,12 @@ import (
 	"netlistre/internal/netlist"
 )
 
-// Options tunes detection.
-type Options struct {
-	// MinRows and MinCols bound the smallest plane reported.
-	MinRows, MinCols int
-}
-
-func (o *Options) defaults() {
-	if o.MinRows <= 0 {
-		o.MinRows = 4
-	}
-	if o.MinCols <= 0 {
-		o.MinCols = 4
-	}
-}
+// minRows and minCols bound the smallest plane reported.
+const minRows, minCols = 4, 4
 
 // Find locates framebuffer read planes. The returned modules cover the
 // storage cells, the AND gating plane and the OR reduction.
-func Find(nl *netlist.Netlist, opt Options) []*module.Module {
-	opt.defaults()
-
+func Find(nl *netlist.Netlist) []*module.Module {
 	// Step 1: collect candidate column outputs: Or gates whose fanins are
 	// all And gates pairing one latch with one non-latch "select" signal.
 	type column struct {
@@ -57,7 +44,7 @@ func Find(nl *netlist.Netlist, opt Options) []*module.Module {
 			continue
 		}
 		fan := nl.Fanin(id)
-		if len(fan) < opt.MinRows {
+		if len(fan) < minRows {
 			continue
 		}
 		col := column{root: id}
@@ -104,7 +91,7 @@ func Find(nl *netlist.Netlist, opt Options) []*module.Module {
 	var out []*module.Module
 	for _, k := range keys {
 		group := bySel[k]
-		if len(group) < opt.MinCols {
+		if len(group) < minCols {
 			continue
 		}
 		if !oneHotSelects(nl, group[0].selects) {

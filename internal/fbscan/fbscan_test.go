@@ -12,7 +12,7 @@ import (
 
 func TestFindFramebufferPlane(t *testing.T) {
 	nl, pixels := gen.VGACore(8, 6)
-	mods := Find(nl, Options{})
+	mods := Find(nl)
 	if len(mods) != 1 {
 		t.Fatalf("found %d framebuffer planes, want 1", len(mods))
 	}
@@ -43,7 +43,7 @@ func TestGenericRAMAnalysisMissesPlane(t *testing.T) {
 	// The motivation for the design-specific pass: the generic RAM
 	// analysis does not recognize the OR-AND read shape.
 	nl, _ := gen.VGACore(8, 6)
-	if mods := seq.FindRAMs(nl, nil, seq.Options{}); len(mods) != 0 {
+	if mods := seq.FindRAMs(nl, nil); len(mods) != 0 {
 		t.Skipf("generic analysis unexpectedly found %d RAMs; pass unnecessary", len(mods))
 	}
 }
@@ -64,7 +64,7 @@ func TestNonOneHotPlaneRejected(t *testing.T) {
 		}
 		nl.MarkOutput("y"+string(rune('0'+c)), nl.AddGate(netlist.Or, taps...))
 	}
-	if mods := Find(nl, Options{}); len(mods) != 0 {
+	if mods := Find(nl); len(mods) != 0 {
 		t.Errorf("non-one-hot plane accepted: %d modules", len(mods))
 	}
 }
@@ -76,7 +76,7 @@ func TestAsExtraPass(t *testing.T) {
 	opt := core.Options{
 		SkipModMatch: true,
 		ExtraPasses: []func(*netlist.Netlist) []*module.Module{
-			func(n *netlist.Netlist) []*module.Module { return Find(n, Options{}) },
+			func(n *netlist.Netlist) []*module.Module { return Find(n) },
 		},
 	}
 	rep := core.Analyze(nl, opt)

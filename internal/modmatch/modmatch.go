@@ -9,6 +9,8 @@
 // original is untouched), and the 2QBF question ∃Y ∀X . C(X,Y) == C'(X) is
 // decided with the CEGAR solver. A match identifies both the operation and
 // the side-input setting that selects it (e.g. the add/sub mode bit).
+// The candidate bounds are constants: output words of 4 to 16 bits, at
+// most 6 side inputs, and rotations by up to 4 bits in the library.
 package modmatch
 
 import (
@@ -27,18 +29,21 @@ import (
 	"netlistre/internal/words"
 )
 
+const (
+	// maxSideInputs bounds |Y|; candidates with more side inputs are
+	// skipped (the synthesis space doubles per side input).
+	maxSideInputs = 6
+	// minWidth skips narrow candidate words (narrow "words" are usually
+	// incidental signal groups, and 2-3 bit library matches are noise).
+	minWidth = 4
+	// maxWidth bounds the word width matched (QBF cost grows with width).
+	maxWidth = 16
+	// maxRotate bounds the rotation/shift constants tried.
+	maxRotate = 4
+)
+
 // Options tunes module matching.
 type Options struct {
-	// MaxSideInputs bounds |Y|; candidates with more side inputs are
-	// skipped (the synthesis space doubles per side input).
-	MaxSideInputs int
-	// MinWidth skips narrow candidate words (narrow "words" are usually
-	// incidental signal groups, and 2-3 bit library matches are noise).
-	MinWidth int
-	// MaxWidth bounds the word width matched (QBF cost grows with width).
-	MaxWidth int
-	// MaxRotate bounds the rotation/shift constants tried.
-	MaxRotate int
 	// Workers bounds the matching worker pool (0 = GOMAXPROCS). The
 	// caller's scheduler sets this so that the stage respects the shared
 	// analysis-wide worker budget.
@@ -49,21 +54,6 @@ type Options struct {
 	// ∃Y∀X question is provably false), so this knob exists purely for
 	// differential testing and measurement.
 	DisablePrefilter bool
-}
-
-func (o *Options) defaults() {
-	if o.MaxSideInputs <= 0 {
-		o.MaxSideInputs = 6
-	}
-	if o.MinWidth <= 0 {
-		o.MinWidth = 4
-	}
-	if o.MaxWidth <= 0 {
-		o.MaxWidth = 16
-	}
-	if o.MaxRotate <= 0 {
-		o.MaxRotate = 4
-	}
 }
 
 // Candidate is a carved-out unknown module.
@@ -79,7 +69,6 @@ type Candidate struct {
 // cooperatively: candidates already matched are returned, the rest are
 // skipped.
 func Match(ctx context.Context, nl *netlist.Netlist, wordSet []words.Word, opt Options) []*module.Module {
-	opt.defaults()
 	cands := Candidates(nl, wordSet, opt)
 	canceled := func() bool { return ctx != nil && ctx.Err() != nil }
 
@@ -150,7 +139,6 @@ func elementKey(ids []netlist.ID) string {
 // Candidates carves candidate modules: for every word whose bits are gates,
 // the cone is cut at the bits of the other words.
 func Candidates(nl *netlist.Netlist, wordSet []words.Word, opt Options) []Candidate {
-	opt.defaults()
 	// Map from signal to the words containing it.
 	wordOf := make(map[netlist.ID][]int)
 	for wi, w := range wordSet {
@@ -160,7 +148,7 @@ func Candidates(nl *netlist.Netlist, wordSet []words.Word, opt Options) []Candid
 	}
 	var cands []Candidate
 	for wi, w := range wordSet {
-		if len(w.Bits) < opt.MinWidth || len(w.Bits) > opt.MaxWidth {
+		if len(w.Bits) < minWidth || len(w.Bits) > maxWidth {
 			continue
 		}
 		allGates := true
@@ -177,7 +165,7 @@ func Candidates(nl *netlist.Netlist, wordSet []words.Word, opt Options) []Candid
 		if !ok || len(cand.Inputs) == 0 || len(cand.Inputs) > 2 {
 			continue
 		}
-		if len(cand.Side) > opt.MaxSideInputs {
+		if len(cand.Side) > maxSideInputs {
 			continue
 		}
 		cands = append(cands, cand)
@@ -281,7 +269,7 @@ type refBuilder struct {
 	build func(nl *netlist.Netlist, a, b []netlist.ID) []netlist.ID
 }
 
-func referenceLibrary(opt Options) []refBuilder {
+func referenceLibrary() []refBuilder {
 	lib := []refBuilder{
 		{"add", 2, func(nl *netlist.Netlist, a, b []netlist.ID) []netlist.ID {
 			return rippleAdd(nl, a, b, nl.AddConst(false))
@@ -318,7 +306,7 @@ func referenceLibrary(opt Options) []refBuilder {
 			return rippleAdd(nl, na, zero, nl.AddConst(true))
 		}},
 	}
-	for k := 1; k <= opt.MaxRotate; k++ {
+	for k := 1; k <= maxRotate; k++ {
 		k := k
 		lib = append(lib, refBuilder{fmt.Sprintf("rotl%d", k), 1,
 			func(nl *netlist.Netlist, a, _ []netlist.ID) []netlist.ID {
@@ -365,13 +353,6 @@ func rippleAdd(nl *netlist.Netlist, a, b []netlist.ID, cin netlist.ID) []netlist
 			nl.AddGate(netlist.And, carry, a[i]))
 	}
 	return out
-}
-
-// MatchOne matches a single candidate against the reference library
-// (exported for instrumentation and fine-grained control).
-func MatchOne(ctx context.Context, nl *netlist.Netlist, cand Candidate, opt Options) *module.Module {
-	opt.defaults()
-	return matchCandidate(ctx, nl, cand, opt)
 }
 
 // extractRegion rebuilds the candidate's carved region as a standalone
@@ -495,7 +476,7 @@ func matchCandidate(ctx context.Context, nl *netlist.Netlist, cand Candidate, op
 	// gates provably-false QBF instances, so the seed never changes results.
 	rng := rand.New(rand.NewSource(0x5eed<<20 ^ int64(len(cand.Gates))<<8 ^ int64(cand.Out.Bits[0])))
 
-	for _, ref := range referenceLibrary(opt) {
+	for _, ref := range referenceLibrary() {
 		if ctx != nil && ctx.Err() != nil {
 			return nil
 		}

@@ -121,9 +121,7 @@ func TestPrefilterDifferential(t *testing.T) {
 // soundness claim directly at the instance level rather than end to end.
 func TestPrefilterNeverRefutesSAT(t *testing.T) {
 	for name, c := range prefilterCircuits() {
-		var opt Options
-		opt.defaults()
-		for _, cand := range Candidates(c.nl, c.ws, opt) {
+		for _, cand := range Candidates(c.nl, c.ws, Options{}) {
 			region, rmap := extractRegion(c.nl, cand)
 			var forall []netlist.ID
 			for _, w := range cand.Inputs {
@@ -140,7 +138,7 @@ func TestPrefilterNeverRefutesSAT(t *testing.T) {
 				outs[i] = rmap[b]
 			}
 			rng := rand.New(rand.NewSource(99))
-			for _, ref := range referenceLibrary(opt) {
+			for _, ref := range referenceLibrary() {
 				if ref.arity != len(cand.Inputs) {
 					continue
 				}

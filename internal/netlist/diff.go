@@ -40,6 +40,10 @@ package netlist
 // the fingerprint's conventions (commutative fanin sorting, canonical LUT
 // masks), so the pairing is invariant under node reordering and renaming.
 //
+// The matcher has no options: at most maxDiffPasses sweeps, simBatches ×
+// 64 simulation runs of simCycles cycles, and maxRefineRounds WL rounds,
+// with the simulation and WL passes always available on a stall.
+//
 // Everything is deterministic: ties are broken by node ID, and no pass
 // consults internal net names except the final retype classification,
 // which degrades gracefully when names are absent or scrambled.
@@ -52,46 +56,21 @@ import (
 	"strings"
 )
 
-// DiffOptions tunes DiffNetlists. The zero value selects the defaults.
-type DiffOptions struct {
-	// MaxPasses caps the forward/backward sweep count. Each sweep advances
-	// the matched frontier by at least one level, so the default (512)
+const (
+	// maxDiffPasses caps the forward/backward sweep count. Each sweep
+	// advances the matched frontier by at least one level, so 512
 	// comfortably covers any realistic logic depth.
-	MaxPasses int
-	// WLRounds caps the Weisfeiler-Leman refinement depth used to align
-	// anchor-free regions. 0 selects the fingerprint's default (64).
-	WLRounds int
-	// DisableWL skips the WL fallback pass entirely; unanchored identical
-	// regions are then reported as added+removed instead of matched.
-	DisableWL bool
-	// DisableSim skips the functional (simulation) fallback pass.
-	DisableSim bool
-	// SimCycles is the length of each bit-parallel simulation run; 0
-	// selects the default (4). Runs restart from the all-zero latch state,
-	// so a sequential trigger deeper than SimCycles cannot fire during
-	// matching — short runs are what keep a dormant trojan dormant and its
-	// host design functionally identical to the golden revision.
-	SimCycles int
-	// SimBatches is the number of 64-run bit-parallel batches; 0 selects
-	// the default (2), for 128 independent runs.
-	SimBatches int
-}
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 512
-	}
-	if o.WLRounds <= 0 {
-		o.WLRounds = maxRefineRounds
-	}
-	if o.SimCycles <= 0 {
-		o.SimCycles = 4
-	}
-	if o.SimBatches <= 0 {
-		o.SimBatches = 2
-	}
-	return o
-}
+	maxDiffPasses = 512
+	// simCycles is the length of each bit-parallel simulation run. Runs
+	// restart from the all-zero latch state, so a sequential trigger
+	// deeper than simCycles cannot fire during matching — short runs are
+	// what keep a dormant trojan dormant and its host design functionally
+	// identical to the golden revision.
+	simCycles = 4
+	// simBatches is the number of 64-run bit-parallel batches: 128
+	// independent runs.
+	simBatches = 2
+)
 
 // RetypedPair is a golden/suspect node pair that occupies the same
 // position in the design but differs in function (gate kind or LUT mask).
@@ -155,7 +134,6 @@ const (
 
 type differ struct {
 	g, s *Netlist
-	opt  DiffOptions
 
 	g2s, s2g []ID // Nil = unmatched
 
@@ -195,11 +173,10 @@ func (d *differ) canonOf(g ID) ID {
 // DiffNetlists structurally aligns golden and suspect and returns the
 // difference. Both netlists should be Validated; the diff itself never
 // mutates either side.
-func DiffNetlists(golden, suspect *Netlist, opt DiffOptions) *Diff {
+func DiffNetlists(golden, suspect *Netlist) *Diff {
 	d := &differ{
 		g:        golden,
 		s:        suspect,
-		opt:      opt.withDefaults(),
 		g2s:      make([]ID, golden.Len()),
 		s2g:      make([]ID, suspect.Len()),
 		gLuts:    map[ID]lutCanon{},
@@ -221,15 +198,15 @@ func DiffNetlists(golden, suspect *Netlist, opt DiffOptions) *Diff {
 	// Cheap exact passes run to quiescence; each stall escalates through
 	// the progressively more global (and more expensive) resynchronizers,
 	// any of which hands control back to the exact passes on progress.
-	for pass := 0; pass < d.opt.MaxPasses; pass++ {
+	for pass := 0; pass < maxDiffPasses; pass++ {
 		diff.Passes++
 		progress := d.forwardPass()
 		progress = d.backwardPass() || progress
 		if !progress {
-			if !d.opt.DisableSim && d.simPass() {
+			if d.simPass() {
 				continue
 			}
-			if !d.opt.DisableWL && d.wlPass() {
+			if d.wlPass() {
 				continue
 			}
 			if d.rolePass() {
@@ -865,16 +842,13 @@ func (d *differ) positionKey(suspectSide bool, id ID) (string, bool) {
 // holding exactly one unmatched node per side are paired. Returns whether
 // any pair was made.
 func (d *differ) wlPass() bool {
-	// Seed the refinement with simulation traces when available: dormant
-	// modifications leave every true pair with identical traces, so the
-	// richer seed only splits classes, never separates a true pair — and
-	// it lets structure break ties that traces alone cannot (an inserted
-	// comparator mimicking a decoder minterm's trace diverges from it
-	// within two rounds through its fanin and fanout).
-	if !d.opt.DisableSim && d.gSim == nil {
-		d.gSim = simSignatures(d.g, d.opt)
-		d.sSim = simSignatures(d.s, d.opt)
-	}
+	// The refinement is seeded with the simulation traces of simPass,
+	// which always runs first: dormant modifications leave every true
+	// pair with identical traces, so the richer seed only splits classes,
+	// never separates a true pair — and it lets structure break ties that
+	// traces alone cannot (an inserted comparator mimicking a decoder
+	// minterm's trace diverges from it within two rounds through its
+	// fanin and fanout).
 	gcol := d.wlColors(false)
 	scol := d.wlColors(true)
 
@@ -911,7 +885,7 @@ func (d *differ) wlPass() bool {
 // same values without needing any prior node matching. A node's signature
 // is its value trace; as long as the suspect's modification is dormant
 // under the stimuli — guaranteed for sequential triggers deeper than
-// SimCycles, since every run restarts from reset — every unmodified node
+// simCycles, since every run restarts from reset — every unmodified node
 // computes the identical trace on both sides, including the entire cone
 // downstream of a splice that structural matching cannot cross.
 //
@@ -923,8 +897,8 @@ func (d *differ) wlPass() bool {
 // suspect side and is skipped rather than mismatched.
 func (d *differ) simPass() bool {
 	if d.gSim == nil {
-		d.gSim = simSignatures(d.g, d.opt)
-		d.sSim = simSignatures(d.s, d.opt)
+		d.gSim = simSignatures(d.g)
+		d.sSim = simSignatures(d.s)
 	}
 	gclass := map[string][]ID{}
 	for i := 0; i < d.g.Len(); i++ {
@@ -977,7 +951,7 @@ func (d *differ) simKey(suspectSide bool, id ID) string {
 // stimulus for each primary input is a deterministic PRNG stream seeded by
 // the input's name, so two netlists sharing input names receive identical
 // stimuli without any coordination.
-func simSignatures(nl *Netlist, opt DiffOptions) []string {
+func simSignatures(nl *Netlist) []string {
 	n := nl.Len()
 	vals := make([]uint64, n)
 	sigs := make([][]byte, n)
@@ -997,11 +971,11 @@ func simSignatures(nl *Netlist, opt DiffOptions) []string {
 		}
 	}
 
-	for batch := 0; batch < opt.SimBatches; batch++ {
+	for batch := 0; batch < simBatches; batch++ {
 		for i := range vals {
 			vals[i] = 0
 		}
-		for cycle := 0; cycle < opt.SimCycles; cycle++ {
+		for cycle := 0; cycle < simCycles; cycle++ {
 			for _, id := range order {
 				node := nl.Node(id)
 				switch node.Kind {
@@ -1160,9 +1134,9 @@ func (d *differ) wlColors(suspectSide bool) []fpLabel {
 
 	// The round count must be identical on both sides — a label hash
 	// encodes its round depth, so stopping early on one side would make
-	// every cross-side comparison miss. Always run the full WLRounds.
+	// every cross-side comparison miss. Always run all maxRefineRounds.
 	var neigh []fpLabel
-	for round := 0; round < d.opt.WLRounds; round++ {
+	for round := 0; round < maxRefineRounds; round++ {
 		for i := 0; i < n; i++ {
 			if fixed[i] {
 				next[i] = labels[i]

@@ -42,7 +42,7 @@ func buildChain(trojaned bool) *netlist.Netlist {
 func TestDiffSelfIsEmpty(t *testing.T) {
 	g := buildChain(false)
 	s := buildChain(false)
-	d := netlist.DiffNetlists(g, s, netlist.DiffOptions{})
+	d := netlist.DiffNetlists(g, s)
 	if !d.Identical() {
 		t.Fatalf("self-diff not empty: %+v", d)
 	}
@@ -54,7 +54,7 @@ func TestDiffSelfIsEmpty(t *testing.T) {
 func TestDiffFindsSplicedGates(t *testing.T) {
 	g := buildChain(false)
 	s := buildChain(true)
-	d := netlist.DiffNetlists(g, s, netlist.DiffOptions{})
+	d := netlist.DiffNetlists(g, s)
 	if len(d.Removed) != 0 || len(d.Retyped) != 0 {
 		t.Fatalf("unexpected removed/retyped: %+v", d)
 	}
@@ -78,7 +78,7 @@ func TestDiffRetypedGate(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	d := netlist.DiffNetlists(g, s, netlist.DiffOptions{})
+	d := netlist.DiffNetlists(g, s)
 	if len(d.Retyped) != 1 {
 		t.Fatalf("want 1 retyped pair, got %+v", d)
 	}
@@ -95,7 +95,7 @@ func TestDiffBoundaryChanges(t *testing.T) {
 	s := buildChain(false)
 	extra := s.AddInput("spare")
 	s.MarkOutput("dbg", extra)
-	d := netlist.DiffNetlists(g, s, netlist.DiffOptions{})
+	d := netlist.DiffNetlists(g, s)
 	if len(d.InputsAdded) != 1 || d.InputsAdded[0] != "spare" {
 		t.Fatalf("InputsAdded = %v", d.InputsAdded)
 	}
@@ -134,7 +134,7 @@ func TestDiffTrojanArticles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := netlist.DiffNetlists(g, s, netlist.DiffOptions{})
+			d := netlist.DiffNetlists(g, s)
 			want := append([]netlist.ID(nil), lab.Trojan...)
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 			if !idsEqual(d.Added, want) {

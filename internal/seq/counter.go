@@ -3,7 +3,8 @@
 // and multibit registers (III-D). Each analysis pairs a topological
 // candidate generator (over the latch connection graph or aggregated
 // modules) with a functional verification (SAT cofactor checks or BDD
-// propagation checks).
+// propagation checks). The size bounds are constants: counters and shift
+// registers of at least 3 bits, RAM reads over at most 8 select signals.
 package seq
 
 import (
@@ -15,16 +16,15 @@ import (
 	"netlistre/internal/sat"
 )
 
-// Options tunes the sequential analyses.
-type Options struct {
-	// MinCounter is the smallest counter accepted (bits).
-	MinCounter int
-	// MinShift is the smallest shift register accepted (stages).
-	MinShift int
-	// MaxSelectVars bounds the select-space enumeration in the RAM read
+const (
+	// minCounter is the smallest counter accepted (bits).
+	minCounter = 3
+	// minShift is the smallest shift register accepted (stages).
+	minShift = 3
+	// maxSelectVars bounds the select-space enumeration in the RAM read
 	// check.
-	MaxSelectVars int
-}
+	maxSelectVars = 8
+)
 
 // verifyConflictBudget bounds each SAT query in the counter and
 // shift-register checks; a genuine counter/shifter verifies in a handful of
@@ -32,29 +32,16 @@ type Options struct {
 // candidate instead of stalling on a pathological cone.
 const verifyConflictBudget = 200_000
 
-func (o *Options) defaults() {
-	if o.MinCounter <= 0 {
-		o.MinCounter = 3
-	}
-	if o.MinShift <= 0 {
-		o.MinShift = 3
-	}
-	if o.MaxSelectVars <= 0 {
-		o.MaxSelectVars = 8
-	}
-}
-
 // FindCounters generates counter candidates from the LCG topology (Figure
 // 5) and verifies them with the SAT cofactor formulation of Section
 // III-A.2. Both up and down counters are detected.
-func FindCounters(nl *netlist.Netlist, lcg *graph.LCG, opt Options) []*module.Module {
-	opt.defaults()
+func FindCounters(nl *netlist.Netlist, lcg *graph.LCG) []*module.Module {
 	var out []*module.Module
 	seen := make(map[string]bool)
-	for _, chain := range lcg.CounterChains(opt.MinCounter) {
+	for _, chain := range lcg.CounterChains(minCounter) {
 		for _, down := range []bool{false, true} {
-			verified := bestVerifiedSubchain(nl, chain, down, opt.MinCounter)
-			if len(verified) < opt.MinCounter {
+			verified := bestVerifiedSubchain(nl, chain, down, minCounter)
+			if len(verified) < minCounter {
 				continue
 			}
 			k := idKeySeq(netlist.SortedIDs(verified))

@@ -18,10 +18,9 @@ import (
 // FindRAMs runs the full RAM analysis. slices supplies mux bitslice matches
 // for write-logic identification (pass the result of bitslice.Find; write
 // logic is skipped when nil).
-func FindRAMs(nl *netlist.Netlist, slices *bitslice.Result, opt Options) []*module.Module {
-	opt.defaults()
+func FindRAMs(nl *netlist.Netlist, slices *bitslice.Result) []*module.Module {
 	marked := markReadLogic(nl)
-	roots := readRoots(nl, marked, opt)
+	roots := readRoots(nl, marked)
 
 	type readBit struct {
 		root    netlist.ID
@@ -30,7 +29,7 @@ func FindRAMs(nl *netlist.Netlist, slices *bitslice.Result, opt Options) []*modu
 	}
 	var bits []readBit
 	for _, root := range roots {
-		sel, cells, ok := verifyReadBehavior(nl, marked, root, opt)
+		sel, cells, ok := verifyReadBehavior(nl, marked, root)
 		if !ok {
 			continue
 		}
@@ -232,13 +231,13 @@ func markReadLogic(nl *netlist.Netlist) map[netlist.ID]bool {
 
 // readRoots returns candidate read-tree roots using a support-purity
 // analysis: a marked gate is "pure" when its combinational support consists
-// of storage latches plus at most MaxSelectVars other signals — the shape
+// of storage latches plus at most maxSelectVars other signals — the shape
 // of a genuine read tree. Candidates are the MAXIMAL pure marked gates
 // (their consumer is unmarked or impure: the point where the read value
 // leaves the array and mixes into the datapath), plus unmarked gates
 // directly consuming a pure marked gate (read tops whose fanout keeps them
 // unmarked). The BDD verification discards false candidates cheaply.
-func readRoots(nl *netlist.Netlist, marked map[netlist.ID]bool, opt Options) []netlist.ID {
+func readRoots(nl *netlist.Netlist, marked map[netlist.ID]bool) []netlist.ID {
 	type supInfo struct {
 		latches map[netlist.ID]bool
 		others  map[netlist.ID]bool
@@ -283,7 +282,7 @@ func readRoots(nl *netlist.Netlist, marked map[netlist.ID]bool, opt Options) []n
 				// Primary input or unmarked gate: a select-side signal.
 				si.others[f] = true
 			}
-			if len(si.others) > opt.MaxSelectVars {
+			if len(si.others) > maxSelectVars {
 				si.impure = true
 			}
 			if si.impure {
@@ -356,7 +355,7 @@ func readRoots(nl *netlist.Netlist, marked map[netlist.ID]bool, opt Options) []n
 // every select assignment propagates exactly one latch (possibly negated)
 // to the output, and every latch in the support is propagated for some
 // select assignment.
-func verifyReadBehavior(nl *netlist.Netlist, marked map[netlist.ID]bool, root netlist.ID, opt Options) (selects, cells []netlist.ID, ok bool) {
+func verifyReadBehavior(nl *netlist.Netlist, marked map[netlist.ID]bool, root netlist.ID) (selects, cells []netlist.ID, ok bool) {
 	mgr := bdd.New(0)
 	mgr.Limit = 1 << 20 // genuine read trees are small; cap runaway cones
 	bld := bdd.NewBuilder(mgr, nl)
@@ -383,7 +382,7 @@ func verifyReadBehavior(nl *netlist.Netlist, marked map[netlist.ID]bool, root ne
 			selVars = append(selVars, v)
 		}
 	}
-	if len(cellVars) < 2 || len(selVars) == 0 || len(selVars) > opt.MaxSelectVars {
+	if len(cellVars) < 2 || len(selVars) == 0 || len(selVars) > maxSelectVars {
 		return nil, nil, false
 	}
 

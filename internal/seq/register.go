@@ -17,8 +17,7 @@ import (
 // outputs feed latch D inputs anchors a candidate; the hold path is traced
 // backwards through cascaded mux modules until it reaches the latch word
 // itself.
-func FindMultibitRegisters(nl *netlist.Netlist, muxes []*module.Module, opt Options) []*module.Module {
-	opt.defaults()
+func FindMultibitRegisters(nl *netlist.Netlist, muxes []*module.Module) []*module.Module {
 	// Index mux modules by their output word for cascade walking.
 	outKey := func(w []netlist.ID) string { return idKeySeq(netlist.SortedIDs(w)) }
 	byOut := make(map[string]*module.Module)

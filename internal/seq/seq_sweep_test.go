@@ -22,7 +22,7 @@ func TestCounterSweep(t *testing.T) {
 				en := nl.AddInput("en")
 				rst := nl.AddInput("rst")
 				gen.Counter(nl, width, en, rst, down)
-				mods := FindCounters(nl, graph.BuildLCG(nl), Options{})
+				mods := FindCounters(nl, graph.BuildLCG(nl))
 				if len(mods) != 1 || mods[0].Width != width {
 					t.Fatalf("counters = %v", mods)
 				}
@@ -46,7 +46,7 @@ func TestAlwaysEnabledCounter(t *testing.T) {
 	one := nl.AddConst(true)
 	en := nl.AddGate(netlist.Buf, one)
 	gen.Counter(nl, 5, en, rst, false)
-	mods := FindCounters(nl, graph.BuildLCG(nl), Options{})
+	mods := FindCounters(nl, graph.BuildLCG(nl))
 	if len(mods) != 1 || mods[0].Width != 5 {
 		t.Fatalf("free-running counter not found: %v", mods)
 	}
@@ -63,7 +63,7 @@ func TestBrokenCounterRejected(t *testing.T) {
 	// (detach its D and rewire with an inverter in the enable path).
 	d4 := nl.Fanin(q[4])[0]
 	nl.SetLatchD(q[4], nl.AddGate(netlist.Not, d4))
-	mods := FindCounters(nl, graph.BuildLCG(nl), Options{})
+	mods := FindCounters(nl, graph.BuildLCG(nl))
 	for _, m := range mods {
 		if m.Width > 4 {
 			t.Errorf("tampered counter accepted at width %d", m.Width)
@@ -90,7 +90,7 @@ func TestShiftSweep(t *testing.T) {
 			rst := nl.AddInput("rst")
 			sin := nl.AddInput("sin")
 			gen.ShiftRegister(nl, width, en, rst, sin)
-			mods := FindShiftRegisters(nl, graph.BuildLCG(nl), Options{})
+			mods := FindShiftRegisters(nl, graph.BuildLCG(nl))
 			if len(mods) != 1 || mods[0].Width != width {
 				t.Fatalf("shift registers = %v", mods)
 			}
@@ -108,7 +108,7 @@ func TestPlainPipelineIsShiftRegister(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		prev = nl.AddLatch(prev)
 	}
-	mods := FindShiftRegisters(nl, graph.BuildLCG(nl), Options{})
+	mods := FindShiftRegisters(nl, graph.BuildLCG(nl))
 	if len(mods) != 1 || mods[0].Width != 6 {
 		t.Fatalf("pipeline not detected: %v", mods)
 	}
@@ -124,7 +124,7 @@ func TestBrokenShiftRejected(t *testing.T) {
 	q := gen.ShiftRegister(nl, 7, en, rst, sin)
 	d := nl.Fanin(q[4])[0]
 	nl.SetLatchD(q[4], nl.AddGate(netlist.Not, d))
-	mods := FindShiftRegisters(nl, graph.BuildLCG(nl), Options{})
+	mods := FindShiftRegisters(nl, graph.BuildLCG(nl))
 	for _, m := range mods {
 		if m.Width == 7 {
 			t.Error("tampered shift register accepted at full length")
@@ -145,7 +145,7 @@ func TestRAMSweep(t *testing.T) {
 			we := nl.AddInput("we")
 			gen.RegisterFile(nl, geom.words, geom.width, waddr, wdata, we, raddr)
 			slices := bitslice.Find(nl, bitslice.Options{})
-			mods := FindRAMs(nl, slices, Options{})
+			mods := FindRAMs(nl, slices)
 			if len(mods) != 1 {
 				t.Fatalf("RAMs = %d", len(mods))
 			}
@@ -180,7 +180,7 @@ func TestCountersInNoise(t *testing.T) {
 			pool = append(pool, nl.AddLatch(g))
 		}
 	}
-	mods := FindCounters(nl, graph.BuildLCG(nl), Options{})
+	mods := FindCounters(nl, graph.BuildLCG(nl))
 	widths := map[int]int{}
 	for _, m := range mods {
 		widths[m.Width]++
@@ -207,7 +207,7 @@ func TestMultiPortRegisterFile(t *testing.T) {
 	gen.MarkOutputs(nl, "r2_", read2)
 
 	slices := bitslice.Find(nl, bitslice.Options{})
-	mods := FindRAMs(nl, slices, Options{})
+	mods := FindRAMs(nl, slices)
 	if len(mods) != 1 {
 		t.Fatalf("RAM modules = %d, want 1 merged array", len(mods))
 	}
@@ -236,10 +236,10 @@ func TestJohnsonCounterClassification(t *testing.T) {
 	rst := nl.AddInput("rst")
 	gen.JohnsonCounter(nl, 6, en, rst)
 	lcg := graph.BuildLCG(nl)
-	for _, m := range FindCounters(nl, lcg, Options{}) {
+	for _, m := range FindCounters(nl, lcg) {
 		t.Errorf("Johnson counter misdetected as binary %s", m.Name)
 	}
-	for _, m := range FindShiftRegisters(nl, lcg, Options{}) {
+	for _, m := range FindShiftRegisters(nl, lcg) {
 		if m.Width == 6 {
 			t.Errorf("closed Johnson ring misdetected as full shift register")
 		}
@@ -253,7 +253,7 @@ func TestGrayCounterRejected(t *testing.T) {
 	en := nl.AddInput("en")
 	rst := nl.AddInput("rst")
 	gen.GrayCounter(nl, 4, en, rst)
-	for _, m := range FindCounters(nl, graph.BuildLCG(nl), Options{}) {
+	for _, m := range FindCounters(nl, graph.BuildLCG(nl)) {
 		t.Errorf("Gray counter misdetected as binary %s", m.Name)
 	}
 }
@@ -266,7 +266,7 @@ func TestLFSRInteriorChain(t *testing.T) {
 	en := nl.AddInput("en")
 	rst := nl.AddInput("rst")
 	q := gen.LFSR(nl, 8, []int{7, 5}, en, rst)
-	mods := FindShiftRegisters(nl, graph.BuildLCG(nl), Options{})
+	mods := FindShiftRegisters(nl, graph.BuildLCG(nl))
 	qset := map[netlist.ID]bool{}
 	for _, l := range q {
 		qset[l] = true

@@ -18,7 +18,7 @@ func TestCounterDetection(t *testing.T) {
 		rst := nl.AddInput("rst")
 		q := gen.Counter(nl, 6, en, rst, down)
 		lcg := graph.BuildLCG(nl)
-		mods := FindCounters(nl, lcg, Options{})
+		mods := FindCounters(nl, lcg)
 		if len(mods) != 1 {
 			t.Fatalf("down=%v: found %d counters, want 1", down, len(mods))
 		}
@@ -53,7 +53,7 @@ func TestShiftRegisterIsNotCounter(t *testing.T) {
 	sin := nl.AddInput("sin")
 	gen.ShiftRegister(nl, 6, en, rst, sin)
 	lcg := graph.BuildLCG(nl)
-	if mods := FindCounters(nl, lcg, Options{}); len(mods) != 0 {
+	if mods := FindCounters(nl, lcg); len(mods) != 0 {
 		t.Errorf("shift register misdetected as %d counters", len(mods))
 	}
 }
@@ -65,7 +65,7 @@ func TestShiftRegisterDetection(t *testing.T) {
 	sin := nl.AddInput("sin")
 	q := gen.ShiftRegister(nl, 7, en, rst, sin)
 	lcg := graph.BuildLCG(nl)
-	mods := FindShiftRegisters(nl, lcg, Options{})
+	mods := FindShiftRegisters(nl, lcg)
 	if len(mods) != 1 {
 		t.Fatalf("found %d shift registers, want 1", len(mods))
 	}
@@ -95,7 +95,7 @@ func TestShiftRegisterAggregation(t *testing.T) {
 	gen.ShiftRegister(nl, 5, en, rst, s2)
 	gen.ShiftRegister(nl, 5, en2, rst, s3)
 	lcg := graph.BuildLCG(nl)
-	mods := FindShiftRegisters(nl, lcg, Options{})
+	mods := FindShiftRegisters(nl, lcg)
 	if len(mods) != 2 {
 		t.Fatalf("found %d shift-register modules, want 2", len(mods))
 	}
@@ -114,7 +114,7 @@ func TestCounterIsNotShiftRegister(t *testing.T) {
 	rst := nl.AddInput("rst")
 	gen.Counter(nl, 6, en, rst, false)
 	lcg := graph.BuildLCG(nl)
-	if mods := FindShiftRegisters(nl, lcg, Options{}); len(mods) != 0 {
+	if mods := FindShiftRegisters(nl, lcg); len(mods) != 0 {
 		t.Errorf("counter misdetected as %d shift registers", len(mods))
 	}
 }
@@ -127,7 +127,7 @@ func TestRAMDetection(t *testing.T) {
 	we := nl.AddInput("we")
 	read, cells := gen.RegisterFile(nl, 8, 4, waddr, wdata, we, raddr)
 	slices := bitslice.Find(nl, bitslice.Options{})
-	mods := FindRAMs(nl, slices, Options{})
+	mods := FindRAMs(nl, slices)
 	if len(mods) != 1 {
 		t.Fatalf("found %d RAMs, want 1", len(mods))
 	}
@@ -166,7 +166,7 @@ func TestPlainRegisterIsNotRAM(t *testing.T) {
 	we := nl.AddInput("we")
 	gen.Register(nl, d, we)
 	slices := bitslice.Find(nl, bitslice.Options{})
-	if mods := FindRAMs(nl, slices, Options{}); len(mods) != 0 {
+	if mods := FindRAMs(nl, slices); len(mods) != 0 {
 		t.Errorf("plain register misdetected as %d RAMs", len(mods))
 	}
 }
@@ -182,8 +182,8 @@ func TestMultibitRegisterDetection(t *testing.T) {
 	q := gen.MultibitRegister(nl, []gen.Word{v1, v2, v3}, []netlist.ID{c1, c2, c3})
 
 	res := bitslice.Find(nl, bitslice.Options{})
-	muxes := aggregate.CommonSignal(nl, res, aggregate.Options{})
-	mods := FindMultibitRegisters(nl, muxes, Options{})
+	muxes := aggregate.CommonSignal(nl, res)
+	mods := FindMultibitRegisters(nl, muxes)
 	var best *module.Module
 	for _, m := range mods {
 		if best == nil || m.Size() > best.Size() {
@@ -214,8 +214,8 @@ func TestSimpleRegisterAsMultibit(t *testing.T) {
 	we := nl.AddInput("we")
 	q := gen.Register(nl, d, we)
 	res := bitslice.Find(nl, bitslice.Options{})
-	muxes := aggregate.CommonSignal(nl, res, aggregate.Options{})
-	mods := FindMultibitRegisters(nl, muxes, Options{})
+	muxes := aggregate.CommonSignal(nl, res)
+	mods := FindMultibitRegisters(nl, muxes)
 	if len(mods) == 0 {
 		t.Fatal("write-enabled register not detected as multibit register")
 	}
@@ -236,9 +236,7 @@ func TestReadTreeGatedByConstant(t *testing.T) {
 		nl.AddGate(netlist.And, nl.AddGate(netlist.Not, s), l0),
 		nl.AddGate(netlist.And, s, l1))
 	root := nl.AddGate(netlist.And, mux, nl.AddConst(true))
-	opt := Options{}
-	opt.defaults()
-	selects, cells, ok := verifyReadBehavior(nl, markReadLogic(nl), root, opt)
+	selects, cells, ok := verifyReadBehavior(nl, markReadLogic(nl), root)
 	if !ok {
 		t.Fatal("constant-gated read tree rejected")
 	}

@@ -17,11 +17,10 @@ import (
 // FindShiftRegisters generates chain candidates from the SPLCG and verifies
 // each with the SAT cofactor formulation, then aggregates compatible chains
 // into multibit shift registers.
-func FindShiftRegisters(nl *netlist.Netlist, lcg *graph.LCG, opt Options) []*module.Module {
-	opt.defaults()
+func FindShiftRegisters(nl *netlist.Netlist, lcg *graph.LCG) []*module.Module {
 	var verified [][]netlist.ID
-	for _, chain := range lcg.ShiftChains(opt.MinShift) {
-		if v := verifyShiftPrefix(nl, chain, opt.MinShift); v != nil {
+	for _, chain := range lcg.ShiftChains(minShift) {
+		if v := verifyShiftPrefix(nl, chain, minShift); v != nil {
 			verified = append(verified, v)
 		}
 	}

@@ -23,14 +23,6 @@ import (
 type DiffRequest struct {
 	Golden  string `json:"golden,omitempty"`
 	Suspect string `json:"suspect,omitempty"`
-	// MaxPasses, WLRounds, SimCycles and SimBatches tune the matcher;
-	// zero selects each one's default.
-	MaxPasses  int  `json:"max_passes,omitempty"`
-	WLRounds   int  `json:"wl_rounds,omitempty"`
-	SimCycles  int  `json:"sim_cycles,omitempty"`
-	SimBatches int  `json:"sim_batches,omitempty"`
-	DisableWL  bool `json:"disable_wl,omitempty"`
-	DisableSim bool `json:"disable_sim,omitempty"`
 }
 
 // RetypedStatus is one retyped pair on the wire: the same design position
@@ -86,18 +78,6 @@ func (s *Server) handleSessionDiff(w http.ResponseWriter, r *http.Request) {
 	if req.Suspect == "" {
 		req.Suspect = "suspect"
 	}
-	// Bound the tunables: they scale matcher work multiplicatively, so an
-	// absurd request must be a 400, not a service-wide stall.
-	switch {
-	case req.MaxPasses < 0 || req.WLRounds < 0 || req.SimCycles < 0 || req.SimBatches < 0:
-		writeError(w, http.StatusBadRequest,
-			"max_passes, wl_rounds, sim_cycles and sim_batches must be >= 0")
-		return
-	case req.MaxPasses > 100000, req.WLRounds > 4096, req.SimCycles > 1024, req.SimBatches > 64:
-		writeError(w, http.StatusBadRequest,
-			"tunables out of range: max_passes <= 100000, wl_rounds <= 4096, sim_cycles <= 1024, sim_batches <= 64")
-		return
-	}
 	golden := sess.revision(req.Golden)
 	if golden == nil {
 		writeError(w, http.StatusBadRequest, "session has no revision %q", req.Golden)
@@ -109,14 +89,7 @@ func (s *Server) handleSessionDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	d := netlistre.DiffNetlists(golden.nl, suspect.nl, netlistre.NetlistDiffOptions{
-		MaxPasses:  req.MaxPasses,
-		WLRounds:   req.WLRounds,
-		SimCycles:  req.SimCycles,
-		SimBatches: req.SimBatches,
-		DisableWL:  req.DisableWL,
-		DisableSim: req.DisableSim,
-	})
+	d := netlistre.DiffNetlists(golden.nl, suspect.nl)
 	s.metrics.SessionDiff()
 
 	resp := DiffResponse{

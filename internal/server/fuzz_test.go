@@ -135,13 +135,13 @@ func FuzzDiffRequest(f *testing.F) {
 
 	for _, seed := range []string{
 		`{"golden": "main", "suspect": "suspect"}`,
-		`{"golden": "main", "suspect": "suspect", "max_passes": 4, "wl_rounds": 2}`,
-		`{"golden": "suspect", "suspect": "main", "sim_cycles": 2, "sim_batches": 1}`,
+		`{"golden": "suspect", "suspect": "main"}`,
+		`{"golden": "main", "suspect": "main"}`,
 		`{}`,
 		`{"golden": "nope"}`,
-		`{"max_passes": -1}`,
-		`{"sim_batches": 99999999}`,
-		`{"disable_wl": true, "disable_sim": true, "golden": "main", "suspect": "suspect"}`,
+		`{"suspect": ""}`,
+		`{"golden": "Bad Name", "suspect": "suspect"}`,
+		`{"golden": "main", "suspect": "suspect", "golden": "suspect"}`,
 		`{"golden": 3}`,
 		`null`,
 		`{`,

@@ -64,6 +64,9 @@ type Session struct {
 
 // sessionRevision is one named netlist inside a session. rep is non-nil
 // once the revision has been analyzed (always, for the creation revision).
+// A revision is immutable once published in Session.revisions: a re-run
+// publishes a new one under the same name, so handlers read a revision
+// they looked up without holding the session lock.
 type sessionRevision struct {
 	name        string
 	nl          *netlistre.Netlist
@@ -713,9 +716,9 @@ func (s *Server) handleSessionRerun(w http.ResponseWriter, r *http.Request) {
 	}
 	if !rep.Degraded {
 		// Adopt the re-run as the revision's current report and options.
+		work.rep = rep
 		sess.mu.Lock()
-		rev.rep = rep
-		rev.ro = ro
+		sess.revisions[rev.name] = work
 		sess.mu.Unlock()
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -380,6 +380,60 @@ func TestSessionRerunProvenance(t *testing.T) {
 	}
 }
 
+// TestSessionRerunConcurrentReads races report queries against re-runs
+// that alternate between two option sets. A re-run publishes a new
+// revision instead of mutating the one concurrent readers hold, so under
+// -race every handler must read its report race-free and succeed.
+func TestSessionRerunConcurrentReads(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := newSession(t, ts.URL, "usb")
+	base := ts.URL + "/v1/sessions/" + id
+	bodies := []string{`{}`, `{"sliceable":false}`}
+	paths := []string{"/blocks", "/blocks/0", "/words"}
+	const reruns, reads = 8, 16
+
+	var wg sync.WaitGroup
+	// One slot per request, so no sender ever blocks.
+	errs := make(chan error, reruns+len(paths)*reads)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < reruns; i++ {
+			resp, err := http.Post(base+"/rerun", "application/json", strings.NewReader(bodies[i%2]))
+			if err != nil {
+				errs <- err
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("rerun %s = %d", bodies[i%2], resp.StatusCode)
+			}
+		}
+	}()
+	for _, path := range paths {
+		wg.Add(1)
+		go func(path string) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				resp, err := http.Get(base + path)
+				if err != nil {
+					errs <- err
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("GET %s = %d", path, resp.StatusCode)
+				}
+			}
+		}(path)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // TestSessionDiffTrojan uploads the trojaned revision of the session's
 // golden article and asserts the differential endpoint recovers the
 // inserted gates, the self-diff is empty, and the error semantics hold.
@@ -432,7 +486,15 @@ func TestSessionDiffTrojan(t *testing.T) {
 	}
 
 	// Error semantics: unknown revisions 400, duplicate upload 409,
-	// invalid names 400, malformed diff body 400.
+	// invalid names 400, malformed diff body 400. The matcher has no
+	// tunables, so a body naming one is an unknown field.
+	for _, body := range []string{`{"max_passes":4}`, `{"disable_sim":true}`} {
+		resp = postJSON(t, base+"/diff", json.RawMessage(body))
+		msg := readBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field") {
+			t.Errorf("diff %s = %d %s, want 400 unknown field", body, resp.StatusCode, msg)
+		}
+	}
 	resp = postJSON(t, base+"/diff", DiffRequest{Golden: "main", Suspect: "nope"})
 	readBody(t, resp)
 	if resp.StatusCode != http.StatusBadRequest {

@@ -51,18 +51,14 @@ func TestPrefilterRefutesOnlyNil(t *testing.T) {
 		if err != nil {
 			t.Fatalf("article %s: %v", name, err)
 		}
-		var opt Options
-		opt.defaults()
 		for _, c := range Classes(nl) {
-			if len(c.Support) > opt.MaxSupport || len(c.Outputs) < opt.MinOutputs {
+			if len(c.Support) > maxSupport || len(c.Outputs) < minOutputs {
 				continue
 			}
-			if !simRefuteClass(nl, c, opt) {
+			if !simRefuteClass(nl, c) {
 				continue
 			}
-			noFilter := opt
-			noFilter.DisablePrefilter = true
-			if m := verifyClass(nl, c, noFilter); m != nil {
+			if m := verifyClass(nl, c, Options{DisablePrefilter: true}); m != nil {
 				t.Errorf("%s: prefilter refuted a class that verifies as %s (outputs %v)",
 					name, m.Name, c.Outputs)
 			}

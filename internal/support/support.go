@@ -4,7 +4,8 @@
 // are grouped into equivalence classes by the input set of their full
 // combinational fan-in cones (computed with a union-find-free hashing
 // scheme), and candidate classes are verified with BDD-based functional
-// checks (Section II-E.2).
+// checks (Section II-E.2). The class bounds are constants: at most 10
+// shared inputs, at least 3 outputs and at most 400 cone gates.
 package support
 
 import (
@@ -20,16 +21,19 @@ import (
 	"netlistre/internal/netlist"
 )
 
+const (
+	// maxSupport bounds the common-support size considered (BDD blowup
+	// guard); the paper's decoders have narrow selects.
+	maxSupport = 10
+	// minOutputs is the smallest class size verified (3 outputs).
+	minOutputs = 3
+	// maxConeGates skips classes whose combined cone exceeds this many
+	// gates (keeps candidate modules decoder-sized).
+	maxConeGates = 400
+)
+
 // Options tunes the analysis.
 type Options struct {
-	// MaxSupport bounds the common-support size considered (BDD blowup
-	// guard); the paper's decoders have narrow selects.
-	MaxSupport int
-	// MinOutputs is the smallest class size verified (2 by default).
-	MinOutputs int
-	// MaxConeGates skips classes whose combined cone exceeds this many
-	// gates (keeps candidate modules decoder-sized).
-	MaxConeGates int
 	// Workers bounds the verification worker pool (0 = GOMAXPROCS).
 	// The caller's scheduler sets this so that the stage respects the
 	// shared analysis-wide worker budget.
@@ -44,18 +48,6 @@ type Options struct {
 	// verifyClass could run is witnessed to fail — so this knob exists
 	// purely for differential testing and measurement.
 	DisablePrefilter bool
-}
-
-func (o *Options) defaults() {
-	if o.MaxSupport <= 0 {
-		o.MaxSupport = 10
-	}
-	if o.MinOutputs <= 0 {
-		o.MinOutputs = 3
-	}
-	if o.MaxConeGates <= 0 {
-		o.MaxConeGates = 400
-	}
 }
 
 // Class is one common-support equivalence class.
@@ -107,10 +99,9 @@ func idKey(ids []netlist.ID) string {
 // Classes are verified concurrently (each builds its own BDD manager);
 // results are collected in class order so the output is deterministic.
 func Analyze(nl *netlist.Netlist, opt Options) []*module.Module {
-	opt.defaults()
 	var cands []Class
 	for _, c := range Classes(nl) {
-		if len(c.Support) > opt.MaxSupport || len(c.Outputs) < opt.MinOutputs {
+		if len(c.Support) > maxSupport || len(c.Outputs) < minOutputs {
 			continue
 		}
 		cands = append(cands, c)
@@ -163,10 +154,10 @@ func Analyze(nl *netlist.Netlist, opt Options) []*module.Module {
 // verifyClass runs the BDD checks on one candidate class.
 func verifyClass(nl *netlist.Netlist, c Class, opt Options) *module.Module {
 	cone := nl.ConeOfAll(c.Outputs)
-	if len(cone.Nodes) > opt.MaxConeGates {
+	if len(cone.Nodes) > maxConeGates {
 		return nil
 	}
-	if !opt.DisablePrefilter && simRefuteClass(nl, c, opt) {
+	if !opt.DisablePrefilter && simRefuteClass(nl, c) {
 		return nil // every possible check witnessed to fail; skip the BDDs
 	}
 
@@ -211,7 +202,7 @@ func verifyClass(nl *netlist.Netlist, c Class, opt Options) *module.Module {
 	// whole class first, then per-gate-kind subsets — synthesized classes
 	// often mix both polarities (e.g. and-gates plus their inverters),
 	// which are one-hot only within a polarity group.
-	groups := outputGroups(nl, live.Outputs, opt)
+	groups := outputGroups(nl, live.Outputs)
 	for _, group := range groups {
 		gRefs := make([]bdd.Ref, len(group))
 		for i, idx := range group {
@@ -273,9 +264,9 @@ const simRefuteRounds = 8
 // Each witness is a concrete input assignment, so a true result is sound:
 // verifyClass would have returned nil. No witness means the class goes to
 // the BDDs as before.
-func simRefuteClass(nl *netlist.Netlist, c Class, opt Options) bool {
+func simRefuteClass(nl *netlist.Netlist, c Class) bool {
 	nOut := len(c.Outputs)
-	groups := outputGroups(nl, c.Outputs, opt)
+	groups := outputGroups(nl, c.Outputs)
 	needParity := len(c.Support) >= 3
 	seen0 := make([]bool, nOut)
 	seen1 := make([]bool, nOut)
@@ -352,7 +343,7 @@ func simRefuteClass(nl *netlist.Netlist, c Class, opt Options) bool {
 // outputGroups returns candidate output subsets (as indices) for the
 // one-hot checks: the full set, then per-gate-kind subsets when the class
 // mixes kinds.
-func outputGroups(nl *netlist.Netlist, outputs []netlist.ID, opt Options) [][]int {
+func outputGroups(nl *netlist.Netlist, outputs []netlist.ID) [][]int {
 	// LUT cells are subgrouped by truth-table mask as well as kind: on a
 	// LUT-mapped netlist every output is kind Lut, but a decoder's minterm
 	// cells all tabulate the same function (the input inversions live in
@@ -394,7 +385,7 @@ func outputGroups(nl *netlist.Netlist, outputs []netlist.ID, opt Options) [][]in
 			return keys[i].mask < keys[j].mask
 		})
 		for _, k := range keys {
-			if len(byKey[k]) >= opt.MinOutputs {
+			if len(byKey[k]) >= minOutputs {
 				groups = append(groups, byKey[k])
 			}
 		}

@@ -10,7 +10,9 @@
 // wires set to each binary combination, and everything else X. A
 // propagation succeeds when every target bit evaluates to D or D̄. The
 // simulation runs on the targets' fan-in cone in bitsim's D-calculus pair
-// encoding, bitsim.Pairs control assignments per pass.
+// encoding, bitsim.Pairs control assignments per pass. The control-wire
+// search depth (3) and candidate-set cap (12) are constants; only the
+// number of wires assigned at once (Options.MaxControls) can be set.
 package words
 
 import (
@@ -82,17 +84,20 @@ type Propagation struct {
 	Backward bool
 }
 
+const (
+	// controlDepth is the fan-in depth searched for control wires (the
+	// paper's "small depth k").
+	controlDepth = 3
+	// maxControlSet caps the candidate control-wire set to keep subset
+	// enumeration tractable.
+	maxControlSet = 12
+)
+
 // Options tunes propagation.
 type Options struct {
-	// ControlDepth is the fan-in depth searched for control wires (the
-	// paper's "small depth k").
-	ControlDepth int
 	// MaxControls is the number of control wires assigned simultaneously
-	// (the paper fixes 3).
+	// (0 = the paper's 3).
 	MaxControls int
-	// MaxControlSet caps the candidate control-wire set to keep subset
-	// enumeration tractable.
-	MaxControlSet int
 	// Interrupt, when non-nil, is polled between candidate checks and
 	// before each batch of bitsim.Pairs control assignments; when it
 	// returns true, propagation stops and returns the words found so far.
@@ -100,14 +105,8 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.ControlDepth <= 0 {
-		o.ControlDepth = 3
-	}
 	if o.MaxControls <= 0 {
 		o.MaxControls = 3
-	}
-	if o.MaxControlSet <= 0 {
-		o.MaxControlSet = 12
 	}
 }
 
@@ -241,7 +240,7 @@ func guessBackward(nl *netlist.Netlist, w Word) []Word {
 
 // controlWires returns the intersection of the depth-bounded fan-in cones
 // of the target gates, excluding the source word bits.
-func controlWires(nl *netlist.Netlist, src, tgt Word, opt Options) []netlist.ID {
+func controlWires(nl *netlist.Netlist, src, tgt Word) []netlist.ID {
 	inSrc := make(map[netlist.ID]bool, len(src.Bits))
 	for _, b := range src.Bits {
 		inSrc[b] = true
@@ -250,7 +249,7 @@ func controlWires(nl *netlist.Netlist, src, tgt Word, opt Options) []netlist.ID 
 	for _, g := range tgt.Bits {
 		seen := make(map[netlist.ID]bool)
 		frontier := []netlist.ID{g}
-		for d := 0; d < opt.ControlDepth; d++ {
+		for d := 0; d < controlDepth; d++ {
 			var nextLayer []netlist.ID
 			for _, x := range frontier {
 				for _, f := range nl.Fanin(x) {
@@ -274,8 +273,8 @@ func controlWires(nl *netlist.Netlist, src, tgt Word, opt Options) []netlist.ID 
 		}
 	}
 	out = netlist.SortedIDs(out)
-	if len(out) > opt.MaxControlSet {
-		out = out[:opt.MaxControlSet]
+	if len(out) > maxControlSet {
+		out = out[:maxControlSet]
 	}
 	return out
 }
@@ -288,7 +287,7 @@ func controlWires(nl *netlist.Netlist, src, tgt Word, opt Options) []netlist.ID 
 // assignments, one per lane pair. The first success in enumeration order
 // wins, so the result is the one a one-at-a-time sweep would return.
 func checkPropagation(nl *netlist.Netlist, src, tgt Word, opt Options, backward bool) (Propagation, bool) {
-	wires := controlWires(nl, src, tgt, opt)
+	wires := controlWires(nl, src, tgt)
 	assign := make(map[netlist.ID]bitsim.Vector, len(src.Bits))
 	for _, b := range src.Bits {
 		assign[b] = bitsim.PairD()

@@ -16,6 +16,9 @@ import (
 	"regexp"
 	"testing"
 	"time"
+
+	"netlistre/internal/overlap"
+	"netlistre/internal/truth"
 )
 
 // provenanceRE strips the trace provenance fields, which legitimately
@@ -94,31 +97,61 @@ func TestStageCacheWarmDeterminism(t *testing.T) {
 	}
 }
 
-// TestStageCacheOptionInvalidation changes a cut-enumeration knob on a
-// warm store: the stages that consume it (bitslice and everything
-// downstream of it) must re-execute while independent stages still hit.
+// TestStageCacheOptionInvalidation changes one digested option at a time
+// on a warm store: exactly the stages that consume it (and everything
+// downstream of them) must re-execute, and every other stage must still
+// hit.
 func TestStageCacheOptionInvalidation(t *testing.T) {
 	nl, err := TestArticle("usb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewStageStore(0)
-	opt := Options{StageStore: store}
-	Analyze(nl, opt) // warm
-
-	opt2 := Options{StageStore: store}
-	opt2.Bitslice.Cuts.K = 5 // default is 6: a different cut width changes bitslicing
-	rep := Analyze(nl, opt2)
-	prov := provenanceByStage(rep)
-	for _, name := range []string{"support", "lcg", "counters", "shift"} {
-		if prov[name] != StageCached {
-			t.Errorf("independent stage %s provenance = %v, want cached", name, prov[name])
-		}
+	// The bitslice digest feeds every stage downstream of bitslicing.
+	fromBitslice := []string{"bitslice", "aggregate", "fuse", "words", "modmatch",
+		"rams", "registers", "order", "extra", "overlap"}
+	cases := []struct {
+		name string
+		set  func(*Options)
+		ran  []string
+	}{
+		{"KeepCandidates", func(o *Options) { o.KeepCandidates = true }, fromBitslice},
+		{"ExtraLibrary", func(o *Options) { o.ExtraLibrary = truth.Library()[:1] }, fromBitslice},
+		{"SkipWordProp", func(o *Options) { o.SkipWordProp = true },
+			[]string{"words", "modmatch", "order", "extra", "overlap"}},
+		{"SkipModMatch", func(o *Options) { o.SkipModMatch = true },
+			[]string{"modmatch", "extra", "overlap"}},
+		{"Overlap.Objective", func(o *Options) { o.Overlap.Objective = overlap.MinModules }, []string{"overlap"}},
+		{"Overlap.Sliceable", func(o *Options) { o.Overlap.Sliceable = true }, []string{"overlap"}},
+		{"Overlap.CoverageTarget", func(o *Options) { o.Overlap.CoverageTarget = 10 }, []string{"overlap"}},
+		{"Overlap.MinSlices", func(o *Options) { o.Overlap.MinSlices = 3 }, []string{"overlap"}},
+		{"Overlap.NodeLimit", func(o *Options) { o.Overlap.NodeLimit = 1000 }, []string{"overlap"}},
 	}
-	for _, name := range []string{"bitslice", "aggregate", "rams", "registers", "overlap"} {
-		if prov[name] != StageRan {
-			t.Errorf("invalidated stage %s provenance = %v, want ran", name, prov[name])
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			store := NewStageStore(0)
+			Analyze(nl, Options{StageStore: store}) // warm
+
+			opt := Options{StageStore: store}
+			c.set(&opt)
+			rep := Analyze(nl, opt)
+			ran := make(map[string]bool, len(c.ran))
+			for _, name := range c.ran {
+				ran[name] = true
+			}
+			for _, st := range rep.Trace {
+				want := StageCached
+				if ran[st.Name] {
+					want = StageRan
+				}
+				if st.Provenance != want {
+					t.Errorf("stage %s provenance = %v, want %v", st.Name, st.Provenance, want)
+				}
+				delete(ran, st.Name)
+			}
+			for name := range ran {
+				t.Errorf("stage %s missing from the trace", name)
+			}
+		})
 	}
 }
 
