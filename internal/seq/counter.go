@@ -3,13 +3,17 @@
 // and multibit registers (III-D). Each analysis pairs a topological
 // candidate generator (over the latch connection graph or aggregated
 // modules) with a functional verification (SAT cofactor checks or BDD
-// propagation checks). The size bounds are constants: counters and shift
-// registers of at least 3 bits, RAM reads over at most 8 select signals.
+// propagation checks). Counter candidates that a concrete bit-parallel
+// simulation witness refutes skip the solver; only SAT accepts a counter.
+// The size bounds are constants: counters and shift registers of at least
+// 3 bits, RAM reads over at most 8 select signals.
 package seq
 
 import (
 	"fmt"
+	"math/rand"
 
+	"netlistre/internal/bitsim"
 	"netlistre/internal/graph"
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
@@ -39,8 +43,9 @@ func FindCounters(nl *netlist.Netlist, lcg *graph.LCG) []*module.Module {
 	var out []*module.Module
 	seen := make(map[string]bool)
 	for _, chain := range lcg.CounterChains(minCounter) {
+		w := newCounterWitness(nl, chain)
 		for _, down := range []bool{false, true} {
-			verified := bestVerifiedSubchain(nl, chain, down, minCounter)
+			verified := bestVerifiedSubchain(nl, chain, down, minCounter, w)
 			if len(verified) < minCounter {
 				continue
 			}
@@ -63,16 +68,108 @@ func FindCounters(nl *netlist.Netlist, lcg *graph.LCG) []*module.Module {
 // at its head: a latch that happens to feed every true counter bit (e.g. a
 // mode register gating the counter's enable) satisfies the Figure 5
 // topology and gets prepended, and the true counter is then a proper
-// subchain.
-func bestVerifiedSubchain(nl *netlist.Netlist, chain []netlist.ID, down bool, minLen int) []netlist.ID {
+// subchain. Each subchain is first tried against w, the chain's
+// simulation witness: a refuted subchain is one verifyCounter would reject,
+// so only the rest reach the solver, and only SAT accepts.
+func bestVerifiedSubchain(nl *netlist.Netlist, chain []netlist.ID, down bool, minLen int, w *counterWitness) []netlist.ID {
 	for n := len(chain); n >= minLen; n-- {
 		for start := 0; start+n <= len(chain); start++ {
+			if w.refutes(start, n, down) {
+				continue
+			}
 			if verifyCounter(nl, chain[start:start+n], down) {
 				return chain[start : start+n]
 			}
 		}
 	}
 	return nil
+}
+
+// counterWitness refutes counter subchains of one LCG chain by concrete
+// simulation. The fan-in cone of the chain's D inputs is compiled once, with
+// every cone input forced to 64 pseudo-random lanes, so each evaluation is
+// plain two-valued simulation of 64 assignments (no lane is X, so the pair
+// encoding's collapse never fires). A cofactor is the D input of one chain
+// latch with a cube of chain latches forced to constants. Cofactors are
+// memoized, since subchains and directions share them.
+type counterWitness struct {
+	chain []netlist.ID
+	cone  *bitsim.PairCone
+	memo  map[cofactorKey]uint64
+}
+
+// cofactorKey names the cofactor of D(chain[bit]) under the cube that
+// forces chain[start..bit-1] to level and chain[bit] to q.
+type cofactorKey struct {
+	start, bit int
+	level, q   bool
+}
+
+func newCounterWitness(nl *netlist.Netlist, chain []netlist.ID) *counterWitness {
+	roots := make([]netlist.ID, len(chain))
+	for i, l := range chain {
+		roots[i] = nl.Fanin(l)[0]
+	}
+	// Deterministically seeded per chain; a witness only ever rejects a
+	// subchain verifyCounter would reject, so the seed never changes
+	// results.
+	rng := rand.New(rand.NewSource(0xc0c0<<20 ^ int64(chain[0])<<8 ^ int64(len(chain))))
+	inputs := nl.ConeOfAll(roots).Inputs
+	assign := make(map[netlist.ID]bitsim.Vector, len(inputs))
+	for _, in := range inputs {
+		assign[in] = bitsim.Known(rng.Uint64())
+	}
+	return &counterWitness{
+		chain: chain,
+		cone:  bitsim.CompilePairCone(nl, roots, assign),
+		memo:  make(map[cofactorKey]uint64),
+	}
+}
+
+// cofactor returns the lanes of D(chain[bit]) with chain[start..bit-1]
+// forced to level and chain[bit] to q; the other cone inputs keep their
+// random lanes.
+func (w *counterWitness) cofactor(start, bit int, level, q bool) uint64 {
+	if start == bit {
+		level = false // the cube has no lower bits
+	}
+	k := cofactorKey{start, bit, level, q}
+	if v, ok := w.memo[k]; ok {
+		return v
+	}
+	constant := func(b bool) bitsim.Vector {
+		if b {
+			return bitsim.Known(^uint64(0))
+		}
+		return bitsim.Known(0)
+	}
+	for j := start; j < bit; j++ {
+		w.cone.Force(w.chain[j], constant(level))
+	}
+	w.cone.Force(w.chain[bit], constant(q))
+	v := w.cone.Eval()[bit].Val
+	for j := start; j <= bit; j++ {
+		w.cone.Force(w.chain[j], bitsim.Unknown())
+	}
+	w.memo[k] = v
+	return v
+}
+
+// refutes reports whether some lane is a model of one of verifyCounter's f
+// or g miters for the subchain chain[start:start+n]: a lane where f_i
+// differs from f_0 (or g_i from g_0). The SAT call on that miter would
+// then return Sat, or Unknown on budget, and verifyCounter rejects the
+// subchain either way, so a true result never changes a verdict.
+func (w *counterWitness) refutes(start, n int, down bool) bool {
+	level := !down
+	f0 := w.cofactor(start, start, level, false)
+	g0 := w.cofactor(start, start, level, true)
+	for i := 1; i < n; i++ {
+		if w.cofactor(start, start+i, level, false) != f0 || w.cofactor(start, start+i, level, true) != g0 {
+			return true
+		}
+	}
+	return false
 }
 
 // verifyCounter checks Equation 2 of the paper: the cofactors f_i, g_i and
@@ -85,6 +182,11 @@ func bestVerifiedSubchain(nl *netlist.Netlist, chain []netlist.ID, down bool, mi
 // constants (sat.Encoder.LitOfFixed). The h check has a non-cube condition
 // (some lower bit differs from the toggle level while q_i holds), so it is
 // phrased as an implication: condition ∧ (d_i ≠ h_ref) must be UNSAT.
+//
+// verifyCounter is the only way a counter is accepted. bestVerifiedSubchain
+// calls it only for subchains that counterWitness could not refute by
+// simulation, and a refutation is a concrete model of one of the f/g
+// miters below, so skipping the call never changes a verdict.
 func verifyCounter(nl *netlist.Netlist, chain []netlist.ID, down bool) bool {
 	s := sat.New()
 	s.MaxConflicts = verifyConflictBudget
