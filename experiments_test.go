@@ -54,8 +54,8 @@ func TestTableRenderers(t *testing.T) {
 
 	buf.Reset()
 	WriteTable4(&buf, []Table4Row{{Name: "fake", BasicCoverage: 0.5, SliceableCoverage: 0.6,
-		BasicModules: 3, SliceableModules: 4}})
-	if !strings.Contains(buf.String(), "60.0%") {
+		BasicModules: 3, SliceableModules: 4, BasicOptimal: true}})
+	if !strings.Contains(buf.String(), "60.0%") || !strings.Contains(buf.String(), "yes / no") {
 		t.Errorf("Table 4 render:\n%s", buf.String())
 	}
 

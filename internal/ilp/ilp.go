@@ -5,18 +5,32 @@
 // binary variables (one per module or slice), packing rows (Σ x_i ≤ 1, one
 // per multiply-covered netlist element), slice-linking rows, and optionally
 // a single covering row (Σ S_i·x_i ≥ C_t). The solver is a branch-and-bound
-// search with unit propagation over the rows, a clique-partition bound that
-// exploits the packing rows, and a greedy warm start. It is exact: when it
-// reports Optimal, the solution maximizes (or minimizes) the objective.
+// search with unit propagation over the rows, a greedy warm start, and the
+// smaller of two bounds: a clique-partition bound over the packing rows, and
+// a Lagrangian bound from caller-supplied multipliers on those rows. It is
+// exact: when it reports Optimal, the solution maximizes (or minimizes) the
+// objective.
+//
+// The Lagrangian bound relaxes every packing row r with its multiplier
+// y_r ≥ 0 (Constraint.Multiplier) and drops every other row. Each variable
+// keeps the reduced objective red_v = obj_v − Σ y_r over the packing rows
+// r ∋ v, and the bound is Σ y_r over the live rows (no term set to 1, some
+// term unassigned) plus Σ max(0, red_v) over the unassigned variables. It
+// is valid for any y ≥ 0: a free variable of a saturated row is forced to
+// 0 by propagation, so counting its max(0, red_v) only over-estimates.
+// With all multipliers 0 it is the sum of the positive weights, never
+// below the clique bound, so the search is unchanged for callers that set
+// none.
 //
 // A search node costs time in the assignments it makes and the rows they
-// touch, not in the problem size. The clique bound is kept incrementally:
-// every clique lists its positive-objective members by objective,
-// descending, with a head at the first unassigned one, and a running sum
-// holds the head objectives plus the unassigned positive weights outside
-// any clique, so bound() is O(1). Propagation skips a row without scanning
-// its terms when its slack is at least its largest coefficient, since such
-// a row forces nothing.
+// touch, not in the problem size. Both bounds are kept incrementally. Every
+// clique lists its positive-objective members by objective, descending,
+// with a head at the first unassigned one, and a running sum holds the head
+// objectives plus the unassigned positive weights outside any clique; a
+// second running sum holds the Lagrangian terms, updated as rows stop or
+// start being live. So bound() is O(1). Propagation skips a row without
+// scanning its terms when its slack is at least its largest coefficient,
+// since such a row forces nothing.
 package ilp
 
 import (
@@ -53,6 +67,10 @@ type Constraint struct {
 	Terms []Term
 	Rel   Rel
 	RHS   int64
+	// Multiplier is the row's Lagrangian multiplier y_r. It may be set only
+	// on a packing row (Σ x_i ≤ 1 with unit coefficients) and must be ≥ 0;
+	// Solve rejects anything else.
+	Multiplier int64
 }
 
 // Problem is a 0-1 ILP.
@@ -98,8 +116,8 @@ type Options struct {
 
 // DefaultNodeLimit bounds the search when Options.NodeLimit is 0. Callers
 // with a time budget set their own limit: overlap resolution caps each
-// component at 200,000 nodes, and a few dense components of the labeled
-// articles stop there.
+// component at 200,000 nodes, and one dense component of the labeled
+// articles (router's) stops there.
 const DefaultNodeLimit = 20_000_000
 
 // ErrInfeasible is returned when no assignment satisfies the constraints.
@@ -139,6 +157,11 @@ type solver struct {
 	head     []int32
 	boundSum int64
 
+	// Lagrangian bound. lagW[v] is max(0, red_v); lagSum is the multiplier
+	// of every live packing row plus lagW of every unassigned variable.
+	lagW   []int64
+	lagSum int64
+
 	// visit, when non-nil, is called at every search node (tests only).
 	visit func(*solver)
 }
@@ -156,7 +179,12 @@ type row struct {
 	nUn                int
 	maxAbs             int64 // largest |c_i|, static
 	packing            bool  // Σ x_i ≤ 1 with unit coefficients
+	mult               int64 // Lagrangian multiplier, packing rows only
 }
+
+// live reports whether a packing row still counts its multiplier in the
+// Lagrangian bound: no term is set to 1 and some term is unassigned.
+func (r *row) live() bool { return r.curr == 0 && r.nUn > 0 }
 
 // Solve finds an optimal 0-1 assignment for p.
 func Solve(p *Problem, opt Options) (Solution, error) {
@@ -186,7 +214,7 @@ func newSolver(p *Problem, opt Options) (*solver, error) {
 	s.rows = make([]row, len(p.Constraints))
 	s.varRows = make([][]varRef, p.NumVars)
 	for i, c := range p.Constraints {
-		r := row{terms: c.Terms, rel: c.Rel, rhs: c.RHS, nUn: len(c.Terms)}
+		r := row{terms: c.Terms, rel: c.Rel, rhs: c.RHS, nUn: len(c.Terms), mult: c.Multiplier}
 		r.packing = c.Rel == LE && c.RHS == 1
 		for _, t := range c.Terms {
 			if t.Var < 0 || t.Var >= p.NumVars {
@@ -204,7 +232,24 @@ func newSolver(p *Problem, opt Options) (*solver, error) {
 			}
 			s.varRows[t.Var] = append(s.varRows[t.Var], varRef{int32(i), t.Coef})
 		}
+		if r.mult < 0 {
+			return nil, errors.New("ilp: negative multiplier")
+		}
+		if r.mult != 0 && !r.packing {
+			return nil, errors.New("ilp: multiplier on a non-packing row")
+		}
+		if r.live() {
+			s.lagSum += r.mult
+		}
 		s.rows[i] = r
+	}
+	s.lagW = make([]int64, p.NumVars)
+	for v, o := range s.obj {
+		for _, vr := range s.varRows[v] {
+			o -= s.rows[vr.row].mult
+		}
+		s.lagW[v] = max(0, o)
+		s.lagSum += s.lagW[v]
 	}
 	s.assign = make([]int8, p.NumVars)
 	for i := range s.assign {
@@ -378,6 +423,7 @@ func (s *solver) set(v int, val int8) bool {
 		s.currObj += s.obj[v]
 	}
 	s.trail = append(s.trail, int32(v))
+	s.lagSum -= s.lagW[v]
 	if s.obj[v] > 0 {
 		if ri := s.cliqueOf[v]; ri == -1 {
 			s.boundSum -= s.obj[v]
@@ -398,6 +444,7 @@ func (s *solver) set(v int, val int8) bool {
 	for _, vr := range s.varRows[v] {
 		r := &s.rows[vr.row]
 		c := vr.coef
+		wasLive := r.live()
 		if c > 0 {
 			r.posUn -= c
 		} else {
@@ -406,6 +453,9 @@ func (s *solver) set(v int, val int8) bool {
 		r.nUn--
 		if val == 1 {
 			r.curr += c
+		}
+		if wasLive && !r.live() {
+			s.lagSum -= r.mult
 		}
 		if r.rel == LE && r.curr+r.negUn > r.rhs {
 			ok = false
@@ -426,6 +476,7 @@ func (s *solver) undoTo(mark int) {
 			s.currObj -= s.obj[v]
 		}
 		s.assign[v] = -1
+		s.lagSum += s.lagW[v]
 		if s.obj[v] > 0 {
 			// The head is the lowest-ranked unassigned member, so
 			// unassigning v moves it back to v when v ranks lower.
@@ -442,6 +493,7 @@ func (s *solver) undoTo(mark int) {
 		for _, vr := range s.varRows[v] {
 			r := &s.rows[vr.row]
 			c := vr.coef
+			wasLive := r.live()
 			if c > 0 {
 				r.posUn += c
 			} else {
@@ -450,6 +502,9 @@ func (s *solver) undoTo(mark int) {
 			r.nUn++
 			if val == 1 {
 				r.curr -= c
+			}
+			if !wasLive && r.live() {
+				s.lagSum += r.mult
 			}
 		}
 	}
@@ -557,9 +612,10 @@ func (s *solver) propagateRow(ri int) propResult {
 }
 
 // bound returns an upper bound on the best achievable objective from the
-// current partial assignment: the current objective plus, for each packing
-// clique, the best unassigned member, plus unclustered positive weights.
-func (s *solver) bound(curr int64) int64 { return curr + s.boundSum }
+// current partial assignment: the current objective plus the smaller of the
+// clique bound (for each packing clique the best unassigned member, plus
+// unclustered positive weights) and the Lagrangian sum.
+func (s *solver) bound(curr int64) int64 { return curr + min(s.boundSum, s.lagSum) }
 
 func (s *solver) search(from int) {
 	s.nodes++

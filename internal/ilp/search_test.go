@@ -10,7 +10,7 @@ import (
 // scanBound is the clique bound computed from scratch by a scan over every
 // variable: the current objective, plus for each clique its best unassigned
 // positive member, plus every unassigned positive variable outside any
-// clique. The solver's incremental bound must equal it at every node.
+// clique. The solver's incremental clique sum must equal it at every node.
 func scanBound(s *solver) int64 {
 	best := make(map[int32]int64)
 	b := s.currObj
@@ -33,20 +33,47 @@ func scanBound(s *solver) int64 {
 	return b
 }
 
+// scanLag is the Lagrangian sum computed from scratch from the problem
+// itself: the multiplier of every live packing row (no term set to 1, some
+// term unassigned) plus max(0, obj_v − Σ y_r) over the unassigned
+// variables. The solver's incremental lagSum must equal it at every node.
+func scanLag(s *solver) int64 {
+	red := append([]int64(nil), s.obj...)
+	var sum int64
+	for _, c := range s.p.Constraints {
+		one, free := false, false
+		for _, t := range c.Terms {
+			red[t.Var] -= c.Multiplier
+			one = one || s.assign[t.Var] == 1
+			free = free || s.assign[t.Var] == -1
+		}
+		if !one && free {
+			sum += c.Multiplier
+		}
+	}
+	for v, a := range s.assign {
+		if a == -1 {
+			sum += max(0, red[v])
+		}
+	}
+	return sum
+}
+
 // solverState is the search's mutable bookkeeping.
 type solverState struct {
-	Curr, PosUn, NegUn []int64
-	NUn                []int
-	Head               []int32
-	BoundSum, CurrObj  int64
-	Assign             []int8
-	Trail              int
+	Curr, PosUn, NegUn        []int64
+	NUn                       []int
+	Head                      []int32
+	BoundSum, LagSum, CurrObj int64
+	Assign                    []int8
+	Trail                     int
 }
 
 func stateOf(s *solver) solverState {
 	st := solverState{
 		Head:     append([]int32(nil), s.head...),
 		BoundSum: s.boundSum,
+		LagSum:   s.lagSum,
 		CurrObj:  s.currObj,
 		Assign:   append([]int8(nil), s.assign...),
 		Trail:    len(s.trail),
@@ -60,9 +87,9 @@ func stateOf(s *solver) solverState {
 	return st
 }
 
-// checkedSolve solves p, failing tb if the incremental bound differs from
-// scanBound at any search node or if any bookkeeping is not back at its
-// initial value once the search has unwound.
+// checkedSolve solves p, failing tb if an incremental bound sum differs
+// from its scan (scanBound, scanLag) at any search node or if any
+// bookkeeping is not back at its initial value once the search has unwound.
 func checkedSolve(tb testing.TB, p *Problem, opt Options) (Solution, error) {
 	tb.Helper()
 	s, err := newSolver(p, opt)
@@ -71,8 +98,15 @@ func checkedSolve(tb testing.TB, p *Problem, opt Options) (Solution, error) {
 	}
 	initial := stateOf(s)
 	s.visit = func(s *solver) {
-		if got, want := s.bound(s.currObj), scanBound(s); got != want {
-			tb.Fatalf("node %d: bound %d, scan %d", s.nodes, got, want)
+		clique, lag := scanBound(s), scanLag(s)
+		if got := s.currObj + s.boundSum; got != clique {
+			tb.Fatalf("node %d: clique bound %d, scan %d", s.nodes, got, clique)
+		}
+		if s.lagSum != lag {
+			tb.Fatalf("node %d: lagSum %d, scan %d", s.nodes, s.lagSum, lag)
+		}
+		if got, want := s.bound(s.currObj), min(clique, s.currObj+lag); got != want {
+			tb.Fatalf("node %d: bound %d, want %d", s.nodes, got, want)
 		}
 	}
 	sol, err := s.solve(opt.Incumbent)
@@ -118,7 +152,8 @@ func checkAgainstBruteForce(tb testing.TB, p *Problem, sol Solution, err error, 
 // randomOverlapProblem draws an overlap-shaped problem of at most 14
 // variables: whole modules and sliceable ones (umbrella, slices, linking
 // and MinSlices rows) tied together by unit packing rows, scored like
-// overlap's MaxCoverage objective.
+// overlap's MaxCoverage objective. Every packing row gets a random
+// multiplier (randomMultipliers).
 func randomOverlapProblem(rng *rand.Rand) *Problem {
 	p := &Problem{Sense: Maximize}
 	var size []int64
@@ -160,7 +195,32 @@ func randomOverlapProblem(rng *rand.Rand) *Problem {
 	for _, v := range reps {
 		p.Objective[v]--
 	}
+	randomMultipliers(rng, p)
 	return p
+}
+
+// randomMultipliers redraws the multiplier of every packing row of p:
+// zero, a multiple of the objective scale (overlap's K per element), or
+// an arbitrary value in [0, 60).
+func randomMultipliers(rng *rand.Rand, p *Problem) {
+	k := int64(1)
+	for _, o := range p.Objective {
+		k = max(k, o/20)
+	}
+	for i := range p.Constraints {
+		c := &p.Constraints[i]
+		if c.Rel != LE || c.RHS != 1 {
+			continue
+		}
+		switch rng.Intn(3) {
+		case 0:
+			c.Multiplier = 0
+		case 1:
+			c.Multiplier = k * int64(1+rng.Intn(4))
+		default:
+			c.Multiplier = rng.Int63n(60)
+		}
+	}
 }
 
 func TestBoundMatchesScan(t *testing.T) {
@@ -192,6 +252,44 @@ func TestBoundMatchesScan(t *testing.T) {
 			limit = DefaultNodeLimit
 		}
 		checkAgainstBruteForce(t, p, sol, err, limit)
+	}
+}
+
+// TestMultipliersExact solves each overlap-shaped problem under several
+// multiplier vectors. Every y ≥ 0 gives a valid bound, so every exact solve
+// must reach the brute-force optimum.
+func TestMultipliersExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 100; trial++ {
+		p := randomOverlapProblem(rng)
+		want, _ := bruteForce(p)
+		for draw := 0; draw < 5; draw++ {
+			randomMultipliers(rng, p)
+			sol, err := checkedSolve(t, p, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sol.Optimal || sol.Objective != want {
+				t.Fatalf("trial %d draw %d: objective %d (optimal %v), want %d", trial, draw, sol.Objective, sol.Optimal, want)
+			}
+		}
+	}
+}
+
+// TestMultiplierErrors checks that a negative multiplier and a multiplier
+// on a row that is not a unit packing row are rejected.
+func TestMultiplierErrors(t *testing.T) {
+	cases := map[string]Constraint{
+		"negative":      {Terms: []Term{{0, 1}, {1, 1}}, Rel: LE, RHS: 1, Multiplier: -1},
+		"GE row":        {Terms: []Term{{0, 1}, {1, 1}}, Rel: GE, RHS: 1, Multiplier: 2},
+		"RHS 2":         {Terms: []Term{{0, 1}, {1, 1}}, Rel: LE, RHS: 2, Multiplier: 2},
+		"coefficient 2": {Terms: []Term{{0, 2}, {1, 1}}, Rel: LE, RHS: 1, Multiplier: 2},
+	}
+	for name, c := range cases {
+		p := &Problem{NumVars: 2, Objective: []int64{3, 4}, Constraints: []Constraint{c}}
+		if _, err := Solve(p, Options{}); err == nil {
+			t.Errorf("%s: Solve accepted multiplier %d", name, c.Multiplier)
+		}
 	}
 }
 
@@ -232,14 +330,15 @@ func TestSetConflictUnwind(t *testing.T) {
 	}
 }
 
-// FuzzSolve decodes a small problem with mixed ≤/≥ rows and signed
-// coefficients plus a node limit, and checks the solution against brute
-// force, the incremental bound against scanBound at every node, and the
-// bookkeeping after the search.
+// FuzzSolve decodes a small problem with mixed ≤/≥ rows, signed
+// coefficients and a multiplier on each packing row, plus a node limit, and
+// checks the solution against brute force, the incremental bounds against
+// their scans at every node, and the bookkeeping after the search.
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{3, 0, 5, 3, 4, 0, 2, 3, 1, 1, 1})
 	f.Add([]byte{7, 1, 1, 1, 1, 1, 1, 1, 1, 200, 4, 5, 1, 0, 1, 0xfe, 3, 2, 0, 3})
 	f.Add([]byte{6, 0, 250, 9, 9, 3, 3, 3, 130, 5, 63, 2, 2, 2, 2, 2, 2, 1, 5, 44, 255, 1, 1, 7, 0, 251})
+	f.Add([]byte{4, 0, 9, 7, 5, 8, 6, 0, 3, 3, 1, 1, 0, 1, 6, 12, 1, 1, 0, 1, 9, 24, 1, 1, 0, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -267,6 +366,9 @@ func FuzzSolve(f *testing.F) {
 				}
 			}
 			p.AddConstraint(terms, Rel(next()%2), int64(int8(next()))%12)
+			if c := &p.Constraints[len(p.Constraints)-1]; c.Rel == LE && c.RHS == 1 && unitTerms(c.Terms) {
+				c.Multiplier = int64(next() % 16)
+			}
 		}
 		sol, err := checkedSolve(t, p, Options{NodeLimit: limit})
 		if limit == 0 {
@@ -274,4 +376,13 @@ func FuzzSolve(f *testing.F) {
 		}
 		checkAgainstBruteForce(t, p, sol, err, limit)
 	})
+}
+
+func unitTerms(terms []Term) bool {
+	for _, t := range terms {
+		if t.Coef != 1 {
+			return false
+		}
+	}
+	return true
 }

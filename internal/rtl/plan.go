@@ -79,7 +79,10 @@ type plan struct {
 }
 
 // buildPlans walks the resolved modules and keeps every plan that
-// verifies and does not leak an unexposed internal net.
+// verifies and does not leak an unexposed internal net. A resolved RAM has
+// no template of its own: it is lowered through the verified modules that
+// lie inside it (the muxes, decoders and word registers the RAM won over in
+// overlap resolution), taken from rep.All in order.
 func buildPlans(nl *netlist.Netlist, rep *core.Report) *plan {
 	p := &plan{covered: map[netlist.ID]bool{}, exposed: map[netlist.ID]bool{}, referenced: map[netlist.ID]bool{}, owner: map[netlist.ID]*instance{}}
 	outDrivers := map[netlist.ID]bool{}
@@ -87,42 +90,59 @@ func buildPlans(nl *netlist.Netlist, rep *core.Report) *plan {
 		outDrivers[o.Driver] = true
 	}
 	for _, m := range rep.Resolved {
-		switch m.Type {
-		case module.Mux:
-			if inst := planMux2(nl, m); inst != nil {
-				p.admit(nl, inst, nil, outDrivers)
-			}
-		case module.Adder, module.Subtractor:
-			if inst := planAddSub(nl, m); inst != nil {
-				p.admit(nl, inst, nil, outDrivers)
-			}
-		case module.Decoder:
-			if inst := planDecoder(nl, m); inst != nil {
-				p.admit(nl, inst, nil, outDrivers)
-			}
-		case module.ParityTree:
-			if inst := planParity(nl, m); inst != nil {
-				p.admit(nl, inst, nil, outDrivers)
-			}
-		case module.PopCount:
-			if inst := planPopCount(nl, m); inst != nil {
-				p.admit(nl, inst, nil, outDrivers)
-			}
-		case module.Counter:
-			if rb := planCounter(nl, m); rb != nil {
-				p.admit(nl, nil, []*regBlock{rb}, outDrivers)
-			}
-		case module.ShiftRegister:
-			for _, rb := range planShift(nl, m) {
-				p.admit(nl, nil, []*regBlock{rb}, outDrivers)
-			}
-		case module.MultibitRegister:
-			if rb := planRegister(nl, m); rb != nil {
-				p.admit(nl, nil, []*regBlock{rb}, outDrivers)
+		if m.Type != module.RAM {
+			p.lower(nl, m, outDrivers)
+			continue
+		}
+		inside := make(map[netlist.ID]bool, len(m.Elements))
+		for _, id := range m.Elements {
+			inside[id] = true
+		}
+		for _, part := range rep.All {
+			if part.Type != module.RAM && allIn(part.Elements, inside) {
+				p.lower(nl, part, outDrivers)
 			}
 		}
 	}
 	return p
+}
+
+// lower plans m by its type and admits the plan if it verifies.
+func (p *plan) lower(nl *netlist.Netlist, m *module.Module, outDrivers map[netlist.ID]bool) {
+	switch m.Type {
+	case module.Mux:
+		if inst := planMux2(nl, m); inst != nil {
+			p.admit(nl, inst, nil, outDrivers)
+		}
+	case module.Adder, module.Subtractor:
+		if inst := planAddSub(nl, m); inst != nil {
+			p.admit(nl, inst, nil, outDrivers)
+		}
+	case module.Decoder:
+		if inst := planDecoder(nl, m); inst != nil {
+			p.admit(nl, inst, nil, outDrivers)
+		}
+	case module.ParityTree:
+		if inst := planParity(nl, m); inst != nil {
+			p.admit(nl, inst, nil, outDrivers)
+		}
+	case module.PopCount:
+		if inst := planPopCount(nl, m); inst != nil {
+			p.admit(nl, inst, nil, outDrivers)
+		}
+	case module.Counter:
+		if rb := planCounter(nl, m); rb != nil {
+			p.admit(nl, nil, []*regBlock{rb}, outDrivers)
+		}
+	case module.ShiftRegister:
+		for _, rb := range planShift(nl, m) {
+			p.admit(nl, nil, []*regBlock{rb}, outDrivers)
+		}
+	case module.MultibitRegister:
+		if rb := planRegister(nl, m); rb != nil {
+			p.admit(nl, nil, []*regBlock{rb}, outDrivers)
+		}
+	}
 }
 
 // admit runs the safety checks on a candidate plan and commits it. A node
@@ -1037,8 +1057,13 @@ func containsAll(set []netlist.ID, want []netlist.ID) bool {
 	for _, id := range set {
 		in[id] = true
 	}
-	for _, id := range want {
-		if !in[id] {
+	return allIn(want, in)
+}
+
+// allIn reports whether every id is in the set.
+func allIn(ids []netlist.ID, set map[netlist.ID]bool) bool {
+	for _, id := range ids {
+		if !set[id] {
 			return false
 		}
 	}

@@ -6,11 +6,15 @@
 // instantiation of a reference-library template module (adders, muxes,
 // decoders, parity trees, population counters) or an always-block over a
 // vector register (counters, shift registers, multibit registers), with
-// the module's port words flattened to buses. Recovered words become
-// documentation vector wires. Every gate the planner cannot verify — or
-// that the analysis never resolved — is passed through verbatim as
-// residual structural logic, so the emitted file is always a complete,
-// self-contained design.
+// the module's port words flattened to buses. A resolved RAM has no
+// template: it is lowered through its verified parts, the modules the
+// analysis inferred inside it (decoder, read muxes, word registers), each
+// planned and checked like a resolved module, so what one layer verified
+// is not lost because overlap resolution preferred the RAM. Recovered
+// words become documentation vector wires. Every gate the planner cannot
+// verify — or that the analysis never resolved — is passed through
+// verbatim as residual structural logic, so the emitted file is always a
+// complete, self-contained design.
 //
 // Check re-reads the emitted text through a bounded structural elaborator
 // (Elaborate) that expands template instances and always blocks back to

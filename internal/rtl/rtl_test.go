@@ -60,55 +60,74 @@ func TestComponentRoundTrip(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func(nl *netlist.Netlist)
+		// check, when set, pins what the case resolves and lowers.
+		check func(t *testing.T, rep *core.Report, st EmitStats)
 	}{
 		{"counter-up", func(nl *netlist.Netlist) {
 			en, rst := nl.AddInput("en"), nl.AddInput("rst")
 			gen.MarkOutputs(nl, "q", gen.Counter(nl, 4, en, rst, false))
-		}},
+		}, nil},
 		{"counter-down", func(nl *netlist.Netlist) {
 			en, rst := nl.AddInput("en"), nl.AddInput("rst")
 			gen.MarkOutputs(nl, "q", gen.Counter(nl, 4, en, rst, true))
-		}},
+		}, nil},
 		{"shift", func(nl *netlist.Netlist) {
 			en, rst, si := nl.AddInput("en"), nl.AddInput("rst"), nl.AddInput("si")
 			gen.MarkOutputs(nl, "q", gen.ShiftRegister(nl, 5, en, rst, si))
-		}},
+		}, nil},
 		{"register", func(nl *netlist.Netlist) {
 			d := gen.InputWord(nl, "d", 4)
 			we := nl.AddInput("we")
 			gen.MarkOutputs(nl, "q", gen.Register(nl, d, we))
-		}},
+		}, nil},
 		{"adder", func(nl *netlist.Netlist) {
 			a := gen.InputWord(nl, "a", 4)
 			b := gen.InputWord(nl, "b", 4)
 			sum, cout := gen.RippleAdder(nl, a, b, netlist.Nil)
 			gen.MarkOutputs(nl, "sum", sum)
 			nl.MarkOutput("cout", cout)
-		}},
+		}, nil},
 		{"subtractor", func(nl *netlist.Netlist) {
 			a := gen.InputWord(nl, "a", 4)
 			b := gen.InputWord(nl, "b", 4)
 			diff, bout := gen.RippleSubtractor(nl, a, b)
 			gen.MarkOutputs(nl, "diff", diff)
 			nl.MarkOutput("bout", bout)
-		}},
+		}, nil},
 		{"mux", func(nl *netlist.Netlist) {
 			sel := nl.AddInput("sel")
 			d0 := gen.InputWord(nl, "d0", 4)
 			d1 := gen.InputWord(nl, "d1", 4)
 			gen.MarkOutputs(nl, "out", gen.Mux2Word(nl, sel, d0, d1))
-		}},
+		}, nil},
 		{"decoder", func(nl *netlist.Netlist) {
 			sel := gen.InputWord(nl, "sel", 3)
 			gen.MarkOutputs(nl, "out", gen.Decoder(nl, sel))
-		}},
+		}, nil},
 		{"parity", func(nl *netlist.Netlist) {
 			w := gen.InputWord(nl, "x", 5)
 			nl.MarkOutput("p", gen.ParityTree(nl, w))
-		}},
+		}, nil},
 		{"popcount", func(nl *netlist.Netlist) {
 			w := gen.InputWord(nl, "x", 5)
 			gen.MarkOutputs(nl, "cnt", gen.PopCount(nl, w))
+		}, nil},
+		{"regfile", func(nl *netlist.Netlist) {
+			waddr := gen.InputWord(nl, "waddr", 2)
+			wdata := gen.InputWord(nl, "wdata", 4)
+			we := nl.AddInput("we")
+			raddr := gen.InputWord(nl, "raddr", 2)
+			read, _ := gen.RegisterFile(nl, 4, 4, waddr, wdata, we, raddr)
+			gen.MarkOutputs(nl, "rdata", read)
+		}, func(t *testing.T, rep *core.Report, st EmitStats) {
+			// The resolved RAM has no template; it is lowered through the
+			// verified word registers, decoder and muxes inside it.
+			if len(rep.Resolved) != 1 || rep.Resolved[0].Name != "ram[4w x 4b]" {
+				t.Fatalf("resolved %v, want one ram[4w x 4b]", rep.Resolved)
+			}
+			if st.AlwaysBlocks != 4 || st.ResidualGates != 4 || st.ResidualLatches != 0 {
+				t.Fatalf("stats %+v, want 4 always-blocks, 4 residual gates, 0 latches", st)
+			}
 		}},
 	}
 	lowered := 0
@@ -119,6 +138,9 @@ func TestComponentRoundTrip(t *testing.T) {
 			rep := analyze(t, nl, 1)
 			er, eq := decompileOK(t, nl, rep)
 			t.Logf("%s: %v, stats %+v", tc.name, eq, er.Stats)
+			if tc.check != nil {
+				tc.check(t, rep, er.Stats)
+			}
 			if er.Stats.Instances > 0 || er.Stats.AlwaysBlocks > 0 {
 				lowered++
 			}
