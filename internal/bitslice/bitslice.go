@@ -6,17 +6,19 @@
 // plays which formal argument (e.g. which leaf is a mux select), which the
 // aggregation algorithms rely on.
 //
-// Matching runs on the canonical-index fast path (truth.Index): one
-// canonicalization plus one hash probe per distinct cut function, with a
-// per-worker memo so repeated functions — ubiquitous in bit-sliced
-// datapaths — classify with a single map hit. The original per-entry
-// permutation search is retained behind Options.SlowMatch as the
+// Matching runs on the canonical-index fast path (truth.Index): a
+// permutation-invariant check that rejects most cut functions outright,
+// and one canonicalization plus one hash probe for the rest, with a
+// per-worker memo of the functions that matched (or, when unknown classes
+// are collected, got a class key) so repeated ones — ubiquitous in
+// bit-sliced datapaths — classify with a single map hit. The original
+// per-entry permutation search is retained behind Options.SlowMatch as the
 // differential-testing oracle; both paths produce byte-identical Results.
 package bitslice
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,8 +83,9 @@ type classification struct {
 	unknownKey string
 }
 
-// classifier matches shrunk cut functions, memoizing by table. Each worker
-// owns one, so no locking is needed on the hot path.
+// classifier matches shrunk cut functions, memoizing by table every
+// classification that cost more than a prefilter check. Each worker owns
+// one, so no locking is needed on the hot path.
 type classifier struct {
 	ix          *truth.Index // nil in SlowMatch mode
 	byArity     map[int][]truth.Entry
@@ -132,6 +135,13 @@ func (cl *classifier) classify(shrunk truth.Table) classification {
 			canon, _ := shrunk.Canon()
 			c.unknownKey = canon.String()
 		}
+	}
+	if cl.ix != nil && len(c.matches) == 0 && c.unknownKey == "" {
+		// Index.Lookup's invariant prefilter rejects such a miss about as
+		// fast as a memo probe, so memoizing misses would only grow the
+		// memo (thousands of them per design, against at most a few
+		// hundred hits).
+		return c
 	}
 	cl.memo[shrunk] = c
 	return c
@@ -250,7 +260,7 @@ func matchNode(nl *netlist.Netlist, id netlist.ID, cs []cuts.Cut,
 	if !nl.Kind(id).IsGate() {
 		return
 	}
-	seenClass := make(map[truth.Class]bool)
+	var seenClass [256 / 64]uint64 // bit c: a match of Class c is kept
 	var seenUnknown map[string]bool
 	if perUnknown != nil {
 		seenUnknown = make(map[string]bool)
@@ -263,16 +273,17 @@ func matchNode(nl *netlist.Netlist, id netlist.ID, cs []cuts.Cut,
 		if shrunk.N == 0 {
 			continue // constant function
 		}
-		leaves := make([]netlist.ID, shrunk.N)
-		for j, oi := range orig {
-			leaves[j] = c.Leaves[oi]
-		}
 		cls := cl.classify(shrunk)
+		var leaves []netlist.ID // built for the first kept match only
 		for _, cm := range cls.matches {
-			if seenClass[cm.entry.Class] {
+			w, bit := cm.entry.Class/64, uint64(1)<<(cm.entry.Class%64)
+			if seenClass[w]&bit != 0 {
 				continue // keep one match per (root, class)
 			}
-			seenClass[cm.entry.Class] = true
+			seenClass[w] |= bit
+			if leaves == nil {
+				leaves = pick(c.Leaves, orig)
+			}
 			args := make([]netlist.ID, len(cm.perm))
 			for j, v := range cm.perm {
 				args[j] = leaves[v]
@@ -287,6 +298,7 @@ func matchNode(nl *netlist.Netlist, id netlist.ID, cs []cuts.Cut,
 		if len(cls.matches) == 0 && seenUnknown != nil && shrunk.N >= 3 {
 			if !seenUnknown[cls.unknownKey] {
 				seenUnknown[cls.unknownKey] = true
+				leaves := pick(c.Leaves, orig)
 				perUnknown[id] = append(perUnknown[id], unknownRec{
 					key: cls.unknownKey,
 					m: &Match{
@@ -299,6 +311,16 @@ func matchNode(nl *netlist.Netlist, id netlist.ID, cs []cuts.Cut,
 			}
 		}
 	}
+}
+
+// pick returns the leaves at the given indices: shrunk variable j of a cut
+// function is leaf pick(c.Leaves, origVar)[j].
+func pick(leaves []netlist.ID, idx []int) []netlist.ID {
+	out := make([]netlist.ID, len(idx))
+	for j, i := range idx {
+		out[j] = leaves[i]
+	}
+	return out
 }
 
 func (r *Result) add(m *Match) {
@@ -345,6 +367,6 @@ func coneWithin(nl *netlist.Netlist, root netlist.ID, leaves []netlist.ID) []net
 			stack = append(stack, f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

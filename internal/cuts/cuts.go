@@ -8,7 +8,7 @@ package cuts
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"netlistre/internal/netlist"
 	"netlistre/internal/truth"
@@ -57,6 +57,7 @@ func Enumerate(n *netlist.Netlist, opt Options) map[netlist.ID][]Cut {
 		opt.MaxCuts = DefaultMaxCuts
 	}
 	res := make(map[netlist.ID][]Cut, n.Len())
+	var sc scratch
 	for i, id := range n.TopoOrder() {
 		if i&63 == 0 && opt.Interrupt != nil && opt.Interrupt() {
 			return res
@@ -69,15 +70,115 @@ func Enumerate(n *netlist.Netlist, opt Options) map[netlist.ID][]Cut {
 		case kind == netlist.Const1:
 			res[id] = []Cut{{Table: truth.Const(true, 0)}}
 		case kind == netlist.Lut:
-			res[id] = enumerateLut(n, id, res, opt)
+			res[id] = enumerateLut(n, id, res, opt, &sc)
 		default:
-			res[id] = enumerateGate(n, id, res, opt)
+			res[id] = enumerateGate(n, id, res, opt, &sc)
 		}
 	}
 	return res
 }
 
-func enumerateGate(n *netlist.Netlist, id netlist.ID, res map[netlist.ID][]Cut, opt Options) []Cut {
+// scratch holds the buffers one Enumerate call reuses from fold to fold and
+// node to node: the two sides of a fold (leaf sets la, lb and signature
+// words sa, sb), the leaf slab the merged leaf sets are written into, the
+// pending cuts that point into it, and enumerateLut's intermediate
+// selections (sel, selNext) with their leaves (held). No returned Cut
+// references scratch memory: the last fold of a node copies its kept leaf
+// sets into a fresh allocation (leafBuf).
+type scratch struct {
+	la, lb       [][]netlist.ID
+	sa, sb       []uint64
+	slab         []netlist.ID
+	pending      []pendingCut
+	sel, selNext []selCut
+	held         []netlist.ID
+}
+
+// selCut is a merged LUT leaf set with the cut chosen at each fanin so far:
+// choice[j] indexes the cut set of fanin j.
+type selCut struct {
+	leaves []netlist.ID
+	choice [netlist.MaxLutInputs]int
+}
+
+// leafBuf returns room for the leaf sets of kept. For a node's last fold
+// it is a fresh allocation with one extra slot for the trivial cut's leaf;
+// for an intermediate fold it is the reused held buffer.
+func (sc *scratch) leafBuf(kept []pendingCut, last bool) []netlist.ID {
+	total := 0
+	for _, p := range kept {
+		total += len(p.leaves)
+	}
+	if last {
+		return make([]netlist.ID, total+1)
+	}
+	if cap(sc.held) < total {
+		sc.held = make([]netlist.ID, total)
+	}
+	return sc.held[:total]
+}
+
+// takeLeaves copies leaves to the front of *buf, advances *buf past the
+// copy, and returns the copy.
+func takeLeaves(buf *[]netlist.ID, leaves []netlist.ID) []netlist.ID {
+	n := copy(*buf, leaves)
+	l := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return l
+}
+
+// appendSide appends the leaf sets and signatures of cs to one fold side.
+func appendSide(ls [][]netlist.ID, ss []uint64, cs []Cut) ([][]netlist.ID, []uint64) {
+	for _, c := range cs {
+		ls = append(ls, c.Leaves)
+		ss = append(ss, leafSig(c.Leaves))
+	}
+	return ls, ss
+}
+
+// mergeFold collects the feasible merged leaf sets of every (a, b) pair of
+// the fold sides la×lb and returns the pruned and truncated survivors.
+// Their leaves point into the slab and stay valid until the next call.
+func (sc *scratch) mergeFold(opt Options) []pendingCut {
+	need := len(sc.la) * len(sc.lb) * (opt.K + 1)
+	if cap(sc.slab) < need {
+		sc.slab = make([]netlist.ID, 0, need)
+	}
+	slab, pending := sc.slab[:0], sc.pending[:0]
+	for ai, a := range sc.la {
+		for bi, b := range sc.lb {
+			sig := sc.sa[ai] | sc.sb[bi]
+			if bits.OnesCount64(sig) > opt.K {
+				continue // provably more than K distinct leaves
+			}
+			start := len(slab)
+			after, ok := unionLeavesInto(slab, a, b, opt.K)
+			if !ok {
+				continue
+			}
+			slab = after
+			pending = append(pending, pendingCut{
+				leaves: slab[start:len(slab):len(slab)],
+				sig:    sig,
+				a:      ai, b: bi,
+			})
+		}
+	}
+	sc.slab, sc.pending = slab, pending
+	return prunePending(pending, opt.MaxCuts)
+}
+
+// trivialCut returns the cut {id}, writing its leaf into slot (the spare
+// slot of a last-fold leafBuf) when there is one.
+func trivialCut(id netlist.ID, slot []netlist.ID) Cut {
+	if slot == nil {
+		slot = make([]netlist.ID, 1)
+	}
+	slot[0] = id
+	return Cut{Leaves: slot, Table: truth.Var(0, 1)}
+}
+
+func enumerateGate(n *netlist.Netlist, id netlist.ID, res map[netlist.ID][]Cut, opt Options, sc *scratch) []Cut {
 	fanin := n.Fanin(id)
 	kind := n.Kind(id)
 
@@ -88,74 +189,51 @@ func enumerateGate(n *netlist.Netlist, id netlist.ID, res map[netlist.ID][]Cut, 
 	op, invert := foldOp(kind)
 	partial := res[fanin[0]]
 	if kind == netlist.Not || kind == netlist.Buf {
-		out := make([]Cut, 0, len(partial)+1)
-		for _, c := range partial {
-			t := c.Table
+		ps := sc.pending[:0]
+		for i, c := range partial {
+			ps = append(ps, pendingCut{leaves: c.Leaves, sig: leafSig(c.Leaves), a: i})
+		}
+		sc.pending = ps
+		kept := prunePending(ps, opt.MaxCuts)
+		out := make([]Cut, len(kept), len(kept)+1)
+		for i, p := range kept {
+			t := partial[p.a].Table
 			if kind == netlist.Not {
 				t = t.Not()
 			}
-			out = append(out, Cut{Leaves: c.Leaves, Table: t})
+			out[i] = Cut{Leaves: partial[p.a].Leaves, Table: t}
 		}
-		out = prune(out, opt.MaxCuts)
-		return append(out, Cut{Leaves: []netlist.ID{id}, Table: truth.Var(0, 1)})
+		return append(out, trivialCut(id, nil))
 	}
 
 	// For each fanin pair product, first collect feasible merged leaf sets
-	// (into one slab, not one allocation per pair), prune and truncate on
-	// leaf sets alone, and only then compute tables for the survivors: for
-	// a fixed root and fanin prefix, the cut function is determined by the
-	// leaf set, so duplicates and dominated cuts can be discarded before
-	// paying for table expansion. Per-set signature words make both the
-	// feasibility test (popcount is a lower bound on the distinct-leaf
-	// count) and the dominance test (subset implies signature subset)
-	// mostly one word operation.
-	var pending []pendingCut
-	var sa, sb []uint64
+	// (into the shared slab, not one allocation per pair), prune and
+	// truncate on leaf sets alone, and only then compute tables for the
+	// survivors: for a fixed root and fanin prefix, the cut function is
+	// determined by the leaf set, so duplicates and dominated cuts can be
+	// discarded before paying for table expansion. Per-set signature words
+	// make both the feasibility test (popcount is a lower bound on the
+	// distinct-leaf count) and the dominance test (subset implies
+	// signature subset) mostly one word operation.
+	var spare []netlist.ID
 	for fi := 1; fi < len(fanin); fi++ {
 		next := res[fanin[fi]]
-		sa, sb = sa[:0], sb[:0]
-		for _, a := range partial {
-			sa = append(sa, leafSig(a.Leaves))
-		}
-		for _, b := range next {
-			sb = append(sb, leafSig(b.Leaves))
-		}
-		slab := make([]netlist.ID, 0, len(partial)*len(next)*(opt.K+1))
-		pending = pending[:0]
-		for ai, a := range partial {
-			for bi, b := range next {
-				sig := sa[ai] | sb[bi]
-				if bits.OnesCount64(sig) > opt.K {
-					continue // provably more than K distinct leaves
-				}
-				start := len(slab)
-				after, ok := unionLeavesInto(slab, a.Leaves, b.Leaves, opt.K)
-				if !ok {
-					continue
-				}
-				slab = after
-				pending = append(pending, pendingCut{
-					leaves: slab[start:len(slab):len(slab)],
-					sig:    sig,
-					a:      ai, b: bi,
-				})
-			}
-		}
-		kept := prunePending(pending, opt.MaxCuts)
-		merged := make([]Cut, len(kept))
+		sc.la, sc.sa = appendSide(sc.la[:0], sc.sa[:0], partial)
+		sc.lb, sc.sb = appendSide(sc.lb[:0], sc.sb[:0], next)
+		kept := sc.mergeFold(opt)
+		buf := sc.leafBuf(kept, true)
+		merged := make([]Cut, len(kept), len(kept)+1)
 		for i, p := range kept {
-			leaves := make([]netlist.ID, len(p.leaves))
-			copy(leaves, p.leaves)
-			merged[i] = combine2(op, partial[p.a], next[p.b], leaves)
+			merged[i] = combine2(op, partial[p.a], next[p.b], takeLeaves(&buf, p.leaves))
 		}
-		partial = merged
+		partial, spare = merged, buf
 	}
 	if invert {
 		for i := range partial {
 			partial[i].Table = partial[i].Table.Not()
 		}
 	}
-	return append(partial, Cut{Leaves: []netlist.ID{id}, Table: truth.Var(0, 1)})
+	return append(partial, trivialCut(id, spare))
 }
 
 // enumerateLut computes the cuts of a k-input truth-table cell. LUTs have no
@@ -166,70 +244,46 @@ func enumerateGate(n *netlist.Netlist, id netlist.ID, res map[netlist.ID][]Cut, 
 // dominance pruning on leaf sets alone stays sound for the same reason as in
 // enumerateGate: for a fixed root, the cut function is determined by the
 // leaf set.
-func enumerateLut(n *netlist.Netlist, id netlist.ID, res map[netlist.ID][]Cut, opt Options) []Cut {
+func enumerateLut(n *netlist.Netlist, id netlist.ID, res map[netlist.ID][]Cut, opt Options, sc *scratch) []Cut {
 	fanin := n.Fanin(id)
 	mask := n.Node(id).Mask
 
-	type selCut struct {
-		leaves []netlist.ID
-		sig    uint64
-		choice []int // choice[j] indexes res[fanin[j]]
-	}
-	partial := make([]selCut, 0, len(res[fanin[0]]))
+	partial := sc.sel[:0]
 	for ci, c := range res[fanin[0]] {
-		partial = append(partial, selCut{leaves: c.Leaves, sig: leafSig(c.Leaves), choice: []int{ci}})
+		partial = append(partial, selCut{leaves: c.Leaves, choice: [netlist.MaxLutInputs]int{ci}})
 	}
-	var pending []pendingCut
-	var sb []uint64
+	var spare []netlist.ID
 	for fi := 1; fi < len(fanin); fi++ {
-		next := res[fanin[fi]]
-		sb = sb[:0]
-		for _, b := range next {
-			sb = append(sb, leafSig(b.Leaves))
+		sc.la, sc.sa = sc.la[:0], sc.sa[:0]
+		for _, a := range partial {
+			sc.la = append(sc.la, a.leaves)
+			sc.sa = append(sc.sa, leafSig(a.leaves))
 		}
-		slab := make([]netlist.ID, 0, len(partial)*len(next)*(opt.K+1))
-		pending = pending[:0]
-		for ai, a := range partial {
-			for bi, b := range next {
-				sig := a.sig | sb[bi]
-				if bits.OnesCount64(sig) > opt.K {
-					continue
-				}
-				start := len(slab)
-				after, ok := unionLeavesInto(slab, a.leaves, b.Leaves, opt.K)
-				if !ok {
-					continue
-				}
-				slab = after
-				pending = append(pending, pendingCut{
-					leaves: slab[start:len(slab):len(slab)],
-					sig:    sig,
-					a:      ai, b: bi,
-				})
-			}
+		sc.lb, sc.sb = appendSide(sc.lb[:0], sc.sb[:0], res[fanin[fi]])
+		kept := sc.mergeFold(opt)
+		// Only partial's choices are read from here on, so the held
+		// buffer its leaves point into may be overwritten.
+		buf := sc.leafBuf(kept, fi == len(fanin)-1)
+		merged := sc.selNext[:0]
+		for _, p := range kept {
+			s := selCut{leaves: takeLeaves(&buf, p.leaves), choice: partial[p.a].choice}
+			s.choice[fi] = p.b
+			merged = append(merged, s)
 		}
-		kept := prunePending(pending, opt.MaxCuts)
-		merged := make([]selCut, len(kept))
-		for i, p := range kept {
-			leaves := make([]netlist.ID, len(p.leaves))
-			copy(leaves, p.leaves)
-			choice := make([]int, len(partial[p.a].choice)+1)
-			copy(choice, partial[p.a].choice)
-			choice[len(choice)-1] = p.b
-			merged[i] = selCut{leaves: leaves, sig: p.sig, choice: choice}
-		}
-		partial = merged
+		sc.selNext = partial // the next fold's merged reuses it
+		partial, spare = merged, buf
 	}
 
 	out := make([]Cut, 0, len(partial)+1)
-	args := make([]truth.Table, len(fanin))
+	var args [netlist.MaxLutInputs]truth.Table
 	for _, s := range partial {
 		for j := range fanin {
 			args[j] = expandOnto(res[fanin[j]][s.choice[j]], s.leaves)
 		}
-		out = append(out, Cut{Leaves: s.leaves, Table: truth.Compose(mask, args)})
+		out = append(out, Cut{Leaves: s.leaves, Table: truth.Compose(mask, args[:len(fanin)])})
 	}
-	return append(out, Cut{Leaves: []netlist.ID{id}, Table: truth.Var(0, 1)})
+	sc.sel = partial // the next LUT's first-fanin selections reuse it
+	return append(out, trivialCut(id, spare))
 }
 
 type binOp uint8
@@ -342,34 +396,20 @@ func unionLeavesInto(dst []netlist.ID, a, b []netlist.ID, k int) ([]netlist.ID, 
 	return dst, true
 }
 
-// prune removes duplicate and dominated cuts (a cut is dominated when its
-// leaf set is a strict superset of another cut's) and truncates to maxCuts,
-// preferring cuts with fewer leaves.
-func prune(cs []Cut, maxCuts int) []Cut {
-	ps := make([]pendingCut, len(cs))
-	for i, c := range cs {
-		ps[i] = pendingCut{leaves: c.Leaves, sig: leafSig(c.Leaves), a: i}
-	}
-	kept := prunePending(ps, maxCuts)
-	out := make([]Cut, len(kept))
-	for i, p := range kept {
-		out[i] = cs[p.a]
-	}
-	return out
-}
-
-// prunePending is the leaf-set core of prune: it sorts by (leaf count, leaf
-// order), removes duplicates and dominated sets, and truncates to maxCuts.
-// The dominance scan tests signatures first, so most non-subset pairs cost
-// one word operation.
+// prunePending removes duplicate and dominated leaf sets (a set is
+// dominated when it is a strict superset of another) and truncates to
+// maxCuts, preferring sets with fewer leaves: it sorts by (leaf count, leaf
+// order) and keeps survivors in place, returning a prefix of ps. The
+// dominance scan tests signatures first, so most non-subset pairs cost one
+// word operation.
 func prunePending(ps []pendingCut, maxCuts int) []pendingCut {
-	sort.Slice(ps, func(i, j int) bool {
-		if len(ps[i].leaves) != len(ps[j].leaves) {
-			return len(ps[i].leaves) < len(ps[j].leaves)
+	slices.SortFunc(ps, func(x, y pendingCut) int {
+		if len(x.leaves) != len(y.leaves) {
+			return len(x.leaves) - len(y.leaves)
 		}
-		return lessLeaves(ps[i].leaves, ps[j].leaves)
+		return compareLeaves(x.leaves, y.leaves)
 	})
-	var kept []pendingCut
+	kept := ps[:0]
 	for _, c := range ps {
 		dominated := false
 		for _, k := range kept {
@@ -415,13 +455,17 @@ func equalLeaves(a, b []netlist.ID) bool {
 	return true
 }
 
-func lessLeaves(a, b []netlist.ID) bool {
+// compareLeaves orders leaf sets lexicographically.
+func compareLeaves(a, b []netlist.ID) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i] != b[i] {
-			return a[i] < b[i]
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
 		}
 	}
-	return len(a) < len(b)
+	return len(a) - len(b)
 }
 
 // AverageCutsPerGate returns the mean number of cuts per combinational gate,

@@ -2,9 +2,11 @@ package truth
 
 // FuzzCanon drives random (bits, arity, permutation) triples through the
 // canonicalization and index machinery: Canon must be invariant under input
-// permutation, returned permutations must reproduce the canon, Permute must
-// round-trip through its inverse, and the canonical index must agree with
-// the MatchAgainst oracle — all without panicking. The seed corpus contains
+// permutation, and so must the prefilter's invariantKey; returned
+// permutations must reproduce the canon, Permute must round-trip through
+// its inverse, the canonical index must agree with the MatchAgainst oracle,
+// and every hit's key must be one the index recorded — all without
+// panicking. The seed corpus contains
 // every library entry, so `go test` alone already covers the whole library.
 
 import "testing"
@@ -62,8 +64,14 @@ func FuzzCanon(f *testing.F) {
 			t.Fatalf("t=%v: canon permutation does not reproduce canon", tab)
 		}
 
+		// The prefilter key is permutation-invariant too.
+		if invariantKey(tab) != invariantKey(g) {
+			t.Fatalf("t=%v p=%v: invariant key not invariant", tab, p)
+		}
+
 		// Index lookups agree with the MatchAgainst oracle on both tables,
-		// and hit permutations honor their contract.
+		// hit permutations honor their contract, and every hit passed the
+		// prefilter on a recorded key.
 		for _, cand := range []Table{tab, g} {
 			hits := ix.Lookup(cand)
 			oracle, _ := slowClasses(cand, lib)
@@ -74,8 +82,14 @@ func FuzzCanon(f *testing.F) {
 				if h.Entry.Table.Permute(h.Perm).Bits != cand.Bits {
 					t.Fatalf("t=%v: hit perm %v broken", cand, h.Perm)
 				}
+				if !ix.inv[invariantKey(cand)] {
+					t.Fatalf("t=%v: hit whose key the index lacks", cand)
+				}
 			}
 			for _, h := range np.Lookup(cand) {
+				if !np.inv[invariantKey(cand)] {
+					t.Fatalf("t=%v: polarity hit whose key the index lacks", cand)
+				}
 				want := cand.Bits
 				if h.OutNegated {
 					want = cand.Not().Bits

@@ -13,8 +13,17 @@ package truth
 // up to input permutation, which is exactly the relation MatchAgainst
 // decides. The exhaustive and differential tests in index_test.go pin the
 // two paths against each other.
+//
+// Most candidates match nothing, so Lookup first checks a cheaper
+// permutation invariant (invariantKey: arity, weight, and the multiset of
+// cofactor weights) against the keys of everything indexed, and only pays
+// for Canon() when some indexed table shares it. Equal canons imply equal
+// invariants, so the check never rejects a hit.
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Hit is one library entry matched by an Index lookup.
 type Hit struct {
@@ -53,6 +62,9 @@ type indexedEntry struct {
 type Index struct {
 	m     map[indexKey][]indexedEntry
 	arity [MaxVars + 1]bool
+	// inv holds invariantKey of every indexed table: each entry, and its
+	// complement when indexed with polarity closure.
+	inv map[uint64]bool
 }
 
 // NewIndex builds the permutation-closure index of lib: a lookup hits
@@ -74,10 +86,14 @@ func NewIndexWithPolarity(lib []Entry) *Index {
 }
 
 func newIndex(lib []Entry, polarity bool) *Index {
-	ix := &Index{m: make(map[indexKey][]indexedEntry, 2*len(lib))}
+	ix := &Index{
+		m:   make(map[indexKey][]indexedEntry, 2*len(lib)),
+		inv: make(map[uint64]bool, 2*len(lib)),
+	}
 	for pos, e := range lib {
 		canon, perm := e.Table.Canon()
 		ix.arity[e.Table.N] = true
+		ix.inv[invariantKey(e.Table)] = true
 		ix.add(indexKey{canon.Bits, int8(e.Table.N)}, indexedEntry{
 			entry:  e,
 			perm:   perm,
@@ -90,6 +106,7 @@ func newIndex(lib []Entry, polarity bool) *Index {
 			if ncanon.Bits == canon.Bits {
 				continue // self-complementary up to permutation
 			}
+			ix.inv[invariantKey(not)] = true
 			ix.add(indexKey{ncanon.Bits, int8(e.Table.N)}, indexedEntry{
 				entry:  e,
 				perm:   nperm,
@@ -158,13 +175,40 @@ func (ix *Index) HasArity(n int) bool {
 	return n >= 0 && n <= MaxVars && ix.arity[n]
 }
 
-// Lookup classifies t against the indexed library: one Canon() plus one
-// hash probe. The returned hits are in library order; each satisfies
+// invariantKey packs a permutation invariant of t into one word: the
+// arity, the weight, and the sorted per-variable weights of the x_i = 1
+// half (bits.OnesCount64(t & x_i)). Permuting inputs permutes those
+// per-variable weights, so permutation-equivalent tables share a key; the
+// x_i = 0 half weight is the total less this one, so the key carries the
+// same information as the sorted varSignature multiset. t.N must be at
+// most MaxVars. Each field gets 7 bits (weights are at most 64) below the
+// arity, so at most 52 bits are used and distinct invariants never share
+// a key.
+func invariantKey(t Table) uint64 {
+	b := t.Bits & Mask(t.N)
+	var w [MaxVars]uint64
+	for i := 0; i < t.N; i++ {
+		w[i] = uint64(bits.OnesCount64(b & varPattern[i]))
+		for j := i; j > 0 && w[j] < w[j-1]; j-- { // insertion sort: n <= 6
+			w[j], w[j-1] = w[j-1], w[j]
+		}
+	}
+	k := uint64(t.N)<<7 | uint64(bits.OnesCount64(b))
+	for i := 0; i < t.N; i++ {
+		k = k<<7 | w[i]
+	}
+	return k
+}
+
+// Lookup classifies t against the indexed library. A table whose
+// invariantKey no indexed table has cannot match and returns nil without a
+// Canon(); otherwise it costs one Canon() plus one hash probe. The
+// returned hits are in library order; each satisfies
 // Hit.Entry.Table.Permute(Hit.Perm) == t (== t.Not() when OutNegated).
 // A nil result means no entry is permutation-equivalent to t — exactly the
 // functions MatchAgainst rejects against every entry.
 func (ix *Index) Lookup(t Table) []Hit {
-	if !ix.HasArity(t.N) {
+	if !ix.HasArity(t.N) || !ix.inv[invariantKey(t)] {
 		return nil
 	}
 	canon, pt := t.Canon()

@@ -7,6 +7,7 @@ package truth
 // contract.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -202,6 +203,52 @@ func TestIndexRandomWideArity(t *testing.T) {
 			if len(ix.Lookup(g)) == 0 {
 				t.Fatalf("permuted %v entry missed the index", e.Class)
 			}
+		}
+	}
+}
+
+// unfilteredLookup is Lookup without the invariant prefilter: Canon()
+// plus the hash probe for every table of an indexed arity.
+func unfilteredLookup(ix *Index, t Table) []Hit {
+	if !ix.HasArity(t.N) {
+		return nil
+	}
+	canon, pt := t.Canon()
+	return ix.lookupCanon(canon, pt, t.N)
+}
+
+// TestLookupPrefilterExact pins the invariant prefilter to the unfiltered
+// lookup on every 1-, 2- and 3-variable table, and on every library entry
+// and its complement under all n! input permutations (720 for mux4), for
+// the plain and the polarity-closed index: same hits, same permutations,
+// same flags.
+func TestLookupPrefilterExact(t *testing.T) {
+	lib := Library()
+	var tables []Table
+	for n := 1; n <= 3; n++ {
+		for bits := uint64(0); bits < 1<<(1<<uint(n)); bits++ {
+			tables = append(tables, Table{Bits: bits, N: n})
+		}
+	}
+	for _, e := range lib {
+		for _, p := range permutations(e.Table.N) {
+			g := e.Table.Permute(p)
+			tables = append(tables, g, g.Not())
+		}
+	}
+	for name, ix := range map[string]*Index{"plain": NewIndex(lib), "polarity": NewIndexWithPolarity(lib)} {
+		hits := 0
+		for _, tab := range tables {
+			got, want := ix.Lookup(tab), unfilteredLookup(ix, tab)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s index, t=%v: Lookup %v, unfiltered %v", name, tab, got, want)
+			}
+			if len(got) > 0 {
+				hits++
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("%s index: no table hit", name)
 		}
 	}
 }

@@ -14,12 +14,15 @@
 // entry and remains the reference oracle for tests. The fast path is the
 // canonical-form Index: every library entry's Canon() form is precomputed
 // into a hash table once (NewIndex, with optional output-polarity closure
-// for libraries that do not already contain both polarities), after which
-// classifying a cut costs one Canon() plus one map probe, and the leaf→
-// argument correspondence is recovered from the stored permutations. Both
-// paths provably accept exactly the same functions: Canon() is invariant
-// under input permutation, so canon(f) == canon(g) iff MatchAgainst would
-// find a permutation between f and g.
+// for libraries that do not already contain both polarities). Classifying
+// a cut first checks a cheap permutation invariant (arity, weight and the
+// multiset of cofactor weights) against those of the indexed tables; only
+// a cut whose invariant some indexed table shares pays for one Canon()
+// plus one map probe, and the leaf→argument correspondence is recovered
+// from the stored permutations. Both paths provably accept exactly the
+// same functions: Canon() is invariant under input permutation, so
+// canon(f) == canon(g) iff MatchAgainst would find a permutation between f
+// and g, and permutation-equivalent functions share the invariant.
 package truth
 
 import (
@@ -166,13 +169,24 @@ func (t Table) DependsOn(i int) bool {
 	return t.Cofactor(i, false).Bits != t.Cofactor(i, true).Bits
 }
 
-// Support returns the essential variable indices of t, ascending.
+// Support returns the essential variable indices of t, ascending, or nil
+// when t is constant.
 func (t Table) Support() []int {
-	var s []int
+	// Variable i is essential iff some row with x_i = 0 differs from its
+	// partner row with x_i = 1, DependsOn in one word operation.
+	b := t.Bits & Mask(t.N)
+	var m uint
 	for i := 0; i < t.N; i++ {
-		if t.DependsOn(i) {
-			s = append(s, i)
+		if (b^b>>(1<<uint(i)))&^varPattern[i] != 0 {
+			m |= 1 << uint(i)
 		}
+	}
+	if m == 0 {
+		return nil
+	}
+	s := make([]int, 0, bits.OnesCount(m))
+	for ; m != 0; m &= m - 1 {
+		s = append(s, bits.TrailingZeros(m))
 	}
 	return s
 }
@@ -180,33 +194,27 @@ func (t Table) Support() []int {
 // Shrink removes vacuous variables. It returns the shrunk table together
 // with origVar, where origVar[j] is the original index of the shrunk
 // table's variable j.
+//
+// The shrunk table is one permutation away: moving the support to the low
+// variables (and the vacuous ones above them) leaves a function of the low
+// len(origVar) variables, whose table is the low 2^len(origVar) rows.
 func (t Table) Shrink() (Table, []int) {
 	sup := t.Support()
 	if len(sup) == t.N {
-		return t, identity(t.N)
+		return t, sup // the identity when no variable is vacuous
 	}
-	out := Table{N: len(sup)}
-	for r := uint(0); r < 1<<uint(len(sup)); r++ {
-		// Build a full-width row with vacuous vars at 0.
-		var full uint
-		for j, orig := range sup {
-			if r>>uint(j)&1 == 1 {
-				full |= 1 << uint(orig)
-			}
-		}
-		if t.Eval(full) {
-			out.Bits |= 1 << r
+	var p [MaxVars]int // sup is ascending: p[sup[j]] = j, vacuous above
+	j, next := 0, len(sup)
+	for v := 0; v < t.N; v++ {
+		if j < len(sup) && sup[j] == v {
+			p[v] = j
+			j++
+		} else {
+			p[v] = next
+			next++
 		}
 	}
-	return out, sup
-}
-
-func identity(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
+	return Table{Bits: permuteBits(t.Bits&Mask(t.N), p[:t.N]) & Mask(len(sup)), N: len(sup)}, sup
 }
 
 // Permute returns g with g(x_0..x_{n-1}) = t(x_{p[0]}, ..., x_{p[n-1]}):

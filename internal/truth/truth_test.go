@@ -1,6 +1,7 @@
 package truth
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -68,6 +69,49 @@ func TestShrink(t *testing.T) {
 	want := Var(0, 2).And(Var(1, 2))
 	if s.Bits != want.Bits {
 		t.Errorf("shrunk table = %v, want %v", s, want)
+	}
+}
+
+// TestShrinkMatchesRowLoop checks Shrink on functions with vacuous
+// variables against evaluating t row by row with the vacuous variables at
+// 0, origVar against Support, and Support against DependsOn.
+func TestShrinkMatchesRowLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.Intn(MaxVars + 1)
+		k := rng.Intn(n + 1)
+		f := randTable(rng, k).Expand(rng.Perm(n)[:k], n)
+		s, orig := f.Shrink()
+		sup := f.Support()
+		var deps []int
+		for i := 0; i < n; i++ {
+			if f.DependsOn(i) {
+				deps = append(deps, i)
+			}
+		}
+		if fmt.Sprint(sup) != fmt.Sprint(deps) {
+			t.Fatalf("%v: support %v, DependsOn says %v", f, sup, deps)
+		}
+		if len(orig) != len(sup) || s.N != len(sup) {
+			t.Fatalf("%v: shrunk to %v with origVar %v, support %v", f, s, orig, sup)
+		}
+		for j := range sup {
+			if orig[j] != sup[j] {
+				t.Fatalf("%v: origVar %v, support %v", f, orig, sup)
+			}
+		}
+		for r := uint(0); r < 1<<uint(s.N); r++ {
+			var full uint
+			for j, v := range orig {
+				full |= (r >> uint(j) & 1) << uint(v)
+			}
+			if s.Eval(r) != f.Eval(full) {
+				t.Fatalf("%v: shrunk %v row %d differs from row %d", f, s, r, full)
+			}
+		}
+		if s.Bits&^Mask(s.N) != 0 {
+			t.Fatalf("%v: shrunk %v has bits beyond its rows", f, s)
+		}
 	}
 }
 
