@@ -48,12 +48,12 @@ type Options struct {
 	// caller's scheduler sets this so that the stage respects the shared
 	// analysis-wide worker budget.
 	Workers int
-	// DisablePrefilter turns off the bit-parallel simulation prefilter
+	// disablePrefilter turns off the bit-parallel simulation prefilter
 	// that refutes non-matching reference operations before the QBF
 	// solver runs. The prefilter is sound (it only skips instances whose
-	// ∃Y∀X question is provably false), so this knob exists purely for
-	// differential testing and measurement.
-	DisablePrefilter bool
+	// ∃Y∀X question is provably false), so only this package's
+	// differential tests set it, for their oracle runs.
+	disablePrefilter bool
 }
 
 // Candidate is a carved-out unknown module.
@@ -501,7 +501,7 @@ func matchCandidate(ctx context.Context, nl *netlist.Netlist, cand Candidate, op
 				}
 			}
 			refOuts := ref.build(region, a, b)
-			if !opt.DisablePrefilter && simRefute(region, outs, refOuts, forall, exists, rng) {
+			if !opt.disablePrefilter && simRefute(region, outs, refOuts, forall, exists, rng) {
 				continue // provably no side-input setting works
 			}
 			res := qbf.SolveForallEqualWord(ctx, region, outs, refOuts, forall, exists, 0)

@@ -101,7 +101,7 @@ func prefilterCircuits() map[string]struct {
 func TestPrefilterDifferential(t *testing.T) {
 	for name, c := range prefilterCircuits() {
 		on := Match(context.Background(), c.nl, c.ws, Options{})
-		off := Match(context.Background(), c.nl, c.ws, Options{DisablePrefilter: true})
+		off := Match(context.Background(), c.nl, c.ws, Options{disablePrefilter: true})
 		kOn, kOff := moduleKeys(on), moduleKeys(off)
 		if len(kOn) != len(kOff) {
 			t.Errorf("%s: %d modules with prefilter, %d without", name, len(kOn), len(kOff))

@@ -65,16 +65,6 @@ func (n *Netlist) ConeOfAll(roots []ID) Cone {
 	return c
 }
 
-// SupportOf returns the sorted boundary signals (inputs and latches) that
-// node id transitively depends on combinationally. For an input or latch it
-// returns the node itself.
-func (n *Netlist) SupportOf(id ID) []ID {
-	if n.nodes[id].Kind.IsConeInput() {
-		return []ID{id}
-	}
-	return n.ConeOf(id).Inputs
-}
-
 // TopoOrder returns all nodes in a topological order where every
 // combinational node appears after its fanins. Inputs, constants and latches
 // (whose outputs are state, not combinational functions) come first.

@@ -29,7 +29,7 @@ func TestPrefilterDifferentialArticles(t *testing.T) {
 			t.Fatalf("article %s: %v", name, err)
 		}
 		on := Analyze(nl, Options{Workers: 1})
-		off := Analyze(nl, Options{Workers: 1, DisablePrefilter: true})
+		off := Analyze(nl, Options{Workers: 1, disablePrefilter: true})
 		if len(on) != len(off) {
 			t.Errorf("%s: %d modules with prefilter, %d without", name, len(on), len(off))
 			continue
@@ -58,7 +58,7 @@ func TestPrefilterRefutesOnlyNil(t *testing.T) {
 			if !simRefuteClass(nl, c) {
 				continue
 			}
-			if m := verifyClass(nl, c, Options{DisablePrefilter: true}); m != nil {
+			if m := verifyClass(nl, c, Options{disablePrefilter: true}); m != nil {
 				t.Errorf("%s: prefilter refuted a class that verifies as %s (outputs %v)",
 					name, m.Name, c.Outputs)
 			}

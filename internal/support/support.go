@@ -2,8 +2,9 @@
 // detection of combinational modules whose outputs all depend on the same
 // set of inputs — decoders, demultiplexers and population counters. Nodes
 // are grouped into equivalence classes by the input set of their full
-// combinational fan-in cones (computed with a union-find-free hashing
-// scheme), and candidate classes are verified with BDD-based functional
+// combinational fan-in cones, computed in one topological pass that merges
+// each gate's fanin supports and drops a gate once its support passes the
+// class bound, and candidate classes are verified with BDD-based functional
 // checks (Section II-E.2). The class bounds are constants: at most 10
 // shared inputs, at least 3 outputs and at most 400 cone gates.
 package support
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -42,12 +44,12 @@ type Options struct {
 	// when it returns true, Analyze stops and returns the modules
 	// verified so far.
 	Interrupt func() bool
-	// DisablePrefilter turns off the bit-parallel simulation prefilter
+	// disablePrefilter turns off the bit-parallel simulation prefilter
 	// that refutes candidate classes before their BDDs are built. The
 	// prefilter is sound — it skips a class only when every check
-	// verifyClass could run is witnessed to fail — so this knob exists
-	// purely for differential testing and measurement.
-	DisablePrefilter bool
+	// verifyClass could run is witnessed to fail — so only this package's
+	// differential tests set it, for their oracle runs.
+	disablePrefilter bool
 }
 
 // Class is one common-support equivalence class.
@@ -57,34 +59,75 @@ type Class struct {
 }
 
 // Classes groups every combinational gate by the input set of its full
-// fan-in cone. Only classes with at least two members are returned; they
-// are sorted by first output for determinism.
+// fan-in cone. It returns only classes of width at most maxSupport with at
+// least two outputs, sorted by first output. Supports are computed in one
+// pass over nl.TopoOrder(): a cone input's support is itself, a constant's
+// is empty, and a gate's is the sorted merge of its fanins' supports, which
+// is exactly its cone-input set. A gate turns wide once a fanin is wide or
+// the merge passes maxSupport; wide gates keep no list and join no class.
 func Classes(nl *netlist.Netlist) []Class {
-	byKey := make(map[string]*Class)
-	for id := netlist.ID(0); int(id) < nl.Len(); id++ {
-		if !nl.Kind(id).IsGate() {
+	sup := make([][]netlist.ID, nl.Len())
+	wide := make([]bool, nl.Len())
+	var acc, tmp []netlist.ID
+	for _, id := range nl.TopoOrder() {
+		switch k := nl.Kind(id); {
+		case k.IsConeInput():
+			sup[id] = []netlist.ID{id}
 			continue
+		case !k.IsGate():
+			continue // a constant's support is empty
 		}
-		sup := nl.SupportOf(id)
-		if len(sup) == 0 {
-			continue
+		acc = acc[:0]
+		for _, f := range nl.Fanin(id) {
+			var ok bool
+			tmp, ok = mergeIDs(tmp[:0], acc, sup[f], maxSupport)
+			acc, tmp = tmp, acc
+			if wide[f] || !ok {
+				wide[id] = true
+				break
+			}
 		}
-		key := idKey(sup)
-		c, ok := byKey[key]
-		if !ok {
-			c = &Class{Support: sup}
-			byKey[key] = c
+		if !wide[id] {
+			sup[id] = slices.Clone(acc)
 		}
-		c.Outputs = append(c.Outputs, id)
 	}
+	// Scanning IDs in ascending order creates each class at its first
+	// output, so out is already sorted by first output.
+	byKey := make(map[string]int)
 	var out []Class
-	for _, c := range byKey {
-		if len(c.Outputs) >= 2 {
-			out = append(out, *c)
+	for id := netlist.ID(0); int(id) < nl.Len(); id++ {
+		if len(sup[id]) == 0 || !nl.Kind(id).IsGate() {
+			continue
+		}
+		key := idKey(sup[id])
+		i, ok := byKey[key]
+		if !ok {
+			i = len(out)
+			out = append(out, Class{Support: sup[id]})
+			byKey[key] = i
+		}
+		out[i].Outputs = append(out[i].Outputs, id)
+	}
+	return slices.DeleteFunc(out, func(c Class) bool { return len(c.Outputs) < 2 })
+}
+
+// mergeIDs appends to dst the sorted union of the sorted lists a and b.
+// It stops and reports false once the union would pass limit entries.
+func mergeIDs(dst, a, b []netlist.ID, limit int) ([]netlist.ID, bool) {
+	for len(a) > 0 || len(b) > 0 {
+		if len(dst) == limit {
+			return dst, false
+		}
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			dst, a = append(dst, a[0]), a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			dst, b = append(dst, b[0]), b[1:]
+		default: // a[0] == b[0]
+			dst, a, b = append(dst, a[0]), a[1:], b[1:]
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Outputs[0] < out[j].Outputs[0] })
-	return out
+	return dst, true
 }
 
 func idKey(ids []netlist.ID) string {
@@ -99,13 +142,7 @@ func idKey(ids []netlist.ID) string {
 // Classes are verified concurrently (each builds its own BDD manager);
 // results are collected in class order so the output is deterministic.
 func Analyze(nl *netlist.Netlist, opt Options) []*module.Module {
-	var cands []Class
-	for _, c := range Classes(nl) {
-		if len(c.Support) > maxSupport || len(c.Outputs) < minOutputs {
-			continue
-		}
-		cands = append(cands, c)
-	}
+	cands := slices.DeleteFunc(Classes(nl), func(c Class) bool { return len(c.Outputs) < minOutputs })
 	results := make([]*module.Module, len(cands))
 	workers := opt.Workers
 	if workers <= 0 {
@@ -157,7 +194,7 @@ func verifyClass(nl *netlist.Netlist, c Class, opt Options) *module.Module {
 	if len(cone.Nodes) > maxConeGates {
 		return nil
 	}
-	if !opt.DisablePrefilter && simRefuteClass(nl, c) {
+	if !opt.disablePrefilter && simRefuteClass(nl, c) {
 		return nil // every possible check witnessed to fail; skip the BDDs
 	}
 

@@ -1,11 +1,16 @@
 package support
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"netlistre/internal/gen"
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
+	"netlistre/internal/simplify"
 )
 
 func TestClassesGrouping(t *testing.T) {
@@ -163,5 +168,153 @@ func TestMuxIsNotDecoder(t *testing.T) {
 	gen.Mux2Word(nl, s, a, b)
 	for _, m := range Analyze(nl, Options{}) {
 		t.Errorf("mux produced %s module", m.Name)
+	}
+}
+
+// coneClasses is the reference grouping Classes must reproduce: every gate
+// keyed by the inputs of its own full fan-in cone walk, keeping classes of
+// width at most maxSupport with at least two outputs.
+func coneClasses(nl *netlist.Netlist) []Class {
+	byKey := make(map[string]*Class)
+	for id := netlist.ID(0); int(id) < nl.Len(); id++ {
+		if !nl.Kind(id).IsGate() {
+			continue
+		}
+		sup := nl.ConeOf(id).Inputs
+		if len(sup) == 0 || len(sup) > maxSupport {
+			continue
+		}
+		key := fmt.Sprint(sup)
+		if byKey[key] == nil {
+			byKey[key] = &Class{Support: sup}
+		}
+		byKey[key].Outputs = append(byKey[key].Outputs, id)
+	}
+	var out []Class
+	for _, c := range byKey {
+		if len(c.Outputs) >= 2 {
+			out = append(out, *c)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Outputs[0] < out[j].Outputs[0] })
+	return out
+}
+
+func checkClassesExact(t *testing.T, name string, nl *netlist.Netlist) {
+	t.Helper()
+	got, want := Classes(nl), coneClasses(nl)
+	if len(got) != len(want) {
+		t.Errorf("%s: %d classes, cone-walk oracle has %d", name, len(got), len(want))
+		return
+	}
+	for i := range got {
+		if !slices.Equal(got[i].Support, want[i].Support) || !slices.Equal(got[i].Outputs, want[i].Outputs) {
+			t.Errorf("%s class %d: %v, oracle %v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestClassesMatchConeWalk checks the one-pass support merge against a
+// full fan-in cone walk per gate on every labeled article, every LUT twin
+// and the simplified BigSoC.
+func TestClassesMatchConeWalk(t *testing.T) {
+	for _, name := range gen.LabeledArticleNames() {
+		nl, _, err := gen.LabeledArticle(name)
+		if err != nil {
+			t.Fatalf("article %s: %v", name, err)
+		}
+		checkClassesExact(t, name, nl)
+	}
+	if testing.Short() {
+		t.Skip("BigSoC; skipped in -short mode")
+	}
+	checkClassesExact(t, "bigsoc", simplify.Run(gen.BigSoC()).Netlist)
+}
+
+// TestClassesWidthBound: a chain whose support grows by one input per
+// stage, with a same-support sibling at every stage, yields classes up to
+// width maxSupport and none past it; a gate fed only by constants has
+// empty support and joins no class.
+func TestClassesWidthBound(t *testing.T) {
+	nl := netlist.New("chain")
+	x := gen.InputWord(nl, "x", maxSupport+2)
+	c0, c1 := nl.AddConst(false), nl.AddConst(true)
+	constOnly := []netlist.ID{nl.AddGate(netlist.And, c0, c1), nl.AddGate(netlist.Or, c0, c1)}
+	g := x[0]
+	for k := 1; k < len(x); k++ {
+		nl.AddGate(netlist.Or, g, x[k], c1) // sibling of the next stage
+		g = nl.AddGate(netlist.And, g, x[k])
+	}
+	checkClassesExact(t, "chain", nl)
+	classes := Classes(nl)
+	if len(classes) != maxSupport-1 {
+		t.Fatalf("%d classes, want one per width 2..%d", len(classes), maxSupport)
+	}
+	for i, c := range classes {
+		if len(c.Support) != i+2 || len(c.Outputs) != 2 {
+			t.Errorf("class %d: support %v outputs %v, want width %d with 2 outputs", i, c.Support, c.Outputs, i+2)
+		}
+		for _, o := range c.Outputs {
+			if slices.Contains(constOnly, o) {
+				t.Errorf("constant-fed gate %d joined class %v", o, c)
+			}
+		}
+	}
+}
+
+// TestClassesRandom compares Classes with the cone-walk oracle on seeded
+// random netlists mixing gates, LUT cells, constants and latches, including
+// latches whose D input is a gate created after the logic that reads them.
+func TestClassesRandom(t *testing.T) {
+	kinds := []netlist.Kind{netlist.And, netlist.Or, netlist.Nand, netlist.Nor,
+		netlist.Xor, netlist.Xnor, netlist.Not, netlist.Buf}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nl := netlist.New(fmt.Sprintf("rand%d", seed))
+		nIn, nLatch, nGate := 6+rng.Intn(12), rng.Intn(4), 60+rng.Intn(200)
+		ids := []netlist.ID{nl.AddConst(false), nl.AddConst(true)}
+		for i := 0; i < nIn; i++ {
+			ids = append(ids, nl.AddInput(fmt.Sprintf("i%d", i)))
+		}
+		var latches []netlist.ID
+		for i := 0; i < nLatch; i++ {
+			l := nl.AddLatch(ids[2])
+			latches = append(latches, l)
+			ids = append(ids, l)
+		}
+		// Fanins favour recent nodes so cones grow deep and reconverge.
+		pick := func() netlist.ID {
+			if rng.Intn(3) == 0 {
+				return ids[rng.Intn(len(ids))]
+			}
+			return ids[len(ids)-1-rng.Intn(min(len(ids), 8))]
+		}
+		for i := 0; i < nGate; i++ {
+			var g netlist.ID
+			switch k := kinds[rng.Intn(len(kinds))]; {
+			case rng.Intn(4) == 0:
+				fanin := make([]netlist.ID, 1+rng.Intn(netlist.MaxLutInputs))
+				for j := range fanin {
+					fanin[j] = pick()
+				}
+				g = nl.AddLut(rng.Uint64()&(1<<(1<<uint(len(fanin)))-1), fanin...)
+			case k == netlist.Not || k == netlist.Buf:
+				g = nl.AddGate(k, pick())
+			default:
+				fanin := make([]netlist.ID, 2+rng.Intn(3))
+				for j := range fanin {
+					fanin[j] = pick()
+				}
+				g = nl.AddGate(k, fanin...)
+			}
+			ids = append(ids, g)
+		}
+		for _, l := range latches {
+			nl.SetLatchD(l, ids[len(ids)-1-rng.Intn(10)])
+		}
+		if err := nl.Check(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		checkClassesExact(t, nl.Name, nl)
 	}
 }
