@@ -39,7 +39,7 @@ func run(out io.Writer) {
 	for _, b := range u {
 		assign[b] = bitsim.PairD()
 	}
-	vals := bitsim.CompilePairCone(nl, w, assign).Eval()
+	vals := bitsim.CompileCone(nl, w, assign).EvalPairs()
 	fmt.Fprintln(out, "with u=D,D,D and c=0 the outputs evaluate to:")
 	for i, val := range vals {
 		fmt.Fprintf(out, "  w%d = %s\n", i+1, val.PairString(0))

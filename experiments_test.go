@@ -128,6 +128,29 @@ func TestRecordTracePublic(t *testing.T) {
 	}
 }
 
+// TestRecordTraceUnsetLatch: a latch whose D input was never set (the
+// parsers create such placeholders) holds its value instead of crashing
+// the trace, and the rest of the design still simulates.
+func TestRecordTraceUnsetLatch(t *testing.T) {
+	nl := NewNetlist("placeholder")
+	a := nl.AddInput("a")
+	q := nl.AddLatch(NilID)
+	r := nl.AddLatch(a)
+	stimuli := []map[ID]bool{{a: true}, {a: false}, {a: false}}
+	tr := RecordTrace(nl, stimuli)
+	if tr.Cycles() != 3 {
+		t.Fatalf("cycles = %d, want 3", tr.Cycles())
+	}
+	for c, want := range []bool{false, true, false} {
+		if tr.Value(q, c) {
+			t.Errorf("cycle %d: unset latch = 1, want it held at 0", c)
+		}
+		if got := tr.Value(r, c); got != want {
+			t.Errorf("cycle %d: latch of a = %v, want %v", c, got, want)
+		}
+	}
+}
+
 func TestAbstractNetlistAndDOT(t *testing.T) {
 	// An adder feeding a register: the abstracted netlist must contain an
 	// adder -> register edge and I/O edges, and render as valid-looking DOT.

@@ -354,15 +354,13 @@ func TestBuilderLeafAgainstEval(t *testing.T) {
 				case node.Kind == netlist.Const0 || node.Kind == netlist.Const1:
 					vals[id] = node.Kind == netlist.Const1
 				default:
-					in := make([]bool, len(node.Fanin))
+					in := make([]uint64, len(node.Fanin))
 					for j, f := range node.Fanin {
-						in[j] = vals[f]
+						if vals[f] {
+							in[j] = 1
+						}
 					}
-					if node.Kind == netlist.Lut {
-						vals[id] = netlist.EvalLut(node.Mask, in)
-					} else {
-						vals[id] = netlist.EvalKind(node.Kind, in)
-					}
+					vals[id] = netlist.EvalWord(node.Kind, node.Mask, in)&1 == 1
 				}
 			}
 			for id, r := range refs {

@@ -2,21 +2,28 @@
 // one machine word per signal simulates 64 independent input patterns at
 // once. Signals are dual-rail encoded — a value word and an unknown mask —
 // so the Kleene {0, 1, X} algebra costs a handful of word operations per
-// gate regardless of how many patterns are in flight.
+// gate regardless of how many patterns are in flight. It is the
+// repository's one three-valued evaluator; two-valued simulation is
+// netlist.EvalWord.
 //
-// The engine is used where the portfolio needs bulk semantic evidence
-// cheaply: refuting candidate module matches before the QBF solver runs
-// (internal/modmatch), refuting decoder/popcount candidates before BDDs are
-// built (internal/support), cross-checking cut functions against direct
-// cone evaluation, and checking word propagations (internal/words). The
-// last runs the paper's five-valued {0, 1, D, D̄, X} symbolic simulation
-// in the D-calculus pair encoding (PairCone): each five-valued signal is a
-// pair of lanes holding its D=0 and D=1 values, so one pass checks Pairs
-// independent control assignments. The property tests in this package pin
-// the encoding to a scalar five-valued reference, node for node.
+// Every simulation runs on a Cone: a fan-in cone compiled once, whose
+// leaves the caller re-forces between evaluations. Cone.Eval keeps the
+// lanes independent. That mode refutes candidate module matches before the
+// QBF solver runs (internal/modmatch), refutes decoder/popcount candidates
+// before BDDs are built (internal/support), checks decompiled RTL and its
+// lowering proofs (internal/rtl), witnesses dead counter chains
+// (internal/seq) and tabulates cut functions (TableOf). Cone.EvalPairs runs
+// the paper's five-valued {0, 1, D, D̄, X} symbolic simulation in the
+// D-calculus pair encoding for word propagation (internal/words): each
+// five-valued signal is a pair of lanes holding its D=0 and D=1 values, so
+// one pass checks Pairs independent control assignments. The property
+// tests in this package pin both modes to a scalar five-valued reference,
+// node for node.
 package bitsim
 
 import (
+	"sync"
+
 	"netlistre/internal/netlist"
 	"netlistre/internal/truth"
 )
@@ -134,81 +141,6 @@ func evalLut(m uint64, in []Vector, j int) Vector {
 	return s.And(hi).Or(s.Not().And(lo)).Or(hi.And(lo))
 }
 
-// Run evaluates the combinational logic of nl with the signals in assign
-// forced to the given vectors. Assignments may target ANY node: an assigned
-// internal node is cut loose from its own logic and treated as a free input,
-// which is how the paper's word propagation simulates the "local netlist"
-// around a word (Section II-C.1). Unassigned boundary signals are all-X. The
-// returned slice is indexed by node ID.
-func Run(nl *netlist.Netlist, assign map[netlist.ID]Vector) []Vector {
-	vals := make([]Vector, nl.Len())
-	var buf []Vector
-	for _, id := range nl.TopoOrder() {
-		if v, ok := assign[id]; ok {
-			vals[id] = v
-			continue
-		}
-		node := nl.Node(id)
-		switch {
-		case node.Kind.IsConeInput():
-			vals[id] = Unknown()
-		default:
-			buf = buf[:0]
-			for _, f := range node.Fanin {
-				buf = append(buf, vals[f])
-			}
-			if node.Kind == netlist.Lut {
-				vals[id] = EvalLut(node.Mask, buf)
-			} else {
-				vals[id] = EvalGate(node.Kind, buf)
-			}
-		}
-	}
-	return vals
-}
-
-// RunCone evaluates only the transitive fan-in cones of roots, stopping at
-// assigned nodes and cone inputs, and returns the values of the visited
-// nodes. It avoids the whole-netlist sweep of Run when the caller needs a
-// few outputs of a large design — the shape of the candidate-filtering
-// loops in modmatch and support.
-func RunCone(nl *netlist.Netlist, roots []netlist.ID, assign map[netlist.ID]Vector) map[netlist.ID]Vector {
-	vals := make(map[netlist.ID]Vector, 4*len(roots))
-	var eval func(id netlist.ID) Vector
-	buf := make([]Vector, 0, 8)
-	eval = func(id netlist.ID) Vector {
-		if v, ok := vals[id]; ok {
-			return v
-		}
-		var v Vector
-		if av, ok := assign[id]; ok {
-			v = av
-		} else if node := nl.Node(id); node.Kind.IsConeInput() {
-			v = Unknown()
-		} else {
-			// Resolve fanins first (recursively), then fold the gate.
-			for _, f := range node.Fanin {
-				eval(f)
-			}
-			buf = buf[:0]
-			for _, f := range node.Fanin {
-				buf = append(buf, vals[f])
-			}
-			if node.Kind == netlist.Lut {
-				v = EvalLut(node.Mask, buf)
-			} else {
-				v = EvalGate(node.Kind, buf)
-			}
-		}
-		vals[id] = v
-		return v
-	}
-	for _, r := range roots {
-		eval(r)
-	}
-	return vals
-}
-
 // The D-calculus pair encoding. A five-valued signal of the paper's
 // symbolic simulation (Section II-C.1) occupies two adjacent lanes: lane 2k
 // holds its value when the symbol D is 0, lane 2k+1 its value when D is 1.
@@ -261,15 +193,21 @@ func (v Vector) PairString(k int) string {
 	return "D̄"
 }
 
-// PairCone is the transitive fan-in cone of some roots, compiled once for
-// repeated evaluation in the pair encoding. The cone stops at assigned
-// nodes, which hold their assigned vectors (cut loose from their own logic,
-// as in Run), and at the other cone inputs, which are X. Between
-// evaluations any node of the cone can be forced lane by lane, so one
-// compiled cone checks Pairs control assignments per Eval.
-type PairCone struct {
-	nodes []pairNode // topological order
-	fanin []int32    // positions in nodes, sliced by pairNode.lo/hi
+// Cone is the transitive fan-in cone of some roots, compiled once for
+// repeated evaluation. The cone stops at assigned nodes, which hold their
+// assigned vectors (cut loose from their own logic, which is how the
+// paper's word propagation simulates the "local netlist" around a word,
+// Section II-C.1), and at the other cone inputs, which are X. Between
+// evaluations any node of the cone can be forced lane by lane, so a caller
+// that re-runs one cone on fresh patterns compiles it once, with Unknown()
+// assigned to each leaf that is not a cone input already, and forces the
+// leaves' values before each evaluation.
+//
+// Eval treats the 64 lanes as independent three-valued runs; EvalPairs
+// reads them as Pairs five-valued signals in the pair encoding.
+type Cone struct {
+	nodes []coneNode // topological order
+	fanin []int32    // positions in nodes, sliced by coneNode.lo/hi
 	index map[netlist.ID]int32
 	roots []int32
 	force []Vector
@@ -278,7 +216,7 @@ type PairCone struct {
 	buf   []Vector
 }
 
-type pairNode struct {
+type coneNode struct {
 	leaf   bool
 	value  Vector // a leaf's value
 	kind   netlist.Kind
@@ -286,11 +224,21 @@ type pairNode struct {
 	lo, hi int32
 }
 
-// CompilePairCone compiles the fan-in cone of roots. assign holds
-// pair-encoded vectors, typically PairD() for the bits whose propagation is
-// being checked.
-func CompilePairCone(nl *netlist.Netlist, roots []netlist.ID, assign map[netlist.ID]Vector) *PairCone {
-	c := &PairCone{index: make(map[netlist.ID]int32)}
+// CompileCone compiles the fan-in cone of roots with the nodes in assign
+// cut loose and holding their assigned vectors. assign may be nil.
+func CompileCone(nl *netlist.Netlist, roots []netlist.ID, assign map[netlist.ID]Vector) *Cone {
+	table := positions.Get().(*[]int32)
+	if len(*table) < nl.Len() {
+		*table = make([]int32, nl.Len())
+	}
+	pos := *table // 1 + a node's position in the cone, 0 outside it
+	// Place the cone's nodes in topological order by an iterative DFS that
+	// stops at leaves.
+	var ids []netlist.ID
+	place := func(id netlist.ID) {
+		ids = append(ids, id)
+		pos[id] = int32(len(ids))
+	}
 	leaf := func(id netlist.ID) bool {
 		_, ok := assign[id]
 		return ok || nl.Kind(id).IsConeInput()
@@ -301,64 +249,97 @@ func CompilePairCone(nl *netlist.Netlist, roots []netlist.ID, assign map[netlist
 	}
 	var stack []frame
 	for _, r := range roots {
+		if pos[r] != 0 {
+			continue
+		}
+		if leaf(r) {
+			place(r)
+			continue
+		}
 		stack = append(stack[:0], frame{id: r})
 		for len(stack) > 0 {
 			top := &stack[len(stack)-1]
-			if _, done := c.index[top.id]; done {
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			if fanin := nl.Fanin(top.id); !leaf(top.id) && top.next < len(fanin) {
+			if fanin := nl.Fanin(top.id); top.next < len(fanin) {
 				f := fanin[top.next]
 				top.next++
-				if _, done := c.index[f]; !done {
-					stack = append(stack, frame{id: f})
+				if pos[f] == 0 {
+					if leaf(f) {
+						place(f)
+					} else {
+						stack = append(stack, frame{id: f})
+					}
 				}
 				continue
 			}
-			id := top.id
+			place(top.id)
 			stack = stack[:len(stack)-1]
-			var n pairNode
-			if v, ok := assign[id]; ok {
-				n = pairNode{leaf: true, value: v}
-			} else if node := nl.Node(id); node.Kind.IsConeInput() {
-				n = pairNode{leaf: true, value: Unknown()}
-			} else {
-				n = pairNode{kind: node.Kind, mask: node.Mask, lo: int32(len(c.fanin))}
-				for _, f := range node.Fanin {
-					c.fanin = append(c.fanin, c.index[f])
-				}
-				n.hi = int32(len(c.fanin))
-			}
-			c.index[id] = int32(len(c.nodes))
-			c.nodes = append(c.nodes, n)
 		}
 	}
-	for _, r := range roots {
-		c.roots = append(c.roots, c.index[r])
+
+	c := &Cone{
+		nodes: make([]coneNode, len(ids)),
+		index: make(map[netlist.ID]int32, len(ids)),
+		roots: make([]int32, len(roots)),
+		force: make([]Vector, len(ids)),
+		vals:  make([]Vector, len(ids)),
+		out:   make([]Vector, len(roots)),
 	}
-	c.force = make([]Vector, len(c.nodes))
-	for i := range c.force {
+	edges := 0
+	for _, id := range ids {
+		edges += len(nl.Fanin(id))
+	}
+	c.fanin = make([]int32, 0, edges)
+	for i, id := range ids {
+		c.index[id] = int32(i)
 		c.force[i] = Unknown()
+		if v, ok := assign[id]; ok {
+			c.nodes[i] = coneNode{leaf: true, value: v}
+		} else if node := nl.Node(id); node.Kind.IsConeInput() {
+			c.nodes[i] = coneNode{leaf: true, value: Unknown()}
+		} else {
+			n := coneNode{kind: node.Kind, mask: node.Mask, lo: int32(len(c.fanin))}
+			for _, f := range node.Fanin {
+				c.fanin = append(c.fanin, pos[f]-1)
+			}
+			n.hi = int32(len(c.fanin))
+			c.nodes[i] = n
+		}
 	}
-	c.vals = make([]Vector, len(c.nodes))
-	c.out = make([]Vector, len(roots))
+	for i, r := range roots {
+		c.roots[i] = pos[r] - 1
+	}
+	for _, id := range ids {
+		pos[id] = 0
+	}
+	positions.Put(table)
 	return c
 }
 
-// Force overrides node id from the next Eval on: the known lanes of o
-// replace the node's own value and its X lanes leave it alone, so Unknown()
-// lifts the override. A node outside the cone cannot change any root, and
-// forcing it does nothing.
-func (c *PairCone) Force(id netlist.ID, o Vector) {
+// positions pools CompileCone's dense node-ID table. CompileCone clears the
+// entries it set before handing the table back, so compiling a small cone
+// of a large netlist costs time in the cone's size, not the netlist's.
+var positions = sync.Pool{New: func() any { return new([]int32) }}
+
+// Force overrides node id from the next evaluation on: the known lanes of
+// o replace the node's own value and its X lanes leave it alone, so
+// Unknown() lifts the override. A node outside the cone cannot change any
+// root, and forcing it does nothing.
+func (c *Cone) Force(id netlist.ID, o Vector) {
 	if i, ok := c.index[id]; ok {
 		c.force[i] = o
 	}
 }
 
-// Eval evaluates the cone and returns the roots' vectors in the order
-// CompilePairCone received them. The slice is reused by the next Eval.
-func (c *PairCone) Eval() []Vector {
+// Eval evaluates the cone with independent lanes and returns the roots'
+// vectors in the order CompileCone received them. The slice is reused by
+// the next evaluation.
+func (c *Cone) Eval() []Vector { return c.eval(false) }
+
+// EvalPairs evaluates the cone in the pair encoding, collapsing every node's
+// pairs after its forces apply, and returns the roots' vectors like Eval.
+func (c *Cone) EvalPairs() []Vector { return c.eval(true) }
+
+func (c *Cone) eval(pairs bool) []Vector {
 	for i := range c.nodes {
 		n := &c.nodes[i]
 		v := n.value
@@ -374,7 +355,11 @@ func (c *PairCone) Eval() []Vector {
 			}
 		}
 		f := c.force[i]
-		c.vals[i] = Vector{Val: v.Val&f.Unk | f.Val, Unk: v.Unk & f.Unk}.collapse()
+		v = Vector{Val: v.Val&f.Unk | f.Val, Unk: v.Unk & f.Unk}
+		if pairs {
+			v = v.collapse()
+		}
+		c.vals[i] = v
 	}
 	for i, r := range c.roots {
 		c.out[i] = c.vals[r]
@@ -397,8 +382,7 @@ func TableOf(nl *netlist.Netlist, root netlist.ID, leaves []netlist.ID) (truth.T
 	for i, l := range leaves {
 		assign[l] = Known(truth.Var(i, truth.MaxVars).Bits)
 	}
-	vals := RunCone(nl, []netlist.ID{root}, assign)
-	v := vals[root]
+	v := CompileCone(nl, []netlist.ID{root}, assign).Eval()[0]
 	mask := truth.Mask(n)
 	if v.Unk&mask != 0 {
 		return truth.Table{}, false

@@ -291,10 +291,11 @@ func packAssign(scalar [Lanes]map[netlist.ID]value) map[netlist.ID]Vector {
 	return packed
 }
 
-// TestRunMatchesScalarSim: one bit-parallel Run over 64 packed {0,1,X}
-// assignments must equal 64 scalar reference runs lane for lane, on every
-// node. On the three-valued subdomain the two engines implement the same
-// Kleene algebra, so equality is exact — including X propagation.
+// TestRunMatchesScalarSim: one independent-lane Eval of a cone rooted at
+// every node, over 64 packed {0,1,X} assignments, must equal 64 scalar
+// reference runs lane for lane, on every node. On the three-valued
+// subdomain the two engines implement the same Kleene algebra, so equality
+// is exact — including X propagation.
 func TestRunMatchesScalarSim(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	trials := 60
@@ -321,10 +322,14 @@ func TestRunMatchesScalarSim(t *testing.T) {
 				scalar[lane][id] = three[rng.Intn(3)]
 			}
 		}
-		got := Run(nl, packAssign(scalar))
+		all := make([]netlist.ID, nl.Len())
+		for id := range all {
+			all[id] = netlist.ID(id)
+		}
+		got := CompileCone(nl, all, packAssign(scalar)).Eval()
 		for lane := 0; lane < Lanes; lane++ {
 			want := run5(nl, scalar[lane])
-			for id := 0; id < nl.Len(); id++ {
+			for id := range all {
 				val, known := got[id].Get(lane)
 				ok := false
 				switch want[id] {
@@ -344,7 +349,7 @@ func TestRunMatchesScalarSim(t *testing.T) {
 	}
 }
 
-// TestRunPairEncodingD: a PairCone over every node, with Pairs independent
+// TestRunPairEncodingD: a cone rooted at every node, in EvalPairs, with Pairs independent
 // five-valued assignments and per-pair forces, must equal the scalar
 // D-calculus reference pair for pair at every node — X included. Forcing a
 // node in one pair is assigning it in that pair's reference run.
@@ -374,7 +379,7 @@ func TestRunPairEncodingD(t *testing.T) {
 				assign[id] = setPair(assign[id], k, v)
 			}
 		}
-		cone := CompilePairCone(nl, all, assign)
+		cone := CompileCone(nl, all, assign)
 		for _, id := range all {
 			if rng.Intn(10) != 0 {
 				continue
@@ -389,7 +394,7 @@ func TestRunPairEncodingD(t *testing.T) {
 			}
 			cone.Force(id, force)
 		}
-		got := cone.Eval()
+		got := cone.EvalPairs()
 		for k := range scalar {
 			want := run5(nl, scalar[k])
 			for i, id := range all {
@@ -402,22 +407,22 @@ func TestRunPairEncodingD(t *testing.T) {
 	}
 }
 
-// TestPairConeStopsAtAssigned: an assigned node is cut loose from its
-// logic, so forcing its fan-in changes nothing, while forcing the node
-// itself overrides its assigned value.
-func TestPairConeStopsAtAssigned(t *testing.T) {
+// TestConeStopsAtAssigned: an assigned node is cut loose from its logic,
+// so forcing its fan-in changes nothing, while forcing the node itself
+// overrides its assigned value.
+func TestConeStopsAtAssigned(t *testing.T) {
 	nl := netlist.New("cut")
 	a := nl.AddInput("a")
 	b := nl.AddInput("b")
 	g := nl.AddGate(netlist.And, a, b)
 	h := nl.AddGate(netlist.Not, g)
-	cone := CompilePairCone(nl, []netlist.ID{h}, map[netlist.ID]Vector{g: PairD()})
+	cone := CompileCone(nl, []netlist.ID{h}, map[netlist.ID]Vector{g: PairD()})
 	cone.Force(a, Known(0))
-	if got := cone.Eval()[0].PairString(7); got != "D̄" {
+	if got := cone.EvalPairs()[0].PairString(7); got != "D̄" {
 		t.Errorf("not(D) with a forced behind the cut = %s, want D̄", got)
 	}
 	cone.Force(g, Known(^uint64(0)))
-	if got := cone.Eval()[0].PairString(7); got != "0" {
+	if got := cone.EvalPairs()[0].PairString(7); got != "0" {
 		t.Errorf("not(forced 1) = %s, want 0", got)
 	}
 }
@@ -534,15 +539,17 @@ func TestSoundnessAgainstConcrete(t *testing.T) {
 					}
 					for _, sym := range []bool{false, true} {
 						for xm := 0; xm < 8; xm++ {
-							concrete := make([]bool, 3)
+							concrete := make([]uint64, 3)
 							for i, v := range in {
 								cv, ok := concretize(v, sym)
 								if !ok {
 									cv = xm>>uint(i)&1 == 1
 								}
-								concrete[i] = cv
+								if cv {
+									concrete[i] = 1
+								}
 							}
-							want := netlist.EvalKind(kind, concrete)
+							want := netlist.EvalWord(kind, 0, concrete)&1 == 1
 							if got, _ := concretize(out, sym); got != want {
 								t.Fatalf("%v%v: out=%v but concrete(sym=%v,xs=%d)=%v",
 									kind, in, out, sym, xm, want)
@@ -579,9 +586,9 @@ func TestRunSelectorCircuit(t *testing.T) {
 	}
 	// v unassigned -> X. One Eval checks three control values at once:
 	// pair 0 has c=0, pair 1 has c=1, and pair 2 leaves c unforced (X).
-	cone := CompilePairCone(nl, w, assign)
+	cone := CompileCone(nl, w, assign)
 	cone.Force(c, setPair(setPair(Unknown(), 0, zero), 1, one))
-	for i, got := range cone.Eval() {
+	for i, got := range cone.EvalPairs() {
 		for k, want := range []value{symDBar, unknown, unknown} {
 			if g := pairValue(got, k); g != want {
 				t.Errorf("pair %d: w%d = %v, want %v", k, i+1, g, want)
@@ -590,37 +597,50 @@ func TestRunSelectorCircuit(t *testing.T) {
 	}
 }
 
-// TestRunConeMatchesRun: the sparse cone evaluator must agree with the full
-// sweep on every node it visits, and must visit at least the roots.
-func TestRunConeMatchesRun(t *testing.T) {
+// TestConeReforce pins the compile-once pattern every caller uses: a cone
+// compiled with Unknown() leaves and evaluated again after each round of
+// Force calls on those leaves must equal a cone compiled afresh with the
+// leaves assigned the forced values. Some leaves stay X, wholly or in some
+// lanes, and the netlists mix gates and LUT cells.
+func TestConeReforce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 60; trial++ {
 		nl := randNetlist(rng, 3+rng.Intn(4), 10+rng.Intn(40))
-		assign := make(map[netlist.ID]Vector)
+		var leaves []netlist.ID
 		for id := netlist.ID(0); int(id) < nl.Len(); id++ {
-			if nl.Kind(id).IsConeInput() && rng.Intn(3) != 0 {
-				assign[id] = Vector{Val: rng.Uint64()}
-			} else if rng.Intn(10) == 0 {
-				assign[id] = Vector{Unk: rng.Uint64()}
+			if nl.Kind(id).IsConeInput() || rng.Intn(10) == 0 {
+				leaves = append(leaves, id)
 			}
-		}
-		if v, ok := assign[0]; ok && v.Val&v.Unk != 0 {
-			t.Fatal("test bug: invariant-violating assignment")
 		}
 		var roots []netlist.ID
 		for i := 0; i < 3; i++ {
 			roots = append(roots, netlist.ID(rng.Intn(nl.Len())))
 		}
-		full := Run(nl, assign)
-		cone := RunCone(nl, roots, assign)
-		for _, r := range roots {
-			if _, ok := cone[r]; !ok {
-				t.Fatalf("trial %d: root %d not evaluated", trial, r)
-			}
+		assign := make(map[netlist.ID]Vector, len(leaves))
+		for _, l := range leaves {
+			assign[l] = Unknown()
 		}
-		for id, v := range cone {
-			if v != full[id] {
-				t.Fatalf("trial %d node %d: cone %+v, full %+v", trial, id, v, full[id])
+		cone := CompileCone(nl, roots, assign)
+		for round := 0; round < 4; round++ {
+			fresh := make(map[netlist.ID]Vector, len(leaves))
+			for _, l := range leaves {
+				v := Known(rng.Uint64())
+				switch rng.Intn(5) {
+				case 0:
+					v = Unknown()
+				case 1:
+					v.Unk = rng.Uint64()
+					v.Val &^= v.Unk
+				}
+				cone.Force(l, v)
+				fresh[l] = v
+			}
+			want := CompileCone(nl, roots, fresh).Eval()
+			for i, v := range cone.Eval() {
+				if v != want[i] {
+					t.Fatalf("trial %d round %d root %d: re-forced %+v, fresh %+v",
+						trial, round, roots[i], v, want[i])
+				}
 			}
 		}
 	}

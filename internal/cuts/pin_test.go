@@ -197,16 +197,13 @@ func checkCutForced(t *testing.T, n *netlist.Netlist, root netlist.ID, c Cut) {
 			case netlist.Input, netlist.Latch:
 				t.Fatalf("cut %v of node %d does not cut boundary node %d", c.Leaves, root, id)
 			}
-			in := make([]bool, len(node.Fanin))
+			in := make([]uint64, len(node.Fanin))
 			for j, f := range node.Fanin {
-				in[j] = eval(f)
+				if eval(f) {
+					in[j] = 1
+				}
 			}
-			var v bool
-			if node.Kind == netlist.Lut {
-				v = netlist.EvalLut(node.Mask, in)
-			} else {
-				v = netlist.EvalKind(node.Kind, in)
-			}
+			v := netlist.EvalWord(node.Kind, node.Mask, in)&1 == 1
 			vals[id] = v
 			return v
 		}

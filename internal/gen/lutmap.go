@@ -24,21 +24,18 @@ package gen
 
 import (
 	"netlistre/internal/netlist"
+	"netlistre/internal/truth"
 )
 
-// gateMask tabulates EvalKind over all 2^k fanin rows.
+// gateMask tabulates gate kind k over all 2^n fanin rows in one word pass:
+// fanin i carries the projection pattern of variable i, so lane r evaluates
+// row r.
 func gateMask(k netlist.Kind, n int) uint64 {
-	var mask uint64
-	in := make([]bool, n)
-	for row := 0; row < 1<<uint(n); row++ {
-		for i := range in {
-			in[i] = row>>uint(i)&1 == 1
-		}
-		if netlist.EvalKind(k, in) {
-			mask |= 1 << uint(row)
-		}
+	in := make([]uint64, n)
+	for i := range in {
+		in[i] = truth.Var(i, truth.MaxVars).Bits
 	}
-	return mask
+	return netlist.EvalWord(k, 0, in) & truth.Mask(n)
 }
 
 // baseOp returns the non-inverting reduction op for a gate kind.

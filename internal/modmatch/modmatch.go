@@ -411,12 +411,12 @@ const simRefuteRounds = 8
 // simRefute decides ∃Y ∀X . outs(X,Y) == refOuts(X) negatively by
 // bit-parallel simulation when it can: the 2^|Y| side-input assignments are
 // spread across the 64 lanes of one word (lane L carries Y = L's bits, and
-// an independent random X draw), so one RunCone tests every side-input
-// setting at once. A lane mismatch refutes its Y assignment; when every
-// assignment has been refuted, the QBF instance is provably UNSAT and the
-// solver call is skipped. A true result is always sound — each Y has a
-// concrete X witnessing outs != refOuts — and unknown lanes (reachable
-// stray inputs outside X and Y) never count as mismatches.
+// an independent random X draw), so one evaluation of the cone, compiled
+// once, tests every side-input setting at once. A lane mismatch refutes its
+// Y assignment; when every assignment has been refuted, the QBF instance is
+// provably UNSAT and the solver call is skipped. A true result is always
+// sound — each Y has a concrete X witnessing outs != refOuts — and unknown
+// lanes (reachable stray inputs outside X and Y) never count as mismatches.
 func simRefute(region *netlist.Netlist, outs, refOuts, forall, exists []netlist.ID, rng *rand.Rand) bool {
 	nY := len(exists)
 	if nY > truth.MaxVars {
@@ -424,22 +424,23 @@ func simRefute(region *netlist.Netlist, outs, refOuts, forall, exists []netlist.
 	}
 	lanes := 1 << uint(nY)
 	full := truth.Mask(nY)
-	assign := make(map[netlist.ID]bitsim.Vector, nY+len(forall))
+	assign := make(map[netlist.ID]bitsim.Vector, nY)
 	for i, y := range exists {
 		assign[y] = bitsim.Known(truth.Var(i, truth.MaxVars).Bits)
 	}
 	roots := make([]netlist.ID, 0, len(outs)+len(refOuts))
 	roots = append(roots, outs...)
 	roots = append(roots, refOuts...)
+	cone := bitsim.CompileCone(region, roots, assign)
 	var refuted uint64
 	for round := 0; round < simRefuteRounds && refuted != full; round++ {
 		for _, x := range forall {
-			assign[x] = bitsim.Known(rng.Uint64())
+			cone.Force(x, bitsim.Known(rng.Uint64()))
 		}
-		vals := bitsim.RunCone(region, roots, assign)
+		vals := cone.Eval()
 		var diff uint64
 		for i := range outs {
-			a, b := vals[outs[i]], vals[refOuts[i]]
+			a, b := vals[i], vals[len(outs)+i]
 			diff |= (a.Val ^ b.Val) &^ (a.Unk | b.Unk)
 		}
 		// Lanes repeat the Y assignments with period 2^nY; fold so a

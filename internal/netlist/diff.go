@@ -953,53 +953,29 @@ func (d *differ) simKey(suspectSide bool, id ID) string {
 // stimuli without any coordination.
 func simSignatures(nl *Netlist) []string {
 	n := nl.Len()
-	vals := make([]uint64, n)
+	sim := nl.newWordSim()
 	sigs := make([][]byte, n)
-	order := nl.TopoOrder()
-	latches := nl.Latches()
-
-	streams := make([]*simRand, n)
-	for _, id := range nl.Inputs() {
-		streams[id] = newSimRand(nl.NameOf(id))
+	inputs := nl.Inputs()
+	streams := make([]*simRand, len(inputs))
+	for i, id := range inputs {
+		streams[i] = newSimRand(nl.NameOf(id))
 	}
 
 	var scratch [8]byte
-	record := func() {
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(scratch[:], vals[i])
+	record := func(vals []uint64) {
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(scratch[:], v)
 			sigs[i] = append(sigs[i], scratch[:]...)
 		}
 	}
 
 	for batch := 0; batch < simBatches; batch++ {
-		for i := range vals {
-			vals[i] = 0
-		}
+		clear(sim.vals)
 		for cycle := 0; cycle < simCycles; cycle++ {
-			for _, id := range order {
-				node := nl.Node(id)
-				switch node.Kind {
-				case Input:
-					vals[id] = streams[id].next()
-				case Latch:
-					// State: holds the value loaded at the end of the
-					// previous cycle.
-				case Const0:
-					vals[id] = 0
-				case Const1:
-					vals[id] = ^uint64(0)
-				case Lut:
-					vals[id] = evalLutWord(node, vals)
-				default:
-					vals[id] = evalGateWord(node, vals)
-				}
+			for i, id := range inputs {
+				sim.vals[id] = streams[i].next()
 			}
-			record()
-			for _, l := range latches {
-				if dIn := nl.Node(l).Fanin[0]; dIn != Nil {
-					vals[l] = vals[dIn]
-				}
-			}
+			sim.step(record)
 		}
 	}
 
@@ -1009,57 +985,6 @@ func simSignatures(nl *Netlist) []string {
 		out[i] = string(sum[:])
 	}
 	return out
-}
-
-// evalGateWord evaluates one primitive gate over 64 parallel runs.
-func evalGateWord(node *Node, vals []uint64) uint64 {
-	var v uint64
-	switch node.Kind {
-	case And, Nand:
-		v = ^uint64(0)
-		for _, f := range node.Fanin {
-			v &= vals[f]
-		}
-		if node.Kind == Nand {
-			v = ^v
-		}
-	case Or, Nor:
-		for _, f := range node.Fanin {
-			v |= vals[f]
-		}
-		if node.Kind == Nor {
-			v = ^v
-		}
-	case Xor, Xnor:
-		for _, f := range node.Fanin {
-			v ^= vals[f]
-		}
-		if node.Kind == Xnor {
-			v = ^v
-		}
-	case Not:
-		v = ^vals[node.Fanin[0]]
-	case Buf:
-		v = vals[node.Fanin[0]]
-	}
-	return v
-}
-
-// evalLutWord evaluates a Lut node lane by lane.
-func evalLutWord(node *Node, vals []uint64) uint64 {
-	var v uint64
-	for lane := 0; lane < 64; lane++ {
-		row := 0
-		for j, f := range node.Fanin {
-			if vals[f]>>uint(lane)&1 == 1 {
-				row |= 1 << uint(j)
-			}
-		}
-		if node.Mask>>uint(row)&1 == 1 {
-			v |= 1 << uint(lane)
-		}
-	}
-	return v
 }
 
 // simRand is a tiny deterministic PRNG (splitmix64) seeded from a string,

@@ -1,65 +1,152 @@
 package netlist
 
-// This file implements concrete Boolean evaluation of a netlist: pure
-// combinational evaluation given values for inputs and latches, and a
-// single-clock sequential step function. These are used by tests (to verify
-// that generated circuits and simplifications behave correctly) and by the
-// dynamic parts of the benchmark harness.
+// This file holds the repository's two-valued simulator. EvalWord is the
+// gate/LUT kernel: each uint64 carries a signal's value in 64 independent
+// runs, a gate folds its fanin words with one word operation per fanin, and
+// a LUT cell is the Shannon expansion of its mask with word multiplexers.
+// wordSim applies the kernel to a whole netlist: settle evaluates the
+// combinational logic in topological order and step adds the latch update
+// of one clock cycle. Eval and Step (and through them the dynamic trace
+// recorder), the differential matcher's simulation signatures and the LUT
+// mapper's mask tabulation all run on it.
 
-// EvalKind computes the output of a gate of the given kind over the fanin
-// values. It panics for non-combinational kinds.
-func EvalKind(k Kind, in []bool) bool {
+// EvalWord evaluates one combinational node of kind k over 64 lanes: in
+// holds the fanin words, and mask is the truth table of a Lut (row r of the
+// table is the fanin assignment with in[i] = bit i of r). It panics for
+// non-combinational kinds.
+func EvalWord(k Kind, mask uint64, in []uint64) uint64 {
 	switch k {
 	case Const0:
-		return false
+		return 0
 	case Const1:
-		return true
+		return ^uint64(0)
+	case Not:
+		return ^in[0]
+	case Buf:
+		return in[0]
 	case And, Nand:
-		v := true
-		for _, b := range in {
-			v = v && b
+		v := ^uint64(0)
+		for _, w := range in {
+			v &= w
 		}
 		if k == Nand {
-			return !v
+			v = ^v
 		}
 		return v
 	case Or, Nor:
-		v := false
-		for _, b := range in {
-			v = v || b
+		var v uint64
+		for _, w := range in {
+			v |= w
 		}
 		if k == Nor {
-			return !v
+			v = ^v
 		}
 		return v
 	case Xor, Xnor:
-		v := false
-		for _, b := range in {
-			v = v != b
+		var v uint64
+		for _, w := range in {
+			v ^= w
 		}
 		if k == Xnor {
-			return !v
+			v = ^v
 		}
 		return v
-	case Not:
-		return !in[0]
-	case Buf:
-		return in[0]
+	case Lut:
+		return lutWord(mask, in)
 	}
-	panic("netlist: EvalKind on non-combinational kind " + k.String())
+	panic("netlist: EvalWord on non-combinational kind " + k.String())
 }
 
-// EvalLut computes the output of a Lut node with the given packed mask over
-// the fanin values: it indexes the mask by the row encoded by in, with in[0]
-// the least significant variable.
-func EvalLut(mask uint64, in []bool) bool {
-	row := 0
-	for i, b := range in {
-		if b {
-			row |= 1 << uint(i)
+// lutWord is the Shannon expansion of mask over the variables in: the
+// cofactors for the last variable 0 and 1 are expanded over the others and
+// selected lane by lane with one word mux.
+func lutWord(mask uint64, in []uint64) uint64 {
+	j := len(in)
+	if j == 0 {
+		return -(mask & 1)
+	}
+	lo := lutWord(mask, in[:j-1])
+	hi := lutWord(mask>>(uint(1)<<uint(j-1)), in[:j-1])
+	s := in[j-1]
+	return s&hi | ^s&lo
+}
+
+// wordSim simulates a netlist on 64 lanes, one word per node.
+type wordSim struct {
+	nl      *Netlist
+	order   []ID // TopoOrder
+	latches []ID
+	vals    []uint64 // indexed by node ID
+	next    []uint64 // the latches' D words, parallel to latches
+	buf     []uint64
+}
+
+func (n *Netlist) newWordSim() *wordSim {
+	latches := n.Latches()
+	return &wordSim{
+		nl:      n,
+		order:   n.TopoOrder(),
+		latches: latches,
+		vals:    make([]uint64, len(n.nodes)),
+		next:    make([]uint64, len(latches)),
+	}
+}
+
+// load sets every input and latch that m names to its value in all lanes.
+// Entries for other nodes are ignored.
+func (s *wordSim) load(m map[ID]bool) {
+	for id, v := range m {
+		if id >= 0 && int(id) < len(s.vals) && s.nl.nodes[id].Kind.IsConeInput() {
+			s.vals[id] = 0
+			if v {
+				s.vals[id] = ^uint64(0)
+			}
 		}
 	}
-	return mask>>uint(row)&1 == 1
+}
+
+// settle evaluates every combinational node in topological order; inputs
+// and latches keep the words s.vals already holds.
+func (s *wordSim) settle() {
+	for _, id := range s.order {
+		node := &s.nl.nodes[id]
+		if node.Kind.IsConeInput() {
+			continue
+		}
+		s.buf = s.buf[:0]
+		for _, f := range node.Fanin {
+			s.buf = append(s.buf, s.vals[f])
+		}
+		s.vals[id] = EvalWord(node.Kind, node.Mask, s.buf)
+	}
+}
+
+// step runs one clock cycle: it settles the combinational logic, hands the
+// settled words to observe, and then loads every latch with the word its D
+// input settled to, all latches at once. A latch whose D is still Nil (the
+// parsers create such placeholders before the D net is known) holds its
+// value.
+func (s *wordSim) step(observe func(vals []uint64)) {
+	s.settle()
+	observe(s.vals)
+	for i, l := range s.latches {
+		s.next[i] = s.vals[l]
+		if d := s.nl.nodes[l].Fanin[0]; d != Nil {
+			s.next[i] = s.vals[d]
+		}
+	}
+	for i, l := range s.latches {
+		s.vals[l] = s.next[i]
+	}
+}
+
+// lane0 returns lane 0 of every node's word.
+func (s *wordSim) lane0() []bool {
+	out := make([]bool, len(s.vals))
+	for id, w := range s.vals {
+		out[id] = w&1 == 1
+	}
+	return out
 }
 
 // Eval computes the value of every node given an assignment to the boundary
@@ -67,31 +154,10 @@ func EvalLut(mask uint64, in []bool) bool {
 // missing entries default to false. The returned slice is indexed by node
 // ID.
 func (n *Netlist) Eval(boundary map[ID]bool) []bool {
-	vals := make([]bool, len(n.nodes))
-	order := n.TopoOrder()
-	var buf []bool
-	for _, id := range order {
-		node := &n.nodes[id]
-		switch {
-		case node.Kind == Input || node.Kind == Latch:
-			vals[id] = boundary[id]
-		case node.Kind == Const1:
-			vals[id] = true
-		case node.Kind == Const0:
-			vals[id] = false
-		default:
-			buf = buf[:0]
-			for _, f := range node.Fanin {
-				buf = append(buf, vals[f])
-			}
-			if node.Kind == Lut {
-				vals[id] = EvalLut(node.Mask, buf)
-			} else {
-				vals[id] = EvalKind(node.Kind, buf)
-			}
-		}
-	}
-	return vals
+	s := n.newWordSim()
+	s.load(boundary)
+	s.settle()
+	return s.lane0()
 }
 
 // State holds the latch values of a netlist between sequential steps.
@@ -102,18 +168,16 @@ func (n *Netlist) NewState() State { return make(State) }
 
 // Step performs one clock cycle: it evaluates the combinational logic under
 // the current state and input assignment, returns the node values, and
-// advances every latch to the value of its D input.
+// advances every latch to the value of its D input. A latch whose D input
+// is still unset holds its value.
 func (n *Netlist) Step(st State, inputs map[ID]bool) []bool {
-	boundary := make(map[ID]bool, len(st)+len(inputs))
-	for id, v := range st {
-		boundary[id] = v
-	}
-	for id, v := range inputs {
-		boundary[id] = v
-	}
-	vals := n.Eval(boundary)
-	for _, l := range n.Latches() {
-		st[l] = vals[n.nodes[l].Fanin[0]]
+	s := n.newWordSim()
+	s.load(st)
+	s.load(inputs)
+	var vals []bool
+	s.step(func([]uint64) { vals = s.lane0() })
+	for _, l := range s.latches {
+		st[l] = s.vals[l]&1 == 1
 	}
 	return vals
 }

@@ -5,48 +5,48 @@ import (
 	"testing"
 )
 
-// sopEval computes a mask's function the way the gate alphabet would: the
-// OR (via EvalKind) of the minterm ANDs (via EvalKind over literal values)
-// the mask selects. It shares no code with EvalLut, so agreement between
-// the two is a real cross-check, not a tautology.
+// sopEval computes a mask's function as a sum of products: the OR of the
+// minterms the mask selects, each the AND of its literals. It is plain
+// Boolean code sharing nothing with EvalWord, so agreement between the two
+// is a real cross-check, not a tautology.
 func sopEval(mask uint64, in []bool) bool {
-	n := len(in)
-	var minterms []bool
-	for row := 0; row < 1<<uint(n); row++ {
+	for row := 0; row < 1<<uint(len(in)); row++ {
 		if mask>>uint(row)&1 == 0 {
 			continue
 		}
-		lits := make([]bool, n)
-		for i := 0; i < n; i++ {
-			v := in[i]
-			if row>>uint(i)&1 == 0 {
-				v = EvalKind(Not, []bool{v})
-			}
-			lits[i] = v
+		minterm := true
+		for i, v := range in {
+			minterm = minterm && v == (row>>uint(i)&1 == 1)
 		}
-		minterms = append(minterms, EvalKind(And, lits))
+		if minterm {
+			return true
+		}
 	}
-	if len(minterms) == 0 {
-		return false
-	}
-	return EvalKind(Or, minterms)
+	return false
 }
 
-// TestLutEvalExhaustive4 checks EvalLut against the EvalKind-composed
-// sum-of-products reference for every 4-input mask and every input row:
-// 2^16 functions x 16 rows, the full 4-variable Boolean space.
+// TestLutEvalExhaustive4 checks the word kernel's LUT evaluation against
+// the sum-of-products reference for every 4-input mask and every input row
+// (2^16 functions x 16 rows, the full 4-variable Boolean space), with each
+// lane of one EvalWord call holding a different row.
 func TestLutEvalExhaustive4(t *testing.T) {
+	var words [4]uint64
+	for lane := 0; lane < 64; lane++ {
+		for i := range words {
+			words[i] |= uint64(lane>>uint(i)&1) << uint(lane)
+		}
+	}
 	in := make([]bool, 4)
 	for mask := 0; mask < 1<<16; mask++ {
-		for row := 0; row < 16; row++ {
+		got := EvalWord(Lut, uint64(mask), words[:])
+		for lane := 0; lane < 64; lane++ {
 			for i := range in {
-				in[i] = row>>uint(i)&1 == 1
+				in[i] = words[i]>>uint(lane)&1 == 1
 			}
-			got := EvalLut(uint64(mask), in)
 			want := sopEval(uint64(mask), in)
-			if got != want {
-				t.Fatalf("mask %#04x row %d: EvalLut=%v, SOP reference=%v",
-					mask, row, got, want)
+			if got>>uint(lane)&1 == 1 != want {
+				t.Fatalf("mask %#04x lane %d: EvalWord=%v, SOP reference=%v",
+					mask, lane, !want, want)
 			}
 		}
 	}

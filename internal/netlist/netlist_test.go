@@ -342,22 +342,22 @@ func TestVerilogWriterOutput(t *testing.T) {
 	}
 }
 
-func TestEvalKindProperty(t *testing.T) {
+func TestEvalWordProperty(t *testing.T) {
 	// Property: De Morgan duality between And/Nand and Or/Nor under input
-	// inversion.
-	f := func(a, b, c bool) bool {
-		in := []bool{a, b, c}
-		ninv := []bool{!a, !b, !c}
-		if EvalKind(Nand, in) != !EvalKind(And, in) {
+	// inversion, lane by lane over 64 random lanes.
+	f := func(a, b, c uint64) bool {
+		in := []uint64{a, b, c}
+		ninv := []uint64{^a, ^b, ^c}
+		if EvalWord(Nand, 0, in) != ^EvalWord(And, 0, in) {
 			return false
 		}
-		if EvalKind(Nor, in) != !EvalKind(Or, in) {
+		if EvalWord(Nor, 0, in) != ^EvalWord(Or, 0, in) {
 			return false
 		}
-		if EvalKind(And, in) != !EvalKind(Or, ninv) {
+		if EvalWord(And, 0, in) != ^EvalWord(Or, 0, ninv) {
 			return false
 		}
-		return EvalKind(Xnor, in) == !EvalKind(Xor, in)
+		return EvalWord(Xnor, 0, in) == ^EvalWord(Xor, 0, in)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -12,6 +12,7 @@ package rtl
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -186,11 +187,12 @@ func bitsimCompare(orig, elab *netlist.Netlist, er *EmitResult, res *EquivResult
 	if exhaustive {
 		rounds = (1<<uint(nVars) + bitsim.Lanes - 1) / bitsim.Lanes
 	}
+	// Every var is an input or latch, so a leaf of both cones already.
+	oCone := bitsim.CompileCone(orig, oRoots, nil)
+	eCone := bitsim.CompileCone(elab, eRoots, nil)
 	rng := rand.New(rand.NewSource(1))
 	bad := map[string]bool{}
 	for round := 0; round < rounds; round++ {
-		oAssign := make(map[netlist.ID]bitsim.Vector, nVars)
-		eAssign := make(map[netlist.ID]bitsim.Vector, nVars)
 		var mask uint64 = ^uint64(0)
 		if exhaustive {
 			base := round * bitsim.Lanes
@@ -199,35 +201,34 @@ func bitsimCompare(orig, elab *netlist.Netlist, er *EmitResult, res *EquivResult
 				mask = 1<<uint(rem) - 1
 			}
 			for vi, vp := range vars {
-				var bits uint64
+				var w uint64
 				for lane := 0; lane < bitsim.Lanes && base+lane < total; lane++ {
 					if (base+lane)>>uint(vi)&1 == 1 {
-						bits |= 1 << uint(lane)
+						w |= 1 << uint(lane)
 					}
 				}
-				oAssign[vp.o] = bitsim.Known(bits)
-				eAssign[vp.e] = bitsim.Known(bits)
+				oCone.Force(vp.o, bitsim.Known(w))
+				eCone.Force(vp.e, bitsim.Known(w))
 			}
 		} else {
 			for _, vp := range vars {
 				v := rng.Uint64()
-				oAssign[vp.o] = bitsim.Known(v)
-				eAssign[vp.e] = bitsim.Known(v)
+				oCone.Force(vp.o, bitsim.Known(v))
+				eCone.Force(vp.e, bitsim.Known(v))
 			}
 		}
-		oRes := bitsim.RunCone(orig, oRoots, oAssign)
-		eRes := bitsim.RunCone(elab, eRoots, eAssign)
-		for _, pr := range pairs {
+		oRes, eRes := oCone.Eval(), eCone.Eval()
+		for i, pr := range pairs {
 			if bad[pr.label] {
 				continue
 			}
-			vo, ve := oRes[pr.o], eRes[pr.e]
+			vo, ve := oRes[i], eRes[i]
 			if (vo.Val^ve.Val)&mask&^vo.Unk&^ve.Unk != 0 || (vo.Unk^ve.Unk)&mask != 0 {
 				bad[pr.label] = true
 				fail("%s differs under simulation", pr.label)
 			}
 		}
-		res.Patterns += popcountMask(mask)
+		res.Patterns += bits.OnesCount64(mask)
 	}
 
 	// Exhaustive small-cone comparison: for every compared signal whose
@@ -236,7 +237,7 @@ func bitsimCompare(orig, elab *netlist.Netlist, er *EmitResult, res *EquivResult
 		if bad[pr.label] {
 			continue
 		}
-		leaves := coneInputs(orig, pr.o)
+		leaves := orig.ConeOf(pr.o).Inputs
 		if len(leaves) > truth.MaxVars {
 			continue
 		}
@@ -268,34 +269,4 @@ func bitsimCompare(orig, elab *netlist.Netlist, er *EmitResult, res *EquivResult
 	}
 
 	res.Equivalent = len(res.Mismatches) == 0
-}
-
-// coneInputs returns the distinct cone inputs (primary inputs and latch
-// outputs) feeding root.
-func coneInputs(nl *netlist.Netlist, root netlist.ID) []netlist.ID {
-	seen := map[netlist.ID]bool{}
-	var out []netlist.ID
-	stack := []netlist.ID{root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		if nl.Kind(id).IsConeInput() {
-			out = append(out, id)
-			continue
-		}
-		stack = append(stack, nl.Fanin(id)...)
-	}
-	return out
-}
-
-func popcountMask(m uint64) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
 }

@@ -417,9 +417,12 @@ func exactFunc(nl *netlist.Netlist, root netlist.ID, leaves []netlist.ID, f func
 		return false
 	}
 	total := 1 << uint(k)
-	roots := []netlist.ID{root}
+	assign := make(map[netlist.ID]bitsim.Vector, k)
+	for _, l := range leaves {
+		assign[l] = bitsim.Unknown()
+	}
+	cone := bitsim.CompileCone(nl, []netlist.ID{root}, assign)
 	for base := 0; base < total; base += bitsim.Lanes {
-		assign := make(map[netlist.ID]bitsim.Vector, k)
 		for li, l := range leaves {
 			var bitsv uint64
 			for lane := 0; lane < bitsim.Lanes && base+lane < total; lane++ {
@@ -427,9 +430,9 @@ func exactFunc(nl *netlist.Netlist, root netlist.ID, leaves []netlist.ID, f func
 					bitsv |= 1 << uint(lane)
 				}
 			}
-			assign[l] = bitsim.Known(bitsv)
+			cone.Force(l, bitsim.Known(bitsv))
 		}
-		v := bitsim.RunCone(nl, roots, assign)[root]
+		v := cone.Eval()[0]
 		for lane := 0; lane < bitsim.Lanes && base+lane < total; lane++ {
 			if v.Unk>>uint(lane)&1 == 1 {
 				return false

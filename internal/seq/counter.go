@@ -87,14 +87,14 @@ func bestVerifiedSubchain(nl *netlist.Netlist, chain []netlist.ID, down bool, mi
 
 // counterWitness refutes counter subchains of one LCG chain by concrete
 // simulation. The fan-in cone of the chain's D inputs is compiled once, with
-// every cone input forced to 64 pseudo-random lanes, so each evaluation is
-// plain two-valued simulation of 64 assignments (no lane is X, so the pair
-// encoding's collapse never fires). A cofactor is the D input of one chain
-// latch with a cube of chain latches forced to constants. Cofactors are
-// memoized, since subchains and directions share them.
+// every cone input assigned 64 pseudo-random lanes, so each independent-lane
+// evaluation is plain two-valued simulation of 64 assignments: no lane is
+// ever X. A cofactor is the D input of one chain latch with a cube of chain
+// latches forced to constants. Cofactors are memoized, since subchains and
+// directions share them.
 type counterWitness struct {
 	chain []netlist.ID
-	cone  *bitsim.PairCone
+	cone  *bitsim.Cone
 	memo  map[cofactorKey]uint64
 }
 
@@ -121,7 +121,7 @@ func newCounterWitness(nl *netlist.Netlist, chain []netlist.ID) *counterWitness 
 	}
 	return &counterWitness{
 		chain: chain,
-		cone:  bitsim.CompilePairCone(nl, roots, assign),
+		cone:  bitsim.CompileCone(nl, roots, assign),
 		memo:  make(map[cofactorKey]uint64),
 	}
 }

@@ -313,18 +313,16 @@ func simRefuteClass(nl *netlist.Netlist, c Class) bool {
 		groupAlive[gi] = [2]bool{true, true}
 	}
 	outVal := make([]uint64, nOut)
-	assign := make(map[netlist.ID]bitsim.Vector, len(c.Support))
+	cone := bitsim.CompileCone(nl, c.Outputs, nil) // the support is cone inputs
 	rng := rand.New(rand.NewSource(0xdec0de ^ int64(c.Outputs[0])<<16 ^ int64(len(c.Support))))
 	for round := 0; round < simRefuteRounds; round++ {
 		var parity uint64
 		for _, s := range c.Support {
 			v := rng.Uint64()
-			assign[s] = bitsim.Known(v)
+			cone.Force(s, bitsim.Known(v))
 			parity ^= v
 		}
-		vals := bitsim.RunCone(nl, c.Outputs, assign)
-		for i, o := range c.Outputs {
-			v := vals[o]
+		for i, v := range cone.Eval() {
 			if v.Unk != 0 {
 				return false // cone read something outside Support; let the BDDs decide
 			}

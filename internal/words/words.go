@@ -283,7 +283,7 @@ func controlWires(nl *netlist.Netlist, src, tgt Word) []netlist.ID {
 // (cutting them loose from their own logic, as in the paper's local-netlist
 // simulation); combinations of up to MaxControls control wires are swept
 // over all binary values; all other boundary signals are X. The targets'
-// fan-in cone is compiled once and each Eval checks bitsim.Pairs control
+// fan-in cone is compiled once and each EvalPairs checks bitsim.Pairs control
 // assignments, one per lane pair. The first success in enumeration order
 // wins, so the result is the one a one-at-a-time sweep would return.
 func checkPropagation(nl *netlist.Netlist, src, tgt Word, opt Options, backward bool) (Propagation, bool) {
@@ -292,7 +292,7 @@ func checkPropagation(nl *netlist.Netlist, src, tgt Word, opt Options, backward 
 	for _, b := range src.Bits {
 		assign[b] = bitsim.PairD()
 	}
-	cone := bitsim.CompilePairCone(nl, tgt.Bits, assign)
+	cone := bitsim.CompileCone(nl, tgt.Bits, assign)
 	force := make([]bitsim.Vector, len(wires))
 	var batch [bitsim.Pairs]assignment
 	it := assignment{mask: -1}
@@ -324,7 +324,7 @@ func checkPropagation(nl *netlist.Netlist, src, tgt Word, opt Options, backward 
 		for j, w := range wires {
 			cone.Force(w, force[j])
 		}
-		vals := cone.Eval()
+		vals := cone.EvalPairs()
 		ok := uint64(1)<<uint(2*n) - 1
 		for _, v := range vals {
 			ok &= v.SymbolicPairs()
