@@ -3,12 +3,15 @@
 // against a reference library.
 //
 // For each candidate output word the combinational region back to other
-// words is carved out; any remaining cone inputs become side inputs Y. A
-// reference implementation of each library operation is instantiated over
-// the candidate's input words (in a scratch clone of the netlist, so the
-// original is untouched), and the 2QBF question ∃Y ∀X . C(X,Y) == C'(X) is
-// decided with the CEGAR solver. A match identifies both the operation and
-// the side-input setting that selects it (e.g. the add/sub mode bit).
+// words is carved out into a standalone netlist (so the original is
+// untouched); any remaining cone inputs become side inputs Y. Each library
+// operation first meets a bit-parallel simulation refuter, which compares
+// the candidate's region, compiled once per candidate, with a reference
+// compiled once per (operation, width). Only a reference that survives is
+// built into the region over the candidate's input words, and the 2QBF
+// question ∃Y ∀X . C(X,Y) == C'(X) is decided with the CEGAR solver. A
+// match identifies both the operation and the side-input setting that
+// selects it (e.g. the add/sub mode bit).
 // The candidate bounds are constants: output words of 4 to 16 bits, at
 // most 6 side inputs, and rotations by up to 4 bits in the library.
 package modmatch
@@ -16,8 +19,9 @@ package modmatch
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -90,11 +94,12 @@ func Match(ctx context.Context, nl *netlist.Netlist, wordSet []words.Word, opt O
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				refs := refCache{}
 				for i := range next {
 					if canceled() {
 						continue // drain remaining indices without work
 					}
-					results[i] = matchCandidate(ctx, nl, cands[i], opt)
+					results[i] = matchCandidate(ctx, nl, cands[i], opt, refs)
 				}
 			}()
 		}
@@ -104,11 +109,12 @@ func Match(ctx context.Context, nl *netlist.Netlist, wordSet []words.Word, opt O
 		close(next)
 		wg.Wait()
 	} else {
+		refs := refCache{}
 		for i := range cands {
 			if canceled() {
 				break
 			}
-			results[i] = matchCandidate(ctx, nl, cands[i], opt)
+			results[i] = matchCandidate(ctx, nl, cands[i], opt, refs)
 		}
 	}
 
@@ -261,13 +267,18 @@ func carve(nl *netlist.Netlist, wordSet []words.Word, wordOf map[netlist.ID][]in
 	return Candidate{Out: w, Inputs: inputWords, Side: side, Gates: gates}, true
 }
 
-// refBuilder instantiates a reference operation over the candidate's input
-// words in a scratch netlist, returning the reference output bits.
+// refBuilder instantiates a reference operation over operand words a and b
+// (b is nil for unary operations) in nl, returning the reference output
+// bits. build is the one definition of each operation: both the compiled
+// references of the refuter and the QBF instances are built with it.
 type refBuilder struct {
 	name  string
 	arity int
 	build func(nl *netlist.Netlist, a, b []netlist.ID) []netlist.ID
 }
+
+// library is the reference library, in the order operations are tried.
+var library = referenceLibrary()
 
 func referenceLibrary() []refBuilder {
 	lib := []refBuilder{
@@ -404,80 +415,171 @@ func extractRegion(nl *netlist.Netlist, cand Candidate) (*netlist.Netlist, map[n
 	return sub, m
 }
 
-// simRefuteRounds bounds the random input batches simRefute tries before
+// refKey names a compiled reference: an index into library and a width.
+type refKey struct{ op, width int }
+
+// reference is a library operation built once, with its refBuilder, into a
+// standalone netlist over fresh operand inputs a and b, and compiled for
+// simulation. It is evaluated by forcing a and b.
+type reference struct {
+	a, b []netlist.ID
+	cone *bitsim.Cone
+}
+
+// refCache holds the references one matching worker compiled. A reference
+// depends only on its operation and width, so every candidate of that
+// width shares it; cones are mutable, so each worker owns its cache.
+type refCache map[refKey]*reference
+
+func (c refCache) get(op, width int) *reference {
+	k := refKey{op, width}
+	if r, ok := c[k]; ok {
+		return r
+	}
+	ref := library[op]
+	nl := netlist.New(ref.name)
+	r := &reference{a: make([]netlist.ID, width)}
+	for i := range r.a {
+		r.a[i] = nl.AddInput(fmt.Sprintf("a%d", i))
+	}
+	if ref.arity == 2 {
+		r.b = make([]netlist.ID, width)
+		for i := range r.b {
+			r.b[i] = nl.AddInput(fmt.Sprintf("b%d", i))
+		}
+	}
+	r.cone = bitsim.CompileCone(nl, ref.build(nl, r.a, r.b), nil)
+	c[k] = r
+	return r
+}
+
+// simRefuteRounds bounds the random input batches the refuter tries before
 // handing the instance to the QBF solver.
 const simRefuteRounds = 8
 
-// simRefute decides ∃Y ∀X . outs(X,Y) == refOuts(X) negatively by
-// bit-parallel simulation when it can: the 2^|Y| side-input assignments are
-// spread across the 64 lanes of one word (lane L carries Y = L's bits, and
-// an independent random X draw), so one evaluation of the cone, compiled
-// once, tests every side-input setting at once. A lane mismatch refutes its
-// Y assignment; when every assignment has been refuted, the QBF instance is
-// provably UNSAT and the solver call is skipped. A true result is always
-// sound — each Y has a concrete X witnessing outs != refOuts — and unknown
-// lanes (reachable stray inputs outside X and Y) never count as mismatches.
-func simRefute(region *netlist.Netlist, outs, refOuts, forall, exists []netlist.ID, rng *rand.Rand) bool {
+// candidateSim refutes ∃Y ∀X . outs(X,Y) == ref(X) by bit-parallel
+// simulation when it can. The 2^|Y| side-input assignments are spread
+// across the 64 lanes of one word (lane L carries Y = L's bits, and an
+// independent random X draw), so one evaluation of the candidate's output
+// cone, compiled once over its region, tests every side-input setting at
+// once. The X rounds are drawn lazily, once per candidate, and the
+// candidate's outputs for each round are kept, so every library operation
+// and operand order is tested against the same rounds by evaluating only
+// its compiled reference. A lane mismatch refutes its Y assignment; when
+// every assignment has been refuted, the QBF instance is provably UNSAT and
+// the solver call is skipped. A refutation is always sound — each Y has a
+// concrete X witnessing outs != ref — and unknown lanes (reachable stray
+// inputs outside X and Y) never count as mismatches.
+type candidateSim struct {
+	cone  *bitsim.Cone
+	words [][]netlist.ID // region IDs of each input word's bits
+	lanes int            // 2^|Y|, the period of the Y assignments
+	full  uint64         // one bit per Y assignment
+	rng   *rand.Rand
+	x     [][][]uint64      // per drawn round, per input word, per bit
+	outs  [][]bitsim.Vector // per drawn round, the candidate's outputs
+}
+
+// newCandidateSim compiles the candidate's output cone over its region,
+// with the side inputs holding their lane patterns. It returns nil when the
+// side-input space does not fit the lanes.
+func newCandidateSim(region *netlist.Netlist, words [][]netlist.ID, outs, exists []netlist.ID, rng *rand.Rand) *candidateSim {
 	nY := len(exists)
 	if nY > truth.MaxVars {
-		return false // side-input space does not fit the lanes
+		return nil
 	}
-	lanes := 1 << uint(nY)
-	full := truth.Mask(nY)
 	assign := make(map[netlist.ID]bitsim.Vector, nY)
 	for i, y := range exists {
 		assign[y] = bitsim.Known(truth.Var(i, truth.MaxVars).Bits)
 	}
-	roots := make([]netlist.ID, 0, len(outs)+len(refOuts))
-	roots = append(roots, outs...)
-	roots = append(roots, refOuts...)
-	cone := bitsim.CompileCone(region, roots, assign)
+	return &candidateSim{
+		cone:  bitsim.CompileCone(region, outs, assign),
+		words: words,
+		lanes: 1 << uint(nY),
+		full:  truth.Mask(nY),
+		rng:   rng,
+	}
+}
+
+// round returns round r's X words and the candidate's outputs under them,
+// drawing and evaluating the round on first use. Rounds are requested in
+// order, so r is at most the number drawn so far.
+func (s *candidateSim) round(r int) ([][]uint64, []bitsim.Vector) {
+	if r == len(s.outs) {
+		x := make([][]uint64, len(s.words))
+		for wi, w := range s.words {
+			x[wi] = make([]uint64, len(w))
+			for i, id := range w {
+				x[wi][i] = s.rng.Uint64()
+				s.cone.Force(id, bitsim.Known(x[wi][i]))
+			}
+		}
+		s.x = append(s.x, x)
+		s.outs = append(s.outs, slices.Clone(s.cone.Eval()))
+	}
+	return s.x[r], s.outs[r]
+}
+
+// refutes reports whether simulation proves that no side-input setting
+// makes the candidate compute ref with operands a = input word ord[0] and
+// b = input word ord[1].
+func (s *candidateSim) refutes(ref *reference, ord [2]int) bool {
 	var refuted uint64
-	for round := 0; round < simRefuteRounds && refuted != full; round++ {
-		for _, x := range forall {
-			cone.Force(x, bitsim.Known(rng.Uint64()))
+	for r := 0; r < simRefuteRounds && refuted != s.full; r++ {
+		x, outs := s.round(r)
+		for i, id := range ref.a {
+			ref.cone.Force(id, bitsim.Known(x[ord[0]][i]))
 		}
-		vals := cone.Eval()
+		for i, id := range ref.b {
+			ref.cone.Force(id, bitsim.Known(x[ord[1]][i]))
+		}
+		vals := ref.cone.Eval()
 		var diff uint64
-		for i := range outs {
-			a, b := vals[i], vals[len(outs)+i]
-			diff |= (a.Val ^ b.Val) &^ (a.Unk | b.Unk)
+		for i, o := range outs {
+			diff |= (o.Val ^ vals[i].Val) &^ (o.Unk | vals[i].Unk)
 		}
-		// Lanes repeat the Y assignments with period 2^nY; fold so a
+		// Lanes repeat the Y assignments with period 2^|Y|; fold so a
 		// mismatch anywhere refutes the lane's assignment.
-		for sh := lanes; sh < bitsim.Lanes; sh *= 2 {
+		for sh := s.lanes; sh < bitsim.Lanes; sh *= 2 {
 			diff |= diff >> uint(sh)
 		}
-		refuted |= diff & full
+		refuted |= diff & s.full
 	}
-	return refuted == full
+	return refuted == s.full
 }
 
 // matchCandidate tries every library operation (and both operand orders for
 // the asymmetric ones) against the candidate. Matching happens on the
 // extracted region netlist, so the QBF instances stay small and the
-// quantifier structure is exact.
-func matchCandidate(ctx context.Context, nl *netlist.Netlist, cand Candidate, opt Options) *module.Module {
+// quantifier structure is exact. refs is the calling worker's reference
+// cache.
+func matchCandidate(ctx context.Context, nl *netlist.Netlist, cand Candidate, opt Options, refs refCache) *module.Module {
 	region, rmap := extractRegion(nl, cand)
-	var forall []netlist.ID
-	for _, w := range cand.Inputs {
-		for _, b := range w.Bits {
-			forall = append(forall, rmap[b])
+	regionIDs := func(bits []netlist.ID) []netlist.ID {
+		ids := make([]netlist.ID, len(bits))
+		for i, b := range bits {
+			ids[i] = rmap[b]
 		}
+		return ids
 	}
-	var exists []netlist.ID
-	for _, s := range cand.Side {
-		exists = append(exists, rmap[s])
+	inputs := make([][]netlist.ID, len(cand.Inputs))
+	var forall []netlist.ID
+	for wi, w := range cand.Inputs {
+		inputs[wi] = regionIDs(w.Bits)
+		forall = append(forall, inputs[wi]...)
 	}
-	outs := make([]netlist.ID, len(cand.Out.Bits))
-	for i, b := range cand.Out.Bits {
-		outs[i] = rmap[b]
+	exists := regionIDs(cand.Side)
+	outs := regionIDs(cand.Out.Bits)
+	width := len(cand.Out.Bits)
+	var sim *candidateSim
+	if !opt.disablePrefilter {
+		// Deterministically seeded per candidate; the refuter only skips
+		// provably-false QBF instances, so the seed never changes results.
+		rng := rand.New(rand.NewPCG(0x5eed<<20^uint64(len(cand.Gates))<<8^uint64(cand.Out.Bits[0]), 0))
+		sim = newCandidateSim(region, inputs, outs, exists, rng)
 	}
-	// Deterministically seeded per candidate; the prefilter's outcome only
-	// gates provably-false QBF instances, so the seed never changes results.
-	rng := rand.New(rand.NewSource(0x5eed<<20 ^ int64(len(cand.Gates))<<8 ^ int64(cand.Out.Bits[0])))
 
-	for _, ref := range referenceLibrary() {
+	for op, ref := range library {
 		if ctx != nil && ctx.Err() != nil {
 			return nil
 		}
@@ -492,25 +594,20 @@ func matchCandidate(ctx context.Context, nl *netlist.Netlist, cand Candidate, op
 			orders = [][2]int{{0, 0}}
 		}
 		for _, ord := range orders {
-			var a, b []netlist.ID
-			for _, x := range cand.Inputs[ord[0]].Bits {
-				a = append(a, rmap[x])
-			}
-			if ref.arity == 2 {
-				for _, x := range cand.Inputs[ord[1]].Bits {
-					b = append(b, rmap[x])
-				}
-			}
-			refOuts := ref.build(region, a, b)
-			if !opt.disablePrefilter && simRefute(region, outs, refOuts, forall, exists, rng) {
+			if sim != nil && sim.refutes(refs.get(op, width), ord) {
 				continue // provably no side-input setting works
 			}
+			var b []netlist.ID
+			if ref.arity == 2 {
+				b = inputs[ord[1]]
+			}
+			refOuts := ref.build(region, inputs[ord[0]], b)
 			res := qbf.SolveForallEqualWord(ctx, region, outs, refOuts, forall, exists, 0)
 			if !res.Found {
 				continue
 			}
-			m := module.New(module.WordOp, len(cand.Out.Bits), cand.Gates)
-			m.Name = fmt.Sprintf("%s[%d]", ref.name, len(cand.Out.Bits))
+			m := module.New(module.WordOp, width, cand.Gates)
+			m.Name = fmt.Sprintf("%s[%d]", ref.name, width)
 			m.SetAttr("op", ref.name)
 			m.SetPort("out", cand.Out.Bits)
 			m.SetPort("a", cand.Inputs[ord[0]].Bits)

@@ -1,16 +1,19 @@
 package modmatch
 
 // Differential tests for the bit-parallel QBF prefilter: matching with the
-// prefilter on must produce exactly the modules produced with it off, and
-// the prefilter itself must never refute a satisfiable instance.
+// prefilter on must produce exactly the modules produced with it off, the
+// prefilter itself must never refute a satisfiable instance, and its
+// cached references must compute what the QBF instances build.
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
+	"netlistre/internal/bitsim"
 	"netlistre/internal/gen"
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
@@ -116,48 +119,104 @@ func TestPrefilterDifferential(t *testing.T) {
 }
 
 // TestPrefilterNeverRefutesSAT: for every candidate and every reference
-// instance across the scenario circuits, if the prefilter refutes then the
-// QBF solver must agree the instance is unsatisfiable. This checks the
-// soundness claim directly at the instance level rather than end to end.
+// instance (each operand order included) across the scenario circuits, if
+// the refuter refutes then the QBF solver must agree the instance is
+// unsatisfiable. This checks the soundness claim directly at the instance
+// level rather than end to end.
 func TestPrefilterNeverRefutesSAT(t *testing.T) {
+	refs := refCache{}
+	refuted := 0
 	for name, c := range prefilterCircuits() {
 		for _, cand := range Candidates(c.nl, c.ws, Options{}) {
 			region, rmap := extractRegion(c.nl, cand)
+			ids := func(bits []netlist.ID) []netlist.ID {
+				out := make([]netlist.ID, len(bits))
+				for i, b := range bits {
+					out[i] = rmap[b]
+				}
+				return out
+			}
+			var inputs [][]netlist.ID
 			var forall []netlist.ID
 			for _, w := range cand.Inputs {
-				for _, b := range w.Bits {
-					forall = append(forall, rmap[b])
-				}
+				inputs = append(inputs, ids(w.Bits))
+				forall = append(forall, inputs[len(inputs)-1]...)
 			}
-			var exists []netlist.ID
-			for _, s := range cand.Side {
-				exists = append(exists, rmap[s])
-			}
-			outs := make([]netlist.ID, len(cand.Out.Bits))
-			for i, b := range cand.Out.Bits {
-				outs[i] = rmap[b]
-			}
-			rng := rand.New(rand.NewSource(99))
-			for _, ref := range referenceLibrary() {
+			exists, outs := ids(cand.Side), ids(cand.Out.Bits)
+			sim := newCandidateSim(region, inputs, outs, exists, rand.New(rand.NewPCG(99, 0)))
+			for op, ref := range library {
 				if ref.arity != len(cand.Inputs) {
 					continue
 				}
-				var a, b []netlist.ID
-				for _, x := range cand.Inputs[0].Bits {
-					a = append(a, rmap[x])
+				orders := [][2]int{{0, 1}, {1, 0}}
+				if ref.arity == 1 {
+					orders = [][2]int{{0, 0}}
 				}
-				if ref.arity == 2 {
-					for _, x := range cand.Inputs[1].Bits {
-						b = append(b, rmap[x])
+				for _, ord := range orders {
+					if !sim.refutes(refs.get(op, len(outs)), ord) {
+						continue
+					}
+					refuted++
+					var b []netlist.ID
+					if ref.arity == 2 {
+						b = inputs[ord[1]]
+					}
+					refOuts := ref.build(region, inputs[ord[0]], b)
+					res := qbf.SolveForallEqualWord(context.Background(), region, outs, refOuts, forall, exists, 0)
+					if res.Found {
+						t.Errorf("%s: refuter refuted %s%v but QBF finds a side assignment", name, ref.name, ord)
 					}
 				}
-				refOuts := ref.build(region, a, b)
-				if !simRefute(region, outs, refOuts, forall, exists, rng) {
-					continue
+			}
+		}
+	}
+	if refuted == 0 {
+		t.Fatal("the refuter refuted no instance")
+	}
+}
+
+// TestCachedReferenceMatchesRegion: a cached reference, evaluated by
+// forcing its operands, computes what the same operation built into a
+// region over other inputs computes, for every library operation, widths
+// 4 to 16 and random operands.
+func TestCachedReferenceMatchesRegion(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 0))
+	refs := refCache{}
+	for width := minWidth; width <= maxWidth; width++ {
+		for op, ref := range library {
+			region := netlist.New("region")
+			region.AddInput("side") // offsets the operand IDs
+			var a, b []netlist.ID
+			for i := 0; i < width; i++ {
+				a = append(a, region.AddInput(fmt.Sprintf("w0_%d", i)))
+			}
+			if ref.arity == 2 {
+				for i := 0; i < width; i++ {
+					b = append(b, region.AddInput(fmt.Sprintf("w1_%d", i)))
 				}
-				res := qbf.SolveForallEqualWord(context.Background(), region, outs, refOuts, forall, exists, 0)
-				if res.Found {
-					t.Errorf("%s: prefilter refuted %s but QBF finds a side assignment", name, ref.name)
+			}
+			want := bitsim.CompileCone(region, ref.build(region, a, b), nil)
+			got := refs.get(op, width)
+			if refs.get(op, width) != got {
+				t.Fatalf("%s/%d: cache returned a second reference", ref.name, width)
+			}
+			if len(got.a) != len(a) || len(got.b) != len(b) {
+				t.Fatalf("%s/%d: operands %d+%d, want %d+%d", ref.name, width, len(got.a), len(got.b), len(a), len(b))
+			}
+			for round := 0; round < 4; round++ {
+				for i := range a {
+					x := rng.Uint64()
+					want.Force(a[i], bitsim.Known(x))
+					got.cone.Force(got.a[i], bitsim.Known(x))
+				}
+				for i := range b {
+					x := rng.Uint64()
+					want.Force(b[i], bitsim.Known(x))
+					got.cone.Force(got.b[i], bitsim.Known(x))
+				}
+				w, g := want.Eval(), got.cone.Eval()
+				if !slices.Equal(w, g) {
+					t.Fatalf("%s/%d round %d: cached reference %v, region %v", ref.name, width, round, g, w)
 				}
 			}
 		}

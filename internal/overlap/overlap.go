@@ -8,7 +8,10 @@
 package overlap
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"netlistre/internal/ilp"
@@ -205,16 +208,31 @@ type builder struct {
 	// Per-module variable layout.
 	varOfMod  []int   // x_i for unsliceable modules, x_{i0} for sliceable
 	sliceVars [][]int // x_{ij} per slice, nil for unsliceable
-	// varFor(g, i) resolution table: for each module, element -> variable.
-	elemVar []map[netlist.ID]int
+	// elemVar[i][k] is the variable that covers mods[i].Elements[k].
+	elemVar [][]int
 	size    []int64 // Size(x) per variable
+}
+
+// occurrence pairs an element with a variable or slice index.
+type occurrence struct {
+	g netlist.ID
+	v int
+}
+
+func sortOccurrences(occ []occurrence) {
+	slices.SortFunc(occ, func(a, b occurrence) int {
+		if c := cmp.Compare(a.g, b.g); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.v, b.v)
+	})
 }
 
 func newBuilder(mods []*module.Module, opt Options) *builder {
 	b := &builder{mods: mods, opt: opt, problem: &ilp.Problem{}}
 	b.varOfMod = make([]int, len(mods))
 	b.sliceVars = make([][]int, len(mods))
-	b.elemVar = make([]map[netlist.ID]int, len(mods))
+	b.elemVar = make([][]int, len(mods))
 
 	newVar := func() int {
 		v := b.problem.NumVars
@@ -223,13 +241,15 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 		return v
 	}
 
+	var slots []occurrence // (element, slice index), reused per module
 	for i, m := range mods {
-		b.elemVar[i] = make(map[netlist.ID]int, len(m.Elements))
+		ev := make([]int, len(m.Elements))
+		b.elemVar[i] = ev
 		if !opt.Sliceable || !m.Sliceable() {
 			x := newVar()
 			b.varOfMod[i] = x
-			for _, g := range m.Elements {
-				b.elemVar[i][g] = x
+			for k := range ev {
+				ev[k] = x
 			}
 			continue
 		}
@@ -238,27 +258,27 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 		// (shared or unassigned) maps to x_{i0}.
 		x0 := newVar()
 		b.varOfMod[i] = x0
-		owner := make(map[netlist.ID]int, len(m.Elements)) // -1 = shared
-		for si, s := range m.Slices {
-			for _, g := range s {
-				if prev, ok := owner[g]; ok && prev != si {
-					owner[g] = -1
-				} else {
-					owner[g] = si
-				}
-			}
-		}
 		svars := make([]int, len(m.Slices))
 		for si := range m.Slices {
 			svars[si] = newVar()
 		}
 		b.sliceVars[i] = svars
-		for _, g := range m.Elements {
-			si, ok := owner[g]
-			if !ok || si == -1 {
-				b.elemVar[i][g] = x0
-			} else {
-				b.elemVar[i][g] = svars[si]
+		slots = slots[:0]
+		for si, s := range m.Slices {
+			for _, g := range s {
+				slots = append(slots, occurrence{g, si})
+			}
+		}
+		sortOccurrences(slots)
+		for k, g := range m.Elements {
+			ev[k] = x0
+			lo := sort.Search(len(slots), func(j int) bool { return slots[j].g >= g })
+			hi := lo
+			for hi < len(slots) && slots[hi].g == g {
+				hi++
+			}
+			if hi > lo && slots[lo].v == slots[hi-1].v {
+				ev[k] = svars[slots[lo].v]
 			}
 		}
 		// Linking: x_{i0} >= x_{ij}.
@@ -278,64 +298,59 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 		b.problem.AddConstraint(terms, ilp.GE, 0)
 	}
 
-	// Sizes.
+	// Sizes, and every (element, variable) occurrence in element order.
+	n := 0
+	for _, ev := range b.elemVar {
+		n += len(ev)
+	}
+	occ := make([]occurrence, 0, n)
 	for i, m := range mods {
-		for _, g := range m.Elements {
-			b.size[b.elemVar[i][g]]++
+		for k, g := range m.Elements {
+			v := b.elemVar[i][k]
+			b.size[v]++
+			occ = append(occ, occurrence{g, v})
 		}
 	}
+	sortOccurrences(occ)
 
-	// Overlap constraints: one per element covered by multiple modules.
-	covering := make(map[netlist.ID][]int)
-	for i, m := range mods {
-		for _, g := range m.Elements {
-			covering[g] = append(covering[g], i)
-		}
-	}
-	// Constraint rows are added in sorted element order: map iteration
-	// order must not reach the solver. An exact solve is order-invariant,
-	// but a node-limited search stops at whatever incumbent the traversal
-	// found first, and the traversal follows problem layout — so row order
-	// is part of the byte-identical-reports contract.
-	shared := make([]netlist.ID, 0, len(covering))
-	for g, owners := range covering {
-		if len(owners) >= 2 {
-			shared = append(shared, g)
-		}
-	}
-	sortIDs(shared)
-	// Packing rows start at constraint firstRow. rowOf maps a canonical
-	// row to its offset from there; elems counts the shared elements each
-	// row stands for, the duplicates folded into it included.
+	// Overlap constraints: one per element whose covering modules use two
+	// or more distinct variables. Rows are added in ascending element
+	// order, a duplicate row folding into its first occurrence. An exact
+	// solve is order-invariant, but a node-limited search stops at
+	// whatever incumbent the traversal found first, and the traversal
+	// follows problem layout — so row order is part of the
+	// byte-identical-reports contract.
+	//
+	// Packing rows start at constraint firstRow. rowOf maps a row's
+	// variables, as varints, to its offset from there; elems counts the
+	// shared elements each row stands for, the duplicates folded into it
+	// included.
 	firstRow := len(b.problem.Constraints)
 	rowOf := make(map[string]int)
 	var elems []int64
-	for _, g := range shared {
-		owners := covering[g]
-		vars := make(map[int]bool, len(owners))
-		for _, i := range owners {
-			vars[b.elemVar[i][g]] = true
+	var key []byte
+	var terms []ilp.Term
+	for lo := 0; lo < len(occ); {
+		g := occ[lo].g
+		terms, key = terms[:0], key[:0]
+		hi := lo
+		for ; hi < len(occ) && occ[hi].g == g; hi++ {
+			if v := occ[hi].v; len(terms) == 0 || terms[len(terms)-1].Var != v {
+				terms = append(terms, ilp.Term{Var: v, Coef: 1})
+				key = binary.AppendUvarint(key, uint64(v))
+			}
 		}
-		if len(vars) < 2 {
+		lo = hi
+		if len(terms) < 2 {
 			continue
 		}
-		terms := make([]ilp.Term, 0, len(vars))
-		key := ""
-		for v := range vars {
-			terms = append(terms, ilp.Term{Var: v, Coef: 1})
-		}
-		// Canonicalize for deduplication.
-		sortTerms(terms)
-		for _, t := range terms {
-			key += fmt.Sprint(t.Var, ",")
-		}
-		if ri, ok := rowOf[key]; ok {
+		if ri, ok := rowOf[string(key)]; ok {
 			elems[ri]++
 			continue
 		}
-		rowOf[key] = len(elems)
+		rowOf[string(key)] = len(elems)
 		elems = append(elems, 1)
-		b.problem.AddConstraint(terms, ilp.LE, 1)
+		b.problem.AddConstraint(slices.Clone(terms), ilp.LE, 1)
 	}
 
 	// Objective.
@@ -382,18 +397,6 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 	return b
 }
 
-func sortIDs(xs []netlist.ID) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
-
-func sortTerms(terms []ilp.Term) {
-	for i := 1; i < len(terms); i++ {
-		for j := i; j > 0 && terms[j].Var < terms[j-1].Var; j-- {
-			terms[j], terms[j-1] = terms[j-1], terms[j]
-		}
-	}
-}
-
 // extract rebuilds the selected module set from the ILP solution.
 func (b *builder) extract(sol ilp.Solution) Result {
 	res := Result{Optimal: sol.Optimal, Nodes: sol.Nodes}
@@ -414,8 +417,8 @@ func (b *builder) extract(sol ilp.Solution) Result {
 				elements = append(elements, m.Slices[si]...)
 			}
 		}
-		for _, g := range m.Elements {
-			if b.elemVar[i][g] == b.varOfMod[i] {
+		for k, g := range m.Elements {
+			if b.elemVar[i][k] == b.varOfMod[i] {
 				elements = append(elements, g)
 			}
 		}

@@ -2,8 +2,10 @@ package overlap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"netlistre/internal/ilp"
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
 )
@@ -178,6 +180,33 @@ func TestMinSlicesEnforced(t *testing.T) {
 	}
 	if res.Coverage != 10 {
 		t.Errorf("coverage = %d, want 10", res.Coverage)
+	}
+}
+
+func TestBuilderPackingRows(t *testing.T) {
+	// Elements 1 and 2 are covered by the plain module's x_0 and by the
+	// sliceable module's slice 0, which owns both: one packing row over
+	// {x_0, slice 0's variable}, standing for two shared elements.
+	plain := module.New(module.Mux, 3, ids(1, 2, 10))
+	sl := module.New(module.Mux, 2, ids(1, 2, 3, 4))
+	sl.Slices = [][]netlist.ID{ids(1, 2), ids(3, 4)}
+	b := newBuilder([]*module.Module{plain, sl}, Options{Sliceable: true, MinSlices: 2})
+	p := b.problem
+	slice0 := b.sliceVars[1][0]
+	if want := []int{b.varOfMod[0], b.varOfMod[0], b.varOfMod[0]}; !slices.Equal(b.elemVar[0], want) {
+		t.Errorf("plain element variables = %v, want %v", b.elemVar[0], want)
+	}
+	// Two linking rows and one MinSlices row come first.
+	if len(p.Constraints) != 4 {
+		t.Fatalf("%d constraints, want 4", len(p.Constraints))
+	}
+	row := p.Constraints[3]
+	wantTerms := []ilp.Term{{Var: b.varOfMod[0], Coef: 1}, {Var: slice0, Coef: 1}}
+	if !slices.Equal(row.Terms, wantTerms) || row.Rel != ilp.LE || row.RHS != 1 {
+		t.Errorf("packing row = %+v, want %v <= 1", row, wantTerms)
+	}
+	if k := int64(3); row.Multiplier != 2*k {
+		t.Errorf("multiplier = %d, want 2K = %d", row.Multiplier, 2*k)
 	}
 }
 

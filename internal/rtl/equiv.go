@@ -131,13 +131,14 @@ func bitsimCompare(orig, elab *netlist.Netlist, er *EmitResult, res *EquivResult
 		vars = append(vars, varPair{o: id, e: eid})
 		return true
 	}
-	for _, id := range orig.Inputs() {
+	origInputs := orig.Inputs()
+	for _, id := range origInputs {
 		if !pairVar(id, netlist.Input, "input") {
 			return
 		}
 	}
-	if len(elab.Inputs()) != len(orig.Inputs()) {
-		fail("input count differs: %d vs %d", len(orig.Inputs()), len(elab.Inputs()))
+	if n := len(elab.Inputs()); n != len(origInputs) {
+		fail("input count differs: %d vs %d", len(origInputs), n)
 		return
 	}
 	origLatches := orig.Latches()
@@ -172,7 +173,7 @@ func bitsimCompare(orig, elab *netlist.Netlist, er *EmitResult, res *EquivResult
 	for i, id := range origLatches {
 		pairs = append(pairs, signalPair{
 			label: "state " + er.NodeName[id],
-			o:     orig.Fanin(id)[0], e: elab.Fanin(vars[len(orig.Inputs())+i].e)[0]})
+			o:     orig.Fanin(id)[0], e: elab.Fanin(vars[len(origInputs)+i].e)[0]})
 	}
 
 	var oRoots, eRoots []netlist.ID
