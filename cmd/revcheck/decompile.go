@@ -30,8 +30,10 @@ type decompileRow struct {
 
 // runDecompile is the -decompile mode: every labeled article is lowered to
 // word-level Verilog at each worker count, the emissions are required to be
-// byte-identical, the round-trip equivalence check must pass, and the
-// per-article residual counts are gated against the recorded baseline.
+// byte-identical, the round-trip equivalence check must pass, each
+// LUT-mapped article must lower its sequential blocks like its gate-level
+// twin, and the per-article residual counts are gated against the
+// recorded baseline.
 func runDecompile(articleCSV, workerCSV, out, baseline string, bless bool) error {
 	names := gen.LabeledArticleNames()
 	if articleCSV != "" {
@@ -97,6 +99,9 @@ func runDecompile(articleCSV, workerCSV, out, baseline string, bless bool) error
 			st.ResidualGates, st.ResidualLatches, st.Words)
 	}
 
+	for _, twin := range compareTwins(rows) {
+		fail("twin: %s", twin)
+	}
 	if out != "" {
 		if err := writeDecompileRows(out, rows); err != nil {
 			return err
@@ -157,6 +162,30 @@ func compareDecompile(rows, base []decompileRow) []string {
 		if r.ResidualLatches > b.ResidualLatches {
 			regs = append(regs, fmt.Sprintf("%s: residual latches %d > baseline %d",
 				b.Design, r.ResidualLatches, b.ResidualLatches))
+		}
+	}
+	return regs
+}
+
+// compareTwins requires each LUT-mapped article to lower as many
+// always-blocks, and keep as many residual latches, as its gate-level twin:
+// sequential blocks are lowered from their function, which the mapping
+// does not change. A twin outside an -articles subset is not compared.
+func compareTwins(rows []decompileRow) []string {
+	byDesign := make(map[string]decompileRow, len(rows))
+	for _, r := range rows {
+		byDesign[r.Design] = r
+	}
+	var regs []string
+	for _, r := range rows {
+		base, isLut := strings.CutSuffix(r.Design, "_lut")
+		g, ok := byDesign[base]
+		if !isLut || !ok {
+			continue
+		}
+		if r.AlwaysBlocks != g.AlwaysBlocks || r.ResidualLatches != g.ResidualLatches {
+			regs = append(regs, fmt.Sprintf("%s: always blocks %d, residual latches %d; gate-level %s: %d, %d",
+				r.Design, r.AlwaysBlocks, r.ResidualLatches, g.Design, g.AlwaysBlocks, g.ResidualLatches))
 		}
 	}
 	return regs

@@ -11,7 +11,8 @@
 // Builder is the one netlist-to-BDD translation: it holds the per-kind gate
 // and LUT semantics for every caller. Its Leaf predicate cuts cones at
 // caller-chosen nodes, which is how the RAM read check builds a root over
-// its latches, inputs and unmarked nodes.
+// its latches, inputs and unmarked nodes, and how the decompiler proves a
+// register's next-state functions over the controls its latches share.
 package bdd
 
 import (

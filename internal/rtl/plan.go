@@ -1,19 +1,24 @@
 package rtl
 
-// The lowering planner. For each resolved module it tries to prove, at
-// emission time, that the module's gates implement a known reference
-// template exactly; only proven modules are lowered, everything else is
-// passed through as residual logic. Proofs are either structural (the
-// gate pattern pins the function, e.g. the counter next-state shape) or
-// functional (exhaustive bit-parallel simulation over the template's port
-// bits with every other signal X-poisoned, which simultaneously checks
-// the function and the independence from non-port signals).
+// The lowering planner. For each resolved module it proves, at emission
+// time, that the module's logic computes a known reference template
+// exactly; only proven modules are lowered, everything else is passed
+// through as residual logic. Every proof checks function, never gate
+// shape, so LUT-mapped and gate-level netlists lower alike. Combinational
+// templates are proven by exhaustive bit-parallel simulation over the
+// template's port bits with every other signal X-poisoned, which checks
+// the function and the independence from non-port signals at once.
+// Sequential templates are proven by BDD equality of every latch's
+// next-state function, cut at the module's shared controls, with the
+// template's next state.
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
+	"netlistre/internal/bdd"
 	"netlistre/internal/bitsim"
 	"netlistre/internal/core"
 	"netlistre/internal/module"
@@ -723,171 +728,188 @@ func planPopCount(nl *netlist.Netlist, m *module.Module) *instance {
 
 // --- sequential planners ---
 
-// matchNot returns the fanin of a Not gate, or Nil.
-func matchNot(nl *netlist.Netlist, id netlist.ID) netlist.ID {
-	if nl.Kind(id) == netlist.Not {
-		return nl.Fanin(id)[0]
-	}
-	return netlist.Nil
+// seqBDDLimit bounds the node table of one sequential proof. Over the
+// control cut the next-state functions of counters, shift registers and
+// load registers stay linear in their width; a cone that overflows the
+// table keeps its block residual.
+const seqBDDLimit = 1 << 16
+
+// seqProof holds the next-state BDDs of one sequential module over its
+// control cut. A node is a cut leaf (a BDD variable) when it lies outside
+// the module's elements, or when it is an element gate in the D-cones of
+// two or more of the module's latches: the shared enables, resets and
+// conditions. An inverter is never a leaf, so a control and its
+// complement read one variable.
+type seqProof struct {
+	nl *netlist.Netlist
+	m  *bdd.Manager
+	b  *bdd.Builder
 }
 
-// matchMux2 recognizes Or(And(sel,d1), And(~sel,d0)) in any argument
-// order and returns (sel, d0, d1).
-func matchMux2(nl *netlist.Netlist, id netlist.ID) (sel, d0, d1 netlist.ID, ok bool) {
-	if nl.Kind(id) != netlist.Or || len(nl.Fanin(id)) != 2 {
-		return
+// newSeqProof cuts the D-cones of latches, or returns nil when one of
+// them is not a latch.
+func newSeqProof(nl *netlist.Netlist, m *module.Module, latches []netlist.ID) *seqProof {
+	elems := make(map[netlist.ID]bool, len(m.Elements))
+	for _, id := range m.Elements {
+		elems[id] = true
 	}
-	x, y := nl.Fanin(id)[0], nl.Fanin(id)[1]
-	if nl.Kind(x) != netlist.And || len(nl.Fanin(x)) != 2 ||
-		nl.Kind(y) != netlist.And || len(nl.Fanin(y)) != 2 {
-		return
-	}
-	try := func(hi, lo netlist.ID) (netlist.ID, netlist.ID, netlist.ID, bool) {
-		// hi = And(sel, d1), lo = And(ns, d0) with ns = Not(sel).
-		lf := nl.Fanin(lo)
-		for ni := 0; ni < 2; ni++ {
-			s := matchNot(nl, lf[ni])
-			if s == netlist.Nil {
-				continue
-			}
-			hf := nl.Fanin(hi)
-			for si := 0; si < 2; si++ {
-				if hf[si] == s {
-					return s, lf[1-ni], hf[1-si], true
-				}
-			}
-		}
-		return netlist.Nil, netlist.Nil, netlist.Nil, false
-	}
-	if s, a0, a1, got := try(x, y); got {
-		return s, a0, a1, true
-	}
-	if s, a0, a1, got := try(y, x); got {
-		return s, a0, a1, true
-	}
-	return
-}
-
-// planCounter structurally matches the canonical synchronous counter
-// next-state shape: D_i = And(~rst, Xor(q_i, T_i)) with T_i the AND of
-// the enable and the i lower bits (complemented for a down counter). The
-// gate pattern pins the function exactly, so no simulation is needed.
-func planCounter(nl *netlist.Netlist, m *module.Module) *regBlock {
-	q := m.Port("q")
-	w := len(q)
-	if w < 2 {
-		return nil
-	}
-	down := m.Attr != nil && m.Attr["direction"] == "down"
-	inQ := map[netlist.ID]int{}
-	for i, l := range q {
+	// cones counts, per element gate, the latches whose D-cone holds it.
+	cones := map[netlist.ID]int{}
+	for _, l := range latches {
 		if nl.Kind(l) != netlist.Latch {
 			return nil
 		}
-		inQ[l] = i
+		walkD(nl, []netlist.ID{l},
+			func(id netlist.ID) bool { return !elems[id] },
+			func(id netlist.ID) { cones[id]++ })
 	}
+	mgr := bdd.New(0)
+	mgr.Limit = seqBDDLimit
+	b := bdd.NewBuilder(mgr, nl)
+	b.Leaf = func(id netlist.ID) bool {
+		if k, unary := nl.Node(id).UnaryKind(); unary && k == netlist.Not {
+			return false
+		}
+		return !elems[id] || cones[id] >= 2
+	}
+	return &seqProof{nl: nl, m: mgr, b: b}
+}
 
-	var en, rst netlist.ID = netlist.Nil, netlist.Nil
-	// lowerOf returns the net that must appear as q_j (up) or ~q_j
-	// (down) inside toggle terms.
-	lowerMatches := func(id netlist.ID, j int) bool {
-		if !down {
-			return id == q[j]
-		}
-		return matchNot(nl, id) == q[j]
+// walkD visits each gate of the D-cones of latches once, stopping at the
+// nodes cut reports without visiting them.
+func walkD(nl *netlist.Netlist, latches []netlist.ID, cut func(netlist.ID) bool, visit func(netlist.ID)) {
+	var stack []netlist.ID
+	for _, l := range latches {
+		stack = append(stack, nl.Fanin(l)[0])
 	}
-	for i, l := range q {
-		d := nl.Fanin(l)[0]
-		toggled := d
-		// Optional synchronous reset wrapper: And(Not(rst), toggled).
-		if nl.Kind(d) == netlist.And && len(nl.Fanin(d)) == 2 {
-			f := nl.Fanin(d)
-			for ni := 0; ni < 2; ni++ {
-				if r := matchNot(nl, f[ni]); r != netlist.Nil && (rst == netlist.Nil || rst == r) {
-					rst, toggled = r, f[1-ni]
-					break
-				}
-			}
-			if toggled == d {
-				return nil
-			}
-		} else if rst != netlist.Nil {
-			return nil
+	seen := map[netlist.ID]bool{}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[id] || !nl.Kind(id).IsGate() || cut(id) {
+			continue
 		}
-		if nl.Kind(toggled) != netlist.Xor || len(nl.Fanin(toggled)) != 2 {
-			return nil
-		}
-		tf := nl.Fanin(toggled)
-		var lower netlist.ID
-		if tf[0] == l {
-			lower = tf[1]
-		} else if tf[1] == l {
-			lower = tf[0]
-		} else {
-			return nil
-		}
-		switch i {
-		case 0:
-			en = lower
-		case 1:
-			if nl.Kind(lower) != netlist.And || len(nl.Fanin(lower)) != 2 {
-				return nil
-			}
-			lf := nl.Fanin(lower)
-			if lf[0] == en && lowerMatches(lf[1], 0) {
-			} else if lf[1] == en && lowerMatches(lf[0], 0) {
-			} else {
-				return nil
-			}
-		default:
-			if nl.Kind(lower) != netlist.And || len(nl.Fanin(lower)) != i+1 {
-				return nil
-			}
-			need := map[int]bool{}
-			sawEn := false
-			for _, f := range nl.Fanin(lower) {
-				if f == en && !sawEn {
-					sawEn = true
-					continue
-				}
-				matched := false
-				for j := 0; j < i; j++ {
-					if !need[j] && lowerMatches(f, j) {
-						need[j] = true
-						matched = true
-						break
-					}
-				}
-				if !matched {
-					return nil
-				}
-			}
-			if !sawEn || len(need) != i {
-				return nil
-			}
-		}
-	}
-	// An enable that is itself a counter bit would break the word-level
-	// reading; bail out to residual logic.
-	if en == netlist.Nil {
-		return nil
-	}
-	if _, isQ := inQ[en]; isQ {
-		return nil
-	}
-	return &regBlock{
-		kind:    regCounter,
-		q:       q,
-		en:      en,
-		rst:     rst,
-		down:    down,
-		covered: coverableElements(nl, m, true, minus([]netlist.ID{en, rst}, q)),
+		seen[id] = true
+		visit(id)
+		stack = append(stack, nl.Fanin(id)...)
 	}
 }
 
-// planShift matches each lane of a (possibly multi-lane) shift register:
-// D_i = And(~rst, Mux2(en, q_i, prev)), optionally without the reset
-// wrapper. Each lane becomes its own always block.
+// run evaluates proof under the node limit; an overflow fails the proof,
+// so a block the BDD cannot decide stays residual.
+func (s *seqProof) run(proof func() bool) bool {
+	ok := false
+	return s.m.Run(func() { ok = proof() }) == nil && ok
+}
+
+// next returns the BDD of latch l's next-state function.
+func (s *seqProof) next(l netlist.ID) bdd.Ref { return s.b.Build(s.nl.Fanin(l)[0]) }
+
+// v returns the variable of signal id.
+func (s *seqProof) v(id netlist.ID) bdd.Ref { return s.m.Var(s.b.VarOf(id)) }
+
+// support returns the signals f depends on, other than drop.
+func (s *seqProof) support(f bdd.Ref, drop ...netlist.ID) []netlist.ID {
+	var out []netlist.ID
+	for _, v := range s.m.Support(f) {
+		if id := s.b.SignalOf(v); !slices.Contains(drop, id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// literal returns the variable and polarity of f when f is one literal.
+func (s *seqProof) literal(f bdd.Ref) (v int, pos, ok bool) {
+	sup := s.m.Support(f)
+	if len(sup) != 1 {
+		return 0, false, false
+	}
+	return sup[0], f == s.m.Var(sup[0]), true
+}
+
+// reset wraps f in an optional synchronous reset: ¬rst ∧ f.
+func (s *seqProof) reset(rst netlist.ID, f bdd.Ref) bdd.Ref {
+	if rst != netlist.Nil {
+		f = s.m.And(s.m.Not(s.v(rst)), f)
+	}
+	return f
+}
+
+// roles tells an enable from an optional synchronous reset by function:
+// ctl holds one or two control signals, and fits is tried on each
+// assignment of them to the two roles.
+func roles(ctl []netlist.ID, fits func(en, rst netlist.ID) bool) (en, rst netlist.ID, ok bool) {
+	switch len(ctl) {
+	case 1:
+		if fits(ctl[0], netlist.Nil) {
+			return ctl[0], netlist.Nil, true
+		}
+	case 2:
+		for _, p := range [][2]netlist.ID{{ctl[0], ctl[1]}, {ctl[1], ctl[0]}} {
+			if fits(p[0], p[1]) {
+				return p[0], p[1], true
+			}
+		}
+	}
+	return netlist.Nil, netlist.Nil, false
+}
+
+// planCounter proves a synchronous counter from its next-state function.
+// The enable and optional reset are the signals D(q_0) reads besides q_0,
+// and every bit must equal ¬rst ∧ (q_i ⊕ (en ∧ q_0 ∧ … ∧ q_{i-1})), with
+// the lower bits complemented for a down counter. The width is not capped.
+func planCounter(nl *netlist.Netlist, m *module.Module) *regBlock {
+	q := m.Port("q")
+	s := newSeqProof(nl, m, q)
+	if len(q) < 2 || s == nil {
+		return nil
+	}
+	down := m.Attr != nil && m.Attr["direction"] == "down"
+	want := func(i int, en, rst netlist.ID) bdd.Ref {
+		t := s.v(en)
+		for _, l := range q[:i] {
+			lower := s.v(l)
+			if down {
+				lower = s.m.Not(lower)
+			}
+			t = s.m.And(t, lower)
+		}
+		return s.reset(rst, s.m.Xor(s.v(q[i]), t))
+	}
+	rb := &regBlock{kind: regCounter, q: q, down: down}
+	proven := s.run(func() bool {
+		d0 := s.next(q[0])
+		var ok bool
+		rb.en, rb.rst, ok = roles(s.support(d0, q[0]), func(en, rst netlist.ID) bool {
+			return d0 == want(0, en, rst)
+		})
+		// An enable or reset that is itself a counter bit would break the
+		// word-level reading.
+		if !ok || slices.Contains(q, rb.en) || slices.Contains(q, rb.rst) {
+			return false
+		}
+		for i := 1; i < len(q); i++ {
+			if s.next(q[i]) != want(i, rb.en, rb.rst) {
+				return false
+			}
+		}
+		return true
+	})
+	if !proven {
+		return nil
+	}
+	rb.covered = coverableElements(nl, m, true, minus([]netlist.ID{rb.en, rb.rst}, q))
+	return rb
+}
+
+// planShift proves each lane of a (possibly multi-lane) shift register
+// from its next-state functions. The enable and optional reset are the
+// signals the first lane's D(q_1) reads besides q_0 and q_1, shared by
+// every lane; a lane's serial input is the one other signal its D(q_0)
+// reads; and every stage must equal ¬rst ∧ (en ? prev : q_i). Each lane
+// becomes its own always block, covering its latches and the gates its
+// proof read, and one failed lane keeps the whole module residual.
 func planShift(nl *netlist.Netlist, m *module.Module) []*regBlock {
 	var lanes [][]netlist.ID
 	for i := 0; ; i++ {
@@ -895,137 +917,124 @@ func planShift(nl *netlist.Netlist, m *module.Module) []*regBlock {
 		if len(lane) == 0 {
 			break
 		}
-		lanes = append(lanes, lane)
-	}
-	if len(lanes) == 0 {
-		return nil
-	}
-	// Split the module's covered elements per lane afterwards; simplest
-	// correct split: the lane's latches plus the D cones matched below.
-	var out []*regBlock
-	var en, rst netlist.ID = netlist.Nil, netlist.Nil
-	for li, lane := range lanes {
 		if len(lane) < 2 {
 			return nil
 		}
-		rb := &regBlock{kind: regShift, q: lane}
-		var matched []netlist.ID
-		matched = append(matched, lane...)
-		for i, l := range lane {
-			if nl.Kind(l) != netlist.Latch {
-				return nil
-			}
-			d := nl.Fanin(l)[0]
-			muxNet := d
-			if nl.Kind(d) == netlist.And && len(nl.Fanin(d)) == 2 {
-				f := nl.Fanin(d)
-				found := false
-				for ni := 0; ni < 2; ni++ {
-					if r := matchNot(nl, f[ni]); r != netlist.Nil && (rst == netlist.Nil || rst == r) {
-						rst, muxNet = r, f[1-ni]
-						found = true
-						break
-					}
-				}
-				if !found {
-					return nil
-				}
-				matched = append(matched, d)
-				matched = append(matched, nl.Fanin(d)...) // the Not(rst)
-			} else if rst != netlist.Nil {
-				return nil
-			}
-			s, d0, d1, ok := matchMux2(nl, muxNet)
-			if !ok || d0 != l {
-				return nil
-			}
-			if en == netlist.Nil {
-				en = s
-			} else if en != s {
-				return nil
-			}
-			prev := rb.serialIn
-			if i == 0 {
-				rb.serialIn = d1
-			} else if d1 != lane[i-1] {
-				return nil
-			}
-			_ = prev
-			matched = append(matched, muxNet)
-			// The mux expands to two ANDs plus a shared Not(en); sweep
-			// the grand-fanins so the inverter is hidden too (the
-			// element-set intersection below drops port nets again).
-			for _, f := range nl.Fanin(muxNet) {
-				matched = append(matched, f)
-				matched = append(matched, nl.Fanin(f)...)
-			}
+		lanes = append(lanes, lane)
+	}
+	s := newSeqProof(nl, m, concat(lanes...))
+	if len(lanes) == 0 || s == nil {
+		return nil
+	}
+	want := func(en, rst, prev, qi netlist.ID) bdd.Ref {
+		return s.reset(rst, s.m.ITE(s.v(en), s.v(prev), s.v(qi)))
+	}
+	var out []*regBlock
+	proven := s.run(func() bool {
+		first := lanes[0]
+		d1 := s.next(first[1])
+		en, rst, ok := roles(s.support(d1, first[0], first[1]), func(en, rst netlist.ID) bool {
+			return d1 == want(en, rst, first[0], first[1])
+		})
+		if !ok {
+			return false
 		}
-		rb.en, rb.rst = en, rst
-		// Covered set: restrict the module elements to this lane's
-		// matched nodes so multi-lane modules split cleanly.
-		elemSet := map[netlist.ID]bool{}
-		for _, e := range coverableElements(nl, m, true, minus([]netlist.ID{en, rst, rb.serialIn}, lane)) {
-			elemSet[e] = true
+		for _, lane := range lanes {
+			si := s.support(s.next(lane[0]), lane[0], en, rst)
+			if len(si) != 1 {
+				return false
+			}
+			prev := si[0]
+			for _, l := range lane {
+				if s.next(l) != want(en, rst, prev, l) {
+					return false
+				}
+				prev = l
+			}
+			out = append(out, &regBlock{kind: regShift, q: lane, en: en, rst: rst, serialIn: si[0]})
 		}
-		for _, id := range matched {
-			if elemSet[id] {
+		return true
+	})
+	if !proven {
+		return nil
+	}
+	for _, rb := range out {
+		keep := map[netlist.ID]bool{}
+		for _, id := range coverableElements(nl, m, true, minus([]netlist.ID{rb.en, rb.rst, rb.serialIn}, rb.q)) {
+			keep[id] = true
+		}
+		add := func(id netlist.ID) {
+			if keep[id] {
 				rb.covered = append(rb.covered, id)
 			}
 		}
-		_ = li
-		out = append(out, rb)
+		for _, l := range rb.q {
+			add(l)
+		}
+		walkD(nl, rb.q, s.b.Leaf, add)
 	}
 	return out
 }
 
-// planRegister matches the Figure-7 multibit register: a cascade of word
-// muxes ending in the hold leg, i.e. D = c_k ? src_k : (... c_0 ? src_0
-// : q). Conditions are recovered outermost first.
+// planRegister proves the Figure-7 multibit register, D = c_0 ? src_0 :
+// (c_1 ? src_1 : … q), from its next-state functions. The conditions come
+// from the cond port. c is the next (outermost remaining) condition when
+// every bit's D|c=1 is one signal, its source bit; D == ITE(c, src, D|c=0)
+// then holds by Shannon expansion, and the proof goes on with D|c=0. The
+// register is proven once every remaining level is the bit's own latch.
 func planRegister(nl *netlist.Netlist, m *module.Module) *regBlock {
 	q := m.Port("q")
-	w := len(q)
-	if w < 2 {
+	s := newSeqProof(nl, m, q)
+	if len(q) < 2 || s == nil {
 		return nil
 	}
-	for _, l := range q {
-		if nl.Kind(l) != netlist.Latch {
-			return nil
-		}
-	}
-	level := make([]netlist.ID, w)
-	for i, l := range q {
-		level[i] = nl.Fanin(l)[0]
-	}
 	rb := &regBlock{kind: regLoad, q: q}
-	for depth := 0; depth < 8; depth++ {
-		if idsEqual(level, q) {
-			if depth == 0 {
-				return nil
-			}
-			rb.covered = coverableElements(nl, m, true,
-				minus(append(append([]netlist.ID{}, rb.conds...), flatten(rb.srcs)...), q))
-			return rb
+	proven := s.run(func() bool {
+		level := make([]bdd.Ref, len(q))
+		for i, l := range q {
+			level[i] = s.next(l)
 		}
-		var cond netlist.ID = netlist.Nil
-		src := make([]netlist.ID, w)
-		next := make([]netlist.ID, w)
-		for i, d := range level {
-			s, d0, d1, ok := matchMux2(nl, d)
+		held := func() bool {
+			for i, l := range q {
+				if level[i] != s.v(l) {
+					return false
+				}
+			}
+			return true
+		}
+		// peel takes c as the next condition if it is one.
+		peel := func(c netlist.ID) bool {
+			v, pos, ok := s.literal(s.b.Build(c))
 			if !ok {
-				return nil
+				return false
 			}
-			if cond == netlist.Nil {
-				cond = s
-			} else if cond != s {
-				return nil
+			src := make([]netlist.ID, len(q))
+			rest := make([]bdd.Ref, len(q))
+			for i, d := range level {
+				sv, spos, ok := s.literal(s.m.Restrict(d, v, pos))
+				if !ok || !spos {
+					return false
+				}
+				src[i], rest[i] = s.b.SignalOf(sv), s.m.Restrict(d, v, !pos)
 			}
-			src[i], next[i] = d1, d0
+			rb.conds, rb.srcs, level = append(rb.conds, c), append(rb.srcs, src), rest
+			return true
 		}
-		rb.conds = append(rb.conds, cond)
-		rb.srcs = append(rb.srcs, src)
-		level = next
+		conds := slices.Clone(m.Port("cond"))
+		for !held() {
+			i := slices.IndexFunc(conds, peel)
+			if i < 0 {
+				return false
+			}
+			conds = slices.Delete(conds, i, i+1)
+		}
+		return len(rb.conds) > 0
+	})
+	if !proven {
+		return nil
 	}
-	return nil
+	rb.covered = coverableElements(nl, m, true, minus(concat(rb.conds, flatten(rb.srcs)), q))
+	return rb
 }
 
 // --- small helpers ---
@@ -1067,18 +1076,6 @@ func containsAll(set []netlist.ID, want []netlist.ID) bool {
 func allIn(ids []netlist.ID, set map[netlist.ID]bool) bool {
 	for _, id := range ids {
 		if !set[id] {
-			return false
-		}
-	}
-	return true
-}
-
-func idsEqual(a, b []netlist.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

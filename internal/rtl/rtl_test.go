@@ -54,65 +54,80 @@ func TestPassthroughFingerprint(t *testing.T) {
 	}
 }
 
+// oneBlock pins a sequential case that lowers to exactly one always
+// block and leaves no latch residual.
+func oneBlock(t *testing.T, _ *core.Report, st EmitStats) {
+	if st.AlwaysBlocks != 1 || st.ResidualLatches != 0 {
+		t.Fatalf("stats %+v, want 1 always-block and 0 residual latches", st)
+	}
+}
+
 // TestComponentRoundTrip drives each component class the planner lowers
-// through analyze -> emit -> elaborate -> equivalence.
+// through analyze -> emit -> elaborate -> equivalence. Sequential cases
+// run a second time LUT-mapped, which must lower the same blocks.
 func TestComponentRoundTrip(t *testing.T) {
 	cases := []struct {
 		name  string
+		seq   bool
 		build func(nl *netlist.Netlist)
 		// check, when set, pins what the case resolves and lowers.
 		check func(t *testing.T, rep *core.Report, st EmitStats)
 	}{
-		{"counter-up", func(nl *netlist.Netlist) {
+		{"counter-up", true, func(nl *netlist.Netlist) {
 			en, rst := nl.AddInput("en"), nl.AddInput("rst")
 			gen.MarkOutputs(nl, "q", gen.Counter(nl, 4, en, rst, false))
-		}, nil},
-		{"counter-down", func(nl *netlist.Netlist) {
+		}, oneBlock},
+		{"counter-down", true, func(nl *netlist.Netlist) {
 			en, rst := nl.AddInput("en"), nl.AddInput("rst")
 			gen.MarkOutputs(nl, "q", gen.Counter(nl, 4, en, rst, true))
-		}, nil},
-		{"shift", func(nl *netlist.Netlist) {
+		}, oneBlock},
+		// No width cap: the proof is one BDD equality per bit.
+		{"counter-up-24", true, func(nl *netlist.Netlist) {
+			en, rst := nl.AddInput("en"), nl.AddInput("rst")
+			gen.MarkOutputs(nl, "q", gen.Counter(nl, 24, en, rst, false))
+		}, oneBlock},
+		{"shift", true, func(nl *netlist.Netlist) {
 			en, rst, si := nl.AddInput("en"), nl.AddInput("rst"), nl.AddInput("si")
 			gen.MarkOutputs(nl, "q", gen.ShiftRegister(nl, 5, en, rst, si))
-		}, nil},
-		{"register", func(nl *netlist.Netlist) {
+		}, oneBlock},
+		{"register", true, func(nl *netlist.Netlist) {
 			d := gen.InputWord(nl, "d", 4)
 			we := nl.AddInput("we")
 			gen.MarkOutputs(nl, "q", gen.Register(nl, d, we))
-		}, nil},
-		{"adder", func(nl *netlist.Netlist) {
+		}, oneBlock},
+		{"adder", false, func(nl *netlist.Netlist) {
 			a := gen.InputWord(nl, "a", 4)
 			b := gen.InputWord(nl, "b", 4)
 			sum, cout := gen.RippleAdder(nl, a, b, netlist.Nil)
 			gen.MarkOutputs(nl, "sum", sum)
 			nl.MarkOutput("cout", cout)
 		}, nil},
-		{"subtractor", func(nl *netlist.Netlist) {
+		{"subtractor", false, func(nl *netlist.Netlist) {
 			a := gen.InputWord(nl, "a", 4)
 			b := gen.InputWord(nl, "b", 4)
 			diff, bout := gen.RippleSubtractor(nl, a, b)
 			gen.MarkOutputs(nl, "diff", diff)
 			nl.MarkOutput("bout", bout)
 		}, nil},
-		{"mux", func(nl *netlist.Netlist) {
+		{"mux", false, func(nl *netlist.Netlist) {
 			sel := nl.AddInput("sel")
 			d0 := gen.InputWord(nl, "d0", 4)
 			d1 := gen.InputWord(nl, "d1", 4)
 			gen.MarkOutputs(nl, "out", gen.Mux2Word(nl, sel, d0, d1))
 		}, nil},
-		{"decoder", func(nl *netlist.Netlist) {
+		{"decoder", false, func(nl *netlist.Netlist) {
 			sel := gen.InputWord(nl, "sel", 3)
 			gen.MarkOutputs(nl, "out", gen.Decoder(nl, sel))
 		}, nil},
-		{"parity", func(nl *netlist.Netlist) {
+		{"parity", false, func(nl *netlist.Netlist) {
 			w := gen.InputWord(nl, "x", 5)
 			nl.MarkOutput("p", gen.ParityTree(nl, w))
 		}, nil},
-		{"popcount", func(nl *netlist.Netlist) {
+		{"popcount", false, func(nl *netlist.Netlist) {
 			w := gen.InputWord(nl, "x", 5)
 			gen.MarkOutputs(nl, "cnt", gen.PopCount(nl, w))
 		}, nil},
-		{"regfile", func(nl *netlist.Netlist) {
+		{"regfile", true, func(nl *netlist.Netlist) {
 			waddr := gen.InputWord(nl, "waddr", 2)
 			wdata := gen.InputWord(nl, "wdata", 4)
 			we := nl.AddInput("we")
@@ -131,20 +146,33 @@ func TestComponentRoundTrip(t *testing.T) {
 		}},
 	}
 	lowered := 0
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			nl := netlist.New(tc.name)
-			tc.build(nl)
+	run := func(name string, build func(nl *netlist.Netlist) *netlist.Netlist,
+		check func(t *testing.T, rep *core.Report, st EmitStats)) {
+		t.Run(name, func(t *testing.T) {
+			nl := build(netlist.New(name))
 			rep := analyze(t, nl, 1)
 			er, eq := decompileOK(t, nl, rep)
-			t.Logf("%s: %v, stats %+v", tc.name, eq, er.Stats)
-			if tc.check != nil {
-				tc.check(t, rep, er.Stats)
+			t.Logf("%s: %v, stats %+v", name, eq, er.Stats)
+			if check != nil {
+				check(t, rep, er.Stats)
 			}
 			if er.Stats.Instances > 0 || er.Stats.AlwaysBlocks > 0 {
 				lowered++
 			}
 		})
+	}
+	for _, tc := range cases {
+		run(tc.name, func(nl *netlist.Netlist) *netlist.Netlist {
+			tc.build(nl)
+			return nl
+		}, tc.check)
+		if tc.seq {
+			run(tc.name+"-lut", func(nl *netlist.Netlist) *netlist.Netlist {
+				tc.build(nl)
+				mapped, _ := gen.LutMapped(nl)
+				return mapped
+			}, tc.check)
+		}
 	}
 	if lowered == 0 {
 		t.Fatalf("no component was lowered to word-level structure")
