@@ -59,6 +59,52 @@ func scanLag(s *solver) int64 {
 	return sum
 }
 
+// scanFrameBound is the bound of frame f computed from scratch over its
+// free variables only: the smaller of their clique bound (the best free
+// member of each clique, plus the free positive variables outside any
+// clique) and their Lagrangian sum (max(0, red_v) of each, plus the
+// multiplier of every live packing row whose free terms are in f). The
+// bound the search uses in f, kept from the running sums and two constants
+// fixed at the split, must equal it at every node.
+func scanFrameBound(s *solver, f *frame) int64 {
+	in := make(map[int]bool)
+	for _, v := range f.vars {
+		if s.assign[v] == -1 {
+			in[int(v)] = true
+		}
+	}
+	red := append([]int64(nil), s.obj...)
+	var lag int64
+	for _, c := range s.p.Constraints {
+		one, free := false, false
+		for _, t := range c.Terms {
+			red[t.Var] -= c.Multiplier
+			one = one || s.assign[t.Var] == 1
+			free = free || in[t.Var]
+		}
+		if !one && free {
+			lag += c.Multiplier
+		}
+	}
+	best := make(map[int32]int64)
+	var clique int64
+	for v := range in {
+		lag += max(0, red[v])
+		if s.obj[v] <= 0 {
+			continue
+		}
+		if ri := s.cliqueOf[v]; ri == -1 {
+			clique += s.obj[v]
+		} else {
+			best[ri] = max(best[ri], s.obj[v])
+		}
+	}
+	for _, o := range best {
+		clique += o
+	}
+	return min(clique, lag)
+}
+
 // solverState is the search's mutable bookkeeping.
 type solverState struct {
 	Curr, PosUn, NegUn        []int64
@@ -88,8 +134,9 @@ func stateOf(s *solver) solverState {
 }
 
 // checkedSolve solves p, failing tb if an incremental bound sum differs
-// from its scan (scanBound, scanLag) at any search node or if any
-// bookkeeping is not back at its initial value once the search has unwound.
+// from its scan (scanBound, scanLag), or the bound of the frame being
+// searched from scanFrameBound, at any search node, or if any bookkeeping
+// is not back at its initial value once the search has unwound.
 func checkedSolve(tb testing.TB, p *Problem, opt Options) (Solution, error) {
 	tb.Helper()
 	s, err := newSolver(p, opt)
@@ -97,7 +144,7 @@ func checkedSolve(tb testing.TB, p *Problem, opt Options) (Solution, error) {
 		return Solution{}, err
 	}
 	initial := stateOf(s)
-	s.visit = func(s *solver) {
+	s.visit = func(s *solver, f *frame) {
 		clique, lag := scanBound(s), scanLag(s)
 		if got := s.currObj + s.boundSum; got != clique {
 			tb.Fatalf("node %d: clique bound %d, scan %d", s.nodes, got, clique)
@@ -105,8 +152,8 @@ func checkedSolve(tb testing.TB, p *Problem, opt Options) (Solution, error) {
 		if s.lagSum != lag {
 			tb.Fatalf("node %d: lagSum %d, scan %d", s.nodes, s.lagSum, lag)
 		}
-		if got, want := s.bound(s.currObj), min(clique, s.currObj+lag); got != want {
-			tb.Fatalf("node %d: bound %d, want %d", s.nodes, got, want)
+		if got, want := s.bound(f), scanFrameBound(s, f); got != want {
+			tb.Fatalf("node %d: bound of a %d-variable frame %d, scan %d", s.nodes, len(f.vars), got, want)
 		}
 	}
 	sol, err := s.solve(opt.Incumbent)
@@ -223,6 +270,11 @@ func randomMultipliers(rng *rand.Rand, p *Problem) {
 	}
 }
 
+// TestBoundMatchesScan checks every incremental bound against its scan at
+// every node (checkedSolve) on fixed shapes, on small random problems
+// checked against brute force, and on block-structured problems whose
+// components are searched in frames of their own, under node limits that
+// stop the search inside them.
 func TestBoundMatchesScan(t *testing.T) {
 	large, _ := largePacking()
 	shapes := map[string]*Problem{
@@ -252,6 +304,12 @@ func TestBoundMatchesScan(t *testing.T) {
 			limit = DefaultNodeLimit
 		}
 		checkAgainstBruteForce(t, p, sol, err, limit)
+	}
+	for trial := 0; trial < 200; trial++ {
+		p := blockProblem(rng)
+		if _, err := checkedSolve(t, p, Options{NodeLimit: limits[trial%len(limits)]}); err != nil && !errors.Is(err, ErrInfeasible) {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -333,12 +391,25 @@ func TestSetConflictUnwind(t *testing.T) {
 // FuzzSolve decodes a small problem with mixed ≤/≥ rows, signed
 // coefficients and a multiplier on each packing row, plus a node limit, and
 // checks the solution against brute force, the incremental bounds against
-// their scans at every node, and the bookkeeping after the search.
+// their scans at every node, and the bookkeeping after the search. An
+// optimal solution must also be the depth-first oracle's.
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{3, 0, 5, 3, 4, 0, 2, 3, 1, 1, 1})
 	f.Add([]byte{7, 1, 1, 1, 1, 1, 1, 1, 1, 200, 4, 5, 1, 0, 1, 0xfe, 3, 2, 0, 3})
 	f.Add([]byte{6, 0, 250, 9, 9, 3, 3, 3, 130, 5, 63, 2, 2, 2, 2, 2, 2, 1, 5, 44, 255, 1, 1, 7, 0, 251})
 	f.Add([]byte{4, 0, 9, 7, 5, 8, 6, 0, 3, 3, 1, 1, 0, 1, 6, 12, 1, 1, 0, 1, 9, 24, 1, 1, 0, 1, 3})
+	// Block-structured: rows over {0,1,2}, {3,4} and {5,6,7} only, so the
+	// root splits into three components; then two blocks under a node
+	// limit, with negative objectives and a GE row.
+	f.Add([]byte{7, 0, 5, 3, 4, 6, 2, 7, 1, 3, 0, 4,
+		7, 1, 1, 1, 0, 1, 4,
+		24, 1, 1, 0, 1, 0,
+		224, 1, 1, 1, 0, 1, 9,
+		192, 1, 1, 1, 1})
+	f.Add([]byte{7, 1, 250, 3, 4, 6, 254, 7, 1, 253, 140, 3,
+		3, 1, 1, 0, 1, 2,
+		48, 1, 1, 1, 1,
+		192, 2, 255, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -375,6 +446,12 @@ func FuzzSolve(f *testing.F) {
 			limit = DefaultNodeLimit
 		}
 		checkAgainstBruteForce(t, p, sol, err, limit)
+		if err == nil && sol.Optimal {
+			want, _ := dfsSolve(p, Options{})
+			if !reflect.DeepEqual(sol.Values, want.Values) {
+				t.Fatalf("optimal values %v, oracle %v", sol.Values, want.Values)
+			}
+		}
 	})
 }
 

@@ -64,34 +64,30 @@ func TestPinnedTraversalTable(t *testing.T) {
 		optimal  bool
 		coverage int
 		digest   string
-		large    bool
 		prior    int
 	}{
-		{"mips16", 42, true, 1723, "8697d59618661b459875b4b554a47ad1fa5d3b0c1cd7ea329d117c950e707457", false, 0},
-		{"riscfpu", 212068, true, 6556, "b636de87d6721819d65d5ab6ccab400263f3aae2f5701ef38c17bd5fbda58b74", true, 6553},
-		{"router", 250020, false, 2274, "013cb240891ef434da3ff9bacd9f33fbd897201d490ab3007e9cb689c3f61317", true, 2270},
-		{"oc8051", 112, true, 1372, "db642d33b32aa76de347fcb16af9eee0d676a6a3b50026107ec702570ea45d5f", false, 0},
-		{"aemb", 148, true, 556, "45c489878defdf6a86c06353bf966d446814cdb0d4562ed22354bc5b8272ab17", false, 0},
-		{"msp430", 16, true, 559, "5a2e0c20739a2e87cb2479c386d02b0e5a483717ebacf931fc1bf9dbbad5aa32", false, 0},
-		{"usb", 42, true, 435, "66e4250d0a2117225bc0e546289b43e184d7761bd9f4189f36f9740907acf428", false, 0},
-		{"evoter", 100, true, 281, "8edf9575f7cc4f09acce46e3e67dfcaf7848fe6f2c398a856af8ebd9231c792d", false, 0},
-		{"oc8051-trojan", 114, true, 1397, "05692f8eb615ccac7fb6181014b9b84c62f1968f5c4b85638b0ab33af7622313", false, 0},
-		{"evoter-trojan", 262, true, 385, "be734d7b19d1347584c2c140f4b3170585e60e38dcd0b426b6746bf466d8b104", false, 0},
-		{"mips16-lut", 42, true, 1745, "6af66660e49683fa8e484ebb7aae11ebcd1731150a32d3cc0d54a4d0ddda5568", false, 0},
-		{"riscfpu-lut", 188736, true, 6556, "b636de87d6721819d65d5ab6ccab400263f3aae2f5701ef38c17bd5fbda58b74", true, 0},
-		{"router-lut", 250020, false, 2274, "6f9f7de897fd53450f098efa5d791a3f9ffd25b4fa489c4df8f45ad77054b074", true, 2270},
-		{"oc8051-lut", 100, true, 1407, "18fa4032e85891108ee583fdba2d1d1c5ddc03af7ab2f7908bcc830d7ccd94fb", false, 0},
-		{"aemb-lut", 32, true, 559, "1cfcff22cf23a22f7564701f269cf00ad7b3fb0f52dcd4120c82db9ae9817dc8", false, 0},
-		{"msp430-lut", 16, true, 584, "db43882a5dd3427762a2bd756e717b763ef1bf87f187a01ebf8a1437f6ac9651", false, 0},
-		{"usb-lut", 42, true, 435, "66e4250d0a2117225bc0e546289b43e184d7761bd9f4189f36f9740907acf428", false, 0},
-		{"evoter-lut", 112, true, 293, "fde22ebeb0e0f6ea64990cabdac46297f93b258a350905066153eb08a24259be", false, 0},
+		{"mips16", 122, true, 1723, "8697d59618661b459875b4b554a47ad1fa5d3b0c1cd7ea329d117c950e707457", 0},
+		{"riscfpu", 1481, true, 6556, "b636de87d6721819d65d5ab6ccab400263f3aae2f5701ef38c17bd5fbda58b74", 6553},
+		{"router", 1296, true, 2274, "013cb240891ef434da3ff9bacd9f33fbd897201d490ab3007e9cb689c3f61317", 2270},
+		{"oc8051", 116, true, 1372, "db642d33b32aa76de347fcb16af9eee0d676a6a3b50026107ec702570ea45d5f", 0},
+		{"aemb", 131, true, 556, "45c489878defdf6a86c06353bf966d446814cdb0d4562ed22354bc5b8272ab17", 0},
+		{"msp430", 16, true, 559, "5a2e0c20739a2e87cb2479c386d02b0e5a483717ebacf931fc1bf9dbbad5aa32", 0},
+		{"usb", 38, true, 435, "66e4250d0a2117225bc0e546289b43e184d7761bd9f4189f36f9740907acf428", 0},
+		{"evoter", 77, true, 281, "8edf9575f7cc4f09acce46e3e67dfcaf7848fe6f2c398a856af8ebd9231c792d", 0},
+		{"oc8051-trojan", 108, true, 1397, "05692f8eb615ccac7fb6181014b9b84c62f1968f5c4b85638b0ab33af7622313", 0},
+		{"evoter-trojan", 217, true, 385, "be734d7b19d1347584c2c140f4b3170585e60e38dcd0b426b6746bf466d8b104", 0},
+		{"mips16-lut", 122, true, 1745, "6af66660e49683fa8e484ebb7aae11ebcd1731150a32d3cc0d54a4d0ddda5568", 0},
+		{"riscfpu-lut", 1165, true, 6556, "b636de87d6721819d65d5ab6ccab400263f3aae2f5701ef38c17bd5fbda58b74", 0},
+		{"router-lut", 1287, true, 2274, "6f9f7de897fd53450f098efa5d791a3f9ffd25b4fa489c4df8f45ad77054b074", 2270},
+		{"oc8051-lut", 99, true, 1407, "18fa4032e85891108ee583fdba2d1d1c5ddc03af7ab2f7908bcc830d7ccd94fb", 0},
+		{"aemb-lut", 27, true, 559, "1cfcff22cf23a22f7564701f269cf00ad7b3fb0f52dcd4120c82db9ae9817dc8", 0},
+		{"msp430-lut", 16, true, 584, "db43882a5dd3427762a2bd756e717b763ef1bf87f187a01ebf8a1437f6ac9651", 0},
+		{"usb-lut", 38, true, 435, "66e4250d0a2117225bc0e546289b43e184d7761bd9f4189f36f9740907acf428", 0},
+		{"evoter-lut", 102, true, 293, "fde22ebeb0e0f6ea64990cabdac46297f93b258a350905066153eb08a24259be", 0},
 	}
 	for _, row := range rows {
 		row := row
 		t.Run(row.article, func(t *testing.T) {
-			if row.large && testing.Short() {
-				t.Skip("large article; skipped in -short mode")
-			}
 			mods := articleModules(t, row.article)
 			res, err := overlap.Resolve(mods, overlap.Options{Sliceable: true})
 			if err != nil {
