@@ -79,20 +79,20 @@ func TestPinnedModulesTable(t *testing.T) {
 		modules int
 		digest  string
 	}{
-		{"mips16", 99, "ae2cbb0a88a49f4982d9b80a93e969cc1d35ec4b1169b7886cff5e563c66b072"},
+		{"mips16", 99, "37b2ef4413c24e03db56bc2276b2550e1e85f4bac5bfd4221300c3aa02084905"},
 		{"riscfpu", 212, "c1559a5c838c53a5b3a7dca79378a50334131c76b67846a0d70266a8597f1c30"},
 		{"router", 251, "78d64b0abcb2cc02a7b9aef49c9ca335c0517ca6cd82d4d6ee92bf30d1af21d5"},
-		{"oc8051", 117, "ca0cc2fb2bea313734a56851952d0d91bb79e609c3650ecf89ac2e57f441e633"},
+		{"oc8051", 117, "43199274b80e4cb5bcb42f3604f4f034c715fb47e49695f61e9fb0f895c66add"},
 		{"aemb", 60, "1893bb07d1ec80dd7c59c4adbb0ee552d32338d84351e3ace3689bb19dbd42d4"},
 		{"msp430", 28, "62ee7810a0be844fb40392476c60366c13dbe9c680f27b807f6bc59628c6fe97"},
 		{"usb", 62, "cc866bcb505409b1645446013d1d6f5e744c57af0103cade290fe248ac6c3c9d"},
 		{"evoter", 32, "401ebd4ff0fa8a2d44d4dccf332b093d4b26f26a809de5f2a3b9db50a4ea236f"},
-		{"oc8051-trojan", 121, "d604cd48610dbb48edf49c97327c144c57ca06bbec431451c1e8dbc37b8533ed"},
+		{"oc8051-trojan", 121, "00ced62fd5e730936193d66a143555df890f58c202773dac9662d00512eb27d3"},
 		{"evoter-trojan", 56, "82a0bef794a2461736f3ab1cb712f0cb7bd00a668baf1fbc6f8830214423eb5e"},
-		{"mips16-lut", 99, "5380d8eea7223a3e7abfbe8e465f67e0f70cdebffc6af0c7501d797426b8c037"},
+		{"mips16-lut", 99, "805caf8cb3a89e3e2f753e4bbf750e78fa6d22452787a80a24e42f017c04f911"},
 		{"riscfpu-lut", 212, "cd5ef5723ed607ce518f4f350970bb948443c29b6db7b859f8bae07309ea9756"},
 		{"router-lut", 251, "18e5d1e6035d9e586912ec6fc5a1f98f7f88a9a50d582087f3f826fc5845bb9f"},
-		{"oc8051-lut", 117, "576946991f88d1c4a9f298d656c5b61e8ca598e3d63ffb47663de62cc8e25113"},
+		{"oc8051-lut", 117, "a06caff64d7610cd89a2ec8124bf5adc174ddf66cbf722455e068b5542f948e2"},
 		{"aemb-lut", 59, "2badb848dca77e3b63c92ba3d307d566209245a3502b0ae9f5b23dc9f8fb6f78"},
 		{"msp430-lut", 28, "f4488bd3a6cbb738796f60629d838845f5a8a5d8d70431f4d013f07b6086f995"},
 		{"usb-lut", 62, "45740fc6717c590e46da0bd8133c3386944e0d5a6945080060247eaf714fd9fd"},

@@ -978,9 +978,9 @@ func planShift(nl *netlist.Netlist, m *module.Module) []*regBlock {
 
 // planRegister proves the Figure-7 multibit register, D = c_0 ? src_0 :
 // (c_1 ? src_1 : … q), from its next-state functions. The conditions come
-// from the cond port. c is the next (outermost remaining) condition when
-// every bit's D|c=1 is one signal, its source bit; D == ITE(c, src, D|c=0)
-// then holds by Shannon expansion, and the proof goes on with D|c=0. The
+// from the cond port, outermost first. c is the next condition when every
+// bit's D|c=1 is one signal, its source bit; D == ITE(c, src, D|c=0) then
+// holds by Shannon expansion, and the proof goes on with D|c=0. The
 // register is proven once every remaining level is the bit's own latch.
 func planRegister(nl *netlist.Netlist, m *module.Module) *regBlock {
 	q := m.Port("q")
@@ -1020,15 +1020,15 @@ func planRegister(nl *netlist.Netlist, m *module.Module) *regBlock {
 			rb.conds, rb.srcs, level = append(rb.conds, c), append(rb.srcs, src), rest
 			return true
 		}
-		conds := slices.Clone(m.Port("cond"))
-		for !held() {
-			i := slices.IndexFunc(conds, peel)
-			if i < 0 {
+		for _, c := range m.Port("cond") {
+			if held() {
+				break
+			}
+			if !peel(c) {
 				return false
 			}
-			conds = slices.Delete(conds, i, i+1)
 		}
-		return len(rb.conds) > 0
+		return held() && len(rb.conds) > 0
 	})
 	if !proven {
 		return nil

@@ -511,6 +511,11 @@ func identifyWriteLogic(nl *netlist.Netlist, slices *bitslice.Result, cells []ne
 }
 
 func dedupeIDs(ids []netlist.ID) []netlist.ID {
+	return netlist.SortedIDs(firstSeen(ids))
+}
+
+// firstSeen returns ids without repeats, each where it first appears.
+func firstSeen(ids []netlist.ID) []netlist.ID {
 	seen := make(map[netlist.ID]bool, len(ids))
 	var out []netlist.ID
 	for _, id := range ids {
@@ -519,7 +524,7 @@ func dedupeIDs(ids []netlist.ID) []netlist.ID {
 			out = append(out, id)
 		}
 	}
-	return netlist.SortedIDs(out)
+	return out
 }
 
 func idKeySeq(ids []netlist.ID) string {

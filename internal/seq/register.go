@@ -95,7 +95,8 @@ func FindMultibitRegisters(nl *netlist.Netlist, muxes []*module.Module) []*modul
 		reg := module.New(module.MultibitRegister, len(latches), elements)
 		reg.Name = fmt.Sprintf("multibit-register[%d]", len(latches))
 		reg.SetPort("q", latches)
-		reg.SetPort("cond", dedupeIDs(conds))
+		// cond keeps the walk's order: outermost condition first.
+		reg.SetPort("cond", firstSeen(conds))
 		reg.SetAttr("sources", fmt.Sprint(len(cascade)))
 		out = append(out, reg)
 	}

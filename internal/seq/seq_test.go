@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"slices"
 	"testing"
 
 	"netlistre/internal/aggregate"
@@ -205,6 +206,11 @@ func TestMultibitRegisterDetection(t *testing.T) {
 		if !qSet[l] {
 			t.Errorf("latch %d (bit %d) not in register", l, i)
 		}
+	}
+	// c3 wraps the cascade, so it is outermost although its ID is the
+	// largest: cond lists the conditions in cascade order, not ID order.
+	if got, want := best.Port("cond"), []netlist.ID{c3, c2, c1}; !slices.Equal(got, want) {
+		t.Errorf("cond = %v, want %v (outermost first)", got, want)
 	}
 }
 
