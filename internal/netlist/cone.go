@@ -6,6 +6,11 @@ package netlist
 // outputs, so the cone computes a pure Boolean function of those boundary
 // signals.
 
+import (
+	"slices"
+	"sync"
+)
+
 // Cone describes the full combinational fan-in cone of one or more roots.
 type Cone struct {
 	// Roots are the nodes whose cone was traversed.
@@ -25,44 +30,71 @@ func (n *Netlist) ConeOf(root ID) Cone { return n.ConeOfAll([]ID{root}) }
 // roots.
 func (n *Netlist) ConeOfAll(roots []ID) Cone {
 	c := Cone{Roots: append([]ID(nil), roots...)}
-	seen := make(map[ID]bool)
-	var stack []ID
-	push := func(id ID) {
-		if !seen[id] {
-			seen[id] = true
-			stack = append(stack, id)
-		}
-	}
+	t := visitTables.Get().(*visitTable)
+	epoch := t.next(len(n.nodes))
+	seen := t.stamp
+	stack := t.stack[:0]
 	for _, r := range roots {
+		if seen[r] == epoch {
+			continue
+		}
+		seen[r] = epoch
 		if n.nodes[r].Kind.IsConeInput() {
 			// A root that is itself an input/latch contributes itself as a
 			// boundary signal but no interior nodes.
-			if !seen[r] {
-				seen[r] = true
-				c.Inputs = append(c.Inputs, r)
-			}
+			c.Inputs = append(c.Inputs, r)
 			continue
 		}
-		push(r)
+		stack = append(stack, r)
 	}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		c.Nodes = append(c.Nodes, id)
 		for _, f := range n.nodes[id].Fanin {
-			if n.nodes[f].Kind.IsConeInput() {
-				if !seen[f] {
-					seen[f] = true
-					c.Inputs = append(c.Inputs, f)
-				}
+			if seen[f] == epoch {
 				continue
 			}
-			push(f)
+			seen[f] = epoch
+			if n.nodes[f].Kind.IsConeInput() {
+				c.Inputs = append(c.Inputs, f)
+				continue
+			}
+			stack = append(stack, f)
 		}
 	}
-	c.Inputs = SortedIDs(c.Inputs)
-	c.Nodes = SortedIDs(c.Nodes)
+	t.stack = stack
+	visitTables.Put(t)
+	slices.Sort(c.Inputs)
+	slices.Sort(c.Nodes)
 	return c
+}
+
+// visitTable is ConeOfAll's visited set: node i is visited in the current
+// walk iff stamp[i] equals the walk's epoch, so starting a walk costs one
+// increment, not a clear, and a small cone of a large netlist costs time in
+// the cone's size.
+type visitTable struct {
+	stamp []uint32
+	epoch uint32
+	stack []ID
+}
+
+// visitTables pools visit tables across walks and goroutines.
+var visitTables = sync.Pool{New: func() any { return new(visitTable) }}
+
+// next starts a walk over a netlist of size nodes and returns its epoch.
+func (t *visitTable) next(size int) uint32 {
+	if len(t.stamp) < size {
+		t.stamp = make([]uint32, size)
+		t.epoch = 0
+	}
+	t.epoch++
+	if t.epoch == 0 {
+		clear(t.stamp)
+		t.epoch = 1
+	}
+	return t.epoch
 }
 
 // TopoOrder returns all nodes in a topological order where every

@@ -242,7 +242,7 @@ func TestReadTreeGatedByConstant(t *testing.T) {
 		nl.AddGate(netlist.And, nl.AddGate(netlist.Not, s), l0),
 		nl.AddGate(netlist.And, s, l1))
 	root := nl.AddGate(netlist.And, mux, nl.AddConst(true))
-	selects, cells, ok := verifyReadBehavior(nl, markReadLogic(nl), root)
+	selects, cells, ok := verifyReadBehavior(nl, markReadLogic(nl, nl.TopoOrder()), root)
 	if !ok {
 		t.Fatal("constant-gated read tree rejected")
 	}
