@@ -35,11 +35,12 @@ func run(out io.Writer) {
 
 	// Step 1: five-valued simulation with u = (D,D,D) and c = 0, in the
 	// pair encoding: every lane pair holds a signal's D=0 and D=1 values.
-	assign := map[netlist.ID]bitsim.Vector{c: bitsim.Known(0)}
+	cone := bitsim.CompileCone(nl, w, append([]netlist.ID{c}, u...))
+	cone.Force(c, bitsim.Known(0))
 	for _, b := range u {
-		assign[b] = bitsim.PairD()
+		cone.Force(b, bitsim.PairD())
 	}
-	vals := bitsim.CompileCone(nl, w, assign).EvalPairs()
+	vals := cone.EvalPairs()
 	fmt.Fprintln(out, "with u=D,D,D and c=0 the outputs evaluate to:")
 	for i, val := range vals {
 		fmt.Fprintf(out, "  w%d = %s\n", i+1, val.PairString(0))

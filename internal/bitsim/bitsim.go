@@ -22,6 +22,8 @@
 package bitsim
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
 
 	"netlistre/internal/netlist"
@@ -194,21 +196,22 @@ func (v Vector) PairString(k int) string {
 }
 
 // Cone is the transitive fan-in cone of some roots, compiled once for
-// repeated evaluation. The cone stops at assigned nodes, which hold their
-// assigned vectors (cut loose from their own logic, which is how the
-// paper's word propagation simulates the "local netlist" around a word,
-// Section II-C.1), and at the other cone inputs, which are X. Between
-// evaluations any node of the cone can be forced lane by lane, so a caller
-// that re-runs one cone on fresh patterns compiles it once, with Unknown()
-// assigned to each leaf that is not a cone input already, and forces the
-// leaves' values before each evaluation.
+// repeated evaluation. The cone stops at the cone inputs and at the nodes
+// the caller cuts loose from their own logic (which is how the paper's word
+// propagation simulates the "local netlist" around a word, Section
+// II-C.1). These leaves are X until forced. Between evaluations any node of
+// the cone can be forced lane by lane, so a caller that re-runs one cone on
+// fresh patterns compiles it once and forces the leaves' values before each
+// evaluation.
 //
 // Eval treats the 64 lanes as independent three-valued runs; EvalPairs
 // reads them as Pairs five-valued signals in the pair encoding.
 type Cone struct {
-	nodes []coneNode // topological order
-	fanin []int32    // positions in nodes, sliced by coneNode.lo/hi
-	index map[netlist.ID]int32
+	nodes []coneNode   // topological order
+	ids   []netlist.ID // ids[i] is the netlist node of nodes[i]
+	fanin []int32      // positions in nodes, sliced by coneNode.lo/hi
+	index []uint64     // Force's lookup table, see position
+	shift int          // index has 2^(64-shift) slots
 	roots []int32
 	force []Vector
 	vals  []Vector
@@ -218,42 +221,44 @@ type Cone struct {
 
 type coneNode struct {
 	leaf   bool
-	value  Vector // a leaf's value
 	kind   netlist.Kind
 	mask   uint64
 	lo, hi int32
 }
 
-// CompileCone compiles the fan-in cone of roots with the nodes in assign
-// cut loose and holding their assigned vectors. assign may be nil.
-func CompileCone(nl *netlist.Netlist, roots []netlist.ID, assign map[netlist.ID]Vector) *Cone {
-	table := positions.Get().(*[]int32)
-	if len(*table) < nl.Len() {
-		*table = make([]int32, nl.Len())
+// CompileCone compiles the fan-in cone of roots. The nodes in cut become
+// leaves, cut loose from their own logic, like the cone inputs. cut may be
+// nil.
+func CompileCone(nl *netlist.Netlist, roots, cut []netlist.ID) *Cone {
+	sc := compileScratches.Get().(*compileScratch)
+	if len(sc.pos) < nl.Len() {
+		sc.pos = make([]int32, nl.Len())
 	}
-	pos := *table // 1 + a node's position in the cone, 0 outside it
+	// pos holds 1 + a node's place in order, 0 for a node not placed, and
+	// -1 for a cut node not placed yet: the leaf test is one table read.
+	pos := sc.pos
+	for _, id := range cut {
+		pos[id] = -1
+	}
+	order, isLeaf, stack := sc.order[:0], sc.leaf[:0], sc.stack[:0]
+	edges := 0
+	place := func(id netlist.ID, leaf bool) {
+		order = append(order, id)
+		isLeaf = append(isLeaf, leaf)
+		pos[id] = int32(len(order))
+		if !leaf {
+			edges += len(nl.Fanin(id))
+		}
+	}
+	leaf := func(id netlist.ID) bool { return pos[id] < 0 || nl.Kind(id).IsConeInput() }
 	// Place the cone's nodes in topological order by an iterative DFS that
 	// stops at leaves.
-	var ids []netlist.ID
-	place := func(id netlist.ID) {
-		ids = append(ids, id)
-		pos[id] = int32(len(ids))
-	}
-	leaf := func(id netlist.ID) bool {
-		_, ok := assign[id]
-		return ok || nl.Kind(id).IsConeInput()
-	}
-	type frame struct {
-		id   netlist.ID
-		next int
-	}
-	var stack []frame
 	for _, r := range roots {
-		if pos[r] != 0 {
+		if pos[r] > 0 {
 			continue
 		}
 		if leaf(r) {
-			place(r)
+			place(r, true)
 			continue
 		}
 		stack = append(stack[:0], frame{id: r})
@@ -262,72 +267,135 @@ func CompileCone(nl *netlist.Netlist, roots []netlist.ID, assign map[netlist.ID]
 			if fanin := nl.Fanin(top.id); top.next < len(fanin) {
 				f := fanin[top.next]
 				top.next++
-				if pos[f] == 0 {
+				if pos[f] <= 0 {
 					if leaf(f) {
-						place(f)
+						place(f, true)
 					} else {
 						stack = append(stack, frame{id: f})
 					}
 				}
 				continue
 			}
-			place(top.id)
+			place(top.id, false)
 			stack = stack[:len(stack)-1]
 		}
 	}
 
+	n := len(order)
 	c := &Cone{
-		nodes: make([]coneNode, len(ids)),
-		index: make(map[netlist.ID]int32, len(ids)),
+		nodes: make([]coneNode, n),
+		ids:   slices.Clone(order),
+		fanin: make([]int32, 0, edges),
 		roots: make([]int32, len(roots)),
-		force: make([]Vector, len(ids)),
-		vals:  make([]Vector, len(ids)),
+		force: make([]Vector, n),
+		vals:  make([]Vector, n),
 		out:   make([]Vector, len(roots)),
 	}
-	edges := 0
-	for _, id := range ids {
-		edges += len(nl.Fanin(id))
-	}
-	c.fanin = make([]int32, 0, edges)
-	for i, id := range ids {
-		c.index[id] = int32(i)
+	for i, id := range order {
 		c.force[i] = Unknown()
-		if v, ok := assign[id]; ok {
-			c.nodes[i] = coneNode{leaf: true, value: v}
-		} else if node := nl.Node(id); node.Kind.IsConeInput() {
-			c.nodes[i] = coneNode{leaf: true, value: Unknown()}
-		} else {
-			n := coneNode{kind: node.Kind, mask: node.Mask, lo: int32(len(c.fanin))}
-			for _, f := range node.Fanin {
-				c.fanin = append(c.fanin, pos[f]-1)
-			}
-			n.hi = int32(len(c.fanin))
-			c.nodes[i] = n
+		if isLeaf[i] {
+			c.nodes[i].leaf = true
+			continue
 		}
+		node := nl.Node(id)
+		cn := coneNode{kind: node.Kind, mask: node.Mask, lo: int32(len(c.fanin))}
+		for _, f := range node.Fanin {
+			c.fanin = append(c.fanin, pos[f]-1)
+		}
+		cn.hi = int32(len(c.fanin))
+		c.nodes[i] = cn
 	}
 	for i, r := range roots {
 		c.roots[i] = pos[r] - 1
 	}
-	for _, id := range ids {
+	for _, id := range order {
 		pos[id] = 0
 	}
-	positions.Put(table)
+	for _, id := range cut {
+		pos[id] = 0
+	}
+	sc.order, sc.leaf, sc.stack = order, isLeaf, stack
+	compileScratches.Put(sc)
 	return c
 }
 
-// positions pools CompileCone's dense node-ID table. CompileCone clears the
-// entries it set before handing the table back, so compiling a small cone
-// of a large netlist costs time in the cone's size, not the netlist's.
-var positions = sync.Pool{New: func() any { return new([]int32) }}
+// compileScratch is CompileCone's pooled working memory: the dense node-ID
+// position table, the placement order with each placed node's leaf flag,
+// and the DFS stack. CompileCone clears the table entries it set before
+// handing it back, so compiling a small cone of a large netlist costs time
+// in the cone's size, not the netlist's.
+type compileScratch struct {
+	pos   []int32
+	order []netlist.ID
+	leaf  []bool
+	stack []frame
+}
+
+// frame is one node on CompileCone's DFS stack, with the next fanin to
+// visit.
+type frame struct {
+	id   netlist.ID
+	next int
+}
+
+var compileScratches = sync.Pool{New: func() any { return new(compileScratch) }}
 
 // Force overrides node id from the next evaluation on: the known lanes of
-// o replace the node's own value and its X lanes leave it alone, so
-// Unknown() lifts the override. A node outside the cone cannot change any
-// root, and forcing it does nothing.
+// o replace the node's own value (X for a leaf) and its X lanes leave it
+// alone, so Unknown() lifts the override. A node outside the cone cannot
+// change any root, and forcing it does nothing.
 func (c *Cone) Force(id netlist.ID, o Vector) {
-	if i, ok := c.index[id]; ok {
+	if i, ok := c.position(id); ok {
 		c.force[i] = o
 	}
+}
+
+// position finds id's place in the cone. The first call builds index, an
+// open-addressing table of the cone's nodes: each entry is (ID+1)<<32 |
+// position, so no entry is 0, the empty slot; the table has a power-of-two
+// size, is at most two thirds full, and probes linearly from a
+// multiplicative hash.
+func (c *Cone) position(id netlist.ID) (int32, bool) {
+	if c.index == nil {
+		shift := 64 - bits.Len(uint(len(c.ids)+len(c.ids)/2)|1)
+		c.index = make([]uint64, 1<<(64-shift))
+		for i, x := range c.ids {
+			h := slotOf(x, shift)
+			for c.index[h] != 0 {
+				h = (h + 1) & (len(c.index) - 1)
+			}
+			c.index[h] = uint64(x+1)<<32 | uint64(i)
+		}
+		c.shift = shift
+	}
+	key := uint64(id+1) << 32
+	for h := slotOf(id, c.shift); ; h = (h + 1) & (len(c.index) - 1) {
+		e := c.index[h]
+		if e == 0 {
+			return 0, false
+		}
+		if e&^(1<<32-1) == key {
+			return int32(uint32(e)), true
+		}
+	}
+}
+
+// slotOf is the home slot of id in a table of 2^(64-shift) slots.
+func slotOf(id netlist.ID, shift int) int {
+	return int(uint64(id) * 0x9e3779b97f4a7c15 >> uint(shift))
+}
+
+// Leaves returns the cone's leaves, its cone inputs and the cut nodes it
+// reached, ascending by ID.
+func (c *Cone) Leaves() []netlist.ID {
+	var out []netlist.ID
+	for i, n := range c.nodes {
+		if n.leaf {
+			out = append(out, c.ids[i])
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Eval evaluates the cone with independent lanes and returns the roots'
@@ -342,7 +410,7 @@ func (c *Cone) EvalPairs() []Vector { return c.eval(true) }
 func (c *Cone) eval(pairs bool) []Vector {
 	for i := range c.nodes {
 		n := &c.nodes[i]
-		v := n.value
+		v := Unknown()
 		if !n.leaf {
 			c.buf = c.buf[:0]
 			for _, f := range c.fanin[n.lo:n.hi] {
@@ -378,11 +446,11 @@ func TableOf(nl *netlist.Netlist, root netlist.ID, leaves []netlist.ID) (truth.T
 	if n > truth.MaxVars {
 		panic("bitsim: TableOf beyond truth.MaxVars")
 	}
-	assign := make(map[netlist.ID]Vector, n)
+	cone := CompileCone(nl, []netlist.ID{root}, leaves)
 	for i, l := range leaves {
-		assign[l] = Known(truth.Var(i, truth.MaxVars).Bits)
+		cone.Force(l, Known(truth.Var(i, truth.MaxVars).Bits))
 	}
-	v := CompileCone(nl, []netlist.ID{root}, assign).Eval()[0]
+	v := cone.Eval()[0]
 	mask := truth.Mask(n)
 	if v.Unk&mask != 0 {
 		return truth.Table{}, false

@@ -274,6 +274,20 @@ func randNetlist(rng *rand.Rand, nIn, nGates int) *netlist.Netlist {
 
 // packAssign converts 64 scalar {0,1,X} assignments into one vector
 // assignment (lane i carries scalar assignment i).
+// compileAssigned compiles the cone of roots with the nodes of assign cut
+// loose and forced to their assigned vectors.
+func compileAssigned(nl *netlist.Netlist, roots []netlist.ID, assign map[netlist.ID]Vector) *Cone {
+	cut := make([]netlist.ID, 0, len(assign))
+	for id := range assign {
+		cut = append(cut, id)
+	}
+	c := CompileCone(nl, roots, cut)
+	for id, v := range assign {
+		c.Force(id, v)
+	}
+	return c
+}
+
 func packAssign(scalar [Lanes]map[netlist.ID]value) map[netlist.ID]Vector {
 	packed := make(map[netlist.ID]Vector)
 	for lane := 0; lane < Lanes; lane++ {
@@ -326,7 +340,7 @@ func TestRunMatchesScalarSim(t *testing.T) {
 		for id := range all {
 			all[id] = netlist.ID(id)
 		}
-		got := CompileCone(nl, all, packAssign(scalar)).Eval()
+		got := compileAssigned(nl, all, packAssign(scalar)).Eval()
 		for lane := 0; lane < Lanes; lane++ {
 			want := run5(nl, scalar[lane])
 			for id := range all {
@@ -379,12 +393,17 @@ func TestRunPairEncodingD(t *testing.T) {
 				assign[id] = setPair(assign[id], k, v)
 			}
 		}
-		cone := CompileCone(nl, all, assign)
+		cone := compileAssigned(nl, all, assign)
 		for _, id := range all {
 			if rng.Intn(10) != 0 {
 				continue
 			}
-			force := Unknown()
+			// A leaf's force replaces its assigned vector, so the pairs
+			// left unforced keep the assigned values.
+			force, ok := assign[id]
+			if !ok {
+				force = Unknown()
+			}
 			for k := range scalar {
 				if rng.Intn(3) == 0 {
 					v := five[rng.Intn(4)] // X cannot be forced
@@ -416,7 +435,8 @@ func TestConeStopsAtAssigned(t *testing.T) {
 	b := nl.AddInput("b")
 	g := nl.AddGate(netlist.And, a, b)
 	h := nl.AddGate(netlist.Not, g)
-	cone := CompileCone(nl, []netlist.ID{h}, map[netlist.ID]Vector{g: PairD()})
+	cone := CompileCone(nl, []netlist.ID{h}, []netlist.ID{g})
+	cone.Force(g, PairD())
 	cone.Force(a, Known(0))
 	if got := cone.EvalPairs()[0].PairString(7); got != "D̄" {
 		t.Errorf("not(D) with a forced behind the cut = %s, want D̄", got)
@@ -586,7 +606,7 @@ func TestRunSelectorCircuit(t *testing.T) {
 	}
 	// v unassigned -> X. One Eval checks three control values at once:
 	// pair 0 has c=0, pair 1 has c=1, and pair 2 leaves c unforced (X).
-	cone := CompileCone(nl, w, assign)
+	cone := compileAssigned(nl, w, assign)
 	cone.Force(c, setPair(setPair(Unknown(), 0, zero), 1, one))
 	for i, got := range cone.EvalPairs() {
 		for k, want := range []value{symDBar, unknown, unknown} {
@@ -598,9 +618,9 @@ func TestRunSelectorCircuit(t *testing.T) {
 }
 
 // TestConeReforce pins the compile-once pattern every caller uses: a cone
-// compiled with Unknown() leaves and evaluated again after each round of
-// Force calls on those leaves must equal a cone compiled afresh with the
-// leaves assigned the forced values. Some leaves stay X, wholly or in some
+// compiled once with its leaves cut loose and evaluated again after each
+// round of Force calls on those leaves must equal a cone compiled afresh
+// and forced once with the same values. Some leaves stay X, wholly or in some
 // lanes, and the netlists mix gates and LUT cells.
 func TestConeReforce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -616,11 +636,7 @@ func TestConeReforce(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			roots = append(roots, netlist.ID(rng.Intn(nl.Len())))
 		}
-		assign := make(map[netlist.ID]Vector, len(leaves))
-		for _, l := range leaves {
-			assign[l] = Unknown()
-		}
-		cone := CompileCone(nl, roots, assign)
+		cone := CompileCone(nl, roots, leaves)
 		for round := 0; round < 4; round++ {
 			fresh := make(map[netlist.ID]Vector, len(leaves))
 			for _, l := range leaves {
@@ -635,7 +651,7 @@ func TestConeReforce(t *testing.T) {
 				cone.Force(l, v)
 				fresh[l] = v
 			}
-			want := CompileCone(nl, roots, fresh).Eval()
+			want := compileAssigned(nl, roots, fresh).Eval()
 			for i, v := range cone.Eval() {
 				if v != want[i] {
 					t.Fatalf("trial %d round %d root %d: re-forced %+v, fresh %+v",
@@ -706,5 +722,36 @@ func TestTableOfMatchesCuts(t *testing.T) {
 	}
 	if checked < 1000 {
 		t.Fatalf("only %d cuts cross-checked; generator too small", checked)
+	}
+}
+
+// TestConePosition checks the Force index against the compiled node list:
+// every node of the netlist is found exactly when it is in the cone, at its
+// own position, for cones from a single node up to the whole netlist.
+func TestConePosition(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		nl := randNetlist(rng, 2+rng.Intn(6), 1+rng.Intn(300))
+		var roots, cut []netlist.ID
+		for i := rng.Intn(4); i >= 0; i-- {
+			roots = append(roots, netlist.ID(rng.Intn(nl.Len())))
+		}
+		for id := netlist.ID(0); int(id) < nl.Len(); id++ {
+			if rng.Intn(8) == 0 {
+				cut = append(cut, id)
+			}
+		}
+		c := CompileCone(nl, roots, cut)
+		in := make(map[netlist.ID]int32, len(c.ids))
+		for i, id := range c.ids {
+			in[id] = int32(i)
+		}
+		for id := netlist.ID(0); int(id) < nl.Len(); id++ {
+			pos, ok := c.position(id)
+			want, wantOK := in[id]
+			if ok != wantOK || ok && pos != want {
+				t.Fatalf("trial %d node %d: position (%d, %v), want (%d, %v)", trial, id, pos, ok, want, wantOK)
+			}
+		}
 	}
 }

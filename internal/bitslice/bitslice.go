@@ -17,6 +17,7 @@
 package bitslice
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -175,7 +176,7 @@ func Find(nl *netlist.Netlist, opt Options) *Result {
 		byArity[e.Table.N] = append(byArity[e.Table.N], e)
 	}
 
-	cutSets := cuts.Enumerate(nl, opt.Cuts)
+	cutSets := cuts.EnumerateByID(nl, opt.Cuts)
 	res := &Result{
 		ByClass: make(map[truth.Class][]*Match),
 		ByRoot:  make(map[netlist.ID][]*Match),
@@ -214,6 +215,8 @@ func Find(nl *netlist.Netlist, opt Options) *Result {
 				keepUnknown: opt.KeepUnknown,
 				memo:        make(map[truth.Table]classification),
 			}
+			walk := &coneWalk{seen: nl.Visits()}
+			defer walk.seen.Release()
 			for {
 				lo := netlist.ID(next.Add(chunk) - chunk)
 				if int(lo) >= nl.Len() || stopped.Load() != 0 {
@@ -228,7 +231,7 @@ func Find(nl *netlist.Netlist, opt Options) *Result {
 					hi = netlist.ID(nl.Len())
 				}
 				for id := lo; id < hi; id++ {
-					matchNode(nl, id, cutSets[id], cl, perNode, perUnknown)
+					matchNode(nl, id, cutSets[id], cl, walk, perNode, perUnknown)
 				}
 			}
 		}()
@@ -256,20 +259,17 @@ const chunk = 64
 // matchNode classifies every non-trivial cut of one gate, keeping one match
 // per (root, class) and one unknown representative per canonical function.
 func matchNode(nl *netlist.Netlist, id netlist.ID, cs []cuts.Cut,
-	cl *classifier, perNode [][]*Match, perUnknown [][]unknownRec) {
+	cl *classifier, walk *coneWalk, perNode [][]*Match, perUnknown [][]unknownRec) {
 	if !nl.Kind(id).IsGate() {
 		return
 	}
-	var seenClass [256 / 64]uint64 // bit c: a match of Class c is kept
-	var seenUnknown map[string]bool
-	if perUnknown != nil {
-		seenUnknown = make(map[string]bool)
-	}
+	var seenClass [256 / 64]uint64  // bit c: a match of Class c is kept
+	var seenUnknown map[string]bool // allocated at the node's first unknown
 	for _, c := range cs {
 		if len(c.Leaves) == 1 && c.Leaves[0] == id {
 			continue // trivial cut matches nothing interesting
 		}
-		shrunk, orig := c.Table.Shrink()
+		shrunk, sup := c.Table.Shrink()
 		if shrunk.N == 0 {
 			continue // constant function
 		}
@@ -282,7 +282,7 @@ func matchNode(nl *netlist.Netlist, id netlist.ID, cs []cuts.Cut,
 			}
 			seenClass[w] |= bit
 			if leaves == nil {
-				leaves = pick(c.Leaves, orig)
+				leaves = pick(c.Leaves, sup)
 			}
 			args := make([]netlist.ID, len(cm.perm))
 			for j, v := range cm.perm {
@@ -292,20 +292,23 @@ func matchNode(nl *netlist.Netlist, id netlist.ID, cs []cuts.Cut,
 				Root:  id,
 				Class: cm.entry.Class,
 				Args:  args,
-				Cone:  coneWithin(nl, id, leaves),
+				Cone:  walk.within(nl, id, leaves),
 			})
 		}
-		if len(cls.matches) == 0 && seenUnknown != nil && shrunk.N >= 3 {
+		if len(cls.matches) == 0 && perUnknown != nil && shrunk.N >= 3 {
+			if seenUnknown == nil {
+				seenUnknown = make(map[string]bool)
+			}
 			if !seenUnknown[cls.unknownKey] {
 				seenUnknown[cls.unknownKey] = true
-				leaves := pick(c.Leaves, orig)
+				leaves := pick(c.Leaves, sup)
 				perUnknown[id] = append(perUnknown[id], unknownRec{
 					key: cls.unknownKey,
 					m: &Match{
 						Root:  id,
 						Class: truth.ClassUnknown,
 						Args:  leaves,
-						Cone:  coneWithin(nl, id, leaves),
+						Cone:  walk.within(nl, id, leaves),
 					},
 				})
 			}
@@ -313,12 +316,12 @@ func matchNode(nl *netlist.Netlist, id netlist.ID, cs []cuts.Cut,
 	}
 }
 
-// pick returns the leaves at the given indices: shrunk variable j of a cut
-// function is leaf pick(c.Leaves, origVar)[j].
-func pick(leaves []netlist.ID, idx []int) []netlist.ID {
-	out := make([]netlist.ID, len(idx))
-	for j, i := range idx {
-		out[j] = leaves[i]
+// pick returns the leaves at the set bits of a support mask: shrunk
+// variable j of a cut function is leaf pick(c.Leaves, sup)[j].
+func pick(leaves []netlist.ID, sup uint8) []netlist.ID {
+	out := make([]netlist.ID, 0, bits.OnesCount8(sup))
+	for ; sup != 0; sup &= sup - 1 {
+		out = append(out, leaves[bits.TrailingZeros8(sup)])
 	}
 	return out
 }
@@ -345,28 +348,35 @@ func (r *Result) HasClass(root netlist.ID, c truth.Class) (*Match, bool) {
 	return nil, false
 }
 
-// coneWithin returns the gates from root down to (but excluding) the given
-// leaves, sorted ascending.
-func coneWithin(nl *netlist.Netlist, root netlist.ID, leaves []netlist.ID) []netlist.ID {
-	isLeaf := make(map[netlist.ID]bool, len(leaves))
+// coneWalk is one worker's cone walker: a pooled visited set and a reused
+// DFS stack.
+type coneWalk struct {
+	seen  *netlist.VisitSet
+	stack []netlist.ID
+}
+
+// within returns the gates from root down to (but excluding) the given
+// leaves, sorted ascending. The leaves are marked visited up front, so the
+// walk never enters them.
+func (w *coneWalk) within(nl *netlist.Netlist, root netlist.ID, leaves []netlist.ID) []netlist.ID {
+	w.seen.Reset()
 	for _, l := range leaves {
-		isLeaf[l] = true
+		w.seen.Visit(l)
 	}
-	seen := map[netlist.ID]bool{root: true}
-	stack := []netlist.ID{root}
+	w.seen.Visit(root)
+	stack := append(w.stack[:0], root)
 	var out []netlist.ID
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		out = append(out, id)
 		for _, f := range nl.Fanin(id) {
-			if isLeaf[f] || seen[f] || !nl.Kind(f).IsComb() {
-				continue
+			if nl.Kind(f).IsComb() && w.seen.Visit(f) {
+				stack = append(stack, f)
 			}
-			seen[f] = true
-			stack = append(stack, f)
 		}
 	}
+	w.stack = stack
 	slices.Sort(out)
 	return out
 }

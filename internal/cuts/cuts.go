@@ -46,17 +46,32 @@ type Options struct {
 // 15-35 6-feasible cuts per gate, so 48 loses almost nothing.
 const DefaultMaxCuts = 48
 
-// Enumerate computes the k-feasible cuts of every node in n. Boundary nodes
-// (inputs, latches) get only their trivial cut; constants get a single
-// empty-leaf constant cut.
+// Enumerate computes the k-feasible cuts of every node in n, keyed by node
+// ID: a view of EnumerateByID's sets.
 func Enumerate(n *netlist.Netlist, opt Options) map[netlist.ID][]Cut {
+	sets := EnumerateByID(n, opt)
+	res := make(map[netlist.ID][]Cut, len(sets))
+	for id, cs := range sets {
+		if cs != nil {
+			res[netlist.ID(id)] = cs
+		}
+	}
+	return res
+}
+
+// EnumerateByID computes the k-feasible cuts of every node in n; element
+// id is node id's cut set. Boundary nodes (inputs, latches) get only their
+// trivial cut; constants get a single empty-leaf constant cut. An
+// interrupted enumeration leaves the sets of the nodes it did not reach
+// nil.
+func EnumerateByID(n *netlist.Netlist, opt Options) [][]Cut {
 	if opt.K <= 0 || opt.K > truth.MaxVars {
 		opt.K = truth.MaxVars
 	}
 	if opt.MaxCuts <= 0 {
 		opt.MaxCuts = DefaultMaxCuts
 	}
-	res := make(map[netlist.ID][]Cut, n.Len())
+	res := make([][]Cut, n.Len())
 	var sc scratch
 	for i, id := range n.TopoOrder() {
 		if i&63 == 0 && opt.Interrupt != nil && opt.Interrupt() {
@@ -78,18 +93,20 @@ func Enumerate(n *netlist.Netlist, opt Options) map[netlist.ID][]Cut {
 	return res
 }
 
-// scratch holds the buffers one Enumerate call reuses from fold to fold and
+// scratch holds the buffers one enumeration reuses from fold to fold and
 // node to node: the two sides of a fold (leaf sets la, lb and signature
 // words sa, sb), the leaf slab the merged leaf sets are written into, the
-// pending cuts that point into it, and enumerateLut's intermediate
-// selections (sel, selNext) with their leaves (held). No returned Cut
-// references scratch memory: the last fold of a node copies its kept leaf
-// sets into a fresh allocation (leafBuf).
+// pending cuts that point into it, prune's buckets and survivors (byLen,
+// kept), and enumerateLut's intermediate selections (sel, selNext) with
+// their leaves (held). No returned Cut references scratch memory: the last
+// fold of a node copies its kept leaf sets into a fresh allocation
+// (leafBuf).
 type scratch struct {
 	la, lb       [][]netlist.ID
 	sa, sb       []uint64
 	slab         []netlist.ID
 	pending      []pendingCut
+	byLen, kept  []pendingCut
 	sel, selNext []selCut
 	held         []netlist.ID
 }
@@ -165,7 +182,7 @@ func (sc *scratch) mergeFold(opt Options) []pendingCut {
 		}
 	}
 	sc.slab, sc.pending = slab, pending
-	return prunePending(pending, opt.MaxCuts)
+	return sc.prune(pending, opt.MaxCuts)
 }
 
 // trivialCut returns the cut {id}, writing its leaf into slot (the spare
@@ -178,7 +195,7 @@ func trivialCut(id netlist.ID, slot []netlist.ID) Cut {
 	return Cut{Leaves: slot, Table: truth.Var(0, 1)}
 }
 
-func enumerateGate(n *netlist.Netlist, id netlist.ID, res map[netlist.ID][]Cut, opt Options, sc *scratch) []Cut {
+func enumerateGate(n *netlist.Netlist, id netlist.ID, res [][]Cut, opt Options, sc *scratch) []Cut {
 	fanin := n.Fanin(id)
 	kind := n.Kind(id)
 
@@ -194,7 +211,7 @@ func enumerateGate(n *netlist.Netlist, id netlist.ID, res map[netlist.ID][]Cut, 
 			ps = append(ps, pendingCut{leaves: c.Leaves, sig: leafSig(c.Leaves), a: i})
 		}
 		sc.pending = ps
-		kept := prunePending(ps, opt.MaxCuts)
+		kept := sc.prune(ps, opt.MaxCuts)
 		out := make([]Cut, len(kept), len(kept)+1)
 		for i, p := range kept {
 			t := partial[p.a].Table
@@ -244,7 +261,7 @@ func enumerateGate(n *netlist.Netlist, id netlist.ID, res map[netlist.ID][]Cut, 
 // dominance pruning on leaf sets alone stays sound for the same reason as in
 // enumerateGate: for a fixed root, the cut function is determined by the
 // leaf set.
-func enumerateLut(n *netlist.Netlist, id netlist.ID, res map[netlist.ID][]Cut, opt Options, sc *scratch) []Cut {
+func enumerateLut(n *netlist.Netlist, id netlist.ID, res [][]Cut, opt Options, sc *scratch) []Cut {
 	fanin := n.Fanin(id)
 	mask := n.Node(id).Mask
 
@@ -396,41 +413,72 @@ func unionLeavesInto(dst []netlist.ID, a, b []netlist.ID, k int) ([]netlist.ID, 
 	return dst, true
 }
 
-// prunePending removes duplicate and dominated leaf sets (a set is
+// prune removes duplicate and dominated leaf sets from ps (a set is
 // dominated when it is a strict superset of another) and truncates to
-// maxCuts, preferring sets with fewer leaves: it sorts by (leaf count, leaf
-// order) and keeps survivors in place, returning a prefix of ps. The
-// dominance scan tests signatures first, so most non-subset pairs cost one
-// word operation.
-func prunePending(ps []pendingCut, maxCuts int) []pendingCut {
-	slices.SortFunc(ps, func(x, y pendingCut) int {
-		if len(x.leaves) != len(y.leaves) {
-			return len(x.leaves) - len(y.leaves)
-		}
-		return compareLeaves(x.leaves, y.leaves)
-	})
-	kept := ps[:0]
-	for _, c := range ps {
-		dominated := false
-		for _, k := range kept {
-			if k.sig&^c.sig != 0 || len(k.leaves) > len(c.leaves) {
-				continue // cannot be a subset
+// maxCuts, preferring sets with fewer leaves. It returns the survivors
+// ordered by (leaf count, leaf order), in sc.kept until the next call; of
+// equal sets it keeps the one with the least (a, b).
+//
+// A counting pass buckets ps by leaf count. Bucket by bucket, smallest
+// first, every set is tested against the sets kept so far, which are all
+// smaller, so a subset among them is a strict one; only the survivors are
+// sorted, and adjacent equal sets are dropped. The dominance test checks
+// signatures first, so most non-subset pairs cost one word operation.
+func (sc *scratch) prune(ps []pendingCut, maxCuts int) []pendingCut {
+	var start [truth.MaxVars + 2]int // bucket s is byLen[start[s]:start[s+1]]
+	for _, p := range ps {
+		start[len(p.leaves)+1]++
+	}
+	for s := 1; s < len(start); s++ {
+		start[s] += start[s-1]
+	}
+	if cap(sc.byLen) < len(ps) {
+		sc.byLen = make([]pendingCut, len(ps))
+	}
+	byLen := sc.byLen[:len(ps)]
+	fill := start
+	for _, p := range ps {
+		byLen[fill[len(p.leaves)]] = p
+		fill[len(p.leaves)]++
+	}
+	kept := sc.kept[:0]
+	for s := 0; s+1 < len(start) && len(kept) < maxCuts; s++ {
+		survivors := byLen[start[s]:start[s]]
+		for _, c := range byLen[start[s]:start[s+1]] {
+			if !dominated(kept, c) {
+				survivors = append(survivors, c)
 			}
-			if isSubset(k.leaves, c.leaves) {
-				if len(k.leaves) < len(c.leaves) || equalLeaves(k.leaves, c.leaves) {
-					dominated = true
-					break
-				}
-			}
 		}
-		if !dominated {
-			kept = append(kept, c)
-			if len(kept) >= maxCuts {
+		slices.SortFunc(survivors, func(x, y pendingCut) int {
+			if c := compareLeaves(x.leaves, y.leaves); c != 0 {
+				return c
+			}
+			if x.a != y.a {
+				return x.a - y.a
+			}
+			return x.b - y.b
+		})
+		for i, c := range survivors {
+			if i > 0 && equalLeaves(survivors[i-1].leaves, c.leaves) {
+				continue
+			}
+			if kept = append(kept, c); len(kept) >= maxCuts {
 				break
 			}
 		}
 	}
+	sc.kept = kept
 	return kept
+}
+
+// dominated reports whether some set of kept is a subset of c.
+func dominated(kept []pendingCut, c pendingCut) bool {
+	for _, k := range kept {
+		if k.sig&^c.sig == 0 && isSubset(k.leaves, c.leaves) {
+			return true
+		}
+	}
+	return false
 }
 
 func isSubset(a, b []netlist.ID) bool {

@@ -488,12 +488,12 @@ func newCandidateSim(region *netlist.Netlist, words [][]netlist.ID, outs, exists
 	if nY > truth.MaxVars {
 		return nil
 	}
-	assign := make(map[netlist.ID]bitsim.Vector, nY)
+	cone := bitsim.CompileCone(region, outs, exists)
 	for i, y := range exists {
-		assign[y] = bitsim.Known(truth.Var(i, truth.MaxVars).Bits)
+		cone.Force(y, bitsim.Known(truth.Var(i, truth.MaxVars).Bits))
 	}
 	return &candidateSim{
-		cone:  bitsim.CompileCone(region, outs, assign),
+		cone:  cone,
 		words: words,
 		lanes: 1 << uint(nY),
 		full:  truth.Mask(nY),

@@ -30,15 +30,12 @@ func (n *Netlist) ConeOf(root ID) Cone { return n.ConeOfAll([]ID{root}) }
 // roots.
 func (n *Netlist) ConeOfAll(roots []ID) Cone {
 	c := Cone{Roots: append([]ID(nil), roots...)}
-	t := visitTables.Get().(*visitTable)
-	epoch := t.next(len(n.nodes))
-	seen := t.stamp
-	stack := t.stack[:0]
+	seen := n.Visits()
+	stack := seen.stack[:0]
 	for _, r := range roots {
-		if seen[r] == epoch {
+		if !seen.Visit(r) {
 			continue
 		}
-		seen[r] = epoch
 		if n.nodes[r].Kind.IsConeInput() {
 			// A root that is itself an input/latch contributes itself as a
 			// boundary signal but no interior nodes.
@@ -52,10 +49,9 @@ func (n *Netlist) ConeOfAll(roots []ID) Cone {
 		stack = stack[:len(stack)-1]
 		c.Nodes = append(c.Nodes, id)
 		for _, f := range n.nodes[id].Fanin {
-			if seen[f] == epoch {
+			if !seen.Visit(f) {
 				continue
 			}
-			seen[f] = epoch
 			if n.nodes[f].Kind.IsConeInput() {
 				c.Inputs = append(c.Inputs, f)
 				continue
@@ -63,39 +59,62 @@ func (n *Netlist) ConeOfAll(roots []ID) Cone {
 			stack = append(stack, f)
 		}
 	}
-	t.stack = stack
-	visitTables.Put(t)
+	seen.stack = stack
+	seen.Release()
 	slices.Sort(c.Inputs)
 	slices.Sort(c.Nodes)
 	return c
 }
 
-// visitTable is ConeOfAll's visited set: node i is visited in the current
-// walk iff stamp[i] equals the walk's epoch, so starting a walk costs one
-// increment, not a clear, and a small cone of a large netlist costs time in
-// the cone's size.
-type visitTable struct {
+// VisitSet is a visited set over the node IDs of one netlist: node i is
+// visited iff stamp[i] equals the current epoch, so Reset costs one
+// increment, not a clear, and a walk over a small cone of a large netlist
+// costs time in the cone's size. Visits draws sets from a pool shared by
+// every walker (ConeOfAll among them); Release hands one back. A VisitSet
+// belongs to one goroutine between Visits and Release.
+type VisitSet struct {
 	stamp []uint32
 	epoch uint32
-	stack []ID
+	stack []ID // ConeOfAll's DFS stack, pooled with the table
 }
 
-// visitTables pools visit tables across walks and goroutines.
-var visitTables = sync.Pool{New: func() any { return new(visitTable) }}
+// visitSets pools visited sets across walks and goroutines.
+var visitSets = sync.Pool{New: func() any { return new(VisitSet) }}
 
-// next starts a walk over a netlist of size nodes and returns its epoch.
-func (t *visitTable) next(size int) uint32 {
-	if len(t.stamp) < size {
-		t.stamp = make([]uint32, size)
-		t.epoch = 0
+// Visits returns an empty visited set sized for n.
+func (n *Netlist) Visits() *VisitSet {
+	s := visitSets.Get().(*VisitSet)
+	if len(s.stamp) < len(n.nodes) {
+		s.stamp = make([]uint32, len(n.nodes))
+		s.epoch = 0
 	}
-	t.epoch++
-	if t.epoch == 0 {
-		clear(t.stamp)
-		t.epoch = 1
-	}
-	return t.epoch
+	s.Reset()
+	return s
 }
+
+// Reset empties the set.
+func (s *VisitSet) Reset() {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.stamp)
+		s.epoch = 1
+	}
+}
+
+// Visit marks id visited and reports whether it was unvisited before.
+func (s *VisitSet) Visit(id ID) bool {
+	if s.stamp[id] == s.epoch {
+		return false
+	}
+	s.stamp[id] = s.epoch
+	return true
+}
+
+// Seen reports whether id is visited.
+func (s *VisitSet) Seen(id ID) bool { return s.stamp[id] == s.epoch }
+
+// Release returns the set to the pool; s must not be used afterwards.
+func (s *VisitSet) Release() { visitSets.Put(s) }
 
 // TopoOrder returns all nodes in a topological order where every
 // combinational node appears after its fanins. Inputs, constants and latches

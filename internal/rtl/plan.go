@@ -422,11 +422,7 @@ func exactFunc(nl *netlist.Netlist, root netlist.ID, leaves []netlist.ID, f func
 		return false
 	}
 	total := 1 << uint(k)
-	assign := make(map[netlist.ID]bitsim.Vector, k)
-	for _, l := range leaves {
-		assign[l] = bitsim.Unknown()
-	}
-	cone := bitsim.CompileCone(nl, []netlist.ID{root}, assign)
+	cone := bitsim.CompileCone(nl, []netlist.ID{root}, leaves)
 	for base := 0; base < total; base += bitsim.Lanes {
 		for li, l := range leaves {
 			var bitsv uint64

@@ -12,6 +12,7 @@ package seq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"netlistre/internal/bitsim"
 	"netlistre/internal/graph"
@@ -87,14 +88,17 @@ func bestVerifiedSubchain(nl *netlist.Netlist, chain []netlist.ID, down bool, mi
 
 // counterWitness refutes counter subchains of one LCG chain by concrete
 // simulation. The fan-in cone of the chain's D inputs is compiled once, with
-// every cone input assigned 64 pseudo-random lanes, so each independent-lane
-// evaluation is plain two-valued simulation of 64 assignments: no lane is
-// ever X. A cofactor is the D input of one chain latch with a cube of chain
-// latches forced to constants. Cofactors are memoized, since subchains and
-// directions share them.
+// every cone input forced to 64 pseudo-random lanes, so each
+// independent-lane evaluation is plain two-valued simulation of 64
+// assignments: no lane is ever X. A cofactor is the D input of one chain
+// latch with a cube of chain latches forced to constants. Cofactors are
+// memoized, since subchains and directions share them.
 type counterWitness struct {
 	chain []netlist.ID
 	cone  *bitsim.Cone
+	// lanes[i] is chain[i]'s random lanes, restored after each cofactor;
+	// Unknown() when chain[i] is outside the cone.
+	lanes []bitsim.Vector
 	memo  map[cofactorKey]uint64
 }
 
@@ -110,20 +114,29 @@ func newCounterWitness(nl *netlist.Netlist, chain []netlist.ID) *counterWitness 
 	for i, l := range chain {
 		roots[i] = nl.Fanin(l)[0]
 	}
-	// Deterministically seeded per chain; a witness only ever rejects a
-	// subchain verifyCounter would reject, so the seed never changes
-	// results.
-	rng := rand.New(rand.NewSource(0xc0c0<<20 ^ int64(chain[0])<<8 ^ int64(len(chain))))
-	inputs := nl.ConeOfAll(roots).Inputs
-	assign := make(map[netlist.ID]bitsim.Vector, len(inputs))
-	for _, in := range inputs {
-		assign[in] = bitsim.Known(rng.Uint64())
-	}
-	return &counterWitness{
+	w := &counterWitness{
 		chain: chain,
-		cone:  bitsim.CompileCone(nl, roots, assign),
+		cone:  bitsim.CompileCone(nl, roots, nil),
+		lanes: make([]bitsim.Vector, len(chain)),
 		memo:  make(map[cofactorKey]uint64),
 	}
+	// Deterministically seeded per chain and drawn over the cone inputs in
+	// ascending ID order; a witness only ever rejects a subchain
+	// verifyCounter would reject, so the seed never changes results.
+	rng := rand.New(rand.NewSource(0xc0c0<<20 ^ int64(chain[0])<<8 ^ int64(len(chain))))
+	inputs := w.cone.Leaves()
+	drawn := make([]bitsim.Vector, len(inputs))
+	for i, in := range inputs {
+		drawn[i] = bitsim.Known(rng.Uint64())
+		w.cone.Force(in, drawn[i])
+	}
+	for i, l := range chain {
+		w.lanes[i] = bitsim.Unknown()
+		if j, ok := slices.BinarySearch(inputs, l); ok {
+			w.lanes[i] = drawn[j]
+		}
+	}
+	return w
 }
 
 // cofactor returns the lanes of D(chain[bit]) with chain[start..bit-1]
@@ -149,7 +162,7 @@ func (w *counterWitness) cofactor(start, bit int, level, q bool) uint64 {
 	w.cone.Force(w.chain[bit], constant(q))
 	v := w.cone.Eval()[bit].Val
 	for j := start; j <= bit; j++ {
-		w.cone.Force(w.chain[j], bitsim.Unknown())
+		w.cone.Force(w.chain[j], w.lanes[j])
 	}
 	w.memo[k] = v
 	return v

@@ -169,44 +169,52 @@ func (t Table) DependsOn(i int) bool {
 	return t.Cofactor(i, false).Bits != t.Cofactor(i, true).Bits
 }
 
-// Support returns the essential variable indices of t, ascending, or nil
-// when t is constant.
-func (t Table) Support() []int {
+// supportMask returns the essential variables of t as a mask: bit i is set
+// iff t depends on variable i.
+func (t Table) supportMask() uint8 {
 	// Variable i is essential iff some row with x_i = 0 differs from its
 	// partner row with x_i = 1, DependsOn in one word operation.
 	b := t.Bits & Mask(t.N)
-	var m uint
+	var m uint8
 	for i := 0; i < t.N; i++ {
 		if (b^b>>(1<<uint(i)))&^varPattern[i] != 0 {
 			m |= 1 << uint(i)
 		}
 	}
+	return m
+}
+
+// Support returns the essential variable indices of t, ascending, or nil
+// when t is constant.
+func (t Table) Support() []int {
+	m := t.supportMask()
 	if m == 0 {
 		return nil
 	}
-	s := make([]int, 0, bits.OnesCount(m))
+	s := make([]int, 0, bits.OnesCount8(m))
 	for ; m != 0; m &= m - 1 {
-		s = append(s, bits.TrailingZeros(m))
+		s = append(s, bits.TrailingZeros8(m))
 	}
 	return s
 }
 
 // Shrink removes vacuous variables. It returns the shrunk table together
-// with origVar, where origVar[j] is the original index of the shrunk
-// table's variable j.
+// with the support mask sup (see supportMask): the shrunk table's variable
+// j is the original variable at the j-th lowest set bit of sup.
 //
 // The shrunk table is one permutation away: moving the support to the low
 // variables (and the vacuous ones above them) leaves a function of the low
-// len(origVar) variables, whose table is the low 2^len(origVar) rows.
-func (t Table) Shrink() (Table, []int) {
-	sup := t.Support()
-	if len(sup) == t.N {
+// popcount(sup) variables, whose table is the low 2^popcount(sup) rows.
+func (t Table) Shrink() (Table, uint8) {
+	sup := t.supportMask()
+	n := bits.OnesCount8(sup)
+	if n == t.N {
 		return t, sup // the identity when no variable is vacuous
 	}
-	var p [MaxVars]int // sup is ascending: p[sup[j]] = j, vacuous above
-	j, next := 0, len(sup)
+	var p [MaxVars]int // support variables first, ascending, vacuous above
+	j, next := 0, n
 	for v := 0; v < t.N; v++ {
-		if j < len(sup) && sup[j] == v {
+		if sup>>uint(v)&1 == 1 {
 			p[v] = j
 			j++
 		} else {
@@ -214,7 +222,7 @@ func (t Table) Shrink() (Table, []int) {
 			next++
 		}
 	}
-	return Table{Bits: permuteBits(t.Bits&Mask(t.N), p[:t.N]) & Mask(len(sup)), N: len(sup)}, sup
+	return Table{Bits: permuteBits(t.Bits&Mask(t.N), p[:t.N]) & Mask(n), N: n}, sup
 }
 
 // Permute returns g with g(x_0..x_{n-1}) = t(x_{p[0]}, ..., x_{p[n-1]}):

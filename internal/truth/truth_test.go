@@ -56,10 +56,22 @@ func TestCofactorAndDepends(t *testing.T) {
 	}
 }
 
+// maskVars lists the variables set in a support mask, ascending.
+func maskVars(m uint8) []int {
+	var vs []int
+	for v := 0; v < MaxVars; v++ {
+		if m>>uint(v)&1 == 1 {
+			vs = append(vs, v)
+		}
+	}
+	return vs
+}
+
 func TestShrink(t *testing.T) {
 	// f over 4 vars depending only on x1 and x3: x1 & x3.
 	f := Var(1, 4).And(Var(3, 4))
-	s, orig := f.Shrink()
+	s, sup := f.Shrink()
+	orig := maskVars(sup)
 	if s.N != 2 {
 		t.Fatalf("shrunk arity = %d, want 2", s.N)
 	}
@@ -74,14 +86,15 @@ func TestShrink(t *testing.T) {
 
 // TestShrinkMatchesRowLoop checks Shrink on functions with vacuous
 // variables against evaluating t row by row with the vacuous variables at
-// 0, origVar against Support, and Support against DependsOn.
+// 0, its support mask against Support, and Support against DependsOn.
 func TestShrinkMatchesRowLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 5000; trial++ {
 		n := rng.Intn(MaxVars + 1)
 		k := rng.Intn(n + 1)
 		f := randTable(rng, k).Expand(rng.Perm(n)[:k], n)
-		s, orig := f.Shrink()
+		s, mask := f.Shrink()
+		orig := maskVars(mask)
 		sup := f.Support()
 		var deps []int
 		for i := 0; i < n; i++ {

@@ -18,6 +18,7 @@ package words
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"netlistre/internal/bitsim"
@@ -110,15 +111,38 @@ func (o *Options) defaults() {
 	}
 }
 
+// checker runs propagation checks on one netlist, reusing the control-wire
+// walks' visited set and buffers from check to check. It belongs to one
+// goroutine; release hands the visited set back.
+type checker struct {
+	nl    *netlist.Netlist
+	opt   Options
+	seen  *netlist.VisitSet
+	wires []netlist.ID
+	layer []netlist.ID
+}
+
+func newChecker(nl *netlist.Netlist, opt Options) *checker {
+	opt.defaults()
+	return &checker{nl: nl, opt: opt, seen: nl.Visits()}
+}
+
+func (ck *checker) release() { ck.seen.Release() }
+
 // Propagate searches for forward propagations of w.
 func Propagate(nl *netlist.Netlist, w Word, opt Options) []Propagation {
-	opt.defaults()
+	ck := newChecker(nl, opt)
+	defer ck.release()
+	return ck.forward(w)
+}
+
+func (ck *checker) forward(w Word) []Propagation {
 	var out []Propagation
-	for _, cand := range guessForward(nl, w) {
-		if opt.Interrupt != nil && opt.Interrupt() {
+	for _, cand := range guessForward(ck.nl, w) {
+		if ck.opt.Interrupt != nil && ck.opt.Interrupt() {
 			break
 		}
-		if p, ok := checkPropagation(nl, w, cand, opt, false); ok {
+		if p, ok := ck.check(w, cand, false); ok {
 			out = append(out, p)
 		}
 	}
@@ -128,15 +152,20 @@ func Propagate(nl *netlist.Netlist, w Word, opt Options) []Propagation {
 // PropagateBackward searches for backward propagations: words w' among the
 // structural predecessors of w such that w' propagates to w.
 func PropagateBackward(nl *netlist.Netlist, w Word, opt Options) []Propagation {
-	opt.defaults()
+	ck := newChecker(nl, opt)
+	defer ck.release()
+	return ck.backward(w)
+}
+
+func (ck *checker) backward(w Word) []Propagation {
 	var out []Propagation
-	for _, cand := range guessBackward(nl, w) {
-		if opt.Interrupt != nil && opt.Interrupt() {
+	for _, cand := range guessBackward(ck.nl, w) {
+		if ck.opt.Interrupt != nil && ck.opt.Interrupt() {
 			break
 		}
 		// Check that cand propagates to w: simulate with cand = D and
 		// require w symbolic.
-		if p, ok := checkPropagation(nl, cand, w, opt, true); ok {
+		if p, ok := ck.check(cand, w, true); ok {
 			out = append(out, p)
 		}
 	}
@@ -239,60 +268,69 @@ func guessBackward(nl *netlist.Netlist, w Word) []Word {
 }
 
 // controlWires returns the intersection of the depth-bounded fan-in cones
-// of the target gates, excluding the source word bits.
-func controlWires(nl *netlist.Netlist, src, tgt Word) []netlist.ID {
-	inSrc := make(map[netlist.ID]bool, len(src.Bits))
-	for _, b := range src.Bits {
-		inSrc[b] = true
-	}
-	counts := make(map[netlist.ID]int)
-	for _, g := range tgt.Bits {
-		seen := make(map[netlist.ID]bool)
-		frontier := []netlist.ID{g}
+// of the target gates, excluding the source word bits, ascending and capped
+// at maxControlSet. Each target's walk stamps the visited set, pre-marked
+// with the source bits so they are never reached. The first target's
+// reached nodes are the candidates, and each later target keeps only those
+// its own walk reached. The result is reused by the next call.
+func (ck *checker) controlWires(src, tgt Word) []netlist.ID {
+	seen, wires := ck.seen, ck.wires[:0]
+	for i, g := range tgt.Bits {
+		seen.Reset()
+		for _, b := range src.Bits {
+			seen.Visit(b)
+		}
+		reached := ck.layer[:0]
+		root := [1]netlist.ID{g}
+		frontier := root[:]
 		for d := 0; d < controlDepth; d++ {
-			var nextLayer []netlist.ID
+			n := len(reached)
 			for _, x := range frontier {
-				for _, f := range nl.Fanin(x) {
-					if inSrc[f] || seen[f] {
-						continue
+				for _, f := range ck.nl.Fanin(x) {
+					if seen.Visit(f) {
+						reached = append(reached, f)
 					}
-					seen[f] = true
-					nextLayer = append(nextLayer, f)
 				}
 			}
-			frontier = nextLayer
+			frontier = reached[n:]
 		}
-		for x := range seen {
-			counts[x]++
+		ck.layer = reached
+		if i == 0 {
+			wires = append(wires, reached...)
+			continue
+		}
+		kept := wires[:0]
+		for _, x := range wires {
+			if seen.Seen(x) {
+				kept = append(kept, x)
+			}
+		}
+		if wires = kept; len(wires) == 0 {
+			break
 		}
 	}
-	var out []netlist.ID
-	for x, c := range counts {
-		if c == len(tgt.Bits) {
-			out = append(out, x)
-		}
+	slices.Sort(wires)
+	if len(wires) > maxControlSet {
+		wires = wires[:maxControlSet]
 	}
-	out = netlist.SortedIDs(out)
-	if len(out) > maxControlSet {
-		out = out[:maxControlSet]
-	}
-	return out
+	ck.wires = wires
+	return wires
 }
 
-// checkPropagation runs the symbolic simulations. src bits are forced to D
-// (cutting them loose from their own logic, as in the paper's local-netlist
+// check runs the symbolic simulations. src bits are forced to D (cutting
+// them loose from their own logic, as in the paper's local-netlist
 // simulation); combinations of up to MaxControls control wires are swept
 // over all binary values; all other boundary signals are X. The targets'
 // fan-in cone is compiled once and each EvalPairs checks bitsim.Pairs control
 // assignments, one per lane pair. The first success in enumeration order
 // wins, so the result is the one a one-at-a-time sweep would return.
-func checkPropagation(nl *netlist.Netlist, src, tgt Word, opt Options, backward bool) (Propagation, bool) {
-	wires := controlWires(nl, src, tgt)
-	assign := make(map[netlist.ID]bitsim.Vector, len(src.Bits))
+func (ck *checker) check(src, tgt Word, backward bool) (Propagation, bool) {
+	opt := ck.opt
+	wires := ck.controlWires(src, tgt)
+	cone := bitsim.CompileCone(ck.nl, tgt.Bits, src.Bits)
 	for _, b := range src.Bits {
-		assign[b] = bitsim.PairD()
+		cone.Force(b, bitsim.PairD())
 	}
-	cone := bitsim.CompileCone(nl, tgt.Bits, assign)
 	force := make([]bitsim.Vector, len(wires))
 	var batch [bitsim.Pairs]assignment
 	it := assignment{mask: -1}
@@ -393,7 +431,8 @@ func (a *assignment) next(n, maxSize int) bool {
 // PropagateAll iteratively expands a word set with forward and backward
 // propagation until a fixed point or the given round limit.
 func PropagateAll(nl *netlist.Netlist, seeds []Word, rounds int, opt Options) ([]Word, []Propagation) {
-	opt.defaults()
+	ck := newChecker(nl, opt)
+	defer ck.release()
 	seen := make(map[string]bool)
 	var all []Word
 	var frontier []Word
@@ -418,13 +457,13 @@ func PropagateAll(nl *netlist.Netlist, seeds []Word, rounds int, opt Options) ([
 			if opt.Interrupt != nil && opt.Interrupt() {
 				return all, props
 			}
-			for _, p := range Propagate(nl, w, opt) {
+			for _, p := range ck.forward(w) {
 				props = append(props, p)
 				t := p.Target
 				t.Origin = "propagated"
 				push(t)
 			}
-			for _, p := range PropagateBackward(nl, w, opt) {
+			for _, p := range ck.backward(w) {
 				props = append(props, p)
 				s := p.Source
 				s.Origin = "propagated-backward"
