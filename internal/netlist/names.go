@@ -56,6 +56,9 @@ var verilogReserved = map[string]bool{
 // the previous sanitizer allowed; callers that need uniqueness layer a
 // Namer on top.
 func Legalize(s string) string {
+	if isLegal(s) {
+		return s
+	}
 	var b strings.Builder
 	for i, r := range s {
 		ok := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
@@ -77,6 +80,23 @@ func Legalize(s string) string {
 		return out + "_"
 	}
 	return out
+}
+
+// isLegal reports whether Legalize maps s to itself: s is a non-empty
+// run of [A-Za-z0-9_] that does not start with a digit and is not a
+// reserved word. It lets the common, already legal name through without
+// a copy.
+func isLegal(s string) bool {
+	if s == "" || s[0] >= '0' && s[0] <= '9' {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9') {
+			return false
+		}
+	}
+	return !verilogReserved[s]
 }
 
 // isSimpleIdent reports whether s is a legal (non-reserved) Verilog simple
@@ -136,8 +156,8 @@ type Namer struct {
 	used map[string]bool
 }
 
-// NewNamer returns an empty namer.
-func NewNamer() *Namer { return &Namer{used: make(map[string]bool)} }
+// NewNamer returns an empty namer with room for about size names.
+func NewNamer(size int) *Namer { return &Namer{used: make(map[string]bool, size)} }
 
 // Reserve marks name as taken verbatim.
 func (nm *Namer) Reserve(name string) { nm.used[name] = true }

@@ -26,7 +26,7 @@ func TestLegalize(t *testing.T) {
 }
 
 func TestNamerUniquifies(t *testing.T) {
-	nm := NewNamer()
+	nm := NewNamer(0)
 	nm.Reserve("n5")
 	if got := nm.Claim("n5"); got != "n5_" {
 		t.Errorf("Claim over reserved = %q, want n5_", got)

@@ -92,3 +92,62 @@ func FuzzEmitRTL(f *testing.F) {
 		}
 	})
 }
+
+// elaborateSeeds returns emitted RTL for the fuzz seed designs and the
+// wide-register designs, plus line-ending variants: CRLF line ends, an
+// unterminated final line, and a template body with text the tokenizer
+// rejects.
+func elaborateSeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
+	designs := fuzzSeedDesigns()
+	for _, width := range []int{65, 130} {
+		designs = append(designs, wideRegisterDesign(width))
+	}
+	for _, nl := range designs {
+		er, err := Emit(nl, core.Analyze(nl, core.Options{Workers: 1}))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds, er.Verilog,
+			bytes.ReplaceAll(er.Verilog, []byte("\n"), []byte("\r\n")),
+			bytes.TrimSuffix(er.Verilog, []byte("\n")))
+	}
+	seeds = append(seeds,
+		[]byte("module m (a, y);\n  input a;\n  output y;\n  not g0 (y, a);\nendmodule\n\nmodule re_parity_w2 (in, out);\n  assign out = ^in; // ~&|\n  endmodule  \n"),
+		[]byte("module m (a, y);\r\n  input a;\r\n  output y;\r\n  assign y = a;\r\nendmodule"),
+		[]byte("module m (a, y);\n  input a;\n  output y;\n  buf g0 (y, a);\r\r\nendmodule\n"))
+	return seeds
+}
+
+// FuzzElaborate feeds arbitrary text to the in-place scanner and to the
+// previous line scanner (scanLines): both must fail with the same message,
+// or both must build netlists with the same fingerprint and node names.
+func FuzzElaborate(f *testing.F) {
+	for _, s := range elaborateSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := elaborate(string(data))
+		want, wantErr := func() (*netlist.Netlist, error) {
+			e, err := scanLines(bytes.NewReader(data))
+			if err != nil {
+				return nil, err
+			}
+			return e.build()
+		}()
+		if err != nil || wantErr != nil {
+			if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("errors differ: in place %v, line scanner %v\ninput:\n%q", err, wantErr, data)
+			}
+			return
+		}
+		if got.Fingerprint() != want.Fingerprint() || got.Len() != want.Len() {
+			t.Fatalf("netlists differ\ninput:\n%q", data)
+		}
+		for id := netlist.ID(0); int(id) < got.Len(); id++ {
+			if got.NameOf(id) != want.NameOf(id) {
+				t.Fatalf("node %d named %s, line scanner %s\ninput:\n%q", id, got.NameOf(id), want.NameOf(id), data)
+			}
+		}
+	})
+}

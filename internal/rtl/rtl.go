@@ -64,7 +64,8 @@ type EmitResult struct {
 	// per-bit aliases of sequential template registers).
 	NodeName map[netlist.ID]string
 
-	lineOf   map[netlist.ID]int
+	names    []string // NodeName by node ID, "" for hidden nodes
+	lineOf   []int32  // LineOf by node ID
 	design   string   // emitted (legalized) module name
 	outNames []string // emitted output port names, Outputs() order
 }
@@ -73,7 +74,12 @@ type EmitResult struct {
 // the given original node — its declaration for inputs, its statement for
 // residual logic, and the instance or always line for nodes a template
 // covers. It returns 0 for nodes with no emitted span.
-func (r *EmitResult) LineOf(id netlist.ID) int { return r.lineOf[id] }
+func (r *EmitResult) LineOf(id netlist.ID) int {
+	if id < 0 || int(id) >= len(r.lineOf) {
+		return 0
+	}
+	return int(r.lineOf[id])
+}
 
 // EquivResult is the machine-readable verdict of the round-trip check.
 type EquivResult struct {

@@ -15,7 +15,14 @@ func ControlWires(nl *netlist.Netlist, src, tgt Word) []netlist.ID {
 
 // GuessForward and GuessBackward expose the candidate guesses, so a test can
 // list every (source, target) pair PropagateAll checks.
-var (
-	GuessForward  = guessForward
-	GuessBackward = guessBackward
-)
+func GuessForward(nl *netlist.Netlist, w Word) []Word {
+	ck := newChecker(nl, Options{})
+	defer ck.release()
+	return ck.guessForward(w)
+}
+
+func GuessBackward(nl *netlist.Netlist, w Word) []Word {
+	ck := newChecker(nl, Options{})
+	defer ck.release()
+	return ck.guessBackward(w)
+}

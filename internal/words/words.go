@@ -138,7 +138,7 @@ func Propagate(nl *netlist.Netlist, w Word, opt Options) []Propagation {
 
 func (ck *checker) forward(w Word) []Propagation {
 	var out []Propagation
-	for _, cand := range guessForward(ck.nl, w) {
+	for _, cand := range ck.guessForward(w) {
 		if ck.opt.Interrupt != nil && ck.opt.Interrupt() {
 			break
 		}
@@ -159,7 +159,7 @@ func PropagateBackward(nl *netlist.Netlist, w Word, opt Options) []Propagation {
 
 func (ck *checker) backward(w Word) []Propagation {
 	var out []Propagation
-	for _, cand := range guessBackward(ck.nl, w) {
+	for _, cand := range ck.guessBackward(w) {
 		if ck.opt.Interrupt != nil && ck.opt.Interrupt() {
 			break
 		}
@@ -172,13 +172,18 @@ func (ck *checker) backward(w Word) []Propagation {
 	return out
 }
 
-// guessForward groups the fanout gates of w's bits by (kind, port).
-func guessForward(nl *netlist.Netlist, w Word) []Word {
-	type key struct {
+// guessForward groups the fanout gates of w's bits by (kind, port). A
+// group is a candidate when every bit has a gate in it and the gates are
+// distinct; candidates come in (kind, port) order. A word's fanout gates
+// fall into a handful of groups, so they are kept in a short slice.
+func (ck *checker) guessForward(w Word) []Word {
+	nl := ck.nl
+	type group struct {
 		kind netlist.Kind
 		port int
+		tgt  []netlist.ID // gate output per bit index, Nil when absent
 	}
-	groups := make(map[key][]netlist.ID) // gate output per bit index, Nil when absent/ambiguous
+	var groups []group
 	for i, b := range w.Bits {
 		for _, g := range nl.Fanout(b) {
 			if !nl.Kind(g).IsGate() {
@@ -188,50 +193,52 @@ func guessForward(nl *netlist.Netlist, w Word) []Word {
 				if f != b {
 					continue
 				}
-				k := key{nl.Kind(g), port}
-				if groups[k] == nil {
-					groups[k] = make([]netlist.ID, len(w.Bits))
-					for j := range groups[k] {
-						groups[k][j] = netlist.Nil
+				k := nl.Kind(g)
+				j := slices.IndexFunc(groups, func(gr group) bool { return gr.kind == k && gr.port == port })
+				if j < 0 {
+					j = len(groups)
+					tgt := make([]netlist.ID, len(w.Bits))
+					for x := range tgt {
+						tgt[x] = netlist.Nil
 					}
+					groups = append(groups, group{k, port, tgt})
 				}
-				if groups[k][i] == netlist.Nil {
-					groups[k][i] = g
+				if groups[j].tgt[i] == netlist.Nil {
+					groups[j].tgt[i] = g
 				}
 			}
 		}
 	}
-	var keys []key
-	for k, tgt := range groups {
-		complete := true
-		seen := make(map[netlist.ID]bool)
-		for _, g := range tgt {
-			if g == netlist.Nil || seen[g] {
-				complete = false
-				break
-			}
-			seen[g] = true
+	slices.SortFunc(groups, func(a, b group) int {
+		if a.kind != b.kind {
+			return int(a.kind) - int(b.kind)
 		}
-		if complete {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].kind != keys[j].kind {
-			return keys[i].kind < keys[j].kind
-		}
-		return keys[i].port < keys[j].port
+		return a.port - b.port
 	})
 	var out []Word
-	for _, k := range keys {
-		out = append(out, Word{Bits: groups[k], Origin: "guessed"})
+	for _, gr := range groups {
+		if ck.distinct(gr.tgt) {
+			out = append(out, Word{Bits: gr.tgt, Origin: "guessed"})
+		}
 	}
 	return out
 }
 
+// distinct reports whether ids holds no Nil and no repeat.
+func (ck *checker) distinct(ids []netlist.ID) bool {
+	ck.seen.Reset()
+	for _, id := range ids {
+		if id == netlist.Nil || !ck.seen.Visit(id) {
+			return false
+		}
+	}
+	return true
+}
+
 // guessBackward proposes predecessor words: for each (port) of the drivers
 // of w's bits, the word of that port's fanins.
-func guessBackward(nl *netlist.Netlist, w Word) []Word {
+func (ck *checker) guessBackward(w Word) []Word {
+	nl := ck.nl
 	// All drivers must be gates of the same kind and arity.
 	kind := netlist.Kind(255)
 	arity := -1
@@ -249,18 +256,10 @@ func guessBackward(nl *netlist.Netlist, w Word) []Word {
 	var out []Word
 	for port := 0; port < arity; port++ {
 		bits := make([]netlist.ID, len(w.Bits))
-		distinct := make(map[netlist.ID]bool)
-		ok := true
 		for i, b := range w.Bits {
-			f := nl.Fanin(b)[port]
-			if distinct[f] {
-				ok = false
-				break
-			}
-			distinct[f] = true
-			bits[i] = f
+			bits[i] = nl.Fanin(b)[port]
 		}
-		if ok {
+		if ck.distinct(bits) {
 			out = append(out, Word{Bits: bits, Origin: "guessed-backward"})
 		}
 	}
