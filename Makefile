@@ -66,14 +66,15 @@ bench-match: build
 	BENCH_MATCH_OUT=BENCH_match.json $(GO) test -run TestMatchBench -count 1 -v .
 
 # Short fuzz sweep of the netlist parsers, the JSON report decoder, the
-# ILP solver and the 2QBF solver (seeds always run under `make test`; this
-# explores beyond them).
+# RTL round trip and elaborator scanner, the ILP solver and the 2QBF
+# solver (seeds always run under `make test`; this explores beyond them).
 fuzz:
 	$(GO) test ./internal/netlist -fuzz FuzzReadVerilog -fuzztime 30s
 	$(GO) test ./internal/netlist -fuzz FuzzReadBLIF -fuzztime 30s
 	$(GO) test . -run FuzzReadJSONReport -fuzz FuzzReadJSONReport -fuzztime 30s
 	$(GO) test ./internal/truth -fuzz FuzzCanon -fuzztime 30s
 	$(GO) test ./internal/rtl -fuzz FuzzEmitRTL -fuzztime 30s
+	$(GO) test ./internal/rtl -fuzz FuzzElaborate -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzSessionRequest -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzDiffRequest -fuzztime 30s
 	$(GO) test ./internal/ilp -fuzz FuzzSolve -fuzztime 30s
@@ -140,6 +141,7 @@ ci: build vet
 	$(GO) test . -run FuzzReadJSONReport -fuzz FuzzReadJSONReport -fuzztime 30s
 	$(GO) test ./internal/truth -fuzz FuzzCanon -fuzztime 30s
 	$(GO) test ./internal/rtl -fuzz FuzzEmitRTL -fuzztime 30s
+	$(GO) test ./internal/rtl -fuzz FuzzElaborate -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzSessionRequest -fuzztime 30s
 	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzDiffRequest -fuzztime 30s
 	$(GO) test ./internal/ilp -fuzz FuzzSolve -fuzztime 30s
