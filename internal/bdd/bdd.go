@@ -83,6 +83,19 @@ func New(n int) *Manager {
 	return m
 }
 
+// Reset empties the manager to the state New(0) returns, keeping its node
+// table's and caches' capacity and its Limit, so a caller that runs many
+// small independent checks reuses one manager. Every Ref and Builder of
+// the manager is invalid after Reset.
+func (m *Manager) Reset() {
+	m.nodes = m.nodes[:2]
+	clear(m.unique)
+	clear(m.iteC)
+	clear(m.exC)
+	clear(m.conC)
+	m.numVars = 0
+}
+
 // NumVars returns the number of variables in the manager.
 func (m *Manager) NumVars() int { return m.numVars }
 

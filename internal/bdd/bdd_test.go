@@ -371,3 +371,41 @@ func TestBuilderLeafAgainstEval(t *testing.T) {
 		}
 	}
 }
+
+// TestResetMatchesFresh: a manager reset after one build, even one that
+// overflowed its limit, builds the next function with the same Refs and
+// node count as a fresh manager, and keeps its Limit.
+func TestResetMatchesFresh(t *testing.T) {
+	build := func(m *Manager) Ref {
+		vs := make([]Ref, 6)
+		for i := range vs {
+			vs[i] = m.Var(m.AddVar())
+		}
+		return m.Or(m.And(vs[0], m.Xor(vs[1], vs[2])), m.Exists(m.Xnor(vs[3], vs[4]), m.Cube([]int{3})))
+	}
+	fresh := New(0)
+	want := build(fresh)
+
+	m := New(0)
+	m.Limit = 40
+	if err := m.Run(func() {
+		for i := 0; i < 12; i++ {
+			m.AddVar()
+		}
+		f := True
+		for i := 0; i < 12; i += 2 {
+			f = m.And(f, m.Xor(m.Var(i), m.Var(i+1)))
+		}
+		m.Xor(f, m.Var(3))
+	}); err != ErrOverflow {
+		t.Fatalf("first build: err %v, want ErrOverflow", err)
+	}
+	m.Reset()
+	if m.Limit != 40 || m.NumVars() != 0 || m.Size() != 2 {
+		t.Fatalf("after Reset: limit %d, %d vars, %d nodes; want 40, 0, 2", m.Limit, m.NumVars(), m.Size())
+	}
+	m.Limit = 0
+	if got := build(m); got != want || m.Size() != fresh.Size() {
+		t.Errorf("after Reset: ref %d over %d nodes; fresh manager %d over %d", got, m.Size(), want, fresh.Size())
+	}
+}

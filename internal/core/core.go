@@ -54,8 +54,8 @@ type Options struct {
 	Overlap overlap.Options
 
 	// Workers bounds the number of pipeline stages in flight and the
-	// inner worker pools of the support and modmatch stages (0 =
-	// GOMAXPROCS). The report is identical for any worker count;
+	// inner worker pools of the bitslice, support, words and modmatch
+	// stages (0 = GOMAXPROCS). The report is identical for any worker count;
 	// Workers=1 runs the portfolio serially.
 	Workers int
 	// Timeout bounds the whole analysis (0 = no limit). When it expires,
@@ -363,10 +363,10 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, opt Options) *Repo
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// The bitslice, support and modmatch stages have inner worker pools,
-	// capped at the shared budget. Worker counts are budget knobs, not
-	// semantic ones: every stage's result is deterministic regardless of
-	// them, so they appear in no stage digest below.
+	// The bitslice, support, words and modmatch stages have inner worker
+	// pools, capped at the shared budget. Worker counts are budget knobs,
+	// not semantic ones: every stage's result is deterministic regardless
+	// of them, so they appear in no stage digest below.
 	bitsliceOpt := bitslice.Options{Workers: workers, KeepUnknown: opt.KeepCandidates}
 	if len(opt.ExtraLibrary) > 0 {
 		bitsliceOpt.Library = append(truth.Library(), opt.ExtraLibrary...)
@@ -470,7 +470,7 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, opt Options) *Repo
 				if opt.SkipWordProp {
 					return seeds, len(seeds)
 				}
-				all, _ := words.PropagateAll(nl, seeds, wordRounds, words.Options{Interrupt: interruptOf(ctx)})
+				all, _ := words.PropagateAll(nl, seeds, wordRounds, words.Options{Workers: workers, Interrupt: interruptOf(ctx)})
 				return all, len(all)
 			}},
 		// Stage 6: QBF module matching between words (Algorithm 4).

@@ -3,15 +3,16 @@
 // against a reference library.
 //
 // For each candidate output word the combinational region back to other
-// words is carved out into a standalone netlist (so the original is
-// untouched); any remaining cone inputs become side inputs Y. Each library
-// operation first meets a bit-parallel simulation refuter, which compares
-// the candidate's region, compiled once per candidate, with a reference
-// compiled once per (operation, width). Only a reference that survives is
-// built into the region over the candidate's input words, and the 2QBF
-// question ∃Y ∀X . C(X,Y) == C'(X) is decided with the CEGAR solver. A
-// match identifies both the operation and the side-input setting that
-// selects it (e.g. the add/sub mode bit).
+// words is carved out; any remaining cone inputs become side inputs Y. Each
+// library operation first meets a bit-parallel simulation refuter, which
+// compares the candidate's output cone, compiled once per candidate on the
+// netlist and cut at the region boundary, with a reference compiled once
+// per (operation, width). Only a reference that survives is decided
+// exactly: the region is then rebuilt as a standalone netlist (so the
+// original is untouched), the reference is built into it over the
+// candidate's input words, and the 2QBF question ∃Y ∀X . C(X,Y) == C'(X)
+// is decided with the CEGAR solver. A match identifies both the operation
+// and the side-input setting that selects it (e.g. the add/sub mode bit).
 // The candidate bounds are constants: output words of 4 to 16 bits, at
 // most 6 side inputs, and rotations by up to 4 bits in the library.
 package modmatch
@@ -22,7 +23,6 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"netlistre/internal/bitsim"
@@ -145,13 +145,8 @@ func elementKey(ids []netlist.ID) string {
 // Candidates carves candidate modules: for every word whose bits are gates,
 // the cone is cut at the bits of the other words.
 func Candidates(nl *netlist.Netlist, wordSet []words.Word, opt Options) []Candidate {
-	// Map from signal to the words containing it.
-	wordOf := make(map[netlist.ID][]int)
-	for wi, w := range wordSet {
-		for _, b := range w.Bits {
-			wordOf[b] = append(wordOf[b], wi)
-		}
-	}
+	c := newCarver(nl, wordSet)
+	defer c.release()
 	var cands []Candidate
 	for wi, w := range wordSet {
 		if len(w.Bits) < minWidth || len(w.Bits) > maxWidth {
@@ -167,8 +162,8 @@ func Candidates(nl *netlist.Netlist, wordSet []words.Word, opt Options) []Candid
 		if !allGates {
 			continue
 		}
-		cand, ok := carve(nl, wordSet, wordOf, wi)
-		if !ok || len(cand.Inputs) == 0 || len(cand.Inputs) > 2 {
+		cand := c.carve(wi)
+		if len(cand.Inputs) == 0 || len(cand.Inputs) > 2 {
 			continue
 		}
 		if len(cand.Side) > maxSideInputs {
@@ -179,77 +174,139 @@ func Candidates(nl *netlist.Netlist, wordSet []words.Word, opt Options) []Candid
 	return cands
 }
 
+// wordIndex maps each node to the words holding it in compressed rows: the
+// words of node id are list[start[id]:start[id+1]], ascending.
+type wordIndex struct {
+	start, list []int32
+}
+
+func newWordIndex(n int, wordSet []words.Word) wordIndex {
+	start := make([]int32, n+1)
+	for _, w := range wordSet {
+		for _, b := range w.Bits {
+			start[b+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
+	}
+	list := make([]int32, start[n])
+	next := slices.Clone(start[:n])
+	for wi, w := range wordSet {
+		for _, b := range w.Bits {
+			list[next[b]] = int32(wi)
+			next[b]++
+		}
+	}
+	return wordIndex{start, list}
+}
+
+func (x wordIndex) of(id netlist.ID) []int32 { return x.list[x.start[id]:x.start[id+1]] }
+
+// carver carves the candidates of one word set. The region walk, its
+// boundary and the input words' bits are stamped sets, reset per word, and
+// the input words are looked up through the word index from the boundary
+// bits, so a carve costs time in its region, not in the word count. A
+// carver belongs to one goroutine; release hands its sets back.
+type carver struct {
+	nl                   *netlist.Netlist
+	wordSet              []words.Word
+	index                wordIndex
+	seen, boundary, used *netlist.VisitSet
+	stack, cut           []netlist.ID
+	owners               []int32
+}
+
+func newCarver(nl *netlist.Netlist, wordSet []words.Word) *carver {
+	return &carver{
+		nl:       nl,
+		wordSet:  wordSet,
+		index:    newWordIndex(nl.Len(), wordSet),
+		seen:     nl.Visits(),
+		boundary: nl.Visits(),
+		used:     nl.Visits(),
+	}
+}
+
+func (c *carver) release() {
+	c.seen.Release()
+	c.boundary.Release()
+	c.used.Release()
+}
+
 // carve computes the combinational region from word wi's bits down to the
-// bits of other words (cut points) or cone inputs.
-func carve(nl *netlist.Netlist, wordSet []words.Word, wordOf map[netlist.ID][]int, wi int) (Candidate, bool) {
-	w := wordSet[wi]
-	inW := make(map[netlist.ID]bool, len(w.Bits))
-	for _, b := range w.Bits {
-		inW[b] = true
-	}
-	seen := make(map[netlist.ID]bool)
-	boundary := make(map[netlist.ID]bool)
+// bits of other words (cut points) or cone inputs. The input words are the
+// first two words, in word order, of wi's width whose bits all lie on the
+// boundary and share no bit with an earlier input word; the other boundary
+// signals are the side inputs.
+func (c *carver) carve(wi int) Candidate {
+	nl, w := c.nl, c.wordSet[wi]
+	seen, boundary, used := c.seen, c.boundary, c.used
+	seen.Reset()
+	boundary.Reset()
+	used.Reset()
 	var gates []netlist.ID
-	stack := append([]netlist.ID(nil), w.Bits...)
+	stack := append(c.stack[:0], w.Bits...)
 	for _, b := range w.Bits {
-		seen[b] = true
+		seen.Visit(b)
 	}
+	cut := c.cut[:0]
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		gates = append(gates, id)
 		for _, f := range nl.Fanin(id) {
-			if seen[f] || boundary[f] {
+			if seen.Seen(f) || boundary.Seen(f) {
 				continue
 			}
 			// Cut at other words' bits and at cone inputs.
 			isCut := nl.Kind(f).IsConeInput() || !nl.Kind(f).IsGate()
 			if !isCut {
-				for _, owi := range wordOf[f] {
-					if owi != wi {
+				for _, owi := range c.index.of(f) {
+					if int(owi) != wi {
 						isCut = true
 						break
 					}
 				}
 			}
 			if isCut {
-				boundary[f] = true
+				boundary.Visit(f)
+				cut = append(cut, f)
 				continue
 			}
-			seen[f] = true
+			seen.Visit(f)
 			stack = append(stack, f)
 		}
 	}
+	c.stack, c.cut = stack, cut
 
-	// Which words are fully present on the boundary?
+	// A word fully on the boundary holds a boundary bit, so the words of
+	// the boundary bits, ascending, are the only input-word candidates.
+	owners := c.owners[:0]
+	for _, b := range cut {
+		owners = append(owners, c.index.of(b)...)
+	}
+	slices.Sort(owners)
+	owners = slices.Compact(owners)
+	c.owners = owners
 	var inputWords []words.Word
-	usedBits := make(map[netlist.ID]bool)
-	for owi, ow := range wordSet {
-		if owi == wi || len(ow.Bits) != len(w.Bits) {
+	for _, owi := range owners {
+		ow := c.wordSet[owi]
+		if int(owi) == wi || len(ow.Bits) != len(w.Bits) {
 			continue
 		}
-		all := true
+		fits := true
 		for _, b := range ow.Bits {
-			if !boundary[b] {
-				all = false
+			if !boundary.Seen(b) || used.Seen(b) {
+				fits = false
 				break
 			}
 		}
-		if !all {
-			continue
-		}
-		dup := false
-		for _, b := range ow.Bits {
-			if usedBits[b] {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if !fits {
 			continue
 		}
 		for _, b := range ow.Bits {
-			usedBits[b] = true
+			used.Visit(b)
 		}
 		inputWords = append(inputWords, ow)
 		if len(inputWords) == 2 {
@@ -257,14 +314,14 @@ func carve(nl *netlist.Netlist, wordSet []words.Word, wordOf map[netlist.ID][]in
 		}
 	}
 	var side []netlist.ID
-	for b := range boundary {
-		if !usedBits[b] {
+	for _, b := range cut {
+		if !used.Seen(b) {
 			side = append(side, b)
 		}
 	}
-	side = netlist.SortedIDs(side)
-	sort.Slice(gates, func(i, j int) bool { return gates[i] < gates[j] })
-	return Candidate{Out: w, Inputs: inputWords, Side: side, Gates: gates}, true
+	slices.Sort(side)
+	slices.Sort(gates)
+	return Candidate{Out: w, Inputs: inputWords, Side: side, Gates: gates}
 }
 
 // refBuilder instantiates a reference operation over operand words a and b
@@ -366,21 +423,38 @@ func rippleAdd(nl *netlist.Netlist, a, b []netlist.ID, cin netlist.ID) []netlist
 	return out
 }
 
-// extractRegion rebuilds the candidate's carved region as a standalone
-// netlist whose primary inputs are the input-word bits and side inputs.
-// Cutting at the word boundary is essential: the 2QBF question quantifies
-// over the WORDS, not over the netlist's distant primary inputs, and
-// encoding past the cut would leave boundary signals in neither X nor Y.
-func extractRegion(nl *netlist.Netlist, cand Candidate) (*netlist.Netlist, map[netlist.ID]netlist.ID) {
+// region is a candidate's carved region rebuilt as a standalone netlist
+// whose primary inputs are the input-word bits and side inputs, with the
+// region IDs of the candidate's signals. Cutting at the word boundary is
+// essential: the 2QBF question quantifies over the WORDS, not over the
+// netlist's distant primary inputs, and encoding past the cut would leave
+// boundary signals in neither X nor Y.
+type region struct {
+	nl     *netlist.Netlist
+	inputs [][]netlist.ID // each input word's bits
+	forall []netlist.ID   // the input words' bits, concatenated (X)
+	exists []netlist.ID   // the side inputs (Y), in cand.Side order
+	outs   []netlist.ID   // the output word's bits
+}
+
+// extractRegion builds the candidate's region. Only a candidate that a
+// reference survives the refuter on needs one, for the QBF instance.
+func extractRegion(nl *netlist.Netlist, cand Candidate) *region {
 	sub := netlist.New("region")
 	m := make(map[netlist.ID]netlist.ID)
+	r := &region{nl: sub, inputs: make([][]netlist.ID, len(cand.Inputs))}
 	for wi, w := range cand.Inputs {
+		r.inputs[wi] = make([]netlist.ID, len(w.Bits))
 		for bi, b := range w.Bits {
-			m[b] = sub.AddInput(fmt.Sprintf("w%d_%d", wi, bi))
+			m[b] = sub.AddInput("")
+			r.inputs[wi][bi] = m[b]
 		}
+		r.forall = append(r.forall, r.inputs[wi]...)
 	}
+	r.exists = make([]netlist.ID, len(cand.Side))
 	for si, s := range cand.Side {
-		m[s] = sub.AddInput(fmt.Sprintf("y%d", si))
+		m[s] = sub.AddInput("")
+		r.exists[si] = m[s]
 	}
 	inRegion := make(map[netlist.ID]bool, len(cand.Gates))
 	for _, g := range cand.Gates {
@@ -398,7 +472,7 @@ func extractRegion(nl *netlist.Netlist, cand Candidate) (*netlist.Netlist, map[n
 			r = sub.AddConst(node.Kind == netlist.Const1)
 		case !inRegion[id]:
 			// Stray boundary signal (should be rare): free input.
-			r = sub.AddInput(fmt.Sprintf("ext%d", id))
+			r = sub.AddInput("")
 		default:
 			fan := make([]netlist.ID, len(node.Fanin))
 			for i, f := range node.Fanin {
@@ -409,10 +483,11 @@ func extractRegion(nl *netlist.Netlist, cand Candidate) (*netlist.Netlist, map[n
 		m[id] = r
 		return r
 	}
-	for _, b := range cand.Out.Bits {
-		resolve(b)
+	r.outs = make([]netlist.ID, len(cand.Out.Bits))
+	for i, b := range cand.Out.Bits {
+		r.outs[i] = resolve(b)
 	}
-	return sub, m
+	return r
 }
 
 // refKey names a compiled reference: an index into library and a width.
@@ -461,18 +536,21 @@ const simRefuteRounds = 8
 // simulation when it can. The 2^|Y| side-input assignments are spread
 // across the 64 lanes of one word (lane L carries Y = L's bits, and an
 // independent random X draw), so one evaluation of the candidate's output
-// cone, compiled once over its region, tests every side-input setting at
-// once. The X rounds are drawn lazily, once per candidate, and the
-// candidate's outputs for each round are kept, so every library operation
-// and operand order is tested against the same rounds by evaluating only
-// its compiled reference. A lane mismatch refutes its Y assignment; when
-// every assignment has been refuted, the QBF instance is provably UNSAT and
-// the solver call is skipped. A refutation is always sound — each Y has a
-// concrete X witnessing outs != ref — and unknown lanes (reachable stray
-// inputs outside X and Y) never count as mismatches.
+// cone, compiled once on the netlist and cut at its boundary, tests every
+// side-input setting at once. The cut makes the cone the candidate's
+// region: its leaves are the input-word bits and side inputs, as in the
+// region netlist the QBF instance is built on, so no region is extracted
+// for a candidate the refuter settles. The X rounds are drawn lazily, once
+// per candidate, and the candidate's outputs for each round are kept, so
+// every library operation and operand order is tested against the same
+// rounds by evaluating only its compiled reference. A lane mismatch refutes
+// its Y assignment; when every assignment has been refuted, the QBF
+// instance is provably UNSAT and the solver call is skipped. A refutation
+// is always sound — each Y has a concrete X witnessing outs != ref — and
+// unknown lanes never count as mismatches.
 type candidateSim struct {
 	cone  *bitsim.Cone
-	words [][]netlist.ID // region IDs of each input word's bits
+	words [][]netlist.ID // each input word's bits
 	lanes int            // 2^|Y|, the period of the Y assignments
 	full  uint64         // one bit per Y assignment
 	rng   *rand.Rand
@@ -480,21 +558,29 @@ type candidateSim struct {
 	outs  [][]bitsim.Vector // per drawn round, the candidate's outputs
 }
 
-// newCandidateSim compiles the candidate's output cone over its region,
-// with the side inputs holding their lane patterns. It returns nil when the
-// side-input space does not fit the lanes.
-func newCandidateSim(region *netlist.Netlist, words [][]netlist.ID, outs, exists []netlist.ID, rng *rand.Rand) *candidateSim {
-	nY := len(exists)
+// newCandidateSim compiles the candidate's output cone on nl, cut at the
+// input-word bits and side inputs, with the side inputs holding their lane
+// patterns. It returns nil when the side-input space does not fit the
+// lanes.
+func newCandidateSim(nl *netlist.Netlist, cand Candidate, rng *rand.Rand) *candidateSim {
+	nY := len(cand.Side)
 	if nY > truth.MaxVars {
 		return nil
 	}
-	cone := bitsim.CompileCone(region, outs, exists)
-	for i, y := range exists {
+	ws := make([][]netlist.ID, len(cand.Inputs))
+	var cut []netlist.ID
+	for wi, w := range cand.Inputs {
+		ws[wi] = w.Bits
+		cut = append(cut, w.Bits...)
+	}
+	cut = append(cut, cand.Side...)
+	cone := bitsim.CompileCone(nl, cand.Out.Bits, cut)
+	for i, y := range cand.Side {
 		cone.Force(y, bitsim.Known(truth.Var(i, truth.MaxVars).Bits))
 	}
 	return &candidateSim{
 		cone:  cone,
-		words: words,
+		words: ws,
 		lanes: 1 << uint(nY),
 		full:  truth.Mask(nY),
 		rng:   rng,
@@ -549,35 +635,21 @@ func (s *candidateSim) refutes(ref *reference, ord [2]int) bool {
 }
 
 // matchCandidate tries every library operation (and both operand orders for
-// the asymmetric ones) against the candidate. Matching happens on the
-// extracted region netlist, so the QBF instances stay small and the
-// quantifier structure is exact. refs is the calling worker's reference
-// cache.
+// the asymmetric ones) against the candidate. The refuter runs on the
+// netlist; a reference it leaves standing is decided on the extracted
+// region, built at the first such reference, so the QBF instances stay
+// small and the quantifier structure is exact. refs is the calling
+// worker's reference cache.
 func matchCandidate(ctx context.Context, nl *netlist.Netlist, cand Candidate, opt Options, refs refCache) *module.Module {
-	region, rmap := extractRegion(nl, cand)
-	regionIDs := func(bits []netlist.ID) []netlist.ID {
-		ids := make([]netlist.ID, len(bits))
-		for i, b := range bits {
-			ids[i] = rmap[b]
-		}
-		return ids
-	}
-	inputs := make([][]netlist.ID, len(cand.Inputs))
-	var forall []netlist.ID
-	for wi, w := range cand.Inputs {
-		inputs[wi] = regionIDs(w.Bits)
-		forall = append(forall, inputs[wi]...)
-	}
-	exists := regionIDs(cand.Side)
-	outs := regionIDs(cand.Out.Bits)
 	width := len(cand.Out.Bits)
 	var sim *candidateSim
 	if !opt.disablePrefilter {
 		// Deterministically seeded per candidate; the refuter only skips
 		// provably-false QBF instances, so the seed never changes results.
 		rng := rand.New(rand.NewPCG(0x5eed<<20^uint64(len(cand.Gates))<<8^uint64(cand.Out.Bits[0]), 0))
-		sim = newCandidateSim(region, inputs, outs, exists, rng)
+		sim = newCandidateSim(nl, cand, rng)
 	}
+	var rg *region
 
 	for op, ref := range library {
 		if ctx != nil && ctx.Err() != nil {
@@ -597,12 +669,15 @@ func matchCandidate(ctx context.Context, nl *netlist.Netlist, cand Candidate, op
 			if sim != nil && sim.refutes(refs.get(op, width), ord) {
 				continue // provably no side-input setting works
 			}
+			if rg == nil {
+				rg = extractRegion(nl, cand)
+			}
 			var b []netlist.ID
 			if ref.arity == 2 {
-				b = inputs[ord[1]]
+				b = rg.inputs[ord[1]]
 			}
-			refOuts := ref.build(region, inputs[ord[0]], b)
-			res := qbf.SolveForallEqualWord(ctx, region, outs, refOuts, forall, exists, 0)
+			refOuts := ref.build(rg.nl, rg.inputs[ord[0]], b)
+			res := qbf.SolveForallEqualWord(ctx, rg.nl, rg.outs, refOuts, rg.forall, rg.exists, 0)
 			if !res.Found {
 				continue
 			}
@@ -616,8 +691,8 @@ func matchCandidate(ctx context.Context, nl *netlist.Netlist, cand Candidate, op
 			}
 			m.SetPort("side", cand.Side)
 			back := make(map[netlist.ID]netlist.ID, len(cand.Side))
-			for _, s := range cand.Side {
-				back[rmap[s]] = s
+			for si, s := range cand.Side {
+				back[rg.exists[si]] = s
 			}
 			for y, v := range res.Assignment {
 				val := "0"

@@ -128,22 +128,11 @@ func TestPrefilterNeverRefutesSAT(t *testing.T) {
 	refuted := 0
 	for name, c := range prefilterCircuits() {
 		for _, cand := range Candidates(c.nl, c.ws, Options{}) {
-			region, rmap := extractRegion(c.nl, cand)
-			ids := func(bits []netlist.ID) []netlist.ID {
-				out := make([]netlist.ID, len(bits))
-				for i, b := range bits {
-					out[i] = rmap[b]
-				}
-				return out
-			}
-			var inputs [][]netlist.ID
-			var forall []netlist.ID
-			for _, w := range cand.Inputs {
-				inputs = append(inputs, ids(w.Bits))
-				forall = append(forall, inputs[len(inputs)-1]...)
-			}
-			exists, outs := ids(cand.Side), ids(cand.Out.Bits)
-			sim := newCandidateSim(region, inputs, outs, exists, rand.New(rand.NewPCG(99, 0)))
+			// The refuter runs on the netlist, the QBF instances on the
+			// extracted region, as in matchCandidate.
+			sim := newCandidateSim(c.nl, cand, rand.New(rand.NewPCG(99, 0)))
+			rg := extractRegion(c.nl, cand)
+			width := len(cand.Out.Bits)
 			for op, ref := range library {
 				if ref.arity != len(cand.Inputs) {
 					continue
@@ -153,16 +142,16 @@ func TestPrefilterNeverRefutesSAT(t *testing.T) {
 					orders = [][2]int{{0, 0}}
 				}
 				for _, ord := range orders {
-					if !sim.refutes(refs.get(op, len(outs)), ord) {
+					if !sim.refutes(refs.get(op, width), ord) {
 						continue
 					}
 					refuted++
 					var b []netlist.ID
 					if ref.arity == 2 {
-						b = inputs[ord[1]]
+						b = rg.inputs[ord[1]]
 					}
-					refOuts := ref.build(region, inputs[ord[0]], b)
-					res := qbf.SolveForallEqualWord(context.Background(), region, outs, refOuts, forall, exists, 0)
+					refOuts := ref.build(rg.nl, rg.inputs[ord[0]], b)
+					res := qbf.SolveForallEqualWord(context.Background(), rg.nl, rg.outs, refOuts, rg.forall, rg.exists, 0)
 					if res.Found {
 						t.Errorf("%s: refuter refuted %s%v but QBF finds a side assignment", name, ref.name, ord)
 					}

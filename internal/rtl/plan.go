@@ -85,6 +85,10 @@ type plan struct {
 
 	outDriver []bool // nets that drive a design output
 
+	// seqBDD is the sequential planners' BDD manager, reset for each
+	// proof, so one node table serves every proof of the emission.
+	seqBDD *bdd.Manager
+
 	// Per-candidate scratch of admit, drawn from the netlist's pooled
 	// visited sets: the candidate's cover (its members also listed in
 	// cover), its exposed nets, the nets it names, and the walks'
@@ -102,6 +106,7 @@ func newPlan(nl *netlist.Netlist) *plan {
 		referenced: make([]bool, n),
 		owner:      make([]*instance, n),
 		outDriver:  make([]bool, n),
+		seqBDD:     bdd.New(0),
 	}
 	for _, o := range nl.Outputs() {
 		p.outDriver[o.Driver] = true
@@ -168,15 +173,15 @@ func (p *plan) lower(nl *netlist.Netlist, m *module.Module) {
 			p.admit(nl, inst, nil)
 		}
 	case module.Counter:
-		if rb := planCounter(nl, m); rb != nil {
+		if rb := planCounter(p.seqBDD, nl, m); rb != nil {
 			p.admit(nl, nil, []*regBlock{rb})
 		}
 	case module.ShiftRegister:
-		for _, rb := range planShift(nl, m) {
+		for _, rb := range planShift(p.seqBDD, nl, m) {
 			p.admit(nl, nil, []*regBlock{rb})
 		}
 	case module.MultibitRegister:
-		if rb := planRegister(nl, m); rb != nil {
+		if rb := planRegister(p.seqBDD, nl, m); rb != nil {
 			p.admit(nl, nil, []*regBlock{rb})
 		}
 	}
@@ -782,8 +787,8 @@ type seqProof struct {
 }
 
 // newSeqProof cuts the D-cones of latches, or returns nil when one of
-// them is not a latch.
-func newSeqProof(nl *netlist.Netlist, m *module.Module, latches []netlist.ID) *seqProof {
+// them is not a latch. The proof runs on mgr, reset first.
+func newSeqProof(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module, latches []netlist.ID) *seqProof {
 	elems := make(map[netlist.ID]bool, len(m.Elements))
 	for _, id := range m.Elements {
 		elems[id] = true
@@ -798,7 +803,7 @@ func newSeqProof(nl *netlist.Netlist, m *module.Module, latches []netlist.ID) *s
 			func(id netlist.ID) bool { return !elems[id] },
 			func(id netlist.ID) { cones[id]++ })
 	}
-	mgr := bdd.New(0)
+	mgr.Reset()
 	mgr.Limit = seqBDDLimit
 	b := bdd.NewBuilder(mgr, nl)
 	b.Leaf = func(id netlist.ID) bool {
@@ -894,9 +899,9 @@ func roles(ctl []netlist.ID, fits func(en, rst netlist.ID) bool) (en, rst netlis
 // The enable and optional reset are the signals D(q_0) reads besides q_0,
 // and every bit must equal ¬rst ∧ (q_i ⊕ (en ∧ q_0 ∧ … ∧ q_{i-1})), with
 // the lower bits complemented for a down counter. The width is not capped.
-func planCounter(nl *netlist.Netlist, m *module.Module) *regBlock {
+func planCounter(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module) *regBlock {
 	q := m.Port("q")
-	s := newSeqProof(nl, m, q)
+	s := newSeqProof(mgr, nl, m, q)
 	if len(q) < 2 || s == nil {
 		return nil
 	}
@@ -945,7 +950,7 @@ func planCounter(nl *netlist.Netlist, m *module.Module) *regBlock {
 // reads; and every stage must equal ¬rst ∧ (en ? prev : q_i). Each lane
 // becomes its own always block, covering its latches and the gates its
 // proof read, and one failed lane keeps the whole module residual.
-func planShift(nl *netlist.Netlist, m *module.Module) []*regBlock {
+func planShift(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module) []*regBlock {
 	var lanes [][]netlist.ID
 	for i := 0; ; i++ {
 		lane := m.Port(fmt.Sprintf("q%d", i))
@@ -957,7 +962,7 @@ func planShift(nl *netlist.Netlist, m *module.Module) []*regBlock {
 		}
 		lanes = append(lanes, lane)
 	}
-	s := newSeqProof(nl, m, concat(lanes...))
+	s := newSeqProof(mgr, nl, m, concat(lanes...))
 	if len(lanes) == 0 || s == nil {
 		return nil
 	}
@@ -1017,9 +1022,9 @@ func planShift(nl *netlist.Netlist, m *module.Module) []*regBlock {
 // bit's D|c=1 is one signal, its source bit; D == ITE(c, src, D|c=0) then
 // holds by Shannon expansion, and the proof goes on with D|c=0. The
 // register is proven once every remaining level is the bit's own latch.
-func planRegister(nl *netlist.Netlist, m *module.Module) *regBlock {
+func planRegister(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module) *regBlock {
 	q := m.Port("q")
-	s := newSeqProof(nl, m, q)
+	s := newSeqProof(mgr, nl, m, q)
 	if len(q) < 2 || s == nil {
 		return nil
 	}

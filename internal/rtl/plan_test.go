@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"netlistre/internal/bdd"
 	"netlistre/internal/gen"
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
@@ -68,7 +69,7 @@ func TestSeqPlannersRejectNearMisses(t *testing.T) {
 		}
 		m := handModule(nl, module.Counter, map[string][]netlist.ID{"q": q})
 		m.SetAttr("direction", "up")
-		return planCounter(nl, m) != nil
+		return planCounter(bdd.New(0), nl, m) != nil
 	}
 	// shift: bit 2 loads q0 instead of q1 when broken.
 	shift := func(broken bool) bool {
@@ -84,7 +85,7 @@ func TestSeqPlannersRejectNearMisses(t *testing.T) {
 			}
 			return q[i-1]
 		})
-		return planShift(nl, handModule(nl, module.ShiftRegister, map[string][]netlist.ID{"q0": q})) != nil
+		return planShift(bdd.New(0), nl, handModule(nl, module.ShiftRegister, map[string][]netlist.ID{"q0": q})) != nil
 	}
 	// register: bit 1's hold leg is bit 2's latch when broken.
 	register := func(broken bool) bool {
@@ -100,7 +101,7 @@ func TestSeqPlannersRejectNearMisses(t *testing.T) {
 			nl.SetLatchD(q[i], gen.Mux2(nl, we, hold, d[i]))
 		}
 		m := handModule(nl, module.MultibitRegister, map[string][]netlist.ID{"q": q, "cond": {we}})
-		return planRegister(nl, m) != nil
+		return planRegister(bdd.New(0), nl, m) != nil
 	}
 	// two shift lanes: the second lane shifts on its own enable when broken.
 	lanes := func(broken bool) bool {
@@ -122,7 +123,7 @@ func TestSeqPlannersRejectNearMisses(t *testing.T) {
 			})
 			ports[fmt.Sprintf("q%d", l)] = q
 		}
-		return planShift(nl, handModule(nl, module.ShiftRegister, ports)) != nil
+		return planShift(bdd.New(0), nl, handModule(nl, module.ShiftRegister, ports)) != nil
 	}
 	for name, planned := range map[string]func(bool) bool{
 		"counter": counter, "shift": shift, "register": register, "lanes": lanes,

@@ -21,8 +21,11 @@ import (
 func FindRAMs(nl *netlist.Netlist, slices *bitslice.Result) []*module.Module {
 	order := nl.TopoOrder()
 	marked := markReadLogic(nl, order)
-	bits := readBits(nl, marked, readRoots(nl, marked, order), order)
-	return ramModules(nl, marked, bits, slices)
+	// One BDD manager serves every read-root and write-enable check of
+	// the call, reset between checks.
+	mgr := bdd.New(0)
+	bits := readBits(mgr, nl, marked, readRoots(nl, marked, order), order)
+	return ramModules(mgr, nl, marked, bits, slices)
 }
 
 // readBit is one verified read-tree root.
@@ -43,7 +46,7 @@ type readBit struct {
 // dropped as interior, and its own cone adds nothing to the interior set.
 // A root still to come is topologically earlier, so its cone cannot hold a
 // root already kept.
-func readBits(nl *netlist.Netlist, marked []bool, roots, order []netlist.ID) []readBit {
+func readBits(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, roots, order []netlist.ID) []readBit {
 	rank := make([]int32, nl.Len())
 	for i, id := range order {
 		rank[id] = int32(i)
@@ -60,7 +63,7 @@ func readBits(nl *netlist.Netlist, marked []bool, roots, order []netlist.ID) []r
 		if interior[root] {
 			continue
 		}
-		sel, cells, ok := verifyReadBehavior(nl, marked, root)
+		sel, cells, ok := verifyReadBehavior(mgr, nl, marked, root)
 		if !ok {
 			continue
 		}
@@ -83,7 +86,7 @@ func readBits(nl *netlist.Netlist, marked []bool, roots, order []netlist.ID) []r
 
 // ramModules aggregates verified read bits into RAM modules and identifies
 // their write logic.
-func ramModules(nl *netlist.Netlist, marked []bool, bits []readBit, slices *bitslice.Result) []*module.Module {
+func ramModules(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, bits []readBit, slices *bitslice.Result) []*module.Module {
 	// Aggregate read bits sharing the same select set into one array
 	// (footnote 12 of the paper).
 	bySel := make(map[string][]readBit)
@@ -209,7 +212,7 @@ func ramModules(nl *netlist.Netlist, marked []bool, bits []readBit, slices *bits
 		m.SetAttr("read-ports", fmt.Sprint(len(ports)))
 
 		if slices != nil {
-			if weis, writeElems, ok := identifyWriteLogic(nl, slices, cells); ok {
+			if weis, writeElems, ok := identifyWriteLogic(mgr, nl, slices, cells); ok {
 				all := append(append([]netlist.ID(nil), m.Elements...), writeElems...)
 				m.SetElements(all)
 				m.SetPort("we", weis)
@@ -376,9 +379,9 @@ func readRoots(nl *netlist.Netlist, marked []bool, order []netlist.ID) []netlist
 // and unmarked nodes, and checks the two properties of Section III-C.2:
 // every select assignment propagates exactly one latch (possibly negated)
 // to the output, and every latch in the support is propagated for some
-// select assignment.
-func verifyReadBehavior(nl *netlist.Netlist, marked []bool, root netlist.ID) (selects, cells []netlist.ID, ok bool) {
-	mgr := bdd.New(0)
+// select assignment. It resets mgr first.
+func verifyReadBehavior(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, root netlist.ID) (selects, cells []netlist.ID, ok bool) {
+	mgr.Reset()
 	mgr.Limit = 1 << 20 // genuine read trees are small; cap runaway cones
 	bld := bdd.NewBuilder(mgr, nl)
 	// The root is a function of the latches, inputs and unmarked nodes
@@ -456,8 +459,9 @@ func singleVar(mgr *bdd.Manager, f bdd.Ref) (int, bool) {
 // identifyWriteLogic implements Section III-C.3: for every cell, the D
 // input must be a 2:1 mux whose one data leg is the cell itself; the mux
 // select is the write enable. Write enables are grouped (one per word) and
-// checked for satisfiability and pairwise mutual exclusion with BDDs.
-func identifyWriteLogic(nl *netlist.Netlist, slices *bitslice.Result, cells []netlist.ID) (weis, elements []netlist.ID, ok bool) {
+// checked for satisfiability and pairwise mutual exclusion with BDDs, on
+// mgr after a reset.
+func identifyWriteLogic(mgr *bdd.Manager, nl *netlist.Netlist, slices *bitslice.Result, cells []netlist.ID) (weis, elements []netlist.ID, ok bool) {
 	type writeInfo struct {
 		we       netlist.ID
 		activeLo bool
@@ -496,7 +500,8 @@ func identifyWriteLogic(nl *netlist.Netlist, slices *bitslice.Result, cells []ne
 	}
 
 	// BDD checks: each WE satisfiable, no two WEs simultaneously active.
-	mgr := bdd.New(0)
+	mgr.Reset()
+	mgr.Limit = 0 // the default bound
 	bld := bdd.NewBuilder(mgr, nl)
 	refs := make([]bdd.Ref, len(wes))
 	err := mgr.Run(func() {

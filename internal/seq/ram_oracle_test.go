@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"netlistre/internal/bdd"
 	"netlistre/internal/bitslice"
 	"netlistre/internal/gen"
 	"netlistre/internal/module"
@@ -17,7 +18,7 @@ import (
 func everyRootBits(nl *netlist.Netlist, marked []bool, roots []netlist.ID) []readBit {
 	var bits []readBit
 	for _, root := range roots {
-		if sel, cells, ok := verifyReadBehavior(nl, marked, root); ok {
+		if sel, cells, ok := verifyReadBehavior(bdd.New(0), nl, marked, root); ok {
 			bits = append(bits, readBit{root, sel, cells, nl.ConeOf(root).Nodes})
 		}
 	}
@@ -89,7 +90,7 @@ func TestFindRAMsMatchesEveryRoot(t *testing.T) {
 			t.Errorf("%s: one-pass read-logic marking differs from the fixed point", name)
 		}
 		roots := readRoots(nl, marked, order)
-		want := ramModules(nl, marked, everyRootBits(nl, marked, roots), slices)
+		want := ramModules(bdd.New(0), nl, marked, everyRootBits(nl, marked, roots), slices)
 		got := FindRAMs(nl, slices)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: top-down FindRAMs differs from verifying every root:\ngot  %v\nwant %v", name, moduleNames(got), moduleNames(want))

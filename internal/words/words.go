@@ -18,8 +18,11 @@ package words
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"netlistre/internal/bitsim"
 	"netlistre/internal/module"
@@ -102,7 +105,13 @@ type Options struct {
 	// Interrupt, when non-nil, is polled between candidate checks and
 	// before each batch of bitsim.Pairs control assignments; when it
 	// returns true, propagation stops and returns the words found so far.
+	// With more than one worker it is called from several goroutines.
 	Interrupt func() bool
+	// Workers bounds the goroutines PropagateAll checks a round's words
+	// on (0 = GOMAXPROCS). The caller's scheduler sets this so that the
+	// stage respects the shared analysis-wide worker budget. The result
+	// is the same for any worker count.
+	Workers int
 }
 
 func (o *Options) defaults() {
@@ -428,8 +437,16 @@ func (a *assignment) next(n, maxSize int) bool {
 }
 
 // PropagateAll iteratively expands a word set with forward and backward
-// propagation until a fixed point or the given round limit.
+// propagation until a fixed point or the given round limit. The checks of
+// one word depend on that word alone, so each round's words are checked
+// on up to Workers goroutines, one checker each, and the results are
+// merged in the round's word order: the words and propagations are those
+// of a serial run at any worker count.
 func PropagateAll(nl *netlist.Netlist, seeds []Word, rounds int, opt Options) ([]Word, []Propagation) {
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	ck := newChecker(nl, opt)
 	defer ck.release()
 	seen := make(map[string]bool)
@@ -449,26 +466,95 @@ func PropagateAll(nl *netlist.Netlist, seeds []Word, rounds int, opt Options) ([
 		push(w)
 	}
 	var props []Propagation
+	var found []checked
 	for r := 0; r < rounds && len(frontier) > 0; r++ {
 		work := frontier
 		frontier = nil
-		for _, w := range work {
-			if opt.Interrupt != nil && opt.Interrupt() {
-				return all, props
-			}
-			for _, p := range ck.forward(w) {
+		if opt.Interrupt != nil && opt.Interrupt() {
+			return all, props
+		}
+		found = ck.checkAll(work, workers, found[:0])
+		for _, c := range found {
+			for _, p := range c.forward {
 				props = append(props, p)
 				t := p.Target
 				t.Origin = "propagated"
 				push(t)
 			}
-			for _, p := range ck.backward(w) {
+			for _, p := range c.backward {
 				props = append(props, p)
 				s := p.Source
 				s.Origin = "propagated-backward"
 				push(s)
 			}
 		}
+		if len(found) < len(work) {
+			return all, props // interrupted
+		}
 	}
 	return all, props
+}
+
+// checked holds the propagations found from one word.
+type checked struct {
+	forward, backward []Propagation
+}
+
+// checkAll checks the words of one round, appending to out each word's
+// propagations in order. The first word is checked only after the caller's
+// poll of Interrupt; every later one after a poll of its own. When a poll
+// fires, out ends at the first word not checked. Past one word and one
+// worker, the words are handed out to goroutines in order, each with its
+// own checker; ck serves the calling goroutine's share.
+func (ck *checker) checkAll(work []Word, workers int, out []checked) []checked {
+	interrupted := func() bool { return ck.opt.Interrupt != nil && ck.opt.Interrupt() }
+	if workers > len(work) {
+		workers = len(work)
+	}
+	if workers <= 1 {
+		for i, w := range work {
+			if i > 0 && interrupted() {
+				break
+			}
+			out = append(out, checked{ck.forward(w), ck.backward(w)})
+		}
+		return out
+	}
+	res := make([]checked, len(work))
+	done := make([]bool, len(work))
+	var next atomic.Int64
+	var stop atomic.Bool
+	run := func(ck *checker) {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(work) || stop.Load() {
+				return
+			}
+			if i > 0 && interrupted() {
+				stop.Store(true)
+				return
+			}
+			res[i] = checked{ck.forward(work[i]), ck.backward(work[i])}
+			done[i] = true
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 1; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wck := newChecker(ck.nl, ck.opt)
+			defer wck.release()
+			run(wck)
+		}()
+	}
+	run(ck)
+	wg.Wait()
+	for i := range res {
+		if !done[i] {
+			break
+		}
+		out = append(out, res[i])
+	}
+	return out
 }
