@@ -466,15 +466,16 @@ func PropagateAll(nl *netlist.Netlist, seeds []Word, rounds int, opt Options) ([
 		push(w)
 	}
 	var props []Propagation
-	var found []checked
 	for r := 0; r < rounds && len(frontier) > 0; r++ {
 		work := frontier
 		frontier = nil
 		if opt.Interrupt != nil && opt.Interrupt() {
 			return all, props
 		}
-		found = ck.checkAll(work, workers, found[:0])
-		for _, c := range found {
+		for _, c := range ck.checkAll(work, workers) {
+			if !c.done {
+				return all, props // interrupted
+			}
 			for _, p := range c.forward {
 				props = append(props, p)
 				t := p.Target
@@ -488,58 +489,37 @@ func PropagateAll(nl *netlist.Netlist, seeds []Word, rounds int, opt Options) ([
 				push(s)
 			}
 		}
-		if len(found) < len(work) {
-			return all, props // interrupted
-		}
 	}
 	return all, props
 }
 
-// checked holds the propagations found from one word.
+// checked holds the propagations found from one word; done is false for
+// a word an interrupt left unchecked.
 type checked struct {
 	forward, backward []Propagation
+	done              bool
 }
 
-// checkAll checks the words of one round, appending to out each word's
-// propagations in order. The first word is checked only after the caller's
-// poll of Interrupt; every later one after a poll of its own. When a poll
-// fires, out ends at the first word not checked. Past one word and one
-// worker, the words are handed out to goroutines in order, each with its
-// own checker; ck serves the calling goroutine's share.
-func (ck *checker) checkAll(work []Word, workers int, out []checked) []checked {
-	interrupted := func() bool { return ck.opt.Interrupt != nil && ck.opt.Interrupt() }
-	if workers > len(work) {
-		workers = len(work)
-	}
-	if workers <= 1 {
-		for i, w := range work {
-			if i > 0 && interrupted() {
-				break
-			}
-			out = append(out, checked{ck.forward(w), ck.backward(w)})
-		}
-		return out
-	}
+// checkAll checks the words of one round. The first word is checked only
+// after the caller's poll of Interrupt, every later one after a poll of its
+// own; once a poll fires, no further word is taken. The words are taken in
+// order by up to workers goroutines, each with its own checker; ck serves
+// the calling goroutine, which alone checks them all at one worker.
+func (ck *checker) checkAll(work []Word, workers int) []checked {
 	res := make([]checked, len(work))
-	done := make([]bool, len(work))
 	var next atomic.Int64
 	var stop atomic.Bool
 	run := func(ck *checker) {
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= len(work) || stop.Load() {
-				return
-			}
-			if i > 0 && interrupted() {
+		for i := int(next.Add(1) - 1); i < len(work) && !stop.Load(); i = int(next.Add(1) - 1) {
+			if i > 0 && ck.opt.Interrupt != nil && ck.opt.Interrupt() {
 				stop.Store(true)
 				return
 			}
-			res[i] = checked{ck.forward(work[i]), ck.backward(work[i])}
-			done[i] = true
+			res[i] = checked{ck.forward(work[i]), ck.backward(work[i]), true}
 		}
 	}
 	var wg sync.WaitGroup
-	for g := 1; g < workers; g++ {
+	for g := 1; g < min(workers, len(work)); g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -550,11 +530,5 @@ func (ck *checker) checkAll(work []Word, workers int, out []checked) []checked {
 	}
 	run(ck)
 	wg.Wait()
-	for i := range res {
-		if !done[i] {
-			break
-		}
-		out = append(out, res[i])
-	}
-	return out
+	return res
 }
