@@ -442,19 +442,19 @@ type region struct {
 func extractRegion(nl *netlist.Netlist, cand Candidate) *region {
 	sub := netlist.New("region")
 	m := make(map[netlist.ID]netlist.ID)
-	r := &region{nl: sub, inputs: make([][]netlist.ID, len(cand.Inputs))}
+	rg := &region{nl: sub, inputs: make([][]netlist.ID, len(cand.Inputs))}
 	for wi, w := range cand.Inputs {
-		r.inputs[wi] = make([]netlist.ID, len(w.Bits))
+		rg.inputs[wi] = make([]netlist.ID, len(w.Bits))
 		for bi, b := range w.Bits {
 			m[b] = sub.AddInput("")
-			r.inputs[wi][bi] = m[b]
+			rg.inputs[wi][bi] = m[b]
 		}
-		r.forall = append(r.forall, r.inputs[wi]...)
+		rg.forall = append(rg.forall, rg.inputs[wi]...)
 	}
-	r.exists = make([]netlist.ID, len(cand.Side))
+	rg.exists = make([]netlist.ID, len(cand.Side))
 	for si, s := range cand.Side {
 		m[s] = sub.AddInput("")
-		r.exists[si] = m[s]
+		rg.exists[si] = m[s]
 	}
 	inRegion := make(map[netlist.ID]bool, len(cand.Gates))
 	for _, g := range cand.Gates {
@@ -483,11 +483,11 @@ func extractRegion(nl *netlist.Netlist, cand Candidate) *region {
 		m[id] = r
 		return r
 	}
-	r.outs = make([]netlist.ID, len(cand.Out.Bits))
+	rg.outs = make([]netlist.ID, len(cand.Out.Bits))
 	for i, b := range cand.Out.Bits {
-		r.outs[i] = resolve(b)
+		rg.outs[i] = resolve(b)
 	}
-	return r
+	return rg
 }
 
 // refKey names a compiled reference: an index into library and a width.
