@@ -55,8 +55,8 @@ type Options struct {
 
 	// Workers bounds the number of pipeline stages in flight and the
 	// inner worker pools of the bitslice, support, words and modmatch
-	// stages (0 = GOMAXPROCS). The report is identical for any worker count;
-	// Workers=1 runs the portfolio serially.
+	// stages (0 = GOMAXPROCS). The report is identical for any worker
+	// count; Workers=1 runs the portfolio serially.
 	Workers int
 	// Timeout bounds the whole analysis (0 = no limit). When it expires,
 	// running stages are interrupted cooperatively, remaining stages are
