@@ -336,6 +336,9 @@ type ConeNode = netlist.ConeNode
 type BoundedConeResult = netlist.BoundedConeResult
 
 // SimplifyResult pairs a simplified netlist with its node mapping.
+// NodeMap is a slice indexed by original node ID: element id is the
+// simplified node that computes node id's value, or Nil when simplification
+// swept that node's image away as dead logic.
 type SimplifyResult = simplify.Result
 
 // Simplify removes buffers, delay chains and paired inverters and merges

@@ -417,24 +417,21 @@ func applyNoiseSimplify(nl *netlist.Netlist, lab *gen.Labels, seed int64) (*Muta
 	noisy, toNoisy := gen.AddElectricalNoiseMapped(nl, seed, 0.15)
 	mres := simplify.Run(noisy)
 	rres := simplify.Run(nl)
+	// A node whose image simplification swept away has no image.
+	image := func(nodeMap []netlist.ID, id netlist.ID) []netlist.ID {
+		if si := nodeMap[id]; si != netlist.Nil {
+			return []netlist.ID{si}
+		}
+		return nil
+	}
 	compose := func(id netlist.ID) []netlist.ID {
 		ni, ok := toNoisy[id]
 		if !ok {
 			return nil
 		}
-		si, ok := mres.NodeMap[ni]
-		if !ok {
-			return nil
-		}
-		return []netlist.ID{si}
+		return image(mres.NodeMap, ni)
 	}
-	refMap := func(id netlist.ID) []netlist.ID {
-		si, ok := rres.NodeMap[id]
-		if !ok {
-			return nil
-		}
-		return []netlist.ID{si}
-	}
+	refMap := func(id netlist.ID) []netlist.ID { return image(rres.NodeMap, id) }
 	return &Mutant{
 		Netlist:         mres.Netlist,
 		Labels:          lab.Remap(compose),

@@ -1,7 +1,9 @@
 package mutate
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"netlistre/internal/core"
@@ -127,5 +129,40 @@ func TestNamedLookup(t *testing.T) {
 			t.Fatalf("duplicate mutation name %s", m.Name)
 		}
 		seen[m.Name] = true
+	}
+}
+
+// TestNoiseSimplifyLabelsHaveNoNil: a labeled node whose image structural
+// simplification swept away has no image, so no remapped member, word bit,
+// trojan or noise node of the mutant's or the reference's labels is Nil,
+// on every labeled article at two noise seeds.
+func TestNoiseSimplifyLabelsHaveNoNil(t *testing.T) {
+	for _, article := range gen.LabeledArticleNames() {
+		nl, lab, err := gen.LabeledArticle(article)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{1, 2} {
+			mut, err := applyNoiseSimplify(nl, lab, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for side, l := range map[string]*gen.Labels{"labels": mut.Labels, "ref labels": mut.RefLabels} {
+				where := fmt.Sprintf("%s seed %d %s", article, seed, side)
+				sets := [][]netlist.ID{l.Trojan, l.Noise}
+				for _, c := range l.Components {
+					sets = append(sets, c.Members)
+					for _, w := range c.Words {
+						sets = append(sets, w)
+					}
+				}
+				for _, ids := range sets {
+					if slices.Contains(ids, netlist.Nil) {
+						t.Errorf("%s: Nil among %v", where, ids)
+						break
+					}
+				}
+			}
+		}
 	}
 }

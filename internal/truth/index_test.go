@@ -56,6 +56,29 @@ func TestExpandFastMatchesSlow(t *testing.T) {
 	}
 }
 
+// TestExpandStretchMatchesSlow checks the strictly increasing maps cut
+// enumeration produces: every such map for n <= MaxVars (the subsets of
+// 0..n-1 in ascending order), each on random tables.
+func TestExpandStretchMatchesSlow(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for n := 0; n <= MaxVars; n++ {
+		for set := 0; set < 1<<uint(n); set++ {
+			var m []int
+			for v := 0; v < n; v++ {
+				if set>>uint(v)&1 == 1 {
+					m = append(m, v)
+				}
+			}
+			for trial := 0; trial < 20; trial++ {
+				tab := randTable(rng, len(m))
+				if got, want := tab.Expand(m, n), tab.expandSlow(m, n); got != want {
+					t.Fatalf("Expand(%v, %v, %d) = %v, slow path says %v", tab, m, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCanonExhaustive4Var sweeps every 4-variable function: the canon of
 // all 24 permuted variants must agree, and every returned permutation must
 // reproduce the canon. Short mode samples the space.
