@@ -132,13 +132,14 @@ func New(name string) *Netlist {
 	return &Netlist{Name: name, byName: make(map[string]ID)}
 }
 
-// Grow reserves room for k more nodes (and names, in an empty netlist), so
-// a builder that knows its size up front does not regrow the tables.
-func (n *Netlist) Grow(k int) {
+// Grow reserves room for k more nodes (and for names more names, in a
+// netlist with no names yet), so a builder that knows its size up front
+// does not regrow the tables.
+func (n *Netlist) Grow(k, names int) {
 	n.nodes = slices.Grow(n.nodes, k)
 	n.fanout = slices.Grow(n.fanout, k)
 	if len(n.byName) == 0 {
-		n.byName = make(map[string]ID, k)
+		n.byName = make(map[string]ID, names)
 	}
 }
 

@@ -39,9 +39,9 @@ func (e *elab) build() (*netlist.Netlist, error) {
 		nl: netlist.New(e.design),
 		ph: netlist.Nil,
 	}
-	// Every defined net is a node; template and always-block expansions
-	// add more.
-	b.nl.Grow(len(e.defs))
+	// Every defined net is a named node; template and always-block
+	// expansions add more.
+	b.nl.Grow(len(e.defs), len(e.defs))
 	// Inputs first, in declaration order; the clock is structural only.
 	for _, in := range e.inputs {
 		if in == e.clk {
