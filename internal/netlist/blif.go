@@ -9,12 +9,16 @@ package netlist
 // multi-line cover tables for .names. Latches use the re (rising-edge)
 // convention; clock and init fields are accepted and ignored (the analyses
 // are clock-agnostic and assume zero initialization).
+//
+// ReadBLIF scans its lines in place, with no limit on a line's length, and
+// builds through the builder it shares with ReadVerilog (reader.go): a
+// cover that drives an input, a latch output or another cover's net is a
+// "driven twice" error.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -192,201 +196,114 @@ func ReadBLIF(r io.Reader) (*Netlist, error) {
 	return ReadBLIFOpts(r, BLIFOptions{})
 }
 
-// ReadBLIFOpts is ReadBLIF with explicit options.
+// ReadBLIFOpts is ReadBLIF with explicit options. It reads the text once
+// into one string and scans its lines in place, so a line may be of any
+// length; the builder copies each net name out of the text.
 func ReadBLIFOpts(r io.Reader, opt BLIFOptions) (*Netlist, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-
-	type cover struct {
-		inputs []string
-		out    string
-		cubes  []string // input-plane rows
-		outVal byte     // '1' or '0'
-		lut    bool     // .names carried the "# lut" marker
+	src, err := readText(r)
+	if err != nil {
+		return nil, err
 	}
-	type latchDecl struct{ d, q string }
-
+	b := newBuilder("blif", strings.Count(src, ".names"))
+	b.opt = opt
 	var model string
-	var inputs, outputs []string
-	var covers []cover
-	var latches []latchDecl
-	var cur *cover
-
-	flush := func() {
-		if cur != nil {
-			covers = append(covers, *cur)
-			cur = nil
-		}
-	}
-
-	// Join continuation lines ending in '\'. The "# lut" marker WriteBLIF
-	// appends to Lut covers is consumed here, before general comment
-	// stripping.
-	type srcLine struct {
-		text string
-		lut  bool
-	}
-	var lines []srcLine
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	var ins []int32
+	cur := -1 // the open cover, to which rows belong
+	// Lines end at '\n'; a last line needs no terminator.
+	for rest := src; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		line = strings.TrimSpace(line)
+		// The "# lut" marker WriteBLIF appends to Lut covers is read here,
+		// where comments are stripped.
 		lut := false
-		if i := strings.Index(line, "#"); i >= 0 {
+		if i := strings.IndexByte(line, '#'); i >= 0 {
 			lut = strings.TrimSpace(line[i+1:]) == "lut"
 			line = strings.TrimSpace(line[:i])
 		}
 		if line == "" {
 			continue
 		}
-		for strings.HasSuffix(line, "\\") && sc.Scan() {
-			line = strings.TrimSuffix(line, "\\") + " " + strings.TrimSpace(sc.Text())
+		// A line ending in a backslash continues on the next one, which
+		// is taken whole, comment and all. The joined line may be blank.
+		for strings.HasSuffix(line, "\\") && rest != "" {
+			var more string
+			more, rest, _ = strings.Cut(rest, "\n")
+			line = strings.TrimSuffix(line, "\\") + " " + strings.TrimSpace(more)
 		}
-		lines = append(lines, srcLine{text: line, lut: lut})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-
-	for _, ln := range lines {
-		line := ln.text
 		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
 		switch fields[0] {
 		case ".model":
 			if len(fields) > 1 {
 				model = fields[1]
 			}
 		case ".inputs":
-			flush()
-			inputs = append(inputs, fields[1:]...)
+			cur = -1
+			for _, f := range fields[1:] {
+				if err := b.drive(b.net(f), driver{kind: drvInput}); err != nil {
+					return nil, err
+				}
+			}
 		case ".outputs":
-			flush()
-			outputs = append(outputs, fields[1:]...)
+			cur = -1
+			for _, f := range fields[1:] {
+				b.output(b.net(f))
+			}
 		case ".latch":
-			flush()
+			cur = -1
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("blif: malformed .latch %q", line)
 			}
-			latches = append(latches, latchDecl{d: fields[1], q: fields[2]})
+			if err := b.drive(b.net(fields[2]), driver{kind: drvLatch}, b.net(fields[1])); err != nil {
+				return nil, err
+			}
 		case ".names":
-			flush()
 			if len(fields) < 2 {
 				return nil, fmt.Errorf("blif: malformed .names %q", line)
 			}
-			cur = &cover{
-				inputs: fields[1 : len(fields)-1],
-				out:    fields[len(fields)-1],
-				outVal: '1',
-				lut:    ln.lut,
+			cur = len(b.covers)
+			b.covers = append(b.covers, blifCover{off: int32(len(b.cubes)), k: int32(len(fields) - 2), outVal: '1', lut: lut})
+			ins = ins[:0]
+			for _, f := range fields[1 : len(fields)-1] {
+				ins = append(ins, b.net(f))
+			}
+			out := b.net(fields[len(fields)-1])
+			if err := b.drive(out, driver{kind: drvCover, cover: int32(cur)}, ins...); err != nil {
+				return nil, err
 			}
 		case ".end":
-			flush()
+			cur = -1
 		default:
 			if fields[0][0] == '.' {
 				return nil, fmt.Errorf("blif: unsupported construct %q", fields[0])
 			}
-			if cur == nil {
+			if cur < 0 {
 				return nil, fmt.Errorf("blif: cover row outside .names: %q", line)
 			}
+			c := &b.covers[cur]
 			switch len(fields) {
 			case 1:
-				if len(cur.inputs) != 0 {
+				if c.k != 0 {
 					return nil, fmt.Errorf("blif: missing input plane in %q", line)
 				}
-				cur.cubes = append(cur.cubes, "")
-				cur.outVal = fields[0][0]
+				b.cubes = append(b.cubes, "")
+				c.outVal = fields[0][0]
 			case 2:
-				if len(fields[0]) != len(cur.inputs) {
+				if len(fields[0]) != int(c.k) {
 					return nil, fmt.Errorf("blif: cube width mismatch in %q", line)
 				}
-				cur.cubes = append(cur.cubes, fields[0])
-				cur.outVal = fields[1][0]
+				b.cubes = append(b.cubes, fields[0])
+				c.outVal = fields[1][0]
 			default:
 				return nil, fmt.Errorf("blif: malformed cover row %q", line)
 			}
+			c.n++
 		}
 	}
-	flush()
-
-	n := New(model)
-	ids := make(map[string]ID)
-	for _, in := range inputs {
-		if _, dup := ids[in]; dup {
-			return nil, fmt.Errorf("blif: duplicate input %q", in)
-		}
-		ids[in] = n.AddInput(in)
-	}
-	// Latches first (feedback), patched later.
-	for _, l := range latches {
-		if _, dup := ids[l.q]; dup {
-			return nil, fmt.Errorf("blif: latch output %q already driven", l.q)
-		}
-		ids[l.q] = n.AddNamedLatch(l.q, Nil) // D patched after covers build
-	}
-
-	coverOf := make(map[string]*cover, len(covers))
-	for i := range covers {
-		c := &covers[i]
-		if _, dup := coverOf[c.out]; dup {
-			return nil, fmt.Errorf("blif: net %q driven by two covers", c.out)
-		}
-		coverOf[c.out] = c
-	}
-
-	var build func(net string, trail map[string]bool) (ID, error)
-	build = func(net string, trail map[string]bool) (ID, error) {
-		if id, ok := ids[net]; ok {
-			return id, nil
-		}
-		if trail[net] {
-			return Nil, fmt.Errorf("blif: combinational cycle through %q", net)
-		}
-		trail[net] = true
-		defer delete(trail, net)
-		c, ok := coverOf[net]
-		if !ok {
-			return Nil, fmt.Errorf("blif: net %q has no driver", net)
-		}
-		fan := make([]ID, len(c.inputs))
-		for i, in := range c.inputs {
-			fid, err := build(in, trail)
-			if err != nil {
-				return Nil, err
-			}
-			fan[i] = fid
-		}
-		id, err := buildCoverGate(n, c.cubes, c.outVal, fan, c.lut, opt)
-		if err != nil {
-			return Nil, fmt.Errorf("blif: cover for %q: %w", net, err)
-		}
-		n.SetName(id, net)
-		ids[net] = id
-		return id, nil
-	}
-
-	var nets []string
-	for net := range coverOf {
-		nets = append(nets, net)
-	}
-	sort.Strings(nets)
-	for _, net := range nets {
-		if _, err := build(net, map[string]bool{}); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range latches {
-		d, err := build(l.d, map[string]bool{})
-		if err != nil {
-			return nil, err
-		}
-		n.SetLatchD(ids[l.q], d)
-	}
-	for _, out := range outputs {
-		id, ok := ids[out]
-		if !ok {
-			return nil, fmt.Errorf("blif: output %q has no driver", out)
-		}
-		n.MarkOutput(out, id)
-	}
-	return n, nil
+	return b.build(strings.Clone(model))
 }
 
 // buildCoverGate converts a BLIF cover into gates. Covers in the canonical

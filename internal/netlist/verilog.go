@@ -20,13 +20,19 @@ package netlist
 // FPGA tool output round-trips byte-identically. This is deliberately a
 // tiny grammar: the point of the repository is netlist analysis, not
 // Verilog parsing.
+//
+// ReadVerilog scans the text in place and builds through the builder it
+// shares with ReadBLIF (reader.go): every net has at most one driver, so
+// a gate and an assign on one net, two assigns, or an assign to an input
+// or a dff output is a "driven twice" error.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"math/bits"
 	"strings"
+	"unicode/utf8"
 )
 
 // WriteVerilog serializes the netlist in the structural subset described in
@@ -118,70 +124,11 @@ func (n *Netlist) WriteVerilog(w io.Writer) error {
 	return bw.Flush()
 }
 
-var gateKinds = map[string]Kind{
-	"and": And, "or": Or, "nand": Nand, "nor": Nor,
-	"xor": Xor, "xnor": Xnor, "not": Not, "buf": Buf,
-}
-
 // LutInitLiteral formats a LUT mask as the sized hex literal FPGA netlists
 // use: 2^k bits, zero-padded to the full digit width.
 func LutInitLiteral(mask uint64, k int) string {
 	bits := 1 << uint(k)
 	return fmt.Sprintf("%d'h%0*x", bits, (bits+3)/4, mask)
-}
-
-// parseSizedLiteral parses a sized Verilog literal (<width>'b..., 'd...,
-// 'h...) into its value. Unsized plain decimal is also accepted.
-func parseSizedLiteral(s string) (uint64, error) {
-	body := s
-	if i := strings.IndexByte(s, '\''); i >= 0 {
-		body = s[i+1:]
-	} else {
-		body = "'d" + s // plain decimal
-		body = body[1:]
-	}
-	if body == "" {
-		return 0, fmt.Errorf("verilog: bad literal %q", s)
-	}
-	base := uint64(10)
-	switch body[0] {
-	case 'b', 'B':
-		base, body = 2, body[1:]
-	case 'd', 'D':
-		base, body = 10, body[1:]
-	case 'h', 'H':
-		base, body = 16, body[1:]
-	}
-	if body == "" {
-		return 0, fmt.Errorf("verilog: bad literal %q", s)
-	}
-	var v uint64
-	for i := 0; i < len(body); i++ {
-		c := body[i]
-		if c == '_' {
-			continue
-		}
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
-			return 0, fmt.Errorf("verilog: bad literal %q", s)
-		}
-		if d >= base {
-			return 0, fmt.Errorf("verilog: bad literal %q", s)
-		}
-		prev := v
-		v = v*base + d
-		if v < prev {
-			return 0, fmt.Errorf("verilog: literal %q overflows", s)
-		}
-	}
-	return v, nil
 }
 
 // lutArity recognizes LUT1..LUT6 cell names.
@@ -192,470 +139,311 @@ func lutArity(t string) (int, bool) {
 	return 0, false
 }
 
-// unescapeTok strips the backslash of an escaped-identifier token.
-func unescapeTok(t string) string {
-	if strings.HasPrefix(t, "\\") {
-		return t[1:]
-	}
-	return t
-}
-
 // ReadVerilog parses a netlist in the structural subset emitted by
-// WriteVerilog.
+// WriteVerilog. It reads the text once into one string and scans it in
+// place; the builder copies each net name out of it.
 func ReadVerilog(r io.Reader) (*Netlist, error) {
-	toks, err := tokenize(r)
+	src, err := readText(r)
 	if err != nil {
 		return nil, err
 	}
-	p := &vparser{toks: toks}
-	return p.parseModule()
+	p := &vreader{src: src, b: newBuilder("verilog", strings.Count(src, ";")/2)}
+	return p.module()
 }
 
-type vparser struct {
-	toks []string
+// vreader scans Verilog text in place. A token is a run of characters up
+// to whitespace or one of ( ) , ; = (each of those a token of its own); a
+// // comment runs to the end of its line, and an escaped identifier from
+// its backslash to the next whitespace, punctuation included.
+type vreader struct {
+	src  string
 	pos  int
+	b    *builder
+	args []int32 // scratch port list
 }
 
-func (p *vparser) peek() string {
-	if p.pos < len(p.toks) {
-		return p.toks[p.pos]
+func isVerilogSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+func isVerilogPunct(c byte) bool { return c == '(' || c == ')' || c == ',' || c == ';' || c == '=' }
+
+// next returns the next token, a substring of the text, or "" at its end.
+func (p *vreader) next() string {
+	src, i := p.src, p.pos
+	for i < len(src) {
+		c := src[i]
+		if isVerilogSpace(c) {
+			i++
+			continue
+		}
+		if c == '/' && i+1 < len(src) && src[i+1] == '/' {
+			_, rest, _ := strings.Cut(src[i:], "\n")
+			i = len(src) - len(rest)
+			continue
+		}
+		j := i + 1
+		switch {
+		case isVerilogPunct(c):
+		case c == '\\':
+			for j < len(src) && !isVerilogSpace(src[j]) {
+				j++
+			}
+		default:
+			for j < len(src) && !isVerilogSpace(src[j]) && !isVerilogPunct(src[j]) &&
+				!(src[j] == '/' && j+1 < len(src) && src[j+1] == '/') {
+				j++
+			}
+		}
+		p.pos = j
+		return src[i:j]
 	}
+	p.pos = i
 	return ""
 }
 
-func (p *vparser) next() string {
-	t := p.peek()
-	p.pos++
-	return t
-}
-
-func (p *vparser) expect(t string) error {
+func (p *vreader) expect(t string) error {
 	if got := p.next(); got != t {
 		return fmt.Errorf("verilog: expected %q, got %q", t, got)
 	}
 	return nil
 }
 
-// pending records facts collected during the parse, resolved once all nets
-// are known.
-type pendingGate struct {
-	kind Kind
-	out  string
-	ins  []string
-	mask uint64 // Lut only
+// tokenName returns the name a token spells: an escaped identifier loses
+// its backslash, and each byte of an invalid UTF-8 sequence reads as
+// U+FFFD, so every name is valid UTF-8.
+func tokenName(t string) string {
+	t = strings.TrimPrefix(t, `\`)
+	if utf8.ValidString(t) {
+		return t
+	}
+	var sb strings.Builder
+	for _, r := range t {
+		sb.WriteRune(r)
+	}
+	return sb.String()
 }
 
-func (p *vparser) parseModule() (*Netlist, error) {
+func (p *vreader) module() (*Netlist, error) {
 	if err := p.expect("module"); err != nil {
 		return nil, err
 	}
-	name := unescapeTok(p.next())
+	name := tokenName(p.next())
 	if name == "" {
 		return nil, fmt.Errorf("verilog: missing module name")
 	}
-	// Port list.
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
-	for p.peek() != ")" && p.peek() != "" {
-		p.next()
-		if p.peek() == "," {
-			p.next()
+	// The port list is skipped: the declarations say what each port is.
+	for t := p.next(); t != ")"; t = p.next() {
+		if t == "" {
+			return nil, fmt.Errorf("verilog: unterminated port list")
 		}
-	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
 	}
 	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
-
-	var inputs, outputs, wires []string
-	var gates []pendingGate
-	assigns := make(map[string]string) // lhs -> rhs net or "0"/"1"
-
 	for {
+		var err error
 		switch t := p.next(); t {
 		case "endmodule":
-			return buildFromParse(name, inputs, outputs, wires, gates, assigns)
+			return p.b.build(strings.Clone(name))
 		case "":
 			return nil, fmt.Errorf("verilog: unexpected end of input")
 		case "input", "output", "wire":
-			for {
-				nm := unescapeTok(p.next())
-				if nm == "" || nm == ";" {
-					return nil, fmt.Errorf("verilog: bad %s declaration", t)
-				}
-				switch t {
-				case "input":
-					inputs = append(inputs, nm)
-				case "output":
-					outputs = append(outputs, nm)
-				case "wire":
-					wires = append(wires, nm)
-				}
-				if sep := p.next(); sep == ";" {
-					break
-				} else if sep != "," {
-					return nil, fmt.Errorf("verilog: expected , or ; in %s declaration, got %q", t, sep)
-				}
-			}
+			err = p.declare(t)
 		case "assign":
-			lhs := unescapeTok(p.next())
-			if err := p.expect("="); err != nil {
-				return nil, err
-			}
-			rhs := p.next()
-			if err := p.expect(";"); err != nil {
-				return nil, err
-			}
-			switch rhs {
-			case "1'b0":
-				assigns[lhs] = "0"
-			case "1'b1":
-				assigns[lhs] = "1"
-			default:
-				assigns[lhs] = unescapeTok(rhs)
-			}
-		case "dff":
-			p.next() // instance name
-			args, err := p.parseArgs()
-			if err != nil {
-				return nil, err
-			}
-			if len(args) != 2 {
-				return nil, fmt.Errorf("verilog: dff needs 2 ports, got %d", len(args))
-			}
-			gates = append(gates, pendingGate{kind: Latch, out: args[0], ins: args[1:]})
+			err = p.assign()
 		default:
-			if k, ok := lutArity(t); ok {
-				g, err := p.parseLutInstance(t, k)
-				if err != nil {
-					return nil, err
-				}
-				gates = append(gates, g)
-				continue
-			}
-			kind, ok := gateKinds[t]
-			if !ok {
-				return nil, fmt.Errorf("verilog: unknown statement %q", t)
-			}
-			p.next() // instance name
-			args, err := p.parseArgs()
-			if err != nil {
-				return nil, err
-			}
-			if len(args) < 2 {
-				return nil, fmt.Errorf("verilog: gate %s needs >=2 ports", t)
-			}
-			// Enforce gate arity here so malformed input is a parse error,
-			// not a builder panic downstream.
-			ins := len(args) - 1
-			if kind == Not || kind == Buf {
-				if ins != 1 {
-					return nil, fmt.Errorf("verilog: gate %s needs 1 input, got %d", t, ins)
-				}
-			} else if ins < 2 {
-				return nil, fmt.Errorf("verilog: gate %s needs >=2 inputs, got %d", t, ins)
-			}
-			gates = append(gates, pendingGate{kind: kind, out: args[0], ins: args[1:]})
+			err = p.cell(t)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 }
 
-// parseLutInstance parses `LUT<k> #(.INIT(lit)) name (.O(y), .I0(a), ...);`
-// after the LUT<k> token has been consumed. Ports may appear in any order
-// but all k inputs and the output must be present exactly once.
-func (p *vparser) parseLutInstance(t string, k int) (pendingGate, error) {
-	g := pendingGate{kind: Lut, ins: make([]string, k)}
-	for _, want := range []string{"#", "(", ".INIT", "("} {
-		if err := p.expect(want); err != nil {
-			return g, err
-		}
-	}
-	mask, err := parseSizedLiteral(p.next())
-	if err != nil {
-		return g, err
-	}
-	if k < MaxLutInputs && mask>>(1<<uint(k)) != 0 {
-		return g, fmt.Errorf("verilog: %s INIT %#x has bits beyond 2^%d rows", t, mask, k)
-	}
-	g.mask = mask
-	for _, want := range []string{")", ")"} {
-		if err := p.expect(want); err != nil {
-			return g, err
-		}
-	}
-	p.next() // instance name
-	if err := p.expect("("); err != nil {
-		return g, err
-	}
-	haveOut := false
-	haveIn := make([]bool, k)
+// declare reads the names of an input, output or wire declaration. Wires
+// and outputs are roots, so a declared net without a driver is an error.
+func (p *vreader) declare(t string) error {
 	for {
-		port := p.next()
-		if err := p.expect("("); err != nil {
-			return g, err
+		nm := tokenName(p.next())
+		if nm == "" || nm == ";" {
+			return fmt.Errorf("verilog: bad %s declaration", t)
 		}
-		net := unescapeTok(p.next())
-		if net == "" {
-			return g, fmt.Errorf("verilog: %s port %s has empty net", t, port)
-		}
-		if err := p.expect(")"); err != nil {
-			return g, err
-		}
-		switch {
-		case port == ".O":
-			if haveOut {
-				return g, fmt.Errorf("verilog: %s has duplicate .O port", t)
+		net := p.b.net(nm)
+		switch t {
+		case "input":
+			if err := p.b.drive(net, driver{kind: drvInput}); err != nil {
+				return err
 			}
-			haveOut = true
-			g.out = net
-		case strings.HasPrefix(port, ".I") && len(port) == 3 &&
-			port[2] >= '0' && int(port[2]-'0') < k:
-			idx := int(port[2] - '0')
-			if haveIn[idx] {
-				return g, fmt.Errorf("verilog: %s has duplicate %s port", t, port)
-			}
-			haveIn[idx] = true
-			g.ins[idx] = net
+		case "output":
+			p.b.output(net)
 		default:
-			return g, fmt.Errorf("verilog: %s has unknown port %q", t, port)
+			p.b.root(net)
 		}
 		switch sep := p.next(); sep {
+		case ";":
+			return nil
 		case ",":
-		case ")":
-			if err := p.expect(";"); err != nil {
-				return g, err
-			}
-			if !haveOut {
-				return g, fmt.Errorf("verilog: %s missing .O port", t)
-			}
-			for i, ok := range haveIn {
-				if !ok {
-					return g, fmt.Errorf("verilog: %s missing .I%d port", t, i)
-				}
-			}
-			return g, nil
 		default:
-			return g, fmt.Errorf("verilog: expected , or ) in %s port list, got %q", t, sep)
+			return fmt.Errorf("verilog: expected , or ; in %s declaration, got %q", t, sep)
 		}
 	}
 }
 
-func (p *vparser) parseArgs() ([]string, error) {
+// assign reads "lhs = rhs;": a constant (1'b0, 1'b1, or a net spelled 0 or
+// 1) or an alias, built as a named Buf so the alias keeps its own node, as
+// ReadBLIF rebuilds WriteBLIF's `1 1` alias covers.
+func (p *vreader) assign() error {
+	lhs := p.b.net(tokenName(p.next()))
+	if err := p.expect("="); err != nil {
+		return err
+	}
+	rhs := p.next()
+	if err := p.expect(";"); err != nil {
+		return err
+	}
+	switch src := tokenName(rhs); {
+	case rhs == "1'b0" || src == "0":
+		return p.b.drive(lhs, driver{kind: drvConst0})
+	case rhs == "1'b1" || src == "1":
+		return p.b.drive(lhs, driver{kind: drvConst1})
+	default:
+		return p.b.drive(lhs, driver{kind: drvAlias}, p.b.net(src))
+	}
+}
+
+// cell reads a gate, dff or LUT instance whose type token t was consumed.
+func (p *vreader) cell(t string) error {
+	kind, ok := GateKind(t)
+	if t == "dff" {
+		kind, ok = Latch, true
+	}
+	if !ok {
+		if k, ok := lutArity(t); ok {
+			return p.lut(t, k)
+		}
+		return fmt.Errorf("verilog: unknown statement %q", t)
+	}
+	p.next() // instance name
+	args, err := p.ports()
+	if err != nil {
+		return err
+	}
+	out, ins := args[0], args[1:]
+	// Arity is checked here so malformed input is a parse error, not a
+	// builder panic downstream.
+	switch {
+	case kind == Latch:
+		if len(ins) != 1 {
+			return fmt.Errorf("verilog: dff needs 2 ports, got %d", len(args))
+		}
+		return p.b.drive(out, driver{kind: drvLatch}, ins...)
+	case (kind == Not || kind == Buf) != (len(ins) == 1) || len(ins) == 0:
+		return fmt.Errorf("verilog: gate %s cannot take %d inputs", t, len(ins))
+	}
+	return p.b.drive(out, driver{kind: drvGate, gate: kind}, ins...)
+}
+
+// ports reads "(out, in0, in1, ...);" into net indices, output first.
+func (p *vreader) ports() ([]int32, error) {
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
-	var args []string
+	args := p.args[:0]
 	for {
 		a := p.next()
 		if a == "" {
 			return nil, fmt.Errorf("verilog: unexpected end of port list")
 		}
-		args = append(args, unescapeTok(a))
+		args = append(args, p.b.net(tokenName(a)))
 		switch sep := p.next(); sep {
 		case ",":
 		case ")":
-			if err := p.expect(";"); err != nil {
-				return nil, err
-			}
-			return args, nil
+			p.args = args
+			return args, p.expect(";")
 		default:
 			return nil, fmt.Errorf("verilog: expected , or ) in port list, got %q", sep)
 		}
 	}
 }
 
-func buildFromParse(name string, inputs, outputs, wires []string,
-	gates []pendingGate, assigns map[string]string) (*Netlist, error) {
-
-	n := New(name)
-	ids := make(map[string]ID)
-	for _, in := range inputs {
-		if _, dup := ids[in]; dup {
-			return nil, fmt.Errorf("verilog: duplicate input %q", in)
-		}
-		ids[in] = n.AddInput(in)
-	}
-
-	driver := make(map[string]int) // net -> index into gates, or -2 for const/alias
-	for i, g := range gates {
-		if _, dup := driver[g.out]; dup {
-			return nil, fmt.Errorf("verilog: net %q driven twice", g.out)
-		}
-		if _, isIn := ids[g.out]; isIn {
-			return nil, fmt.Errorf("verilog: input %q driven by gate", g.out)
-		}
-		driver[g.out] = i
-	}
-
-	// Create latches first so feedback resolves; the D input starts as the
-	// Nil placeholder and is patched in a second pass, so parsing adds no
-	// structure beyond what the file describes.
-	for i := range gates {
-		if gates[i].kind == Latch {
-			ids[gates[i].out] = n.AddNamedLatch(gates[i].out, Nil)
+// lut reads `LUT<k> #(.INIT(lit)) name (.O(y), .I0(a), ...);` after the
+// LUT<k> token. Ports may appear in any order, but the output and all k
+// inputs must each appear exactly once. The cell's arity fixes the width
+// of its table, so the literal's size is not read.
+func (p *vreader) lut(t string, k int) error {
+	for _, want := range [...]string{"#", "(", ".INIT", "("} {
+		if err := p.expect(want); err != nil {
+			return err
 		}
 	}
-
-	var resolve func(net string, trail map[string]bool) (ID, error)
-	resolve = func(net string, trail map[string]bool) (ID, error) {
-		if id, ok := ids[net]; ok {
-			return id, nil
-		}
-		if trail[net] {
-			return Nil, fmt.Errorf("verilog: combinational cycle through net %q", net)
-		}
-		trail[net] = true
-		defer delete(trail, net)
-		if rhs, ok := assigns[net]; ok {
-			switch rhs {
-			case "0":
-				id := n.AddConst(false)
-				n.SetName(id, net)
-				ids[net] = id
-				return id, nil
-			case "1":
-				id := n.AddConst(true)
-				n.SetName(id, net)
-				ids[net] = id
-				return id, nil
-			default:
-				// Net alias: materialize a named Buf so the alias keeps its
-				// own node, mirroring how ReadBLIF rebuilds the `1 1` alias
-				// covers WriteBLIF emits. Both round trips then produce the
-				// same structure (and the same Fingerprint).
-				src, err := resolve(rhs, trail)
-				if err != nil {
-					return Nil, err
-				}
-				id := n.AddNamedGate(net, Buf, src)
-				ids[net] = id
-				return id, nil
-			}
-		}
-		gi, ok := driver[net]
-		if !ok {
-			return Nil, fmt.Errorf("verilog: net %q has no driver", net)
-		}
-		g := gates[gi]
-		fan := make([]ID, 0, len(g.ins))
-		for _, in := range g.ins {
-			fid, err := resolve(in, trail)
-			if err != nil {
-				return Nil, err
-			}
-			fan = append(fan, fid)
-		}
-		var id ID
-		if g.kind == Lut {
-			id = n.AddNamedLut(net, g.mask, fan...)
-		} else {
-			id = n.AddNamedGate(net, g.kind, fan...)
-		}
-		ids[net] = id
-		return id, nil
+	lit := p.next()
+	if q := strings.IndexByte(lit, '\''); q > 0 {
+		lit = lit[q:]
 	}
-
-	// Resolve every declared wire and output, plus all gate outputs.
-	all := append(append([]string{}, wires...), outputs...)
-	for _, g := range gates {
-		all = append(all, g.out)
+	_, mask, err := ParseLiteral(lit)
+	if err != nil {
+		return fmt.Errorf("verilog: %w", err)
 	}
-	sort.Strings(all)
-	for _, net := range all {
-		if _, err := resolve(net, map[string]bool{}); err != nil {
-			return nil, err
+	if k < MaxLutInputs && mask>>(1<<uint(k)) != 0 {
+		return fmt.Errorf("verilog: %s INIT %#x has bits beyond 2^%d rows", t, mask, k)
+	}
+	for _, want := range [...]string{")", ")"} {
+		if err := p.expect(want); err != nil {
+			return err
 		}
 	}
-
-	// Patch latch D inputs.
-	for _, g := range gates {
-		if g.kind != Latch {
-			continue
-		}
-		d, err := resolve(g.ins[0], map[string]bool{})
-		if err != nil {
-			return nil, err
-		}
-		n.SetLatchD(ids[g.out], d)
+	p.next() // instance name
+	if err := p.expect("("); err != nil {
+		return err
 	}
-
-	for _, out := range outputs {
-		id, ok := ids[out]
-		if !ok {
-			return nil, fmt.Errorf("verilog: output %q has no driver", out)
-		}
-		n.MarkOutput(out, id)
-	}
-	return n, nil
-}
-
-func tokenize(r io.Reader) ([]string, error) {
-	br := bufio.NewReader(r)
-	var toks []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			toks = append(toks, cur.String())
-			cur.Reset()
-		}
-	}
+	out := int32(-1)
+	var ins [MaxLutInputs]int32
+	var have uint8 // bit j marks .Ij connected
 	for {
-		c, _, err := br.ReadRune()
-		if err == io.EOF {
-			flush()
-			return toks, nil
+		port := p.next()
+		if err := p.expect("("); err != nil {
+			return err
 		}
-		if err != nil {
-			return nil, err
+		nm := tokenName(p.next())
+		if nm == "" {
+			return fmt.Errorf("verilog: %s port %s has empty net", t, port)
 		}
-		switch {
-		case c == '/':
-			// Possible // comment.
-			c2, _, err2 := br.ReadRune()
-			if err2 == nil && c2 == '/' {
-				flush()
-				for {
-					c3, _, err3 := br.ReadRune()
-					if err3 != nil || c3 == '\n' {
-						break
-					}
-				}
-				continue
+		if err := p.expect(")"); err != nil {
+			return err
+		}
+		switch net := p.b.net(nm); {
+		case port == ".O":
+			if out >= 0 {
+				return fmt.Errorf("verilog: %s has duplicate .O port", t)
 			}
-			if err2 == nil {
-				if uerr := br.UnreadRune(); uerr != nil {
-					return nil, uerr
-				}
+			out = net
+		case len(port) == 3 && port[:2] == ".I" && port[2] >= '0' && int(port[2]-'0') < k:
+			j := port[2] - '0'
+			if have>>j&1 == 1 {
+				return fmt.Errorf("verilog: %s has duplicate %s port", t, port)
 			}
-			cur.WriteRune(c)
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			flush()
-		case c == '\\' && cur.Len() == 0:
-			// Escaped identifier: backslash through the next whitespace,
-			// punctuation included.
-			cur.WriteRune(c)
-			for {
-				c2, _, err2 := br.ReadRune()
-				if err2 == io.EOF {
-					break
-				}
-				if err2 != nil {
-					return nil, err2
-				}
-				if c2 == ' ' || c2 == '\t' || c2 == '\n' || c2 == '\r' {
-					break
-				}
-				cur.WriteRune(c2)
-			}
-			flush()
-		case c == '(' || c == ')' || c == ',' || c == ';' || c == '=':
-			flush()
-			toks = append(toks, string(c))
+			have |= 1 << j
+			ins[j] = net
 		default:
-			cur.WriteRune(c)
+			return fmt.Errorf("verilog: %s has unknown port %q", t, port)
+		}
+		switch sep := p.next(); sep {
+		case ",":
+		case ")":
+			if err := p.expect(";"); err != nil {
+				return err
+			}
+			if out < 0 {
+				return fmt.Errorf("verilog: %s missing .O port", t)
+			}
+			if missing := bits.TrailingZeros8(^have); missing < k {
+				return fmt.Errorf("verilog: %s missing .I%d port", t, missing)
+			}
+			return p.b.drive(out, driver{kind: drvLut, mask: mask}, ins[:k]...)
+		default:
+			return fmt.Errorf("verilog: expected , or ) in %s port list, got %q", t, sep)
 		}
 	}
 }

@@ -5,7 +5,11 @@ package rtl
 // instances are expanded from their names alone (the printed bodies are
 // documentation), always blocks are rebuilt as per-bit latch logic, and
 // residual statements map one-to-one onto gates — so a pure-passthrough
-// emission elaborates to a netlist isomorphic to the original.
+// emission elaborates to a netlist isomorphic to the original. Sized
+// literals and gate names are read by the gate-level reader's
+// netlist.ParseLiteral and netlist.GateKind; the line scanner and the
+// builder are the elaborator's own, because its dialect is line-oriented
+// and strict where structural Verilog is free-form.
 
 import (
 	"fmt"
@@ -150,34 +154,13 @@ func tokenize(dst []token, s string) ([]token, error) {
 	return dst, nil
 }
 
-// maxRegWidth is the widest register the dialect declares (reg [4095:0]);
-// a sized literal may be as wide, as long as its value fits 64 bits.
-const maxRegWidth = 4096
-
-// parseLiteral decodes N'dV / N'bV / N'hV into (width, value). The value
-// must fit 64 bits; the width may be up to maxRegWidth (the reset and
-// step literals of wide registers).
+// parseLiteral decodes a sized literal N'dV / N'bV / N'hV into (width,
+// value). The value must fit 64 bits; the width may be up to
+// netlist.MaxLiteralWidth (the reset and step literals of the widest
+// registers). Only a number token holds a quote, so any other is unsized.
 func parseLiteral(t token) (width int, val uint64, err error) {
-	if t.kind != 'n' {
-		return 0, 0, fmt.Errorf("rtl: expected literal, got %q", t.text)
-	}
-	q := strings.IndexByte(t.text, '\'')
-	if q < 0 {
-		return 0, 0, fmt.Errorf("rtl: bare number %q", t.text)
-	}
-	w, err := strconv.Atoi(t.text[:q])
-	if err != nil || w < 1 || w > maxRegWidth || q+2 > len(t.text) {
-		return 0, 0, fmt.Errorf("rtl: bad literal %q", t.text)
-	}
-	base := 10
-	switch t.text[q+1] {
-	case 'b':
-		base = 2
-	case 'h':
-		base = 16
-	}
-	v, err := strconv.ParseUint(t.text[q+2:], base, 64)
-	if err != nil {
+	w, v, err := netlist.ParseLiteral(t.text)
+	if err != nil || w == 0 {
 		return 0, 0, fmt.Errorf("rtl: bad literal %q", t.text)
 	}
 	return w, v, nil
@@ -217,6 +200,7 @@ func scan(src string) (*elab, error) {
 			continue
 		}
 		head := toks[0]
+		k, isGate := netlist.GateKind(head.text)
 		switch {
 		case head.kind == 'i' && head.text == "module":
 			if len(toks) < 2 || toks[1].kind != 'i' {
@@ -322,12 +306,11 @@ func scan(src string) (*elab, error) {
 				return nil, fmt.Errorf("line %d: duplicate net %s", lineNo, outName)
 			}
 			e.addNet(&netDef{name: outName, kind: defDff, args: args})
-		case head.kind == 'i' && gateKindOf(head.text) != 0:
+		case head.kind == 'i' && isGate:
 			outName, args, err := gateArgs(toks[1:])
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %w", lineNo, err)
 			}
-			k := gateKindOf(head.text)
 			if (k == netlist.Not || k == netlist.Buf) != (len(args) == 1) || len(args) == 0 {
 				return nil, fmt.Errorf("line %d: bad arity for %s", lineNo, head.text)
 			}
@@ -369,28 +352,6 @@ func oneIdent(toks []token) (string, error) {
 		return "", fmt.Errorf("expected single identifier")
 	}
 	return toks[0].text, nil
-}
-
-func gateKindOf(s string) netlist.Kind {
-	switch s {
-	case "and":
-		return netlist.And
-	case "or":
-		return netlist.Or
-	case "nand":
-		return netlist.Nand
-	case "nor":
-		return netlist.Nor
-	case "xor":
-		return netlist.Xor
-	case "xnor":
-		return netlist.Xnor
-	case "not":
-		return netlist.Not
-	case "buf":
-		return netlist.Buf
-	}
-	return 0
 }
 
 // gateArgs parses "gN (out, a, b);" returning out and the fanin names.

@@ -311,28 +311,6 @@ func TestWideRegisterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseLiteralWidths: literal widths up to the widest register are
-// accepted while the value fits 64 bits.
-func TestParseLiteralWidths(t *testing.T) {
-	for _, tc := range []struct {
-		text string
-		ok   bool
-	}{
-		{"1'b1", true},
-		{"64'hffffffffffffffff", true},
-		{"65'd0", true},
-		{"4096'd1", true},
-		{"4097'd0", false},
-		{"0'd0", false},
-		{"65'h10000000000000000", false},
-	} {
-		_, _, err := parseLiteral(token{kind: 'n', text: tc.text})
-		if (err == nil) != tc.ok {
-			t.Errorf("parseLiteral(%s): err %v, want ok=%v", tc.text, err, tc.ok)
-		}
-	}
-}
-
 // TestCheckRejectsForeignNetlist: an emission checked against a netlist
 // other than the one it was emitted from is an error, not a panic.
 func TestCheckRejectsForeignNetlist(t *testing.T) {

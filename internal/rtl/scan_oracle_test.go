@@ -87,6 +87,7 @@ func scanLines(r io.Reader) (*elab, error) {
 			continue
 		}
 		head := toks[0]
+		_, isGate := netlist.GateKind(head.text)
 		switch {
 		case head.kind == 'i' && head.text == "module":
 			if len(toks) < 2 || toks[1].kind != 'i' {
@@ -192,12 +193,12 @@ func scanLines(r io.Reader) (*elab, error) {
 				return nil, fmt.Errorf("line %d: duplicate net %s", lineNo, outName)
 			}
 			e.addNet(&netDef{name: outName, kind: defDff, args: args})
-		case head.kind == 'i' && gateKindOf(head.text) != 0:
+		case head.kind == 'i' && isGate:
 			outName, args, err := gateArgs(toks[1:])
 			if err != nil {
 				return nil, fmt.Errorf("line %d: %w", lineNo, err)
 			}
-			k := gateKindOf(head.text)
+			k, _ := netlist.GateKind(head.text)
 			if (k == netlist.Not || k == netlist.Buf) != (len(args) == 1) || len(args) == 0 {
 				return nil, fmt.Errorf("line %d: bad arity for %s", lineNo, head.text)
 			}
