@@ -82,6 +82,7 @@ fuzz:
 
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Coverage: whole-repo total over the short suite, plus the conformance
 # oracle's own coverage, which is gated at 80% (the scorer is the part of

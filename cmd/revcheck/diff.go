@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -65,7 +66,7 @@ func runDiff(articleCSV string) error {
 		d := netlist.DiffNetlists(golden, suspect)
 		want := append([]netlist.ID(nil), lab.Trojan...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		exact := idSlicesEqual(d.Added, want)
+		exact := slices.Equal(d.Added, want)
 		if !exact {
 			fail("%s vs %s: diff added %d nodes, want the %d labeled trojan nodes (missed %d, extra %d)",
 				goldenName, suspectName, len(d.Added), len(want),
@@ -95,18 +96,6 @@ func runDiff(articleCSV string) error {
 	}
 	fmt.Println("differential OK")
 	return nil
-}
-
-func idSlicesEqual(a, b []netlist.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // idSliceSub returns the elements of a not present in b (both sorted).

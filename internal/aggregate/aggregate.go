@@ -275,11 +275,11 @@ func chainModules(nl *netlist.Netlist, res *bitslice.Result, carryClass truth.Cl
 	}
 	sumByArgs := make(map[string]*bitslice.Match)
 	for _, m := range res.Matches(sumClass) {
-		sumByArgs[argKey(m.Args)] = m
+		sumByArgs[netlist.Key(netlist.SortedIDs(m.Args))] = m
 	}
 	for _, m := range res.Matches(truth.ClassXor3Not) {
-		if _, dup := sumByArgs[argKey(m.Args)]; !dup {
-			sumByArgs[argKey(m.Args)] = m
+		if k := netlist.Key(netlist.SortedIDs(m.Args)); sumByArgs[k] == nil {
+			sumByArgs[k] = m
 		}
 	}
 
@@ -319,7 +319,7 @@ func chainModules(nl *netlist.Netlist, res *bitslice.Result, carryClass truth.Cl
 				aWord = append(aWord, ops[0])
 				bWord = append(bWord, ops[1])
 			}
-			if s, ok := sumByArgs[argKey(m.Args)]; ok {
+			if s, ok := sumByArgs[netlist.Key(netlist.SortedIDs(m.Args))]; ok {
 				elements = append(elements, s.Cone...)
 				sumOuts = append(sumOuts, s.Root)
 			}
@@ -365,8 +365,9 @@ func headOperands(nl *netlist.Netlist, res *bitslice.Result, head *bitslice.Matc
 	// Bit-0 operands and sum (xor2 over the same args).
 	*aWord = append(*aWord, half.Args[0])
 	*bWord = append(*bWord, half.Args[1])
+	halfKey := netlist.Key(netlist.SortedIDs(half.Args))
 	for _, s := range res.Matches(truth.ClassHASum) {
-		if argKey(s.Args) == argKey(half.Args) {
+		if netlist.Key(netlist.SortedIDs(s.Args)) == halfKey {
 			*elements = append(*elements, s.Cone...)
 			*sumOuts = append(*sumOuts, s.Root)
 			break
@@ -499,15 +500,6 @@ func argColumn(ms []*bitslice.Match, j int) []netlist.ID {
 		out[i] = m.Args[j]
 	}
 	return out
-}
-
-func argKey(args []netlist.ID) string {
-	s := netlist.SortedIDs(args)
-	b := make([]byte, 0, len(s)*4)
-	for _, id := range s {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
 }
 
 // buildSliceModule creates a sliceable module whose slices are the match

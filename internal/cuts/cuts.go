@@ -169,7 +169,7 @@ func (sc *scratch) mergeFold(opt Options) []pendingCut {
 				continue // provably more than K distinct leaves
 			}
 			start := len(slab)
-			after, ok := unionLeavesInto(slab, a, b, opt.K)
+			after, ok := netlist.MergeIDs(slab, a, b, opt.K)
 			if !ok {
 				continue
 			}
@@ -382,37 +382,6 @@ func leafSig(ls []netlist.ID) uint64 {
 	return s
 }
 
-// unionLeavesInto merges two sorted leaf sets, appending to dst. It
-// reports false (with dst unchanged in length) when the union exceeds k
-// leaves.
-func unionLeavesInto(dst []netlist.ID, a, b []netlist.ID, k int) ([]netlist.ID, bool) {
-	start := len(dst)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-		if len(dst)-start > k {
-			return dst[:start], false
-		}
-	}
-	if len(dst)-start+len(a)-i+len(b)-j > k {
-		return dst[:start], false
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst, true
-}
-
 // prune removes duplicate and dominated leaf sets from ps (a set is
 // dominated when it is a strict superset of another) and truncates to
 // maxCuts, preferring sets with fewer leaves. It returns the survivors
@@ -450,7 +419,7 @@ func (sc *scratch) prune(ps []pendingCut, maxCuts int) []pendingCut {
 			}
 		}
 		slices.SortFunc(survivors, func(x, y pendingCut) int {
-			if c := compareLeaves(x.leaves, y.leaves); c != 0 {
+			if c := slices.Compare(x.leaves, y.leaves); c != 0 {
 				return c
 			}
 			if x.a != y.a {
@@ -459,7 +428,7 @@ func (sc *scratch) prune(ps []pendingCut, maxCuts int) []pendingCut {
 			return x.b - y.b
 		})
 		for i, c := range survivors {
-			if i > 0 && equalLeaves(survivors[i-1].leaves, c.leaves) {
+			if i > 0 && slices.Equal(survivors[i-1].leaves, c.leaves) {
 				continue
 			}
 			if kept = append(kept, c); len(kept) >= maxCuts {
@@ -489,31 +458,6 @@ func isSubset(a, b []netlist.ID) bool {
 		}
 	}
 	return i == len(a)
-}
-
-func equalLeaves(a, b []netlist.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// compareLeaves orders leaf sets lexicographically.
-func compareLeaves(a, b []netlist.ID) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
 }
 
 // AverageCutsPerGate returns the mean number of cuts per combinational gate,

@@ -2,6 +2,7 @@ package cuts
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netlistre/internal/netlist"
@@ -25,7 +26,7 @@ func buildFullAdder() (*netlist.Netlist, netlist.ID, netlist.ID, [3]netlist.ID) 
 
 func findCut(cs []Cut, leaves []netlist.ID) (Cut, bool) {
 	for _, c := range cs {
-		if equalLeaves(c.Leaves, leaves) {
+		if slices.Equal(c.Leaves, leaves) {
 			return c, true
 		}
 	}

@@ -21,7 +21,7 @@ func sortThenScanPrune(ps []pendingCut, maxCuts int) []pendingCut {
 		if len(x.leaves) != len(y.leaves) {
 			return len(x.leaves) - len(y.leaves)
 		}
-		return compareLeaves(x.leaves, y.leaves)
+		return slices.Compare(x.leaves, y.leaves)
 	})
 	kept := ps[:0]
 	for _, c := range ps {
@@ -31,7 +31,7 @@ func sortThenScanPrune(ps []pendingCut, maxCuts int) []pendingCut {
 				continue // cannot be a subset
 			}
 			if isSubset(k.leaves, c.leaves) {
-				if len(k.leaves) < len(c.leaves) || equalLeaves(k.leaves, c.leaves) {
+				if len(k.leaves) < len(c.leaves) || slices.Equal(k.leaves, c.leaves) {
 					dominated = true
 					break
 				}
@@ -102,7 +102,7 @@ func TestPruneMatchesSortThenScan(t *testing.T) {
 		in := slices.Clone(ps)
 		got := sc.prune(in, maxCuts)
 		if !slices.EqualFunc(in, ps, func(x, y pendingCut) bool {
-			return equalLeaves(x.leaves, y.leaves) && x.a == y.a && x.b == y.b
+			return slices.Equal(x.leaves, y.leaves) && x.a == y.a && x.b == y.b
 		}) {
 			t.Fatalf("trial %d: prune modified its input", trial)
 		}
@@ -112,7 +112,7 @@ func TestPruneMatchesSortThenScan(t *testing.T) {
 		}
 		for _, g := range got {
 			for _, p := range ps {
-				if equalLeaves(p.leaves, g.leaves) && (p.a < g.a || p.a == g.a && p.b < g.b) {
+				if slices.Equal(p.leaves, g.leaves) && (p.a < g.a || p.a == g.a && p.b < g.b) {
 					t.Fatalf("trial %d: kept %v from (%d,%d), not the least pair (%d,%d)",
 						trial, g.leaves, g.a, g.b, p.a, p.b)
 				}
@@ -127,7 +127,7 @@ func TestPruneMatchesSortThenScan(t *testing.T) {
 		}
 		if len(full) < len(ps) {
 			for i := range ps {
-				if slices.ContainsFunc(ps[i+1:], func(p pendingCut) bool { return equalLeaves(p.leaves, ps[i].leaves) }) {
+				if slices.ContainsFunc(ps[i+1:], func(p pendingCut) bool { return slices.Equal(p.leaves, ps[i].leaves) }) {
 					dups++
 					break
 				}

@@ -80,7 +80,8 @@ func Find(nl *netlist.Netlist) []*module.Module {
 	// same plane share row selects.
 	bySel := make(map[string][]column)
 	for _, c := range cols {
-		bySel[key(netlist.SortedIDs(c.selects))] = append(bySel[key(netlist.SortedIDs(c.selects))], c)
+		k := netlist.Key(netlist.SortedIDs(c.selects))
+		bySel[k] = append(bySel[k], c)
 	}
 	var keys []string
 	for k := range bySel {
@@ -144,12 +145,4 @@ func oneHotSelects(nl *netlist.Netlist, selects []netlist.ID) bool {
 		}
 	}
 	return true
-}
-
-func key(ids []netlist.ID) string {
-	b := make([]byte, 0, len(ids)*4)
-	for _, id := range ids {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
 }

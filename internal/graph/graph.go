@@ -5,6 +5,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 
 	"netlistre/internal/netlist"
@@ -230,7 +231,7 @@ func (g *LCG) CounterChains(minLen int) [][]netlist.ID {
 		if len(chain) < minLen {
 			continue
 		}
-		key := chainKey(chain)
+		key := netlist.Key(netlist.SortedIDs(chain))
 		if !seen[key] {
 			seen[key] = true
 			chains = append(chains, chain)
@@ -311,24 +312,6 @@ func (g *LCG) ShiftChains(minLen int) [][]netlist.ID {
 	return chains
 }
 
-func contains(ids []netlist.ID, id netlist.ID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
-func chainKey(chain []netlist.ID) string {
-	s := netlist.SortedIDs(chain)
-	b := make([]byte, 0, len(s)*4)
-	for _, id := range s {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
-}
-
 func dropSubChains(chains [][]netlist.ID) [][]netlist.ID {
 	var out [][]netlist.ID
 	for i, c := range chains {
@@ -339,7 +322,7 @@ func dropSubChains(chains [][]netlist.ID) [][]netlist.ID {
 			}
 			all := true
 			for _, x := range c {
-				if !contains(d, x) {
+				if !slices.Contains(d, x) {
 					all = false
 					break
 				}

@@ -124,7 +124,7 @@ func Match(ctx context.Context, nl *netlist.Netlist, wordSet []words.Word, opt O
 		if m == nil {
 			continue
 		}
-		key := m.Attr["op"] + "/" + elementKey(m.Elements)
+		key := m.Attr["op"] + "/" + netlist.Key(m.Elements)
 		if seen[key] {
 			continue // same region matched via an equivalent word
 		}
@@ -132,14 +132,6 @@ func Match(ctx context.Context, nl *netlist.Netlist, wordSet []words.Word, opt O
 		out = append(out, m)
 	}
 	return out
-}
-
-func elementKey(ids []netlist.ID) string {
-	b := make([]byte, 0, len(ids)*4)
-	for _, id := range ids {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
 }
 
 // Candidates carves candidate modules: for every word whose bits are gates,

@@ -5,7 +5,7 @@ package module
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"netlistre/internal/netlist"
 )
@@ -79,18 +79,12 @@ func New(t Type, width int, elements []netlist.ID) *Module {
 	return m
 }
 
-// SetElements replaces the element set, deduplicating and sorting.
+// SetElements replaces the element set with a sorted, deduplicated copy
+// of elements.
 func (m *Module) SetElements(elements []netlist.ID) {
-	seen := make(map[netlist.ID]bool, len(elements))
-	out := elements[:0:0]
-	for _, e := range elements {
-		if !seen[e] {
-			seen[e] = true
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	m.Elements = out
+	out := slices.Clone(elements)
+	slices.Sort(out)
+	m.Elements = slices.Compact(out)
 }
 
 // Size returns the number of covered elements.

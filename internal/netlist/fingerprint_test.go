@@ -152,6 +152,39 @@ func TestFingerprintAllKindsVerilogBLIF(t *testing.T) {
 	}
 }
 
+// TestFingerprintNetsNamedConstants reads back outputs driven by inputs
+// named 0 and 1. Verilog writes them as `assign y = \0 ;`, an escaped net,
+// and must not read that as the constant a bare 0 is; both formats then
+// give one fingerprint.
+func TestFingerprintNetsNamedConstants(t *testing.T) {
+	n := New("consts")
+	n.MarkOutput("y", n.AddInput("0"))
+	n.MarkOutput("z", n.AddInput("1"))
+	var v, bl bytes.Buffer
+	if err := n.WriteVerilog(&v); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.WriteBLIF(&bl); err != nil {
+		t.Fatal(err)
+	}
+	fromV, err := ReadVerilog(bytes.NewReader(v.Bytes()))
+	if err != nil {
+		t.Fatalf("ReadVerilog: %v", err)
+	}
+	fromB, err := ReadBLIF(&bl)
+	if err != nil {
+		t.Fatalf("ReadBLIF: %v", err)
+	}
+	for _, out := range fromV.Outputs() {
+		if k := fromV.Kind(out.Driver); k != Buf {
+			t.Errorf("Verilog output %s reads back as %v, want buf:\n%s", out.Name, k, v.String())
+		}
+	}
+	if fv, fb := fromV.Fingerprint(), fromB.Fingerprint(); fv != fb {
+		t.Errorf("cross-format fingerprints differ:\nverilog: %s\nblif:    %s", fv, fb)
+	}
+}
+
 func TestFingerprintDistinguishes(t *testing.T) {
 	base := buildRefCircuit().Fingerprint()
 

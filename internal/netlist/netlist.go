@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 )
 
@@ -567,12 +566,4 @@ func (n *Netlist) Clone() *Netlist {
 		c.byName[name] = id
 	}
 	return c
-}
-
-// SortedIDs returns ids sorted ascending (a convenience for deterministic
-// iteration over sets of nodes).
-func SortedIDs(ids []ID) []ID {
-	out := append([]ID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -291,9 +291,10 @@ func (p *vreader) declare(t string) error {
 	}
 }
 
-// assign reads "lhs = rhs;": a constant (1'b0, 1'b1, or a net spelled 0 or
-// 1) or an alias, built as a named Buf so the alias keeps its own node, as
-// ReadBLIF rebuilds WriteBLIF's `1 1` alias covers.
+// assign reads "lhs = rhs;": a constant (1'b0, 1'b1, or a bare 0 or 1) or
+// an alias, built as a named Buf so the alias keeps its own node, as
+// ReadBLIF rebuilds WriteBLIF's `1 1` alias covers. The constant test is
+// on the raw token: an escaped \0 or \1 names a net.
 func (p *vreader) assign() error {
 	lhs := p.b.net(tokenName(p.next()))
 	if err := p.expect("="); err != nil {
@@ -303,13 +304,13 @@ func (p *vreader) assign() error {
 	if err := p.expect(";"); err != nil {
 		return err
 	}
-	switch src := tokenName(rhs); {
-	case rhs == "1'b0" || src == "0":
+	switch rhs {
+	case "1'b0", "0":
 		return p.b.drive(lhs, driver{kind: drvConst0})
-	case rhs == "1'b1" || src == "1":
+	case "1'b1", "1":
 		return p.b.drive(lhs, driver{kind: drvConst1})
 	default:
-		return p.b.drive(lhs, driver{kind: drvAlias}, p.b.net(src))
+		return p.b.drive(lhs, driver{kind: drvAlias}, p.b.net(tokenName(rhs)))
 	}
 }
 

@@ -151,7 +151,7 @@ func (p *vparser) parseModule() (*Netlist, error) {
 
 	var inputs, outputs, wires []string
 	var gates []pendingGate
-	assigns := make(map[string]string) // lhs -> rhs net or "0"/"1"
+	assigns := make(map[string]string) // lhs -> rhs token or "0"/"1"
 
 	for {
 		switch t := p.next(); t {
@@ -194,7 +194,7 @@ func (p *vparser) parseModule() (*Netlist, error) {
 			case "1'b1":
 				assigns[lhs] = "1"
 			default:
-				assigns[lhs] = unescapeTok(rhs)
+				assigns[lhs] = rhs
 			}
 		case "dff":
 			p.next() // instance name
@@ -405,7 +405,7 @@ func buildFromParse(name string, inputs, outputs, wires []string,
 				// own node, mirroring how ReadBLIF rebuilds the `1 1` alias
 				// covers WriteBLIF emits. Both round trips then produce the
 				// same structure (and the same Fingerprint).
-				src, err := resolve(rhs, trail)
+				src, err := resolve(unescapeTok(rhs), trail)
 				if err != nil {
 					return Nil, err
 				}

@@ -28,7 +28,6 @@
 package oracle
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -335,7 +334,7 @@ func scoreWords(rep *core.Report, lab *gen.Labels, opt Options) WordScore {
 			if len(w) < opt.MinWordWidth {
 				continue
 			}
-			key := wordKey(w)
+			key := netlist.Key(netlist.SortedIDs(w))
 			if seen[key] {
 				continue
 			}
@@ -429,12 +428,6 @@ func containsAll(set map[netlist.ID]bool, w []netlist.ID) bool {
 		}
 	}
 	return true
-}
-
-func wordKey(w []netlist.ID) string {
-	s := append([]netlist.ID(nil), w...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return fmt.Sprint(s)
 }
 
 // ratioOr1 returns num/den, or 1 for the vacuous den == 0 case (no truth

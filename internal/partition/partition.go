@@ -7,7 +7,7 @@
 package partition
 
 import (
-	"sort"
+	"slices"
 
 	"netlistre/internal/netlist"
 )
@@ -75,8 +75,10 @@ func ByResets(nl *netlist.Netlist, resets []netlist.ID) Summary {
 
 	var s Summary
 	for i := range parts {
-		parts[i].Elements = dedupe(parts[i].Elements)
-		parts[i].Latches = dedupe(parts[i].Latches)
+		slices.Sort(parts[i].Elements)
+		slices.Sort(parts[i].Latches)
+		parts[i].Elements = slices.Compact(parts[i].Elements)
+		parts[i].Latches = slices.Compact(parts[i].Latches)
 	}
 	s.Partitions = parts
 	for _, g := range nl.Gates() {
@@ -89,17 +91,6 @@ func ByResets(nl *netlist.Netlist, resets []netlist.ID) Summary {
 		}
 	}
 	return s
-}
-
-func dedupe(ids []netlist.ID) []netlist.ID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || ids[i-1] != id {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Extract builds a standalone netlist from a partition's elements. Signals

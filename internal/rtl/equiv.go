@@ -7,7 +7,9 @@ package rtl
 // the check switches to bitsim: identical stimulus on both netlists,
 // comparing every primary output and every latch next-state, exhaustively
 // when the state space is small and with random patterns plus exhaustive
-// small-cone truth tables otherwise.
+// small-cone truth tables otherwise. A small cone is one whose support
+// fits a truth table; the supports come from the netlist's one bounded
+// support pass, Netlist.BoundedSupports(truth.MaxVars).
 
 import (
 	"fmt"
@@ -237,13 +239,13 @@ func bitsimCompare(orig, elab *netlist.Netlist, er *EmitResult, res *EquivResult
 
 	// Exhaustive small-cone comparison: for every compared signal whose
 	// original support fits a truth table, require identical tables.
-	sup := boundedSupports(orig)
+	sup := orig.BoundedSupports(truth.MaxVars)
 	var leaves, eLeaves []netlist.ID
 	for i, pr := range pairs {
-		if bad[i] || sup.n[pr.o] < 0 {
+		if bad[i] || sup.Wide(pr.o) {
 			continue
 		}
-		leaves = append(leaves[:0], sup.ids[pr.o][:sup.n[pr.o]]...)
+		leaves = append(leaves[:0], sup.Of(pr.o)...)
 		slices.SortFunc(leaves, func(a, b netlist.ID) int {
 			return strings.Compare(er.names[a], er.names[b])
 		})
@@ -269,70 +271,4 @@ func bitsimCompare(orig, elab *netlist.Netlist, er *EmitResult, res *EquivResult
 	}
 
 	res.Equivalent = len(res.Mismatches) == 0
-}
-
-// supports holds every node's cone inputs (primary inputs and latch
-// outputs) while there are at most truth.MaxVars of them: ids[id][:n[id]]
-// sorted ascending, or n[id] < 0 once the support is wider.
-type supports struct {
-	ids [][truth.MaxVars]netlist.ID
-	n   []int8
-}
-
-// boundedSupports computes the supports in one pass over nl.TopoOrder(): a
-// cone input's support is itself, a constant's is empty, and a gate's is
-// the sorted merge of its fanins' supports, which is exactly its cone-input
-// set. A gate turns wide once a fanin is wide or the merge passes
-// truth.MaxVars.
-func boundedSupports(nl *netlist.Netlist) supports {
-	s := supports{ids: make([][truth.MaxVars]netlist.ID, nl.Len()), n: make([]int8, nl.Len())}
-	for _, id := range nl.TopoOrder() {
-		switch k := nl.Kind(id); {
-		case k.IsConeInput():
-			s.ids[id][0], s.n[id] = id, 1
-			continue
-		case !k.IsGate():
-			continue // a constant's support is empty
-		}
-		var acc [truth.MaxVars]netlist.ID
-		na := 0
-		for _, f := range nl.Fanin(id) {
-			if na = mergeSupport(&acc, na, &s.ids[f], int(s.n[f])); na < 0 {
-				break
-			}
-		}
-		s.ids[id], s.n[id] = acc, int8(na)
-	}
-	return s
-}
-
-// mergeSupport merges the sorted b[:nb] into the sorted acc[:na] and
-// returns the union's size, or -1 when either side is wide (negative) or
-// the union passes truth.MaxVars.
-func mergeSupport(acc *[truth.MaxVars]netlist.ID, na int, b *[truth.MaxVars]netlist.ID, nb int) int {
-	if na < 0 || nb < 0 {
-		return -1
-	}
-	var out [truth.MaxVars]netlist.ID
-	i, j, n := 0, 0, 0
-	for i < na || j < nb {
-		if n == truth.MaxVars {
-			return -1
-		}
-		switch {
-		case j == nb || i < na && acc[i] < b[j]:
-			out[n] = acc[i]
-			i++
-		case i == na || b[j] < acc[i]:
-			out[n] = b[j]
-			j++
-		default: // acc[i] == b[j]
-			out[n] = acc[i]
-			i++
-			j++
-		}
-		n++
-	}
-	*acc = out
-	return n
 }

@@ -50,7 +50,7 @@ func FindCounters(nl *netlist.Netlist, lcg *graph.LCG) []*module.Module {
 			if len(verified) < minCounter {
 				continue
 			}
-			k := idKeySeq(netlist.SortedIDs(verified))
+			k := netlist.Key(netlist.SortedIDs(verified))
 			if seen[k] {
 				break
 			}

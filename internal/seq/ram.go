@@ -6,6 +6,7 @@ package seq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"netlistre/internal/bdd"
@@ -15,17 +16,17 @@ import (
 	"netlistre/internal/truth"
 )
 
-// FindRAMs runs the full RAM analysis. slices supplies mux bitslice matches
+// FindRAMs runs the full RAM analysis. muxes supplies mux bitslice matches
 // for write-logic identification (pass the result of bitslice.Find; write
 // logic is skipped when nil).
-func FindRAMs(nl *netlist.Netlist, slices *bitslice.Result) []*module.Module {
+func FindRAMs(nl *netlist.Netlist, muxes *bitslice.Result) []*module.Module {
 	order := nl.TopoOrder()
 	marked := markReadLogic(nl, order)
 	// One BDD manager serves every read-root and write-enable check of
 	// the call, reset between checks.
 	mgr := bdd.New(0)
 	bits := readBits(mgr, nl, marked, readRoots(nl, marked, order), order)
-	return ramModules(mgr, nl, marked, bits, slices)
+	return ramModules(mgr, nl, marked, bits, muxes)
 }
 
 // readBit is one verified read-tree root.
@@ -86,12 +87,13 @@ func readBits(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, roots, order
 
 // ramModules aggregates verified read bits into RAM modules and identifies
 // their write logic.
-func ramModules(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, bits []readBit, slices *bitslice.Result) []*module.Module {
+func ramModules(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, bits []readBit, muxes *bitslice.Result) []*module.Module {
 	// Aggregate read bits sharing the same select set into one array
 	// (footnote 12 of the paper).
 	bySel := make(map[string][]readBit)
 	for _, b := range bits {
-		bySel[idKeySeq(b.selects)] = append(bySel[idKeySeq(b.selects)], b)
+		k := netlist.Key(b.selects)
+		bySel[k] = append(bySel[k], b)
 	}
 	var keys []string
 	for k := range bySel {
@@ -115,7 +117,7 @@ func ramModules(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, bits []rea
 		for _, b := range group {
 			cells = append(cells, b.cells...)
 		}
-		ck := idKeySeq(dedupeIDs(cells))
+		ck := netlist.Key(slices.Compact(netlist.SortedIDs(cells)))
 		if _, seenCK := byCells[ck]; !seenCK {
 			cellKeys = append(cellKeys, ck)
 		}
@@ -186,7 +188,7 @@ func ramModules(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, bits []rea
 				width = len(p.bits)
 			}
 		}
-		cells = dedupeIDs(cells)
+		cells = slices.Compact(netlist.SortedIDs(cells))
 		if len(cells) < 4 || len(cells) < 2*width {
 			// Too small to be an array, or fewer than two words: a
 			// "one-word RAM" is just a register bank misread through its
@@ -211,8 +213,8 @@ func ramModules(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, bits []rea
 		m.SetPort("select", ports[0].selects)
 		m.SetAttr("read-ports", fmt.Sprint(len(ports)))
 
-		if slices != nil {
-			if weis, writeElems, ok := identifyWriteLogic(mgr, nl, slices, cells); ok {
+		if muxes != nil {
+			if weis, writeElems, ok := identifyWriteLogic(mgr, nl, muxes, cells); ok {
 				all := append(append([]netlist.ID(nil), m.Elements...), writeElems...)
 				m.SetElements(all)
 				m.SetPort("we", weis)
@@ -461,7 +463,7 @@ func singleVar(mgr *bdd.Manager, f bdd.Ref) (int, bool) {
 // select is the write enable. Write enables are grouped (one per word) and
 // checked for satisfiability and pairwise mutual exclusion with BDDs, on
 // mgr after a reset.
-func identifyWriteLogic(mgr *bdd.Manager, nl *netlist.Netlist, slices *bitslice.Result, cells []netlist.ID) (weis, elements []netlist.ID, ok bool) {
+func identifyWriteLogic(mgr *bdd.Manager, nl *netlist.Netlist, muxes *bitslice.Result, cells []netlist.ID) (weis, elements []netlist.ID, ok bool) {
 	type writeInfo struct {
 		we       netlist.ID
 		activeLo bool
@@ -470,7 +472,7 @@ func identifyWriteLogic(mgr *bdd.Manager, nl *netlist.Netlist, slices *bitslice.
 	infos := make(map[netlist.ID]writeInfo, len(cells))
 	for _, cell := range cells {
 		d := nl.Fanin(cell)[0]
-		m, found := slices.HasClass(d, truth.ClassMux2)
+		m, found := muxes.HasClass(d, truth.ClassMux2)
 		if !found {
 			return nil, nil, false
 		}
@@ -534,11 +536,7 @@ func identifyWriteLogic(mgr *bdd.Manager, nl *netlist.Netlist, slices *bitslice.
 	// Include the WE cones (decoder + gating logic).
 	weCone := nl.ConeOfAll(wes)
 	elements = append(elements, weCone.Nodes...)
-	return wes, dedupeIDs(elements), true
-}
-
-func dedupeIDs(ids []netlist.ID) []netlist.ID {
-	return netlist.SortedIDs(firstSeen(ids))
+	return wes, slices.Compact(netlist.SortedIDs(elements)), true
 }
 
 // firstSeen returns ids without repeats, each where it first appears.
@@ -552,12 +550,4 @@ func firstSeen(ids []netlist.ID) []netlist.ID {
 		}
 	}
 	return out
-}
-
-func idKeySeq(ids []netlist.ID) string {
-	b := make([]byte, 0, len(ids)*4)
-	for _, id := range ids {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
 }

@@ -19,7 +19,7 @@ import (
 // itself.
 func FindMultibitRegisters(nl *netlist.Netlist, muxes []*module.Module) []*module.Module {
 	// Index mux modules by their output word for cascade walking.
-	outKey := func(w []netlist.ID) string { return idKeySeq(netlist.SortedIDs(w)) }
+	outKey := func(w []netlist.ID) string { return netlist.Key(netlist.SortedIDs(w)) }
 	byOut := make(map[string]*module.Module)
 	for _, m := range muxes {
 		if m.Type != module.Mux {

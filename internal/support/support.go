@@ -2,11 +2,12 @@
 // detection of combinational modules whose outputs all depend on the same
 // set of inputs — decoders, demultiplexers and population counters. Nodes
 // are grouped into equivalence classes by the input set of their full
-// combinational fan-in cones, computed in one topological pass that merges
-// each gate's fanin supports and drops a gate once its support passes the
-// class bound, and candidate classes are verified with BDD-based functional
-// checks (Section II-E.2). The class bounds are constants: at most 10
-// shared inputs, at least 3 outputs and at most 400 cone gates.
+// combinational fan-in cones, taken from netlist's one bounded support pass
+// (Netlist.BoundedSupports, which merges fanin supports with
+// netlist.MergeIDs) and keyed by netlist.Key, and candidate classes are
+// verified with BDD-based functional checks (Section II-E.2). The class
+// bounds are constants: at most 10 shared inputs, at least 3 outputs and
+// at most 400 cone gates.
 package support
 
 import (
@@ -60,82 +61,30 @@ type Class struct {
 
 // Classes groups every combinational gate by the input set of its full
 // fan-in cone. It returns only classes of width at most maxSupport with at
-// least two outputs, sorted by first output. Supports are computed in one
-// pass over nl.TopoOrder(): a cone input's support is itself, a constant's
-// is empty, and a gate's is the sorted merge of its fanins' supports, which
-// is exactly its cone-input set. A gate turns wide once a fanin is wide or
-// the merge passes maxSupport; wide gates keep no list and join no class.
+// least two outputs, sorted by first output. The supports come from
+// nl.BoundedSupports(maxSupport), the one bounded support pass over the
+// netlist; wide gates keep no list and join no class.
 func Classes(nl *netlist.Netlist) []Class {
-	sup := make([][]netlist.ID, nl.Len())
-	wide := make([]bool, nl.Len())
-	var acc, tmp []netlist.ID
-	for _, id := range nl.TopoOrder() {
-		switch k := nl.Kind(id); {
-		case k.IsConeInput():
-			sup[id] = []netlist.ID{id}
-			continue
-		case !k.IsGate():
-			continue // a constant's support is empty
-		}
-		acc = acc[:0]
-		for _, f := range nl.Fanin(id) {
-			var ok bool
-			tmp, ok = mergeIDs(tmp[:0], acc, sup[f], maxSupport)
-			acc, tmp = tmp, acc
-			if wide[f] || !ok {
-				wide[id] = true
-				break
-			}
-		}
-		if !wide[id] {
-			sup[id] = slices.Clone(acc)
-		}
-	}
+	sup := nl.BoundedSupports(maxSupport)
 	// Scanning IDs in ascending order creates each class at its first
 	// output, so out is already sorted by first output.
 	byKey := make(map[string]int)
 	var out []Class
 	for id := netlist.ID(0); int(id) < nl.Len(); id++ {
-		if len(sup[id]) == 0 || !nl.Kind(id).IsGate() {
+		s := sup.Of(id)
+		if len(s) == 0 || !nl.Kind(id).IsGate() {
 			continue
 		}
-		key := idKey(sup[id])
+		key := netlist.Key(s)
 		i, ok := byKey[key]
 		if !ok {
 			i = len(out)
-			out = append(out, Class{Support: sup[id]})
+			out = append(out, Class{Support: s})
 			byKey[key] = i
 		}
 		out[i].Outputs = append(out[i].Outputs, id)
 	}
 	return slices.DeleteFunc(out, func(c Class) bool { return len(c.Outputs) < 2 })
-}
-
-// mergeIDs appends to dst the sorted union of the sorted lists a and b.
-// It stops and reports false once the union would pass limit entries.
-func mergeIDs(dst, a, b []netlist.ID, limit int) ([]netlist.ID, bool) {
-	for len(a) > 0 || len(b) > 0 {
-		if len(dst) == limit {
-			return dst, false
-		}
-		switch {
-		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
-			dst, a = append(dst, a[0]), a[1:]
-		case len(a) == 0 || b[0] < a[0]:
-			dst, b = append(dst, b[0]), b[1:]
-		default: // a[0] == b[0]
-			dst, a, b = append(dst, a[0]), a[1:], b[1:]
-		}
-	}
-	return dst, true
-}
-
-func idKey(ids []netlist.ID) string {
-	b := make([]byte, 0, len(ids)*4)
-	for _, id := range ids {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
 }
 
 // Analyze finds decoder, demultiplexer and population-counter modules.

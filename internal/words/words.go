@@ -39,12 +39,7 @@ type Word struct {
 
 // Key returns a canonical identity for deduplication (order-insensitive).
 func (w Word) Key() string {
-	s := netlist.SortedIDs(w.Bits)
-	b := make([]byte, 0, len(s)*4)
-	for _, id := range s {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return string(b)
+	return netlist.Key(netlist.SortedIDs(w.Bits))
 }
 
 // FromModules extracts words from the port structure of aggregated modules
