@@ -18,13 +18,11 @@ package bitslice
 
 import (
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"netlistre/internal/cuts"
 	"netlistre/internal/netlist"
+	"netlistre/internal/par"
 	"netlistre/internal/truth"
 )
 
@@ -185,14 +183,6 @@ func Find(nl *netlist.Netlist, opt Options) *Result {
 		res.UnknownClasses = make(map[string][]*Match)
 	}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nl.Len()/chunk+1 {
-		workers = nl.Len()/chunk + 1
-	}
-
 	// Workers claim 64-node chunks and fill per-node result slots; the
 	// merge below walks nodes in ID order, so ByClass/ByRoot/UnknownClasses
 	// contents and ordering are independent of scheduling. The enumeration
@@ -203,40 +193,23 @@ func Find(nl *netlist.Netlist, opt Options) *Result {
 	if opt.KeepUnknown {
 		perUnknown = make([][]unknownRec, nl.Len())
 	}
-	var next, stopped atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl := &classifier{
-				ix:          ix,
-				byArity:     byArity,
-				keepUnknown: opt.KeepUnknown,
-				memo:        make(map[truth.Table]classification),
+	par.Do((nl.Len()+chunk-1)/chunk, opt.Workers, opt.Cuts.Interrupt, func(claim func() (int, bool)) {
+		cl := &classifier{
+			ix:          ix,
+			byArity:     byArity,
+			keepUnknown: opt.KeepUnknown,
+			memo:        make(map[truth.Table]classification),
+		}
+		walk := &coneWalk{seen: nl.Visits()}
+		defer walk.seen.Release()
+		for c, ok := claim(); ok; c, ok = claim() {
+			lo := netlist.ID(c * chunk)
+			hi := min(lo+chunk, netlist.ID(nl.Len()))
+			for id := lo; id < hi; id++ {
+				matchNode(nl, id, cutSets[id], cl, walk, perNode, perUnknown)
 			}
-			walk := &coneWalk{seen: nl.Visits()}
-			defer walk.seen.Release()
-			for {
-				lo := netlist.ID(next.Add(chunk) - chunk)
-				if int(lo) >= nl.Len() || stopped.Load() != 0 {
-					return
-				}
-				if opt.Cuts.Interrupt != nil && opt.Cuts.Interrupt() {
-					stopped.Store(1)
-					return
-				}
-				hi := lo + chunk
-				if int(hi) > nl.Len() {
-					hi = netlist.ID(nl.Len())
-				}
-				for id := lo; id < hi; id++ {
-					matchNode(nl, id, cutSets[id], cl, walk, perNode, perUnknown)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 
 	for id := netlist.ID(0); int(id) < nl.Len(); id++ {
 		for _, m := range perNode[id] {

@@ -24,7 +24,10 @@ package core
 // narrowed by a per-stage timeout), panics are recovered and converted to
 // a Failed status with the stack, and a stage that times out or fails
 // does not stop the run — downstream stages still execute against
-// whatever partial artifacts the stage managed to produce.
+// whatever partial artifacts the stage managed to produce. A panic in a
+// stage's inner worker counts as the stage's own: par.Do re-raises it on
+// the stage's goroutine, with the worker's stack, so it too ends as
+// StageFailed.
 
 import (
 	"context"

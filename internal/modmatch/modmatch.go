@@ -21,13 +21,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"slices"
-	"sync"
 
 	"netlistre/internal/bitsim"
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
+	"netlistre/internal/par"
 	"netlistre/internal/qbf"
 	"netlistre/internal/truth"
 	"netlistre/internal/words"
@@ -80,43 +79,12 @@ func Match(ctx context.Context, nl *netlist.Netlist, wordSet []words.Word, opt O
 	// so match them concurrently; results are collected by index to keep
 	// the output deterministic.
 	results := make([]*module.Module, len(cands))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				refs := refCache{}
-				for i := range next {
-					if canceled() {
-						continue // drain remaining indices without work
-					}
-					results[i] = matchCandidate(ctx, nl, cands[i], opt, refs)
-				}
-			}()
-		}
-		for i := range cands {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	} else {
+	par.Do(len(cands), opt.Workers, canceled, func(claim func() (int, bool)) {
 		refs := refCache{}
-		for i := range cands {
-			if canceled() {
-				break
-			}
+		for i, ok := claim(); ok; i, ok = claim() {
 			results[i] = matchCandidate(ctx, nl, cands[i], opt, refs)
 		}
-	}
+	})
 
 	var out []*module.Module
 	seen := make(map[string]bool)

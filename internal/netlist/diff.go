@@ -1060,45 +1060,9 @@ func (d *differ) wlColors(suspectSide bool) []fpLabel {
 	// The round count must be identical on both sides — a label hash
 	// encodes its round depth, so stopping early on one side would make
 	// every cross-side comparison miss. Always run all maxRefineRounds.
-	var neigh []fpLabel
+	lutFanin := func(id ID) []ID { return d.lut(nl, cache, id).fanin }
 	for round := 0; round < maxRefineRounds; round++ {
-		for i := 0; i < n; i++ {
-			if fixed[i] {
-				next[i] = labels[i]
-				continue
-			}
-			id := ID(i)
-			node := nl.Node(id)
-			h.Reset()
-			h.Write([]byte{0x12})
-			h.Write(labels[i][:])
-			fanin := node.Fanin
-			if node.Kind == Lut {
-				fanin = d.lut(nl, cache, id).fanin
-			}
-			neigh = neigh[:0]
-			for _, f := range fanin {
-				if f >= 0 && int(f) < n {
-					neigh = append(neigh, labels[f])
-				}
-			}
-			if commutative(node.Kind) {
-				sortLabels(neigh)
-			}
-			for _, l := range neigh {
-				h.Write(l[:])
-			}
-			h.Write([]byte{0x13})
-			neigh = neigh[:0]
-			for _, f := range nl.Fanout(id) {
-				neigh = append(neigh, labels[f])
-			}
-			sortLabels(neigh)
-			for _, l := range neigh {
-				h.Write(l[:])
-			}
-			h.Sum(next[i][:0])
-		}
+		refineRound(nl, 0x12, lutFanin, fixed, labels, next)
 		labels, next = next, labels
 	}
 	return labels

@@ -135,41 +135,9 @@ func (n *Netlist) Fingerprint() string {
 	}
 
 	classes := distinct(labels)
-	var neigh []fpLabel
+	lutFanin := func(id ID) []ID { return luts[id].fanin }
 	for round := 0; classes < numNodes && round < maxRefineRounds; round++ {
-		for i, node := range n.nodes {
-			h.Reset()
-			h.Write([]byte{0x01})
-			h.Write(labels[i][:])
-			neigh = neigh[:0]
-			fanin := node.Fanin
-			if node.Kind == Lut {
-				// Canonical argument-slot order, matching the canonical
-				// mask hashed in round 0.
-				fanin = luts[ID(i)].fanin
-			}
-			for _, f := range fanin {
-				if f >= 0 && int(f) < numNodes {
-					neigh = append(neigh, labels[f])
-				}
-			}
-			if commutative(node.Kind) {
-				sortLabels(neigh)
-			}
-			for _, l := range neigh {
-				h.Write(l[:])
-			}
-			h.Write([]byte{0x02})
-			neigh = neigh[:0]
-			for _, f := range n.fanout[i] {
-				neigh = append(neigh, labels[f])
-			}
-			sortLabels(neigh)
-			for _, l := range neigh {
-				h.Write(l[:])
-			}
-			h.Sum(next[i][:0])
-		}
+		refineRound(n, 0x01, lutFanin, nil, labels, next)
 		labels, next = next, labels
 		refined := distinct(labels)
 		if refined == classes {
@@ -232,6 +200,52 @@ func (n *Netlist) Fingerprint() string {
 		fmt.Fprintf(dig, "output %q %d\n", p.Name, r)
 	}
 	return hex.EncodeToString(dig.Sum(nil))
+}
+
+// refineRound runs one Weisfeiler-Leman round over n, writing each node's
+// new label to next: the hash of tag, the node's label, its fanins' labels
+// (in canonical argument-slot order for a Lut, whose slots lutFanin gives;
+// sorted for commutative kinds), tag+1 and its sorted fanout labels. A node
+// marked in fixed (nil marks none) keeps its label.
+func refineRound(n *Netlist, tag byte, lutFanin func(ID) []ID, fixed []bool, labels, next []fpLabel) {
+	h := sha256.New()
+	var neigh []fpLabel
+	for i := range n.nodes {
+		if fixed != nil && fixed[i] {
+			next[i] = labels[i]
+			continue
+		}
+		node := &n.nodes[i]
+		h.Reset()
+		h.Write([]byte{tag})
+		h.Write(labels[i][:])
+		fanin := node.Fanin
+		if node.Kind == Lut {
+			fanin = lutFanin(ID(i))
+		}
+		neigh = neigh[:0]
+		for _, f := range fanin {
+			if f >= 0 && int(f) < len(n.nodes) {
+				neigh = append(neigh, labels[f])
+			}
+		}
+		if commutative(node.Kind) {
+			sortLabels(neigh)
+		}
+		for _, l := range neigh {
+			h.Write(l[:])
+		}
+		h.Write([]byte{tag + 1})
+		neigh = neigh[:0]
+		for _, f := range n.fanout[i] {
+			neigh = append(neigh, labels[f])
+		}
+		sortLabels(neigh)
+		for _, l := range neigh {
+			h.Write(l[:])
+		}
+		h.Sum(next[i][:0])
+	}
 }
 
 func sortLabels(ls []fpLabel) {

@@ -158,3 +158,42 @@ func TestReadLongLines(t *testing.T) {
 		t.Fatalf("previous BLIF reader: err %v, want %v", err, bufio.ErrTooLong)
 	}
 }
+
+// TestLutInitSize: a LUT's INIT is unsized or sized to the 2^k rows of its
+// table; any other size, or text before the quote that is not a decimal
+// size, is an error in both the reader and its oracle.
+func TestLutInitSize(t *testing.T) {
+	for _, tc := range []struct {
+		cell, init string
+		ok         bool
+	}{
+		{"LUT1", "2'h1", true},
+		{"LUT1", "'h1", true},
+		{"LUT1", "1", true},
+		{"LUT1", "02'b01", true},
+		{"LUT2", "4'h8", true},
+		{"LUT6", "64'h8000000000000000", true},
+		{"LUT1", "64'h1", false},
+		{"LUT1", "4'h1", false},
+		{"LUT1", "1'h1", false},
+		{"LUT1", "x'h1", false},
+		{"LUT2", "2'h1", false},
+		{"LUT6", "32'h1", false},
+	} {
+		ports := ".O(y), .I0(a)"
+		if tc.cell != "LUT1" {
+			ports = ".O(y), .I0(a), .I1(a)"
+			if tc.cell == "LUT6" {
+				ports += ", .I2(a), .I3(a), .I4(a), .I5(a)"
+			}
+		}
+		src := fmt.Sprintf("module m (a, y); input a; output y; %s #(.INIT(%s)) g (%s); endmodule",
+			tc.cell, tc.init, ports)
+		_, err := ReadVerilog(strings.NewReader(src))
+		_, oerr := oracleReadVerilog(strings.NewReader(src))
+		if (err == nil) != tc.ok || (oerr == nil) != tc.ok {
+			t.Errorf("%s INIT %s: reader error %v, oracle error %v; want accepted = %v",
+				tc.cell, tc.init, err, oerr, tc.ok)
+		}
+	}
+}

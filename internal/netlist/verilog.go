@@ -371,8 +371,8 @@ func (p *vreader) ports() ([]int32, error) {
 
 // lut reads `LUT<k> #(.INIT(lit)) name (.O(y), .I0(a), ...);` after the
 // LUT<k> token. Ports may appear in any order, but the output and all k
-// inputs must each appear exactly once. The cell's arity fixes the width
-// of its table, so the literal's size is not read.
+// inputs must each appear exactly once. The literal is unsized or sized to
+// the 2^k rows of the cell's table.
 func (p *vreader) lut(t string, k int) error {
 	for _, want := range [...]string{"#", "(", ".INIT", "("} {
 		if err := p.expect(want); err != nil {
@@ -380,12 +380,12 @@ func (p *vreader) lut(t string, k int) error {
 		}
 	}
 	lit := p.next()
-	if q := strings.IndexByte(lit, '\''); q > 0 {
-		lit = lit[q:]
-	}
-	_, mask, err := ParseLiteral(lit)
+	width, mask, err := ParseLiteral(lit)
 	if err != nil {
 		return fmt.Errorf("verilog: %w", err)
+	}
+	if width != 0 && width != 1<<k {
+		return fmt.Errorf("verilog: %s INIT %s is %d bits wide, want %d", t, lit, width, 1<<k)
 	}
 	if k < MaxLutInputs && mask>>(1<<uint(k)) != 0 {
 		return fmt.Errorf("verilog: %s INIT %#x has bits beyond 2^%d rows", t, mask, k)

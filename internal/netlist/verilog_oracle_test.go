@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -252,7 +253,13 @@ func (p *vparser) parseLutInstance(t string, k int) (pendingGate, error) {
 			return g, err
 		}
 	}
-	mask, err := parseSizedLiteral(p.next())
+	lit := p.next()
+	if size, _, sized := strings.Cut(lit, "'"); sized && size != "" {
+		if w, err := strconv.Atoi(size); err != nil || size[0] < '0' || size[0] > '9' || w != 1<<k {
+			return g, fmt.Errorf("verilog: %s INIT %s is not %d bits wide", t, lit, 1<<k)
+		}
+	}
+	mask, err := parseSizedLiteral(lit)
 	if err != nil {
 		return g, err
 	}

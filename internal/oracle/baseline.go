@@ -4,7 +4,9 @@ package oracle
 // as JSON, and CI fails any run whose scores regress below it. The gate is
 // no-regression, not perfection — the recorded baseline honestly includes
 // the seed portfolio's known misses (the riscfpu duplicate parity trees,
-// the xor-preprocessed AddSub operand word).
+// and the AddSub adder's b port, which holds the carry-in in place of bit
+// 0 of the xor-preprocessed operand word because the chain head's
+// arguments are taken in ID order).
 
 import (
 	"encoding/json"

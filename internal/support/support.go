@@ -13,15 +13,14 @@ package support
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"netlistre/internal/bdd"
 	"netlistre/internal/bitsim"
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
+	"netlistre/internal/par"
 )
 
 const (
@@ -93,41 +92,11 @@ func Classes(nl *netlist.Netlist) []Class {
 func Analyze(nl *netlist.Netlist, opt Options) []*module.Module {
 	cands := slices.DeleteFunc(Classes(nl), func(c Class) bool { return len(c.Outputs) < minOutputs })
 	results := make([]*module.Module, len(cands))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if opt.Interrupt != nil && opt.Interrupt() {
-						continue // drain remaining indices without verifying
-					}
-					results[i] = verifyClass(nl, cands[i], opt)
-				}
-			}()
-		}
-		for i := range cands {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		for i := range cands {
-			if opt.Interrupt != nil && opt.Interrupt() {
-				break
-			}
+	par.Do(len(cands), opt.Workers, opt.Interrupt, func(claim func() (int, bool)) {
+		for i, ok := claim(); ok; i, ok = claim() {
 			results[i] = verifyClass(nl, cands[i], opt)
 		}
-	}
+	})
 	var out []*module.Module
 	for _, m := range results {
 		if m != nil {

@@ -18,15 +18,13 @@ package words
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"netlistre/internal/bitsim"
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
+	"netlistre/internal/par"
 )
 
 // Word is an ordered set of netlist signals treated as one multi-bit value.
@@ -438,12 +436,6 @@ func (a *assignment) next(n, maxSize int) bool {
 // merged in the round's word order: the words and propagations are those
 // of a serial run at any worker count.
 func PropagateAll(nl *netlist.Netlist, seeds []Word, rounds int, opt Options) ([]Word, []Propagation) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ck := newChecker(nl, opt)
-	defer ck.release()
 	seen := make(map[string]bool)
 	var all []Word
 	var frontier []Word
@@ -464,10 +456,7 @@ func PropagateAll(nl *netlist.Netlist, seeds []Word, rounds int, opt Options) ([
 	for r := 0; r < rounds && len(frontier) > 0; r++ {
 		work := frontier
 		frontier = nil
-		if opt.Interrupt != nil && opt.Interrupt() {
-			return all, props
-		}
-		for _, c := range ck.checkAll(work, workers) {
+		for _, c := range checkAll(nl, work, opt) {
 			if !c.done {
 				return all, props // interrupted
 			}
@@ -495,35 +484,18 @@ type checked struct {
 	done              bool
 }
 
-// checkAll checks the words of one round. The first word is checked only
-// after the caller's poll of Interrupt, every later one after a poll of its
-// own; once a poll fires, no further word is taken. The words are taken in
-// order by up to workers goroutines, each with its own checker; ck serves
-// the calling goroutine, which alone checks them all at one worker.
-func (ck *checker) checkAll(work []Word, workers int) []checked {
+// checkAll checks the words of one round on up to opt.Workers goroutines,
+// each with its own checker. Interrupt is polled before each word is
+// taken; once it fires, no further word is taken, and the words left
+// untaken are not done.
+func checkAll(nl *netlist.Netlist, work []Word, opt Options) []checked {
 	res := make([]checked, len(work))
-	var next atomic.Int64
-	var stop atomic.Bool
-	run := func(ck *checker) {
-		for i := int(next.Add(1) - 1); i < len(work) && !stop.Load(); i = int(next.Add(1) - 1) {
-			if i > 0 && ck.opt.Interrupt != nil && ck.opt.Interrupt() {
-				stop.Store(true)
-				return
-			}
+	par.Do(len(work), opt.Workers, opt.Interrupt, func(claim func() (int, bool)) {
+		ck := newChecker(nl, opt)
+		defer ck.release()
+		for i, ok := claim(); ok; i, ok = claim() {
 			res[i] = checked{ck.forward(work[i]), ck.backward(work[i]), true}
 		}
-	}
-	var wg sync.WaitGroup
-	for g := 1; g < min(workers, len(work)); g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wck := newChecker(ck.nl, ck.opt)
-			defer wck.release()
-			run(wck)
-		}()
-	}
-	run(ck)
-	wg.Wait()
+	})
 	return res
 }

@@ -1,7 +1,9 @@
 package words_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -62,5 +64,29 @@ func TestPropagateAllInterruptWorkers(t *testing.T) {
 				t.Errorf("interrupt after %d polls: word %v not found by the full run", k, w.Bits)
 			}
 		}
+	}
+}
+
+// TestPropagateAllWorkerPanic: an Interrupt that panics on every poll after
+// its 7th panics on both checking goroutines. The panic reaches the caller
+// of PropagateAll, as a stage body's panic must for the scheduler to mark
+// the stage failed, instead of ending the process from a worker goroutine.
+func TestPropagateAllWorkerPanic(t *testing.T) {
+	nl := propagationDesigns(t)["usb"]
+	seeds := core.Analyze(nl, core.Options{Workers: 1, SkipWordProp: true}).Words
+	var polls atomic.Int64
+	boom := func() bool {
+		if polls.Add(1) > 7 {
+			panic("boom")
+		}
+		return false
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		words.PropagateAll(nl, seeds, 3, words.Options{Workers: 2, Interrupt: boom})
+	}()
+	if text := fmt.Sprint(got); !strings.HasPrefix(text, "boom\n") || !strings.Contains(text, "goroutine") {
+		t.Errorf("PropagateAll re-raised %q, want boom followed by the worker's stack", text)
 	}
 }
