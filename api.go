@@ -97,9 +97,11 @@
 package netlistre
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -475,8 +477,7 @@ func WriteReport(w io.Writer, rep *Report) error {
 	}
 
 	// Largest resolved modules.
-	sel := append([]*Module(nil), rep.Resolved...)
-	sort.Slice(sel, func(i, j int) bool { return sel[i].Size() > sel[j].Size() })
+	sel := largestFirst(rep.Resolved)
 	n := len(sel)
 	if n > 12 {
 		n = 12
@@ -494,6 +495,27 @@ func WriteReport(w io.Writer, rep *Report) error {
 		}
 	}
 	return ew.err
+}
+
+// largestFirst returns a copy of the resolved modules mods ordered by
+// size, descending, then by name, then by first element ID. Resolved
+// modules are disjoint, so the order is total: a report does not depend on
+// the order overlap resolution returned its selection in.
+func largestFirst(mods []*Module) []*Module {
+	first := func(m *Module) netlist.ID {
+		if len(m.Elements) == 0 {
+			return -1
+		}
+		return m.Elements[0]
+	}
+	out := slices.Clone(mods)
+	slices.SortFunc(out, func(a, b *Module) int {
+		return cmp.Or(
+			cmp.Compare(b.Size(), a.Size()),
+			strings.Compare(a.Name, b.Name),
+			cmp.Compare(first(a), first(b)))
+	})
+	return out
 }
 
 // WriteTrace renders the per-stage timing table of Report.Trace. The

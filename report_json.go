@@ -148,7 +148,7 @@ func toJSONReport(rep *Report, includeElements bool) JSONReport {
 	for ty, n := range rep.CountsAfter {
 		out.CountsAfter[ty.String()] = n
 	}
-	for _, m := range rep.Resolved {
+	for _, m := range largestFirst(rep.Resolved) {
 		jm := JSONModule{
 			Name:     m.Name,
 			Type:     m.Type.String(),
@@ -190,12 +190,6 @@ func toJSONReport(rep *Report, includeElements bool) JSONReport {
 		}
 		out.Modules = append(out.Modules, jm)
 	}
-	sort.Slice(out.Modules, func(i, j int) bool {
-		if out.Modules[i].Elements != out.Modules[j].Elements {
-			return out.Modules[i].Elements > out.Modules[j].Elements
-		}
-		return out.Modules[i].Name < out.Modules[j].Name
-	})
 	return out
 }
 
