@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -83,6 +84,22 @@ func TestInfeasible(t *testing.T) {
 	p.AddConstraint([]Term{{0, 1}, {1, 1}}, GE, 3) // max achievable is 2
 	if _, err := Solve(p, Options{}); err != ErrInfeasible {
 		t.Errorf("err = %v, want ErrInfeasible", err)
+	}
+}
+
+// TestStoppedIsNotInfeasible stops a search before it finds any feasible
+// assignment: the greedy warm start selects nothing under a minimize
+// objective, failing the coverage row, and one node is too few to find
+// anything else. The problem is feasible, so the error must say the search
+// stopped, not that there is no solution.
+func TestStoppedIsNotInfeasible(t *testing.T) {
+	p := coverageTarget()
+	_, err := Solve(p, Options{NodeLimit: 1})
+	if !errors.Is(err, ErrStopped) {
+		t.Errorf("err = %v, want ErrStopped", err)
+	}
+	if sol, err := Solve(p, Options{}); err != nil || !sol.Optimal {
+		t.Errorf("unlimited solve: err = %v, optimal %v; want a proven optimum", err, sol.Optimal)
 	}
 }
 

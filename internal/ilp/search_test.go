@@ -165,19 +165,25 @@ func checkedSolve(tb testing.TB, p *Problem, opt Options) (Solution, error) {
 
 // checkAgainstBruteForce fails tb unless sol/err is consistent with
 // exhaustive enumeration: returned values are feasible and score the
-// returned objective, an Optimal result is the optimum, and a search that
-// ended before nodeLimit reports infeasibility only for infeasible p.
+// returned objective, an Optimal result is the optimum, infeasibility is
+// reported only for infeasible p, and a stopped search only at nodeLimit.
 func checkAgainstBruteForce(tb testing.TB, p *Problem, sol Solution, err error, nodeLimit int64) {
 	tb.Helper()
 	want, wantFeas := bruteForce(p)
-	if err != nil {
-		if !errors.Is(err, ErrInfeasible) {
-			tb.Fatal(err)
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrStopped):
+		if sol.Nodes < nodeLimit {
+			tb.Fatalf("ErrStopped after %d of %d nodes", sol.Nodes, nodeLimit)
 		}
-		if wantFeas && sol.Nodes < nodeLimit {
+		return
+	case errors.Is(err, ErrInfeasible):
+		if wantFeas {
 			tb.Fatalf("ErrInfeasible after %d of %d nodes, want objective %d", sol.Nodes, nodeLimit, want)
 		}
 		return
+	default:
+		tb.Fatal(err)
 	}
 	if !feasible(p, sol.Values) {
 		tb.Fatalf("returned assignment %v infeasible", sol.Values)
@@ -307,7 +313,7 @@ func TestBoundMatchesScan(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		p := blockProblem(rng)
-		if _, err := checkedSolve(t, p, Options{NodeLimit: limits[trial%len(limits)]}); err != nil && !errors.Is(err, ErrInfeasible) {
+		if _, err := checkedSolve(t, p, Options{NodeLimit: limits[trial%len(limits)]}); err != nil && !errors.Is(err, ErrInfeasible) && !errors.Is(err, ErrStopped) {
 			t.Fatal(err)
 		}
 	}
