@@ -4,7 +4,7 @@
 // sliceable formulation (per-slice binaries with linking and MinSlices
 // constraints, Section IV-B) are provided, each with two objectives:
 // maximize coverage, or minimize the number of output modules subject to a
-// coverage target.
+// coverage target. Either way a resolution is one ILP over every module.
 package overlap
 
 import (
@@ -39,10 +39,11 @@ type Options struct {
 	// MinSlices is the smallest number of slices a selected sliceable
 	// module must keep (the paper uses 2).
 	MinSlices int
-	// NodeLimit caps the branch-and-bound search per component (0 = a
-	// default of 200,000 nodes). The basic-formulation warm start of a
-	// sliceable component gets a quarter of it. When the limit is hit the
-	// best incumbent is used and Result.Optimal is false.
+	// NodeLimit caps the branch-and-bound search of the resolution's ILP
+	// (0 = a default of 200,000 nodes). The basic-formulation warm start
+	// of a sliceable MaxCoverage resolution gets a quarter of it on top.
+	// When the limit is hit the best incumbent is used and Result.Optimal
+	// is false.
 	NodeLimit int64
 	// Interrupt, when non-nil, is polled inside the ILP searches; when it
 	// returns true each remaining search stops at its best incumbent and
@@ -51,12 +52,13 @@ type Options struct {
 	Interrupt func() bool
 }
 
-// defaultNodeLimit bounds per-component search time. With the Lagrangian
+// defaultNodeLimit bounds a resolution's search time. With the Lagrangian
 // element bound (see newBuilder) and the solver's separate search of
-// independent sub-problems, every MaxCoverage component of the labeled
-// articles proves optimal far under it: the largest, riscfpu's and
-// router's, in under 1,500 nodes. A search that does stop at the limit
-// keeps its best incumbent, and Result.Optimal reports the distinction.
+// independent sub-problems, every sliceable MaxCoverage resolution of the
+// labeled articles proves optimal far under it, riscfpu's in 1,326 nodes,
+// and simplified BigSoC's in under 10,000. A search that does stop at the
+// limit keeps its best incumbent, and Result.Optimal reports the
+// distinction.
 const defaultNodeLimit = 200_000
 
 // Result reports the selection.
@@ -68,18 +70,17 @@ type Result struct {
 	Coverage int
 	// Optimal is false when the solver hit its node limit.
 	Optimal bool
-	// Nodes counts the branch-and-bound nodes of every ILP solved,
-	// warm-start solves included.
+	// Nodes counts the branch-and-bound nodes of the ILP and of its
+	// warm-start solve, if any.
 	Nodes int64
 }
 
-// Resolve selects a non-overlapping subset of mods.
-//
-// For MaxCoverage the problem decomposes exactly: modules overlapping no
-// other module are always selected, and overlap-connected components are
-// independent sub-problems, each solved with its own (much smaller) ILP.
-// MinModules couples everything through the global coverage floor and is
-// solved as one program.
+// Resolve selects a non-overlapping subset of mods by solving one ILP over
+// all of them, for either objective. Independent parts need no separate
+// handling: the solver searches independent components of the free
+// variables separately, at the root and below, and under MaxCoverage a
+// module that overlaps no other touches no packing row, so it is selected
+// at once. Selected lists the chosen modules in the order of mods.
 func Resolve(mods []*module.Module, opt Options) (Result, error) {
 	if opt.MinSlices <= 0 {
 		opt.MinSlices = 2
@@ -87,114 +88,53 @@ func Resolve(mods []*module.Module, opt Options) (Result, error) {
 	if opt.NodeLimit == 0 {
 		opt.NodeLimit = defaultNodeLimit
 	}
-	if opt.Objective == MinModules {
-		b := newBuilder(mods, opt)
-		sol, err := ilp.Solve(b.problem, ilp.Options{NodeLimit: opt.NodeLimit, Interrupt: opt.Interrupt})
-		if err != nil {
-			return Result{}, fmt.Errorf("overlap: %w", err)
-		}
-		return b.extract(sol), nil
+	ilpOpt := ilp.Options{NodeLimit: opt.NodeLimit, Interrupt: opt.Interrupt}
+	var whole []bool // the modules the basic formulation's optimum selects
+	var warmNodes int64
+	if opt.Sliceable && opt.Objective == MaxCoverage {
+		// Warm start the sliceable search with the basic formulation's
+		// optimum: a whole-module selection is always feasible at slice
+		// granularity, and the strong incumbent prunes most of the
+		// slice-rearrangement space.
+		whole, warmNodes = basicSelection(mods, opt)
 	}
-
-	// Union-find over modules sharing elements.
-	parent := make([]int, len(mods))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	owner := make(map[netlist.ID]int)
-	for i, m := range mods {
-		for _, g := range m.Elements {
-			if j, ok := owner[g]; ok {
-				parent[find(i)] = find(j)
-			} else {
-				owner[g] = i
-			}
-		}
-	}
-
-	var res Result
-	res.Optimal = true
-	comps := make(map[int][]int)
-	for i := range mods {
-		comps[find(i)] = append(comps[find(i)], i)
-	}
-	// Singleton components are isolated modules: always selected under
-	// MaxCoverage. Collect then sort by module index: map iteration order
-	// must not leak into the selection order (the report is promised to
-	// be byte-identical across runs and worker counts).
-	var singles []int
-	for r, members := range comps {
-		if len(members) == 1 {
-			singles = append(singles, members[0])
-			delete(comps, r)
-		}
-	}
-	sortInts(singles)
-	for _, i := range singles {
-		res.Selected = append(res.Selected, mods[i])
-	}
-	var reps []int
-	for r := range comps {
-		reps = append(reps, r)
-	}
-	sortInts(reps)
-	for _, r := range reps {
-		sub := make([]*module.Module, len(comps[r]))
-		for k, i := range comps[r] {
-			sub[k] = mods[i]
-		}
-		b := newBuilder(sub, opt)
-		ilpOpt := ilp.Options{NodeLimit: opt.NodeLimit, Interrupt: opt.Interrupt}
-		if opt.Sliceable {
-			// Warm start the sliceable search with the basic formulation's
-			// optimum: a whole-module selection is always feasible at slice
-			// granularity, and the strong incumbent prunes most of the
-			// slice-rearrangement space.
-			basicOpt := opt
-			basicOpt.Sliceable = false
-			bb := newBuilder(sub, basicOpt)
-			bsol, err := ilp.Solve(bb.problem, ilp.Options{NodeLimit: opt.NodeLimit / 4, Interrupt: opt.Interrupt})
-			res.Nodes += bsol.Nodes
-			if err == nil {
-				inc := make([]bool, b.problem.NumVars)
-				for i := range sub {
-					if !bsol.Values[bb.varOfMod[i]] {
-						continue
-					}
-					inc[b.varOfMod[i]] = true
-					for _, sv := range b.sliceVars[i] {
-						inc[sv] = true
-					}
+	b := newBuilder(mods, opt)
+	if whole != nil {
+		ilpOpt.Incumbent = make([]bool, b.problem.NumVars)
+		for i, on := range whole {
+			if on {
+				ilpOpt.Incumbent[b.varOfMod[i]] = true
+				for _, sv := range b.sliceVars[i] {
+					ilpOpt.Incumbent[sv] = true
 				}
-				ilpOpt.Incumbent = inc
 			}
 		}
-		sol, err := ilp.Solve(b.problem, ilpOpt)
-		if err != nil {
-			return Result{}, fmt.Errorf("overlap: %w", err)
-		}
-		part := b.extract(sol)
-		res.Selected = append(res.Selected, part.Selected...)
-		res.Optimal = res.Optimal && part.Optimal
-		res.Nodes += part.Nodes
 	}
-	res.Coverage = module.CoverageCount(res.Selected)
+	sol, err := ilp.Solve(b.problem, ilpOpt)
+	if err != nil {
+		return Result{}, fmt.Errorf("overlap: %w", err)
+	}
+	res := b.extract(sol)
+	res.Nodes += warmNodes
 	return res, nil
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
+// basicSelection solves the basic formulation of mods at a quarter of the
+// node limit and reports which modules it selects (nil when that fails)
+// and the nodes it took. Its problem is dropped before the sliceable one
+// is built.
+func basicSelection(mods []*module.Module, opt Options) ([]bool, int64) {
+	opt.Sliceable = false
+	b := newBuilder(mods, opt)
+	sol, err := ilp.Solve(b.problem, ilp.Options{NodeLimit: opt.NodeLimit / 4, Interrupt: opt.Interrupt})
+	if err != nil {
+		return nil, sol.Nodes
 	}
+	sel := make([]bool, len(mods))
+	for i := range mods {
+		sel[i] = sol.Values[b.varOfMod[i]]
+	}
+	return sel, sol.Nodes
 }
 
 // builder translates modules into an ILP.
