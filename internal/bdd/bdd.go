@@ -1,6 +1,9 @@
 // Package bdd implements reduced ordered binary decision diagrams, the
-// functional-analysis workhorse of the paper's RAM, decoder, counter and
-// shift-register checks (standing in for the CUDD package the authors use).
+// functional-analysis workhorse of the paper's RAM, decoder and population
+// counter checks and of the decompiler's template proofs (standing in for
+// the CUDD package the authors use). It keeps the operations those callers
+// share: ITE and its Boolean forms, Restrict, Support, and the one-hot,
+// literal and population-count checks.
 //
 // The manager owns all nodes; functions are identified by Ref values, and
 // two functions are equivalent iff their Refs are equal (canonicity of
@@ -12,13 +15,15 @@
 // and LUT semantics for every caller. Its Leaf predicate cuts cones at
 // caller-chosen nodes, which is how the RAM read check builds a root over
 // its latches, inputs and unmarked nodes, and how the decompiler proves a
-// register's next-state functions over the controls its latches share.
+// template over the template's ports, or a register's next-state functions
+// over the controls its latches share.
 package bdd
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Ref identifies a BDD node (and hence a Boolean function) within a
@@ -52,16 +57,9 @@ type Manager struct {
 	nodes   []node
 	unique  map[uniqueKey]Ref
 	iteC    map[iteKey]Ref
-	exC     map[exKey]Ref
-	conC    map[iteKey]Ref
 	numVars int
 	// Limit bounds the node table; 0 means DefaultLimit.
 	Limit int
-}
-
-type exKey struct {
-	f    Ref
-	cube Ref
 }
 
 // DefaultLimit is the default node-table bound.
@@ -74,8 +72,6 @@ func New(n int) *Manager {
 		nodes:   make([]node, 2, 1024),
 		unique:  make(map[uniqueKey]Ref),
 		iteC:    make(map[iteKey]Ref),
-		exC:     make(map[exKey]Ref),
-		conC:    make(map[iteKey]Ref),
 		numVars: n,
 	}
 	m.nodes[False] = node{level: math.MaxInt32}
@@ -91,8 +87,6 @@ func (m *Manager) Reset() {
 	m.nodes = m.nodes[:2]
 	clear(m.unique)
 	clear(m.iteC)
-	clear(m.exC)
-	clear(m.conC)
 	m.numVars = 0
 }
 
@@ -230,9 +224,6 @@ func (m *Manager) Xor(f, g Ref) Ref { return m.ITE(f, m.Not(g), g) }
 // Xnor returns f XNOR g.
 func (m *Manager) Xnor(f, g Ref) Ref { return m.ITE(f, g, m.Not(g)) }
 
-// Implies returns f -> g.
-func (m *Manager) Implies(f, g Ref) Ref { return m.ITE(f, g, True) }
-
 // Restrict fixes variable i to value v in f (the Shannon cofactor).
 func (m *Manager) Restrict(f Ref, i int, v bool) Ref {
 	lvl := int32(i)
@@ -262,87 +253,6 @@ func (m *Manager) Restrict(f Ref, i int, v bool) Ref {
 	return rec(f)
 }
 
-// RestrictCube fixes a set of variables given as (index, value) pairs.
-func (m *Manager) RestrictCube(f Ref, assign map[int]bool) Ref {
-	for i, v := range assign {
-		f = m.Restrict(f, i, v)
-	}
-	return f
-}
-
-// Constrain computes the Coudert-Madre generalized cofactor f|c: a function
-// that agrees with f wherever c holds. It implements the paper's
-// cofactor(f, g) for non-cube g (used by the counter check's h_i).
-func (m *Manager) Constrain(f, c Ref) Ref {
-	switch {
-	case c == True, f == False, f == True:
-		return f
-	case c == False:
-		return False // undefined domain; conventional result
-	case f == c:
-		return True
-	}
-	k := iteKey{f, c, -1}
-	if r, ok := m.conC[k]; ok {
-		return r
-	}
-	top := m.level(f)
-	if l := m.level(c); l < top {
-		top = l
-	}
-	c0, c1 := m.cofs(c, top)
-	f0, f1 := m.cofs(f, top)
-	var r Ref
-	switch {
-	case c1 == False:
-		r = m.Constrain(f0, c0)
-	case c0 == False:
-		r = m.Constrain(f1, c1)
-	default:
-		r = m.mk(top, m.Constrain(f0, c0), m.Constrain(f1, c1))
-	}
-	m.conC[k] = r
-	return r
-}
-
-// Exists existentially quantifies the variables of cube (a conjunction of
-// positive variables) out of f.
-func (m *Manager) Exists(f, cube Ref) Ref {
-	if cube == True || f == False || f == True {
-		return f
-	}
-	k := exKey{f, cube}
-	if r, ok := m.exC[k]; ok {
-		return r
-	}
-	fl, cl := m.level(f), m.level(cube)
-	var r Ref
-	switch {
-	case cl < fl:
-		r = m.Exists(f, m.nodes[cube].hi)
-	case cl > fl:
-		n := m.nodes[f]
-		r = m.mk(n.level, m.Exists(n.lo, cube), m.Exists(n.hi, cube))
-	default:
-		n := m.nodes[f]
-		rest := m.nodes[cube].hi
-		lo := m.Exists(n.lo, rest)
-		hi := m.Exists(n.hi, rest)
-		r = m.Or(lo, hi)
-	}
-	m.exC[k] = r
-	return r
-}
-
-// Cube builds the conjunction of the given variables (all positive).
-func (m *Manager) Cube(vars []int) Ref {
-	r := True
-	for _, v := range vars {
-		r = m.And(r, m.Var(v))
-	}
-	return r
-}
-
 // Eval evaluates f under a complete assignment (missing variables default
 // to false).
 func (m *Manager) Eval(f Ref, assign map[int]bool) bool {
@@ -355,50 +265,6 @@ func (m *Manager) Eval(f Ref, assign map[int]bool) bool {
 		}
 	}
 	return f == True
-}
-
-// AnySat returns a satisfying assignment of f (over the variables on the
-// satisfying path only), or nil when f is unsatisfiable.
-func (m *Manager) AnySat(f Ref) map[int]bool {
-	if f == False {
-		return nil
-	}
-	assign := make(map[int]bool)
-	for f != True {
-		n := m.nodes[f]
-		if n.hi != False {
-			assign[int(n.level)] = true
-			f = n.hi
-		} else {
-			assign[int(n.level)] = false
-			f = n.lo
-		}
-	}
-	return assign
-}
-
-// SatCount returns the number of satisfying assignments of f over all
-// numVars variables.
-func (m *Manager) SatCount(f Ref) float64 {
-	memo := make(map[Ref]float64)
-	var rec func(r Ref, level int32) float64
-	rec = func(r Ref, level int32) float64 {
-		if r == False {
-			return 0
-		}
-		if r == True {
-			return math.Pow(2, float64(int32(m.numVars)-level))
-		}
-		n := m.nodes[r]
-		key := r
-		base, ok := memo[key]
-		if !ok {
-			base = rec(n.lo, n.level+1) + rec(n.hi, n.level+1)
-			memo[key] = base
-		}
-		return base * math.Pow(2, float64(n.level-level))
-	}
-	return rec(f, 0)
 }
 
 // Support returns the sorted variable indices f depends on.
@@ -429,21 +295,49 @@ func (m *Manager) Support(f Ref) []int {
 	return out
 }
 
-// NodeCount returns the number of distinct internal nodes reachable from f.
-func (m *Manager) NodeCount(f Ref) int {
-	seen := make(map[Ref]bool)
-	stack := []Ref{f}
-	count := 0
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if r == True || r == False || seen[r] {
-			continue
+// Literal reports whether f is a single literal, returning its variable
+// and whether it is positive. A node whose children are both terminals is
+// one: the children differ, or the node would have been reduced away.
+func (m *Manager) Literal(f Ref) (v int, pos, ok bool) {
+	if f == True || f == False {
+		return 0, false, false
+	}
+	n := m.nodes[f]
+	if n.lo > True || n.hi > True {
+		return 0, false, false
+	}
+	return int(n.level), n.hi == True, true
+}
+
+// Exclusive reports whether each of fs is satisfiable and no two are true
+// at once: the one-hot condition of decoder outputs, RAM write enables and
+// framebuffer row selects.
+func (m *Manager) Exclusive(fs []Ref) bool {
+	for i, f := range fs {
+		if f == False {
+			return false
 		}
-		seen[r] = true
-		count++
-		n := m.nodes[r]
-		stack = append(stack, n.lo, n.hi)
+		for _, g := range fs[i+1:] {
+			if m.And(f, g) != False {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// PopCount returns the binary count of the true xs, least significant bit
+// first, as a ripple of half adders: bits.Len(len(xs)) functions.
+func (m *Manager) PopCount(xs []Ref) []Ref {
+	count := make([]Ref, bits.Len(uint(len(xs))))
+	for i := range count {
+		count[i] = False
+	}
+	for _, x := range xs {
+		carry := x
+		for i := 0; i < len(count) && carry != False; i++ {
+			count[i], carry = m.Xor(count[i], carry), m.And(count[i], carry)
+		}
 	}
 	return count
 }

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -101,74 +102,73 @@ func TestRestrict(t *testing.T) {
 	if m.Restrict(f, 2, false) != m.And(a, b) {
 		t.Error("f|c=0 should be a&b")
 	}
-	g := m.RestrictCube(f, map[int]bool{0: true, 2: false})
-	if g != b {
+	if m.Restrict(m.Restrict(f, 0, true), 2, false) != b {
 		t.Error("f|a=1,c=0 should be b")
 	}
 }
 
-func TestConstrainAgreesOnCareSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(4)
-		tf := truth.Table{Bits: rng.Uint64() & truth.Mask(n), N: n}
-		tc := truth.Table{Bits: rng.Uint64() & truth.Mask(n), N: n}
-		if ok, _ := tc.IsConst(); ok {
-			continue
+func TestLiteral(t *testing.T) {
+	m := New(3)
+	a, b := m.Var(0), m.Var(1)
+	for _, c := range []struct {
+		f       Ref
+		v       int
+		pos, ok bool
+	}{
+		{m.Var(2), 2, true, true},
+		{m.NVar(1), 1, false, true},
+		{m.Not(m.Not(a)), 0, true, true},
+		{m.And(a, b), 0, false, false},
+		{m.Xor(a, b), 0, false, false},
+		{True, 0, false, false},
+		{False, 0, false, false},
+	} {
+		v, pos, ok := m.Literal(c.f)
+		if ok != c.ok || ok && (v != c.v || pos != c.pos) {
+			t.Errorf("Literal(%d) = %d, %v, %v; want %d, %v, %v", c.f, v, pos, ok, c.v, c.pos, c.ok)
 		}
+	}
+}
+
+func TestExclusive(t *testing.T) {
+	m := New(2)
+	a, b := m.Var(0), m.Var(1)
+	minterms := []Ref{m.And(m.Not(a), m.Not(b)), m.And(a, m.Not(b)), m.And(m.Not(a), b), m.And(a, b)}
+	if !m.Exclusive(minterms) || !m.Exclusive(nil) {
+		t.Error("disjoint minterms are not exclusive")
+	}
+	if m.Exclusive([]Ref{m.And(a, b), a}) {
+		t.Error("a∧b and a overlap")
+	}
+	if m.Exclusive([]Ref{a, False}) {
+		t.Error("an unsatisfiable function passed")
+	}
+}
+
+// TestPopCount checks the count word against the number of true inputs on
+// every assignment of up to six variables.
+func TestPopCount(t *testing.T) {
+	for n := 0; n <= 6; n++ {
 		m := New(n)
-		f, c := tableToBDD(m, tf), tableToBDD(m, tc)
-		fc := m.Constrain(f, c)
-		for r := uint(0); r < 1<<uint(n); r++ {
-			if !tc.Eval(r) {
-				continue
-			}
+		xs := make([]Ref, n)
+		for i := range xs {
+			xs[i] = m.Var(i)
+		}
+		count := m.PopCount(xs)
+		if want := bits.Len(uint(n)); len(count) != want {
+			t.Fatalf("n=%d: %d count bits, want %d", n, len(count), want)
+		}
+		for r := 0; r < 1<<n; r++ {
 			assign := make(map[int]bool)
 			for i := 0; i < n; i++ {
-				assign[i] = r>>uint(i)&1 == 1
+				assign[i] = r>>i&1 == 1
 			}
-			if m.Eval(fc, assign) != tf.Eval(r) {
-				t.Fatalf("constrain disagrees with f on care set at row %d", r)
+			for j, c := range count {
+				if m.Eval(c, assign) != (bits.OnesCount(uint(r))>>j&1 == 1) {
+					t.Fatalf("n=%d row %d: count bit %d wrong", n, r, j)
+				}
 			}
 		}
-	}
-}
-
-func TestExists(t *testing.T) {
-	m := New(3)
-	a, b, c := m.Var(0), m.Var(1), m.Var(2)
-	f := m.Or(m.And(a, b), m.And(m.Not(a), c))
-	// ∃a. f = b | c
-	g := m.Exists(f, m.Var(0))
-	if g != m.Or(b, c) {
-		t.Error("Exists over a is wrong")
-	}
-	// Quantifying everything yields True for satisfiable f.
-	all := m.Cube([]int{0, 1, 2})
-	if m.Exists(f, all) != True {
-		t.Error("Exists over all vars of sat function should be True")
-	}
-	if m.Exists(False, all) != False {
-		t.Error("Exists of False should be False")
-	}
-}
-
-func TestSatCountAndAnySat(t *testing.T) {
-	m := New(4)
-	a, b := m.Var(0), m.Var(1)
-	f := m.And(a, b) // 1/4 of the space: 4 of 16 assignments
-	if got := m.SatCount(f); got != 4 {
-		t.Errorf("SatCount = %v, want 4", got)
-	}
-	sat := m.AnySat(f)
-	if sat == nil || !sat[0] || !sat[1] {
-		t.Errorf("AnySat = %v", sat)
-	}
-	if m.AnySat(False) != nil {
-		t.Error("AnySat(False) should be nil")
-	}
-	if got := m.SatCount(True); got != 16 {
-		t.Errorf("SatCount(True) = %v, want 16", got)
 	}
 }
 
@@ -381,7 +381,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		for i := range vs {
 			vs[i] = m.Var(m.AddVar())
 		}
-		return m.Or(m.And(vs[0], m.Xor(vs[1], vs[2])), m.Exists(m.Xnor(vs[3], vs[4]), m.Cube([]int{3})))
+		return m.Or(m.And(vs[0], m.Xor(vs[1], vs[2])), m.Restrict(m.Xnor(vs[3], vs[4]), 3, true))
 	}
 	fresh := New(0)
 	want := build(fresh)
@@ -407,5 +407,54 @@ func TestResetMatchesFresh(t *testing.T) {
 	m.Limit = 0
 	if got := build(m); got != want || m.Size() != fresh.Size() {
 		t.Errorf("after Reset: ref %d over %d nodes; fresh manager %d over %d", got, m.Size(), want, fresh.Size())
+	}
+}
+
+// TestBuilderExpand: a gate cut as a Leaf builds as its variable, and
+// Expand gives its own function over the cut, without memoizing it.
+func TestBuilderExpand(t *testing.T) {
+	nl := netlist.New("t")
+	a := nl.AddInput("a")
+	b := nl.AddInput("b")
+	c := nl.AddInput("c")
+	g := nl.AddGate(netlist.And, a, b)
+	h := nl.AddGate(netlist.Or, g, c)
+	m := New(0)
+	bld := NewBuilder(m, nl)
+	bld.Leaf = func(id netlist.ID) bool { return id == g }
+	vg := m.Var(bld.VarOf(g))
+	if bld.Build(h) != m.Or(vg, m.Var(bld.VarOf(c))) {
+		t.Error("h is not built over the cut at g")
+	}
+	want := m.And(m.Var(bld.VarOf(a)), m.Var(bld.VarOf(b)))
+	if bld.Expand(g) != want {
+		t.Error("Expand(g) is not a∧b")
+	}
+	if bld.Build(g) != vg || bld.Expand(a) != m.Var(bld.VarOf(a)) {
+		t.Error("Expand changed what Build returns")
+	}
+}
+
+// TestBuilderResetMatchesFresh: a builder reset with its manager builds
+// like a fresh builder on a fresh manager, under a new Leaf rule too.
+func TestBuilderResetMatchesFresh(t *testing.T) {
+	nl := netlist.New("t")
+	a := nl.AddInput("a")
+	b := nl.AddInput("b")
+	g := nl.AddGate(netlist.And, a, b)
+	h := nl.AddGate(netlist.Xor, g, a)
+	cut := func(id netlist.ID) bool { return id == g }
+
+	bld := NewBuilder(New(0), nl)
+	bld.Build(h)
+	bld.M.Reset()
+	bld.Reset()
+	bld.Leaf = cut
+	got := bld.Build(h)
+
+	fresh := NewBuilder(New(0), nl)
+	fresh.Leaf = cut
+	if want := fresh.Build(h); got != want || bld.M.NumVars() != 2 || bld.SignalOf(0) != g {
+		t.Errorf("after Reset: ref %d over %d vars; fresh builder %d", got, bld.M.NumVars(), want)
 	}
 }

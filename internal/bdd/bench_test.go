@@ -24,18 +24,3 @@ func BenchmarkAdderEquivalence(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkConstrain measures the generalized cofactor on mid-size
-// functions.
-func BenchmarkConstrain(b *testing.B) {
-	m := New(16)
-	f, c := False, True
-	for j := 0; j < 8; j++ {
-		f = m.Xor(f, m.And(m.Var(j), m.Var(8+j)))
-		c = m.And(c, m.Or(m.Var(j), m.NVar(8+j)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Constrain(f, c)
-	}
-}

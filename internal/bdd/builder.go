@@ -7,8 +7,8 @@ import (
 // Builder constructs BDDs for netlist nodes over a shared variable space.
 // Boundary signals (primary inputs and latch outputs) are mapped to BDD
 // variables on first use, so multiple cones built through the same Builder
-// share variables — a requirement for the cross-latch equivalence checks in
-// the counter and shift-register analyses.
+// share variables — a requirement for comparing a template's output bits,
+// or a register's latches, over one set of ports or controls.
 type Builder struct {
 	M  *Manager
 	nl *netlist.Netlist
@@ -32,6 +32,14 @@ func NewBuilder(m *Manager, nl *netlist.Netlist) *Builder {
 		varOf: make(map[netlist.ID]int),
 		memo:  make(map[netlist.ID]Ref),
 	}
+}
+
+// Reset empties the builder's variable space and memo, keeping their
+// capacity, for reuse after its manager's Reset.
+func (b *Builder) Reset() {
+	clear(b.varOf)
+	clear(b.memo)
+	b.ids = b.ids[:0]
 }
 
 // VarOf returns the BDD variable index for boundary signal (or Leaf cut)
@@ -100,6 +108,21 @@ func (b *Builder) Build(id netlist.ID) Ref {
 	return b.memo[id]
 }
 
+// Expand returns the BDD of gate id's function over its fanins' BDDs. It
+// is Build(id) except for a gate that is itself a Leaf cut, whose variable
+// Build returns: a cone cut at a net can so still prove that net's own
+// function. Expand does not memoize id.
+func (b *Builder) Expand(id netlist.ID) Ref {
+	node := b.nl.Node(id)
+	if !node.Kind.IsGate() {
+		return b.Build(id)
+	}
+	for _, f := range node.Fanin {
+		b.Build(f)
+	}
+	return b.combine(node)
+}
+
 func (b *Builder) combine(node *netlist.Node) Ref {
 	m := b.M
 	in := func(i int) Ref { return b.memo[node.Fanin[i]] }
@@ -154,6 +177,5 @@ func lutRef(m *Manager, mask uint64, k int, in func(int) Ref) Ref {
 	half := uint(1) << uint(k-1)
 	lo := lutRef(m, mask, k-1, in)
 	hi := lutRef(m, mask>>half, k-1, in)
-	s := in(k - 1)
-	return m.Or(m.And(s, hi), m.And(m.Not(s), lo))
+	return m.ITE(in(k-1), hi, lo)
 }

@@ -131,18 +131,5 @@ func oneHotSelects(nl *netlist.Netlist, selects []netlist.ID) bool {
 			refs[i] = bld.Build(s)
 		}
 	})
-	if err != nil {
-		return false
-	}
-	for i := 0; i < len(refs); i++ {
-		if refs[i] == bdd.False {
-			return false
-		}
-		for j := i + 1; j < len(refs); j++ {
-			if mgr.And(refs[i], refs[j]) != bdd.False {
-				return false
-			}
-		}
-	}
-	return true
+	return err == nil && mgr.Exclusive(refs)
 }

@@ -245,7 +245,23 @@ func newSolver(p *Problem, opt Options) (*solver, error) {
 		}
 	}
 	s.rows = make([]row, len(p.Constraints))
+	// Each variable's row list is carved from one backing slice, counted
+	// first; a term out of range is rejected below.
 	s.varRows = make([][]varRef, p.NumVars)
+	count := make([]int, p.NumVars)
+	total := 0
+	for _, c := range p.Constraints {
+		for _, t := range c.Terms {
+			if t.Var >= 0 && t.Var < p.NumVars {
+				count[t.Var]++
+				total++
+			}
+		}
+	}
+	refs := make([]varRef, total)
+	for v, n := range count {
+		s.varRows[v], refs = refs[:0:n], refs[n:]
+	}
 	for i, c := range p.Constraints {
 		r := row{terms: c.Terms, rel: c.Rel, rhs: c.RHS, nUn: len(c.Terms), mult: c.Multiplier}
 		r.packing = c.Rel == LE && c.RHS == 1

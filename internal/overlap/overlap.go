@@ -71,7 +71,7 @@ type Result struct {
 	// Optimal is false when the solver hit its node limit.
 	Optimal bool
 	// Nodes counts the branch-and-bound nodes of the ILP and of its
-	// warm-start solve, if any.
+	// warm-start solve, if any. A failed resolution sets it too.
 	Nodes int64
 }
 
@@ -80,7 +80,8 @@ type Result struct {
 // handling: the solver searches independent components of the free
 // variables separately, at the root and below, and under MaxCoverage a
 // module that overlaps no other touches no packing row, so it is selected
-// at once. Selected lists the chosen modules in the order of mods.
+// at once. Selected lists the chosen modules in the order of mods. On
+// error the Result holds only Nodes, which the error text also carries.
 func Resolve(mods []*module.Module, opt Options) (Result, error) {
 	if opt.MinSlices <= 0 {
 		opt.MinSlices = 2
@@ -112,7 +113,8 @@ func Resolve(mods []*module.Module, opt Options) (Result, error) {
 	}
 	sol, err := ilp.Solve(b.problem, ilpOpt)
 	if err != nil {
-		return Result{}, fmt.Errorf("overlap: %w", err)
+		nodes := sol.Nodes + warmNodes
+		return Result{Nodes: nodes}, fmt.Errorf("overlap: %w after %d nodes", err, nodes)
 	}
 	res := b.extract(sol)
 	res.Nodes += warmNodes
@@ -171,6 +173,7 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 	}
 
 	var owner []int // slice owning each element, reused per module
+	nSlices, nSliceable := 0, 0
 	for i, m := range mods {
 		ev := make([]int, len(m.Elements))
 		b.elemVar[i] = ev
@@ -216,21 +219,8 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 				ev[k] = svars[o]
 			}
 		}
-		// Linking: x_{i0} >= x_{ij}.
-		for _, sv := range svars {
-			b.problem.AddConstraint([]ilp.Term{{Var: x0, Coef: 1}, {Var: sv, Coef: -1}}, ilp.GE, 0)
-		}
-		// MinSlices: sum_j x_{ij} - MinSlices*x_{i0} >= 0.
-		terms := make([]ilp.Term, 0, len(svars)+1)
-		for _, sv := range svars {
-			terms = append(terms, ilp.Term{Var: sv, Coef: 1})
-		}
-		minSlices := opt.MinSlices
-		if minSlices > len(svars) {
-			minSlices = len(svars)
-		}
-		terms = append(terms, ilp.Term{Var: x0, Coef: -int64(minSlices)})
-		b.problem.AddConstraint(terms, ilp.GE, 0)
+		nSlices += len(svars)
+		nSliceable++
 	}
 
 	// Sizes, and every (element, variable) occurrence in (element,
@@ -255,6 +245,15 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 			start[g-lo+1]++
 		}
 	}
+	// An element in two or more modules gives at most one packing row, of
+	// at most one term per module.
+	nPack, nPackTerms := 0, 0
+	for _, c := range start {
+		if c >= 2 {
+			nPack++
+			nPackTerms += c
+		}
+	}
 	for j := 1; j < len(start); j++ {
 		start[j] += start[j-1]
 	}
@@ -266,6 +265,35 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 			occ[start[g-lo]] = occurrence{g, v}
 			start[g-lo]++
 		}
+	}
+
+	// The linking, MinSlices and packing rows are reserved at once, and
+	// their terms are carved from one backing slice: three terms per
+	// slice across the linking and MinSlices rows, one more per MinSlices
+	// row, and the packing terms. row closes the terms appended since from
+	// into a row of its own.
+	b.problem.Constraints = make([]ilp.Constraint, 0, nSlices+nSliceable+nPack+1)
+	terms := make([]ilp.Term, 0, 3*nSlices+nSliceable+nPackTerms)
+	row := func(from int) []ilp.Term { return terms[from:len(terms):len(terms)] }
+	for i, svars := range b.sliceVars {
+		if svars == nil {
+			continue
+		}
+		x0 := b.varOfMod[i]
+		// Linking: x_{i0} >= x_{ij}.
+		for _, sv := range svars {
+			from := len(terms)
+			terms = append(terms, ilp.Term{Var: x0, Coef: 1}, ilp.Term{Var: sv, Coef: -1})
+			b.problem.AddConstraint(row(from), ilp.GE, 0)
+		}
+		// MinSlices: sum_j x_{ij} - MinSlices*x_{i0} >= 0.
+		from := len(terms)
+		for _, sv := range svars {
+			terms = append(terms, ilp.Term{Var: sv, Coef: 1})
+		}
+		minSlices := min(opt.MinSlices, len(svars))
+		terms = append(terms, ilp.Term{Var: x0, Coef: -int64(minSlices)})
+		b.problem.AddConstraint(row(from), ilp.GE, 0)
 	}
 
 	// Overlap constraints: one per element whose covering modules use two
@@ -284,28 +312,36 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 	rowOf := make(map[string]int)
 	var elems []int64
 	var key []byte
-	var terms []ilp.Term
 	for lo := 0; lo < len(occ); {
-		g := occ[lo].g
-		terms, key = terms[:0], key[:0]
-		hi := lo
-		for ; hi < len(occ) && occ[hi].g == g; hi++ {
-			if v := occ[hi].v; len(terms) == 0 || terms[len(terms)-1].Var != v {
-				terms = append(terms, ilp.Term{Var: v, Coef: 1})
-				key = binary.AppendUvarint(key, uint64(v))
+		hi := lo + 1
+		for hi < len(occ) && occ[hi].g == occ[lo].g {
+			hi++
+		}
+		group := occ[lo:hi]
+		lo = hi
+		if len(group) < 2 {
+			continue
+		}
+		from := len(terms)
+		key = key[:0]
+		for _, o := range group {
+			if len(terms) == from || terms[len(terms)-1].Var != o.v {
+				terms = append(terms, ilp.Term{Var: o.v, Coef: 1})
+				key = binary.AppendUvarint(key, uint64(o.v))
 			}
 		}
-		lo = hi
-		if len(terms) < 2 {
+		if len(terms)-from < 2 {
+			terms = terms[:from]
 			continue
 		}
 		if ri, ok := rowOf[string(key)]; ok {
 			elems[ri]++
+			terms = terms[:from]
 			continue
 		}
 		rowOf[string(key)] = len(elems)
 		elems = append(elems, 1)
-		b.problem.AddConstraint(slices.Clone(terms), ilp.LE, 1)
+		b.problem.AddConstraint(row(from), ilp.LE, 1)
 	}
 
 	// Objective.

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"netlistre/internal/core"
@@ -179,7 +180,7 @@ func TestPinnedMinModulesTable(t *testing.T) {
 // reaching the target, and a sliceable selection may take whole modules,
 // so the target is feasible in both; the sliceable search stops at its
 // node limit without one, and must say so rather than report the target
-// infeasible.
+// infeasible, with the nodes it spent in its result and its error text.
 func TestMinModulesStoppedNotInfeasible(t *testing.T) {
 	mods, elements := articleModules(t, "msp430")
 	opt := overlap.Options{Objective: overlap.MinModules, CoverageTarget: elements / 2}
@@ -187,9 +188,15 @@ func TestMinModulesStoppedNotInfeasible(t *testing.T) {
 		t.Fatalf("basic: err %v, coverage %d; want a selection covering %d", err, res.Coverage, opt.CoverageTarget)
 	}
 	opt.Sliceable = true
-	_, err := overlap.Resolve(mods, opt)
+	res, err := overlap.Resolve(mods, opt)
 	if errors.Is(err, ilp.ErrInfeasible) {
 		t.Errorf("sliceable: %v, but the target is feasible", err)
+	}
+	if !errors.Is(err, ilp.ErrStopped) || res.Nodes < 200_000 {
+		t.Fatalf("sliceable: err %v after %d nodes; want ilp.ErrStopped at the 200,000-node limit", err, res.Nodes)
+	}
+	if want := fmt.Sprintf("after %d nodes", res.Nodes); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not carry %q", err, want)
 	}
 }
 

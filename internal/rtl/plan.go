@@ -4,34 +4,25 @@ package rtl
 // time, that the module's logic computes a known reference template
 // exactly; only proven modules are lowered, everything else is passed
 // through as residual logic. Every proof checks function, never gate
-// shape, so LUT-mapped and gate-level netlists lower alike. Combinational
-// templates are proven by exhaustive bit-parallel simulation over the
-// template's port bits with every other signal X-poisoned, which checks
-// the function and the independence from non-port signals at once.
-// Sequential templates are proven by BDD equality of every latch's
-// next-state function, cut at the module's shared controls, with the
-// template's next state.
+// shape, so LUT-mapped and gate-level netlists lower alike. Every proof is
+// BDD equality on one manager. A combinational template output is built
+// over a cut at the template's port bits and compared with the template's
+// function of them; every other signal the cone reads is a variable too,
+// so equality also proves that the output reads nothing else. A
+// sequential template is proven by comparing every latch's next-state
+// function, cut at the module's shared controls, with the template's next
+// state.
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"netlistre/internal/bdd"
-	"netlistre/internal/bitsim"
 	"netlistre/internal/core"
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
 	"netlistre/internal/truth"
 )
-
-// maxExactVars bounds the exhaustive functional checks (2^14 rows, swept
-// 64 rows per bit-parallel pass).
-const maxExactVars = 14
-
-// maxConeNodes bounds the cone walked per functional check so a
-// misaligned candidate cannot drag a whole design through the sweep.
-const maxConeNodes = 2000
 
 // portConn is one instance connection: template port name -> original
 // nodes, LSB first.
@@ -85,16 +76,17 @@ type plan struct {
 
 	outDriver []bool // nets that drive a design output
 
-	// seqBDD is the sequential planners' BDD manager, reset for each
-	// proof, so one node table serves every proof of the emission.
-	seqBDD *bdd.Manager
+	// bld is the planners' one BDD builder, on their one manager; both are
+	// reset for each proof, so one node table serves every proof of the
+	// emission.
+	bld *bdd.Builder
 
-	// Per-candidate scratch of admit, drawn from the netlist's pooled
-	// visited sets: the candidate's cover (its members also listed in
-	// cover), its exposed nets, the nets it names, and the walks'
-	// visited set.
-	inCover, exposedNow, ownRefs, seen *netlist.VisitSet
-	cover, stack                       []netlist.ID
+	// Per-candidate scratch, drawn from the netlist's pooled visited sets:
+	// a combinational proof's port bits, and admit's candidate cover (its
+	// members also listed in cover), its exposed nets, the nets it names,
+	// and the walks' visited set.
+	ports, inCover, exposedNow, ownRefs, seen *netlist.VisitSet
+	cover, stack                              []netlist.ID
 }
 
 // newPlan returns an empty plan over nl.
@@ -106,7 +98,7 @@ func newPlan(nl *netlist.Netlist) *plan {
 		referenced: make([]bool, n),
 		owner:      make([]*instance, n),
 		outDriver:  make([]bool, n),
-		seqBDD:     bdd.New(0),
+		bld:        bdd.NewBuilder(bdd.New(0), nl),
 	}
 	for _, o := range nl.Outputs() {
 		p.outDriver[o.Driver] = true
@@ -124,13 +116,13 @@ func (p *plan) hidden(id netlist.ID) bool { return p.covered[id] && !p.exposed[i
 // overlap resolution), taken from rep.All in order.
 func buildPlans(nl *netlist.Netlist, rep *core.Report) *plan {
 	p := newPlan(nl)
-	sets := []*netlist.VisitSet{nl.Visits(), nl.Visits(), nl.Visits(), nl.Visits()}
+	sets := []*netlist.VisitSet{nl.Visits(), nl.Visits(), nl.Visits(), nl.Visits(), nl.Visits()}
 	defer func() {
 		for _, s := range sets {
 			s.Release()
 		}
 	}()
-	p.inCover, p.exposedNow, p.ownRefs, p.seen = sets[0], sets[1], sets[2], sets[3]
+	p.ports, p.inCover, p.exposedNow, p.ownRefs, p.seen = sets[0], sets[1], sets[2], sets[3], sets[4]
 	for _, m := range rep.Resolved {
 		if m.Type != module.RAM {
 			p.lower(nl, m)
@@ -151,39 +143,33 @@ func buildPlans(nl *netlist.Netlist, rep *core.Report) *plan {
 
 // lower plans m by its type and admits the plan if it verifies.
 func (p *plan) lower(nl *netlist.Netlist, m *module.Module) {
+	var inst *instance
 	switch m.Type {
 	case module.Mux:
-		if inst := planMux2(nl, m); inst != nil {
-			p.admit(nl, inst, nil)
-		}
+		inst = p.planMux2(nl, m)
 	case module.Adder, module.Subtractor:
-		if inst := planAddSub(nl, m); inst != nil {
-			p.admit(nl, inst, nil)
-		}
+		inst = p.planAddSub(nl, m)
 	case module.Decoder:
-		if inst := planDecoder(nl, m); inst != nil {
-			p.admit(nl, inst, nil)
-		}
+		inst = p.planDecoder(nl, m)
 	case module.ParityTree:
-		if inst := planParity(nl, m); inst != nil {
-			p.admit(nl, inst, nil)
-		}
+		inst = p.planParity(nl, m)
 	case module.PopCount:
-		if inst := planPopCount(nl, m); inst != nil {
-			p.admit(nl, inst, nil)
-		}
+		inst = p.planPopCount(nl, m)
 	case module.Counter:
-		if rb := planCounter(p.seqBDD, nl, m); rb != nil {
+		if rb := p.planCounter(nl, m); rb != nil {
 			p.admit(nl, nil, []*regBlock{rb})
 		}
 	case module.ShiftRegister:
-		for _, rb := range planShift(p.seqBDD, nl, m) {
+		for _, rb := range p.planShift(nl, m) {
 			p.admit(nl, nil, []*regBlock{rb})
 		}
 	case module.MultibitRegister:
-		if rb := planRegister(p.seqBDD, nl, m); rb != nil {
+		if rb := p.planRegister(nl, m); rb != nil {
 			p.admit(nl, nil, []*regBlock{rb})
 		}
+	}
+	if inst != nil {
+		p.admit(nl, inst, nil)
 	}
 }
 
@@ -402,7 +388,79 @@ func coverableElements(nl *netlist.Netlist, m *module.Module, keepLatches bool, 
 	return out
 }
 
-// --- functional verification primitives ---
+// --- proofs ---
+
+// maxExactVars bounds the port bits one combinational output may be a
+// template function of.
+const maxExactVars = 14
+
+// proofBDDLimit bounds the node table of one proof. Over a template's port
+// bits, or a register's control cut, the proven functions stay linear in
+// the width; a cone that overflows the table keeps its block residual.
+const proofBDDLimit = 1 << 16
+
+// proof holds the BDDs of one module's nets over a cut of their cones, on
+// the plan's one manager. The cut nodes are variables, and so is every
+// design input or latch a cone reaches past them, so a net whose BDD
+// equals a template's over the cut's variables also depends on nothing
+// else.
+type proof struct {
+	nl *netlist.Netlist
+	m  *bdd.Manager
+	b  *bdd.Builder
+}
+
+// newProof resets the plan's builder and manager and opens a proof whose
+// cones are cut at the nodes leaf reports.
+func (p *plan) newProof(nl *netlist.Netlist, leaf func(netlist.ID) bool) *proof {
+	b := p.bld
+	b.M.Reset()
+	b.M.Limit = proofBDDLimit
+	b.Reset()
+	b.Leaf = leaf
+	return &proof{nl: nl, m: b.M, b: b}
+}
+
+// portProof opens the proof of a combinational template, cut at its port
+// bits: the words a template output is a function of, collected in the
+// plan's pooled leaf set.
+func (p *plan) portProof(nl *netlist.Netlist, words ...[]netlist.ID) *proof {
+	p.ports.Reset()
+	for _, w := range words {
+		for _, id := range w {
+			p.ports.Visit(id)
+		}
+	}
+	return p.newProof(nl, p.ports.Seen)
+}
+
+// run evaluates check under the node limit; an overflow fails the proof,
+// so a block the BDD cannot decide stays residual.
+func (s *proof) run(check func() bool) bool {
+	ok := false
+	return s.m.Run(func() { ok = check() }) == nil && ok
+}
+
+// v returns the variable of signal id.
+func (s *proof) v(id netlist.ID) bdd.Ref { return s.m.Var(s.b.VarOf(id)) }
+
+// fn returns the function of root, a template output over the port bits
+// leaves, or false when no template may read those leaves: they must be
+// distinct non-constant nets (a repeat or a constant folds the template
+// into another function), at most maxExactVars of them, and must not
+// include root. A root that is itself a port bit, such as a carry that
+// feeds the next slice, is expanded over its own fanins.
+func (s *proof) fn(root netlist.ID, leaves ...netlist.ID) (bdd.Ref, bool) {
+	if len(leaves) > maxExactVars || !distinct(leaves...) || slices.Contains(leaves, root) {
+		return bdd.False, false
+	}
+	for _, l := range leaves {
+		if k := s.nl.Kind(l); k == netlist.Const0 || k == netlist.Const1 {
+			return bdd.False, false
+		}
+	}
+	return s.b.Expand(root), true
+}
 
 // distinct reports whether the ids are pairwise distinct and valid. The
 // lists are short (at most maxExactVars), so pairs are compared directly.
@@ -415,102 +473,26 @@ func distinct(ids ...netlist.ID) bool {
 	return true
 }
 
-// coneWithin reports whether root's fan-in cone, cut at the given leaves,
-// stays under maxConeNodes.
-func coneWithin(nl *netlist.Netlist, root netlist.ID, leaves []netlist.ID) bool {
-	// The leaves are marked visited up front, so the walk stops at them
-	// without counting them.
-	seen := nl.Visits()
-	defer seen.Release()
-	for _, l := range leaves {
-		seen.Visit(l)
-	}
-	visited := 0
-	stack := []netlist.ID{root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !seen.Visit(id) {
-			continue
-		}
-		if visited++; visited > maxConeNodes {
-			return false
-		}
-		if nl.Kind(id).IsConeInput() {
-			continue
-		}
-		stack = append(stack, nl.Fanin(id)...)
-	}
-	return true
-}
-
-// exactFunc proves root == f(leaves) by exhaustive bit-parallel sweep:
-// the leaves (which may be internal nets — bitsim cuts them loose) carry
-// all 2^k assignments, every other signal is X, and every row must come
-// out Known and equal to f. This checks the function and the independence
-// from non-leaf signals in one pass.
-func exactFunc(nl *netlist.Netlist, root netlist.ID, leaves []netlist.ID, f func(row uint) bool) bool {
-	k := len(leaves)
-	if k > maxExactVars || !distinct(leaves...) {
-		return false
-	}
-	for _, l := range leaves {
-		if l == root {
-			return false
-		}
-		if k := nl.Kind(l); k == netlist.Const0 || k == netlist.Const1 {
-			return false
-		}
-	}
-	if !coneWithin(nl, root, leaves) {
-		return false
-	}
-	total := 1 << uint(k)
-	cone := bitsim.CompileCone(nl, []netlist.ID{root}, leaves)
-	for base := 0; base < total; base += bitsim.Lanes {
-		for li, l := range leaves {
-			var bitsv uint64
-			for lane := 0; lane < bitsim.Lanes && base+lane < total; lane++ {
-				if (base+lane)>>uint(li)&1 == 1 {
-					bitsv |= 1 << uint(lane)
-				}
-			}
-			cone.Force(l, bitsim.Known(bitsv))
-		}
-		v := cone.Eval()[0]
-		for lane := 0; lane < bitsim.Lanes && base+lane < total; lane++ {
-			if v.Unk>>uint(lane)&1 == 1 {
-				return false
-			}
-			if (v.Val>>uint(lane)&1 == 1) != f(uint(base+lane)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func bit(row uint, i int) bool { return row>>uint(i)&1 == 1 }
-
 // --- combinational planners ---
 
-// planMux2 lowers a 2:1 word mux: out_i == sel ? d1_i : d0_i, proven
-// exhaustively per bit.
-func planMux2(nl *netlist.Netlist, m *module.Module) *instance {
+// planMux2 lowers a 2:1 word mux: out_i == sel ? d1_i : d0_i for every bit.
+func (p *plan) planMux2(nl *netlist.Netlist, m *module.Module) *instance {
 	sel, out, d0, d1 := m.Port("sel"), m.Port("out"), m.Port("d0"), m.Port("d1")
 	if len(sel) != 1 || len(out) < 2 || len(d0) != len(out) || len(d1) != len(out) {
 		return nil
 	}
-	for i, o := range out {
-		ok := exactFunc(nl, o, []netlist.ID{sel[0], d0[i], d1[i]}, func(row uint) bool {
-			if bit(row, 0) {
-				return bit(row, 2)
+	s := p.portProof(nl, sel, d0, d1)
+	proven := s.run(func() bool {
+		for i, o := range out {
+			f, ok := s.fn(o, sel[0], d0[i], d1[i])
+			if !ok || f != s.m.ITE(s.v(sel[0]), s.v(d1[i]), s.v(d0[i])) {
+				return false
 			}
-			return bit(row, 1)
-		})
-		if !ok {
-			return nil
 		}
+		return true
+	})
+	if !proven {
+		return nil
 	}
 	covered := coverableElements(nl, m, false, concat(sel, d0, d1))
 	if !containsAll(covered, out) {
@@ -527,56 +509,35 @@ func planMux2(nl *netlist.Netlist, m *module.Module) *instance {
 }
 
 // planAddSub lowers ripple carry/borrow chains. The slice-wise proof
-// follows the carry word: sum_0 must be xor2 of (a_0,b_0), each carry the
-// majority (adder) or borrow (subtractor) function of its slice, and each
-// higher sum the xor3 of its slice with the incoming carry. Chains with
-// an external carry-in are left as residual logic.
-func planAddSub(nl *netlist.Netlist, m *module.Module) *instance {
+// follows the carry word, cut at each slice's carry-in: sum_i must be the
+// xor of a_i, b_i and the carry-in, and the carry-out the majority of the
+// three (adder) or of ¬a_i, b_i and the carry-in (subtractor). Bit 0 has
+// no carry-in. Chains with an external carry-in are left as residual
+// logic.
+func (p *plan) planAddSub(nl *netlist.Netlist, m *module.Module) *instance {
 	sum, a, b, carry := m.Port("sum"), m.Port("a"), m.Port("b"), m.Port("carry")
 	n := len(sum)
 	if n < 2 || len(a) != n || len(b) != n {
 		return nil
 	}
-	return tryAddSub(nl, m, sum, a, b, carry, m.Type == module.Subtractor)
-}
-
-func tryAddSub(nl *netlist.Netlist, m *module.Module, sum, a, b, carry []netlist.ID, sub bool) *instance {
-	n := len(sum)
+	sub := m.Type == module.Subtractor
 	// The aggregation does not fix which operand bit is the minuend — and
 	// it may decide differently per slice — so subtraction (asymmetric in
 	// its operands) resolves the orientation bit by bit below.
-	a = append([]netlist.ID(nil), a...)
-	b = append([]netlist.ID(nil), b...)
-	// Slice functions. Variable order in every row: bit0=a_i, bit1=b_i,
-	// bit2=carry-in.
-	sum2 := func(row uint) bool { return bit(row, 0) != bit(row, 1) }
-	sum3 := func(row uint) bool { return bit(row, 0) != bit(row, 1) != bit(row, 2) }
-	var cout2, cout3 func(row uint) bool
-	if sub {
-		cout2 = func(row uint) bool { return !bit(row, 0) && bit(row, 1) }
-		cout3 = func(row uint) bool {
-			x, y, c := !bit(row, 0), bit(row, 1), bit(row, 2)
-			return (x && y) || (x && c) || (y && c)
-		}
-	} else {
-		cout2 = func(row uint) bool { return bit(row, 0) && bit(row, 1) }
-		cout3 = func(row uint) bool {
-			x, y, c := bit(row, 0), bit(row, 1), bit(row, 2)
-			return (x && y) || (x && c) || (y && c)
-		}
-	}
+	a = slices.Clone(a)
+	b = slices.Clone(b)
 
 	// couts[i] is the net carrying the carry/borrow out of bit i; the
 	// bit-0 half carry may be hidden (not in the carry port) when the
 	// chain head was aggregated from a half slice.
 	couts := make([]netlist.ID, n)
-	var hidden netlist.ID = netlist.Nil
 	switch len(carry) {
 	case n:
 		copy(couts, carry)
 	case n - 1:
 		// carry port holds couts of bits 1..n-1; recover the hidden
 		// half carry from the bit-1 sum slice's fanins.
+		hidden := netlist.Nil
 		for _, f := range nl.Fanin(sum[1]) {
 			if f == a[1] || f == b[1] {
 				continue
@@ -595,36 +556,48 @@ func tryAddSub(nl *netlist.Netlist, m *module.Module, sum, a, b, carry []netlist
 		return nil
 	}
 
-	if !exactFunc(nl, sum[0], []netlist.ID{a[0], b[0]}, sum2) {
+	s := p.portProof(nl, a, b, couts[:n-1])
+	cout := func(x, y, c bdd.Ref) bdd.Ref {
+		if sub {
+			x = s.m.Not(x)
+		}
+		return s.m.Or(s.m.And(x, y), s.m.And(c, s.m.Or(x, y)))
+	}
+	proven := s.run(func() bool {
+		for i := range sum {
+			leaves := []netlist.ID{a[i], b[i]}
+			cin := bdd.False
+			if i > 0 {
+				leaves = append(leaves, couts[i-1])
+				cin = s.v(couts[i-1])
+			}
+			fs, ok := s.fn(sum[i], leaves...)
+			if !ok || fs != s.m.Xor(s.m.Xor(s.v(a[i]), s.v(b[i])), cin) {
+				return false
+			}
+			fc, ok := s.fn(couts[i], leaves...)
+			if !ok {
+				return false
+			}
+			if fc != cout(s.v(a[i]), s.v(b[i]), cin) {
+				if !sub {
+					return false
+				}
+				a[i], b[i] = b[i], a[i]
+				if fc != cout(s.v(a[i]), s.v(b[i]), cin) {
+					return false
+				}
+			}
+		}
+		return true
+	})
+	if !proven {
 		return nil
-	}
-	if !exactFunc(nl, couts[0], []netlist.ID{a[0], b[0]}, cout2) {
-		if !sub {
-			return nil
-		}
-		a[0], b[0] = b[0], a[0]
-		if !exactFunc(nl, couts[0], []netlist.ID{a[0], b[0]}, cout2) {
-			return nil
-		}
-	}
-	for i := 1; i < n; i++ {
-		if !exactFunc(nl, sum[i], []netlist.ID{a[i], b[i], couts[i-1]}, sum3) {
-			return nil
-		}
-		if !exactFunc(nl, couts[i], []netlist.ID{a[i], b[i], couts[i-1]}, cout3) {
-			if !sub {
-				return nil
-			}
-			a[i], b[i] = b[i], a[i]
-			if !exactFunc(nl, couts[i], []netlist.ID{a[i], b[i], couts[i-1]}, cout3) {
-				return nil
-			}
-		}
 	}
 
 	// The hidden half carry is NOT exposed: if it feeds anything outside
 	// the module, admit() rejects the plan and the chain stays residual.
-	outs := append(append([]netlist.ID(nil), sum...), carry...)
+	outs := concat(sum, carry)
 	covered := coverableElements(nl, m, false, concat(a, b))
 	if !containsAll(covered, sum) {
 		return nil
@@ -644,8 +617,9 @@ func tryAddSub(nl *netlist.Netlist, m *module.Module, sum, a, b, carry []netlist
 }
 
 // planDecoder lowers a verified decoder whose every output is a single
-// minterm (or its complement) over the select word.
-func planDecoder(nl *netlist.Netlist, m *module.Module) *instance {
+// minterm (or its complement) over the select word. The minterm is read
+// off the output's BDD, one select at a time.
+func (p *plan) planDecoder(nl *netlist.Netlist, m *module.Module) *instance {
 	in, out := m.Port("in"), m.Port("out")
 	k := len(in)
 	if k < 1 || k > truth.MaxVars || len(out) < 2 {
@@ -653,22 +627,39 @@ func planDecoder(nl *netlist.Netlist, m *module.Module) *instance {
 	}
 	activeLow := m.Attr != nil && m.Attr["polarity"] == "active-low"
 	minterms := make([]int, len(out))
-	for i, o := range out {
-		if !coneWithin(nl, o, in) {
-			return nil
+	s := p.portProof(nl, in)
+	proven := s.run(func() bool {
+		for i, o := range out {
+			f, ok := s.fn(o, in...)
+			if !ok {
+				return false
+			}
+			if activeLow {
+				f = s.m.Not(f)
+			}
+			// f is a minterm when, select by select, one cofactor is false
+			// and the other goes on, down to true.
+			for j, id := range in {
+				v := s.b.VarOf(id)
+				lo, hi := s.m.Restrict(f, v, false), s.m.Restrict(f, v, true)
+				switch {
+				case lo == bdd.False:
+					f = hi
+					minterms[i] |= 1 << j
+				case hi == bdd.False:
+					f = lo
+				default:
+					return false
+				}
+			}
+			if f != bdd.True {
+				return false
+			}
 		}
-		tab, ok := bitsim.TableOf(nl, o, in)
-		if !ok {
-			return nil
-		}
-		bitsv := tab.Bits
-		if activeLow {
-			bitsv = ^bitsv & truth.Mask(k)
-		}
-		if bits.OnesCount64(bitsv) != 1 {
-			return nil
-		}
-		minterms[i] = bits.TrailingZeros64(bitsv)
+		return true
+	})
+	if !proven {
+		return nil
 	}
 	pol := "ah"
 	if activeLow {
@@ -691,9 +682,9 @@ func planDecoder(nl *netlist.Netlist, m *module.Module) *instance {
 }
 
 // planParity lowers an xor tree. Leaves may repeat (a net feeding the
-// tree twice cancels), so the proof enumerates the distinct leaves and
-// expects the parity of the odd-multiplicity subset.
-func planParity(nl *netlist.Netlist, m *module.Module) *instance {
+// tree twice cancels), so the proof reads the distinct leaves and expects
+// the parity of those that occur an odd number of times.
+func (p *plan) planParity(nl *netlist.Netlist, m *module.Module) *instance {
 	in, out := m.Port("in"), m.Port("out")
 	if len(out) != 1 || len(in) < 2 {
 		return nil
@@ -706,16 +697,6 @@ func planParity(nl *netlist.Netlist, m *module.Module) *instance {
 		}
 		mult[id]++
 	}
-	var oddMask uint
-	for i, id := range order {
-		if mult[id]%2 == 1 {
-			oddMask |= 1 << uint(i)
-		}
-	}
-	f := func(row uint) bool { return bits.OnesCount(row&oddMask)%2 == 1 }
-	if !exactFunc(nl, out[0], order, f) {
-		return nil
-	}
 	odd := make([]netlist.ID, 0, len(order))
 	for _, id := range order {
 		if mult[id]%2 == 1 {
@@ -724,6 +705,18 @@ func planParity(nl *netlist.Netlist, m *module.Module) *instance {
 	}
 	if len(odd) == 0 {
 		return nil // constant zero; leave as residual logic
+	}
+	s := p.portProof(nl, order)
+	proven := s.run(func() bool {
+		f, ok := s.fn(out[0], order...)
+		want := bdd.False
+		for _, id := range odd {
+			want = s.m.Xor(want, s.v(id))
+		}
+		return ok && f == want
+	})
+	if !proven {
+		return nil
 	}
 	covered := coverableElements(nl, m, false, order)
 	if !containsAll(covered, out) {
@@ -738,21 +731,33 @@ func planParity(nl *netlist.Netlist, m *module.Module) *instance {
 }
 
 // planPopCount lowers a population counter whose count word is the low
-// bits of popcount(in), proven exhaustively.
-func planPopCount(nl *netlist.Netlist, m *module.Module) *instance {
+// bits of popcount(in).
+func (p *plan) planPopCount(nl *netlist.Netlist, m *module.Module) *instance {
 	in, count := m.Port("in"), m.Port("count")
 	k := len(in)
 	if k < 3 || k > maxExactVars || len(count) < 2 {
 		return nil
 	}
-	for j, c := range count {
-		jj := j
-		ok := exactFunc(nl, c, in, func(row uint) bool {
-			return bits.OnesCount(row)>>uint(jj)&1 == 1
-		})
-		if !ok {
-			return nil
+	s := p.portProof(nl, in)
+	proven := s.run(func() bool {
+		xs := make([]bdd.Ref, k)
+		for i, id := range in {
+			xs[i] = s.v(id)
 		}
+		word := s.m.PopCount(xs)
+		for j, c := range count {
+			want := bdd.False
+			if j < len(word) {
+				want = word[j]
+			}
+			if f, ok := s.fn(c, in...); !ok || f != want {
+				return false
+			}
+		}
+		return true
+	})
+	if !proven {
+		return nil
 	}
 	covered := coverableElements(nl, m, false, in)
 	if !containsAll(covered, count) {
@@ -768,27 +773,13 @@ func planPopCount(nl *netlist.Netlist, m *module.Module) *instance {
 
 // --- sequential planners ---
 
-// seqBDDLimit bounds the node table of one sequential proof. Over the
-// control cut the next-state functions of counters, shift registers and
-// load registers stay linear in their width; a cone that overflows the
-// table keeps its block residual.
-const seqBDDLimit = 1 << 16
-
-// seqProof holds the next-state BDDs of one sequential module over its
-// control cut. A node is a cut leaf (a BDD variable) when it lies outside
-// the module's elements, or when it is an element gate in the D-cones of
-// two or more of the module's latches: the shared enables, resets and
-// conditions. An inverter is never a leaf, so a control and its
-// complement read one variable.
-type seqProof struct {
-	nl *netlist.Netlist
-	m  *bdd.Manager
-	b  *bdd.Builder
-}
-
-// newSeqProof cuts the D-cones of latches, or returns nil when one of
-// them is not a latch. The proof runs on mgr, reset first.
-func newSeqProof(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module, latches []netlist.ID) *seqProof {
+// seqProof opens the proof of a sequential module over its control cut:
+// the D-cones of latches, cut at every node outside the module's elements
+// and at every element gate in the D-cones of two or more of the latches
+// (the shared enables, resets and conditions). An inverter is never a cut,
+// so a control and its complement read one variable. It returns nil when
+// one of latches is not a latch.
+func (p *plan) seqProof(nl *netlist.Netlist, m *module.Module, latches []netlist.ID) *proof {
 	elems := make(map[netlist.ID]bool, len(m.Elements))
 	for _, id := range m.Elements {
 		elems[id] = true
@@ -803,16 +794,12 @@ func newSeqProof(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module, latche
 			func(id netlist.ID) bool { return !elems[id] },
 			func(id netlist.ID) { cones[id]++ })
 	}
-	mgr.Reset()
-	mgr.Limit = seqBDDLimit
-	b := bdd.NewBuilder(mgr, nl)
-	b.Leaf = func(id netlist.ID) bool {
+	return p.newProof(nl, func(id netlist.ID) bool {
 		if k, unary := nl.Node(id).UnaryKind(); unary && k == netlist.Not {
 			return false
 		}
 		return !elems[id] || cones[id] >= 2
-	}
-	return &seqProof{nl: nl, m: mgr, b: b}
+	})
 }
 
 // walkD visits each gate of the D-cones of latches once, stopping at the
@@ -835,21 +822,11 @@ func walkD(nl *netlist.Netlist, latches []netlist.ID, cut func(netlist.ID) bool,
 	}
 }
 
-// run evaluates proof under the node limit; an overflow fails the proof,
-// so a block the BDD cannot decide stays residual.
-func (s *seqProof) run(proof func() bool) bool {
-	ok := false
-	return s.m.Run(func() { ok = proof() }) == nil && ok
-}
-
 // next returns the BDD of latch l's next-state function.
-func (s *seqProof) next(l netlist.ID) bdd.Ref { return s.b.Build(s.nl.Fanin(l)[0]) }
-
-// v returns the variable of signal id.
-func (s *seqProof) v(id netlist.ID) bdd.Ref { return s.m.Var(s.b.VarOf(id)) }
+func (s *proof) next(l netlist.ID) bdd.Ref { return s.b.Build(s.nl.Fanin(l)[0]) }
 
 // support returns the signals f depends on, other than drop.
-func (s *seqProof) support(f bdd.Ref, drop ...netlist.ID) []netlist.ID {
+func (s *proof) support(f bdd.Ref, drop ...netlist.ID) []netlist.ID {
 	var out []netlist.ID
 	for _, v := range s.m.Support(f) {
 		if id := s.b.SignalOf(v); !slices.Contains(drop, id) {
@@ -859,17 +836,8 @@ func (s *seqProof) support(f bdd.Ref, drop ...netlist.ID) []netlist.ID {
 	return out
 }
 
-// literal returns the variable and polarity of f when f is one literal.
-func (s *seqProof) literal(f bdd.Ref) (v int, pos, ok bool) {
-	sup := s.m.Support(f)
-	if len(sup) != 1 {
-		return 0, false, false
-	}
-	return sup[0], f == s.m.Var(sup[0]), true
-}
-
 // reset wraps f in an optional synchronous reset: ¬rst ∧ f.
-func (s *seqProof) reset(rst netlist.ID, f bdd.Ref) bdd.Ref {
+func (s *proof) reset(rst netlist.ID, f bdd.Ref) bdd.Ref {
 	if rst != netlist.Nil {
 		f = s.m.And(s.m.Not(s.v(rst)), f)
 	}
@@ -899,9 +867,9 @@ func roles(ctl []netlist.ID, fits func(en, rst netlist.ID) bool) (en, rst netlis
 // The enable and optional reset are the signals D(q_0) reads besides q_0,
 // and every bit must equal ¬rst ∧ (q_i ⊕ (en ∧ q_0 ∧ … ∧ q_{i-1})), with
 // the lower bits complemented for a down counter. The width is not capped.
-func planCounter(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module) *regBlock {
+func (p *plan) planCounter(nl *netlist.Netlist, m *module.Module) *regBlock {
 	q := m.Port("q")
-	s := newSeqProof(mgr, nl, m, q)
+	s := p.seqProof(nl, m, q)
 	if len(q) < 2 || s == nil {
 		return nil
 	}
@@ -950,7 +918,7 @@ func planCounter(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module) *regBl
 // reads; and every stage must equal ¬rst ∧ (en ? prev : q_i). Each lane
 // becomes its own always block, covering its latches and the gates its
 // proof read, and one failed lane keeps the whole module residual.
-func planShift(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module) []*regBlock {
+func (p *plan) planShift(nl *netlist.Netlist, m *module.Module) []*regBlock {
 	var lanes [][]netlist.ID
 	for i := 0; ; i++ {
 		lane := m.Port(fmt.Sprintf("q%d", i))
@@ -962,7 +930,7 @@ func planShift(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module) []*regBl
 		}
 		lanes = append(lanes, lane)
 	}
-	s := newSeqProof(mgr, nl, m, concat(lanes...))
+	s := p.seqProof(nl, m, concat(lanes...))
 	if len(lanes) == 0 || s == nil {
 		return nil
 	}
@@ -1022,9 +990,9 @@ func planShift(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module) []*regBl
 // bit's D|c=1 is one signal, its source bit; D == ITE(c, src, D|c=0) then
 // holds by Shannon expansion, and the proof goes on with D|c=0. The
 // register is proven once every remaining level is the bit's own latch.
-func planRegister(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module) *regBlock {
+func (p *plan) planRegister(nl *netlist.Netlist, m *module.Module) *regBlock {
 	q := m.Port("q")
-	s := newSeqProof(mgr, nl, m, q)
+	s := p.seqProof(nl, m, q)
 	if len(q) < 2 || s == nil {
 		return nil
 	}
@@ -1044,14 +1012,14 @@ func planRegister(mgr *bdd.Manager, nl *netlist.Netlist, m *module.Module) *regB
 		}
 		// peel takes c as the next condition if it is one.
 		peel := func(c netlist.ID) bool {
-			v, pos, ok := s.literal(s.b.Build(c))
+			v, pos, ok := s.m.Literal(s.b.Build(c))
 			if !ok {
 				return false
 			}
 			src := make([]netlist.ID, len(q))
 			rest := make([]bdd.Ref, len(q))
 			for i, d := range level {
-				sv, spos, ok := s.literal(s.m.Restrict(d, v, pos))
+				sv, spos, ok := s.m.Literal(s.m.Restrict(d, v, pos))
 				if !ok || !spos {
 					return false
 				}

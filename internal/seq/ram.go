@@ -421,7 +421,7 @@ func verifyReadBehavior(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, ro
 		for i, v := range selVars {
 			f = mgr.Restrict(f, v, m>>uint(i)&1 == 1)
 		}
-		v, isVar := singleVar(mgr, f)
+		v, _, isVar := mgr.Literal(f)
 		if !isVar {
 			return nil, nil, false
 		}
@@ -442,20 +442,6 @@ func verifyReadBehavior(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, ro
 	selects = netlist.SortedIDs(selects)
 	cells = netlist.SortedIDs(cells)
 	return selects, cells, true
-}
-
-// singleVar reports whether f is exactly a variable or its negation,
-// returning the variable index.
-func singleVar(mgr *bdd.Manager, f bdd.Ref) (int, bool) {
-	sup := mgr.Support(f)
-	if len(sup) != 1 {
-		return 0, false
-	}
-	v := sup[0]
-	if f == mgr.Var(v) || f == mgr.NVar(v) {
-		return v, true
-	}
-	return 0, false
 }
 
 // identifyWriteLogic implements Section III-C.3: for every cell, the D
@@ -516,18 +502,8 @@ func identifyWriteLogic(mgr *bdd.Manager, nl *netlist.Netlist, muxes *bitslice.R
 			refs[i] = r
 		}
 	})
-	if err != nil {
+	if err != nil || !mgr.Exclusive(refs) {
 		return nil, nil, false
-	}
-	for i, r := range refs {
-		if r == bdd.False {
-			return nil, nil, false
-		}
-		for j := i + 1; j < len(refs); j++ {
-			if mgr.And(r, refs[j]) != bdd.False {
-				return nil, nil, false
-			}
-		}
 	}
 
 	for _, info := range infos {

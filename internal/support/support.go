@@ -172,7 +172,7 @@ func verifyClass(nl *netlist.Netlist, c Class, opt Options) *module.Module {
 					fs[i] = mgr.Not(r)
 				}
 			}
-			if !mutuallyExclusive(mgr, fs) {
+			if !mgr.Exclusive(fs) {
 				continue
 			}
 			outs := make([]netlist.ID, len(group))
@@ -346,18 +346,6 @@ func outputGroups(nl *netlist.Netlist, outputs []netlist.ID) [][]int {
 	return groups
 }
 
-// mutuallyExclusive checks that no two functions are simultaneously true.
-func mutuallyExclusive(mgr *bdd.Manager, fs []bdd.Ref) bool {
-	for i := 0; i < len(fs); i++ {
-		for j := i + 1; j < len(fs); j++ {
-			if mgr.And(fs[i], fs[j]) != bdd.False {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // demuxDataInput looks for a support signal implied by every output: a
 // common data/enable input distinguishes a demultiplexer from a plain
 // decoder.
@@ -398,26 +386,8 @@ func checkPopCount(nl *netlist.Netlist, mgr *bdd.Manager, bld *bdd.Builder, c Cl
 		}
 		vars = append(vars, mgr.Var(v))
 	}
-	nBits := 0
-	for 1<<uint(nBits) <= len(vars) {
-		nBits++
-	}
-	count := make([]bdd.Ref, nBits)
-	for i := range count {
-		count[i] = bdd.False
-	}
-	var err error
-	err = mgr.Run(func() {
-		for _, x := range vars {
-			carry := x
-			for i := 0; i < nBits && carry != bdd.False; i++ {
-				newBit := mgr.Xor(count[i], carry)
-				carry = mgr.And(count[i], carry)
-				count[i] = newBit
-			}
-		}
-	})
-	if err != nil {
+	var count []bdd.Ref
+	if mgr.Run(func() { count = mgr.PopCount(vars) }) != nil {
 		return nil
 	}
 	// Match outputs to count bits. The class may also contain internal

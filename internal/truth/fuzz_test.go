@@ -37,7 +37,6 @@ func FuzzCanon(f *testing.F) {
 
 	lib := Library()
 	ix := NewIndex(lib)
-	np := NewIndexWithPolarity(lib)
 
 	f.Fuzz(func(t *testing.T, bitsRaw uint64, nRaw uint8, permSeed uint64) {
 		n := int(nRaw)%MaxVars + 1
@@ -84,18 +83,6 @@ func FuzzCanon(f *testing.F) {
 				}
 				if !ix.inv[invariantKey(cand)] {
 					t.Fatalf("t=%v: hit whose key the index lacks", cand)
-				}
-			}
-			for _, h := range np.Lookup(cand) {
-				if !np.inv[invariantKey(cand)] {
-					t.Fatalf("t=%v: polarity hit whose key the index lacks", cand)
-				}
-				want := cand.Bits
-				if h.OutNegated {
-					want = cand.Not().Bits
-				}
-				if h.Entry.Table.Permute(h.Perm).Bits != want {
-					t.Fatalf("t=%v: polarity hit perm %v broken", cand, h.Perm)
 				}
 			}
 		}

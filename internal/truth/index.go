@@ -20,17 +20,13 @@ package truth
 // for Canon() when some indexed table shares it. Equal canons imply equal
 // invariants, so the check never rejects a hit.
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // Hit is one library entry matched by an Index lookup.
 type Hit struct {
 	Entry Entry
 	// Perm satisfies Entry.Table.Permute(Perm) == t for the looked-up
-	// table t (Entry.Table.Permute(Perm) == t.Not() when OutNegated):
-	// the same contract as Table.MatchAgainst, so Perm[j] names the
+	// table t: the same contract as Table.MatchAgainst, so Perm[j] names the
 	// candidate variable playing formal argument j.
 	Perm []int
 	// Unique reports that Perm is the only permutation satisfying the
@@ -38,10 +34,6 @@ type Hit struct {
 	// other valid permutations exist and MatchAgainst may return a
 	// different — equally valid — one.
 	Unique bool
-	// OutNegated reports that the entry matched with its output
-	// complemented. Only produced by indexes built with polarity closure
-	// (NewIndexWithPolarity).
-	OutNegated bool
 }
 
 type indexKey struct {
@@ -51,9 +43,7 @@ type indexKey struct {
 
 type indexedEntry struct {
 	entry  Entry
-	perm   []int // entry.Table.Permute(perm) == canon of the (possibly negated) table
-	libPos int
-	outNeg bool
+	perm   []int // entry.Table.Permute(perm) == canon of the table
 	unique bool
 }
 
@@ -62,77 +52,32 @@ type indexedEntry struct {
 type Index struct {
 	m     map[indexKey][]indexedEntry
 	arity [MaxVars + 1]bool
-	// inv holds invariantKey of every indexed table: each entry, and its
-	// complement when indexed with polarity closure.
+	// inv holds invariantKey of every indexed table.
 	inv map[uint64]bool
 }
 
 // NewIndex builds the permutation-closure index of lib: a lookup hits
 // exactly the entries MatchAgainst would accept. The default library lists
 // both output polarities explicitly (and2/nand2, or2/nor2, xor2/xnor2,
-// mux2/mux2-inv, ...), so permutation closure is all it needs; libraries
-// that omit complements should use NewIndexWithPolarity.
+// mux2/mux2-inv, ...), so permutation closure is all it needs. Hits
+// surface in library order.
 func NewIndex(lib []Entry) *Index {
-	return newIndex(lib, false)
-}
-
-// NewIndexWithPolarity builds the index with output-polarity (NP) closure:
-// each entry is additionally indexed under the canonical form of its
-// complement, and such hits carry OutNegated. Entries whose complement is
-// permutation-equivalent to the entry itself (e.g. fa-sum) produce no
-// separate negated key.
-func NewIndexWithPolarity(lib []Entry) *Index {
-	return newIndex(lib, true)
-}
-
-func newIndex(lib []Entry, polarity bool) *Index {
 	ix := &Index{
-		m:   make(map[indexKey][]indexedEntry, 2*len(lib)),
-		inv: make(map[uint64]bool, 2*len(lib)),
+		m:   make(map[indexKey][]indexedEntry, len(lib)),
+		inv: make(map[uint64]bool, len(lib)),
 	}
-	for pos, e := range lib {
+	for _, e := range lib {
 		canon, perm := e.Table.Canon()
 		ix.arity[e.Table.N] = true
 		ix.inv[invariantKey(e.Table)] = true
-		ix.add(indexKey{canon.Bits, int8(e.Table.N)}, indexedEntry{
+		k := indexKey{canon.Bits, int8(e.Table.N)}
+		ix.m[k] = append(ix.m[k], indexedEntry{
 			entry:  e,
 			perm:   perm,
-			libPos: pos,
 			unique: automorphismFree(e.Table),
-		})
-		if polarity {
-			not := e.Table.Not()
-			ncanon, nperm := not.Canon()
-			if ncanon.Bits == canon.Bits {
-				continue // self-complementary up to permutation
-			}
-			ix.inv[invariantKey(not)] = true
-			ix.add(indexKey{ncanon.Bits, int8(e.Table.N)}, indexedEntry{
-				entry:  e,
-				perm:   nperm,
-				libPos: pos,
-				outNeg: true,
-				unique: automorphismFree(not),
-			})
-		}
-	}
-	// Hits surface in library order; for a (pathological) library where
-	// one canon key holds both a direct and a negated entry, direct wins
-	// ties.
-	for k := range ix.m {
-		es := ix.m[k]
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].libPos != es[j].libPos {
-				return es[i].libPos < es[j].libPos
-			}
-			return !es[i].outNeg && es[j].outNeg
 		})
 	}
 	return ix
-}
-
-func (ix *Index) add(k indexKey, e indexedEntry) {
-	ix.m[k] = append(ix.m[k], e)
 }
 
 // automorphismFree reports whether the identity is t's only input-
@@ -169,12 +114,6 @@ func automorphismFree(t Table) bool {
 	return auts <= 1
 }
 
-// HasArity reports whether any entry has exactly n variables. Callers use
-// it to skip the Canon() of candidate arities the library cannot match.
-func (ix *Index) HasArity(n int) bool {
-	return n >= 0 && n <= MaxVars && ix.arity[n]
-}
-
 // invariantKey packs a permutation invariant of t into one word: the
 // arity, the weight, and the sorted per-variable weights of the x_i = 1
 // half (bits.OnesCount64(t & x_i)). Permuting inputs permutes those
@@ -204,11 +143,11 @@ func invariantKey(t Table) uint64 {
 // invariantKey no indexed table has cannot match and returns nil without a
 // Canon(); otherwise it costs one Canon() plus one hash probe. The
 // returned hits are in library order; each satisfies
-// Hit.Entry.Table.Permute(Hit.Perm) == t (== t.Not() when OutNegated).
+// Hit.Entry.Table.Permute(Hit.Perm) == t.
 // A nil result means no entry is permutation-equivalent to t — exactly the
 // functions MatchAgainst rejects against every entry.
 func (ix *Index) Lookup(t Table) []Hit {
-	if !ix.HasArity(t.N) || !ix.inv[invariantKey(t)] {
+	if !ix.hasArity(t.N) || !ix.inv[invariantKey(t)] {
 		return nil
 	}
 	canon, pt := t.Canon()
@@ -221,7 +160,7 @@ func (ix *Index) Lookup(t Table) []Hit {
 // t.Permute(pt) == canon, paying a single Canon() for both uses.
 func (ix *Index) LookupCanon(t Table) (hits []Hit, canon Table, pt []int) {
 	canon, pt = t.Canon()
-	if !ix.HasArity(t.N) {
+	if !ix.hasArity(t.N) {
 		return nil, canon, pt
 	}
 	return ix.lookupCanon(canon, pt, t.N), canon, pt
@@ -245,7 +184,11 @@ func (ix *Index) lookupCanon(canon Table, pt []int, n int) []Hit {
 		for j, v := range e.perm {
 			perm[j] = inv[v]
 		}
-		hits[i] = Hit{Entry: e.entry, Perm: perm, Unique: e.unique, OutNegated: e.outNeg}
+		hits[i] = Hit{Entry: e.entry, Perm: perm, Unique: e.unique}
 	}
 	return hits
 }
+
+// hasArity reports whether any entry has exactly n variables, so a lookup
+// skips the Canon() of arities the library cannot match.
+func (ix *Index) hasArity(n int) bool { return n <= MaxVars && ix.arity[n] }

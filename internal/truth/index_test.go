@@ -185,7 +185,7 @@ func TestIndexExhaustiveSmallArity(t *testing.T) {
 
 // TestIndexExhaustive4VarMisses sweeps all 4-variable functions: the
 // library has no 4-input entry, so every lookup must miss, exactly like the
-// oracle (this also exercises the HasArity fast-out).
+// oracle (this also exercises the arity fast-out).
 func TestIndexExhaustive4VarMisses(t *testing.T) {
 	lib := Library()
 	ix := NewIndex(lib)
@@ -233,7 +233,7 @@ func TestIndexRandomWideArity(t *testing.T) {
 // unfilteredLookup is Lookup without the invariant prefilter: Canon()
 // plus the hash probe for every table of an indexed arity.
 func unfilteredLookup(ix *Index, t Table) []Hit {
-	if !ix.HasArity(t.N) {
+	if !ix.hasArity(t.N) {
 		return nil
 	}
 	canon, pt := t.Canon()
@@ -242,9 +242,8 @@ func unfilteredLookup(ix *Index, t Table) []Hit {
 
 // TestLookupPrefilterExact pins the invariant prefilter to the unfiltered
 // lookup on every 1-, 2- and 3-variable table, and on every library entry
-// and its complement under all n! input permutations (720 for mux4), for
-// the plain and the polarity-closed index: same hits, same permutations,
-// same flags.
+// and its complement under all n! input permutations (720 for mux4): same
+// hits, same permutations, same flags.
 func TestLookupPrefilterExact(t *testing.T) {
 	lib := Library()
 	var tables []Table
@@ -259,71 +258,19 @@ func TestLookupPrefilterExact(t *testing.T) {
 			tables = append(tables, g, g.Not())
 		}
 	}
-	for name, ix := range map[string]*Index{"plain": NewIndex(lib), "polarity": NewIndexWithPolarity(lib)} {
-		hits := 0
-		for _, tab := range tables {
-			got, want := ix.Lookup(tab), unfilteredLookup(ix, tab)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s index, t=%v: Lookup %v, unfiltered %v", name, tab, got, want)
-			}
-			if len(got) > 0 {
-				hits++
-			}
+	ix := NewIndex(lib)
+	hits := 0
+	for _, tab := range tables {
+		got, want := ix.Lookup(tab), unfilteredLookup(ix, tab)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("t=%v: Lookup %v, unfiltered %v", tab, got, want)
 		}
-		if hits == 0 {
-			t.Fatalf("%s index: no table hit", name)
+		if len(got) > 0 {
+			hits++
 		}
 	}
-}
-
-// TestIndexPolarityClosure: with polarity closure, the complement of an
-// entry whose complement is NOT in the library (and3 -> nand3) must hit
-// with OutNegated; the plain index and the oracle must keep missing it.
-func TestIndexPolarityClosure(t *testing.T) {
-	lib := Library()
-	plain := NewIndex(lib)
-	np := NewIndexWithPolarity(lib)
-
-	var and3 Entry
-	for _, e := range lib {
-		if e.Class == ClassAnd3 {
-			and3 = e
-		}
-	}
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		nand3 := and3.Table.Not().Permute(rng.Perm(3))
-		if hits := plain.Lookup(nand3); len(hits) != 0 {
-			t.Fatalf("plain index matched nand3 as %v", lookupClasses(hits))
-		}
-		if cls, _ := slowClasses(nand3, lib); cls != nil {
-			t.Fatalf("oracle matched nand3: %v", cls)
-		}
-		hits := np.Lookup(nand3)
-		foundAnd3 := false
-		for _, h := range hits {
-			if h.Entry.Class == ClassAnd3 {
-				foundAnd3 = true
-				if !h.OutNegated {
-					t.Fatal("nand3 hit and3 without OutNegated")
-				}
-				if h.Entry.Table.Permute(h.Perm).Bits != nand3.Not().Bits {
-					t.Fatalf("polarity hit perm %v does not reproduce ~t", h.Perm)
-				}
-			}
-		}
-		if !foundAnd3 {
-			t.Fatalf("polarity index missed nand3 (hits %v)", lookupClasses(hits))
-		}
-	}
-
-	// Direct hits must never be flagged negated, at any polarity setting.
-	for _, e := range lib {
-		for _, h := range np.Lookup(e.Table) {
-			if h.Entry.Class == e.Class && h.OutNegated {
-				t.Errorf("%v matched itself with OutNegated", e.Class)
-			}
-		}
+	if hits == 0 {
+		t.Fatal("no table hit")
 	}
 }
 

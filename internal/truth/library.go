@@ -168,42 +168,10 @@ var defaultIndex struct {
 // DefaultIndex returns the canonical-form index of Library(), built once
 // per process. The default library lists both output polarities of every
 // slice explicitly, so permutation closure (NewIndex) matches exactly what
-// MatchAgainst accepts; no polarity closure is needed. The index is
-// immutable and safe for concurrent use.
+// MatchAgainst accepts. The index is immutable and safe for concurrent use.
 func DefaultIndex() *Index {
 	defaultIndex.once.Do(func() {
 		defaultIndex.ix = NewIndex(Library())
 	})
 	return defaultIndex.ix
-}
-
-// SelectArgs returns, for classes that have select/control arguments, the
-// argument indices that are controls (as opposed to data). Aggregation by
-// common signal groups slices on these arguments.
-func SelectArgs(c Class) []int {
-	switch c {
-	case ClassMux2, ClassMux2Inv:
-		return []int{2}
-	case ClassMux4:
-		return []int{4, 5}
-	case ClassMinterm2:
-		return []int{0, 1}
-	case ClassMinterm3, ClassAnd3, ClassOr3:
-		return nil
-	}
-	return nil
-}
-
-// ChainArgs returns, for classes aggregated by propagated signal, the
-// argument index that receives the propagated value (e.g. carry-in), or -1.
-func ChainArgs(c Class) int {
-	switch c {
-	case ClassFACarry, ClassSubBorrow:
-		return 2 // cin / bin
-	case ClassFASum, ClassXor3Not:
-		return 2
-	case ClassHASum, ClassXnor2:
-		return -1 // parity trees chain on any argument
-	}
-	return -1
 }

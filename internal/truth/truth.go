@@ -13,8 +13,8 @@
 // slow path, MatchAgainst, searches for an input permutation per library
 // entry and remains the reference oracle for tests. The fast path is the
 // canonical-form Index: every library entry's Canon() form is precomputed
-// into a hash table once (NewIndex, with optional output-polarity closure
-// for libraries that do not already contain both polarities). Classifying
+// into a hash table once (NewIndex; the library lists both output
+// polarities of every slice, so no polarity closure is needed). Classifying
 // a cut first checks a cheap permutation invariant (arity, weight and the
 // multiset of cofactor weights) against those of the indexed tables; only
 // a cut whose invariant some indexed table shares pays for one Canon()
@@ -133,20 +133,8 @@ func Compose(mask uint64, args []Table) Table {
 // Eval returns f(row): the value of the function on input row r.
 func (t Table) Eval(row uint) bool { return t.Bits>>(row)&1 == 1 }
 
-// Ones returns the number of satisfying rows.
-func (t Table) Ones() int { return bits.OnesCount64(t.Bits & Mask(t.N)) }
-
-// IsConst reports whether t is a constant function and, if so, its value.
-func (t Table) IsConst() (bool, bool) {
-	m := Mask(t.N)
-	switch t.Bits & m {
-	case 0:
-		return true, false
-	case m:
-		return true, true
-	}
-	return false, false
-}
+// weight returns the number of satisfying rows.
+func (t Table) weight() int { return bits.OnesCount64(t.Bits & Mask(t.N)) }
 
 // Cofactor returns the cofactor of t with variable i fixed to v. The result
 // still has N variables but no longer depends on variable i.
@@ -377,7 +365,7 @@ func (t Table) String() string {
 func (t Table) varSignature(i int) uint64 {
 	c1 := t.Cofactor(i, true)
 	c0 := t.Cofactor(i, false)
-	return uint64(c1.Ones())<<32 | uint64(c0.Ones())
+	return uint64(c1.weight())<<32 | uint64(c0.weight())
 }
 
 // Canon returns the canonical representative of t under input permutation
@@ -466,7 +454,7 @@ func (t Table) MatchAgainst(ref Table) ([]int, bool) {
 	if t.N != ref.N {
 		return nil, false
 	}
-	if t.Ones() != ref.Ones() {
+	if t.weight() != ref.weight() {
 		return nil, false
 	}
 	n := t.N

@@ -27,24 +27,6 @@ func TestClassStrings(t *testing.T) {
 	}
 }
 
-func TestSelectAndChainArgs(t *testing.T) {
-	if got := SelectArgs(ClassMux2); len(got) != 1 || got[0] != 2 {
-		t.Errorf("mux2 selects = %v", got)
-	}
-	if got := SelectArgs(ClassMux4); len(got) != 2 {
-		t.Errorf("mux4 selects = %v", got)
-	}
-	if got := SelectArgs(ClassFASum); got != nil {
-		t.Errorf("fa-sum selects = %v", got)
-	}
-	if ChainArgs(ClassFACarry) != 2 || ChainArgs(ClassSubBorrow) != 2 {
-		t.Error("carry chain args wrong")
-	}
-	if ChainArgs(ClassMux2) != -1 || ChainArgs(ClassHASum) != -1 {
-		t.Error("non-chain classes must report -1")
-	}
-}
-
 func TestVarPanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {

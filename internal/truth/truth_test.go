@@ -40,7 +40,7 @@ func TestCofactorAndDepends(t *testing.T) {
 	a, b, c := Var(0, 3), Var(1, 3), Var(2, 3)
 	f := a.And(b).Or(c) // ab + c
 	f1 := f.Cofactor(2, true)
-	if ok, v := f1.IsConst(); !ok || !v {
+	if f1.Bits != Mask(3) {
 		t.Errorf("f|c=1 should be constant 1, got %v", f1)
 	}
 	f0 := f.Cofactor(2, false)
@@ -262,13 +262,13 @@ func TestMux4Entry(t *testing.T) {
 
 func TestConstAndOnes(t *testing.T) {
 	c1 := Const(true, 4)
-	if ok, v := c1.IsConst(); !ok || !v {
-		t.Error("Const(true) not detected")
+	if c1.Bits != Mask(4) {
+		t.Error("Const(true) is not all ones")
 	}
-	if c1.Ones() != 16 {
-		t.Errorf("Const(true,4).Ones() = %d", c1.Ones())
+	if c1.weight() != 16 {
+		t.Errorf("Const(true,4).weight() = %d", c1.weight())
 	}
-	if Var(0, 4).Ones() != 8 {
-		t.Error("Var ones wrong")
+	if Var(0, 4).weight() != 8 {
+		t.Error("Var weight wrong")
 	}
 }
