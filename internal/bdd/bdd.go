@@ -1,9 +1,9 @@
 // Package bdd implements reduced ordered binary decision diagrams, the
 // functional-analysis workhorse of the paper's RAM, decoder and population
-// counter checks and of the decompiler's template proofs (standing in for
-// the CUDD package the authors use). It keeps the operations those callers
-// share: ITE and its Boolean forms, Restrict, Support, and the one-hot,
-// literal and population-count checks.
+// counter checks and of the decompiler's template proofs and round-trip
+// check (standing in for the CUDD package the authors use). It keeps the
+// operations those callers share: ITE and its Boolean forms, Restrict,
+// Compose, Support, and the one-hot, literal and population-count checks.
 //
 // The manager owns all nodes; functions are identified by Ref values, and
 // two functions are equivalent iff their Refs are equal (canonicity of
@@ -251,6 +251,11 @@ func (m *Manager) Restrict(f Ref, i int, v bool) Ref {
 		return out
 	}
 	return rec(f)
+}
+
+// Compose substitutes g for variable i in f: ITE(g, f|i=1, f|i=0).
+func (m *Manager) Compose(f Ref, i int, g Ref) Ref {
+	return m.ITE(g, m.Restrict(f, i, true), m.Restrict(f, i, false))
 }
 
 // Eval evaluates f under a complete assignment (missing variables default

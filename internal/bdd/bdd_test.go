@@ -107,6 +107,18 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
+func TestCompose(t *testing.T) {
+	m := New(3)
+	a, b, c := m.Var(0), m.Var(1), m.Var(2)
+	f := m.Xor(a, c)
+	if got := m.Compose(f, 2, m.And(a, b)); got != m.And(a, m.Not(b)) {
+		t.Error("a ^ c with c := a&b should be a&~b")
+	}
+	if m.Compose(f, 1, c) != f {
+		t.Error("substituting a variable f does not read should leave f")
+	}
+}
+
 func TestLiteral(t *testing.T) {
 	m := New(3)
 	a, b := m.Var(0), m.Var(1)

@@ -49,12 +49,30 @@ func (b *Builder) VarOf(id netlist.ID) int {
 		return v
 	}
 	v := b.M.AddVar()
-	b.varOf[id] = v
-	b.ids = append(b.ids, id)
+	b.mapVar(id, v)
 	return v
 }
 
-// SignalOf returns the boundary signal mapped to BDD variable v.
+// Bind makes the manager's existing variable v the function of node id, a
+// gate included, so two builders on one manager can share a variable. It
+// adds v's node to the table, which must have room for it.
+func (b *Builder) Bind(id netlist.ID, v int) {
+	b.mapVar(id, v)
+	b.memo[id] = b.M.Var(v)
+}
+
+// mapVar records id as the signal of v, indexed by v: another builder may
+// have allocated some of the manager's variables.
+func (b *Builder) mapVar(id netlist.ID, v int) {
+	b.varOf[id] = v
+	for len(b.ids) <= v {
+		b.ids = append(b.ids, netlist.Nil)
+	}
+	b.ids[v] = id
+}
+
+// SignalOf returns the boundary signal mapped to BDD variable v, or
+// netlist.Nil for a variable bound only through another builder.
 func (b *Builder) SignalOf(v int) netlist.ID { return b.ids[v] }
 
 // HasVar reports whether boundary signal id has been assigned a variable.

@@ -10,13 +10,12 @@
 // leaves the caller re-forces between evaluations. Cone.Eval keeps the
 // lanes independent. That mode refutes candidate module matches before the
 // QBF solver runs (internal/modmatch), refutes decoder/popcount candidates
-// before BDDs are built (internal/support), checks decompiled RTL and its
-// lowering proofs (internal/rtl), witnesses dead counter chains
-// (internal/seq) and tabulates cut functions (TableOf). Cone.EvalPairs runs
-// the paper's five-valued {0, 1, D, D̄, X} symbolic simulation in the
-// D-calculus pair encoding for word propagation (internal/words): each
-// five-valued signal is a pair of lanes holding its D=0 and D=1 values, so
-// one pass checks Pairs independent control assignments. The property
+// before BDDs are built (internal/support) and witnesses dead counter
+// chains (internal/seq). Cone.EvalPairs runs the paper's five-valued
+// {0, 1, D, D̄, X} symbolic simulation in the D-calculus pair encoding for
+// word propagation (internal/words): each five-valued signal is a pair of
+// lanes holding its D=0 and D=1 values, so one pass checks Pairs
+// independent control assignments. The property
 // tests in this package pin both modes to a scalar five-valued reference,
 // node for node.
 package bitsim
@@ -27,7 +26,6 @@ import (
 	"sync"
 
 	"netlistre/internal/netlist"
-	"netlistre/internal/truth"
 )
 
 // Lanes is the number of input patterns one Vector carries.
@@ -433,27 +431,4 @@ func (c *Cone) eval(pairs bool) []Vector {
 		c.out[i] = c.vals[r]
 	}
 	return c.out
-}
-
-// TableOf computes the truth table of root as a function of the given
-// leaves by a single bit-parallel run: leaf i carries the projection
-// pattern of variable i, so all 2^len(leaves) input rows evaluate in one
-// word pass. It returns ok=false when root's value depends on signals
-// other than the leaves (some row stayed X). len(leaves) must be at most
-// truth.MaxVars.
-func TableOf(nl *netlist.Netlist, root netlist.ID, leaves []netlist.ID) (truth.Table, bool) {
-	n := len(leaves)
-	if n > truth.MaxVars {
-		panic("bitsim: TableOf beyond truth.MaxVars")
-	}
-	cone := CompileCone(nl, []netlist.ID{root}, leaves)
-	for i, l := range leaves {
-		cone.Force(l, Known(truth.Var(i, truth.MaxVars).Bits))
-	}
-	v := cone.Eval()[0]
-	mask := truth.Mask(n)
-	if v.Unk&mask != 0 {
-		return truth.Table{}, false
-	}
-	return truth.Table{Bits: v.Val & mask, N: n}, true
 }

@@ -3,8 +3,8 @@ package bitsim
 // Differential tests pinning the bit-parallel engine to a scalar reference
 // simulator of the five-valued D-calculus: lane packing must be exact on
 // {0, 1, X} assignments, the pair encoding must equal the D-calculus at
-// every node (X included), and TableOf must reproduce the truth tables the
-// cut enumerator computes structurally.
+// every node (X included), and a cone evaluated on projection patterns must
+// reproduce the truth tables the cut enumerator computes structurally.
 
 import (
 	"math/rand"
@@ -12,6 +12,7 @@ import (
 
 	"netlistre/internal/cuts"
 	"netlistre/internal/netlist"
+	"netlistre/internal/truth"
 )
 
 // value is a five-valued signal level of the reference simulator.
@@ -689,10 +690,28 @@ func TestVectorInvariant(t *testing.T) {
 	}
 }
 
+// tableOf computes the truth table of root over the given leaves (at most
+// truth.MaxVars) in one bit-parallel run: leaf i carries the projection
+// pattern of variable i, so every input row evaluates in one word pass.
+// It returns ok=false when some row stayed X, that is when root depends on
+// signals other than the leaves.
+func tableOf(nl *netlist.Netlist, root netlist.ID, leaves []netlist.ID) (truth.Table, bool) {
+	cone := CompileCone(nl, []netlist.ID{root}, leaves)
+	for i, l := range leaves {
+		cone.Force(l, Known(truth.Var(i, truth.MaxVars).Bits))
+	}
+	v := cone.Eval()[0]
+	mask := truth.Mask(len(leaves))
+	if v.Unk&mask != 0 {
+		return truth.Table{}, false
+	}
+	return truth.Table{Bits: v.Val & mask, N: len(leaves)}, true
+}
+
 // TestTableOfMatchesCuts: for every cut the enumerator produces, evaluating
 // the root's cone with projection words on the cut leaves must reproduce
 // the cut's truth table bit for bit. This pins the bit-parallel engine to
-// the structural table construction it is meant to accelerate.
+// the structural table construction of internal/cuts.
 func TestTableOfMatchesCuts(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	trials := 40
@@ -708,12 +727,12 @@ func TestTableOfMatchesCuts(t *testing.T) {
 				if len(c.Leaves) == 0 {
 					continue // constant cut: no leaves to project
 				}
-				got, ok := TableOf(nl, id, c.Leaves)
+				got, ok := tableOf(nl, id, c.Leaves)
 				if !ok {
 					t.Fatalf("trial %d root %d leaves %v: cut cone left X rows", trial, id, c.Leaves)
 				}
 				if got != c.Table {
-					t.Fatalf("trial %d root %d leaves %v: TableOf=%v cut table=%v",
+					t.Fatalf("trial %d root %d leaves %v: cone table=%v cut table=%v",
 						trial, id, c.Leaves, got, c.Table)
 				}
 				checked++

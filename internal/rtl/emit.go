@@ -69,7 +69,7 @@ var lutPins = [...]string{".I0(", ".I1(", ".I2(", ".I3(", ".I4(", ".I5("}
 
 // Emit lowers the report's recovered structure over nl into word-level
 // Verilog. A nil report (or one without resolved modules) produces a pure
-// structural passthrough, which the checker verifies fingerprint-exactly.
+// structural passthrough, which the checker proves gate by gate.
 func Emit(nl *netlist.Netlist, rep *core.Report) (*EmitResult, error) {
 	if nl == nil {
 		return nil, fmt.Errorf("rtl: nil netlist")
@@ -377,7 +377,6 @@ func Emit(nl *netlist.Netlist, rep *core.Report) (*EmitResult, error) {
 		NodeName: nodeName,
 		names:    names,
 		lineOf:   lineOf,
-		design:   design,
 		outNames: outNames,
 	}, nil
 }

@@ -1,274 +1,230 @@
 package rtl
 
-// The round-trip equivalence checker. A pure-passthrough emission must
-// elaborate to a netlist isomorphic to the original, so it is compared
-// strictly by netlist.Fingerprint. Once templates or always blocks are
-// involved the expansion is functionally — not structurally — equal, so
-// the check switches to bitsim: identical stimulus on both netlists,
-// comparing every primary output and every latch next-state, exhaustively
-// when the state space is small and with random patterns plus exhaustive
-// small-cone truth tables otherwise. A small cone is one whose support
-// fits a truth table; the supports come from the netlist's one bounded
-// support pass, Netlist.BoundedSupports(truth.MaxVars).
+// The round-trip equivalence checker: one BDD proof at the emission's
+// named nets. Each original input, latch and visible gate is paired with
+// the elaborated node of its emitted name. Inputs and latches are shared
+// variables; in topological order, each named gate pair proved equal over
+// its fanins' functions becomes one more (a cut), and the outputs and
+// latch next-states are proved the same way. A shared variable stands for
+// one function on both sides, so equality over the cuts is equality of
+// the full cones. Functions that differ over the cuts have their latest
+// cut substituted by its own function until they are equal or read only
+// inputs and latches; a signal ends proved, refuted, or unknown when the
+// node table overflows. A passthrough names every gate: it is proved gate
+// by gate.
 
 import (
 	"fmt"
-	"math/bits"
-	"math/rand"
 	"slices"
-	"strings"
 
-	"netlistre/internal/bitsim"
+	"netlistre/internal/bdd"
 	"netlistre/internal/netlist"
-	"netlistre/internal/truth"
 )
-
-// exhaustiveVars is the input+state count up to which the bitsim path
-// enumerates every pattern (2^12 = 64 bit-parallel rounds).
-const exhaustiveVars = 12
-
-// randomRounds is the number of 64-pattern rounds on the random path.
-const randomRounds = 16
 
 // maxMismatchReports bounds EquivResult.Mismatches.
 const maxMismatchReports = 8
 
-// Check re-elaborates an emission and verifies it against the original.
-// A non-nil error means the check could not run (unparseable emission);
-// an inequivalent design is reported in the result, not as an error.
+// Check re-elaborates an emission and proves it equivalent to the
+// original. A non-nil error means the check could not run (unparseable
+// emission); an inequivalent design is reported in the result, not as an
+// error.
 func Check(orig *netlist.Netlist, er *EmitResult) (*EquivResult, error) {
+	res, _, err := prove(orig, er, proofBDDLimit)
+	return res, err
+}
+
+// netPair is an original node and the elaborated node of its emitted name.
+type netPair struct{ o, e netlist.ID }
+
+// signal is one compared signal: a primary output or a latch next-state.
+type signal struct {
+	label string
+	netPair
+}
+
+// proofStats counts what one check proved where, for tests and
+// measurements.
+type proofStats struct {
+	named       int // named gate pairs tried as cuts
+	cuts        int // named gate pairs proved, hence cuts
+	deepCuts    int // cuts proved only after substituting cut variables
+	deepSignals int // compared signals proved only after substituting
+	peak        int // largest node table reached
+}
+
+// pairing is one manager with a builder per netlist, and the pairs bound
+// to its shared variables: variable v reads bound[v], the inputs and
+// latches first, then the gate cuts in the original's topological order.
+type pairing struct {
+	m      *bdd.Manager
+	bo, be *bdd.Builder
+	bound  []netPair
+	vars   int // leading pairs of bound that every proof needs
+	st     *proofStats
+}
+
+// newPairing opens a node table of at most limit nodes with the inputs and
+// latches vars bound.
+func newPairing(orig, elab *netlist.Netlist, vars []netPair, limit int, st *proofStats) *pairing {
+	m := bdd.New(0)
+	m.Limit = limit
+	s := &pairing{m: m, bo: bdd.NewBuilder(m, orig), be: bdd.NewBuilder(m, elab),
+		bound: slices.Clone(vars), vars: len(vars), st: st}
+	s.reset()
+	return s
+}
+
+// bind reads both nodes of p as one fresh variable, a cut when they are
+// gates. It reports false when the table has no room for the variable's
+// node.
+func (s *pairing) bind(p netPair) bool {
+	if s.m.Size() >= s.m.Limit {
+		return false
+	}
+	v := s.m.AddVar()
+	s.bo.Bind(p.o, v)
+	s.be.Bind(p.e, v)
+	s.bound = append(s.bound, p)
+	return true
+}
+
+// reset empties the table and re-binds the bound pairs that fit.
+func (s *pairing) reset() {
+	s.m.Reset()
+	s.bo.Reset()
+	s.be.Reset()
+	kept := s.bound
+	s.bound = s.bound[:0] // bind rewrites each kept pair in its own slot
+	for _, p := range kept {
+		if !s.bind(p) {
+			break
+		}
+	}
+}
+
+// equal proves or refutes that both nodes of p compute one function. It
+// compares their expansions over the bound variables; while they differ,
+// it substitutes the latest gate cut either reads by that cut's own
+// expansion, which reads only earlier variables, so the comparison ends
+// over the full cones at the latest. deep reports a substitution. ok is
+// false when the table overflowed or the inputs and latches alone do not
+// fit. A full table is reset, so no proof starts in one.
+func (s *pairing) equal(p netPair) (eq, deep, ok bool) {
+	if len(s.bound) < s.vars {
+		return false, false, false
+	}
+	err := s.m.Run(func() {
+		fo, fe := s.bo.Expand(p.o), s.be.Expand(p.e)
+		for fo != fe {
+			v := -1 // the latest variable fo or fe reads
+			for _, f := range [2]bdd.Ref{fo, fe} {
+				if sup := s.m.Support(f); len(sup) > 0 {
+					v = max(v, sup[len(sup)-1])
+				}
+			}
+			if v < s.vars {
+				return // differ over the inputs and latches
+			}
+			def := s.bo.Expand(s.bound[v].o)
+			fo, fe = s.m.Compose(fo, v, def), s.m.Compose(fe, v, def)
+			deep = true
+		}
+		eq = true
+	})
+	s.st.peak = max(s.st.peak, s.m.Size())
+	if err != nil || s.m.Size() >= s.m.Limit {
+		s.reset()
+	}
+	return eq, deep, err == nil
+}
+
+// prove elaborates the emission and proves it against orig on a node table
+// of at most limit nodes.
+func prove(orig *netlist.Netlist, er *EmitResult, limit int) (*EquivResult, proofStats, error) {
+	var st proofStats
 	if orig == nil || er == nil {
-		return nil, fmt.Errorf("rtl: nil arguments to Check")
+		return nil, st, fmt.Errorf("rtl: nil arguments to Check")
 	}
 	if len(er.names) != orig.Len() {
-		return nil, fmt.Errorf("rtl: emission names %d nodes, netlist has %d", len(er.names), orig.Len())
+		return nil, st, fmt.Errorf("rtl: emission names %d nodes, netlist has %d", len(er.names), orig.Len())
 	}
 	elab, err := elaborate(string(er.Verilog))
 	if err != nil {
-		return nil, fmt.Errorf("rtl: emitted RTL does not elaborate: %w", err)
+		return nil, st, fmt.Errorf("rtl: emitted RTL does not elaborate: %w", err)
 	}
-	res := &EquivResult{}
-	if er.Stats.Instances == 0 && er.Stats.AlwaysBlocks == 0 {
-		rc := renamedCopy(orig, er)
-		if rc.Fingerprint() == elab.Fingerprint() {
-			res.Equivalent = true
-			res.Method = "fingerprint"
-			return res, nil
-		}
-		res.FingerprintMismatch = true
-	}
-	res.Method = "bitsim"
-	bitsimCompare(orig, elab, er, res)
-	return res, nil
-}
-
-// renamedCopy rebuilds orig with the emitted node, output, and design
-// names applied, so a passthrough emission is fingerprint-comparable.
-func renamedCopy(orig *netlist.Netlist, er *EmitResult) *netlist.Netlist {
-	nl := netlist.New(er.design)
-	newID := make([]netlist.ID, orig.Len())
-	var anyID netlist.ID = netlist.Nil
-	for id := netlist.ID(0); int(id) < orig.Len(); id++ {
-		name := er.names[id]
-		switch k := orig.Kind(id); {
-		case k == netlist.Input:
-			newID[id] = nl.AddInput(name)
-		case k == netlist.Const0 || k == netlist.Const1:
-			newID[id] = nl.AddConst(k == netlist.Const1)
-			if nl.Node(newID[id]).Name == "" {
-				nl.SetName(newID[id], name)
-			}
-		case k == netlist.Latch:
-			ph := anyID
-			if f := orig.Fanin(id)[0]; f < id {
-				ph = newID[f]
-			}
-			newID[id] = nl.AddNamedLatch(name, ph)
-		default:
-			fanin := make([]netlist.ID, len(orig.Fanin(id)))
-			for i, f := range orig.Fanin(id) {
-				fanin[i] = newID[f]
-			}
-			newID[id] = nl.AddGateLike(orig.Node(id), fanin...)
-			nl.SetName(newID[id], name)
-		}
-		if anyID == netlist.Nil {
-			anyID = newID[id]
-		}
-	}
-	for _, l := range orig.Latches() {
-		nl.SetLatchD(newID[l], newID[orig.Fanin(l)[0]])
-	}
-	for i, o := range orig.Outputs() {
-		nl.MarkOutput(er.outNames[i], newID[o.Driver])
-	}
-	return nl
-}
-
-// signalPair is one compared signal: a primary output or a latch D.
-type signalPair struct {
-	label string
-	o, e  netlist.ID // the compared nodes in orig / elab
-}
-
-func bitsimCompare(orig, elab *netlist.Netlist, er *EmitResult, res *EquivResult) {
+	res := &EquivResult{Method: "bdd"}
 	fail := func(format string, a ...any) {
-		res.Equivalent = false
 		if len(res.Mismatches) < maxMismatchReports {
 			res.Mismatches = append(res.Mismatches, fmt.Sprintf(format, a...))
 		}
 	}
-
-	// Pair the free variables (inputs and latch outputs) by emitted name.
-	type varPair struct{ o, e netlist.ID }
-	var vars []varPair
-	pairVar := func(id netlist.ID, wantKind netlist.Kind, what string) bool {
-		name := er.names[id]
-		if name == "" {
-			fail("%s %s has no emitted name", what, orig.NameOf(id))
-			return false
-		}
-		eid := elab.FindByName(name)
-		if eid == netlist.Nil || elab.Kind(eid) != wantKind {
-			fail("%s %s missing from elaboration", what, name)
-			return false
-		}
-		vars = append(vars, varPair{o: id, e: eid})
-		return true
-	}
-	origInputs := orig.Inputs()
-	for _, id := range origInputs {
-		if !pairVar(id, netlist.Input, "input") {
-			return
-		}
-	}
-	if n := len(elab.Inputs()); n != len(origInputs) {
-		fail("input count differs: %d vs %d", len(origInputs), n)
-		return
-	}
-	origLatches := orig.Latches()
-	for _, id := range origLatches {
-		if !pairVar(id, netlist.Latch, "state bit") {
-			return
-		}
-	}
-	if len(elab.Latches()) != len(origLatches) {
-		fail("state bit count differs: %d vs %d", len(origLatches), len(elab.Latches()))
-		return
+	vars, signals, ok := pairSignals(orig, elab, er, fail)
+	if !ok {
+		return res, st, nil
 	}
 
-	// Compared signals: primary outputs and latch next-states.
-	var pairs []signalPair
-	eOuts := elab.Outputs()
-	if len(eOuts) != len(orig.Outputs()) {
-		fail("output count differs: %d vs %d", len(orig.Outputs()), len(eOuts))
-		return
+	s := newPairing(orig, elab, vars, limit, &st)
+	for _, id := range orig.TopoOrder() {
+		if er.names[id] == "" || !orig.Kind(id).IsGate() {
+			continue
+		}
+		p := netPair{id, elab.FindByName(er.names[id])}
+		if p.e == netlist.Nil || !elab.Kind(p.e).IsGate() {
+			continue
+		}
+		st.named++
+		if eq, deep, _ := s.equal(p); eq && s.bind(p) {
+			st.cuts++
+			if deep {
+				st.deepCuts++
+			}
+		}
 	}
-	for i, o := range orig.Outputs() {
+	for _, sg := range signals {
+		switch eq, deep, ok := s.equal(sg.netPair); {
+		case !ok:
+			res.Unknown++
+			fail("%s unknown: BDD node limit reached", sg.label)
+		case !eq:
+			res.Refuted++
+			fail("%s differs", sg.label)
+		default:
+			res.Proved++
+			if deep {
+				st.deepSignals++
+			}
+		}
+	}
+	res.Equivalent = res.Proved == len(signals)
+	return res, st, nil
+}
+
+// pairSignals pairs the original inputs and latches with their elaborated
+// namesakes, inputs first, and lists the compared signals. It reports a
+// structural difference through fail and returns ok false.
+func pairSignals(orig, elab *netlist.Netlist, er *EmitResult, fail func(string, ...any)) (vars []netPair, signals []signal, ok bool) {
+	ins, lats, outs, eOuts := orig.Inputs(), orig.Latches(), orig.Outputs(), elab.Outputs()
+	if n, m := len(elab.Inputs()), len(elab.Latches()); n != len(ins) || m != len(lats) || len(eOuts) != len(outs) {
+		fail("inputs, state bits, outputs: %d, %d, %d vs %d, %d, %d", len(ins), len(lats), len(outs), n, m, len(eOuts))
+		return nil, nil, false
+	}
+	for _, id := range append(slices.Clip(ins), lats...) {
+		e := elab.FindByName(er.names[id])
+		if er.names[id] == "" || e == netlist.Nil || elab.Kind(e) != orig.Kind(id) {
+			fail("%s %s missing from elaboration", orig.Kind(id), orig.NameOf(id))
+			return nil, nil, false
+		}
+		vars = append(vars, netPair{id, e})
+	}
+	for i, o := range outs {
 		if eOuts[i].Name != er.outNames[i] {
 			fail("output %d renamed to %s", i, eOuts[i].Name)
-			return
+			return nil, nil, false
 		}
-		pairs = append(pairs, signalPair{
-			label: "output " + er.outNames[i], o: o.Driver, e: eOuts[i].Driver})
+		signals = append(signals, signal{"output " + er.outNames[i], netPair{o.Driver, eOuts[i].Driver}})
 	}
-	// vars holds input pairs first, then latch pairs in origLatches
-	// order, so vars[len(inputs)+i].e is the elaborated latch for
-	// origLatches[i]; its fanin is the elaborated next-state.
-	for i, id := range origLatches {
-		pairs = append(pairs, signalPair{
-			label: "state " + er.names[id],
-			o:     orig.Fanin(id)[0], e: elab.Fanin(vars[len(origInputs)+i].e)[0]})
+	for _, p := range vars[len(ins):] {
+		signals = append(signals, signal{"state " + er.names[p.o], netPair{orig.Fanin(p.o)[0], elab.Fanin(p.e)[0]}})
 	}
-
-	var oRoots, eRoots []netlist.ID
-	for _, pr := range pairs {
-		oRoots = append(oRoots, pr.o)
-		eRoots = append(eRoots, pr.e)
-	}
-
-	nVars := len(vars)
-	exhaustive := nVars <= exhaustiveVars
-	rounds := randomRounds
-	if exhaustive {
-		rounds = (1<<uint(nVars) + bitsim.Lanes - 1) / bitsim.Lanes
-	}
-	// Every var is an input or latch, so a leaf of both cones already.
-	oCone := bitsim.CompileCone(orig, oRoots, nil)
-	eCone := bitsim.CompileCone(elab, eRoots, nil)
-	rng := rand.New(rand.NewSource(1))
-	bad := make([]bool, len(pairs)) // by pair; labels are distinct
-	for round := 0; round < rounds; round++ {
-		var mask uint64 = ^uint64(0)
-		if exhaustive {
-			base := round * bitsim.Lanes
-			total := 1 << uint(nVars)
-			if rem := total - base; rem < bitsim.Lanes {
-				mask = 1<<uint(rem) - 1
-			}
-			for vi, vp := range vars {
-				var w uint64
-				for lane := 0; lane < bitsim.Lanes && base+lane < total; lane++ {
-					if (base+lane)>>uint(vi)&1 == 1 {
-						w |= 1 << uint(lane)
-					}
-				}
-				oCone.Force(vp.o, bitsim.Known(w))
-				eCone.Force(vp.e, bitsim.Known(w))
-			}
-		} else {
-			for _, vp := range vars {
-				v := rng.Uint64()
-				oCone.Force(vp.o, bitsim.Known(v))
-				eCone.Force(vp.e, bitsim.Known(v))
-			}
-		}
-		oRes, eRes := oCone.Eval(), eCone.Eval()
-		for i, pr := range pairs {
-			if bad[i] {
-				continue
-			}
-			vo, ve := oRes[i], eRes[i]
-			if (vo.Val^ve.Val)&mask&^vo.Unk&^ve.Unk != 0 || (vo.Unk^ve.Unk)&mask != 0 {
-				bad[i] = true
-				fail("%s differs under simulation", pr.label)
-			}
-		}
-		res.Patterns += bits.OnesCount64(mask)
-	}
-
-	// Exhaustive small-cone comparison: for every compared signal whose
-	// original support fits a truth table, require identical tables.
-	sup := orig.BoundedSupports(truth.MaxVars)
-	var leaves, eLeaves []netlist.ID
-	for i, pr := range pairs {
-		if bad[i] || sup.Wide(pr.o) {
-			continue
-		}
-		leaves = append(leaves[:0], sup.Of(pr.o)...)
-		slices.SortFunc(leaves, func(a, b netlist.ID) int {
-			return strings.Compare(er.names[a], er.names[b])
-		})
-		eLeaves = eLeaves[:0]
-		for _, l := range leaves {
-			if el := elab.FindByName(er.names[l]); el != netlist.Nil {
-				eLeaves = append(eLeaves, el)
-			}
-		}
-		if len(eLeaves) != len(leaves) {
-			continue
-		}
-		to, ok1 := bitsim.TableOf(orig, pr.o, leaves)
-		te, ok2 := bitsim.TableOf(elab, pr.e, eLeaves)
-		if !ok1 || !ok2 {
-			continue // the elaborated cone widened; random patterns cover it
-		}
-		res.ExactCones++
-		if to.Bits&truth.Mask(to.N) != te.Bits&truth.Mask(te.N) || to.N != te.N {
-			bad[i] = true
-			fail("%s differs on exhaustive cone table", pr.label)
-		}
-	}
-
-	res.Equivalent = len(res.Mismatches) == 0
+	return vars, signals, true
 }

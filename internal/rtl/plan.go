@@ -82,11 +82,13 @@ type plan struct {
 	bld *bdd.Builder
 
 	// Per-candidate scratch, drawn from the netlist's pooled visited sets:
-	// a combinational proof's port bits, and admit's candidate cover (its
-	// members also listed in cover), its exposed nets, the nets it names,
-	// and the walks' visited set.
-	ports, inCover, exposedNow, ownRefs, seen *netlist.VisitSet
-	cover, stack                              []netlist.ID
+	// a combinational proof's port bits; a sequential proof's module
+	// elements, the element gates of some latch's D-cone and those of two
+	// or more; admit's candidate cover (its members also listed in cover),
+	// its exposed nets and the nets it names; and the walks' visited set.
+	ports, elems, inD, shared          *netlist.VisitSet
+	inCover, exposedNow, ownRefs, seen *netlist.VisitSet
+	cover, stack                       []netlist.ID
 }
 
 // newPlan returns an empty plan over nl.
@@ -106,6 +108,20 @@ func newPlan(nl *netlist.Netlist) *plan {
 	return p
 }
 
+// drawScratch draws the plan's visited sets from nl's pool and returns the
+// function that hands them back.
+func (p *plan) drawScratch(nl *netlist.Netlist) (release func()) {
+	sets := []**netlist.VisitSet{&p.ports, &p.elems, &p.inD, &p.shared, &p.inCover, &p.exposedNow, &p.ownRefs, &p.seen}
+	for _, s := range sets {
+		*s = nl.Visits()
+	}
+	return func() {
+		for _, s := range sets {
+			(*s).Release()
+		}
+	}
+}
+
 // hidden reports whether id is covered and not re-exposed.
 func (p *plan) hidden(id netlist.ID) bool { return p.covered[id] && !p.exposed[id] }
 
@@ -116,13 +132,7 @@ func (p *plan) hidden(id netlist.ID) bool { return p.covered[id] && !p.exposed[i
 // overlap resolution), taken from rep.All in order.
 func buildPlans(nl *netlist.Netlist, rep *core.Report) *plan {
 	p := newPlan(nl)
-	sets := []*netlist.VisitSet{nl.Visits(), nl.Visits(), nl.Visits(), nl.Visits(), nl.Visits()}
-	defer func() {
-		for _, s := range sets {
-			s.Release()
-		}
-	}()
-	p.ports, p.inCover, p.exposedNow, p.ownRefs, p.seen = sets[0], sets[1], sets[2], sets[3], sets[4]
+	defer p.drawScratch(nl)()
 	for _, m := range rep.Resolved {
 		if m.Type != module.RAM {
 			p.lower(nl, m)
@@ -780,43 +790,50 @@ func (p *plan) planPopCount(nl *netlist.Netlist, m *module.Module) *instance {
 // so a control and its complement read one variable. It returns nil when
 // one of latches is not a latch.
 func (p *plan) seqProof(nl *netlist.Netlist, m *module.Module, latches []netlist.ID) *proof {
-	elems := make(map[netlist.ID]bool, len(m.Elements))
+	p.elems.Reset()
 	for _, id := range m.Elements {
-		elems[id] = true
+		p.elems.Visit(id)
 	}
-	// cones counts, per element gate, the latches whose D-cone holds it.
-	cones := map[netlist.ID]int{}
+	p.inD.Reset()
+	p.shared.Reset()
 	for _, l := range latches {
 		if nl.Kind(l) != netlist.Latch {
 			return nil
 		}
-		walkD(nl, []netlist.ID{l},
-			func(id netlist.ID) bool { return !elems[id] },
-			func(id netlist.ID) { cones[id]++ })
+		p.walkD(nl, []netlist.ID{l},
+			func(id netlist.ID) bool { return !p.elems.Seen(id) },
+			func(id netlist.ID) {
+				if !p.inD.Visit(id) {
+					p.shared.Visit(id)
+				}
+			})
 	}
 	return p.newProof(nl, func(id netlist.ID) bool {
 		if k, unary := nl.Node(id).UnaryKind(); unary && k == netlist.Not {
 			return false
 		}
-		return !elems[id] || cones[id] >= 2
+		return !p.elems.Seen(id) || p.shared.Seen(id)
 	})
 }
 
 // walkD visits each gate of the D-cones of latches once, stopping at the
-// nodes cut reports without visiting them.
-func walkD(nl *netlist.Netlist, latches []netlist.ID, cut func(netlist.ID) bool, visit func(netlist.ID)) {
-	var stack []netlist.ID
+// nodes cut reports without visiting them. It uses the plan's walk
+// scratch, so visit must not start another walk.
+func (p *plan) walkD(nl *netlist.Netlist, latches []netlist.ID, cut func(netlist.ID) bool, visit func(netlist.ID)) {
+	seen := p.seen
+	seen.Reset()
+	stack := p.stack[:0]
+	defer func() { p.stack = stack[:0] }()
 	for _, l := range latches {
 		stack = append(stack, nl.Fanin(l)[0])
 	}
-	seen := map[netlist.ID]bool{}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[id] || !nl.Kind(id).IsGate() || cut(id) {
+		if seen.Seen(id) || !nl.Kind(id).IsGate() || cut(id) {
 			continue
 		}
-		seen[id] = true
+		seen.Visit(id)
 		visit(id)
 		stack = append(stack, nl.Fanin(id)...)
 	}
@@ -979,7 +996,7 @@ func (p *plan) planShift(nl *netlist.Netlist, m *module.Module) []*regBlock {
 		for _, l := range rb.q {
 			add(l)
 		}
-		walkD(nl, rb.q, s.b.Leaf, add)
+		p.walkD(nl, rb.q, s.b.Leaf, add)
 	}
 	return out
 }

@@ -69,7 +69,7 @@ func TestSeqPlannersRejectNearMisses(t *testing.T) {
 		}
 		m := handModule(nl, module.Counter, map[string][]netlist.ID{"q": q})
 		m.SetAttr("direction", "up")
-		return newPlan(nl).planCounter(nl, m) != nil
+		return seqPlanner(nl).planCounter(nl, m) != nil
 	}
 	// shift: bit 2 loads q0 instead of q1 when broken.
 	shift := func(broken bool) bool {
@@ -85,7 +85,7 @@ func TestSeqPlannersRejectNearMisses(t *testing.T) {
 			}
 			return q[i-1]
 		})
-		return newPlan(nl).planShift(nl, handModule(nl, module.ShiftRegister, map[string][]netlist.ID{"q0": q})) != nil
+		return seqPlanner(nl).planShift(nl, handModule(nl, module.ShiftRegister, map[string][]netlist.ID{"q0": q})) != nil
 	}
 	// register: bit 1's hold leg is bit 2's latch when broken.
 	register := func(broken bool) bool {
@@ -101,7 +101,7 @@ func TestSeqPlannersRejectNearMisses(t *testing.T) {
 			nl.SetLatchD(q[i], gen.Mux2(nl, we, hold, d[i]))
 		}
 		m := handModule(nl, module.MultibitRegister, map[string][]netlist.ID{"q": q, "cond": {we}})
-		return newPlan(nl).planRegister(nl, m) != nil
+		return seqPlanner(nl).planRegister(nl, m) != nil
 	}
 	// two shift lanes: the second lane shifts on its own enable when broken.
 	lanes := func(broken bool) bool {
@@ -123,7 +123,7 @@ func TestSeqPlannersRejectNearMisses(t *testing.T) {
 			})
 			ports[fmt.Sprintf("q%d", l)] = q
 		}
-		return newPlan(nl).planShift(nl, handModule(nl, module.ShiftRegister, ports)) != nil
+		return seqPlanner(nl).planShift(nl, handModule(nl, module.ShiftRegister, ports)) != nil
 	}
 	for name, planned := range map[string]func(bool) bool{
 		"counter": counter, "shift": shift, "register": register, "lanes": lanes,
@@ -135,6 +135,14 @@ func TestSeqPlannersRejectNearMisses(t *testing.T) {
 			t.Errorf("%s: the near miss was lowered", name)
 		}
 	}
+}
+
+// seqPlanner returns an empty plan over nl with its scratch drawn, for
+// calling a sequential planner directly.
+func seqPlanner(nl *netlist.Netlist) *plan {
+	p := newPlan(nl)
+	p.drawScratch(nl)
+	return p
 }
 
 // lowered reports whether the planner lowers m, resolved alone, to a

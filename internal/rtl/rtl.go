@@ -18,11 +18,11 @@
 //
 // Check re-reads the emitted text through a bounded structural elaborator
 // (Elaborate) that expands template instances and always blocks back to
-// gates, then verifies the expansion against the original netlist: by
-// netlist.Fingerprint when the emission was pure passthrough (gate-exact
-// by construction), and by bitsim random-pattern plus exhaustive
-// small-cone comparison otherwise. The verdict is machine-readable
-// (EquivResult) so CLIs and services can gate on it.
+// gates, then proves the expansion equal to the original netlist with
+// BDDs cut at the emission's named nets: every output and latch
+// next-state is proved, refuted, or left unknown when its proof outgrows
+// the node limit. The verdict is machine-readable (EquivResult) so CLIs
+// and services can gate on it.
 //
 // Emission is deterministic: all ordering and naming decisions key on net
 // names, never raw node IDs, so the output is byte-identical across
@@ -82,18 +82,17 @@ func (r *EmitResult) LineOf(id netlist.ID) int {
 }
 
 // EquivResult is the machine-readable verdict of the round-trip check.
+// Each compared signal (a primary output or a latch next-state) is
+// proved, refuted, or unknown when its proof outgrew the BDD node limit;
+// an unknown signal is never counted as either answer.
 type EquivResult struct {
+	// Equivalent holds only when every compared signal is proved.
 	Equivalent bool   `json:"equivalent"`
-	Method     string `json:"method"` // "fingerprint" or "bitsim"
-	// Patterns counts random input patterns simulated on the bitsim path.
-	Patterns int `json:"patterns,omitempty"`
-	// ExactCones counts compared signals whose full truth tables were
-	// checked exhaustively (support small enough for TableOf).
-	ExactCones int `json:"exact_cones,omitempty"`
-	// FingerprintMismatch records that a passthrough emission failed the
-	// strict fingerprint comparison and fell back to bitsim.
-	FingerprintMismatch bool `json:"fingerprint_mismatch,omitempty"`
-	// Mismatches lists up to a handful of differing signals.
+	Method     string `json:"method"` // always "bdd"
+	Proved     int    `json:"proved"`
+	Refuted    int    `json:"refuted"`
+	Unknown    int    `json:"unknown"`
+	// Mismatches lists up to a handful of differing or undecided signals.
 	Mismatches []string `json:"mismatches,omitempty"`
 }
 
@@ -116,6 +115,6 @@ func (e *EquivResult) String() string {
 	if e.Equivalent {
 		state = "equivalent"
 	}
-	return fmt.Sprintf("%s (%s, %d patterns, %d exact cones)",
-		state, e.Method, e.Patterns, e.ExactCones)
+	return fmt.Sprintf("%s (%s, %d proved, %d refuted, %d unknown)",
+		state, e.Method, e.Proved, e.Refuted, e.Unknown)
 }

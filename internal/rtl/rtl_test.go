@@ -36,7 +36,8 @@ func decompileOK(t *testing.T, nl *netlist.Netlist, rep *core.Report) (*EmitResu
 }
 
 // TestPassthroughFingerprint: with no resolved structure the emission is a
-// pure structural passthrough and must verify fingerprint-exactly.
+// pure structural passthrough, which names every gate, so the check must
+// prove it gate by gate.
 func TestPassthroughFingerprint(t *testing.T) {
 	nl := netlist.New("plain")
 	a := nl.AddInput("a")
@@ -46,12 +47,26 @@ func TestPassthroughFingerprint(t *testing.T) {
 	l := nl.AddNamedLatch("state", h)
 	nl.MarkOutput("y", nl.AddGate(netlist.Or, l, a))
 
-	er, eq := decompileOK(t, nl, nil)
-	if eq.Method != "fingerprint" {
-		t.Fatalf("method = %s, want fingerprint (result %v)\n%s", eq.Method, eq, er.Verilog)
-	}
+	er, _ := decompileOK(t, nl, nil)
+	provedGateByGate(t, nl, er)
 	if er.Stats.ResidualGates != 3 || er.Stats.ResidualLatches != 1 {
 		t.Fatalf("stats = %+v", er.Stats)
+	}
+}
+
+// provedGateByGate requires the check of a passthrough emission to prove
+// every gate at its named net over its fanins' cuts, and every compared
+// signal at the cut.
+func provedGateByGate(t *testing.T, nl *netlist.Netlist, er *EmitResult) {
+	t.Helper()
+	eq, st, err := prove(nl, er, proofBDDLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := nl.Stats().Gates
+	if st.named != gates || st.cuts != gates || st.deepCuts != 0 || st.deepSignals != 0 || !eq.Equivalent {
+		t.Fatalf("%d of %d gates proved (%d named), %d gates and %d signals only past the cut, result %v\n%s",
+			st.cuts, gates, st.named, st.deepCuts, st.deepSignals, eq, er.Verilog)
 	}
 }
 
@@ -253,7 +268,7 @@ func TestLineSpansCoverAllNodes(t *testing.T) {
 }
 
 // TestLutRoundTrip: residual LUT cells emit as parameterized re_lut
-// instances and elaborate back to a fingerprint-identical netlist.
+// instances and elaborate back to cells the check proves one by one.
 func TestLutRoundTrip(t *testing.T) {
 	nl := netlist.New("lutted")
 	a := nl.AddInput("a")
@@ -266,10 +281,8 @@ func TestLutRoundTrip(t *testing.T) {
 	st := nl.AddNamedLatch("st", l3)
 	nl.MarkOutput("y", nl.AddLut(0x96969696969696e8, l1, l2, l3, st, a, b))
 
-	er, eq := decompileOK(t, nl, nil)
-	if eq.Method != "fingerprint" {
-		t.Fatalf("method = %s, want fingerprint (result %v)\n%s", eq.Method, eq, er.Verilog)
-	}
+	er, _ := decompileOK(t, nl, nil)
+	provedGateByGate(t, nl, er)
 	text := string(er.Verilog)
 	for _, want := range []string{
 		"re_lut #(.INIT(16'hcafe))",
