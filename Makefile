@@ -127,9 +127,8 @@ ci: build vet
 	test -z "$$(gofmt -l .)"
 	$(GO) test ./...
 	$(GO) test -short -race ./...
-	$(GO) test -race -run 'TestLoadSmoke' -count 1 ./internal/server
-	$(GO) test -race -run 'TestRunServesAndDrainsOnSIGTERM' -count 1 ./cmd/revand
-	$(GO) test -race -run 'TestStageCacheWarmDeterminism|TestStageCacheResumeAfterStageTimeout' -count 1 .
+	$(MAKE) load-smoke
+	$(MAKE) resume-smoke
 	$(MAKE) session-smoke
 	$(MAKE) conformance
 	$(MAKE) decompile-smoke
@@ -137,13 +136,4 @@ ci: build vet
 	$(MAKE) bench-match
 	$(MAKE) bench-smoke
 	$(MAKE) coverage
-	$(GO) test ./internal/netlist -fuzz FuzzReadVerilog -fuzztime 30s
-	$(GO) test ./internal/netlist -fuzz FuzzReadBLIF -fuzztime 30s
-	$(GO) test . -run FuzzReadJSONReport -fuzz FuzzReadJSONReport -fuzztime 30s
-	$(GO) test ./internal/truth -fuzz FuzzCanon -fuzztime 30s
-	$(GO) test ./internal/rtl -fuzz FuzzEmitRTL -fuzztime 30s
-	$(GO) test ./internal/rtl -fuzz FuzzElaborate -fuzztime 30s
-	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzSessionRequest -fuzztime 30s
-	$(GO) test ./internal/server -run 'Fuzz' -fuzz FuzzDiffRequest -fuzztime 30s
-	$(GO) test ./internal/ilp -fuzz FuzzSolve -fuzztime 30s
-	$(GO) test ./internal/qbf -fuzz FuzzSolveForallEqualWord -fuzztime 30s
+	$(MAKE) fuzz

@@ -110,7 +110,7 @@ func gatingGroups(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
 		mod := buildSliceModule(module.Gating, group)
 		mod.Name = fmt.Sprintf("gating-%s[%d]", k.class, len(group))
 		mod.SetPort("ctl", []netlist.ID{k.ctl})
-		mod.SetPort("out", roots(group))
+		mod.SetPort("out", matchRoots(group))
 		out = append(out, mod)
 	}
 	return out
@@ -136,7 +136,7 @@ func muxGroups(nl *netlist.Netlist, ms []*bitslice.Match, class truth.Class) []*
 		}
 		mod := buildSliceModule(module.Mux, group)
 		mod.SetPort("sel", []netlist.ID{sel})
-		mod.SetPort("out", roots(group))
+		mod.SetPort("out", matchRoots(group))
 		mod.SetPort("d0", argColumn(group, 0))
 		mod.SetPort("d1", argColumn(group, 1))
 		if class == truth.ClassMux2Inv {
@@ -177,7 +177,7 @@ func mux4Groups(nl *netlist.Netlist, ms []*bitslice.Match) []*module.Module {
 		mod := buildSliceModule(module.Mux, group)
 		mod.Name = fmt.Sprintf("mux4[%d]", len(group))
 		mod.SetPort("sel", []netlist.ID{k.a, k.b})
-		mod.SetPort("out", roots(group))
+		mod.SetPort("out", matchRoots(group))
 		out = append(out, mod)
 	}
 	return out
@@ -223,7 +223,7 @@ func unknownCandidates(nl *netlist.Netlist, res *bitslice.Result) []*module.Modu
 		mod := buildSliceModule(module.Candidate, group)
 		mod.Name = fmt.Sprintf("candidate[%d]", len(group))
 		mod.SetPort("common", []netlist.ID{best})
-		mod.SetPort("out", roots(group))
+		mod.SetPort("out", matchRoots(group))
 		mod.SetAttr("function", k)
 		out = append(out, mod)
 	}
@@ -267,14 +267,10 @@ func chainModules(nl *netlist.Netlist, res *bitslice.Result, carryClass truth.Cl
 		}
 	}
 	// Sum-slice lookup: sum matches keyed by sorted arg set.
-	sumClass := truth.ClassFASum
-	if carryClass == truth.ClassSubBorrow {
-		// Subtractor difference slices synthesize as plain xor3 as well
-		// (a ^ b ^ bin); keep FASum and also accept Xor3Not.
-		sumClass = truth.ClassFASum
-	}
+	// Adder sums and subtractor differences both synthesize as plain xor3
+	// (a ^ b ^ cin, a ^ b ^ bin); Xor3Not slices are accepted as well.
 	sumByArgs := make(map[string]*bitslice.Match)
-	for _, m := range res.Matches(sumClass) {
+	for _, m := range res.Matches(truth.ClassFASum) {
 		sumByArgs[netlist.Key(netlist.SortedIDs(m.Args))] = m
 	}
 	for _, m := range res.Matches(truth.ClassXor3Not) {
@@ -483,8 +479,6 @@ func dedupeByRoot(ms []*bitslice.Match) []*bitslice.Match {
 	sort.Slice(out, func(i, j int) bool { return out[i].Root < out[j].Root })
 	return out
 }
-
-func roots(ms []*bitslice.Match) []netlist.ID { return matchRoots(ms) }
 
 func matchRoots(ms []*bitslice.Match) []netlist.ID {
 	out := make([]netlist.ID, len(ms))

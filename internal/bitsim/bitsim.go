@@ -9,9 +9,8 @@
 // Every simulation runs on a Cone: a fan-in cone compiled once, whose
 // leaves the caller re-forces between evaluations. Cone.Eval keeps the
 // lanes independent. That mode refutes candidate module matches before the
-// QBF solver runs (internal/modmatch), refutes decoder/popcount candidates
-// before BDDs are built (internal/support) and witnesses dead counter
-// chains (internal/seq). Cone.EvalPairs runs the paper's five-valued
+// QBF solver runs (internal/modmatch) and witnesses dead counter chains
+// (internal/seq). Cone.EvalPairs runs the paper's five-valued
 // {0, 1, D, D̄, X} symbolic simulation in the D-calculus pair encoding for
 // word propagation (internal/words): each five-valued signal is a pair of
 // lanes holding its D=0 and D=1 values, so one pass checks Pairs

@@ -559,7 +559,6 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, opt Options) *Repo
 				h.Int(int64(opt.Overlap.CoverageTarget))
 				h.Bool(opt.Overlap.Sliceable)
 				h.Int(int64(opt.Overlap.MinSlices))
-				h.Int(opt.Overlap.NodeLimit)
 			},
 			run: func(ctx context.Context, in map[string]*artifact.Artifact) (any, int) {
 				mods := mergeMods(in)

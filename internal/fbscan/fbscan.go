@@ -89,13 +89,15 @@ func Find(nl *netlist.Netlist) []*module.Module {
 	}
 	sort.Strings(keys)
 
+	// One BDD builder and its manager serve every plane's select check.
+	bld := bdd.NewBuilder(bdd.New(0), nl)
 	var out []*module.Module
 	for _, k := range keys {
 		group := bySel[k]
 		if len(group) < minCols {
 			continue
 		}
-		if !oneHotSelects(nl, group[0].selects) {
+		if !oneHotSelects(bld, group[0].selects) {
 			continue
 		}
 		var elements, reads []netlist.ID
@@ -121,10 +123,11 @@ func Find(nl *netlist.Netlist) []*module.Module {
 
 // oneHotSelects verifies with a BDD that at most one select is active at a
 // time (the functional check that makes this an exclusive read, not an
-// arbitrary OR plane).
-func oneHotSelects(nl *netlist.Netlist, selects []netlist.ID) bool {
-	mgr := bdd.New(0)
-	bld := bdd.NewBuilder(mgr, nl)
+// arbitrary OR plane), on bld and its manager after resetting both.
+func oneHotSelects(bld *bdd.Builder, selects []netlist.ID) bool {
+	mgr := bld.M
+	mgr.Reset()
+	bld.Reset()
 	refs := make([]bdd.Ref, len(selects))
 	err := mgr.Run(func() {
 		for i, s := range selects {

@@ -39,12 +39,6 @@ type Options struct {
 	// MinSlices is the smallest number of slices a selected sliceable
 	// module must keep (the paper uses 2).
 	MinSlices int
-	// NodeLimit caps the branch-and-bound search of the resolution's ILP
-	// (0 = a default of 200,000 nodes). The basic-formulation warm start
-	// of a sliceable MaxCoverage resolution gets a quarter of it on top.
-	// When the limit is hit the best incumbent is used and Result.Optimal
-	// is false.
-	NodeLimit int64
 	// Interrupt, when non-nil, is polled inside the ILP searches; when it
 	// returns true each remaining search stops at its best incumbent and
 	// Result.Optimal is false (the selection stays feasible and
@@ -52,13 +46,14 @@ type Options struct {
 	Interrupt func() bool
 }
 
-// defaultNodeLimit bounds a resolution's search time. With the Lagrangian
+// defaultNodeLimit caps the branch-and-bound search of a resolution's ILP,
+// which bounds its time; the basic-formulation warm start of a sliceable
+// MaxCoverage resolution gets a quarter of it on top. With the Lagrangian
 // element bound (see newBuilder) and the solver's separate search of
 // independent sub-problems, every sliceable MaxCoverage resolution of the
 // labeled articles proves optimal far under it, riscfpu's in 1,326 nodes,
 // and simplified BigSoC's in under 10,000. A search that does stop at the
-// limit keeps its best incumbent, and Result.Optimal reports the
-// distinction.
+// limit keeps its best incumbent, and Result.Optimal is false.
 const defaultNodeLimit = 200_000
 
 // Result reports the selection.
@@ -86,10 +81,7 @@ func Resolve(mods []*module.Module, opt Options) (Result, error) {
 	if opt.MinSlices <= 0 {
 		opt.MinSlices = 2
 	}
-	if opt.NodeLimit == 0 {
-		opt.NodeLimit = defaultNodeLimit
-	}
-	ilpOpt := ilp.Options{NodeLimit: opt.NodeLimit, Interrupt: opt.Interrupt}
+	ilpOpt := ilp.Options{NodeLimit: defaultNodeLimit, Interrupt: opt.Interrupt}
 	var whole []bool // the modules the basic formulation's optimum selects
 	var warmNodes int64
 	if opt.Sliceable && opt.Objective == MaxCoverage {
@@ -128,7 +120,7 @@ func Resolve(mods []*module.Module, opt Options) (Result, error) {
 func basicSelection(mods []*module.Module, opt Options) ([]bool, int64) {
 	opt.Sliceable = false
 	b := newBuilder(mods, opt)
-	sol, err := ilp.Solve(b.problem, ilp.Options{NodeLimit: opt.NodeLimit / 4, Interrupt: opt.Interrupt})
+	sol, err := ilp.Solve(b.problem, ilp.Options{NodeLimit: defaultNodeLimit / 4, Interrupt: opt.Interrupt})
 	if err != nil {
 		return nil, sol.Nodes
 	}

@@ -16,17 +16,14 @@ import (
 // everything through the global coverage floor and is solved as one
 // program. Selected lists the isolated modules first, in module order,
 // then each component's selection, in the order of its union-find root.
-// NodeLimit caps each component's search.
+// defaultNodeLimit caps each component's search.
 func ResolveByComponent(mods []*module.Module, opt Options) (Result, error) {
 	if opt.MinSlices <= 0 {
 		opt.MinSlices = 2
 	}
-	if opt.NodeLimit == 0 {
-		opt.NodeLimit = defaultNodeLimit
-	}
 	if opt.Objective == MinModules {
 		b := newBuilder(mods, opt)
-		sol, err := ilp.Solve(b.problem, ilp.Options{NodeLimit: opt.NodeLimit, Interrupt: opt.Interrupt})
+		sol, err := ilp.Solve(b.problem, ilp.Options{NodeLimit: defaultNodeLimit, Interrupt: opt.Interrupt})
 		if err != nil {
 			return Result{}, fmt.Errorf("overlap: %w", err)
 		}
@@ -88,7 +85,7 @@ func ResolveByComponent(mods []*module.Module, opt Options) (Result, error) {
 			sub[k] = mods[i]
 		}
 		b := newBuilder(sub, opt)
-		ilpOpt := ilp.Options{NodeLimit: opt.NodeLimit, Interrupt: opt.Interrupt}
+		ilpOpt := ilp.Options{NodeLimit: defaultNodeLimit, Interrupt: opt.Interrupt}
 		if opt.Sliceable {
 			// Warm start the sliceable search with the basic formulation's
 			// optimum: a whole-module selection is always feasible at slice
@@ -97,7 +94,7 @@ func ResolveByComponent(mods []*module.Module, opt Options) (Result, error) {
 			basicOpt := opt
 			basicOpt.Sliceable = false
 			bb := newBuilder(sub, basicOpt)
-			bsol, err := ilp.Solve(bb.problem, ilp.Options{NodeLimit: opt.NodeLimit / 4, Interrupt: opt.Interrupt})
+			bsol, err := ilp.Solve(bb.problem, ilp.Options{NodeLimit: defaultNodeLimit / 4, Interrupt: opt.Interrupt})
 			res.Nodes += bsol.Nodes
 			if err == nil {
 				inc := make([]bool, b.problem.NumVars)

@@ -22,11 +22,11 @@ import (
 func FindRAMs(nl *netlist.Netlist, muxes *bitslice.Result) []*module.Module {
 	order := nl.TopoOrder()
 	marked := markReadLogic(nl, order)
-	// One BDD manager serves every read-root and write-enable check of
-	// the call, reset between checks.
-	mgr := bdd.New(0)
-	bits := readBits(mgr, nl, marked, readRoots(nl, marked, order), order)
-	return ramModules(mgr, nl, marked, bits, muxes)
+	// One BDD builder and its manager serve every read-root and
+	// write-enable check of the call; each check resets both.
+	bld := bdd.NewBuilder(bdd.New(0), nl)
+	bits := readBits(bld, nl, marked, readRoots(nl, marked, order), order)
+	return ramModules(bld, nl, marked, bits, muxes)
 }
 
 // readBit is one verified read-tree root.
@@ -47,7 +47,7 @@ type readBit struct {
 // dropped as interior, and its own cone adds nothing to the interior set.
 // A root still to come is topologically earlier, so its cone cannot hold a
 // root already kept.
-func readBits(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, roots, order []netlist.ID) []readBit {
+func readBits(bld *bdd.Builder, nl *netlist.Netlist, marked []bool, roots, order []netlist.ID) []readBit {
 	rank := make([]int32, nl.Len())
 	for i, id := range order {
 		rank[id] = int32(i)
@@ -64,7 +64,7 @@ func readBits(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, roots, order
 		if interior[root] {
 			continue
 		}
-		sel, cells, ok := verifyReadBehavior(mgr, nl, marked, root)
+		sel, cells, ok := verifyReadBehavior(bld, nl, marked, root)
 		if !ok {
 			continue
 		}
@@ -87,7 +87,7 @@ func readBits(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, roots, order
 
 // ramModules aggregates verified read bits into RAM modules and identifies
 // their write logic.
-func ramModules(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, bits []readBit, muxes *bitslice.Result) []*module.Module {
+func ramModules(bld *bdd.Builder, nl *netlist.Netlist, marked []bool, bits []readBit, muxes *bitslice.Result) []*module.Module {
 	// Aggregate read bits sharing the same select set into one array
 	// (footnote 12 of the paper).
 	bySel := make(map[string][]readBit)
@@ -214,7 +214,7 @@ func ramModules(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, bits []rea
 		m.SetAttr("read-ports", fmt.Sprint(len(ports)))
 
 		if muxes != nil {
-			if weis, writeElems, ok := identifyWriteLogic(mgr, nl, muxes, cells); ok {
+			if weis, writeElems, ok := identifyWriteLogic(bld, nl, muxes, cells); ok {
 				all := append(append([]netlist.ID(nil), m.Elements...), writeElems...)
 				m.SetElements(all)
 				m.SetPort("we", weis)
@@ -381,11 +381,12 @@ func readRoots(nl *netlist.Netlist, marked []bool, order []netlist.ID) []netlist
 // and unmarked nodes, and checks the two properties of Section III-C.2:
 // every select assignment propagates exactly one latch (possibly negated)
 // to the output, and every latch in the support is propagated for some
-// select assignment. It resets mgr first.
-func verifyReadBehavior(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, root netlist.ID) (selects, cells []netlist.ID, ok bool) {
+// select assignment. It resets bld and its manager first.
+func verifyReadBehavior(bld *bdd.Builder, nl *netlist.Netlist, marked []bool, root netlist.ID) (selects, cells []netlist.ID, ok bool) {
+	mgr := bld.M
 	mgr.Reset()
 	mgr.Limit = 1 << 20 // genuine read trees are small; cap runaway cones
-	bld := bdd.NewBuilder(mgr, nl)
+	bld.Reset()
 	// The root is a function of the latches, inputs and unmarked nodes
 	// (Section III-C.2). Unmarked inverters and buffers (gate or 1-input
 	// LUT form) are built through rather than cut: select inverters are
@@ -448,8 +449,8 @@ func verifyReadBehavior(mgr *bdd.Manager, nl *netlist.Netlist, marked []bool, ro
 // input must be a 2:1 mux whose one data leg is the cell itself; the mux
 // select is the write enable. Write enables are grouped (one per word) and
 // checked for satisfiability and pairwise mutual exclusion with BDDs, on
-// mgr after a reset.
-func identifyWriteLogic(mgr *bdd.Manager, nl *netlist.Netlist, muxes *bitslice.Result, cells []netlist.ID) (weis, elements []netlist.ID, ok bool) {
+// bld and its manager after a reset.
+func identifyWriteLogic(bld *bdd.Builder, nl *netlist.Netlist, muxes *bitslice.Result, cells []netlist.ID) (weis, elements []netlist.ID, ok bool) {
 	type writeInfo struct {
 		we       netlist.ID
 		activeLo bool
@@ -488,9 +489,11 @@ func identifyWriteLogic(mgr *bdd.Manager, nl *netlist.Netlist, muxes *bitslice.R
 	}
 
 	// BDD checks: each WE satisfiable, no two WEs simultaneously active.
+	mgr := bld.M
 	mgr.Reset()
 	mgr.Limit = 0 // the default bound
-	bld := bdd.NewBuilder(mgr, nl)
+	bld.Reset()
+	bld.Leaf = nil
 	refs := make([]bdd.Ref, len(wes))
 	err := mgr.Run(func() {
 		for i, we := range wes {

@@ -17,8 +17,9 @@ import (
 // are dropped.
 func everyRootBits(nl *netlist.Netlist, marked []bool, roots []netlist.ID) []readBit {
 	var bits []readBit
+	bld := bdd.NewBuilder(bdd.New(0), nl)
 	for _, root := range roots {
-		if sel, cells, ok := verifyReadBehavior(bdd.New(0), nl, marked, root); ok {
+		if sel, cells, ok := verifyReadBehavior(bld, nl, marked, root); ok {
 			bits = append(bits, readBit{root, sel, cells, nl.ConeOf(root).Nodes})
 		}
 	}
@@ -90,7 +91,7 @@ func TestFindRAMsMatchesEveryRoot(t *testing.T) {
 			t.Errorf("%s: one-pass read-logic marking differs from the fixed point", name)
 		}
 		roots := readRoots(nl, marked, order)
-		want := ramModules(bdd.New(0), nl, marked, everyRootBits(nl, marked, roots), slices)
+		want := ramModules(bdd.NewBuilder(bdd.New(0), nl), nl, marked, everyRootBits(nl, marked, roots), slices)
 		got := FindRAMs(nl, slices)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: top-down FindRAMs differs from verifying every root:\ngot  %v\nwant %v", name, moduleNames(got), moduleNames(want))

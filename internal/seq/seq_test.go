@@ -243,7 +243,7 @@ func TestReadTreeGatedByConstant(t *testing.T) {
 		nl.AddGate(netlist.And, nl.AddGate(netlist.Not, s), l0),
 		nl.AddGate(netlist.And, s, l1))
 	root := nl.AddGate(netlist.And, mux, nl.AddConst(true))
-	selects, cells, ok := verifyReadBehavior(bdd.New(0), nl, markReadLogic(nl, nl.TopoOrder()), root)
+	selects, cells, ok := verifyReadBehavior(bdd.NewBuilder(bdd.New(0), nl), nl, markReadLogic(nl, nl.TopoOrder()), root)
 	if !ok {
 		t.Fatal("constant-gated read tree rejected")
 	}

@@ -7,6 +7,7 @@ package seq
 
 import (
 	"fmt"
+	"slices"
 
 	"netlistre/internal/graph"
 	"netlistre/internal/module"
@@ -91,11 +92,7 @@ func aggregateShiftChains(nl *netlist.Netlist, chains [][]netlist.ID) [][][]netl
 	for l := range byLen {
 		lengths = append(lengths, l)
 	}
-	for i := 1; i < len(lengths); i++ {
-		for j := i; j > 0 && lengths[j] < lengths[j-1]; j-- {
-			lengths[j], lengths[j-1] = lengths[j-1], lengths[j]
-		}
-	}
+	slices.Sort(lengths)
 	var groups [][][]netlist.ID
 	for _, l := range lengths {
 		set := byLen[l]

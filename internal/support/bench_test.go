@@ -7,6 +7,7 @@ import (
 	"netlistre/internal/gen"
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
+	"netlistre/internal/simplify"
 )
 
 // analyzeSink keeps BenchmarkAnalyze's results live.
@@ -14,7 +15,9 @@ var analyzeSink []*module.Module
 
 // BenchmarkAnalyze measures class grouping plus verification, one worker,
 // summed over the gate-level labeled articles and over their LUT-mapped
-// twins (the designs of the gate and lut benchmark workloads).
+// twins (the designs of the gate and lut benchmark workloads), and at two
+// workers on simplified BigSoC with noise seed 1 (the bigsoc workload's
+// first input).
 func BenchmarkAnalyze(b *testing.B) {
 	for _, lut := range []bool{false, true} {
 		name := "gate"
@@ -41,4 +44,12 @@ func BenchmarkAnalyze(b *testing.B) {
 			}
 		})
 	}
+	b.Run("bigsoc", func(b *testing.B) {
+		nl := simplify.Run(gen.SoC("bigsoc", gen.BigSoCCoreNames(), 1, 0.22)).Netlist
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			analyzeSink = Analyze(nl, Options{Workers: 2})
+		}
+	})
 }

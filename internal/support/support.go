@@ -5,19 +5,19 @@
 // combinational fan-in cones, taken from netlist's one bounded support pass
 // (Netlist.BoundedSupports, which merges fanin supports with
 // netlist.MergeIDs) and keyed by netlist.Key, and candidate classes are
-// verified with BDD-based functional checks (Section II-E.2). The class
-// bounds are constants: at most 10 shared inputs, at least 3 outputs and
-// at most 400 cone gates.
+// verified with BDD-based functional checks (Section II-E.2). Each worker
+// keeps one BDD manager and builder for the whole analysis, as the paper's
+// CUDD manager lives for the whole run, and resets them before each class.
+// The class bounds are constants: at most 10 shared inputs, at least 3
+// outputs and at most 400 cone gates.
 package support
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 
 	"netlistre/internal/bdd"
-	"netlistre/internal/bitsim"
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
 	"netlistre/internal/par"
@@ -44,12 +44,6 @@ type Options struct {
 	// when it returns true, Analyze stops and returns the modules
 	// verified so far.
 	Interrupt func() bool
-	// disablePrefilter turns off the bit-parallel simulation prefilter
-	// that refutes candidate classes before their BDDs are built. The
-	// prefilter is sound — it skips a class only when every check
-	// verifyClass could run is witnessed to fail — so only this package's
-	// differential tests set it, for their oracle runs.
-	disablePrefilter bool
 }
 
 // Class is one common-support equivalence class.
@@ -87,14 +81,17 @@ func Classes(nl *netlist.Netlist) []Class {
 }
 
 // Analyze finds decoder, demultiplexer and population-counter modules.
-// Classes are verified concurrently (each builds its own BDD manager);
-// results are collected in class order so the output is deterministic.
+// Classes are verified concurrently, each worker on its own BDD manager and
+// builder, reset before every class so that no class sees another's nodes
+// or variables; results are collected in class order so the output is
+// deterministic.
 func Analyze(nl *netlist.Netlist, opt Options) []*module.Module {
 	cands := slices.DeleteFunc(Classes(nl), func(c Class) bool { return len(c.Outputs) < minOutputs })
 	results := make([]*module.Module, len(cands))
 	par.Do(len(cands), opt.Workers, opt.Interrupt, func(claim func() (int, bool)) {
+		bld := bdd.NewBuilder(bdd.New(0), nl)
 		for i, ok := claim(); ok; i, ok = claim() {
-			results[i] = verifyClass(nl, cands[i], opt)
+			results[i] = verifyClass(nl, bld, cands[i])
 		}
 	})
 	var out []*module.Module
@@ -106,18 +103,17 @@ func Analyze(nl *netlist.Netlist, opt Options) []*module.Module {
 	return out
 }
 
-// verifyClass runs the BDD checks on one candidate class.
-func verifyClass(nl *netlist.Netlist, c Class, opt Options) *module.Module {
+// verifyClass runs the BDD checks on one candidate class, on bld and its
+// manager after resetting both.
+func verifyClass(nl *netlist.Netlist, bld *bdd.Builder, c Class) *module.Module {
 	cone := nl.ConeOfAll(c.Outputs)
 	if len(cone.Nodes) > maxConeGates {
 		return nil
 	}
-	if !opt.disablePrefilter && simRefuteClass(nl, c) {
-		return nil // every possible check witnessed to fail; skip the BDDs
-	}
 
-	mgr := bdd.New(0)
-	bld := bdd.NewBuilder(mgr, nl)
+	mgr := bld.M
+	mgr.Reset()
+	bld.Reset()
 	allRefs := make([]bdd.Ref, len(c.Outputs))
 	err := mgr.Run(func() {
 		for i, o := range c.Outputs {
@@ -197,100 +193,6 @@ func verifyClass(nl *netlist.Netlist, c Class, opt Options) *module.Module {
 		}
 	}
 	return nil
-}
-
-// simRefuteRounds bounds the random 64-pattern batches simRefuteClass
-// tries before handing the class to the BDD checks.
-const simRefuteRounds = 8
-
-// simRefuteClass decides by bit-parallel simulation that a candidate class
-// cannot verify, running random 64-lane batches over the class support.
-// It reports true only when every outcome of verifyClass is witnessed to
-// be impossible:
-//
-//   - every output took both values (so none is functionally constant and
-//     the live output set the BDD pass would compute equals c.Outputs);
-//   - no output can equal the support parity, killing the population-
-//     counter match (whose count-bit-0 anchor is the parity function);
-//   - every output group has, in both polarities, a lane where two group
-//     members are simultaneously active, killing the one-hot checks (and
-//     with them the decoder and demux outcomes).
-//
-// Each witness is a concrete input assignment, so a true result is sound:
-// verifyClass would have returned nil. No witness means the class goes to
-// the BDDs as before.
-func simRefuteClass(nl *netlist.Netlist, c Class) bool {
-	nOut := len(c.Outputs)
-	groups := outputGroups(nl, c.Outputs)
-	needParity := len(c.Support) >= 3
-	seen0 := make([]bool, nOut)
-	seen1 := make([]bool, nOut)
-	parityRefuted := make([]bool, nOut)
-	groupAlive := make([][2]bool, len(groups))
-	for gi := range groupAlive {
-		groupAlive[gi] = [2]bool{true, true}
-	}
-	outVal := make([]uint64, nOut)
-	cone := bitsim.CompileCone(nl, c.Outputs, nil) // the support is cone inputs
-	rng := rand.New(rand.NewSource(0xdec0de ^ int64(c.Outputs[0])<<16 ^ int64(len(c.Support))))
-	for round := 0; round < simRefuteRounds; round++ {
-		var parity uint64
-		for _, s := range c.Support {
-			v := rng.Uint64()
-			cone.Force(s, bitsim.Known(v))
-			parity ^= v
-		}
-		for i, v := range cone.Eval() {
-			if v.Unk != 0 {
-				return false // cone read something outside Support; let the BDDs decide
-			}
-			outVal[i] = v.Val
-			if v.Val != 0 {
-				seen1[i] = true
-			}
-			if v.Val != ^uint64(0) {
-				seen0[i] = true
-			}
-			if v.Val != parity {
-				parityRefuted[i] = true
-			}
-		}
-		for gi, g := range groups {
-			for pol := 0; pol < 2; pol++ {
-				if !groupAlive[gi][pol] {
-					continue
-				}
-				// seenTwo collects lanes where a second group member is
-				// active: a one-hot violation witnessed in one word pass.
-				var seenOne, seenTwo uint64
-				for _, idx := range g {
-					v := outVal[idx]
-					if pol == 1 {
-						v = ^v
-					}
-					seenTwo |= seenOne & v
-					seenOne |= v
-				}
-				if seenTwo != 0 {
-					groupAlive[gi][pol] = false
-				}
-			}
-		}
-		refuted := true
-		for i := 0; i < nOut && refuted; i++ {
-			refuted = seen0[i] && seen1[i] && (!needParity || parityRefuted[i])
-		}
-		for gi := range groups {
-			if groupAlive[gi][0] || groupAlive[gi][1] {
-				refuted = false
-				break
-			}
-		}
-		if refuted {
-			return true
-		}
-	}
-	return false
 }
 
 // outputGroups returns candidate output subsets (as indices) for the

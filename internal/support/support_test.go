@@ -318,3 +318,48 @@ func TestClassesRandom(t *testing.T) {
 		checkClassesExact(t, nl.Name, nl)
 	}
 }
+
+// supportModuleKey renders everything Analyze decides about a module: type,
+// name, elements, ports and attributes.
+func supportModuleKey(m *module.Module) string {
+	attrs := make([]string, 0, len(m.Attr))
+	for k, v := range m.Attr {
+		attrs = append(attrs, k+"="+v)
+	}
+	sort.Strings(attrs)
+	return fmt.Sprintf("%v %s %v %v %v", m.Type, m.Name, m.Elements, m.Ports, attrs)
+}
+
+// TestAnalyzeWorkerCounts checks that each worker's reused BDD manager and
+// builder leave no trace in the results: Analyze at 1, 2 and 4 workers
+// returns the same modules on every labeled article and, outside -short,
+// on simplified BigSoC.
+func TestAnalyzeWorkerCounts(t *testing.T) {
+	names := gen.LabeledArticleNames()
+	if !testing.Short() {
+		names = append(names, "bigsoc")
+	}
+	for _, name := range names {
+		var nl *netlist.Netlist
+		if name == "bigsoc" {
+			nl = simplify.Run(gen.SoC("bigsoc", gen.BigSoCCoreNames(), 1, 0.22)).Netlist
+		} else {
+			var err error
+			if nl, _, err = gen.LabeledArticle(name); err != nil {
+				t.Fatalf("article %s: %v", name, err)
+			}
+		}
+		var want []string
+		for _, workers := range []int{1, 2, 4} {
+			var got []string
+			for _, m := range Analyze(nl, Options{Workers: workers}) {
+				got = append(got, supportModuleKey(m))
+			}
+			if workers == 1 {
+				want = got
+			} else if !slices.Equal(got, want) {
+				t.Errorf("%s: %d workers found\n%v\n1 worker found\n%v", name, workers, got, want)
+			}
+		}
+	}
+}

@@ -124,7 +124,6 @@ func TestStageCacheOptionInvalidation(t *testing.T) {
 		{"Overlap.Sliceable", func(o *Options) { o.Overlap.Sliceable = true }, []string{"overlap"}},
 		{"Overlap.CoverageTarget", func(o *Options) { o.Overlap.CoverageTarget = 10 }, []string{"overlap"}},
 		{"Overlap.MinSlices", func(o *Options) { o.Overlap.MinSlices = 3 }, []string{"overlap"}},
-		{"Overlap.NodeLimit", func(o *Options) { o.Overlap.NodeLimit = 1000 }, []string{"overlap"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
