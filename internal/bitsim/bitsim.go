@@ -199,7 +199,8 @@ func (v Vector) PairString(k int) string {
 // II-C.1). These leaves are X until forced. Between evaluations any node of
 // the cone can be forced lane by lane, so a caller that re-runs one cone on
 // fresh patterns compiles it once and forces the leaves' values before each
-// evaluation.
+// evaluation. A caller that simulates many cones one after another keeps
+// one Cone and recompiles it in place, reusing its memory.
 //
 // Eval treats the 64 lanes as independent three-valued runs; EvalPairs
 // reads them as Pairs five-valued signals in the pair encoding.
@@ -207,7 +208,7 @@ type Cone struct {
 	nodes []coneNode   // topological order
 	ids   []netlist.ID // ids[i] is the netlist node of nodes[i]
 	fanin []int32      // positions in nodes, sliced by coneNode.lo/hi
-	index []uint64     // Force's lookup table, see position
+	index []uint64     // Force's lookup table, see position; empty until built
 	shift int          // index has 2^(64-shift) slots
 	roots []int32
 	force []Vector
@@ -223,10 +224,19 @@ type coneNode struct {
 	lo, hi int32
 }
 
-// CompileCone compiles the fan-in cone of roots. The nodes in cut become
-// leaves, cut loose from their own logic, like the cone inputs. cut may be
-// nil.
+// CompileCone compiles the fan-in cone of roots into a new Cone; see
+// Compile.
 func CompileCone(nl *netlist.Netlist, roots, cut []netlist.ID) *Cone {
+	return new(Cone).Compile(nl, roots, cut)
+}
+
+// Compile compiles the fan-in cone of roots into c, replacing whatever c
+// held before, and returns c. The nodes in cut become leaves, cut loose
+// from their own logic, like the cone inputs. cut may be nil. Every node
+// starts unforced, and c's slices and Force's lookup table keep their
+// memory, so recompiling one Cone allocates only when a cone outgrows
+// every earlier one. The vectors an earlier Eval returned are reused.
+func (c *Cone) Compile(nl *netlist.Netlist, roots, cut []netlist.ID) *Cone {
 	sc := compileScratches.Get().(*compileScratch)
 	if len(sc.pos) < nl.Len() {
 		sc.pos = make([]int32, nl.Len())
@@ -237,7 +247,7 @@ func CompileCone(nl *netlist.Netlist, roots, cut []netlist.ID) *Cone {
 	for _, id := range cut {
 		pos[id] = -1
 	}
-	order, isLeaf, stack := sc.order[:0], sc.leaf[:0], sc.stack[:0]
+	order, isLeaf, stack := c.ids[:0], sc.leaf[:0], sc.stack[:0]
 	edges := 0
 	place := func(id netlist.ID, leaf bool) {
 		order = append(order, id)
@@ -279,19 +289,18 @@ func CompileCone(nl *netlist.Netlist, roots, cut []netlist.ID) *Cone {
 	}
 
 	n := len(order)
-	c := &Cone{
-		nodes: make([]coneNode, n),
-		ids:   slices.Clone(order),
-		fanin: make([]int32, 0, edges),
-		roots: make([]int32, len(roots)),
-		force: make([]Vector, n),
-		vals:  make([]Vector, n),
-		out:   make([]Vector, len(roots)),
-	}
+	c.ids = order
+	c.nodes = resize(c.nodes, n)
+	c.fanin = resize(c.fanin, edges)[:0]
+	c.index = c.index[:0]
+	c.roots = resize(c.roots, len(roots))
+	c.force = resize(c.force, n)
+	c.vals = resize(c.vals, n)
+	c.out = resize(c.out, len(roots))
 	for i, id := range order {
 		c.force[i] = Unknown()
 		if isLeaf[i] {
-			c.nodes[i].leaf = true
+			c.nodes[i] = coneNode{leaf: true}
 			continue
 		}
 		node := nl.Node(id)
@@ -311,25 +320,32 @@ func CompileCone(nl *netlist.Netlist, roots, cut []netlist.ID) *Cone {
 	for _, id := range cut {
 		pos[id] = 0
 	}
-	sc.order, sc.leaf, sc.stack = order, isLeaf, stack
+	sc.leaf, sc.stack = isLeaf, stack
 	compileScratches.Put(sc)
 	return c
 }
 
-// compileScratch is CompileCone's pooled working memory: the dense node-ID
-// position table, the placement order with each placed node's leaf flag,
-// and the DFS stack. CompileCone clears the table entries it set before
-// handing it back, so compiling a small cone of a large netlist costs time
-// in the cone's size, not the netlist's.
+// resize returns s with length n, reallocated only when its capacity is
+// short. The elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// compileScratch is Compile's pooled working memory: the dense node-ID
+// position table, each placed node's leaf flag, and the DFS stack. Compile
+// clears the table entries it set before handing it back, so compiling a
+// small cone of a large netlist costs time in the cone's size, not the
+// netlist's.
 type compileScratch struct {
 	pos   []int32
-	order []netlist.ID
 	leaf  []bool
 	stack []frame
 }
 
-// frame is one node on CompileCone's DFS stack, with the next fanin to
-// visit.
+// frame is one node on Compile's DFS stack, with the next fanin to visit.
 type frame struct {
 	id   netlist.ID
 	next int
@@ -347,15 +363,16 @@ func (c *Cone) Force(id netlist.ID, o Vector) {
 	}
 }
 
-// position finds id's place in the cone. The first call builds index, an
-// open-addressing table of the cone's nodes: each entry is (ID+1)<<32 |
-// position, so no entry is 0, the empty slot; the table has a power-of-two
-// size, is at most two thirds full, and probes linearly from a
+// position finds id's place in the cone. The first call after a compile
+// builds index, an open-addressing table of the cone's nodes: each entry is
+// (ID+1)<<32 | position, so no entry is 0, the empty slot; the table has a
+// power-of-two size, is at most two thirds full, and probes linearly from a
 // multiplicative hash.
 func (c *Cone) position(id netlist.ID) (int32, bool) {
-	if c.index == nil {
+	if len(c.index) == 0 {
 		shift := 64 - bits.Len(uint(len(c.ids)+len(c.ids)/2)|1)
-		c.index = make([]uint64, 1<<(64-shift))
+		c.index = resize(c.index, 1<<(64-shift))
+		clear(c.index)
 		for i, x := range c.ids {
 			h := slotOf(x, shift)
 			for c.index[h] != 0 {
@@ -396,8 +413,8 @@ func (c *Cone) Leaves() []netlist.ID {
 }
 
 // Eval evaluates the cone with independent lanes and returns the roots'
-// vectors in the order CompileCone received them. The slice is reused by
-// the next evaluation.
+// vectors in the order Compile received them. The slice is reused by the
+// next evaluation and the next compile.
 func (c *Cone) Eval() []Vector { return c.eval(false) }
 
 // EvalPairs evaluates the cone in the pair encoding, collapsing every node's

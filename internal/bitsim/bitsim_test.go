@@ -7,7 +7,9 @@ package bitsim
 // reproduce the truth tables the cut enumerator computes structurally.
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netlistre/internal/cuts"
@@ -772,5 +774,80 @@ func TestConePosition(t *testing.T) {
 				t.Fatalf("trial %d node %d: position (%d, %v), want (%d, %v)", trial, id, pos, ok, want, wantOK)
 			}
 		}
+	}
+}
+
+// TestConeRecompileInPlace recompiles one Cone over a large cone, then a
+// small one, then a large one again, with forces set before each
+// evaluation. Each compile must list the leaves, place every node and
+// evaluate in both modes exactly as a fresh compile does: no force and no
+// Force index entry of an earlier cone may carry over.
+func TestConeRecompileInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	nl := randNetlist(rng, 8, 800)
+	var gates []netlist.ID
+	for id := netlist.ID(0); int(id) < nl.Len(); id++ {
+		if nl.Kind(id).IsGate() {
+			gates = append(gates, id)
+		}
+	}
+	force := func(cs ...*Cone) {
+		for i := 0; i < 40; i++ {
+			id := netlist.ID(rng.Intn(nl.Len()))
+			v := Vector{Val: rng.Uint64(), Unk: rng.Uint64()}
+			v.Val &^= v.Unk
+			for _, c := range cs {
+				c.Force(id, v)
+			}
+		}
+	}
+	same := func(step string, want, got []Vector) {
+		t.Helper()
+		if !slices.Equal(want, got) {
+			t.Fatalf("%s: recompiled cone gives %v, fresh compile %v", step, got, want)
+		}
+	}
+	var reused Cone
+	sizes := 0
+	for round := 0; round < 30; round++ {
+		var roots []netlist.ID
+		if round%3 == 1 {
+			roots = []netlist.ID{gates[rng.Intn(20)]} // small: an early gate
+		} else {
+			roots = gates[len(gates)-16:] // large: the last gates
+		}
+		var cut []netlist.ID
+		for id := netlist.ID(0); int(id) < nl.Len(); id++ {
+			if rng.Intn(10) == 0 {
+				cut = append(cut, id)
+			}
+		}
+		fresh := CompileCone(nl, roots, cut)
+		if got := reused.Compile(nl, roots, cut); got != &reused {
+			t.Fatal("Compile does not return its receiver")
+		}
+		step := fmt.Sprintf("round %d (%d nodes)", round, len(fresh.ids))
+		if !slices.Equal(fresh.Leaves(), reused.Leaves()) {
+			t.Fatalf("%s: leaves %v, want %v", step, reused.Leaves(), fresh.Leaves())
+		}
+		for id := netlist.ID(0); int(id) < nl.Len(); id++ {
+			wp, wok := fresh.position(id)
+			gp, gok := reused.position(id)
+			if wok != gok || wp != gp {
+				t.Fatalf("%s: node %d at (%d, %v), want (%d, %v)", step, id, gp, gok, wp, wok)
+			}
+		}
+		same(step+" unforced Eval", slices.Clone(fresh.Eval()), reused.Eval())
+		same(step+" unforced EvalPairs", slices.Clone(fresh.EvalPairs()), reused.EvalPairs())
+		force(fresh, &reused)
+		same(step+" Eval", slices.Clone(fresh.Eval()), reused.Eval())
+		force(fresh, &reused)
+		same(step+" EvalPairs", slices.Clone(fresh.EvalPairs()), reused.EvalPairs())
+		if round%3 == 1 && len(fresh.ids) < 20 || round%3 != 1 && len(fresh.ids) > 150 {
+			sizes++
+		}
+	}
+	if sizes < 25 {
+		t.Fatalf("only %d of 30 cones were of the intended size", sizes)
 	}
 }

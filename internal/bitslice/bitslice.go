@@ -61,8 +61,9 @@ type Options struct {
 	// It exists as the oracle for differential tests; results are
 	// identical either way.
 	SlowMatch bool
-	// Workers caps the matching parallelism. 0 uses GOMAXPROCS; 1 runs
-	// serially. The Result is deterministic and independent of Workers.
+	// Workers caps the enumeration and matching parallelism, and
+	// overrides Cuts.Workers. 0 uses GOMAXPROCS; 1 runs serially. The
+	// Result is deterministic and independent of Workers.
 	Workers int
 }
 
@@ -174,7 +175,10 @@ func Find(nl *netlist.Netlist, opt Options) *Result {
 		byArity[e.Table.N] = append(byArity[e.Table.N], e)
 	}
 
-	cutSets := cuts.EnumerateByID(nl, opt.Cuts)
+	// Enumeration spreads its components over the same worker budget.
+	copt := opt.Cuts
+	copt.Workers = opt.Workers
+	cutSets := cuts.EnumerateByID(nl, copt)
 	res := &Result{
 		ByClass: make(map[truth.Class][]*Match),
 		ByRoot:  make(map[netlist.ID][]*Match),

@@ -11,6 +11,7 @@ import (
 	"slices"
 
 	"netlistre/internal/netlist"
+	"netlistre/internal/par"
 	"netlistre/internal/truth"
 )
 
@@ -35,10 +36,14 @@ type Options struct {
 	// MaxCuts bounds the number of cuts kept per node (0 means the
 	// default). Smaller cuts are preferred when truncating.
 	MaxCuts int
+	// Workers caps the goroutines that enumerate combinational components
+	// at once, with par.Do's meaning: 0 uses GOMAXPROCS and 1 runs
+	// serially. Every cut set is the same at any worker count.
+	Workers int
 	// Interrupt, when non-nil, is polled every few nodes during
-	// enumeration; when it returns true, Enumerate stops and returns the
-	// cut sets computed so far (downstream matching simply sees fewer
-	// candidates).
+	// enumeration, by every worker; when it returns true, Enumerate stops
+	// and returns the cut sets computed so far (downstream matching simply
+	// sees fewer candidates). It must be safe to call concurrently.
 	Interrupt func() bool
 }
 
@@ -64,51 +69,188 @@ func Enumerate(n *netlist.Netlist, opt Options) map[netlist.ID][]Cut {
 // trivial cut; constants get a single empty-leaf constant cut. An
 // interrupted enumeration leaves the sets of the nodes it did not reach
 // nil.
+//
+// The boundary sets come first. The gates and LUTs then split into the
+// connected components of the gate-to-gate fanin graph, which par.Do hands
+// out largest first; a worker walks each component it claims in
+// topological order with its own scratch. A node's cut set depends only on
+// its fanins' sets, which are boundary sets or earlier nodes of its own
+// component, so the sets do not depend on the worker count.
 func EnumerateByID(n *netlist.Netlist, opt Options) [][]Cut {
-	if opt.K <= 0 || opt.K > truth.MaxVars {
-		opt.K = truth.MaxVars
-	}
-	if opt.MaxCuts <= 0 {
-		opt.MaxCuts = DefaultMaxCuts
-	}
-	res := make([][]Cut, n.Len())
-	var sc scratch
-	for i, id := range n.TopoOrder() {
-		if i&63 == 0 && opt.Interrupt != nil && opt.Interrupt() {
-			return res
+	opt.defaults()
+	s := newSets(n)
+	gates, start := components(n)
+	par.Do(len(start)-1, opt.Workers, opt.Interrupt, func(claim func() (int, bool)) {
+		var sc scratch
+		walked := 0
+		for c, ok := claim(); ok; c, ok = claim() {
+			for _, id := range gates[start[c]:start[c+1]] {
+				if walked&63 == 0 && opt.Interrupt != nil && opt.Interrupt() {
+					return
+				}
+				walked++
+				if n.Kind(id) == netlist.Lut {
+					s.cuts[id], s.sigs[id] = enumerateLut(n, id, s, opt, &sc)
+				} else {
+					s.cuts[id], s.sigs[id] = enumerateGate(n, id, s, opt, &sc)
+				}
+			}
 		}
-		switch kind := n.Kind(id); {
-		case kind == netlist.Input || kind == netlist.Latch:
-			res[id] = []Cut{{Leaves: []netlist.ID{id}, Table: truth.Var(0, 1)}}
-		case kind == netlist.Const0:
-			res[id] = []Cut{{Table: truth.Const(false, 0)}}
-		case kind == netlist.Const1:
-			res[id] = []Cut{{Table: truth.Const(true, 0)}}
-		case kind == netlist.Lut:
-			res[id] = enumerateLut(n, id, res, opt, &sc)
-		default:
-			res[id] = enumerateGate(n, id, res, opt, &sc)
-		}
-	}
-	return res
+	})
+	return s.cuts
 }
 
-// scratch holds the buffers one enumeration reuses from fold to fold and
-// node to node: the two sides of a fold (leaf sets la, lb and signature
-// words sa, sb), the leaf slab the merged leaf sets are written into, the
-// pending cuts that point into it, prune's buckets and survivors (byLen,
-// kept), and enumerateLut's intermediate selections (sel, selNext) with
-// their leaves (held). No returned Cut references scratch memory: the last
-// fold of a node copies its kept leaf sets into a fresh allocation
-// (leafBuf).
+// sets is an enumeration in progress: each node's cut set, and the leaf
+// signatures of its cuts (sigs[id][i] is leafSig(cuts[id][i].Leaves)). A
+// signature is computed once, when its node's set is made, and read by
+// every fold of the node's fanouts; the signatures are dropped when the
+// enumeration returns.
+type sets struct {
+	cuts [][]Cut
+	sigs [][]uint64
+}
+
+// newSets returns the sets of n with every boundary set filled in: the
+// trivial cut of an input or latch, or a constant's one empty-leaf cut.
+func newSets(n *netlist.Netlist) *sets {
+	s := &sets{cuts: make([][]Cut, n.Len()), sigs: make([][]uint64, n.Len())}
+	var sc scratch // carves the boundary signatures
+	for id := netlist.ID(0); int(id) < n.Len(); id++ {
+		switch n.Kind(id) {
+		case netlist.Const0:
+			s.cuts[id] = []Cut{{Table: truth.Const(false, 0)}}
+		case netlist.Const1:
+			s.cuts[id] = []Cut{{Table: truth.Const(true, 0)}}
+		case netlist.Input, netlist.Latch:
+			s.cuts[id] = []Cut{trivialCut(id, nil)}
+		default:
+			continue
+		}
+		s.sigs[id] = sc.sigBuf(1)
+		s.sigs[id][0] = leafSig(s.cuts[id][0].Leaves)
+	}
+	return s
+}
+
+func (o *Options) defaults() {
+	if o.K <= 0 || o.K > truth.MaxVars {
+		o.K = truth.MaxVars
+	}
+	if o.MaxCuts <= 0 {
+		o.MaxCuts = DefaultMaxCuts
+	}
+}
+
+// components splits the gates and LUTs of n into the connected components
+// of the undirected gate-to-gate fanin graph. Component c is
+// gates[start[c]:start[c+1]], in netlist.TopoOrder's order; components come
+// largest first, ties in the order of their first gate.
+func components(n *netlist.Netlist) (gates []netlist.ID, start []int) {
+	// Union-find over node IDs; a set's root is its least ID.
+	root := make([]netlist.ID, n.Len())
+	for id := range root {
+		root[id] = netlist.ID(id)
+	}
+	find := func(x netlist.ID) netlist.ID {
+		for root[x] != x {
+			root[x] = root[root[x]]
+			x = root[x]
+		}
+		return x
+	}
+	for id := netlist.ID(0); int(id) < n.Len(); id++ {
+		if !n.Kind(id).IsGate() {
+			continue
+		}
+		for _, f := range n.Fanin(id) {
+			if !n.Kind(f).IsGate() {
+				continue
+			}
+			if a, b := find(id), find(f); a != b {
+				root[max(a, b)] = min(a, b)
+			}
+		}
+	}
+	// Number the components by their first gate in topological order.
+	order := n.TopoOrder()
+	label := make([]int32, n.Len()) // 1 + the component rooted here
+	var size []int
+	for _, id := range order {
+		if !n.Kind(id).IsGate() {
+			continue
+		}
+		r := find(id)
+		if label[r] == 0 {
+			size = append(size, 0)
+			label[r] = int32(len(size))
+		}
+		size[label[r]-1]++
+	}
+	byLen := make([]int, len(size))
+	for c := range byLen {
+		byLen[c] = c
+	}
+	slices.SortStableFunc(byLen, func(a, b int) int { return size[b] - size[a] })
+	start = make([]int, len(size)+1)
+	fill := make([]int, len(size)) // the next slot of each component
+	for i, c := range byLen {
+		fill[c] = start[i]
+		start[i+1] = start[i] + size[c]
+	}
+	gates = make([]netlist.ID, start[len(size)])
+	for _, id := range order {
+		if n.Kind(id).IsGate() {
+			c := label[find(id)] - 1
+			gates[fill[c]] = id
+			fill[c]++
+		}
+	}
+	return gates, start
+}
+
+// scratch holds the buffers one enumeration worker reuses from fold to
+// fold and node to node: the two sides of a fold (leaf sets la, lb and
+// signature words sa, sb), the leaf slab the merged leaf sets are written
+// into, the pending cuts that point into it, prune's buckets and survivors
+// (byLen, kept), the signatures of a gate's partial fold (psig), and
+// enumerateLut's intermediate selections (sel, selNext) with their leaves
+// (held). No returned Cut references scratch memory: the last fold of a
+// node copies its kept leaf sets into a fresh allocation (leafBuf). The
+// nodes' signature sets are carved from the chunk left in sigFree.
 type scratch struct {
 	la, lb       [][]netlist.ID
-	sa, sb       []uint64
+	sa, sb, psig []uint64
 	slab         []netlist.ID
 	pending      []pendingCut
 	byLen, kept  []pendingCut
 	sel, selNext []selCut
 	held         []netlist.ID
+	sigFree      []uint64
+}
+
+// sigChunk is the number of signatures a worker allocates at a time.
+const sigChunk = 4096
+
+// sigBuf returns room for k signatures, carved from the worker's current
+// chunk, so that node sets do not allocate their signatures one by one.
+func (sc *scratch) sigBuf(k int) []uint64 {
+	if len(sc.sigFree) < k {
+		sc.sigFree = make([]uint64, max(k, sigChunk))
+	}
+	b := sc.sigFree[:k:k]
+	sc.sigFree = sc.sigFree[k:]
+	return b
+}
+
+// finish appends id's trivial cut to cs, writing its leaf into spare when
+// there is one, and returns the set with its signatures: sigs, which are
+// those of cs, then the trivial cut's.
+func (sc *scratch) finish(id netlist.ID, cs []Cut, sigs []uint64, spare []netlist.ID) ([]Cut, []uint64) {
+	ss := sc.sigBuf(len(cs) + 1)
+	copy(ss, sigs)
+	cs = append(cs, trivialCut(id, spare))
+	ss[len(sigs)] = leafSig(cs[len(sigs)].Leaves)
+	return cs, ss
 }
 
 // selCut is a merged LUT leaf set with the cut chosen at each fanin so far:
@@ -144,13 +286,13 @@ func takeLeaves(buf *[]netlist.ID, leaves []netlist.ID) []netlist.ID {
 	return l
 }
 
-// appendSide appends the leaf sets and signatures of cs to one fold side.
-func appendSide(ls [][]netlist.ID, ss []uint64, cs []Cut) ([][]netlist.ID, []uint64) {
-	for _, c := range cs {
-		ls = append(ls, c.Leaves)
-		ss = append(ss, leafSig(c.Leaves))
+// appendSide appends the leaf sets of cs and their signatures sigs to one
+// fold side.
+func appendSide(ls [][]netlist.ID, ss []uint64, cs []Cut, sigs []uint64) ([][]netlist.ID, []uint64) {
+	for i := range cs {
+		ls = append(ls, cs[i].Leaves)
 	}
-	return ls, ss
+	return ls, append(ss, sigs...)
 }
 
 // mergeFold collects the feasible merged leaf sets of every (a, b) pair of
@@ -195,7 +337,8 @@ func trivialCut(id netlist.ID, slot []netlist.ID) Cut {
 	return Cut{Leaves: slot, Table: truth.Var(0, 1)}
 }
 
-func enumerateGate(n *netlist.Netlist, id netlist.ID, res [][]Cut, opt Options, sc *scratch) []Cut {
+// enumerateGate returns the cut set of gate id and its signatures.
+func enumerateGate(n *netlist.Netlist, id netlist.ID, s *sets, opt Options, sc *scratch) ([]Cut, []uint64) {
 	fanin := n.Fanin(id)
 	kind := n.Kind(id)
 
@@ -204,23 +347,25 @@ func enumerateGate(n *netlist.Netlist, id netlist.ID, res [][]Cut, opt Options, 
 	// pruning between folds so intermediate sets stay bounded. The
 	// negation for inverting kinds is applied once at the end.
 	op, invert := foldOp(kind)
-	partial := res[fanin[0]]
+	partial, psig := s.cuts[fanin[0]], s.sigs[fanin[0]]
 	if kind == netlist.Not || kind == netlist.Buf {
 		ps := sc.pending[:0]
-		for i, c := range partial {
-			ps = append(ps, pendingCut{leaves: c.Leaves, sig: leafSig(c.Leaves), a: i})
+		for i := range partial {
+			ps = append(ps, pendingCut{leaves: partial[i].Leaves, sig: psig[i], a: i})
 		}
 		sc.pending = ps
 		kept := sc.prune(ps, opt.MaxCuts)
 		out := make([]Cut, len(kept), len(kept)+1)
+		sc.psig = sc.psig[:0]
 		for i, p := range kept {
 			t := partial[p.a].Table
 			if kind == netlist.Not {
 				t = t.Not()
 			}
 			out[i] = Cut{Leaves: partial[p.a].Leaves, Table: t}
+			sc.psig = append(sc.psig, p.sig)
 		}
-		return append(out, trivialCut(id, nil))
+		return sc.finish(id, out, sc.psig, nil)
 	}
 
 	// For each fanin pair product, first collect feasible merged leaf sets
@@ -234,23 +379,26 @@ func enumerateGate(n *netlist.Netlist, id netlist.ID, res [][]Cut, opt Options, 
 	// signature subset) mostly one word operation.
 	var spare []netlist.ID
 	for fi := 1; fi < len(fanin); fi++ {
-		next := res[fanin[fi]]
-		sc.la, sc.sa = appendSide(sc.la[:0], sc.sa[:0], partial)
-		sc.lb, sc.sb = appendSide(sc.lb[:0], sc.sb[:0], next)
+		next := s.cuts[fanin[fi]]
+		// psig may be sc.psig, which is rewritten only after this copy.
+		sc.la, sc.sa = appendSide(sc.la[:0], sc.sa[:0], partial, psig)
+		sc.lb, sc.sb = appendSide(sc.lb[:0], sc.sb[:0], next, s.sigs[fanin[fi]])
 		kept := sc.mergeFold(opt)
 		buf := sc.leafBuf(kept, true)
 		merged := make([]Cut, len(kept), len(kept)+1)
+		sc.psig = sc.psig[:0]
 		for i, p := range kept {
-			merged[i] = combine2(op, partial[p.a], next[p.b], takeLeaves(&buf, p.leaves))
+			merged[i] = combine2(op, &partial[p.a], &next[p.b], takeLeaves(&buf, p.leaves))
+			sc.psig = append(sc.psig, p.sig)
 		}
-		partial, spare = merged, buf
+		partial, psig, spare = merged, sc.psig, buf
 	}
 	if invert {
 		for i := range partial {
 			partial[i].Table = partial[i].Table.Not()
 		}
 	}
-	return append(partial, trivialCut(id, spare))
+	return sc.finish(id, partial, psig, spare)
 }
 
 // enumerateLut computes the cuts of a k-input truth-table cell. LUTs have no
@@ -260,47 +408,50 @@ func enumerateGate(n *netlist.Netlist, id netlist.ID, res [][]Cut, opt Options, 
 // leaf set and composing through the node's mask (truth.Compose). Dedup and
 // dominance pruning on leaf sets alone stays sound for the same reason as in
 // enumerateGate: for a fixed root, the cut function is determined by the
-// leaf set.
-func enumerateLut(n *netlist.Netlist, id netlist.ID, res [][]Cut, opt Options, sc *scratch) []Cut {
+// leaf set. It returns the set and its signatures.
+func enumerateLut(n *netlist.Netlist, id netlist.ID, s *sets, opt Options, sc *scratch) ([]Cut, []uint64) {
 	fanin := n.Fanin(id)
 	mask := n.Node(id).Mask
 
-	partial := sc.sel[:0]
-	for ci, c := range res[fanin[0]] {
-		partial = append(partial, selCut{leaves: c.Leaves, choice: [netlist.MaxLutInputs]int{ci}})
+	partial, psig := sc.sel[:0], s.sigs[fanin[0]]
+	for ci := range s.cuts[fanin[0]] {
+		partial = append(partial, selCut{leaves: s.cuts[fanin[0]][ci].Leaves, choice: [netlist.MaxLutInputs]int{ci}})
 	}
 	var spare []netlist.ID
 	for fi := 1; fi < len(fanin); fi++ {
-		sc.la, sc.sa = sc.la[:0], sc.sa[:0]
-		for _, a := range partial {
-			sc.la = append(sc.la, a.leaves)
-			sc.sa = append(sc.sa, leafSig(a.leaves))
+		sc.la = sc.la[:0]
+		for i := range partial {
+			sc.la = append(sc.la, partial[i].leaves)
 		}
-		sc.lb, sc.sb = appendSide(sc.lb[:0], sc.sb[:0], res[fanin[fi]])
+		// psig may be sc.psig, which is rewritten only after this copy.
+		sc.sa = append(sc.sa[:0], psig...)
+		sc.lb, sc.sb = appendSide(sc.lb[:0], sc.sb[:0], s.cuts[fanin[fi]], s.sigs[fanin[fi]])
 		kept := sc.mergeFold(opt)
 		// Only partial's choices are read from here on, so the held
 		// buffer its leaves point into may be overwritten.
 		buf := sc.leafBuf(kept, fi == len(fanin)-1)
 		merged := sc.selNext[:0]
+		sc.psig = sc.psig[:0]
 		for _, p := range kept {
-			s := selCut{leaves: takeLeaves(&buf, p.leaves), choice: partial[p.a].choice}
-			s.choice[fi] = p.b
-			merged = append(merged, s)
+			merged = append(merged, selCut{leaves: takeLeaves(&buf, p.leaves), choice: partial[p.a].choice})
+			merged[len(merged)-1].choice[fi] = p.b
+			sc.psig = append(sc.psig, p.sig)
 		}
 		sc.selNext = partial // the next fold's merged reuses it
-		partial, spare = merged, buf
+		partial, psig, spare = merged, sc.psig, buf
 	}
 
 	out := make([]Cut, 0, len(partial)+1)
 	var args [netlist.MaxLutInputs]truth.Table
-	for _, s := range partial {
-		for j := range fanin {
-			args[j] = expandOnto(res[fanin[j]][s.choice[j]], s.leaves)
+	for i := range partial {
+		sel := &partial[i]
+		for j, f := range fanin {
+			args[j] = expandOnto(&s.cuts[f][sel.choice[j]], sel.leaves)
 		}
-		out = append(out, Cut{Leaves: s.leaves, Table: truth.Compose(mask, args[:len(fanin)])})
+		out = append(out, Cut{Leaves: sel.leaves, Table: truth.Compose(mask, args[:len(fanin)])})
 	}
 	sc.sel = partial // the next LUT's first-fanin selections reuse it
-	return append(out, trivialCut(id, spare))
+	return sc.finish(id, out, psig, spare)
 }
 
 type binOp uint8
@@ -335,7 +486,7 @@ func foldOp(kind netlist.Kind) (binOp, bool) {
 // the cut's own leaves. Both leaf lists are sorted, so a single linear scan
 // recovers each leaf's variable position — this is the hottest allocation
 // site of cut enumeration, so no map here.
-func expandOnto(c Cut, leaves []netlist.ID) truth.Table {
+func expandOnto(c *Cut, leaves []netlist.ID) truth.Table {
 	var m [truth.MaxVars]int
 	i := 0
 	for j, l := range c.Leaves {
@@ -348,7 +499,7 @@ func expandOnto(c Cut, leaves []netlist.ID) truth.Table {
 }
 
 // combine2 merges two cuts under a binary operation on the merged leaf set.
-func combine2(op binOp, a, b Cut, leaves []netlist.ID) Cut {
+func combine2(op binOp, a, b *Cut, leaves []netlist.ID) Cut {
 	ta, tb := expandOnto(a, leaves), expandOnto(b, leaves)
 	var t truth.Table
 	switch op {

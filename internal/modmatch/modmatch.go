@@ -81,8 +81,9 @@ func Match(ctx context.Context, nl *netlist.Netlist, wordSet []words.Word, opt O
 	results := make([]*module.Module, len(cands))
 	par.Do(len(cands), opt.Workers, canceled, func(claim func() (int, bool)) {
 		refs := refCache{}
+		var cone bitsim.Cone // recompiled for each candidate's refuter
 		for i, ok := claim(); ok; i, ok = claim() {
-			results[i] = matchCandidate(ctx, nl, cands[i], opt, refs)
+			results[i] = matchCandidate(ctx, nl, cands[i], opt, refs, &cone)
 		}
 	})
 
@@ -518,11 +519,11 @@ type candidateSim struct {
 	outs  [][]bitsim.Vector // per drawn round, the candidate's outputs
 }
 
-// newCandidateSim compiles the candidate's output cone on nl, cut at the
-// input-word bits and side inputs, with the side inputs holding their lane
-// patterns. It returns nil when the side-input space does not fit the
-// lanes.
-func newCandidateSim(nl *netlist.Netlist, cand Candidate, rng *rand.Rand) *candidateSim {
+// newCandidateSim compiles the candidate's output cone on nl into cone, cut
+// at the input-word bits and side inputs, with the side inputs holding
+// their lane patterns. It returns nil when the side-input space does not
+// fit the lanes.
+func newCandidateSim(nl *netlist.Netlist, cand Candidate, rng *rand.Rand, cone *bitsim.Cone) *candidateSim {
 	nY := len(cand.Side)
 	if nY > truth.MaxVars {
 		return nil
@@ -534,7 +535,7 @@ func newCandidateSim(nl *netlist.Netlist, cand Candidate, rng *rand.Rand) *candi
 		cut = append(cut, w.Bits...)
 	}
 	cut = append(cut, cand.Side...)
-	cone := bitsim.CompileCone(nl, cand.Out.Bits, cut)
+	cone.Compile(nl, cand.Out.Bits, cut)
 	for i, y := range cand.Side {
 		cone.Force(y, bitsim.Known(truth.Var(i, truth.MaxVars).Bits))
 	}
@@ -599,15 +600,15 @@ func (s *candidateSim) refutes(ref *reference, ord [2]int) bool {
 // netlist; a reference it leaves standing is decided on the extracted
 // region, built at the first such reference, so the QBF instances stay
 // small and the quantifier structure is exact. refs is the calling
-// worker's reference cache.
-func matchCandidate(ctx context.Context, nl *netlist.Netlist, cand Candidate, opt Options, refs refCache) *module.Module {
+// worker's reference cache, and cone the memory its refuter compiles into.
+func matchCandidate(ctx context.Context, nl *netlist.Netlist, cand Candidate, opt Options, refs refCache, cone *bitsim.Cone) *module.Module {
 	width := len(cand.Out.Bits)
 	var sim *candidateSim
 	if !opt.disablePrefilter {
 		// Deterministically seeded per candidate; the refuter only skips
 		// provably-false QBF instances, so the seed never changes results.
 		rng := rand.New(rand.NewPCG(0x5eed<<20^uint64(len(cand.Gates))<<8^uint64(cand.Out.Bits[0]), 0))
-		sim = newCandidateSim(nl, cand, rng)
+		sim = newCandidateSim(nl, cand, rng, cone)
 	}
 	var rg *region
 

@@ -125,12 +125,13 @@ func TestPrefilterDifferential(t *testing.T) {
 // level rather than end to end.
 func TestPrefilterNeverRefutesSAT(t *testing.T) {
 	refs := refCache{}
+	var cone bitsim.Cone
 	refuted := 0
 	for name, c := range prefilterCircuits() {
 		for _, cand := range Candidates(c.nl, c.ws, Options{}) {
 			// The refuter runs on the netlist, the QBF instances on the
 			// extracted region, as in matchCandidate.
-			sim := newCandidateSim(c.nl, cand, rand.New(rand.NewPCG(99, 0)))
+			sim := newCandidateSim(c.nl, cand, rand.New(rand.NewPCG(99, 0)), &cone)
 			rg := extractRegion(c.nl, cand)
 			width := len(cand.Out.Bits)
 			for op, ref := range library {

@@ -8,8 +8,8 @@
 package overlap
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"netlistre/internal/ilp"
@@ -296,14 +296,16 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 	// follows problem layout — so row order is part of the
 	// byte-identical-reports contract.
 	//
-	// Packing rows start at constraint firstRow. rowOf maps a row's
-	// variables, as varints, to its offset from there; elems counts the
-	// shared elements each row stands for, the duplicates folded into it
-	// included.
+	// Packing rows start at constraint firstRow. rowOf maps the hash of
+	// a row's terms to the offset from there of the latest row with that
+	// hash, and sameHash[ri] to the row before ri with the same hash (-1
+	// for none), so a hit is confirmed by comparing the stored terms;
+	// elems counts the shared elements each row stands for, the
+	// duplicates folded into it included.
 	firstRow := len(b.problem.Constraints)
-	rowOf := make(map[string]int)
+	rowOf := make(map[uint64]int, nPack)
 	var elems []int64
-	var key []byte
+	var sameHash []int
 	for lo := 0; lo < len(occ); {
 		hi := lo + 1
 		for hi < len(occ) && occ[hi].g == occ[lo].g {
@@ -315,23 +317,32 @@ func newBuilder(mods []*module.Module, opt Options) *builder {
 			continue
 		}
 		from := len(terms)
-		key = key[:0]
+		var h uint64
 		for _, o := range group {
 			if len(terms) == from || terms[len(terms)-1].Var != o.v {
 				terms = append(terms, ilp.Term{Var: o.v, Coef: 1})
-				key = binary.AppendUvarint(key, uint64(o.v))
+				h = bits.RotateLeft64((h^uint64(o.v))*0x9e3779b97f4a7c15, 31)
 			}
 		}
 		if len(terms)-from < 2 {
 			terms = terms[:from]
 			continue
 		}
-		if ri, ok := rowOf[string(key)]; ok {
+		head, ok := rowOf[h]
+		if !ok {
+			head = -1
+		}
+		ri := head
+		for ri >= 0 && !slices.Equal(b.problem.Constraints[firstRow+ri].Terms, terms[from:]) {
+			ri = sameHash[ri]
+		}
+		if ri >= 0 {
 			elems[ri]++
 			terms = terms[:from]
 			continue
 		}
-		rowOf[string(key)] = len(elems)
+		rowOf[h] = len(elems)
+		sameHash = append(sameHash, head)
 		elems = append(elems, 1)
 		b.problem.AddConstraint(row(from), ilp.LE, 1)
 	}

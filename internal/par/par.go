@@ -1,8 +1,9 @@
 // Package par is the one index loop the analysis stages spread their
-// independent items over: node chunks (bitslice), support classes
-// (support), the words of a propagation round (words) and module-match
-// candidates (modmatch). How items are claimed, when the claims stop and
-// what becomes of a worker's panic are decided here, once.
+// independent items over: combinational components (cuts), node chunks
+// (bitslice), support classes (support), the words of a propagation round
+// (words) and module-match candidates (modmatch). How items are claimed,
+// when the claims stop and what becomes of a worker's panic are decided
+// here, once.
 package par
 
 import (

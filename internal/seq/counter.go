@@ -43,8 +43,9 @@ const verifyConflictBudget = 200_000
 func FindCounters(nl *netlist.Netlist, lcg *graph.LCG) []*module.Module {
 	var out []*module.Module
 	seen := make(map[string]bool)
+	var cone bitsim.Cone // recompiled for each chain's witness
 	for _, chain := range lcg.CounterChains(minCounter) {
-		w := newCounterWitness(nl, chain)
+		w := newCounterWitness(nl, chain, &cone)
 		for _, down := range []bool{false, true} {
 			verified := bestVerifiedSubchain(nl, chain, down, minCounter, w)
 			if len(verified) < minCounter {
@@ -87,12 +88,13 @@ func bestVerifiedSubchain(nl *netlist.Netlist, chain []netlist.ID, down bool, mi
 }
 
 // counterWitness refutes counter subchains of one LCG chain by concrete
-// simulation. The fan-in cone of the chain's D inputs is compiled once, with
-// every cone input forced to 64 pseudo-random lanes, so each
-// independent-lane evaluation is plain two-valued simulation of 64
-// assignments: no lane is ever X. A cofactor is the D input of one chain
-// latch with a cube of chain latches forced to constants. Cofactors are
-// memoized, since subchains and directions share them.
+// simulation. The fan-in cone of the chain's D inputs is compiled once, into
+// the Cone FindCounters recompiles from chain to chain, with every cone
+// input forced to 64 pseudo-random lanes, so each independent-lane
+// evaluation is plain two-valued simulation of 64 assignments: no lane is
+// ever X. A cofactor is the D input of one chain latch with a cube of chain
+// latches forced to constants. Cofactors are memoized, since subchains and
+// directions share them.
 type counterWitness struct {
 	chain []netlist.ID
 	cone  *bitsim.Cone
@@ -109,14 +111,14 @@ type cofactorKey struct {
 	level, q   bool
 }
 
-func newCounterWitness(nl *netlist.Netlist, chain []netlist.ID) *counterWitness {
+func newCounterWitness(nl *netlist.Netlist, chain []netlist.ID, cone *bitsim.Cone) *counterWitness {
 	roots := make([]netlist.ID, len(chain))
 	for i, l := range chain {
 		roots[i] = nl.Fanin(l)[0]
 	}
 	w := &counterWitness{
 		chain: chain,
-		cone:  bitsim.CompileCone(nl, roots, nil),
+		cone:  cone.Compile(nl, roots, nil),
 		lanes: make([]bitsim.Vector, len(chain)),
 		memo:  make(map[cofactorKey]uint64),
 	}

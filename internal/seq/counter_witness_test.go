@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"netlistre/internal/bitsim"
 	"netlistre/internal/gen"
 	"netlistre/internal/graph"
 	"netlistre/internal/module"
@@ -31,8 +32,9 @@ func TestCounterWitnessSoundness(t *testing.T) {
 				t.Fatal(err)
 			}
 			var subchains, refuted int
+			var cone bitsim.Cone // recompiled per chain, as FindCounters does
 			for _, chain := range graph.BuildLCG(nl).CounterChains(minCounter) {
-				w := newCounterWitness(nl, chain)
+				w := newCounterWitness(nl, chain, &cone)
 				for n := len(chain); n >= minCounter; n-- {
 					for start := 0; start+n <= len(chain); start++ {
 						for _, down := range []bool{false, true} {
@@ -76,7 +78,7 @@ func TestCounterContaminatedHead(t *testing.T) {
 		if len(chains) != 1 || !slices.Equal(chains[0], want) {
 			t.Fatalf("down=%v: CounterChains = %v, want [%v]", down, chains, want)
 		}
-		w := newCounterWitness(nl, chains[0])
+		w := newCounterWitness(nl, chains[0], new(bitsim.Cone))
 		if !w.refutes(0, len(want), down) {
 			t.Errorf("down=%v: witness does not refute the chain headed by the mode latch", down)
 		}

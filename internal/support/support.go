@@ -279,7 +279,6 @@ func checkPopCount(nl *netlist.Netlist, mgr *bdd.Manager, bld *bdd.Builder, c Cl
 	if len(c.Outputs) < 2 {
 		return nil
 	}
-	// Build BDD count bits of sum over all support variables.
 	var vars []bdd.Ref
 	for _, s := range c.Support {
 		v, ok := bld.HasVar(s)
@@ -288,6 +287,18 @@ func checkPopCount(nl *netlist.Netlist, mgr *bdd.Manager, bld *bdd.Builder, c Cl
 		}
 		vars = append(vars, mgr.Var(v))
 	}
+	// Bit 0 of the count is the parity of the support, which every
+	// accepted counter matches below. Build it first, as PopCount would,
+	// and skip the count word when no output equals it.
+	parity := bdd.False
+	if mgr.Run(func() {
+		for _, v := range vars {
+			parity = mgr.Xor(parity, v)
+		}
+	}) != nil || !slices.Contains(refs, parity) {
+		return nil
+	}
+	// Build BDD count bits of sum over all support variables.
 	var count []bdd.Ref
 	if mgr.Run(func() { count = mgr.PopCount(vars) }) != nil {
 		return nil

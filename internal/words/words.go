@@ -114,14 +114,18 @@ func (o *Options) defaults() {
 }
 
 // checker runs propagation checks on one netlist, reusing the control-wire
-// walks' visited set and buffers from check to check. It belongs to one
-// goroutine; release hands the visited set back.
+// walks' visited set and buffers, the simulation cone and the control
+// forces from check to check. It belongs to one goroutine; release hands
+// the visited set back.
 type checker struct {
 	nl    *netlist.Netlist
 	opt   Options
 	seen  *netlist.VisitSet
 	wires []netlist.ID
 	layer []netlist.ID
+	cone  bitsim.Cone
+	force []bitsim.Vector
+	batch [bitsim.Pairs]assignment
 }
 
 func newChecker(nl *netlist.Netlist, opt Options) *checker {
@@ -322,18 +326,19 @@ func (ck *checker) controlWires(src, tgt Word) []netlist.ID {
 // them loose from their own logic, as in the paper's local-netlist
 // simulation); combinations of up to MaxControls control wires are swept
 // over all binary values; all other boundary signals are X. The targets'
-// fan-in cone is compiled once and each EvalPairs checks bitsim.Pairs control
-// assignments, one per lane pair. The first success in enumeration order
-// wins, so the result is the one a one-at-a-time sweep would return.
+// fan-in cone is compiled once per check, into the checker's cone, and each
+// EvalPairs checks bitsim.Pairs control assignments, one per lane pair. The
+// first success in enumeration order wins, so the result is the one a
+// one-at-a-time sweep would return.
 func (ck *checker) check(src, tgt Word, backward bool) (Propagation, bool) {
 	opt := ck.opt
 	wires := ck.controlWires(src, tgt)
-	cone := bitsim.CompileCone(ck.nl, tgt.Bits, src.Bits)
+	cone := ck.cone.Compile(ck.nl, tgt.Bits, src.Bits)
 	for _, b := range src.Bits {
 		cone.Force(b, bitsim.PairD())
 	}
-	force := make([]bitsim.Vector, len(wires))
-	var batch [bitsim.Pairs]assignment
+	ck.force = slices.Grow(ck.force[:0], len(wires))[:len(wires)]
+	force, batch := ck.force, &ck.batch
 	it := assignment{mask: -1}
 	for more := true; more; {
 		if opt.Interrupt != nil && opt.Interrupt() {
