@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short test-race bench bench-smoke bench-stagecache bench-match conformance decompile-smoke diff-gate fuzz vet load-smoke resume-smoke session-smoke coverage ci
+.PHONY: build test test-short test-race bench bench-smoke stage-bench bench-stagecache bench-match conformance decompile-smoke diff-gate fuzz vet load-smoke resume-smoke session-smoke coverage ci
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,11 @@ bench:
 # rather than in a later benchmark run.
 bench-smoke:
 	cd bench && $(GO) test -short ./...
+
+# Runs every per-stage benchmark once, as CI's "Stage benchmarks" step does,
+# so they keep running, not just compiling (the step's comment lists them).
+stage-bench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/ilp ./internal/graph ./internal/seq ./internal/overlap ./internal/bitslice ./internal/support ./internal/cuts ./internal/rtl ./internal/modmatch ./internal/words ./internal/simplify ./internal/netlist
 
 # Cold-vs-warm stage-store comparison on the BigSoC case study: analyzes
 # the SoC once from scratch, then again replaying every stage artifact,
@@ -65,12 +70,14 @@ diff-gate: build
 bench-match: build
 	BENCH_MATCH_OUT=BENCH_match.json $(GO) test -run TestMatchBench -count 1 -v .
 
-# Short fuzz sweep of the netlist parsers, the JSON report decoder, the
-# RTL round trip and elaborator scanner, the ILP solver and the 2QBF
-# solver (seeds always run under `make test`; this explores beyond them).
+# Short fuzz sweep of the netlist parsers, the netlist diff's partition
+# invariants, the JSON report decoder, the RTL round trip and elaborator
+# scanner, the ILP solver and the 2QBF solver (seeds always run under
+# `make test`; this explores beyond them).
 fuzz:
 	$(GO) test ./internal/netlist -fuzz FuzzReadVerilog -fuzztime 30s
 	$(GO) test ./internal/netlist -fuzz FuzzReadBLIF -fuzztime 30s
+	$(GO) test ./internal/netlist -fuzz FuzzDiffNetlists -fuzztime 30s
 	$(GO) test . -run FuzzReadJSONReport -fuzz FuzzReadJSONReport -fuzztime 30s
 	$(GO) test ./internal/truth -fuzz FuzzCanon -fuzztime 30s
 	$(GO) test ./internal/rtl -fuzz FuzzEmitRTL -fuzztime 30s
@@ -120,9 +127,10 @@ session-smoke:
 # tests, a short-mode race pass, the revand load smoke, the scripted
 # session smoke, the conformance matrix, the decompilation gate, the
 # differential trojan gate, the matching microbenchmark, the benchmark
-# smoke tests, the coverage gate, and 30-second fuzz smokes of the
-# parsers, the report decoder, the canonicalizer, the RTL round trip, the
-# session/diff request decoders, the ILP solver and the 2QBF solver.
+# smoke tests, the per-stage benchmarks, the coverage gate, and 30-second
+# fuzz smokes of the parsers, the netlist diff, the report decoder, the
+# canonicalizer, the RTL round trip, the session/diff request decoders,
+# the ILP solver and the 2QBF solver.
 ci: build vet
 	test -z "$$(gofmt -l .)"
 	$(GO) test ./...
@@ -135,5 +143,6 @@ ci: build vet
 	$(MAKE) diff-gate
 	$(MAKE) bench-match
 	$(MAKE) bench-smoke
+	$(MAKE) stage-bench
 	$(MAKE) coverage
 	$(MAKE) fuzz

@@ -156,14 +156,6 @@ func (m *Manager) NVar(i int) Ref {
 	return m.mk(int32(i), True, False)
 }
 
-// Const returns the constant function v.
-func (m *Manager) Const(v bool) Ref {
-	if v {
-		return True
-	}
-	return False
-}
-
 func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
 
 // ITE computes if-then-else(f, g, h).

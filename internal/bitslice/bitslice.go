@@ -311,9 +311,6 @@ func (r *Result) add(m *Match) {
 // Matches returns the matches for a class (possibly nil).
 func (r *Result) Matches(c truth.Class) []*Match { return r.ByClass[c] }
 
-// RootMatches returns all matches rooted at id.
-func (r *Result) RootMatches(id netlist.ID) []*Match { return r.ByRoot[id] }
-
 // HasClass reports whether root has a match of the given class and returns
 // it.
 func (r *Result) HasClass(root netlist.ID, c truth.Class) (*Match, bool) {

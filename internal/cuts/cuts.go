@@ -23,11 +23,6 @@ type Cut struct {
 	Table  truth.Table
 }
 
-// trivially reports whether the cut is the root's trivial cut {root}.
-func (c Cut) trivial(root netlist.ID) bool {
-	return len(c.Leaves) == 1 && c.Leaves[0] == root
-}
-
 // Options configures enumeration.
 type Options struct {
 	// K is the maximum number of cut leaves. The paper fixes K=6; values

@@ -81,16 +81,6 @@ type Labels struct {
 	Noise []netlist.ID
 }
 
-// ByClass groups component indices by class.
-func (l *Labels) ByClass() map[Class][]*Component {
-	m := make(map[Class][]*Component)
-	for i := range l.Components {
-		c := &l.Components[i]
-		m[c.Class] = append(m[c.Class], c)
-	}
-	return m
-}
-
 // Remap rewrites every node reference through f, which maps an original
 // node to its images in a transformed netlist (one-to-many to support
 // rewrites that split a gate, empty to drop nodes the transform removed or

@@ -261,37 +261,6 @@ func (n *Netlist) BoundedCone(root ID, dir ConeDirection, maxDepth, maxNodes int
 	return res
 }
 
-// HasCombPath reports whether there is a purely combinational path from the
-// output of node from to node to (to itself is not considered a path unless
-// a cycle through gates exists, which Check forbids).
-func (n *Netlist) HasCombPath(from, to ID) bool {
-	seen := make(map[ID]bool)
-	var stack []ID
-	for _, g := range n.fanout[from] {
-		if g == to {
-			return true
-		}
-		if n.nodes[g].Kind.IsGate() && !seen[g] {
-			seen[g] = true
-			stack = append(stack, g)
-		}
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, g := range n.fanout[id] {
-			if g == to {
-				return true
-			}
-			if n.nodes[g].Kind.IsGate() && !seen[g] {
-				seen[g] = true
-				stack = append(stack, g)
-			}
-		}
-	}
-	return false
-}
-
 // CountCombPaths counts the number of distinct combinational paths from the
 // output of from to node to, saturating at limit (counting all paths can be
 // exponential; callers only ever need "zero, one, or more").

@@ -13,32 +13,47 @@ package netlist
 // write port, the eVoter backdoor muxes the key input of the vote decoder)
 // changes the fanin identity of every downstream gate, so naive
 // fanin-signature matching stalls at the splice point and flags the whole
-// downstream cone. The matcher therefore interleaves three passes until a
-// fixpoint:
+// downstream cone. The matcher therefore pins the boundary, then runs six
+// passes until a fixpoint:
 //
 //   - anchor: primary inputs are matched by name, primary-output drivers by
 //     port name, so the boundary of the design is pinned regardless of how
 //     internal nets were renamed.
 //   - forward: an unmatched node whose fanins are all matched gets a
 //     signature (kind, canonical LUT mask, golden-image fanin list, sorted
-//     for commutative kinds). Signatures with equal multiplicity on both
-//     sides are paired; unbalanced ones are skipped, so a trojan gate can
-//     not steal the counterpart of a golden gate it happens to resemble.
+//     for commutative kinds).
 //   - backward: an unmatched node is described by where its output goes —
 //     the matched subset of its fanout (consumer's golden image plus the
 //     fanin slot it feeds, slot-insensitive for commutative consumers) and
-//     the output ports it drives. Unique backward signatures are paired,
-//     which walks matching backward through a spliced region: the port
-//     anchors the register, the register pulls in its write mux, the mux
-//     pulls in the gates behind it.
+//     the output ports it drives. This walks matching backward through a
+//     spliced region: the port anchors the register, the register pulls in
+//     its write mux, the mux pulls in the gates behind it.
+//   - simulation: when forward and backward stall, nodes are keyed by their
+//     shape and their bit-parallel simulation trace.
+//   - WL: regions with no path to an anchor (a free-running counter whose
+//     bits are never observed) are keyed by a Weisfeiler-Leman refinement
+//     in which matched pairs are frozen at a shared color. It reuses the
+//     fingerprint's conventions (commutative fanin sorting, canonical LUT
+//     masks), so the pairing is invariant under node reordering and
+//     renaming.
+//   - role: forward signatures are re-run with suspect fanins extended by
+//     the golden roles that matched consumers witness.
+//   - tie: the last resort breaks a symmetry no other pass can (two
+//     identical latch loops that no output observes) by pairing the
+//     lowest IDs of one WL class with as many nodes on each side.
 //
-// Regions with no path to an anchor (a free-running counter whose bits are
-// never observed) are handled by a Weisfeiler-Leman refinement pass run
-// only when the other passes stall: matched pairs are frozen at a shared
-// color, unmatched nodes refine over fanin/fanout colors, and classes that
-// end up with exactly one node per side are paired. The refinement reuses
-// the fingerprint's conventions (commutative fanin sorting, canonical LUT
-// masks), so the pairing is invariant under node reordering and renaming.
+// Every pass makes its pairs by one step, pairClasses: key every unmatched
+// node of both sides, bucket each side by key, and hand each golden class
+// with its same-key suspect class to the pass's rule. There are two rules.
+// Forward pairs classes of equal size on both sides, since an equal
+// forward signature means a functionally identical node; an unbalanced
+// class is skipped, so a trojan gate cannot steal the counterpart of a
+// golden gate it happens to resemble. The other passes pair only classes
+// of exactly one node per side (WL also asks the two to agree in shape),
+// because their keys do not imply interchangeability; tie is the one
+// exception, and makes one pair at a time. The final retype
+// classification buckets the leftovers the same way, by position and then
+// by name.
 //
 // The matcher has no options: at most maxDiffPasses sweeps, simBatches ×
 // 64 simulation runs of simCycles cycles, and maxRefineRounds WL rounds,
@@ -174,6 +189,10 @@ func (d *differ) canonOf(g ID) ID {
 // difference. Both netlists should be Validated; the diff itself never
 // mutates either side.
 func DiffNetlists(golden, suspect *Netlist) *Diff {
+	return newDiffer(golden, suspect).run()
+}
+
+func newDiffer(golden, suspect *Netlist) *differ {
 	d := &differ{
 		g:        golden,
 		s:        suspect,
@@ -191,7 +210,11 @@ func DiffNetlists(golden, suspect *Netlist) *Diff {
 	}
 	d.gPorts = portsByDriver(golden)
 	d.sPorts = portsByDriver(suspect)
+	return d
+}
 
+// run matches the two sides and collects the difference.
+func (d *differ) run() *Diff {
 	diff := &Diff{}
 	d.anchor(diff)
 
@@ -210,6 +233,9 @@ func DiffNetlists(golden, suspect *Netlist) *Diff {
 				continue
 			}
 			if d.rolePass() {
+				continue
+			}
+			if d.tiePass() {
 				continue
 			}
 			break
@@ -254,6 +280,61 @@ func matchable(k Kind) bool {
 	case Input, Const0, Const1:
 		return false
 	}
+	return true
+}
+
+// unmatched lists one side's unpaired matchable nodes in ascending ID
+// order.
+func (d *differ) unmatched(suspectSide bool) []ID {
+	nl, to := d.g, d.g2s
+	if suspectSide {
+		nl, to = d.s, d.s2g
+	}
+	var out []ID
+	for i, m := range to {
+		if m == Nil && matchable(nl.Kind(ID(i))) {
+			out = append(out, ID(i))
+		}
+	}
+	return out
+}
+
+// classes buckets ids by key, keeping their order within each class. An
+// ID whose key is not ok joins no class.
+func classes[K comparable](ids []ID, key func(ID) (K, bool)) map[K][]ID {
+	m := map[K][]ID{}
+	for _, id := range ids {
+		if k, ok := key(id); ok {
+			m[k] = append(m[k], id)
+		}
+	}
+	return m
+}
+
+// pairClasses is the pairing step every pass shares: it buckets both
+// sides' unmatched nodes by key, then hands each golden class and its
+// same-key suspect class to pair, and reports whether pair matched any.
+// Every key is computed before the first pair is made, because keys that
+// read the matching (faninToken) must see the one the pass started from.
+// Golden classes are disjoint, so the order pair sees them in does not
+// change the result.
+func pairClasses[K comparable](d *differ, key func(suspectSide bool, id ID) (K, bool), pair func(gl, sl []ID) bool) bool {
+	gc := classes(d.unmatched(false), func(id ID) (K, bool) { return key(false, id) })
+	sc := classes(d.unmatched(true), func(id ID) (K, bool) { return key(true, id) })
+	progress := false
+	for k, gl := range gc {
+		progress = pair(gl, sc[k]) || progress
+	}
+	return progress
+}
+
+// pairUnique is the rule of every pass but forward: it pairs a class of
+// exactly one node per side.
+func (d *differ) pairUnique(gl, sl []ID) bool {
+	if len(gl) != 1 || len(sl) != 1 {
+		return false
+	}
+	d.match(gl[0], sl[0])
 	return true
 }
 
@@ -399,35 +480,12 @@ func (d *differ) forwardSig(suspectSide bool, id ID) (string, bool) {
 // signatures mean functionally identical nodes, so pairing inside a
 // balanced class by ascending ID is sound.
 func (d *differ) forwardPass() bool {
-	gsig := map[string][]ID{}
-	for i := 0; i < d.g.Len(); i++ {
-		id := ID(i)
-		if d.g2s[id] != Nil || !matchable(d.g.Kind(id)) {
-			continue
-		}
-		if sig, ok := d.forwardSig(false, id); ok {
-			gsig[sig] = append(gsig[sig], id)
-		}
-	}
-	ssig := map[string][]ID{}
-	for i := 0; i < d.s.Len(); i++ {
-		id := ID(i)
-		if d.s2g[id] != Nil || !matchable(d.s.Kind(id)) {
-			continue
-		}
-		if sig, ok := d.forwardSig(true, id); ok {
-			ssig[sig] = append(ssig[sig], id)
-		}
-	}
-	progress := false
-	for sig, gl := range gsig {
-		sl := ssig[sig]
+	return pairClasses(d, d.forwardSig, func(gl, sl []ID) bool {
 		if len(gl) != len(sl) {
-			continue
+			return false
 		}
 		for i := range gl {
 			d.match(gl[i], sl[i])
-			progress = true
 			if len(gl) > 1 {
 				// The members are functionally identical duplicates and
 				// the intra-class bijection is arbitrary; record the
@@ -437,8 +495,8 @@ func (d *differ) forwardPass() bool {
 				d.dupCanon[gl[i]] = gl[0]
 			}
 		}
-	}
-	return progress
+		return true
+	})
 }
 
 // inferRoles derives, for unmatched suspect nodes, the golden node whose
@@ -535,7 +593,7 @@ func (d *differ) inferRoles() map[ID]ID {
 	return roles
 }
 
-// rolePass is the last-resort resynchronizer for nodes that read a rerouted
+// rolePass is the resynchronizer for nodes that read a rerouted
 // signal and have nothing downstream to anchor them (a dead decoder minterm
 // of the replacement signal, shadowed in trace by an inserted comparator of
 // the original). It re-runs forward signatures with suspect fanin tokens
@@ -550,36 +608,7 @@ func (d *differ) rolePass() bool {
 	saved := d.roles
 	d.roles = roles
 	defer func() { d.roles = saved }()
-
-	gsig := map[string][]ID{}
-	for i := 0; i < d.g.Len(); i++ {
-		id := ID(i)
-		if d.g2s[id] != Nil || !matchable(d.g.Kind(id)) {
-			continue
-		}
-		if sig, ok := d.forwardSig(false, id); ok {
-			gsig[sig] = append(gsig[sig], id)
-		}
-	}
-	ssig := map[string][]ID{}
-	for i := 0; i < d.s.Len(); i++ {
-		id := ID(i)
-		if d.s2g[id] != Nil || !matchable(d.s.Kind(id)) {
-			continue
-		}
-		if sig, ok := d.forwardSig(true, id); ok {
-			ssig[sig] = append(ssig[sig], id)
-		}
-	}
-	progress := false
-	for sig, gl := range gsig {
-		sl := ssig[sig]
-		if len(gl) == 1 && len(sl) == 1 {
-			d.match(gl[0], sl[0])
-			progress = true
-		}
-	}
-	return progress
+	return pairClasses(d, d.forwardSig, d.pairUnique)
 }
 
 // backwardSig describes an unmatched node by its matched fanout: for every
@@ -647,73 +676,13 @@ func (d *differ) backwardSig(suspectSide bool, id ID) (string, bool) {
 // imply interchangeability (two gates can feed the same commutative
 // consumer from different sources), so only 1-1 classes are paired.
 func (d *differ) backwardPass() bool {
-	gsig := map[string][]ID{}
-	for i := 0; i < d.g.Len(); i++ {
-		id := ID(i)
-		if d.g2s[id] != Nil || !matchable(d.g.Kind(id)) {
-			continue
-		}
-		if sig, ok := d.backwardSig(false, id); ok {
-			gsig[sig] = append(gsig[sig], id)
-		}
-	}
-	ssig := map[string][]ID{}
-	for i := 0; i < d.s.Len(); i++ {
-		id := ID(i)
-		if d.s2g[id] != Nil || !matchable(d.s.Kind(id)) {
-			continue
-		}
-		if sig, ok := d.backwardSig(true, id); ok {
-			ssig[sig] = append(ssig[sig], id)
-		}
-	}
-	progress := false
-	for sig, gl := range gsig {
-		sl := ssig[sig]
-		if len(gl) == 1 && len(sl) == 1 {
-			d.match(gl[0], sl[0])
-			progress = true
-		}
-	}
-	return progress
+	return pairClasses(d, d.backwardSig, d.pairUnique)
 }
 
 // collect finalizes the diff: classify retyped pairs, then report the
 // remaining unmatched gates, latches and LUTs.
 func (d *differ) collect(diff *Diff) {
-	var removed, added []ID
-	for i := 0; i < d.g.Len(); i++ {
-		id := ID(i)
-		if d.g2s[id] == Nil && matchable(d.g.Kind(id)) {
-			removed = append(removed, id)
-		}
-	}
-	for i := 0; i < d.s.Len(); i++ {
-		id := ID(i)
-		if d.s2g[id] == Nil && matchable(d.s.Kind(id)) {
-			added = append(added, id)
-		}
-	}
-	retyped := d.retype(removed, added)
-	inRetype := func(id ID, suspect bool) bool {
-		for _, p := range retyped {
-			if suspect && p.Suspect == id || !suspect && p.Golden == id {
-				return true
-			}
-		}
-		return false
-	}
-	for _, id := range removed {
-		if !inRetype(id, false) {
-			diff.Removed = append(diff.Removed, id)
-		}
-	}
-	for _, id := range added {
-		if !inRetype(id, true) {
-			diff.Added = append(diff.Added, id)
-		}
-	}
-	diff.Retyped = retyped
+	d.retype(diff, d.unmatched(false), d.unmatched(true))
 	for _, s := range d.g2s {
 		if s != Nil {
 			diff.Matched++
@@ -724,79 +693,50 @@ func (d *differ) collect(diff *Diff) {
 // retype pairs removed/added nodes that sit in the same position but
 // compute a different function: identical resolved fanin token multiset
 // (1-1 unique on both sides) with a differing kind or mask, or — as a
-// name-assisted fallback — a unique shared nonempty node name.
-func (d *differ) retype(removed, added []ID) []RetypedPair {
-	type slot struct {
-		ids   []ID
-		shape []string
-	}
-	gpos := map[string]*slot{}
-	for _, id := range removed {
-		key, ok := d.positionKey(false, id)
-		if !ok {
-			continue
-		}
-		sl := gpos[key]
-		if sl == nil {
-			sl = &slot{}
-			gpos[key] = sl
-		}
-		sl.ids = append(sl.ids, id)
-	}
-	spos := map[string][]ID{}
-	for _, id := range added {
-		key, ok := d.positionKey(true, id)
-		if !ok {
-			continue
-		}
-		spos[key] = append(spos[key], id)
-	}
-	var out []RetypedPair
-	used := map[ID]bool{}
-	for key, sl := range gpos {
-		ss := spos[key]
-		if len(sl.ids) != 1 || len(ss) != 1 {
-			continue
-		}
-		g, s := sl.ids[0], ss[0]
-		if !retypeCompatible(d.g.Node(g), d.s.Node(s)) {
-			continue
-		}
-		if d.sameShape(g, s) {
+// name-assisted fallback among the nodes position left unpaired on both
+// sides — a unique shared nonempty node name. The nodes it leaves
+// unpaired are the diff's Removed and Added.
+func (d *differ) retype(diff *Diff, removed, added []ID) {
+	gUsed, sUsed := map[ID]bool{}, map[ID]bool{}
+	pair := func(gc, sc map[string][]ID) {
+		for k, gl := range gc {
+			sl := sc[k]
+			if len(gl) != 1 || len(sl) != 1 {
+				continue
+			}
 			// Same function and same position yet unmatched means the
 			// passes could not disambiguate it from a sibling; do not
 			// guess here.
-			continue
+			g, s := gl[0], sl[0]
+			if !retypeCompatible(d.g.Node(g), d.s.Node(s)) || d.sameShape(g, s) {
+				continue
+			}
+			diff.Retyped = append(diff.Retyped, RetypedPair{Golden: g, Suspect: s})
+			gUsed[g], sUsed[s] = true, true
 		}
-		out = append(out, RetypedPair{Golden: g, Suspect: s})
-		used[g] = true
 	}
-
-	// Name fallback: unique shared names classify renames of function.
-	gname := map[string][]ID{}
+	position := func(suspectSide bool) func(ID) (string, bool) {
+		return func(id ID) (string, bool) { return d.positionKey(suspectSide, id) }
+	}
+	pair(classes(removed, position(false)), classes(added, position(true)))
+	name := func(nl *Netlist, used map[ID]bool) func(ID) (string, bool) {
+		return func(id ID) (string, bool) {
+			n := nl.NameOf(id)
+			return n, n != "" && !used[id]
+		}
+	}
+	pair(classes(removed, name(d.g, gUsed)), classes(added, name(d.s, sUsed)))
+	sort.Slice(diff.Retyped, func(i, j int) bool { return diff.Retyped[i].Golden < diff.Retyped[j].Golden })
 	for _, id := range removed {
-		if used[id] {
-			continue
-		}
-		if n := d.g.NameOf(id); n != "" {
-			gname[n] = append(gname[n], id)
+		if !gUsed[id] {
+			diff.Removed = append(diff.Removed, id)
 		}
 	}
-	sname := map[string][]ID{}
 	for _, id := range added {
-		if n := d.s.NameOf(id); n != "" {
-			sname[n] = append(sname[n], id)
+		if !sUsed[id] {
+			diff.Added = append(diff.Added, id)
 		}
 	}
-	for n, gl := range gname {
-		sl := sname[n]
-		if len(gl) == 1 && len(sl) == 1 && !d.sameShape(gl[0], sl[0]) &&
-			retypeCompatible(d.g.Node(gl[0]), d.s.Node(sl[0])) {
-			out = append(out, RetypedPair{Golden: gl[0], Suspect: sl[0]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Golden < out[j].Golden })
-	return out
 }
 
 // retypeCompatible gates the retype classifier: a retype is a function
@@ -849,32 +789,42 @@ func (d *differ) wlPass() bool {
 	// traces alone cannot (an inserted comparator mimicking a decoder
 	// minterm's trace diverges from it within two rounds through its
 	// fanin and fanout).
-	gcol := d.wlColors(false)
-	scol := d.wlColors(true)
+	return d.pairColors(func(gl, sl []ID) bool {
+		return len(gl) == 1 && len(sl) == 1 && d.sameShape(gl[0], sl[0]) && d.pairUnique(gl, sl)
+	})
+}
 
-	gclass := map[fpLabel][]ID{}
-	for i := 0; i < d.g.Len(); i++ {
-		id := ID(i)
-		if d.g2s[id] == Nil && matchable(d.g.Kind(id)) {
-			gclass[gcol[id]] = append(gclass[gcol[id]], id)
+// tiePass is the last resort, for regions that every other pass leaves
+// symmetric (two identical latch loops that no output observes, say). Of
+// the WL classes with as many nodes on each side, the one with the lowest
+// golden ID pairs its lowest ID on each side, and the passes resume from
+// that one pair, which the exact passes extend consistently. As in the
+// forward pass, an unbalanced class is never paired.
+func (d *differ) tiePass() bool {
+	g, s := Nil, Nil
+	d.pairColors(func(gl, sl []ID) bool {
+		if len(gl) == len(sl) && d.sameShape(gl[0], sl[0]) && (g == Nil || gl[0] < g) {
+			g, s = gl[0], sl[0]
 		}
+		return false
+	})
+	if g == Nil {
+		return false
 	}
-	sclass := map[fpLabel][]ID{}
-	for i := 0; i < d.s.Len(); i++ {
-		id := ID(i)
-		if d.s2g[id] == Nil && matchable(d.s.Kind(id)) {
-			sclass[scol[id]] = append(sclass[scol[id]], id)
+	d.match(g, s)
+	return true
+}
+
+// pairColors runs the pairing step over the WL colors of both sides.
+func (d *differ) pairColors(pair func(gl, sl []ID) bool) bool {
+	gcol, scol := d.wlColors(false), d.wlColors(true)
+	key := func(suspectSide bool, id ID) (fpLabel, bool) {
+		if suspectSide {
+			return scol[id], true
 		}
+		return gcol[id], true
 	}
-	progress := false
-	for col, gl := range gclass {
-		sl := sclass[col]
-		if len(gl) == 1 && len(sl) == 1 && d.sameShape(gl[0], sl[0]) {
-			d.match(gl[0], sl[0])
-			progress = true
-		}
-	}
-	return progress
+	return pairClasses(d, key, pair)
 }
 
 // simPass is the functional resynchronizer, and the pass that carries the
@@ -900,29 +850,8 @@ func (d *differ) simPass() bool {
 		d.gSim = simSignatures(d.g)
 		d.sSim = simSignatures(d.s)
 	}
-	gclass := map[string][]ID{}
-	for i := 0; i < d.g.Len(); i++ {
-		id := ID(i)
-		if d.g2s[id] == Nil && matchable(d.g.Kind(id)) {
-			gclass[d.simKey(false, id)] = append(gclass[d.simKey(false, id)], id)
-		}
-	}
-	sclass := map[string][]ID{}
-	for i := 0; i < d.s.Len(); i++ {
-		id := ID(i)
-		if d.s2g[id] == Nil && matchable(d.s.Kind(id)) {
-			sclass[d.simKey(true, id)] = append(sclass[d.simKey(true, id)], id)
-		}
-	}
-	progress := false
-	for key, gl := range gclass {
-		sl := sclass[key]
-		if len(gl) == 1 && len(sl) == 1 {
-			d.match(gl[0], sl[0])
-			progress = true
-		}
-	}
-	return progress
+	key := func(suspectSide bool, id ID) (string, bool) { return d.simKey(suspectSide, id), true }
+	return pairClasses(d, key, d.pairUnique)
 }
 
 // simKey combines a node's shape (kind, canonical LUT mask, arity) with

@@ -7,6 +7,7 @@ package netlist_test
 // trojan-article sanity pass.
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -87,6 +88,41 @@ func TestDiffRetypedGate(t *testing.T) {
 	}
 	if got := d.SuspectSet(); len(got) != 1 || got[0] != x {
 		t.Fatalf("suspect set = %v, want [%d]", got, x)
+	}
+}
+
+// TestDiffRetypePairsSuspectOnce diffs a golden chain that has a separate
+// debug gate w with a suspect in which a gate also named w replaces x with
+// another function. Position pairs the two x slots; the name step must
+// then not pair golden w with the suspect node position already took.
+func TestDiffRetypePairsSuspectOnce(t *testing.T) {
+	g := netlist.New("chain")
+	a, b, en := g.AddInput("a"), g.AddInput("b"), g.AddInput("en")
+	x := g.AddGate(netlist.Xor, a, b)
+	w := g.AddGate(netlist.Or, a, en)
+	g.SetName(w, "w")
+	q := g.AddLatch(g.AddGate(netlist.And, x, en))
+	g.MarkOutput("out", g.AddGate(netlist.Or, q, b))
+	g.MarkOutput("dbg", w)
+
+	s := netlist.New("chain")
+	a, b, en = s.AddInput("a"), s.AddInput("b"), s.AddInput("en")
+	sw := s.AddGate(netlist.Xnor, a, b)
+	s.SetName(sw, "w")
+	q = s.AddLatch(s.AddGate(netlist.And, sw, en))
+	s.MarkOutput("out", s.AddGate(netlist.Or, q, b))
+	for _, nl := range []*netlist.Netlist{g, s} {
+		if err := nl.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d := netlist.DiffNetlists(g, s)
+	if want := []netlist.RetypedPair{{Golden: x, Suspect: sw}}; !slices.Equal(d.Retyped, want) {
+		t.Errorf("Retyped = %v, want %v", d.Retyped, want)
+	}
+	if !idsEqual(d.Removed, []netlist.ID{w}) || len(d.Added) != 0 {
+		t.Errorf("Removed = %v, Added = %v; want [%d] and []", d.Removed, d.Added, w)
 	}
 }
 

@@ -128,24 +128,6 @@ func TestTopoOrder(t *testing.T) {
 	}
 }
 
-func TestHasCombPath(t *testing.T) {
-	n := New("t")
-	a := n.AddInput("a")
-	g1 := n.AddGate(Not, a)
-	l := n.AddLatch(g1)
-	g2 := n.AddGate(Not, l)
-	l2 := n.AddLatch(g2)
-	if !n.HasCombPath(a, l) {
-		t.Error("expected comb path a -> l")
-	}
-	if n.HasCombPath(a, l2) {
-		t.Error("path a -> l2 goes through latch l; not combinational")
-	}
-	if !n.HasCombPath(l, l2) {
-		t.Error("expected comb path l -> l2")
-	}
-}
-
 func TestCountCombPaths(t *testing.T) {
 	n := New("t")
 	a := n.AddInput("a")

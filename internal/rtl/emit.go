@@ -365,16 +365,9 @@ func Emit(nl *netlist.Netlist, rep *core.Report) (*EmitResult, error) {
 		w.raw(templateDoc(tn))
 	}
 
-	nodeName := make(map[netlist.ID]string, nl.Len())
-	for id, n := range names {
-		if n != "" {
-			nodeName[netlist.ID(id)] = n
-		}
-	}
 	return &EmitResult{
 		Verilog:  w.b,
 		Stats:    stats,
-		NodeName: nodeName,
 		names:    names,
 		lineOf:   lineOf,
 		outNames: outNames,

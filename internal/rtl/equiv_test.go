@@ -27,10 +27,10 @@ func wideAndMutant(t *testing.T) (*netlist.Netlist, *EmitResult) {
 	}
 	lines := strings.Split(string(er.Verilog), "\n")
 	ln := er.LineOf(root)
-	if ln == 0 || !strings.Contains(lines[ln-1], er.NodeName[root]) {
+	if ln == 0 || !strings.Contains(lines[ln-1], er.NameOf(root)) {
 		t.Fatalf("no emitted statement for the cone root:\n%s", er.Verilog)
 	}
-	lines[ln-1] = "  assign " + er.NodeName[root] + " = 1'b0;"
+	lines[ln-1] = "  assign " + er.NameOf(root) + " = 1'b0;"
 	er.Verilog = []byte(strings.Join(lines, "\n"))
 	return nl, er
 }

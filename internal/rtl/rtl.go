@@ -59,15 +59,21 @@ type EmitResult struct {
 	Verilog []byte
 	Stats   EmitStats
 
-	// NodeName maps every visible original node to its emitted
-	// identifier (inputs, residual nodes, template outputs, and the
-	// per-bit aliases of sequential template registers).
-	NodeName map[netlist.ID]string
-
-	names    []string // NodeName by node ID, "" for hidden nodes
+	names    []string // NameOf by node ID, "" for hidden nodes
 	lineOf   []int32  // LineOf by node ID
 	design   string   // emitted (legalized) module name
 	outNames []string // emitted output port names, Outputs() order
+}
+
+// NameOf returns the emitted identifier of a visible original node
+// (inputs, residual nodes, template outputs, and the per-bit aliases of
+// sequential template registers), or "" for a node with no name of its
+// own in the emission.
+func (r *EmitResult) NameOf(id netlist.ID) string {
+	if id < 0 || int(id) >= len(r.names) {
+		return ""
+	}
+	return r.names[id]
 }
 
 // LineOf returns the 1-based line of the emitted construct that carries

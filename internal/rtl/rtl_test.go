@@ -243,9 +243,9 @@ func TestResidualPassthrough(t *testing.T) {
 			t.Fatalf("no line span for residual node %d\n%s", id, text)
 		}
 		line := strings.Split(text, "\n")[ln-1]
-		if !strings.Contains(line, stmt) || !strings.Contains(line, er.NodeName[id]) {
+		if !strings.Contains(line, stmt) || !strings.Contains(line, er.NameOf(id)) {
 			t.Fatalf("line %d %q does not carry residual %s gate %s",
-				ln, line, stmt, er.NodeName[id])
+				ln, line, stmt, er.NameOf(id))
 		}
 	}
 }

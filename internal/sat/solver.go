@@ -136,9 +136,6 @@ func New() *Solver {
 	return &Solver{ok: true, varInc: 1, claInc: 1}
 }
 
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assign) }
-
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.assign)

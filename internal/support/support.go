@@ -4,15 +4,17 @@
 // are grouped into equivalence classes by the input set of their full
 // combinational fan-in cones, taken from netlist's one bounded support pass
 // (Netlist.BoundedSupports, which merges fanin supports with
-// netlist.MergeIDs) and keyed by netlist.Key, and candidate classes are
-// verified with BDD-based functional checks (Section II-E.2). Each worker
-// keeps one BDD manager and builder for the whole analysis, as the paper's
-// CUDD manager lives for the whole run, and resets them before each class.
+// netlist.MergeIDs) and sorted so that equal supports are adjacent, and
+// candidate classes are verified with BDD-based functional checks (Section
+// II-E.2). Each worker keeps one BDD manager and builder for the whole
+// analysis, as the paper's CUDD manager lives for the whole run, and
+// resets them before each class.
 // The class bounds are constants: at most 10 shared inputs, at least 3
 // outputs and at most 400 cone gates.
 package support
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -59,25 +61,29 @@ type Class struct {
 // netlist; wide gates keep no list and join no class.
 func Classes(nl *netlist.Netlist) []Class {
 	sup := nl.BoundedSupports(maxSupport)
-	// Scanning IDs in ascending order creates each class at its first
-	// output, so out is already sorted by first output.
-	byKey := make(map[string]int)
-	var out []Class
+	var ids []netlist.ID
 	for id := netlist.ID(0); int(id) < nl.Len(); id++ {
-		s := sup.Of(id)
-		if len(s) == 0 || !nl.Kind(id).IsGate() {
-			continue
+		if len(sup.Of(id)) > 0 && nl.Kind(id).IsGate() {
+			ids = append(ids, id)
 		}
-		key := netlist.Key(s)
-		i, ok := byKey[key]
-		if !ok {
-			i = len(out)
-			out = append(out, Class{Support: s})
-			byKey[key] = i
-		}
-		out[i].Outputs = append(out[i].Outputs, id)
 	}
-	return slices.DeleteFunc(out, func(c Class) bool { return len(c.Outputs) < 2 })
+	// Sorting by support makes each class one run of ids, and the stable
+	// sort keeps every run in ascending ID order.
+	slices.SortStableFunc(ids, func(a, b netlist.ID) int { return slices.Compare(sup.Of(a), sup.Of(b)) })
+	var out []Class
+	for i := 0; i < len(ids); {
+		s := sup.Of(ids[i])
+		j := i + 1
+		for j < len(ids) && slices.Equal(sup.Of(ids[j]), s) {
+			j++
+		}
+		if j-i >= 2 {
+			out = append(out, Class{Support: s, Outputs: ids[i:j:j]})
+		}
+		i = j
+	}
+	slices.SortFunc(out, func(a, b Class) int { return cmp.Compare(a.Outputs[0], b.Outputs[0]) })
+	return out
 }
 
 // Analyze finds decoder, demultiplexer and population-counter modules.
