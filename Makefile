@@ -23,12 +23,14 @@ bench:
 # Smoke tests of the pipeline benchmark (bench/, its own Go module): the
 # quick configuration of every workload plus the harness's consistency
 # checks, so a change to an internal API the benchmark calls fails here
-# rather than in a later benchmark run.
+# rather than in a later benchmark run. CI's "Benchmark smoke" step runs
+# this target.
 bench-smoke:
 	cd bench && $(GO) test -short ./...
 
-# Runs every per-stage benchmark once, as CI's "Stage benchmarks" step does,
-# so they keep running, not just compiling (the step's comment lists them).
+# Runs every per-stage benchmark once, so they keep running, not just
+# compiling. CI's "Stage benchmarks" step runs this target; the package
+# list lives only here (the step's comment names the benchmarks).
 stage-bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/ilp ./internal/graph ./internal/seq ./internal/overlap ./internal/bitslice ./internal/support ./internal/cuts ./internal/rtl ./internal/modmatch ./internal/words ./internal/simplify ./internal/netlist
 

@@ -144,8 +144,10 @@ type ModuleType = module.Type
 type Report = core.Report
 
 // Options configures the analysis portfolio. The zero value runs every
-// algorithm with the paper's parameters. Options.Workers bounds the
-// stage scheduler's worker pool; Options.Progress observes stage
+// algorithm, but resolves overlap with the basic ILP: the paper's
+// per-slice formulation (Section IV-B), which revan, revand, revcheck and
+// the experiments select, needs Overlap.Sliceable. Options.Workers bounds
+// the stage scheduler's worker pool; Options.Progress observes stage
 // start/finish events.
 type Options = core.Options
 
@@ -401,6 +403,15 @@ const (
 	MaxCoverage = overlap.MaxCoverage
 	MinModules  = overlap.MinModules
 )
+
+// CoverageTargetElements converts a coverage fraction into the element
+// floor Options.Overlap.CoverageTarget takes under MinModules: that
+// fraction of nl's gates and latches, rounded down. revan -target and
+// revand's coverage_target both lower through it.
+func CoverageTargetElements(nl *Netlist, fraction float64) int {
+	stats := nl.Stats()
+	return int(fraction * float64(stats.Gates+stats.Latches))
+}
 
 // errWriter wraps a writer so a sequence of formatted writes can be
 // checked once at the end: after the first failure every later write is a

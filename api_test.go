@@ -92,6 +92,36 @@ func TestTestArticleRegistry(t *testing.T) {
 	}
 }
 
+// TestArticleCatalogue: the catalogue lists the Table 2 articles in order,
+// then the case studies; every name it lists builds a valid netlist, and
+// no other name builds.
+func TestArticleCatalogue(t *testing.T) {
+	var names []string
+	for _, a := range Articles() {
+		names = append(names, a.Name)
+		if a.Description == "" {
+			t.Errorf("%s: empty description", a.Name)
+		}
+		nl, err := TestArticle(a.Name)
+		if err != nil {
+			t.Errorf("%s: %v", a.Name, err)
+			continue
+		}
+		if err := nl.Check(); err != nil {
+			t.Errorf("%s: invalid netlist: %v", a.Name, err)
+		}
+	}
+	want := append(TestArticleNames(), "bigsoc", "evoter-trojan", "oc8051-trojan")
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("catalogue = %v, want %v", names, want)
+	}
+	for _, name := range []string{"", "nope", "MIPS16", "usb ", "evoter-lut"} {
+		if _, err := TestArticle(name); err == nil {
+			t.Errorf("TestArticle(%q) built a netlist", name)
+		}
+	}
+}
+
 func TestSimplifyPublic(t *testing.T) {
 	nl := buildSmallDesign()
 	noisy := AddElectricalNoise(nl, 3, 0.5)

@@ -9,16 +9,57 @@ import (
 // This file exposes the synthetic test articles used by the paper-shaped
 // experiments (Table 2). The real benchmarks are proprietary or require a
 // commercial synthesis flow; these generators reproduce their structural
-// mix — see DESIGN.md for the substitution rationale.
+// mix — see DESIGN.md for the substitution rationale. With the case-study
+// netlists of Sections V-C and V-D they form the article catalogue
+// (Articles) that every front end reads.
 
 // TestArticleNames lists the available synthetic test articles in Table 2
 // order: mips16, riscfpu, router, oc8051, aemb, msp430, usb, evoter.
 func TestArticleNames() []string { return gen.ArticleNames() }
 
-// TestArticle builds the named synthetic test article.
-func TestArticle(name string) (*Netlist, error) { return gen.Article(name) }
+// Article is one entry of the built-in article catalogue.
+type Article struct {
+	Name        string `json:"name"`
+	Description string `json:"description"`
+}
 
-// TestArticleDescription returns the one-line description of an article.
+// caseStudies are the catalogue's netlists beyond Table 2.
+var caseStudies = []struct {
+	Article
+	build func() *Netlist
+}{
+	{Article{"bigsoc", "seven-core SoC case study (Section V-C)"}, BigSoC},
+	{Article{"evoter-trojan", "eVoter with key-sequence backdoor"}, EVoterTrojaned},
+	{Article{"oc8051-trojan", "oc8051 with XOR kill switch"}, OC8051Trojaned},
+}
+
+// Articles is the built-in article catalogue: every netlist the revan,
+// gennet and revand front ends accept by name. It lists the Table 2
+// articles in TestArticleNames order, then the case studies of Sections
+// V-C and V-D (bigsoc, evoter-trojan, oc8051-trojan).
+func Articles() []Article {
+	var out []Article
+	for _, name := range gen.ArticleNames() {
+		out = append(out, Article{name, gen.ArticleDescriptions[name]})
+	}
+	for _, c := range caseStudies {
+		out = append(out, c.Article)
+	}
+	return out
+}
+
+// TestArticle builds the named catalogue article (see Articles).
+func TestArticle(name string) (*Netlist, error) {
+	for _, c := range caseStudies {
+		if c.Name == name {
+			return c.build(), nil
+		}
+	}
+	return gen.Article(name)
+}
+
+// TestArticleDescription returns the one-line description of a Table 2
+// article (Articles describes the whole catalogue).
 func TestArticleDescription(name string) string { return gen.ArticleDescriptions[name] }
 
 // BigSoC builds the seven-core SoC case study of Section V-C: per-core

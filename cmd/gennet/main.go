@@ -36,8 +36,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gennet: -format must be verilog or blif")
 		os.Exit(1)
 	}
-	emitFormat = *format
-	emitLutMap = *lutmap
 
 	if *all {
 		ext := ".v"
@@ -47,13 +45,13 @@ func main() {
 		if *lutmap {
 			ext = "-lut" + ext
 		}
-		names := netlistre.TestArticleNames()
-		for _, extra := range extraArticles {
-			names = append(names, extra[0])
-		}
-		for _, name := range names {
-			path := filepath.Join(*dir, name+ext)
-			if err := emit(name, path); err != nil {
+		for _, a := range netlistre.Articles() {
+			path := filepath.Join(*dir, a.Name+ext)
+			nl, err := netlistre.TestArticle(a.Name)
+			if err == nil {
+				err = emit(nl, path, *format, *lutmap)
+			}
+			if err != nil {
 				fmt.Fprintln(os.Stderr, "gennet:", err)
 				os.Exit(1)
 			}
@@ -65,70 +63,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gennet: -article or -all required")
 		os.Exit(1)
 	}
-	if !knownArticle(*article) {
+	nl, err := netlistre.TestArticle(*article)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "gennet: unknown article %q; available articles:\n", *article)
 		listArticles(os.Stderr)
 		os.Exit(1)
 	}
-	if err := emit(*article, *out); err != nil {
+	if err := emit(nl, *out, *format, *lutmap); err != nil {
 		fmt.Fprintln(os.Stderr, "gennet:", err)
 		os.Exit(1)
 	}
 }
 
-var (
-	emitFormat = "verilog"
-	emitLutMap = false
-)
-
-// extraArticles are the case-study netlists emitted alongside the Table 2
-// set; descriptions mirror their builders in the root package.
-var extraArticles = [][2]string{
-	{"bigsoc", "seven-core SoC case study (Section V-C)"},
-	{"evoter-trojan", "eVoter with key-sequence backdoor"},
-	{"oc8051-trojan", "oc8051 with XOR kill switch"},
-}
-
+// listArticles prints the article catalogue, one name and description a
+// line.
 func listArticles(w io.Writer) {
-	for _, name := range netlistre.TestArticleNames() {
-		fmt.Fprintf(w, "%-14s  %s\n", name, netlistre.TestArticleDescription(name))
-	}
-	for _, extra := range extraArticles {
-		fmt.Fprintf(w, "%-14s  %s\n", extra[0], extra[1])
+	for _, a := range netlistre.Articles() {
+		fmt.Fprintf(w, "%-14s  %s\n", a.Name, a.Description)
 	}
 }
 
-func knownArticle(name string) bool {
-	for _, n := range netlistre.TestArticleNames() {
-		if n == name {
-			return true
-		}
-	}
-	for _, extra := range extraArticles {
-		if extra[0] == name {
-			return true
-		}
-	}
-	return false
-}
-
-func emit(name, path string) error {
-	var nl *netlistre.Netlist
-	var err error
-	switch name {
-	case "bigsoc":
-		nl = netlistre.BigSoC()
-	case "evoter-trojan":
-		nl = netlistre.EVoterTrojaned()
-	case "oc8051-trojan":
-		nl = netlistre.OC8051Trojaned()
-	default:
-		nl, err = netlistre.TestArticle(name)
-		if err != nil {
-			return err
-		}
-	}
-	if emitLutMap {
+// emit writes nl to path (stdout when empty) in format, LUT-mapped first
+// when lutmap is set.
+func emit(nl *netlistre.Netlist, path, format string, lutmap bool) error {
+	if lutmap {
 		nl = netlistre.LutMap(nl)
 	}
 	w := os.Stdout
@@ -140,7 +98,7 @@ func emit(name, path string) error {
 		defer f.Close()
 		w = f
 	}
-	if emitFormat == "blif" {
+	if format == "blif" {
 		return nl.WriteBLIF(w)
 	}
 	return nl.WriteVerilog(w)

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -54,12 +55,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, name := range netlistre.TestArticleNames() {
-			fmt.Printf("%-8s  %s\n", name, netlistre.TestArticleDescription(name))
-		}
-		fmt.Printf("%-8s  %s\n", "bigsoc", "seven-core SoC case study (Section V-C)")
-		fmt.Printf("%-8s  %s\n", "evoter-trojan", "eVoter with key-sequence backdoor")
-		fmt.Printf("%-8s  %s\n", "oc8051-trojan", "oc8051 with XOR kill switch")
+		listArticles(os.Stdout)
 		return
 	}
 
@@ -183,6 +179,13 @@ func printStageCacheStats(stages *netlistre.StageStore) {
 		st.Hits, st.Misses, st.Evictions, st.Entries)
 }
 
+// listArticles prints the article catalogue for -list.
+func listArticles(w io.Writer) {
+	for _, a := range netlistre.Articles() {
+		fmt.Fprintf(w, "%-8s  %s\n", a.Name, a.Description)
+	}
+}
+
 func loadNetlist(inFile, article string, blifLuts bool) (*netlistre.Netlist, error) {
 	switch {
 	case inFile != "":
@@ -195,12 +198,6 @@ func loadNetlist(inFile, article string, blifLuts bool) (*netlistre.Netlist, err
 			return netlistre.ReadBLIFOpts(f, netlistre.BLIFOptions{Luts: blifLuts})
 		}
 		return netlistre.ReadVerilog(f)
-	case article == "bigsoc":
-		return netlistre.BigSoC(), nil
-	case article == "evoter-trojan":
-		return netlistre.EVoterTrojaned(), nil
-	case article == "oc8051-trojan":
-		return netlistre.OC8051Trojaned(), nil
 	case article != "":
 		return netlistre.TestArticle(article)
 	}
@@ -211,8 +208,7 @@ func loadNetlist(inFile, article string, blifLuts bool) (*netlistre.Netlist, err
 // report for further processing (degraded-exit, -emit-rtl).
 func analyzeOne(nl *netlistre.Netlist, opt netlistre.Options, target float64, verbose bool, dotFile string, jsonOut bool) *netlistre.Report {
 	if opt.Overlap.Objective == netlistre.MinModules {
-		stats := nl.Stats()
-		opt.Overlap.CoverageTarget = int(target * float64(stats.Gates+stats.Latches))
+		opt.Overlap.CoverageTarget = netlistre.CoverageTargetElements(nl, target)
 	}
 	rep := netlistre.Analyze(nl, opt)
 	var err error

@@ -15,11 +15,14 @@ import (
 // decompileRow is one article's entry in the decompile scorecard. The
 // residual counts are the gate: a template regression shows up as gates
 // that used to lower into instances or always blocks falling back to
-// structural passthrough, which the baseline comparison rejects.
+// structural passthrough, which the baseline comparison rejects. Proved
+// records how many signals the equivalence check proved; Equivalent
+// already requires every one of them.
 type decompileRow struct {
 	Design          string `json:"design"`
 	Method          string `json:"method"`
 	Equivalent      bool   `json:"equivalent"`
+	Proved          int    `json:"proved"`
 	Instances       int    `json:"instances"`
 	AlwaysBlocks    int    `json:"always_blocks"`
 	ResidualGates   int    `json:"residual_gates"`
@@ -87,6 +90,7 @@ func runDecompile(articleCSV, workerCSV, out, baseline string, bless bool) error
 			Design:          lab.Design,
 			Method:          eq.Method,
 			Equivalent:      eq.Equivalent,
+			Proved:          eq.Proved,
 			Instances:       st.Instances,
 			AlwaysBlocks:    st.AlwaysBlocks,
 			ResidualGates:   st.ResidualGates,

@@ -48,8 +48,10 @@ import (
 // wordRounds bounds iterative word propagation.
 const wordRounds = 3
 
-// Options configures the portfolio. The zero value runs every algorithm
-// with the paper's parameters.
+// Options configures the portfolio. The zero value runs every algorithm,
+// but resolves overlap with the basic ILP; the paper's per-slice
+// formulation (Section IV-B) needs Overlap.Sliceable, which every front
+// end (revan, revand, revcheck) and the experiments set.
 type Options struct {
 	Overlap overlap.Options
 

@@ -721,7 +721,7 @@ func (d *differ) retype(diff *Diff, removed, added []ID) {
 	pair(classes(removed, position(false)), classes(added, position(true)))
 	name := func(nl *Netlist, used map[ID]bool) func(ID) (string, bool) {
 		return func(id ID) (string, bool) {
-			n := nl.NameOf(id)
+			n := nl.Node(id).Name
 			return n, n != "" && !used[id]
 		}
 	}

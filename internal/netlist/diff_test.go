@@ -126,6 +126,33 @@ func TestDiffRetypePairsSuspectOnce(t *testing.T) {
 	}
 }
 
+// TestDiffRetypeIgnoresUnnamedIDs: the retype name step pairs only nodes
+// that carry a name. Two unnamed gates that share an ID but neither fanins
+// nor ports are a removal and an addition, not a retype.
+func TestDiffRetypeIgnoresUnnamedIDs(t *testing.T) {
+	g := netlist.New("m")
+	a, b := g.AddInput("a"), g.AddInput("b")
+	x := g.AddGate(netlist.And, a, b)
+	g.MarkOutput("p", x)
+
+	s := netlist.New("m")
+	a, _ = s.AddInput("a"), s.AddInput("b")
+	y := s.AddGate(netlist.Nand, a, a)
+	s.MarkOutput("q", y)
+	if x != y || g.Node(x).Name != "" || s.Node(y).Name != "" {
+		t.Fatalf("setup: want two unnamed gates with one ID, got %d %q and %d %q",
+			x, g.Node(x).Name, y, s.Node(y).Name)
+	}
+
+	d := netlist.DiffNetlists(g, s)
+	if len(d.Retyped) != 0 {
+		t.Errorf("Retyped = %v, want none", d.Retyped)
+	}
+	if !idsEqual(d.Removed, []netlist.ID{x}) || !idsEqual(d.Added, []netlist.ID{y}) {
+		t.Errorf("Removed = %v, Added = %v; want [%d] and [%d]", d.Removed, d.Added, x, y)
+	}
+}
+
 func TestDiffBoundaryChanges(t *testing.T) {
 	g := buildChain(false)
 	s := buildChain(false)

@@ -11,7 +11,6 @@ package server
 // against a trojan label.
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"netlistre"
@@ -64,12 +63,8 @@ func (s *Server) handleSessionDiff(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req DiffRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if req.Golden == "" {

@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"netlistre"
 )
 
 // Job states, as reported on GET /v1/jobs/{id} and counted on /metrics.
@@ -33,16 +31,11 @@ var (
 // bound under sustained traffic.
 const maxRetiredJobs = 1024
 
-// Job is one queued analysis. The exported fields are immutable after
+// Job is one queued analysis. ID and the request are immutable after
 // Submit; the mutable state is guarded by mu and read via Status.
 type Job struct {
-	ID          string
-	Fingerprint string
-
-	nl  *netlistre.Netlist
-	opt netlistre.Options
-	key string
-	ro  RequestOptions
+	ID string
+	request
 
 	mu       sync.Mutex
 	state    string
@@ -77,7 +70,7 @@ func (j *Job) Status() JobStatus {
 	st := JobStatus{
 		ID:          j.ID,
 		Status:      j.state,
-		Fingerprint: j.Fingerprint,
+		Fingerprint: j.fingerprint,
 		CacheHit:    j.cacheHit,
 		Error:       j.errText,
 		CreatedAt:   j.created,
@@ -208,18 +201,15 @@ func (q *Queue) retire(j *Job) {
 	}
 }
 
-// NewJob wraps an analysis request as a queued job. The job is not yet
+// newJob wraps an analysis request as a queued job. The job is not yet
 // submitted.
-func NewJob(nl *netlistre.Netlist, opt netlistre.Options, fingerprint, key string) *Job {
+func newJob(req *request) *Job {
 	return &Job{
-		ID:          newJobID(),
-		Fingerprint: fingerprint,
-		nl:          nl,
-		opt:         opt,
-		key:         key,
-		state:       JobQueued,
-		created:     time.Now(),
-		done:        make(chan struct{}),
+		ID:      newJobID(),
+		request: *req,
+		state:   JobQueued,
+		created: time.Now(),
+		done:    make(chan struct{}),
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"netlistre"
 )
 
 // blockingExec returns an executor that parks every job on a gate and an
@@ -36,14 +34,14 @@ func TestQueueBackpressure(t *testing.T) {
 	// One job occupies the worker; two more fill the queue; the fourth
 	// must be rejected without blocking.
 	var jobs []*Job
-	first := NewJob(nil, netlistre.Options{}, "fp", "key")
+	first := newJob(&request{fingerprint: "fp"})
 	if err := q.Submit(first); err != nil {
 		t.Fatalf("submit first: %v", err)
 	}
 	jobs = append(jobs, first)
 	waitFor(t, func() bool { return q.Running() == 1 })
 	for i := 0; i < 2; i++ {
-		j := NewJob(nil, netlistre.Options{}, "fp", "key")
+		j := newJob(&request{fingerprint: "fp"})
 		if err := q.Submit(j); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -53,7 +51,7 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Fatalf("queue depth = %d, want 2", q.Depth())
 	}
 
-	extra := NewJob(nil, netlistre.Options{}, "fp", "key")
+	extra := newJob(&request{fingerprint: "fp"})
 	if err := q.Submit(extra); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit beyond capacity: err = %v, want ErrQueueFull", err)
 	}
@@ -74,7 +72,7 @@ func TestQueueBackpressure(t *testing.T) {
 func TestQueueDrainRejectsNewWork(t *testing.T) {
 	exec, release := blockingExec()
 	q := NewQueue(1, 4, exec)
-	j := NewJob(nil, netlistre.Options{}, "fp", "key")
+	j := newJob(&request{fingerprint: "fp"})
 	if err := q.Submit(j); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +83,7 @@ func TestQueueDrainRejectsNewWork(t *testing.T) {
 	if st := j.State(); st != JobDone {
 		t.Errorf("queued job not drained: state %q", st)
 	}
-	if err := q.Submit(NewJob(nil, netlistre.Options{}, "fp", "key")); !errors.Is(err, ErrShuttingDown) {
+	if err := q.Submit(newJob(&request{fingerprint: "fp"})); !errors.Is(err, ErrShuttingDown) {
 		t.Errorf("submit after drain: err = %v, want ErrShuttingDown", err)
 	}
 	// Idempotent.
@@ -102,7 +100,7 @@ func TestQueueDrainDeadlineCancelsJobs(t *testing.T) {
 		j.finish(JobDegraded, []byte("{}"), false, "")
 	}
 	q := NewQueue(1, 1, exec)
-	j := NewJob(nil, netlistre.Options{}, "fp", "key")
+	j := newJob(&request{fingerprint: "fp"})
 	if err := q.Submit(j); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +121,7 @@ func TestQueueRetiresOldJobs(t *testing.T) {
 	defer q.Drain(context.Background())
 	var first *Job
 	for i := 0; i < maxRetiredJobs+8; i++ {
-		j := NewJob(nil, netlistre.Options{}, "fp", "key")
+		j := newJob(&request{fingerprint: "fp"})
 		if i == 0 {
 			first = j
 		}

@@ -20,11 +20,12 @@
 // format, pinned by the root package's round-trip golden test.
 //
 // Reports are memoized in a report cache — an artifact.Store of its own,
-// keyed by a digest of Netlist.Fingerprint() plus the canonical options
-// string — so re-submitting the same circuit, even serialized differently,
-// is a cache hit served without running the portfolio, and concurrent
-// identical requests share one analysis. X-Cache on the response
-// (HIT/MISS) and the /metrics counters expose the cache behaviour.
+// keyed by a digest of Netlist.Fingerprint() plus the options as they
+// lower onto the analysis (see reportKey) — so re-submitting the same
+// circuit, even serialized differently, is a cache hit served without
+// running the portfolio, and concurrent identical requests share one
+// analysis. X-Cache on the response (HIT/MISS) and the /metrics counters
+// expose the cache behaviour.
 //
 // Below the report cache sits a process-wide *stage store* (see
 // Options.StageStore in the root package): every pipeline stage's result
@@ -286,70 +287,66 @@ func (o RequestOptions) validate() error {
 	return nil
 }
 
-// toOptions lowers the wire options onto core Options for nl, applying
-// the same derivations as the revan CLI (coverage target fraction ->
-// element count).
-func (o RequestOptions) toOptions(nl *netlistre.Netlist, defaultTimeout time.Duration) netlistre.Options {
+// request is one validated analysis request as the service keeps it: the
+// parsed netlist, its fingerprint and the wire options. Jobs and session
+// revisions each hold one, and options lowers it to core Options.
+type request struct {
+	nl          *netlistre.Netlist
+	fingerprint string
+	ro          RequestOptions
+}
+
+// options lowers req onto core Options: the one place the wire options,
+// the server's default timeout and its stage store meet. The coverage
+// target fraction becomes an element count as it does in revan, so
+// requests whose options lower alike share a report (see reportKey).
+func (s *Server) options(req *request) netlistre.Options {
+	ro := req.ro
 	opt := netlistre.Options{
-		Workers:        o.Workers,
-		Timeout:        time.Duration(o.TimeoutMS) * time.Millisecond,
-		StageTimeout:   time.Duration(o.StageTimeoutMS) * time.Millisecond,
-		SkipModMatch:   o.SkipModMatch,
-		SkipWordProp:   o.SkipWordProp,
-		KeepCandidates: o.KeepCandidates,
+		Workers:        ro.Workers,
+		Timeout:        time.Duration(ro.TimeoutMS) * time.Millisecond,
+		StageTimeout:   time.Duration(ro.StageTimeoutMS) * time.Millisecond,
+		SkipModMatch:   ro.SkipModMatch,
+		SkipWordProp:   ro.SkipWordProp,
+		KeepCandidates: ro.KeepCandidates,
 	}
 	if opt.Timeout == 0 {
-		opt.Timeout = defaultTimeout
+		opt.Timeout = s.cfg.DefaultTimeout
 	}
-	opt.Overlap.Sliceable = o.Sliceable == nil || *o.Sliceable
-	if o.Objective == "min" {
-		opt.Overlap.Objective = netlistre.MinModules
-		target := o.CoverageTarget
+	opt.Overlap.Sliceable = ro.Sliceable == nil || *ro.Sliceable
+	if ro.Objective == "min" {
+		target := ro.CoverageTarget
 		if target == 0 {
 			target = 0.5
 		}
-		stats := nl.Stats()
-		opt.Overlap.CoverageTarget = int(target * float64(stats.Gates+stats.Latches))
+		opt.Overlap.Objective = netlistre.MinModules
+		opt.Overlap.CoverageTarget = netlistre.CoverageTargetElements(req.nl, target)
+	}
+	if s.stages != nil {
+		opt.StageStore = s.stages
+		opt.Fingerprint = req.fingerprint
 	}
 	return opt
 }
 
-// cacheKey is the options half of the report-cache key: every field that
-// can change the report, canonically rendered. Workers is deliberately
-// absent (reports are worker-count-invariant by the scheduler's
-// determinism guarantee).
-func (o RequestOptions) cacheKey(fingerprint string, defaultTimeout time.Duration) string {
-	timeout := time.Duration(o.TimeoutMS) * time.Millisecond
-	if timeout == 0 {
-		timeout = defaultTimeout
-	}
-	sliceable := o.Sliceable == nil || *o.Sliceable
-	objective := o.Objective
-	if objective == "" {
-		objective = "max"
-	}
-	target := o.CoverageTarget
-	if objective == "min" && target == 0 {
-		target = 0.5
-	}
-	return fmt.Sprintf("%s|to=%s sto=%dms smm=%t swp=%t kc=%t obj=%s ct=%g sl=%t ie=%t",
-		fingerprint, timeout, o.StageTimeoutMS, o.SkipModMatch, o.SkipWordProp,
-		o.KeepCandidates, objective, target, sliceable, o.IncludeElements)
-}
-
-// builtinArticle resolves a built-in netlist name, including the large
-// case-study articles revan accepts.
-func builtinArticle(name string) (*netlistre.Netlist, error) {
-	switch name {
-	case "bigsoc":
-		return netlistre.BigSoC(), nil
-	case "evoter-trojan":
-		return netlistre.EVoterTrojaned(), nil
-	case "oc8051-trojan":
-		return netlistre.OC8051Trojaned(), nil
-	default:
-		return netlistre.TestArticle(name)
-	}
+// reportKey addresses the report rendered for req under its lowered
+// options opt: the netlist fingerprint, every option the lowering sets
+// that can change the report, and the element listing. Workers, the stage
+// store and callbacks are absent: reports are independent of them by the
+// scheduler's determinism guarantee.
+func reportKey(req *request, opt netlistre.Options) artifact.Digest {
+	h := artifact.NewHasher("netlistre-report-v2")
+	h.Str(req.fingerprint)
+	h.Int(int64(opt.Timeout))
+	h.Int(int64(opt.StageTimeout))
+	h.Bool(opt.SkipModMatch)
+	h.Bool(opt.SkipWordProp)
+	h.Bool(opt.KeepCandidates)
+	h.Int(int64(opt.Overlap.Objective))
+	h.Int(int64(opt.Overlap.CoverageTarget))
+	h.Bool(opt.Overlap.Sliceable)
+	h.Bool(req.ro.IncludeElements)
+	return h.Sum()
 }
 
 // buildNetlist materializes the request's netlist source.
@@ -365,7 +362,7 @@ func buildNetlist(req *AnalyzeRequest) (*netlistre.Netlist, error) {
 	}
 	switch {
 	case req.Article != "":
-		return builtinArticle(req.Article)
+		return netlistre.TestArticle(req.Article)
 	case req.Verilog != "":
 		return netlistre.ReadVerilog(strings.NewReader(req.Verilog))
 	default:
@@ -391,62 +388,62 @@ func writeError(w http.ResponseWriter, code int, format string, args ...interfac
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// parsedRequest is one decoded, validated analysis request.
-type parsedRequest struct {
-	nl          *netlistre.Netlist
-	fingerprint string
-	opt         netlistre.Options
-	key         string
-	ro          RequestOptions
-}
-
-// decodeRequest parses and validates an analysis request body, returning
-// the netlist, its fingerprint, the lowered options, and the cache key.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*parsedRequest, bool) {
+// decodeJSON decodes a request body into v, rejecting unknown fields and
+// bodies over MaxRequestBytes. Every endpoint that takes a body reads it
+// here. On failure it writes the error response (413 for an oversized
+// body, 400 otherwise) and returns false.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	var req AnalyzeRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 		} else {
 			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		}
+		return false
+	}
+	return true
+}
+
+// decodeRequest reads and validates an AnalyzeRequest body, materializes
+// its netlist and fingerprints it.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*request, bool) {
+	var body AnalyzeRequest
+	if !s.decodeJSON(w, r, &body) {
 		return nil, false
 	}
-	if err := req.Options.validate(); err != nil {
+	if err := body.Options.validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
-	nl, err := buildNetlist(&req)
+	nl, err := buildNetlist(&body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "netlist: %v", err)
 		return nil, false
 	}
-	fp := nl.Fingerprint()
-	return &parsedRequest{
-		nl:          nl,
-		fingerprint: fp,
-		opt:         req.Options.toOptions(nl, s.cfg.DefaultTimeout),
-		key:         req.Options.cacheKey(fp, s.cfg.DefaultTimeout),
-		ro:          req.Options,
-	}, true
+	return &request{nl: nl, fingerprint: nl.Fingerprint(), ro: body.Options}, true
 }
 
-// analyze runs one analysis through the report cache: a hit returns the
-// stored bytes; a miss runs the portfolio and stores the rendered report
-// unless it is degraded. Concurrent identical requests share one run (the
-// store is single-flight). A degraded report is never cached, but its
-// completed stages live on in the stage store, so resubmitting the same
-// request resumes the analysis instead of starting over.
-func (s *Server) analyze(ctx context.Context, source string, pr *parsedRequest) (report []byte, cacheHit, degraded bool, err error) {
+// analyze serves req through the report cache under opt, its lowered
+// options (which callers may extend with budget fields and callbacks
+// reportKey ignores): a hit returns the stored bytes; a miss runs the
+// portfolio and stores the rendered report unless it is degraded.
+// Concurrent identical requests share one run (the store is
+// single-flight). A degraded report is never cached, but its completed
+// stages live on in the stage store, so resubmitting the same request
+// resumes the analysis instead of starting over.
+func (s *Server) analyze(ctx context.Context, source string, req *request, opt netlistre.Options) (report []byte, cacheHit, degraded bool, err error) {
+	compute := func() {
+		rep := s.run(ctx, source, req.nl, opt)
+		degraded = rep.Degraded
+		report, err = render(rep, req.ro.IncludeElements)
+	}
 	if s.cache != nil {
-		h := artifact.NewHasher("netlistre-report-v1")
-		h.Str(pr.key)
-		art, hit, waitErr := s.cache.Do(ctx, h.Sum(), func() (*artifact.Artifact, bool) {
-			report, degraded, err = s.runAnalysis(ctx, source, pr)
+		art, hit, waitErr := s.cache.Do(ctx, reportKey(req, opt), func() (*artifact.Artifact, bool) {
+			compute()
 			return &artifact.Artifact{Stage: "report", Value: report, Size: int64(len(report))},
 				err == nil && !degraded
 		})
@@ -460,40 +457,40 @@ func (s *Server) analyze(ctx context.Context, source string, pr *parsedRequest) 
 		// it here, where the expired context yields a degraded report just
 		// as it would have without the cache.
 	}
-	report, degraded, err = s.runAnalysis(ctx, source, pr)
+	compute()
 	return report, false, degraded, err
 }
 
-// runAnalysis runs the portfolio — stage-incrementally, through the
-// process-wide stage store — feeds the stage histograms, and renders the
-// report.
-func (s *Server) runAnalysis(ctx context.Context, source string, pr *parsedRequest) (report []byte, degraded bool, err error) {
-	opt := pr.opt
-	if s.stages != nil {
-		opt.StageStore = s.stages
-		opt.Fingerprint = pr.fingerprint
-	}
-	rep := netlistre.AnalyzeContext(ctx, pr.nl, opt)
+// run analyzes nl under opt, stage-incrementally through the stage store
+// the lowering attached, and feeds the stage histograms under source.
+// Every analysis the service performs goes through it.
+func (s *Server) run(ctx context.Context, source string, nl *netlistre.Netlist, opt netlistre.Options) *netlistre.Report {
+	rep := netlistre.AnalyzeContext(ctx, nl, opt)
 	s.metrics.AnalysisDone(source, rep.Trace)
+	return rep
+}
+
+// render writes rep in the service's wire format: the JSON report, with
+// per-module element and slice lists when includeElements is set.
+func render(rep *netlistre.Report, includeElements bool) ([]byte, error) {
+	write := netlistre.WriteJSONReport
+	if includeElements {
+		write = netlistre.WriteJSONReportElements
+	}
 	var buf bytes.Buffer
-	if pr.ro.IncludeElements {
-		err = netlistre.WriteJSONReportElements(&buf, rep)
-	} else {
-		err = netlistre.WriteJSONReport(&buf, rep)
+	if err := write(&buf, rep); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, false, err
-	}
-	return buf.Bytes(), rep.Degraded, nil
+	return buf.Bytes(), nil
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	pr, ok := s.decodeRequest(w, r)
+	req, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
 	}
 	if s.cfg.MaxSyncElements > 0 {
-		stats := pr.nl.Stats()
+		stats := req.nl.Stats()
 		if n := stats.Gates + stats.Latches; n > s.cfg.MaxSyncElements {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				"netlist has %d elements (sync limit %d); submit it to POST /v1/jobs instead",
@@ -501,13 +498,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	report, hit, degraded, err := s.analyze(r.Context(), "sync", pr)
+	report, hit, degraded, err := s.analyze(r.Context(), "sync", req, s.options(req))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "rendering report: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Netlist-Fingerprint", pr.fingerprint)
+	w.Header().Set("X-Netlist-Fingerprint", req.fingerprint)
 	if hit {
 		w.Header().Set("X-Cache", "HIT")
 	} else {
@@ -522,13 +519,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // runJob is the queue executor: it performs the cached analysis for one
 // job and moves it to its terminal state.
 func (s *Server) runJob(ctx context.Context, j *Job) {
-	report, hit, degraded, err := s.analyze(ctx, "job", &parsedRequest{
-		nl:          j.nl,
-		fingerprint: j.Fingerprint,
-		opt:         j.opt,
-		key:         j.key,
-		ro:          j.ro,
-	})
+	report, hit, degraded, err := s.analyze(ctx, "job", &j.request, s.options(&j.request))
 	switch {
 	case err != nil:
 		j.finish(JobFailed, nil, false, err.Error())
@@ -558,12 +549,11 @@ func (s *Server) retryAfterSeconds() string {
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	pr, ok := s.decodeRequest(w, r)
+	req, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
 	}
-	j := NewJob(pr.nl, pr.opt, pr.fingerprint, pr.key)
-	j.ro = pr.ro
+	j := newJob(req)
 	switch err := s.queue.Submit(j); {
 	case errors.Is(err, ErrQueueFull):
 		// Backpressure: tell well-behaved clients when to come back and
@@ -619,20 +609,14 @@ func (s *Server) handleJobRTL(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job is %s; RTL is only available for done jobs", st)
 		return
 	}
+	opt := s.options(&j.request)
 	h := artifact.NewHasher("netlistre-rtl-v1")
-	h.Str(j.Fingerprint)
-	h.Str(j.key)
+	h.Digest(reportKey(&j.request, opt))
 	var computeErr error
 	art, _, err := s.rtl.Do(r.Context(), h.Sum(), func() (*artifact.Artifact, bool) {
 		// Re-derive the report from the retained netlist; the shared
 		// stage store turns this into a replay of the original analysis.
-		opt := j.opt
-		if s.stages != nil {
-			opt.StageStore = s.stages
-			opt.Fingerprint = j.Fingerprint
-		}
-		rep := netlistre.AnalyzeContext(r.Context(), j.nl, opt)
-		s.metrics.AnalysisDone("rtl", rep.Trace)
+		rep := s.run(r.Context(), "rtl", j.nl, opt)
 		if rep.Degraded {
 			computeErr = fmt.Errorf("re-analysis for RTL emission was degraded")
 			return nil, false
@@ -666,28 +650,13 @@ func (s *Server) handleJobRTL(w http.ResponseWriter, r *http.Request) {
 	}
 	ra := art.Value.(*rtlArtifact)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("X-Netlist-Fingerprint", j.Fingerprint)
+	w.Header().Set("X-Netlist-Fingerprint", j.fingerprint)
 	w.Header().Set("X-RTL-Equiv", ra.equiv.Method)
 	w.Write(ra.verilog) //nolint:errcheck
 }
 
-// Article is one entry of GET /v1/articles.
-type Article struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-}
-
 func (s *Server) handleArticles(w http.ResponseWriter, r *http.Request) {
-	var articles []Article
-	for _, name := range netlistre.TestArticleNames() {
-		articles = append(articles, Article{Name: name, Description: netlistre.TestArticleDescription(name)})
-	}
-	articles = append(articles,
-		Article{Name: "bigsoc", Description: "seven-core SoC case study (Section V-C)"},
-		Article{Name: "evoter-trojan", Description: "eVoter with key-sequence backdoor"},
-		Article{Name: "oc8051-trojan", Description: "oc8051 with XOR kill switch"},
-	)
-	writeJSON(w, http.StatusOK, articles)
+	writeJSON(w, http.StatusOK, netlistre.Articles())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strings"
@@ -179,6 +180,42 @@ func TestAnalyzeCacheHit(t *testing.T) {
 	}
 }
 
+// TestCacheKeyIsLoweredOptions: the report cache is keyed by the options
+// as they lower onto the analysis, so requests that lower alike share one
+// entry (a coverage target under the max objective, which lowering drops;
+// two min-objective fractions of the same element count) while any change
+// that reaches the analysis misses.
+func TestCacheKeyIsLoweredOptions(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	post := func(opts string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json",
+			strings.NewReader(`{"article":"usb","options":`+opts+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("options %s: status %d: %s", opts, resp.StatusCode, body)
+		}
+		return resp.Header.Get("X-Cache")
+	}
+	for _, tc := range []struct{ opts, want string }{
+		{`{"skip_modmatch":true}`, "MISS"},
+		{`{"skip_modmatch":true,"coverage_target":0.7}`, "HIT"},
+		{`{"skip_modmatch":true,"objective":"max","workers":1}`, "HIT"},
+		{`{"skip_modmatch":true,"objective":"min"}`, "MISS"},
+		{`{"skip_modmatch":true,"objective":"min","coverage_target":0.5}`, "HIT"},
+		{`{"skip_modmatch":true,"objective":"min","coverage_target":0.5000001}`, "HIT"},
+		{`{"skip_modmatch":true,"objective":"min","coverage_target":0.6}`, "MISS"},
+		{`{"skip_modmatch":true,"include_elements":true}`, "MISS"},
+		{`{"skip_modmatch":true,"sliceable":false}`, "MISS"},
+	} {
+		if got := post(tc.opts); got != tc.want {
+			t.Errorf("options %s: X-Cache = %q, want %q", tc.opts, got, tc.want)
+		}
+	}
+}
+
 // TestAnalyzeCrossFormatCacheShare is the content-addressing payoff: the
 // same circuit uploaded as Verilog and then as BLIF shares one cache
 // entry, because the key is the canonical fingerprint, not the upload
@@ -325,15 +362,32 @@ func TestSyncSizeGate(t *testing.T) {
 	}
 }
 
+// TestBodyLimit: every endpoint that takes a body answers one over
+// MaxRequestBytes with 413 and a structured error.
 func TestBodyLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxRequestBytes: 128})
+	sess := "/v1/sessions/" + newSession(t, ts.URL, "usb")
 	big := fmt.Sprintf(`{"verilog":%q}`, strings.Repeat("x", 1024))
-	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body := readBody(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413 (%s)", resp.StatusCode, body)
+	for _, endpoint := range []string{
+		"/v1/analyze",
+		"/v1/jobs",
+		"/v1/sessions",
+		sess + "/rerun",
+		sess + "/revisions/big",
+		sess + "/diff",
+	} {
+		resp, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413 (%s)", endpoint, resp.StatusCode, body)
+		}
+		var apiErr apiError
+		if err := json.Unmarshal(body, &apiErr); err != nil || !strings.Contains(apiErr.Error, "exceeds 128 bytes") {
+			t.Errorf("%s: error body %s, want one naming the 128-byte limit", endpoint, body)
+		}
 	}
 }
 
@@ -354,9 +408,12 @@ func TestArticlesEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var articles []Article
+	var articles []netlistre.Article
 	if err := json.Unmarshal(readBody(t, resp), &articles); err != nil {
 		t.Fatal(err)
+	}
+	if want := netlistre.Articles(); !reflect.DeepEqual(articles, want) {
+		t.Errorf("articles = %v, want the catalogue in order %v", articles, want)
 	}
 	names := make(map[string]bool)
 	for _, a := range articles {
@@ -456,14 +513,11 @@ func TestDegradedNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ro RequestOptions
-	opt := ro.toOptions(nl, 0)
-	fp := nl.Fingerprint()
-	key := ro.cacheKey(fp, 0)
+	req := &request{nl: nl, fingerprint: nl.Fingerprint()}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	report, hit, degraded, err := s.analyze(ctx, "sync", &parsedRequest{nl: nl, fingerprint: fp, opt: opt, key: key, ro: ro})
+	report, hit, degraded, err := s.analyze(ctx, "sync", req, s.options(req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,14 +546,12 @@ func TestCanceledWaiterDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ro RequestOptions
-	fp := nl.Fingerprint()
-	key := ro.cacheKey(fp, 0)
+	req := &request{nl: nl, fingerprint: nl.Fingerprint()}
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	leaderOpt := ro.toOptions(nl, 0)
+	leaderOpt := s.options(req)
 	leaderOpt.Progress = func(netlistre.StageEvent) {
 		once.Do(func() {
 			close(entered)
@@ -509,13 +561,13 @@ func TestCanceledWaiterDegrades(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		s.analyze(context.Background(), "sync", &parsedRequest{nl: nl, fingerprint: fp, opt: leaderOpt, key: key, ro: ro})
+		s.analyze(context.Background(), "sync", req, leaderOpt)
 	}()
 	<-entered // the leader now holds the report's flight
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, hit, degraded, err := s.analyze(ctx, "sync", &parsedRequest{nl: nl, fingerprint: fp, opt: ro.toOptions(nl, 0), key: key, ro: ro})
+	_, hit, degraded, err := s.analyze(ctx, "sync", req, s.options(req))
 	close(release)
 	<-leaderDone
 	if err != nil || hit || !degraded {
@@ -702,8 +754,7 @@ func TestShutdownDrainsQueuedJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := nl.Fingerprint()
-		j := NewJob(nl, req.Options.toOptions(nl, 0), fp, req.Options.cacheKey(fp, 0))
+		j := newJob(&request{nl: nl, fingerprint: nl.Fingerprint(), ro: req.Options})
 		if err := s.queue.Submit(j); err != nil {
 			t.Fatal(err)
 		}
@@ -721,8 +772,9 @@ func TestShutdownDrainsQueuedJobs(t *testing.T) {
 	}
 }
 
-// TestQueueFullBackpressure wedges the single queue worker on a job whose
-// progress callback blocks, fills the one-slot queue, and checks that the
+// TestQueueFullBackpressure wedges the single queue worker on a job that
+// waits for a report another analysis is computing, whose progress
+// callback blocks; it then fills the one-slot queue, and checks that the
 // next submission is rejected with 503 + Retry-After and surfaces in the
 // revand_queue_full_total counter.
 func TestQueueFullBackpressure(t *testing.T) {
@@ -732,23 +784,33 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	req := &request{nl: nl, fingerprint: nl.Fingerprint()}
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	defer close(release)
 	var once sync.Once
-	opt := netlistre.Options{}
+	opt := s.options(req)
 	opt.Progress = func(netlistre.StageEvent) {
 		once.Do(func() {
 			close(entered)
 			<-release
 		})
 	}
-	fp := nl.Fingerprint()
-	blocker := NewJob(nl, opt, fp, "blocker-"+fp)
-	if err := s.queue.Submit(blocker); err != nil {
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		s.analyze(context.Background(), "sync", req, opt)
+	}()
+	defer func() {
+		close(release)
+		<-leaderDone
+	}()
+	<-entered // the leader now holds the report's flight
+	if err := s.queue.Submit(newJob(req)); err != nil {
 		t.Fatal(err)
 	}
-	<-entered // the worker is now parked inside the blocker's first stage
+	for s.queue.Running() == 0 {
+		time.Sleep(time.Millisecond) // until the worker takes the job and waits on the flight
+	}
 
 	resp := postJSON(t, ts.URL+"/v1/jobs", AnalyzeRequest{Article: "usb"})
 	if body := readBody(t, resp); resp.StatusCode != http.StatusAccepted {
@@ -843,20 +905,18 @@ func TestDegradedRunResumesFromStageStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ro RequestOptions
-	fp := nl.Fingerprint()
-	key := ro.cacheKey(fp, 0)
+	req := &request{nl: nl, fingerprint: nl.Fingerprint()}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opt := ro.toOptions(nl, 0)
+	opt := s.options(req)
 	opt.Workers = 1 // serial: stages complete in declaration order
 	opt.Progress = func(ev netlistre.StageEvent) {
 		if ev.Done && ev.Stage == "aggregate" {
 			cancel()
 		}
 	}
-	_, hit, degraded, err := s.analyze(ctx, "sync", &parsedRequest{nl: nl, fingerprint: fp, opt: opt, key: key, ro: ro})
+	_, hit, degraded, err := s.analyze(ctx, "sync", req, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -864,9 +924,9 @@ func TestDegradedRunResumesFromStageStore(t *testing.T) {
 		t.Fatalf("interrupted analyze: hit=%v degraded=%v, want miss+degraded", hit, degraded)
 	}
 
-	opt2 := ro.toOptions(nl, 0)
+	opt2 := s.options(req)
 	opt2.Workers = 1
-	report, hit, degraded, err := s.analyze(context.Background(), "sync", &parsedRequest{nl: nl, fingerprint: fp, opt: opt2, key: key, ro: ro})
+	report, hit, degraded, err := s.analyze(context.Background(), "sync", req, opt2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,11 +68,9 @@ type Session struct {
 // publishes a new one under the same name, so handlers read a revision
 // they looked up without holding the session lock.
 type sessionRevision struct {
-	name        string
-	nl          *netlistre.Netlist
-	fingerprint string
-	ro          RequestOptions
-	rep         *netlistre.Report
+	name string
+	request
+	rep *netlistre.Report
 }
 
 func (s *Session) revision(name string) *sessionRevision {
@@ -349,27 +347,12 @@ func (s *Server) sessionStatus(sess *Session) SessionStatus {
 	return out
 }
 
-// analyzeRevision runs (or replays) the analysis for a revision through
-// the process-wide stage store, so a session created from a done job costs
-// a stage replay, not a fresh portfolio run.
-func (s *Server) analyzeRevision(r *http.Request, rev *sessionRevision) *netlistre.Report {
-	opt := rev.ro.toOptions(rev.nl, s.cfg.DefaultTimeout)
-	if s.stages != nil {
-		opt.StageStore = s.stages
-		opt.Fingerprint = rev.fingerprint
-	}
-	rep := netlistre.AnalyzeContext(r.Context(), rev.nl, opt)
-	s.metrics.AnalysisDone("session", rep.Trace)
-	return rep
-}
-
+// handleCreateSession binds a session to a done job. Its report is
+// re-derived through the process-wide stage store, so the session costs a
+// stage replay, not a fresh portfolio run.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req CreateSessionRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeJSON(w, r, &req) {
 		return
 	}
 	if req.JobID == "" {
@@ -386,13 +369,8 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 			"job is %s; sessions can only bind to done jobs", st)
 		return
 	}
-	rev := &sessionRevision{
-		name:        revisionMain,
-		nl:          j.nl,
-		fingerprint: j.Fingerprint,
-		ro:          j.ro,
-	}
-	rep := s.analyzeRevision(r, rev)
+	rev := &sessionRevision{name: revisionMain, request: j.request}
+	rep := s.run(r.Context(), "session", rev.nl, s.options(&rev.request))
 	if rep.Degraded {
 		writeError(w, http.StatusServiceUnavailable,
 			"re-deriving the job's report was degraded; retry")
@@ -415,33 +393,30 @@ func (s *Server) getSession(w http.ResponseWriter, r *http.Request) *Session {
 	return sess
 }
 
-// getRevision resolves the ?rev= query parameter (default "main") on a
-// session, writing the 400 itself.
-func (s *Server) getRevision(w http.ResponseWriter, r *http.Request, sess *Session) *sessionRevision {
+// getRevision resolves the {id} path value to a session (404 otherwise)
+// and its ?rev= query parameter (default "main") to a revision (400
+// otherwise). With analyzed set the revision must also hold a report (409
+// otherwise: it was uploaded for diffing but never analyzed). It writes
+// the error itself and returns a nil revision.
+func (s *Server) getRevision(w http.ResponseWriter, r *http.Request, analyzed bool) (*Session, *sessionRevision) {
+	sess := s.getSession(w, r)
+	if sess == nil {
+		return nil, nil
+	}
 	name := r.URL.Query().Get("rev")
 	if name == "" {
 		name = revisionMain
 	}
 	rev := sess.revision(name)
-	if rev == nil {
+	switch {
+	case rev == nil:
 		writeError(w, http.StatusBadRequest, "session has no revision %q", name)
-	}
-	return rev
-}
-
-// getAnalyzedRevision additionally requires a report, 409 otherwise (the
-// revision was uploaded for diffing but never analyzed).
-func (s *Server) getAnalyzedRevision(w http.ResponseWriter, r *http.Request, sess *Session) *sessionRevision {
-	rev := s.getRevision(w, r, sess)
-	if rev == nil {
-		return nil
-	}
-	if rev.rep == nil {
+	case analyzed && rev.rep == nil:
 		writeError(w, http.StatusConflict,
 			"revision %q has not been analyzed; POST .../rerun?rev=%s first", rev.name, rev.name)
-		return nil
+		return sess, nil
 	}
-	return rev
+	return sess, rev
 }
 
 func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
@@ -459,11 +434,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionBlocks(w http.ResponseWriter, r *http.Request) {
-	sess := s.getSession(w, r)
-	if sess == nil {
-		return
-	}
-	rev := s.getAnalyzedRevision(w, r, sess)
+	_, rev := s.getRevision(w, r, true)
 	if rev == nil {
 		return
 	}
@@ -484,11 +455,7 @@ func (s *Server) handleSessionBlocks(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionBlock(w http.ResponseWriter, r *http.Request) {
-	sess := s.getSession(w, r)
-	if sess == nil {
-		return
-	}
-	rev := s.getAnalyzedRevision(w, r, sess)
+	_, rev := s.getRevision(w, r, true)
 	if rev == nil {
 		return
 	}
@@ -523,11 +490,7 @@ func (s *Server) handleSessionBlock(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionWords(w http.ResponseWriter, r *http.Request) {
-	sess := s.getSession(w, r)
-	if sess == nil {
-		return
-	}
-	rev := s.getAnalyzedRevision(w, r, sess)
+	_, rev := s.getRevision(w, r, true)
 	if rev == nil {
 		return
 	}
@@ -546,11 +509,7 @@ func (s *Server) handleSessionWords(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionPorts(w http.ResponseWriter, r *http.Request) {
-	sess := s.getSession(w, r)
-	if sess == nil {
-		return
-	}
-	rev := s.getRevision(w, r, sess)
+	_, rev := s.getRevision(w, r, false)
 	if rev == nil {
 		return
 	}
@@ -585,11 +544,7 @@ func coneBound(q string, def, max int) (int, error) {
 }
 
 func (s *Server) handleSessionCone(w http.ResponseWriter, r *http.Request) {
-	sess := s.getSession(w, r)
-	if sess == nil {
-		return
-	}
-	rev := s.getRevision(w, r, sess)
+	_, rev := s.getRevision(w, r, false)
 	if rev == nil {
 		return
 	}
@@ -659,20 +614,12 @@ func (s *Server) handleSessionCone(w http.ResponseWriter, r *http.Request) {
 // unchanged replay with "cached" provenance, and only the stages the new
 // options actually affect execute.
 func (s *Server) handleSessionRerun(w http.ResponseWriter, r *http.Request) {
-	sess := s.getSession(w, r)
-	if sess == nil {
-		return
-	}
-	rev := s.getRevision(w, r, sess)
+	sess, rev := s.getRevision(w, r, false)
 	if rev == nil {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var ro RequestOptions
-	if err := dec.Decode(&ro); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decodeJSON(w, r, &ro) {
 		return
 	}
 	if err := ro.validate(); err != nil {
@@ -680,21 +627,10 @@ func (s *Server) handleSessionRerun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	work := &sessionRevision{
-		name:        rev.name,
-		nl:          rev.nl,
-		fingerprint: rev.fingerprint,
-		ro:          ro,
-	}
-	rep := s.analyzeRevision(r, work)
-
-	var buf strings.Builder
-	var err error
-	if ro.IncludeElements {
-		err = netlistre.WriteJSONReportElements(&buf, rep)
-	} else {
-		err = netlistre.WriteJSONReport(&buf, rep)
-	}
+	work := &sessionRevision{name: rev.name, request: rev.request}
+	work.ro = ro
+	rep := s.run(r.Context(), "session", work.nl, s.options(&work.request))
+	report, err := render(rep, ro.IncludeElements)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "rendering report: %v", err)
 		return
@@ -703,7 +639,7 @@ func (s *Server) handleSessionRerun(w http.ResponseWriter, r *http.Request) {
 		Revision:    rev.name,
 		Fingerprint: rev.fingerprint,
 		Degraded:    rep.Degraded,
-		Report:      json.RawMessage(buf.String()),
+		Report:      json.RawMessage(report),
 	}
 	for _, st := range rep.Trace {
 		resp.Trace = append(resp.Trace, StageRunStatus{
@@ -758,16 +694,11 @@ func (s *Server) handleAddRevision(w http.ResponseWriter, r *http.Request) {
 			"revision name must match [a-z0-9_-]{1,32}, got %q", name)
 		return
 	}
-	pr, ok := s.decodeRequest(w, r)
+	req, ok := s.decodeRequest(w, r)
 	if !ok {
 		return
 	}
-	rev := &sessionRevision{
-		name:        name,
-		nl:          pr.nl,
-		fingerprint: pr.fingerprint,
-		ro:          pr.ro,
-	}
+	rev := &sessionRevision{name: name, request: *req}
 	if err := sess.addRevision(rev); err != nil {
 		writeError(w, http.StatusConflict, "%v", err)
 		return
