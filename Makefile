@@ -32,7 +32,7 @@ bench-smoke:
 # compiling. CI's "Stage benchmarks" step runs this target; the package
 # list lives only here (the step's comment names the benchmarks).
 stage-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/ilp ./internal/graph ./internal/seq ./internal/overlap ./internal/bitslice ./internal/support ./internal/cuts ./internal/rtl ./internal/modmatch ./internal/words ./internal/simplify ./internal/netlist
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/aggregate ./internal/ilp ./internal/graph ./internal/seq ./internal/overlap ./internal/bitslice ./internal/support ./internal/cuts ./internal/rtl ./internal/modmatch ./internal/words ./internal/simplify ./internal/netlist
 
 # Cold-vs-warm stage-store comparison on the BigSoC case study: analyzes
 # the SoC once from scratch, then again replaying every stage artifact,

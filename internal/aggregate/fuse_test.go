@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"slices"
 	"testing"
 
 	"netlistre/internal/gen"
@@ -147,5 +148,71 @@ func TestChainWithBranchingCarry(t *testing.T) {
 	}
 	if best != 6 {
 		t.Errorf("adder width with branching consumers = %d, want 6", best)
+	}
+}
+
+func TestFuseComponentOrder(t *testing.T) {
+	// Two fusion components, a two-layer mux tree and a decoder routing
+	// structure, given in an order where the tree's first member comes
+	// first but its union-find root (the tree's top mux, given last) comes
+	// after the routing structure's root (its last lane mux): fused
+	// modules come out in root order, not first-member order.
+	nl := netlist.New("order")
+	s0 := nl.AddInput("s0")
+	s1 := nl.AddInput("s1")
+	var data []gen.Word
+	for i := 0; i < 4; i++ {
+		data = append(data, gen.InputWord(nl, string(rune('a'+i)), 4))
+	}
+	treeOut := gen.MuxTree(nl, gen.Word{s0, s1}, data)
+	sel := gen.InputWord(nl, "s", 2)
+	dec := gen.Decoder(nl, sel)
+	bus := gen.InputWord(nl, "bus", 4)
+	var laneOuts []netlist.ID
+	for k := 0; k < 4; k++ {
+		out := gen.Mux2Word(nl, dec[k], bus, gen.InputWord(nl, "src"+string(rune('a'+k)), 4))
+		gen.MarkOutputs(nl, "y"+string(rune('a'+k)), out)
+		laneOuts = append(laneOuts, out...)
+	}
+
+	bySel := make(map[netlist.ID]*module.Module)
+	for _, m := range CommonSignal(nl, analyze(nl, false)) {
+		if s := m.Port("sel"); m.Type == module.Mux && len(s) == 1 {
+			bySel[s[0]] = m
+		}
+	}
+	decMod := module.New(module.Decoder, 4, dec)
+	decMod.SetPort("out", dec)
+	decMod.SetPort("in", sel)
+	mods := []*module.Module{bySel[s0], decMod}
+	for _, d := range dec {
+		mods = append(mods, bySel[d])
+	}
+	mods = append(mods, bySel[s1])
+	for i, m := range mods {
+		if m == nil {
+			t.Fatalf("module %d of the fusion input was not aggregated", i)
+		}
+	}
+
+	want := []struct {
+		name, members string
+		out           []netlist.ID
+	}{
+		{"routing[4]", "5", netlist.SortedIDs(laneOuts)},
+		{"mux3:1[8]", "2", netlist.SortedIDs(treeOut)},
+	}
+	fused := Fuse(mods)
+	if len(fused) != len(want) {
+		t.Fatalf("fused %d modules %v, want %d", len(fused), names(fused), len(want))
+	}
+	for i, w := range want {
+		f := fused[i]
+		if f.Name != w.name || f.Attr["members"] != w.members {
+			t.Errorf("fused[%d] = %s with %s members, want %s with %s", i, f.Name, f.Attr["members"], w.name, w.members)
+		}
+		if got := f.Port("out"); !slices.Equal(got, w.out) {
+			t.Errorf("fused[%d] out = %v, want %v", i, got, w.out)
+		}
 	}
 }
