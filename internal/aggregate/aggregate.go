@@ -8,8 +8,9 @@
 package aggregate
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"netlistre/internal/bitslice"
 	"netlistre/internal/module"
@@ -31,21 +32,22 @@ const (
 // CommonSignal aggregates mux-family bitslices sharing select signals
 // (Section II-B.1) and unknown bitslices sharing a common signal into
 // candidate modules.
-func CommonSignal(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
+func CommonSignal(res *bitslice.Result) []*module.Module {
 	var out []*module.Module
-	out = append(out, muxGroups(nl, res.Matches(truth.ClassMux2), truth.ClassMux2)...)
-	out = append(out, muxGroups(nl, res.Matches(truth.ClassMux2Inv), truth.ClassMux2Inv)...)
-	out = append(out, mux4Groups(nl, res.Matches(truth.ClassMux4))...)
-	out = append(out, gatingGroups(nl, res)...)
-	out = append(out, unknownCandidates(nl, res)...)
+	out = append(out, muxGroups(res.Matches(truth.ClassMux2), truth.ClassMux2)...)
+	out = append(out, muxGroups(res.Matches(truth.ClassMux2Inv), truth.ClassMux2Inv)...)
+	out = append(out, mux4Groups(res.Matches(truth.ClassMux4))...)
+	out = append(out, gatingGroups(res)...)
+	out = append(out, unknownCandidates(res)...)
 	return out
 }
 
 // gatingGroups aggregates word-wide gating functions: and/and-not/or
-// slices that share one control argument across at least four bits. These
-// are the "gating function" modules that zero out or force a word (the
-// oc8051 trojan payload of Section V-D is exactly such a module).
-func gatingGroups(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
+// slices of one class that share one argument, the control, across at
+// least four bits. These are the "gating function" modules that zero out
+// or force a word (the oc8051 trojan payload of Section V-D is exactly
+// such a module). Every argument shared by four slices forms a group.
+func gatingGroups(res *bitslice.Result) []*module.Module {
 	// Gates that already participate in a mux slice are mux interior, not
 	// gating logic: a 2:1 mux is exactly an and-or of two gated legs, and
 	// emitting its and-gates again as "gating" modules floods overlap
@@ -58,84 +60,38 @@ func gatingGroups(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
 			}
 		}
 	}
-	classes := []truth.Class{truth.ClassHACarry, truth.ClassAndNot, truth.ClassOr2}
-	type key struct {
-		class truth.Class
-		ctl   netlist.ID
-	}
-	groups := make(map[key][]*bitslice.Match)
-	for _, class := range classes {
+	var b buckets
+	for _, class := range []truth.Class{truth.ClassHACarry, truth.ClassAndNot, truth.ClassOr2} {
 		for _, m := range res.Matches(class) {
 			if muxInterior[m.Root] {
 				continue
 			}
 			for _, a := range m.Args {
-				groups[key{class, a}] = append(groups[key{class, a}], m)
+				b.add(groupKey{netlist.ID(class), a}, m)
 			}
 		}
 	}
-	var keys []key
-	for k, g := range groups {
-		if len(dedupeByRoot(g)) >= minGatingBits {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].class != keys[j].class {
-			return keys[i].class < keys[j].class
-		}
-		return keys[i].ctl < keys[j].ctl
-	})
 	var out []*module.Module
-	for _, k := range keys {
-		group := dedupeByRoot(groups[k])
-		// The control must not be a data bit: require that it is the only
-		// argument shared by every slice.
-		shared := true
-		for _, m := range group {
-			found := false
-			for _, a := range m.Args {
-				if a == k.ctl {
-					found = true
-				}
-			}
-			if !found {
-				shared = false
-				break
-			}
-		}
-		if !shared {
-			continue
-		}
+	b.each(minGatingBits, func(k groupKey, group []*bitslice.Match) {
 		mod := buildSliceModule(module.Gating, group)
-		mod.Name = fmt.Sprintf("gating-%s[%d]", k.class, len(group))
-		mod.SetPort("ctl", []netlist.ID{k.ctl})
+		mod.Name = fmt.Sprintf("gating-%s[%d]", truth.Class(k[0]), len(group))
+		mod.SetPort("ctl", []netlist.ID{k[1]})
 		mod.SetPort("out", matchRoots(group))
 		out = append(out, mod)
-	}
+	})
 	return out
 }
 
 // muxGroups groups 2:1 mux matches by select signal.
-func muxGroups(nl *netlist.Netlist, ms []*bitslice.Match, class truth.Class) []*module.Module {
-	bySel := make(map[netlist.ID][]*bitslice.Match)
+func muxGroups(ms []*bitslice.Match, class truth.Class) []*module.Module {
+	var b buckets
 	for _, m := range ms {
-		bySel[m.Args[2]] = append(bySel[m.Args[2]], m)
+		b.add(groupKey{m.Args[2]}, m)
 	}
-	var sels []netlist.ID
-	for s := range bySel {
-		sels = append(sels, s)
-	}
-	sort.Slice(sels, func(i, j int) bool { return sels[i] < sels[j] })
-
 	var out []*module.Module
-	for _, sel := range sels {
-		group := dedupeByRoot(bySel[sel])
-		if len(group) < minSlices {
-			continue
-		}
+	b.each(minSlices, func(k groupKey, group []*bitslice.Match) {
 		mod := buildSliceModule(module.Mux, group)
-		mod.SetPort("sel", []netlist.ID{sel})
+		mod.SetPort("sel", []netlist.ID{k[0]})
 		mod.SetPort("out", matchRoots(group))
 		mod.SetPort("d0", argColumn(group, 0))
 		mod.SetPort("d1", argColumn(group, 1))
@@ -143,88 +99,61 @@ func muxGroups(nl *netlist.Netlist, ms []*bitslice.Match, class truth.Class) []*
 			mod.Name = fmt.Sprintf("mux-inv[%d]", len(group))
 		}
 		out = append(out, mod)
-	}
+	})
 	return out
 }
 
 // mux4Groups groups 4:1 mux matches by their select pair.
-func mux4Groups(nl *netlist.Netlist, ms []*bitslice.Match) []*module.Module {
-	type selKey struct{ a, b netlist.ID }
-	bySel := make(map[selKey][]*bitslice.Match)
+func mux4Groups(ms []*bitslice.Match) []*module.Module {
+	var b buckets
 	for _, m := range ms {
-		s0, s1 := m.Args[4], m.Args[5]
-		if s1 < s0 {
-			s0, s1 = s1, s0
-		}
-		bySel[selKey{s0, s1}] = append(bySel[selKey{s0, s1}], m)
+		b.add(groupKey{min(m.Args[4], m.Args[5]), max(m.Args[4], m.Args[5])}, m)
 	}
-	var keys []selKey
-	for k := range bySel {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
 	var out []*module.Module
-	for _, k := range keys {
-		group := dedupeByRoot(bySel[k])
-		if len(group) < minSlices {
-			continue
-		}
+	b.each(minSlices, func(k groupKey, group []*bitslice.Match) {
 		mod := buildSliceModule(module.Mux, group)
 		mod.Name = fmt.Sprintf("mux4[%d]", len(group))
-		mod.SetPort("sel", []netlist.ID{k.a, k.b})
+		mod.SetPort("sel", []netlist.ID{k[0], k[1]})
 		mod.SetPort("out", matchRoots(group))
 		out = append(out, mod)
-	}
+	})
 	return out
 }
 
 // unknownCandidates aggregates unknown-function bitslices connected by a
 // common signal into candidate modules for a human analyst (Section
 // II-B.1). Requires bitslice.Find to have run with KeepUnknown.
-func unknownCandidates(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
-	if res.UnknownClasses == nil {
-		return nil
+func unknownCandidates(res *bitslice.Result) []*module.Module {
+	fns := make([]string, 0, len(res.UnknownClasses))
+	for fn := range res.UnknownClasses {
+		fns = append(fns, fn)
 	}
-	var keys []string
-	for k := range res.UnknownClasses {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	slices.Sort(fns)
 	var out []*module.Module
-	for _, k := range keys {
-		ms := dedupeByRoot(res.UnknownClasses[k])
-		if len(ms) < minSlices+1 {
-			continue
-		}
-		// Group by a shared argument signal: pick the argument that occurs
-		// in the most matches.
-		occ := make(map[netlist.ID][]*bitslice.Match)
-		for _, m := range ms {
+	for _, fn := range fns {
+		// Group by a shared argument signal: the argument that occurs in
+		// the most matches, the lowest on a tie.
+		var b buckets
+		for _, m := range dedupeByRoot(res.UnknownClasses[fn]) {
 			for _, a := range m.Args {
-				occ[a] = append(occ[a], m)
+				b.add(groupKey{a}, m)
 			}
 		}
-		var best netlist.ID = netlist.Nil
-		for a, group := range occ {
-			if best == netlist.Nil || len(group) > len(occ[best]) ||
-				(len(group) == len(occ[best]) && a < best) {
-				best = a
+		var common netlist.ID
+		var group []*bitslice.Match
+		b.each(minSlices+1, func(k groupKey, g []*bitslice.Match) {
+			if len(g) > len(group) {
+				common, group = k[0], g
 			}
-		}
-		if best == netlist.Nil || len(occ[best]) < minSlices+1 {
+		})
+		if group == nil {
 			continue
 		}
-		group := dedupeByRoot(occ[best])
 		mod := buildSliceModule(module.Candidate, group)
 		mod.Name = fmt.Sprintf("candidate[%d]", len(group))
-		mod.SetPort("common", []netlist.ID{best})
+		mod.SetPort("common", []netlist.ID{common})
 		mod.SetPort("out", matchRoots(group))
-		mod.SetAttr("function", k)
+		mod.SetAttr("function", fn)
 		out = append(out, mod)
 	}
 	return out
@@ -232,18 +161,52 @@ func unknownCandidates(nl *netlist.Netlist, res *bitslice.Result) []*module.Modu
 
 // PropagatedSignal aggregates carry/borrow chains into adders and
 // subtractors and xor trees into parity trees (Section II-B.2).
-func PropagatedSignal(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
+func PropagatedSignal(res *bitslice.Result) []*module.Module {
+	sums := newSumIndex(res)
 	var out []*module.Module
-	out = append(out, chainModules(nl, res, truth.ClassFACarry, module.Adder)...)
-	out = append(out, chainModules(nl, res, truth.ClassSubBorrow, module.Subtractor)...)
-	out = append(out, parityTrees(nl, res)...)
+	out = append(out, chainModules(res, sums, truth.ClassFACarry, module.Adder)...)
+	out = append(out, chainModules(res, sums, truth.ClassSubBorrow, module.Subtractor)...)
+	out = append(out, parityTrees(res)...)
 	return out
+}
+
+// argKey is an argument set of at most three signals: the IDs sorted and
+// padded with Nil, so a pair never equals a triple.
+type argKey [3]netlist.ID
+
+func argKeyOf(args []netlist.ID) argKey {
+	k := argKey{netlist.Nil, netlist.Nil, netlist.Nil}
+	copy(k[:], args)
+	slices.Sort(k[:len(args)])
+	return k
+}
+
+// sumIndex finds the sum slice over an argument set. Adder sums and
+// subtractor differences both synthesize as plain xor3 (a ^ b ^ cin,
+// a ^ b ^ bin), and the bit-0 sum as xor2.
+type sumIndex map[argKey]*bitslice.Match
+
+// newSumIndex indexes the last FASum match over each triple, else the
+// first Xor3Not match over it, and the first HASum match over each pair.
+func newSumIndex(res *bitslice.Result) sumIndex {
+	idx := make(sumIndex)
+	for _, m := range res.Matches(truth.ClassFASum) {
+		idx[argKeyOf(m.Args)] = m
+	}
+	for _, class := range []truth.Class{truth.ClassXor3Not, truth.ClassHASum} {
+		for _, m := range res.Matches(class) {
+			if k := argKeyOf(m.Args); idx[k] == nil {
+				idx[k] = m
+			}
+		}
+	}
+	return idx
 }
 
 // chainModules finds maximal chains of carry-class matches where the root
 // of one match is an argument of the next, then attaches the matching sum
 // slices and the bit-0 half slice.
-func chainModules(nl *netlist.Netlist, res *bitslice.Result, carryClass truth.Class, typ module.Type) []*module.Module {
+func chainModules(res *bitslice.Result, sums sumIndex, carryClass truth.Class, typ module.Type) []*module.Module {
 	carries := dedupeByRoot(res.Matches(carryClass))
 	byRoot := make(map[netlist.ID]*bitslice.Match, len(carries))
 	for _, m := range carries {
@@ -266,17 +229,9 @@ func chainModules(nl *netlist.Netlist, res *bitslice.Result, carryClass truth.Cl
 			}
 		}
 	}
-	// Sum-slice lookup: sum matches keyed by sorted arg set.
-	// Adder sums and subtractor differences both synthesize as plain xor3
-	// (a ^ b ^ cin, a ^ b ^ bin); Xor3Not slices are accepted as well.
-	sumByArgs := make(map[string]*bitslice.Match)
-	for _, m := range res.Matches(truth.ClassFASum) {
-		sumByArgs[netlist.Key(netlist.SortedIDs(m.Args))] = m
-	}
-	for _, m := range res.Matches(truth.ClassXor3Not) {
-		if k := netlist.Key(netlist.SortedIDs(m.Args)); sumByArgs[k] == nil {
-			sumByArgs[k] = m
-		}
+	halfClass := truth.ClassHACarry
+	if carryClass == truth.ClassSubBorrow {
+		halfClass = truth.ClassAndNot
 	}
 
 	var out []*module.Module
@@ -296,29 +251,39 @@ func chainModules(nl *netlist.Netlist, res *bitslice.Result, carryClass truth.Cl
 		}
 		var elements []netlist.ID
 		var sumOuts, aWord, bWord []netlist.ID
+		addSum := func(args []netlist.ID) {
+			if s := sums[argKeyOf(args)]; s != nil {
+				elements = append(elements, s.Cone...)
+				sumOuts = append(sumOuts, s.Root)
+			}
+		}
 		for i, m := range chain {
 			elements = append(elements, m.Cone...)
 			// Operand bits: the two args that are not the propagated-in
 			// signal.
 			var ops []netlist.ID
-			for _, a := range m.Args {
-				if i > 0 && a == chain[i-1].Root {
-					continue
+			if i > 0 {
+				for _, a := range m.Args {
+					if a != chain[i-1].Root {
+						ops = append(ops, a)
+					}
 				}
-				ops = append(ops, a)
-			}
-			if i == 0 {
-				// Head: one arg may be the bit-0 half-carry; detect below.
-				ops = headOperands(nl, res, m, &elements, &sumOuts, &aWord, &bWord, carryClass)
+			} else {
+				var half *bitslice.Match
+				ops, half = headOperands(res, m, halfClass)
+				if half != nil {
+					// The bit-0 half slice, its operands and its xor2 sum.
+					elements = append(elements, half.Cone...)
+					aWord = append(aWord, half.Args[0])
+					bWord = append(bWord, half.Args[1])
+					addSum(half.Args)
+				}
 			}
 			if len(ops) >= 2 {
 				aWord = append(aWord, ops[0])
 				bWord = append(bWord, ops[1])
 			}
-			if s, ok := sumByArgs[netlist.Key(netlist.SortedIDs(m.Args))]; ok {
-				elements = append(elements, s.Cone...)
-				sumOuts = append(sumOuts, s.Root)
-			}
+			addSum(m.Args)
 		}
 		mod := module.New(typ, len(chain)+1, elements)
 		mod.Name = fmt.Sprintf("%s[%d]", typ, len(chain)+1)
@@ -331,18 +296,11 @@ func chainModules(nl *netlist.Netlist, res *bitslice.Result, carryClass truth.Cl
 	return out
 }
 
-// headOperands handles the first chain element: if one of its arguments is
-// the root of a bit-0 half slice (and2 for adders, and-not for
-// subtractors), that half slice and its xor2 sum are pulled into the
-// module. It returns the operand args of the head (excluding the bit-0
-// carry).
-func headOperands(nl *netlist.Netlist, res *bitslice.Result, head *bitslice.Match,
-	elements *[]netlist.ID, sumOuts, aWord, bWord *[]netlist.ID, carryClass truth.Class) []netlist.ID {
-
-	halfClass := truth.ClassHACarry
-	if carryClass == truth.ClassSubBorrow {
-		halfClass = truth.ClassAndNot
-	}
+// headOperands splits the first chain element's arguments: the first one
+// that is the root of a bit-0 half slice (and2 for adders, and-not for
+// subtractors) is returned as that half slice, and the rest as the head's
+// operands. Without a half slice every argument is an operand.
+func headOperands(res *bitslice.Result, head *bitslice.Match, halfClass truth.Class) ([]netlist.ID, *bitslice.Match) {
 	var ops []netlist.ID
 	var half *bitslice.Match
 	for _, a := range head.Args {
@@ -355,111 +313,64 @@ func headOperands(nl *netlist.Netlist, res *bitslice.Result, head *bitslice.Matc
 		ops = append(ops, a)
 	}
 	if half == nil {
-		return head.Args
+		return head.Args, nil
 	}
-	*elements = append(*elements, half.Cone...)
-	// Bit-0 operands and sum (xor2 over the same args).
-	*aWord = append(*aWord, half.Args[0])
-	*bWord = append(*bWord, half.Args[1])
-	halfKey := netlist.Key(netlist.SortedIDs(half.Args))
-	for _, s := range res.Matches(truth.ClassHASum) {
-		if netlist.Key(netlist.SortedIDs(s.Args)) == halfKey {
-			*elements = append(*elements, s.Cone...)
-			*sumOuts = append(*sumOuts, s.Root)
-			break
-		}
-	}
-	return ops
+	return ops, half
 }
 
 // parityTrees finds connected components of xor-family matches linked by
 // propagated outputs.
-func parityTrees(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
-	var xs []*bitslice.Match
-	for _, c := range []truth.Class{truth.ClassHASum, truth.ClassFASum} {
-		xs = append(xs, res.Matches(c)...)
+func parityTrees(res *bitslice.Result) []*module.Module {
+	xs := dedupeByRoot(slices.Concat(res.Matches(truth.ClassHASum), res.Matches(truth.ClassFASum)))
+	byRoot := make(map[netlist.ID]int, len(xs))
+	for i, m := range xs {
+		byRoot[m.Root] = i
 	}
-	xs = dedupeByRoot(xs)
-	byRoot := make(map[netlist.ID]*bitslice.Match, len(xs))
-	for _, m := range xs {
-		byRoot[m.Root] = m
-	}
-	// Union-find over matches.
-	parent := make(map[*bitslice.Match]*bitslice.Match)
-	var find func(m *bitslice.Match) *bitslice.Match
-	find = func(m *bitslice.Match) *bitslice.Match {
-		if parent[m] == nil || parent[m] == m {
-			parent[m] = m
-			return m
-		}
-		parent[m] = find(parent[m])
-		return parent[m]
-	}
-	union := func(a, b *bitslice.Match) { parent[find(a)] = find(b) }
-	for _, m := range xs {
+	uf := newUnionFind(len(xs))
+	for i, m := range xs {
 		for _, a := range m.Args {
-			if p, ok := byRoot[a]; ok && p != m {
-				union(p, m)
+			if p, ok := byRoot[a]; ok && p != i {
+				uf.union(p, i)
 			}
 		}
 	}
-	comps := make(map[*bitslice.Match][]*bitslice.Match)
-	for _, m := range xs {
-		r := find(m)
-		comps[r] = append(comps[r], m)
-	}
-	var reps []*bitslice.Match
-	for r := range comps {
-		reps = append(reps, r)
-	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i].Root < reps[j].Root })
 
 	var out []*module.Module
-	for _, r := range reps {
-		comp := comps[r]
-		if len(comp) < minParity {
-			continue
-		}
+	for _, comp := range uf.components(minParity) {
 		// A parity tree has exactly one root match whose output feeds no
 		// other member; adder sum columns (disconnected xors) never reach
 		// minParity because they are singletons.
+		members := make(map[netlist.ID]bool, len(comp))
+		for _, i := range comp {
+			members[xs[i].Root] = true
+		}
 		var elements, leaves []netlist.ID
-		rootCount := 0
-		var treeRoot netlist.ID
-		memberRoots := make(map[netlist.ID]bool, len(comp))
-		for _, m := range comp {
-			memberRoots[m.Root] = true
-		}
-		for _, m := range comp {
+		fed := make(map[netlist.ID]bool, len(comp))
+		for _, i := range comp {
+			m := xs[i]
 			elements = append(elements, m.Cone...)
-			feeds := false
-			for _, o := range comp {
-				if o == m {
-					continue
-				}
-				for _, a := range o.Args {
-					if a == m.Root {
-						feeds = true
-					}
-				}
-			}
-			if !feeds {
-				rootCount++
-				treeRoot = m.Root
-			}
 			for _, a := range m.Args {
-				if !memberRoots[a] {
+				switch {
+				case !members[a]:
 					leaves = append(leaves, a)
+				case a != m.Root:
+					fed[a] = true
 				}
 			}
 		}
-		if rootCount != 1 {
+		var treeRoots []netlist.ID
+		for _, i := range comp {
+			if !fed[xs[i].Root] {
+				treeRoots = append(treeRoots, xs[i].Root)
+			}
+		}
+		if len(treeRoots) != 1 {
 			continue // not a single-output tree
 		}
 		mod := module.New(module.ParityTree, len(leaves), elements)
 		mod.Name = fmt.Sprintf("parity-tree[%d]", len(leaves))
 		mod.SetPort("in", leaves)
-		mod.SetPort("out", []netlist.ID{treeRoot})
+		mod.SetPort("out", treeRoots)
 		out = append(out, mod)
 	}
 	return out
@@ -467,16 +378,97 @@ func parityTrees(nl *netlist.Netlist, res *bitslice.Result) []*module.Module {
 
 // --- helpers ---
 
-func dedupeByRoot(ms []*bitslice.Match) []*bitslice.Match {
-	seen := make(map[netlist.ID]bool, len(ms))
-	var out []*bitslice.Match
-	for _, m := range ms {
-		if !seen[m.Root] {
-			seen[m.Root] = true
-			out = append(out, m)
+// groupKey is a bucket key: a select, a select pair, a (class, control)
+// pair or a shared argument, compared element by element.
+type groupKey [2]netlist.ID
+
+// buckets groups matches by key; a match may be added under several keys.
+type buckets struct {
+	ms      []*bitslice.Match // by add order
+	entries []bucketEntry     // one per add
+}
+
+// bucketEntry is one add: the key, and the match's root with the add
+// order, each packed into a uint64 so that entries sort without pointers
+// (IDs are non-negative).
+type bucketEntry struct{ key, rootSeq uint64 }
+
+func pack(hi, lo netlist.ID) uint64 { return uint64(hi)<<32 | uint64(uint32(lo)) }
+
+func (b *buckets) add(k groupKey, m *bitslice.Match) {
+	b.entries = append(b.entries, bucketEntry{pack(k[0], k[1]), pack(m.Root, netlist.ID(len(b.ms)))})
+	b.ms = append(b.ms, m)
+}
+
+// each visits the buckets in ascending key order and calls emit for each
+// bucket that holds at least minRoots roots, with its matches sorted by
+// root: at each root, the first match added.
+func (b *buckets) each(minRoots int, emit func(k groupKey, group []*bitslice.Match)) {
+	es := b.entries
+	slices.SortFunc(es, func(x, y bucketEntry) int {
+		return cmp.Or(cmp.Compare(x.key, y.key), cmp.Compare(x.rootSeq, y.rootSeq))
+	})
+	var group []*bitslice.Match
+	for i, e := range es {
+		if i == 0 || e.key != es[i-1].key || e.rootSeq>>32 != es[i-1].rootSeq>>32 {
+			group = append(group, b.ms[uint32(e.rootSeq)])
+		}
+		if i+1 == len(es) || es[i+1].key != e.key {
+			if len(group) >= minRoots {
+				emit(groupKey{netlist.ID(e.key >> 32), netlist.ID(uint32(e.key))}, slices.Clone(group))
+			}
+			group = group[:0]
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Root < out[j].Root })
+}
+
+// dedupeByRoot keeps the first match at each root, sorted by root.
+func dedupeByRoot(ms []*bitslice.Match) []*bitslice.Match {
+	var b buckets
+	for _, m := range ms {
+		b.add(groupKey{}, m)
+	}
+	var out []*bitslice.Match
+	b.each(1, func(_ groupKey, group []*bitslice.Match) { out = group })
+	return out
+}
+
+// unionFind is a disjoint-set forest over the indices 0..n-1.
+type unionFind []int
+
+func newUnionFind(n int) unionFind {
+	u := make(unionFind, n)
+	for i := range u {
+		u[i] = i
+	}
+	return u
+}
+
+func (u unionFind) find(x int) int {
+	for u[x] != x {
+		u[x] = u[u[x]]
+		x = u[x]
+	}
+	return x
+}
+
+// union links a's set under b's root.
+func (u unionFind) union(a, b int) { u[u.find(a)] = u.find(b) }
+
+// components returns the sets of at least minSize members in ascending
+// order of their roots, each in ascending index order.
+func (u unionFind) components(minSize int) [][]int {
+	byRoot := make([][]int, len(u))
+	for i := range u {
+		r := u.find(i)
+		byRoot[r] = append(byRoot[r], i)
+	}
+	var out [][]int
+	for _, c := range byRoot {
+		if len(c) >= minSize {
+			out = append(out, c)
+		}
+	}
 	return out
 }
 
@@ -500,12 +492,12 @@ func argColumn(ms []*bitslice.Match, j int) []netlist.ID {
 // cones.
 func buildSliceModule(typ module.Type, group []*bitslice.Match) *module.Module {
 	var elements []netlist.ID
-	slices := make([][]netlist.ID, len(group))
+	parts := make([][]netlist.ID, len(group))
 	for i, m := range group {
 		elements = append(elements, m.Cone...)
-		slices[i] = append([]netlist.ID(nil), m.Cone...)
+		parts[i] = slices.Clone(m.Cone)
 	}
 	mod := module.New(typ, len(group), elements)
-	mod.Slices = slices
+	mod.Slices = parts
 	return mod
 }

@@ -18,14 +18,13 @@ var aggregateSink []*module.Module
 // aggregateInput is what the aggregate and fuse stages are given for one
 // design: its bitslice matches and common-support's decoders.
 type aggregateInput struct {
-	nl       *netlist.Netlist
 	res      *bitslice.Result
 	decoders []*module.Module
 }
 
 func newAggregateInput(b *testing.B, nl *netlist.Netlist, workers int) aggregateInput {
 	b.Helper()
-	in := aggregateInput{nl: nl, res: bitslice.Find(nl, bitslice.Options{Workers: workers})}
+	in := aggregateInput{res: bitslice.Find(nl, bitslice.Options{Workers: workers})}
 	for _, m := range support.Analyze(nl, support.Options{Workers: workers}) {
 		if m.Type == module.Decoder {
 			in.decoders = append(in.decoders, m)
@@ -38,8 +37,8 @@ func newAggregateInput(b *testing.B, nl *netlist.Netlist, workers int) aggregate
 // and the fuse stage (Fuse over the mux modules plus the decoders), as
 // the pipeline does.
 func aggregateOnce(in aggregateInput) {
-	common := CommonSignal(in.nl, in.res)
-	aggregateSink = PropagatedSignal(in.nl, in.res)
+	common := CommonSignal(in.res)
+	aggregateSink = PropagatedSignal(in.res)
 	var fusable []*module.Module
 	for _, m := range common {
 		if m.Type == module.Mux {

@@ -8,7 +8,7 @@ package aggregate
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"netlistre/internal/module"
 	"netlistre/internal/netlist"
@@ -26,128 +26,76 @@ func compatible(a, b module.Type) bool {
 	return false
 }
 
-// moduleInputs collects the input signals of a module for fusion-edge
-// construction.
-func moduleInputs(m *module.Module) map[netlist.ID]bool {
-	in := make(map[netlist.ID]bool)
-	for name, port := range m.Ports {
-		if name == "out" {
-			continue
-		}
-		for _, id := range port {
-			in[id] = true
-		}
-	}
-	return in
-}
-
 // Fuse builds the module fusion graph and returns one fused module per
 // connected component with at least two members.
 func Fuse(mods []*module.Module) []*module.Module {
-	inputsOf := make([]map[netlist.ID]bool, len(mods))
+	// consumers[n] lists, in ascending order, the modules that read net n
+	// on an input or select port (any port but "out").
+	consumers := make(map[netlist.ID][]int)
 	for i, m := range mods {
-		inputsOf[i] = moduleInputs(m)
-	}
-	// Union-find over module indices.
-	parent := make([]int, len(mods))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	// Select-port lookup for the decoder->mux pattern.
-	selOf := make([]map[netlist.ID]bool, len(mods))
-	for i, m := range mods {
-		selOf[i] = make(map[netlist.ID]bool)
-		for _, s := range m.Port("sel") {
-			selOf[i][s] = true
+		for name, port := range m.Ports {
+			if name == "out" {
+				continue
+			}
+			for _, n := range port {
+				if c := consumers[n]; len(c) == 0 || c[len(c)-1] != i {
+					consumers[n] = append(c, i)
+				}
+			}
 		}
 	}
+	reads := func(j int, n netlist.ID) bool {
+		_, ok := slices.BinarySearch(consumers[n], j)
+		return ok
+	}
 
-	edges := 0
+	uf := newUnionFind(len(mods))
 	for ai, a := range mods {
 		outs := a.Port("out")
-		if len(outs) == 0 {
-			continue
+		var next []int
+		for _, o := range outs {
+			next = append(next, consumers[o]...)
 		}
-		for bi, b := range mods {
+		slices.Sort(next)
+		for _, bi := range slices.Compact(next) {
+			b := mods[bi]
 			if ai == bi || !compatible(a.Type, b.Type) {
 				continue
 			}
-			connected := false
+			var connected bool
 			if a.Type == module.Decoder && b.Type == module.Mux {
 				// A decoder fans its one-hot outputs across SEVERAL muxes'
 				// selects; any select hit links the pair (the component
 				// gathers the rest of the routing structure).
-				for _, o := range outs {
-					if selOf[bi][o] {
-						connected = true
-						break
-					}
-				}
+				connected = slices.ContainsFunc(outs, func(o netlist.ID) bool {
+					return slices.Contains(b.Port("sel"), o)
+				})
 			} else {
 				// Mux layers fuse only when one layer's outputs are fully
 				// consumed by the next (a genuine tree stage).
-				connected = true
-				for _, o := range outs {
-					if !inputsOf[bi][o] {
-						connected = false
-						break
-					}
-				}
+				connected = !slices.ContainsFunc(outs, func(o netlist.ID) bool { return !reads(bi, o) })
 			}
 			if connected {
-				union(ai, bi)
-				edges++
+				uf.union(ai, bi)
 			}
 		}
 	}
-	if edges == 0 {
-		return nil
-	}
-
-	comps := make(map[int][]int)
-	for i := range mods {
-		r := find(i)
-		comps[r] = append(comps[r], i)
-	}
-	var reps []int
-	for r, members := range comps {
-		if len(members) >= 2 {
-			reps = append(reps, r)
-		}
-	}
-	sort.Ints(reps)
 
 	var out []*module.Module
-	for _, r := range reps {
-		members := comps[r]
-		sort.Ints(members)
+	for _, members := range uf.components(2) {
+		root := uf.find(members[0])
 		var elements []netlist.ID
 		width := 0
 		muxCount := 0
 		hasDecoder := false
-		memberOuts := make(map[netlist.ID]bool)
 		for _, mi := range members {
 			elements = append(elements, mods[mi].Elements...)
 			switch mods[mi].Type {
 			case module.Mux:
 				muxCount++
-				if mods[mi].Width > width {
-					width = mods[mi].Width
-				}
+				width = max(width, mods[mi].Width)
 			case module.Decoder:
 				hasDecoder = true
-			}
-			for _, o := range mods[mi].Port("out") {
-				memberOuts[o] = true
 			}
 		}
 		fused := module.New(module.Fused, width, elements)
@@ -164,13 +112,9 @@ func Fuse(mods []*module.Module) []*module.Module {
 		var outs []netlist.ID
 		for _, mi := range members {
 			for _, o := range mods[mi].Port("out") {
-				consumed := false
-				for _, mj := range members {
-					if mi != mj && inputsOf[mj][o] {
-						consumed = true
-						break
-					}
-				}
+				consumed := slices.ContainsFunc(consumers[o], func(mj int) bool {
+					return mj != mi && uf.find(mj) == root
+				})
 				if !consumed {
 					outs = append(outs, o)
 				}

@@ -20,7 +20,7 @@ func TestFuseMuxTree(t *testing.T) {
 		data = append(data, gen.InputWord(nl, string(rune('a'+i)), 4))
 	}
 	out := gen.MuxTree(nl, gen.Word{s0, s1}, data)
-	mods := CommonSignal(nl, analyze(nl, false))
+	mods := CommonSignal(analyze(nl, false))
 
 	muxes := 0
 	for _, m := range mods {
@@ -69,7 +69,7 @@ func TestFuseNothingWhenDisconnected(t *testing.T) {
 	d := gen.InputWord(nl, "d", 4)
 	gen.Mux2Word(nl, s1, a, b)
 	gen.Mux2Word(nl, s2, c, d)
-	mods := CommonSignal(nl, analyze(nl, false))
+	mods := CommonSignal(analyze(nl, false))
 	if fused := Fuse(mods); len(fused) != 0 {
 		t.Errorf("disconnected muxes fused: %d modules", len(fused))
 	}
@@ -94,7 +94,7 @@ func TestFuseDecoderIntoRouting(t *testing.T) {
 	}
 
 	res := analyze(nl, false)
-	muxMods := CommonSignal(nl, res)
+	muxMods := CommonSignal(res)
 	var fusable []*module.Module
 	for _, m := range muxMods {
 		if m.Type == module.Mux {
@@ -139,7 +139,7 @@ func TestChainWithBranchingCarry(t *testing.T) {
 	}
 	nl.MarkOutput("v", nl.AddGate(netlist.Xor, cout, probe))
 
-	mods := PropagatedSignal(nl, analyze(nl, false))
+	mods := PropagatedSignal(analyze(nl, false))
 	best := 0
 	for _, m := range mods {
 		if m.Type == module.Adder && m.Width > best {
@@ -176,7 +176,7 @@ func TestFuseComponentOrder(t *testing.T) {
 	}
 
 	bySel := make(map[netlist.ID]*module.Module)
-	for _, m := range CommonSignal(nl, analyze(nl, false)) {
+	for _, m := range CommonSignal(analyze(nl, false)) {
 		if s := m.Port("sel"); m.Type == module.Mux && len(s) == 1 {
 			bySel[s[0]] = m
 		}

@@ -439,7 +439,7 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, opt Options) *Repo
 				}
 				slices := a.Value.(*bitslice.Result)
 				var out aggregateOut
-				for _, m := range aggregate.CommonSignal(nl, slices) {
+				for _, m := range aggregate.CommonSignal(slices) {
 					if m.Type == module.Candidate {
 						out.Candidates = append(out.Candidates, m)
 						continue
@@ -449,7 +449,7 @@ func AnalyzeContext(ctx context.Context, nl *netlist.Netlist, opt Options) *Repo
 						out.Mux = append(out.Mux, m)
 					}
 				}
-				out.Propagated = aggregate.PropagatedSignal(nl, slices)
+				out.Propagated = aggregate.PropagatedSignal(slices)
 				return out, len(out.Common) + len(out.Propagated)
 			}},
 		// Stage 4: module fusion post-processing (Section II-F). Fusion

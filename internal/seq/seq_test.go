@@ -184,7 +184,7 @@ func TestMultibitRegisterDetection(t *testing.T) {
 	q := gen.MultibitRegister(nl, []gen.Word{v1, v2, v3}, []netlist.ID{c1, c2, c3})
 
 	res := bitslice.Find(nl, bitslice.Options{})
-	muxes := aggregate.CommonSignal(nl, res)
+	muxes := aggregate.CommonSignal(res)
 	mods := FindMultibitRegisters(nl, muxes)
 	var best *module.Module
 	for _, m := range mods {
@@ -221,7 +221,7 @@ func TestSimpleRegisterAsMultibit(t *testing.T) {
 	we := nl.AddInput("we")
 	q := gen.Register(nl, d, we)
 	res := bitslice.Find(nl, bitslice.Options{})
-	muxes := aggregate.CommonSignal(nl, res)
+	muxes := aggregate.CommonSignal(res)
 	mods := FindMultibitRegisters(nl, muxes)
 	if len(mods) == 0 {
 		t.Fatal("write-enabled register not detected as multibit register")
