@@ -47,6 +47,7 @@ bench-stagecache: build
 # Deterministic: two runs write identical BENCH_conformance.json.
 # Re-record the baseline after an intentional quality change with
 #   go run ./cmd/revcheck -bless
+# CI's "Conformance (revcheck)" step runs this target.
 conformance: build
 	$(GO) run ./cmd/revcheck
 
@@ -62,6 +63,7 @@ decompile-smoke: build
 # Differential gate: each labeled golden/trojan article pair (gate- and
 # LUT-mapped) diffed with the multi-pass matcher; the added set must equal
 # the injected trojan gate set exactly, with a clean self-diff per golden.
+# CI's "Differential gate (revcheck -diff)" step runs this target.
 diff-gate: build
 	$(GO) run ./cmd/revcheck -diff
 
@@ -107,13 +109,15 @@ coverage: build
 # Load-smokes the revand service under the race detector: ~50 concurrent
 # mixed requests (cache-hot repeats, cold uploads, async jobs, metrics
 # scrapes), a clean drain, and a goroutine-leak check — plus the daemon's
-# real SIGTERM shutdown path.
+# real SIGTERM shutdown path. CI's "Service load smoke (race)" step runs
+# this target.
 load-smoke:
 	$(GO) test -race -run 'TestLoadSmoke' -count 1 ./internal/server
 	$(GO) test -race -run 'TestRunServesAndDrainsOnSIGTERM' -count 1 ./cmd/revand
 
 # Race-checks the stage store's resume path: warm-run determinism at two
-# worker counts plus the timeout-then-resume round trip.
+# worker counts plus the timeout-then-resume round trip. CI's "Stage-cache
+# resume smoke (race)" step runs this target.
 resume-smoke:
 	$(GO) test -race -run 'TestStageCacheWarmDeterminism|TestStageCacheResumeAfterStageTimeout' -count 1 .
 
@@ -122,6 +126,7 @@ resume-smoke:
 # list and expand blocks, run a cone query, re-run a stage from the warm
 # stage store (all provenance must read "cached"), upload the trojaned
 # twin as a second revision, diff it, then drain on SIGTERM with exit 0.
+# CI's "Session smoke (race)" step runs this target.
 session-smoke:
 	$(GO) test -race -run 'TestSessionSmoke' -count 1 ./cmd/revand
 

@@ -215,43 +215,22 @@ func analyze(nl *netlist.Netlist, workerCount int) *core.Report {
 	return core.Analyze(nl, opt)
 }
 
-// checkMutation applies one mutation and verifies its invariants, mirroring
-// the checks in internal/oracle/mutate's own tests.
+// checkMutation applies one mutation, scores the mutant and its reference,
+// and checks the mutant's declared invariants.
 func checkMutation(nl *netlist.Netlist, lab *gen.Labels, parentRes *oracle.Result,
 	mutation mutate.Mutation, seed int64, workerCount int) error {
 	mut, err := mutation.Apply(nl, lab, seed)
 	if err != nil {
 		return err
 	}
-	refNL := mut.RefNetlist
-	var refRes *oracle.Result
+	refNL, refRes := mut.RefNetlist, parentRes
 	if refNL == nil {
 		refNL = nl
-		refRes = parentRes
 	} else {
 		refRes = oracle.Score(analyze(refNL, workerCount), mut.RefLabels, oracle.Options{})
 	}
-	mutFP, refFP := mut.Netlist.Fingerprint(), refNL.Fingerprint()
-	if mut.SameFingerprint && mutFP != refFP {
-		return fmt.Errorf("fingerprint changed: %s != %s", mutFP[:12], refFP[:12])
-	}
-	if mut.ChangedFingerprint && mutFP == refFP {
-		return fmt.Errorf("fingerprint unexpectedly preserved")
-	}
 	mutRes := oracle.Score(analyze(mut.Netlist, workerCount), mut.Labels, oracle.Options{})
-	if mut.ExactScores {
-		if !reflect.DeepEqual(mutRes, refRes) {
-			return fmt.Errorf("scorecard diverged from reference")
-		}
-		return nil
-	}
-	if regs := oracle.CompareBaseline([]*oracle.Result{mutRes}, []*oracle.Result{refRes}, mut.ScoreEps); len(regs) > 0 {
-		return fmt.Errorf("mutant below reference: %s", strings.Join(regs, "; "))
-	}
-	if regs := oracle.CompareBaseline([]*oracle.Result{refRes}, []*oracle.Result{mutRes}, mut.ScoreEps); len(regs) > 0 {
-		return fmt.Errorf("mutant above reference: %s", strings.Join(regs, "; "))
-	}
-	return nil
+	return mut.Check(refNL, mutRes, refRes)
 }
 
 func writeResults(path string, results []*oracle.Result) error {

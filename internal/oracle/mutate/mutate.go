@@ -14,11 +14,14 @@ package mutate
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 
 	"netlistre/internal/gen"
 	"netlistre/internal/netlist"
+	"netlistre/internal/oracle"
 	"netlistre/internal/simplify"
 )
 
@@ -53,6 +56,41 @@ type Mutant struct {
 	// ScoreEps is the tolerance for the quality-ratio comparison when
 	// ExactScores is false. Zero means the ratios must match exactly.
 	ScoreEps float64
+}
+
+// Check verifies the mutant's declared invariants against its reference
+// netlist ref (RefNetlist, or the parent article when that is nil): the
+// mutant netlist is valid, its fingerprint relates to ref's as
+// SameFingerprint and ChangedFingerprint require, and its scorecard mutRes
+// equals the reference's refRes exactly or within ScoreEps. The caller
+// analyzes and scores both netlists. It reports every broken invariant.
+func (m *Mutant) Check(ref *netlist.Netlist, mutRes, refRes *oracle.Result) error {
+	var errs []error
+	if err := m.Netlist.Validate(); err != nil {
+		errs = append(errs, fmt.Errorf("mutant netlist invalid: %v", err))
+	}
+	mutFP, refFP := m.Netlist.Fingerprint(), ref.Fingerprint()
+	if m.SameFingerprint && mutFP != refFP {
+		errs = append(errs, fmt.Errorf("fingerprint changed: %s != %s", mutFP[:12], refFP[:12]))
+	}
+	if m.ChangedFingerprint && mutFP == refFP {
+		errs = append(errs, errors.New("fingerprint unexpectedly preserved"))
+	}
+	got, base := []*oracle.Result{mutRes}, []*oracle.Result{refRes}
+	switch {
+	case m.ExactScores:
+		if !reflect.DeepEqual(mutRes, refRes) {
+			errs = append(errs, errors.New("scorecard diverged from reference"))
+		}
+	default:
+		for _, reg := range oracle.CompareBaseline(got, base, m.ScoreEps) {
+			errs = append(errs, fmt.Errorf("mutant below reference: %s", reg))
+		}
+		for _, reg := range oracle.CompareBaseline(base, got, m.ScoreEps) {
+			errs = append(errs, fmt.Errorf("mutant above reference: %s", reg))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // Mutation names one metamorphic transformation.

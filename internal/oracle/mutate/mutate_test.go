@@ -2,7 +2,6 @@ package mutate
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -18,40 +17,18 @@ func analyze(nl *netlist.Netlist) *core.Report {
 	return core.Analyze(nl, opt)
 }
 
-// checkMutant verifies a mutant's declared invariants against its
-// reference: fingerprint relation and scorecard equality.
+// checkMutant scores a mutant and its reference and checks the mutant's
+// declared invariants.
 func checkMutant(t *testing.T, name string, parent *netlist.Netlist, parentLab *gen.Labels, mut *Mutant) {
 	t.Helper()
 	refNL, refLab := mut.RefNetlist, mut.RefLabels
 	if refNL == nil {
 		refNL, refLab = parent, parentLab
 	}
-	mutFP, refFP := mut.Netlist.Fingerprint(), refNL.Fingerprint()
-	if mut.SameFingerprint && mutFP != refFP {
-		t.Errorf("%s: fingerprint changed (%s != %s)", name, mutFP[:12], refFP[:12])
-	}
-	if mut.ChangedFingerprint && mutFP == refFP {
-		t.Errorf("%s: fingerprint did not change", name)
-	}
-	if err := mut.Netlist.Validate(); err != nil {
-		t.Fatalf("%s: mutant netlist invalid: %v", name, err)
-	}
-
 	mutRes := oracle.Score(analyze(mut.Netlist), mut.Labels, oracle.Options{})
 	refRes := oracle.Score(analyze(refNL), refLab, oracle.Options{})
-	if mut.ExactScores {
-		if !reflect.DeepEqual(mutRes, refRes) {
-			t.Errorf("%s: scorecard diverged:\nmutant: %+v\nref:    %+v", name, mutRes, refRes)
-		}
-		return
-	}
-	got := []*oracle.Result{mutRes}
-	ref := []*oracle.Result{refRes}
-	for _, reg := range oracle.CompareBaseline(got, ref, mut.ScoreEps) {
-		t.Errorf("%s: mutant below reference: %s", name, reg)
-	}
-	for _, reg := range oracle.CompareBaseline(ref, got, mut.ScoreEps) {
-		t.Errorf("%s: mutant above reference: %s", name, reg)
+	if err := mut.Check(refNL, mutRes, refRes); err != nil {
+		t.Errorf("%s: %v", name, err)
 	}
 }
 

@@ -1,12 +1,14 @@
 package rtl
 
-// Pinned emission table: every labeled article analyzed, emitted and
-// checked must reproduce the recorded SHA-256 of the emitted Verilog,
-// every EmitStats field, and the self-check's proof: the proved signals,
-// every named gate proved a cut, and the cuts and signals proved only
-// after substituting cut variables by their expansions. Any change to what
-// the planner admits, how nets are named and ordered, or where the
-// checker's proof holds at the named nets moves at least one row.
+// Pinned emission table: every labeled article analyzed with the
+// sliceable overlap ILP (as revan -emit-rtl, revcheck -decompile and
+// revand's /rtl analyze), emitted and checked must reproduce the recorded
+// SHA-256 of the emitted Verilog, every EmitStats field, and the
+// self-check's proof: the proved signals, every named gate proved a cut,
+// and the cuts and signals proved only after substituting cut variables
+// by their expansions. Any change to what the planner admits, how nets
+// are named and ordered, or where the checker's proof holds at the named
+// nets moves at least one row.
 
 import (
 	"crypto/sha256"
@@ -55,7 +57,9 @@ func TestPinnedEmitDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			er, err := Emit(nl, core.Analyze(nl, core.Options{Workers: 1}))
+			opt := core.Options{Workers: 1}
+			opt.Overlap.Sliceable = true
+			er, err := Emit(nl, core.Analyze(nl, opt))
 			if err != nil {
 				t.Fatal(err)
 			}
