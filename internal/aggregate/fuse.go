@@ -29,23 +29,29 @@ func compatible(a, b module.Type) bool {
 // Fuse builds the module fusion graph and returns one fused module per
 // connected component with at least two members.
 func Fuse(mods []*module.Module) []*module.Module {
-	// consumers[n] lists, in ascending order, the modules that read net n
-	// on an input or select port (any port but "out").
-	consumers := make(map[netlist.ID][]int)
+	// readers holds pack(net, module) for each net a module reads on an
+	// input or select port (any port but "out"), sorted: the modules that
+	// read a net are one ascending run.
+	var readers []uint64
 	for i, m := range mods {
 		for name, port := range m.Ports {
 			if name == "out" {
 				continue
 			}
 			for _, n := range port {
-				if c := consumers[n]; len(c) == 0 || c[len(c)-1] != i {
-					consumers[n] = append(c, i)
-				}
+				readers = append(readers, pack(n, netlist.ID(i)))
 			}
 		}
 	}
+	slices.Sort(readers)
+	readers = slices.Compact(readers)
+	readersOf := func(n netlist.ID) []uint64 {
+		lo, _ := slices.BinarySearch(readers, pack(n, 0))
+		hi, _ := slices.BinarySearch(readers, pack(n+1, 0))
+		return readers[lo:hi]
+	}
 	reads := func(j int, n netlist.ID) bool {
-		_, ok := slices.BinarySearch(consumers[n], j)
+		_, ok := slices.BinarySearch(readers, pack(n, netlist.ID(j)))
 		return ok
 	}
 
@@ -54,7 +60,9 @@ func Fuse(mods []*module.Module) []*module.Module {
 		outs := a.Port("out")
 		var next []int
 		for _, o := range outs {
-			next = append(next, consumers[o]...)
+			for _, r := range readersOf(o) {
+				next = append(next, int(uint32(r)))
+			}
 		}
 		slices.Sort(next)
 		for _, bi := range slices.Compact(next) {
@@ -112,7 +120,8 @@ func Fuse(mods []*module.Module) []*module.Module {
 		var outs []netlist.ID
 		for _, mi := range members {
 			for _, o := range mods[mi].Port("out") {
-				consumed := slices.ContainsFunc(consumers[o], func(mj int) bool {
+				consumed := slices.ContainsFunc(readersOf(o), func(r uint64) bool {
+					mj := int(uint32(r))
 					return mj != mi && uf.find(mj) == root
 				})
 				if !consumed {
