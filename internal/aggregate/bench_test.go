@@ -22,8 +22,7 @@ type aggregateInput struct {
 	decoders []*module.Module
 }
 
-func newAggregateInput(b *testing.B, nl *netlist.Netlist, workers int) aggregateInput {
-	b.Helper()
+func newAggregateInput(nl *netlist.Netlist, workers int) aggregateInput {
 	in := aggregateInput{res: bitslice.Find(nl, bitslice.Options{Workers: workers})}
 	for _, m := range support.Analyze(nl, support.Options{Workers: workers}) {
 		if m.Type == module.Decoder {
@@ -69,7 +68,7 @@ func BenchmarkAggregate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			inputs = append(inputs, newAggregateInput(b, nl, 1))
+			inputs = append(inputs, newAggregateInput(nl, 1))
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -82,7 +81,7 @@ func BenchmarkAggregate(b *testing.B) {
 	}
 	b.Run("bigsoc", func(b *testing.B) {
 		nl := simplify.Run(gen.SoC("bigsoc", gen.BigSoCCoreNames(), 1, 0.22)).Netlist
-		in := newAggregateInput(b, nl, 2)
+		in := newAggregateInput(nl, 2)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
